@@ -164,11 +164,6 @@ def limit_equal(a, b):
     return pullback(ma.fan_map, a.pp) == pullback(mb.fan_map, b.pp)
 
 
-def limit_add(a, b):
-    pc, ma, mb = common_model(a.model, b.model)
-    return LimitClass(pc, pullback(ma.fan_map, a.pp) + pullback(mb.fan_map, b.pp))
-
-
 def limit_mul(a, b):
     pc, ma, mb = common_model(a.model, b.model)
     return LimitClass(pc, pullback(ma.fan_map, a.pp) * pullback(mb.fan_map, b.pp))

@@ -106,9 +106,13 @@ def cmd_ddc(args):
 
 def _load_chain(path):
     data = pio.load_json(path)
-    models = [pio.complex_from_json(pio.load_json(m["complex"]))
-              for m in data["models"]]
-    return ModelChain(models)
+    models = data.get("models") if isinstance(data, dict) else None
+    if not isinstance(models, list) or not models:
+        raise InputError("chain file needs a nonempty 'models' list")
+    refs = [m.get("complex") if isinstance(m, dict) else None for m in models]
+    if not all(isinstance(ref, str) for ref in refs):
+        raise InputError("every chain model needs a 'complex' path")
+    return ModelChain([_load_complex(ref) for ref in refs])
 
 
 def _load_cycle(path, rank):
@@ -253,7 +257,6 @@ def build_parser():
 
     ck = sub.add_parser("check", help="run the invariant and acceptance suites")
     ck.add_argument("--suite", choices=["core", "acceptance", "all"], default="all")
-    ck.add_argument("--depth", type=int, default=3)
     ck.add_argument("--seed", type=int, default=0)
     ck.add_argument("--out")
     ck.set_defaults(fn=cmd_check)

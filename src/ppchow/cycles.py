@@ -109,11 +109,6 @@ def horizontal_part(cycle, n):
     return InvariantCycle(n, cycle.codim, terms)
 
 
-def vertical_part(cycle, n):
-    terms = {k: c for k, c in cycle.terms.items() if any(r[n] != 0 for r in k)}
-    return InvariantCycle(n + 1, cycle.codim, terms)
-
-
 def cycle_from_pp(fan, f, codim):
     """Express a PP class as a combination of the codim-k cone generators.
 

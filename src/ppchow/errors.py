@@ -14,10 +14,6 @@ class InputError(PPChowError):
     """Malformed or inconsistent user input."""
 
 
-class CheckFailure(PPChowError):
-    """A check-suite assertion that did not hold."""
-
-
 class InternalIdentityError(PPChowError):
     """A structural identity failed; this is a bug, not an input problem."""
 

@@ -19,14 +19,6 @@ from .specialfiber import AffinePP, VertexTuple
 from .polyhedra import vertex_chart
 
 
-def rational_to_json(q):
-    return rat_str(q)
-
-
-def rational_from_json(s):
-    return rat(s)
-
-
 def vector_to_json(v):
     return [rat_str(x) for x in v]
 

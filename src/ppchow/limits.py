@@ -107,11 +107,6 @@ def form_product(a, b):
     return ClosedForm(pc, pullback_special(ma, a.form) * pullback_special(mb, b.form))
 
 
-def form_add(a, b):
-    pc, ma, mb = common_model(a.model, b.model)
-    return ClosedForm(pc, pullback_special(ma, a.form) + pullback_special(mb, b.form))
-
-
 class FormModDdbar:
     """An element of the direct limit of homology layers, presented on one
     model by a vertex tuple (considered modulo the image of gamma)."""
@@ -460,10 +455,10 @@ def closed_degree_one_evaluator(c):
     maxs = list(pc.maximal)
     cols = {i: pos for pos, i in enumerate(maxs)}
     rows, rhs = [], []
-    for i, j, dirspan, inter in pc.adjacency():
-        if inter.dim != pc.rank - 1:
+    for i, j, dirspan, (verts, _) in pc.adjacency():
+        if len(dirspan) != pc.rank - 1:
             continue
-        q = inter.vertices[0]
+        q = verts[0]
         row = [0] * len(maxs)
         row[cols[i]] = 1
         row[cols[j]] = -1

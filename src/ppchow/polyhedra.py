@@ -8,7 +8,17 @@ piecewise-polynomial Chow calculus in the higher layers.
 
 Conversions between V- and H-descriptions are brute force over generator
 subsets; ambient ranks here are tiny (at most 3 on the shipped fixtures) so
-nothing smarter is warranted.
+nothing smarter is warranted.  They run only where no combinatorial answer
+exists: building a polyhedron (its H-description), validation's pairwise
+common-face test, :func:`common_refinement` (cells of two unrelated complexes
+meet in new polyhedra), :func:`star_subdivision` (new cells), and the grid
+oracle of the check suite, which must share no code with the bases.  Once a
+complex or fan is validated, two of its cells meet in the convex hull of
+their common vertices plus the cone on their common rays, and are disjoint
+exactly when they share no vertex; two cones meet in the cone on their common
+rays.  Adjacency, pairwise spans, stars and cell/cone correspondences are
+read off those vertex and ray sets, and each face is built once per complex
+or fan.
 """
 
 from fractions import Fraction
@@ -219,14 +229,6 @@ class Polyhedron:
                 return False
         return True
 
-    def direction_space(self):
-        base = self.vertices[0]
-        dirs = [vsub(v, base) for v in self.vertices[1:]] + list(self.rays)
-        return span_basis(dirs)
-
-    def recession_rays(self):
-        return self.rays
-
     def intersect(self, other):
         eqs = list(self.eqs) + list(other.eqs)
         ineqs = list(self.ineqs) + list(other.ineqs)
@@ -235,19 +237,31 @@ class Polyhedron:
             return None
         return Polyhedron(self.dim_ambient, out[0], out[1])
 
-    def facet_cells(self):
+    def facet_keys(self):
+        """Keys of the facets: the generators on each facet hyperplane.
+
+        A face is spanned by the vertices and rays it contains, so these are
+        the facets' canonical keys, known without building them.
+        """
+        n = self.dim_ambient
         out = []
         for a, bb in self.ineqs:
-            vs = [v for v in self.vertices
-                  if sum(a[i] * v[i] for i in range(self.dim_ambient)) == bb]
-            rs = [r for r in self.rays
-                  if sum(a[i] * r[i] for i in range(self.dim_ambient)) == 0]
+            vs = tuple(v for v in self.vertices
+                       if sum(a[i] * v[i] for i in range(n)) == bb)
+            rs = tuple(r for r in self.rays
+                       if sum(a[i] * r[i] for i in range(n)) == 0)
             if vs:
-                out.append(Polyhedron(self.dim_ambient, vs, rs))
+                out.append((vs, rs))
         return out
 
-    def faces(self):
-        """All nonempty faces, this polyhedron included."""
+    def faces(self, built=None):
+        """All nonempty faces, this polyhedron included.
+
+        ``built`` maps keys to faces already built, for sharing the faces of
+        the cells of one complex; faces missing from it are built and added.
+        """
+        built = {} if built is None else built
+        built.setdefault(self.key(), self)
         seen = {}
         stack = [self]
         while stack:
@@ -255,7 +269,10 @@ class Polyhedron:
             if f.key() in seen:
                 continue
             seen[f.key()] = f
-            stack.extend(f.facet_cells())
+            for key in f.facet_keys():
+                if key not in built:
+                    built[key] = Polyhedron(self.dim_ambient, *key)
+                stack.append(built[key])
         return sorted(seen.values(), key=lambda p: (p.dim, p.key()))
 
     def is_face_of(self, other):
@@ -277,27 +294,37 @@ class Polyhedron:
         n = self.dim_ambient
         return all(sum(a[i] * x[i] for i in range(n)) < bb for a, bb in self.ineqs)
 
-    def translate(self, t):
-        return Polyhedron(self.dim_ambient,
-                          [vadd(v, t) for v in self.vertices], self.rays)
-
     def __repr__(self):
         return f"Polyhedron(V={list(self.vertices)}, R={list(self.rays)})"
 
 
 class Cone:
-    """A strongly convex rational cone, stored by its primitive extreme rays."""
+    """A strongly convex rational cone, stored by its primitive extreme rays.
 
-    __slots__ = ("dim_ambient", "rays", "poly", "dim")
+    ``_cache`` holds data derived from the cone, such as its dual forms.
+    """
+
+    __slots__ = ("dim_ambient", "rays", "poly", "dim", "_cache")
 
     def __init__(self, dim_ambient, rays):
-        origin = zero_vec(dim_ambient)
-        self.poly = Polyhedron(dim_ambient, [origin], rays)
-        if len(self.poly.vertices) != 1:
+        poly = Polyhedron(dim_ambient, [zero_vec(dim_ambient)], rays)
+        if len(poly.vertices) != 1:
             raise NonSCR("cone is not strongly convex")
-        self.dim_ambient = dim_ambient
-        self.rays = self.poly.rays
-        self.dim = len(span_basis(self.rays))
+        self._wrap(poly)
+
+    @classmethod
+    def _of_poly(cls, poly):
+        """The cone whose polyhedron, apex at the origin, is already built."""
+        cone = cls.__new__(cls)
+        cone._wrap(poly)
+        return cone
+
+    def _wrap(self, poly):
+        self.poly = poly
+        self.dim_ambient = poly.dim_ambient
+        self.rays = poly.rays
+        self.dim = poly.dim
+        self._cache = {}
 
     def key(self):
         return self.rays
@@ -320,9 +347,10 @@ class Cone:
             return None
         return Cone(self.dim_ambient, p.rays)
 
-    def faces(self):
-        return sorted((Cone(self.dim_ambient, f.rays) for f in self.poly.faces()),
-                      key=lambda c: (c.dim, c.key()))
+    def faces(self, built=None):
+        """All faces, sorted like :meth:`Polyhedron.faces`; ``built`` shares
+        the face polyhedra the same way."""
+        return [Cone._of_poly(f) for f in self.poly.faces(built)]
 
     def is_face_of(self, other):
         return self.poly.is_face_of(other.poly)
@@ -345,11 +373,12 @@ def _close_and_validate(items, kind, validate=True):
     """Face closure plus the pairwise common-face test.
 
     ``items`` are Polyhedron or Cone; returns the closed sorted list and the
-    indices of the maximal ones.
+    indices of the maximal ones.  Faces shared by several items are built
+    once.
     """
-    closed = {}
+    closed, built = {}, {}
     for it in items:
-        for f in it.faces():
+        for f in it.faces(built):
             closed[f.key()] = f
     cells = sorted(closed.values(), key=lambda p: (p.dim, p.key()))
     if validate:
@@ -365,74 +394,86 @@ def _close_and_validate(items, kind, validate=True):
     return tuple(cells), tuple(maximal)
 
 
-class Fan:
-    """A finite collection of cones meeting along faces.
+def direction_space(vertices, rays):
+    """RREF basis of the directions of conv(vertices) + cone(rays)."""
+    base = vertices[0]
+    return span_basis([vsub(v, base) for v in vertices[1:]] + list(rays))
 
-    ``star_base`` marks star fans (all cones contain the base cone; not
-    face-closed below it).  ``lattice`` is a basis of the reference lattice
-    used for primitivity and regularity; None means Z^rank.
+
+def common_face(p, q):
+    """(vertices, rays) of the common face of two cells of one complex.
+
+    In a complex, p and q meet in conv(V(p) & V(q)) + cone(R(p) & R(q)), and
+    they are disjoint exactly when they share no vertex (None).  The
+    polyhedra of two cones of one fan share the apex, so there the common
+    rays give the common face.
     """
-
-    __slots__ = ("rank", "cones", "maximal", "star_base", "lattice", "_cache")
-
-    def __init__(self, rank, cones, star_base=None, lattice=None, validate=True):
-        if star_base is None:
-            self.cones, self.maximal = _close_and_validate(cones, "fan", validate)
-        else:
-            uniq = {}
-            for c in cones:
-                uniq[c.key()] = c
-            cl = sorted(uniq.values(), key=lambda c: (c.dim, c.key()))
-            if validate:
-                for p, q in itertools.combinations(cl, 2):
-                    inter = p.intersect(q)
-                    if inter is not None and not (inter.is_face_of(p) and inter.is_face_of(q)):
-                        raise NotAComplex(f"star cones {p!r}, {q!r} do not meet in a face")
-            self.cones = tuple(cl)
-            self.maximal = tuple(i for i, c in enumerate(cl)
-                                 if not any(i != j and cl[j].contains_cone(c)
-                                            for j in range(len(cl))))
-        self.rank = rank
-        self.star_base = star_base
-        self.lattice = lattice
-        self._cache = {}
-
-    def max_cones(self):
-        return [self.cones[i] for i in self.maximal]
-
-    def cone_index(self, cone):
-        for i, c in enumerate(self.cones):
-            if c.key() == cone.key():
-                return i
+    qv = set(q.vertices)
+    vs = tuple(v for v in p.vertices if v in qv)
+    if not vs:
         return None
+    qr = set(q.rays)
+    return vs, tuple(r for r in p.rays if r in qr)
 
-    def rays_list(self):
-        return [c for c in self.cones if c.dim == 1]
+
+class _Closure:
+    """What fans and complexes share: face-closed members in canonical order,
+    the indices of the maximal ones, and an index of the members by key."""
+
+    __slots__ = ("rank", "maximal", "_index", "_cache")
+
+    def _close(self, rank, items, kind, validate):
+        members, self.maximal = _close_and_validate(items, kind, validate)
+        self.rank = rank
+        self._index = {m.key(): i for i, m in enumerate(members)}
+        self._cache = {}
+        return members
+
+    def index(self, key):
+        """Position of the member with this key, or None."""
+        return self._index.get(key)
+
+    def same_as(self, other):
+        return self.rank == other.rank and self._index.keys() == other._index.keys()
 
     def is_complete(self):
         if "complete" not in self._cache:
             self._cache["complete"] = self._complete_test()
         return self._cache["complete"]
 
+    @staticmethod
+    def _facets_paired(max_polys):
+        """Does every facet of a maximal member lie in exactly two of them?"""
+        count = {}
+        for p in max_polys:
+            for key in p.facet_keys():
+                count[key] = count.get(key, 0) + 1
+        return all(v == 2 for v in count.values())
+
+
+class Fan(_Closure):
+    """A finite collection of cones meeting along faces, face-closed.
+
+    Regularity is tested against the lattice Z^rank.
+    """
+
+    __slots__ = ("cones",)
+
+    def __init__(self, rank, cones, validate=True):
+        self.cones = self._close(rank, cones, "fan", validate)
+
+    def max_cones(self):
+        return [self.cones[i] for i in self.maximal]
+
     def _complete_test(self):
-        if self.star_base is not None:
-            return False
         maxs = self.max_cones()
         if not maxs or any(c.dim != self.rank for c in maxs):
             return self.rank == 0 and len(self.cones) == 1
-        if self.rank == 0:
-            return True
-        facet_count = {}
-        for c in maxs:
-            for f in c.faces():
-                if f.dim == self.rank - 1:
-                    facet_count[f.key()] = facet_count.get(f.key(), 0) + 1
-        return all(v == 2 for v in facet_count.values())
+        return self.rank == 0 or self._facets_paired([c.poly for c in maxs])
 
     def is_regular(self):
         if "regular" not in self._cache:
-            self._cache["regular"] = all(
-                rays_extend_to_basis(c.rays, self.lattice) for c in self.cones)
+            self._cache["regular"] = all(rays_extend_to_basis(c.rays) for c in self.cones)
         return self._cache["regular"]
 
     def smallest_containing(self, cone):
@@ -443,10 +484,6 @@ class Fan:
                     best = c
         return best
 
-    def same_as(self, other):
-        return (self.rank == other.rank and
-                {c.key() for c in self.cones} == {c.key() for c in other.cones})
-
     def __repr__(self):
         return f"Fan(rank={self.rank}, {len(self.cones)} cones, {len(self.maximal)} maximal)"
 
@@ -455,7 +492,7 @@ def is_regular(fan):
     return fan.is_regular()
 
 
-class PolyComplex:
+class PolyComplex(_Closure):
     """A validated SCR polyhedral complex in N_R.
 
     Cells are face-closed and canonically sorted; ``vertices`` lists the
@@ -463,23 +500,15 @@ class PolyComplex:
     ordering used by every signed map downstream.
     """
 
-    __slots__ = ("rank", "cells", "maximal", "_cache")
+    __slots__ = ("cells",)
 
     def __init__(self, rank, cells, validate=True):
-        self.rank = rank
-        self.cells, self.maximal = _close_and_validate(cells, "complex", validate)
-        self._cache = {}
+        self.cells = self._close(rank, cells, "complex", validate)
 
     # -- basic queries ------------------------------------------------
 
     def max_cells(self):
         return [self.cells[i] for i in self.maximal]
-
-    def cell_index(self, cell):
-        for i, c in enumerate(self.cells):
-            if c.key() == cell.key():
-                return i
-        return None
 
     @property
     def vertices(self):
@@ -497,27 +526,13 @@ class PolyComplex:
                 i for i, c in enumerate(self.cells) if c.dim == 1 and not c.rays)
         return self._cache["bedges"]
 
-    def same_as(self, other):
-        return (self.rank == other.rank and
-                {c.key() for c in self.cells} == {c.key() for c in other.cells})
-
-    def is_complete(self):
-        if "complete" not in self._cache:
-            self._cache["complete"] = self._complete_test()
-        return self._cache["complete"]
-
     def _complete_test(self):
         maxs = self.max_cells()
         if self.rank == 0:
             return bool(maxs)
         if not maxs or any(c.dim != self.rank for c in maxs):
             return False
-        facet_count = {}
-        for c in maxs:
-            for f in c.faces():
-                if f.dim == self.rank - 1:
-                    facet_count[f.key()] = facet_count.get(f.key(), 0) + 1
-        if any(v != 2 for v in facet_count.values()):
+        if not self._facets_paired(maxs):
             return False
         return recession_fan(self, _check_complete=False).is_complete()
 
@@ -534,16 +549,19 @@ class PolyComplex:
         return best
 
     def max_cells_containing_vertex(self, v):
-        return [i for i in self.maximal if self.cells[i].contains_point(v)]
+        """Maximal cells containing a vertex of the complex: those having it
+        as a vertex."""
+        return [i for i in self.maximal if v in self.cells[i].vertices]
 
     def adjacency(self):
-        """Pairs of maximal cells with the direction space of their meet."""
+        """Pairs of maximal cells that meet, with the direction space of
+        their common face and its (vertices, rays)."""
         if "adj" not in self._cache:
             out = []
             for i, j in itertools.combinations(self.maximal, 2):
-                inter = self.cells[i].intersect(self.cells[j])
-                if inter is not None:
-                    out.append((i, j, tuple(inter.direction_space()), inter))
+                meet = common_face(self.cells[i], self.cells[j])
+                if meet is not None:
+                    out.append((i, j, tuple(direction_space(*meet)), meet))
             self._cache["adj"] = tuple(out)
         return self._cache["adj"]
 
@@ -587,11 +605,12 @@ class ConeOver:
         self.horizontal = horizontal          # cone indices inside {t = 0}
 
 
-def _cone_over_cell(cell):
-    n = cell.dim_ambient
-    rays = [primitive(tuple(v) + (Fraction(1),)) for v in cell.vertices]
-    rays += [tuple(r) + (Fraction(0),) for r in cell.rays]
-    return Cone(n + 1, rays)
+def _cone_over_rays(cell):
+    """Sorted primitive rays of the cone over a cell, which is its key: the
+    vertices and extreme rays of a pointed cell are all extreme."""
+    rays = {primitive(tuple(v) + (Fraction(1),)) for v in cell.vertices}
+    rays.update(tuple(r) + (Fraction(0),) for r in cell.rays)
+    return tuple(sorted(rays))
 
 
 def cone_over(pc):
@@ -599,12 +618,11 @@ def cone_over(pc):
     if "cone_over" in pc._cache:
         return pc._cache["cone_over"]
     n = pc.rank
-    max_cones = [_cone_over_cell(pc.cells[i]) for i in pc.maximal]
+    max_cones = [Cone(n + 1, _cone_over_rays(pc.cells[i])) for i in pc.maximal]
     fan = Fan(n + 1, max_cones, validate=False)
     cell_to_cone = {}
     for ci, cell in enumerate(pc.cells):
-        cone = _cone_over_cell(cell)
-        idx = fan.cone_index(cone)
+        idx = fan.index(_cone_over_rays(cell))
         if idx is None:
             raise NotAComplex("cone over a cell missing from the closure")
         cell_to_cone[ci] = idx
@@ -622,7 +640,8 @@ def recession_fan(pc, _check_complete=True):
         raise IncompleteInput("recession fan needs a complete complex")
     key = "rec_fan"
     if key not in pc._cache:
-        cones = [Cone(pc.rank, c.rays) for c in pc.max_cells()]
+        distinct = dict.fromkeys(c.rays for c in pc.max_cells())
+        cones = [Cone(pc.rank, rays) for rays in distinct]
         pc._cache[key] = Fan(pc.rank, cones, validate=False)
     return pc._cache[key]
 
@@ -656,26 +675,16 @@ class VertexChart:
             denom = denom * x.denominator // gcd(denom, x.denominator)
         self.multiplicity = denom
         max_cells = pc.max_cells_containing_vertex(v)
-        cones = []
-        for i in max_cells:
-            cell = pc.cells[i]
-            rays = [vsub(u, v) for u in cell.vertices if u != v] + list(cell.rays)
-            cones.append(Cone(n, [primitive(r) for r in rays]))
+        cones = [_chart_cone(v, pc.cells[i]) for i in max_cells]
         self.max_cells = tuple(max_cells)
         self.fan = Fan(n, cones, validate=False)
-        self.cell_to_cone = {}
-        for i in max_cells:
-            cell = pc.cells[i]
-            rays = [vsub(u, v) for u in cell.vertices if u != v] + list(cell.rays)
-            self.cell_to_cone[i] = self.fan.cone_index(Cone(n, [primitive(r) for r in rays]))
+        self.cell_to_cone = {i: self.fan.index(c.key()) for i, c in zip(max_cells, cones)}
 
-    def chart_cone_of_cell(self, cell):
-        """Cone at the vertex of an arbitrary cell containing it."""
-        v = self.vertex
-        rays = [vsub(u, v) for u in cell.vertices if u != v] + list(cell.rays)
-        if not rays:
-            return Cone(self.complex.rank, [])
-        return Cone(self.complex.rank, [primitive(r) for r in rays])
+
+def _chart_cone(v, cell):
+    """The cone at the vertex v of a cell containing it."""
+    rays = [vsub(u, v) for u in cell.vertices if u != v] + list(cell.rays)
+    return Cone(cell.dim_ambient, [primitive(r) for r in rays])
 
 
 def vertex_chart(pc, v):
@@ -703,9 +712,7 @@ def edge_data(pc, edge_cell):
 
 def horizontal_star(pc, sigma):
     """The complex Pi(sigma) of projected cells, for a recession cone sigma."""
-    rec = recession_fan(pc)
-    found = next((c for c in rec.cones if c.same_as(sigma)), None)
-    if found is None:
+    if recession_fan(pc).index(sigma.key()) is None:
         raise NotARecessionCone(f"{sigma!r} is not a cone of rec(Pi)")
     n = pc.rank
     s = sigma.dim

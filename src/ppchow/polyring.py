@@ -171,14 +171,6 @@ class HomogPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def poly_add(p, q):
-    return p + q
-
-
-def poly_mul(p, q):
-    return p * q
-
-
 def monomial_exponents(dim, degree):
     """All exponent tuples of the given total degree, in sorted order."""
     if dim == 0:
@@ -190,26 +182,13 @@ def monomial_exponents(dim, degree):
     return sorted(out)
 
 
-class LinSubspace:
-    """A rational linear subspace, kept as an independent basis."""
-
-    __slots__ = ("dim", "basis")
-
-    def __init__(self, dim, vectors):
-        self.dim = dim
-        self.basis = tuple(span_basis([vec(v) for v in vectors]))
-
-    def rank(self):
-        return len(self.basis)
-
-
 def restrict_to_span(p, subspace):
     """Rewrite p as a polynomial in parameters of the subspace.
 
     Substitutes x = sum_i s_i b_i for the basis b of the subspace; the result
     lives in ``rank`` many parameter variables.
     """
-    basis = subspace.basis if isinstance(subspace, LinSubspace) else tuple(span_basis([vec(v) for v in subspace]))
+    basis = tuple(span_basis([vec(v) for v in subspace]))
     r = len(basis)
     images = []
     for i in range(p.dim):

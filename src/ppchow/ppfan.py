@@ -14,19 +14,19 @@ from .errors import (DegreeMismatch, FaceMismatch, NotARay, NotProper,
                      NotRegular)
 from .polyring import (HomogPoly, RatFun, equal_on_span, ratfun_sum_to_poly,
                        monomial_exponents)
-from .polyhedra import Cone
-from .qlinalg import kernel_basis, mat, mat_inverse, primitive, vec
+from .polyhedra import Cone, common_face
+from .qlinalg import kernel_basis, mat, mat_inverse, primitive, span_basis, vec
 
 
 def _max_pair_spans(fan):
-    """For every pair of maximal cones, the span of their intersection."""
+    """For every pair of maximal cones, the span of their intersection and
+    its rays: two cones of a fan meet in the cone on their common rays."""
     if "pair_spans" not in fan._cache:
         out = []
         maxs = fan.max_cones()
         for (i, ci), (j, cj) in itertools.combinations(enumerate(maxs), 2):
-            inter = ci.intersect(cj)
-            if inter is not None:
-                out.append((i, j, tuple(inter.span()), inter))
+            _, rays = common_face(ci.poly, cj.poly)
+            out.append((i, j, tuple(span_basis(rays)), rays))
         fan._cache["pair_spans"] = tuple(out)
     return fan._cache["pair_spans"]
 
@@ -58,9 +58,10 @@ class PPFunction:
                     witness=bad)
 
     def offending_pair(self):
-        for i, j, span, inter in _max_pair_spans(self.fan):
+        """(i, j, common face) for the first pair of pieces that disagree."""
+        for i, j, span, rays in _max_pair_spans(self.fan):
             if not equal_on_span(self.pieces[i], self.pieces[j], span):
-                return (i, j, inter)
+                return (i, j, Cone(self.fan.rank, rays))
         return None
 
     def is_zero(self):
@@ -148,16 +149,20 @@ def dual_forms(cone, rank):
     """The forms phi_{tau,sigma} for a full-dimensional regular cone.
 
     Row i of the inverse ray matrix is the unique linear form that is 1 on
-    the i-th primitive ray and 0 on the others.
+    the i-th primitive ray and 0 on the others.  The inverse is taken once
+    per cone.
     """
-    if cone.dim != rank or len(cone.rays) != rank:
-        raise NotRegular(f"cone {cone!r} is not full-dimensional simplicial")
-    M = mat([[cone.rays[j][i] for j in range(rank)] for i in range(rank)])
-    try:
-        inv = mat_inverse(M)
-    except ValueError:
-        raise NotRegular(f"cone {cone!r} is degenerate")
-    return [HomogPoly.linear_form(row) for row in inv]
+    key = ("dual_forms", rank)
+    if key not in cone._cache:
+        if cone.dim != rank or len(cone.rays) != rank:
+            raise NotRegular(f"cone {cone!r} is not full-dimensional simplicial")
+        M = mat([[cone.rays[j][i] for j in range(rank)] for i in range(rank)])
+        try:
+            inv = mat_inverse(M)
+        except ValueError:
+            raise NotRegular(f"cone {cone!r} is degenerate")
+        cone._cache[key] = tuple(HomogPoly.linear_form(row) for row in inv)
+    return cone._cache[key]
 
 
 def phi_ray(fan, ray):
@@ -169,9 +174,9 @@ def phi_ray(fan, ray):
         raise NotARay(f"{v} is not a ray of the fan")
     pieces = []
     for c in fan.max_cones():
-        if c.contains_point(v):
-            idx = c.rays.index(v)
-            pieces.append(dual_forms(c, fan.rank)[idx])
+        # a cone of the fan contains one of its rays only as a ray of its own
+        if v in c.rays:
+            pieces.append(dual_forms(c, fan.rank)[c.rays.index(v)])
         else:
             pieces.append(HomogPoly.zero(fan.rank, 1))
     return PPFunction(fan, 1, pieces, validate=False)
@@ -183,20 +188,6 @@ def phi_cone(fan, cone):
     for r in cone.rays:
         out = out * phi_ray(fan, r)
     return out
-
-
-def pp_add(f, g):
-    if f.degree != g.degree and not (f.is_zero() or g.is_zero()):
-        raise DegreeMismatch("adding different degrees")
-    return f + g
-
-
-def pp_product(f, g):
-    return f * g
-
-
-def pp_scale(c, f):
-    return f.scale(c)
 
 
 def graded_basis(fan, k):

@@ -166,13 +166,6 @@ def det(A):
     return d
 
 
-def in_span(vectors, target):
-    """Is target in the rational span of the given vectors?"""
-    if not vectors:
-        return is_zero_vec(target)
-    return solve(transpose(mat(vectors)), target) is not None
-
-
 def span_basis(vectors):
     """Subset-free basis of the span, as the nonzero rows of the RREF."""
     if not vectors:
@@ -181,14 +174,35 @@ def span_basis(vectors):
     return [red[i] for i in range(len(pivots))]
 
 
-def complement_basis(vectors, dim):
-    """Extend span(vectors) by standard basis vectors to all of Q^dim."""
-    basis = list(span_basis(vectors))
-    for j in range(dim):
-        e = tuple(Fraction(1 if i == j else 0) for i in range(dim))
-        if not in_span(basis, e):
-            basis.append(e)
-    return basis[len(span_basis(vectors)):]
+class RowEchelon:
+    """An echelon basis of a growing row space.
+
+    It starts as the RREF of the given rows.  A row added later is a
+    remainder, zero at every earlier pivot, so reducing a vector against the
+    rows in order leaves it zero at every pivot, and it lies in the span iff
+    nothing is left: one elimination serves any number of membership tests.
+    """
+
+    __slots__ = ("rows", "pivots")
+
+    def __init__(self, rows):
+        red, pivots = rref(mat(rows)) if rows else ((), ())
+        self.rows = list(red[:len(pivots)])
+        self.pivots = list(pivots)
+
+    def extend(self, v):
+        """Add v unless it lies in the span; True when it was added."""
+        v = vec(v)
+        for row, p in zip(self.rows, self.pivots):
+            c = v[p]
+            if c != 0:
+                v = tuple(x - c * y for x, y in zip(v, row))
+        p = next((i for i, x in enumerate(v) if x != 0), None)
+        if p is None:
+            return False
+        self.rows.append(vscale(1 / v[p], v))
+        self.pivots.append(p)
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -341,36 +355,6 @@ def lattice_basis(generators):
     return [tuple(x / scale for x in row) for row in basis]
 
 
-def coords_in_lattice(basis, target):
-    """Integer coordinates of target in the given lattice basis, or None."""
-    if not basis:
-        return None if not is_zero_vec(vec(target)) else ()
-    sol = solve(transpose(mat(basis)), vec(target))
-    if sol is None or any(x.denominator != 1 for x in sol):
-        return None
-    return tuple(int(x) for x in sol)
-
-
-def primitive_in_lattice(basis, direction):
-    """Shortest lattice point on the ray through direction; None if the ray
-    misses the lattice's rational span."""
-    d = vec(direction)
-    sol = solve(transpose(mat(basis)), d) if basis else None
-    if sol is None:
-        return None
-    coords = primitive(sol)
-    out = zero_vec(len(d))
-    for c, b in zip(coords, basis):
-        out = vadd(out, vscale(c, b))
-    # orient along the given direction
-    for a, b in zip(out, d):
-        if a != 0 or b != 0:
-            if (a < 0 < b) or (b < 0 < a):
-                out = vscale(-1, out)
-            break
-    return out
-
-
 def mat_inverse(A):
     """Exact inverse of a square rational matrix."""
     A = mat(A)
@@ -403,25 +387,18 @@ def integer_kernel_basis(A):
     return cols
 
 
-def rays_extend_to_basis(rays, lattice=None):
-    """Do the (primitive) rays extend to a basis of the lattice?
+def rays_extend_to_basis(rays):
+    """Do the (primitive) rays extend to a basis of Z^n?
 
     The test is the Smith normal form one: the coordinate matrix of the rays
-    must have all invariant factors equal to 1.  With ``lattice`` omitted the
-    ambient lattice is Z^n.
+    must have all invariant factors equal to 1.
     """
     rays = [vec(r) for r in rays]
     if not rays:
         return True
-    if lattice is None:
-        n = len(rays[0])
-        lattice = [tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)]
-    coord_rows = []
-    for r in rays:
-        coords = coords_in_lattice(lattice, r)
-        if coords is None:
-            return False
-        coord_rows.append(coords)
+    if any(x.denominator != 1 for r in rays for x in r):
+        return False
+    coord_rows = [tuple(int(x) for x in r) for r in rays]
     _, D, _ = smith_normal_form(coord_rows)
     k = len(coord_rows)
     invariants = [D[i][i] for i in range(min(k, len(D[0]) if D else 0))]

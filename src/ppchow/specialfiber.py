@@ -21,11 +21,12 @@ import itertools
 
 from .errors import (FaceMismatch, FacetMismatch, InternalIdentityError,
                      NotInKernel, NotARefinement)
-from .polyhedra import cone_over, edge_data, recession_fan, vertex_chart
+from .polyhedra import (Polyhedron, cone_over, edge_data, recession_fan,
+                        vertex_chart)
 from .polyring import HomogPoly, equal_on_span, monomial_exponents
 from .ppfan import (PPFunction, dual_forms, graded_basis, phi_ray, pullback,
                     pushforward, zero_pp)
-from .qlinalg import mat, primitive, rank, solve, transpose, vec
+from .qlinalg import RowEchelon, mat, primitive, rank, solve, transpose, vec
 
 
 # ---------------------------------------------------------------------------
@@ -58,9 +59,11 @@ class AffinePP:
                     witness=bad)
 
     def offending_pair(self):
-        for i, j, dirspan, inter in self.complex.adjacency():
+        """(i, j, common face) for the first pair of cells that disagree."""
+        pc = self.complex
+        for i, j, dirspan, meet in pc.adjacency():
             if not equal_on_span(self.cell_polys[i], self.cell_polys[j], dirspan):
-                return (i, j, inter)
+                return (i, j, Polyhedron(pc.rank, *meet))
         return None
 
     def is_zero(self):
@@ -114,10 +117,6 @@ def make_affine_pp(pc, cell_polys, degree):
     if not isinstance(cell_polys, dict):
         cell_polys = {i: p for i, p in zip(pc.maximal, cell_polys)}
     return AffinePP(pc, degree, cell_polys, validate=True)
-
-
-def zero_affine(pc, degree):
-    return AffinePP(pc, degree, {}, validate=False)
 
 
 class VertexTuple:
@@ -210,7 +209,9 @@ class _EdgeStar:
         cell = pc.cells[e]
         self.edge = e
         self.v1, self.v2, self.ray1, self.ray2 = edge_data(pc, cell)
-        self.cells = tuple(i for i in pc.maximal if pc.cells[i].contains_poly(cell))
+        # the maximal cells having both endpoints as vertices
+        self.cells = tuple(i for i in pc.maximal
+                           if self.v1 in pc.cells[i].vertices and self.v2 in pc.cells[i].vertices)
 
 
 def _edge_star(pc, e):
@@ -300,10 +301,7 @@ def from_vertex_tuple(t):
     cell_polys = {}
     for i in pc.maximal:
         cell = pc.cells[i]
-        readings = []
-        for v in pc.vertices:
-            if cell.contains_point(v):
-                readings.append((v, _piece_at(pc, t, v, i)))
+        readings = [(v, _piece_at(pc, t, v, i)) for v in pc.vertices if v in cell.vertices]
         first = readings[0][1]
         for v, p in readings[1:]:
             if p != first:
@@ -487,9 +485,10 @@ def edge_star_basis(pc, e, k):
     width = len(monos) * len(star.cells)
     rows = []
     from .polyring import restrict_to_span
+    # cells of the star meet pairwise (in the edge at least)
+    spans = {(i, j): span for i, j, span, _ in pc.adjacency()}
     for (ai, ci), (aj, cj) in itertools.combinations(enumerate(star.cells), 2):
-        inter = pc.cells[ci].intersect(pc.cells[cj])
-        span = tuple(inter.direction_space())
+        span = spans[ci, cj]
         param_monos = monomial_exponents(len(span), k)
         for col, e_ in enumerate(monos):
             restricted = restrict_to_span(HomogPoly(n, k, {e_: 1}), span)
@@ -630,17 +629,15 @@ def gamma_image_matrix(pc, k):
 
 
 def homology_presentation(pc, k):
-    """coker(gamma) in vertex degree k: dimension plus representative basis."""
+    """coker(gamma) in vertex degree k: dimension plus representative basis.
+
+    The representatives are the vertex-basis elements outside the span of
+    the gamma image and of the representatives chosen before them.
+    """
     vbasis = vertex_layer_basis(pc, k)
-    gcols = gamma_image_matrix(pc, k)
-    grank = rank(mat(gcols)) if gcols else 0
-    reps = []
-    seen_rows = [list(c) for c in gcols]
-    for b in vbasis:
-        candidate = flat_vertex(b)
-        if rank(mat(seen_rows + [list(candidate)])) > (rank(mat(seen_rows)) if seen_rows else 0):
-            seen_rows.append(list(candidate))
-            reps.append(HomologyClass(b))
+    span = RowEchelon(gamma_image_matrix(pc, k))
+    grank = len(span.rows)
+    reps = [HomologyClass(b) for b in vbasis if span.extend(flat_vertex(b))]
     return {"dim": len(vbasis) - grank, "basis": reps,
             "vertex_dim": len(vbasis), "gamma_rank": grank}
 
@@ -843,12 +840,6 @@ def zeta(m, t):
 # ---------------------------------------------------------------------------
 # the vertical decomposition solver
 # ---------------------------------------------------------------------------
-
-
-def vanishes_at_height_zero(pc, F):
-    """Does the class on c(Pi) restrict to zero on the horizontal subfan?"""
-    from .ppfan import restrict_to_height_zero
-    return restrict_to_height_zero(cone_over(pc), F).is_zero()
 
 
 def vertical_decompose(pc, F):

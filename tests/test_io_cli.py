@@ -150,3 +150,28 @@ def test_cli_check_core(capsys):
 def test_cli_input_error_exit_code(tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     assert main(["delta", "--chain", missing, "--cycle", missing]) == 2
+
+
+@pytest.mark.parametrize("chain", [
+    {"chain": []},                              # no "models" key
+    {"models": [{"path": "f1.json"}]},          # a model with no "complex"
+    {"models": {"complex": "f1.json"}},         # "models" is not a list
+    {"models": "f1.json"},
+    {"models": []},
+    ["models"],
+])
+def test_cli_malformed_chain_is_input_error(workdir, capsys, chain):
+    path = workdir["tmp"] / "badchain.json"
+    path.write_text(json.dumps(chain))
+    for cmd in ("delta", "green", "degree"):
+        assert main([cmd, "--chain", str(path), "--cycle", workdir["cycle"]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["input_error"].startswith("InputError: ")
+
+
+def test_cli_check_has_no_depth_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--suite", "core", "--depth", "3"])
+    assert exc.value.code == 2
+    assert "--depth" in capsys.readouterr().err

@@ -1,12 +1,15 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import route_oracle
 from ppchow.errors import (NonSCR, NotAComplex, NotARecessionCone,
                            RecessionMismatch, UnboundedEdge)
-from ppchow.fixtures import (f1_complex, f1_fan, f2_complex, f3_complex,
-                             f3s_complex, f5_complex, f6_complex)
-from ppchow.polyhedra import (Cone, PolyComplex, Polyhedron, build_complex,
+from ppchow.fixtures import (all_fixture_models, f1_complex, f1_fan,
+                             f2_complex, f3_complex, f3s_complex, f5_complex,
+                             f6_complex)
+from ppchow.polyhedra import (Cone, Fan, PolyComplex, Polyhedron, build_complex,
                               common_refinement, cone_over, edge_data,
                               horizontal_star, recession_fan, refines,
                               star_subdivision, vertex_chart)
@@ -157,3 +160,53 @@ def test_chart_fans_complete():
     for pc in (f2_complex(), f5_complex(), f3s_complex()):
         for v in pc.vertices:
             assert vertex_chart(pc, v).fan.is_complete()
+
+
+# ---------------------------------------------------------------------------
+# meets from face combinatorics against the all-pairs intersection oracle
+# ---------------------------------------------------------------------------
+
+
+def _assert_same_route(pc):
+    from ppchow.ppfan import _max_pair_spans
+    from ppchow.specialfiber import _edge_star
+    assert pc.adjacency() == route_oracle.adjacency(pc)
+    co = cone_over(pc)
+    assert co.cell_to_cone == route_oracle.cell_to_cone(pc)
+    fans = [co.fan]
+    if pc.is_complete():
+        fans.append(recession_fan(pc))
+    for e in pc.bounded_edges:
+        assert _edge_star(pc, e).cells == route_oracle.star_cells(pc, e)
+    for v in pc.vertices:
+        chart = vertex_chart(pc, v)
+        assert list(chart.max_cells) == route_oracle.chart_cells(pc, v)
+        assert chart.cell_to_cone == route_oracle.chart_cell_to_cone(chart)
+        fans.append(chart.fan)
+    for fan in fans:
+        assert _max_pair_spans(fan) == route_oracle.pair_spans(fan)
+        assert fan.same_as(Fan(fan.rank, fan.max_cones(), validate=False))
+    # shared and wrapped faces carry what a build from scratch gives
+    for members in [pc.cells] + [fan.cones for fan in fans]:
+        for m in members:
+            p = m.poly if isinstance(m, Cone) else m
+            fresh = Polyhedron(p.dim_ambient, p.vertices, p.rays)
+            assert (p.key(), m.dim, p.eqs, p.ineqs) == \
+                (fresh.key(), fresh.dim, fresh.eqs, fresh.ineqs)
+
+
+def test_meets_match_intersection_oracle_on_fixtures():
+    models = list(all_fixture_models().values())
+    models += [route_oracle.interval_model(lo, hi) for lo, hi in ((-1, 2), (-3, 4))]
+    models.append(build_complex([([(3,)], [])], rank=1))
+    for pc in models:
+        _assert_same_route(pc)
+
+
+@settings(derandomize=True, max_examples=4, deadline=None)
+@given(st.lists(st.integers(0, 50), min_size=1, max_size=4))
+def test_meets_match_intersection_oracle_on_refined_f3c(choices):
+    pc = route_oracle.refined_f3c(choices)
+    assert len(pc.maximal) == 3 + 2 * len(choices)
+    assert pc.is_complete() and pc.is_regular()
+    _assert_same_route(pc)

@@ -1,14 +1,21 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import route_oracle
+from ppchow import io as pio
 from ppchow.errors import DegreeMismatch, FaceMismatch, NotARay, NotRegular
-from ppchow.fixtures import (f1_complex, f1_fan, f2_complex, f3_complex,
-                             f3_fan, f5_complex)
-from ppchow.polyhedra import Cone, cone_over, refines
+from ppchow.fixtures import (all_fixture_models, f1_complex, f1_fan,
+                             f2_complex, f3_complex, f3_fan, f5_complex)
+from ppchow.polyhedra import (Cone, PolyComplex, cone_over, recession_fan,
+                              refines, vertex_chart)
 from ppchow.polyring import HomogPoly
 from ppchow.ppfan import (constant_pp, equivariant_degree, graded_basis,
                           make_pp, phi_cone, phi_ray, pullback, pushforward)
+from ppchow.specialfiber import (dim_affine_pp, edge_layer_basis, flat_vertex,
+                                 gamma_image_matrix, homology_presentation,
+                                 vertex_layer_basis)
 
 
 def lin(*coeffs):
@@ -155,3 +162,53 @@ def test_basis_dims_refinement_monotone():
         if flat:
             assert rank(mat(flat)) == len(basis)
         assert len(graded_basis(cone_over(F5).fan, k)) >= len(basis)
+
+
+# ---------------------------------------------------------------------------
+# bases from face combinatorics against the all-pairs intersection oracle
+# ---------------------------------------------------------------------------
+
+
+def _outputs(pc, degrees):
+    """Serialised bases on c(Pi), rec(Pi) and every vertex chart, affine
+    bases, edge-star bases and homology presentations."""
+    fans = [cone_over(pc).fan] + [vertex_chart(pc, v).fan for v in pc.vertices]
+    if pc.is_complete():
+        fans.append(recession_fan(pc))
+    out = {"pp": [[pio.pp_to_json(b) for b in graded_basis(fan, k)]
+                  for fan in fans for k in degrees]}
+    out["affine"] = [[pio.affine_to_json(a) for a in dim_affine_pp(pc, k)[1]]
+                     for k in degrees]
+    out["edge"] = [[et.entries for et in edge_layer_basis(pc, k)] for k in degrees]
+    out["homology"] = []
+    for k in degrees:
+        hp = homology_presentation(pc, k)
+        reps = [flat_vertex(c.tuple) for c in hp["basis"]]
+        out["homology"].append((hp["dim"], hp["vertex_dim"], hp["gamma_rank"], reps))
+    return out
+
+
+def _assert_same_outputs(pc, degrees):
+    new = _outputs(pc, degrees)
+    with pytest.MonkeyPatch.context() as mp:
+        route_oracle.install(mp)
+        old = _outputs(PolyComplex(pc.rank, pc.max_cells(), validate=False), degrees)
+    assert new == old
+    # the representatives are the ones a rank test per candidate picks
+    for k in degrees:
+        flat = [flat_vertex(b) for b in vertex_layer_basis(pc, k)]
+        keep = route_oracle.homology_reps(flat, gamma_image_matrix(pc, k))
+        assert [flat[i] for i in keep] == new["homology"][degrees.index(k)][3]
+
+
+def test_bases_match_intersection_oracle_on_fixtures():
+    models = list(all_fixture_models().values())
+    models += [route_oracle.interval_model(lo, hi) for lo, hi in ((-1, 2), (-3, 4))]
+    for pc in models:
+        _assert_same_outputs(pc, [0, 1, 2] if pc.rank == 1 else [0, 1])
+
+
+@settings(derandomize=True, max_examples=3, deadline=None)
+@given(st.lists(st.integers(0, 50), min_size=1, max_size=3))
+def test_bases_match_intersection_oracle_on_refined_f3c(choices):
+    _assert_same_outputs(route_oracle.refined_f3c(choices), [1])
