@@ -21,7 +21,7 @@ from .limits import (CurrentTower, ModelChain, ddc_current, delta_current,
 from .polyhedra import Cone, cone_over, recession_fan, vertex_chart
 from .polyring import HomogPoly, monomial_exponents
 from .ppfan import equivariant_degree, graded_basis, phi_cone, phi_ray, zero_pp
-from .qlinalg import kernel_basis, mat, rank
+from .qlinalg import rank
 from .specialfiber import (HomologyClass, class_equal, ddc_model, dim_affine_pp,
                            dim_ker_rho, flat_edge, flat_vertex,
                            from_vertex_tuple, gamma, homology_presentation,
@@ -43,12 +43,33 @@ class CheckResult:
         return f"[{'PASS' if self.passed else 'FAIL'}] {self.name}: {self.detail}"
 
 
+_PRIME = 2 ** 61 - 1
+
+
+def _rank_mod_prime(rows):
+    """Rank modulo p = 2^61 - 1 of a rational matrix, by elimination that
+    uses no ppchow linear algebra; it equals the rank over Q unless p divides
+    every nonzero maximal minor."""
+    rows = [[x.numerator * pow(x.denominator, -1, _PRIME) % _PRIME for x in r] for r in rows]
+    rank_ = 0
+    while rows:
+        row = rows.pop()
+        c = next((j for j, x in enumerate(row) if x), None)
+        if c is not None:
+            rank_ += 1
+            inv = pow(row[c], -1, _PRIME)
+            rows = [[(x - r[c] * inv * y) % _PRIME for x, y in zip(r, row)] for r in rows]
+    return rank_
+
+
 def pp_dims_by_grid_oracle(fan, k):
     """Brute-force dimension of PP^k by grid evaluation of the gluing rules.
 
     A homogeneous degree-k polynomial vanishes on a subspace iff it vanishes
     on the grid {0..k}^r spanned by a basis, so the face constraints become
-    point evaluations; this shares no code path with graded_basis.
+    point evaluations; the dimension is the number of unknowns minus the
+    rank of that system modulo a large prime.  This shares no code path
+    with graded_basis, whose gluing system ppchow eliminates over Q.
     """
     maxs = fan.max_cones()
     monos = monomial_exponents(fan.rank, k)
@@ -69,9 +90,7 @@ def pp_dims_by_grid_oracle(fan, k):
                 row[i * len(monos) + col] += val
                 row[j * len(monos) + col] -= val
             rows.append(row)
-    if not rows:
-        return width
-    return len(kernel_basis(mat(rows)))
+    return width - _rank_mod_prime(rows)
 
 
 def fixture_chains():
@@ -120,7 +139,7 @@ def criterion_2():
             tuples = [to_vertex_tuple(b) for b in basis]
             in_kernel = all(rho(t).is_zero() for t in tuples)
             flat = [flat_vertex(t) for t in tuples]
-            independent = (rank(mat(flat)) == dim_facet) if flat else dim_facet == 0
+            independent = rank(flat) == dim_facet
             good = dim_facet == dim_kernel and in_kernel and independent
             ok = ok and good
             if not good:
@@ -139,7 +158,7 @@ def criterion_3():
                 ok = False
                 detail.append(f"{name} k={k}: homology ranks")
             cols = [flat_edge(rho(b)) for b in vertex_layer_basis(pc, k)]
-            nullity = (len(cols) - rank(mat(cols))) if cols else 0
+            nullity = len(cols) - rank(cols)
             if nullity != dim_affine_pp(pc, k, cross_check=False)[0]:
                 ok = False
                 detail.append(f"{name} k={k}: ker rho two ways")

@@ -7,6 +7,7 @@ JSON; reports are deterministic and stable under re-runs.
 
 import argparse
 import json
+import os
 import sys
 
 from . import io as pio
@@ -105,6 +106,8 @@ def cmd_ddc(args):
 
 
 def _load_chain(path):
+    """The chain a chain file lists; relative model paths are read against
+    the chain file's directory."""
     data = pio.load_json(path)
     models = data.get("models") if isinstance(data, dict) else None
     if not isinstance(models, list) or not models:
@@ -112,7 +115,8 @@ def _load_chain(path):
     refs = [m.get("complex") if isinstance(m, dict) else None for m in models]
     if not all(isinstance(ref, str) for ref in refs):
         raise InputError("every chain model needs a 'complex' path")
-    return ModelChain([_load_complex(ref) for ref in refs])
+    base = os.path.dirname(path)
+    return ModelChain([_load_complex(os.path.join(base, ref)) for ref in refs])
 
 
 def _load_cycle(path, rank):

@@ -7,6 +7,7 @@ canonical maximal-cone (or maximal-cell) lists, which are sorted by their
 generator matrices, so files are stable across runs.
 """
 
+import functools
 import json
 
 from .cycles import InvariantCycle
@@ -17,6 +18,20 @@ from .ppfan import PPFunction
 from .qlinalg import rat, rat_str, vec
 from .specialfiber import AffinePP, VertexTuple
 from .polyhedra import vertex_chart
+
+
+def _reads(kind):
+    """Raise a missing key or a value of the wrong shape or type, met while
+    reading a file of the given kind, as an :class:`InputError`."""
+    def wrap(fn):
+        @functools.wraps(fn)
+        def read(*args):
+            try:
+                return fn(*args)
+            except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
+                raise InputError(f"malformed {kind} file: {exc}") from exc
+        return read
+    return wrap
 
 
 def vector_to_json(v):
@@ -45,17 +60,15 @@ def complex_to_json(pc):
     return {"rank": pc.rank, "points": points, "cells": cells}
 
 
+@_reads("complex")
 def complex_from_json(data):
-    try:
-        rank = int(data["rank"])
-        points = [vector_from_json(p) for p in data["points"]]
-        cells = []
-        for c in data["cells"]:
-            verts = [points[i] for i in c["vertices"]]
-            rays = [vector_from_json(r) for r in c.get("rays", [])]
-            cells.append(Polyhedron(rank, verts, rays))
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed complex file: {exc}")
+    rank = int(data["rank"])
+    points = [vector_from_json(p) for p in data["points"]]
+    cells = []
+    for c in data["cells"]:
+        verts = [points[i] for i in c["vertices"]]
+        rays = [vector_from_json(r) for r in c.get("rays", [])]
+        cells.append(Polyhedron(rank, verts, rays))
     return PolyComplex(rank, cells)
 
 
@@ -65,6 +78,7 @@ def poly_to_json(p):
                        for expo, c in sorted(p.coeffs.items())}}
 
 
+@_reads("polynomial")
 def poly_from_json(data, dim):
     coeffs = {}
     for key, val in data.get("coeffs", {}).items():
@@ -79,6 +93,7 @@ def pp_to_json(f):
                        for i, p in enumerate(f.pieces) if not p.is_zero()]}
 
 
+@_reads("piecewise")
 def pp_from_json(data, fan):
     degree = int(data["degree"])
     pieces = [HomogPoly.zero(fan.rank, degree) for _ in fan.maximal]
@@ -95,6 +110,7 @@ def affine_to_json(a):
                       if not a.cell_polys[i].is_zero()]}
 
 
+@_reads("piecewise")
 def affine_from_json(data, pc):
     degree = int(data["degree"])
     polys = {}
@@ -111,6 +127,7 @@ def vertex_tuple_to_json(t):
                          for v in pc.vertices if not t.entries[v].is_zero()]}
 
 
+@_reads("piecewise")
 def vertex_tuple_from_json(data, pc):
     degree = int(data["degree"])
     entries = {}
@@ -128,6 +145,7 @@ def cycle_to_json(z):
                       for rays, c in sorted(z.terms.items())]}
 
 
+@_reads("cycle")
 def cycle_from_json(data, rank):
     terms = {}
     for item in data.get("terms", []):

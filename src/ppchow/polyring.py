@@ -10,7 +10,7 @@ exact division, never by truncation.
 from fractions import Fraction
 
 from .errors import DegreeMismatch, NotPolynomial
-from .qlinalg import rat, rat_str, span_basis, vec
+from .qlinalg import kernel_basis, rat, rat_str, vec
 
 
 class HomogPoly:
@@ -182,13 +182,13 @@ def monomial_exponents(dim, degree):
     return sorted(out)
 
 
-def restrict_to_span(p, subspace):
-    """Rewrite p as a polynomial in parameters of the subspace.
+def restrict_to_span(p, basis):
+    """Rewrite p as a polynomial in parameters of a subspace.
 
-    Substitutes x = sum_i s_i b_i for the basis b of the subspace; the result
-    lives in ``rank`` many parameter variables.
+    Substitutes x = sum_i s_i b_i for the given basis b of the subspace
+    (callers pass RREF bases); the result lives in ``len(basis)`` many
+    parameter variables.
     """
-    basis = tuple(span_basis([vec(v) for v in subspace]))
     r = len(basis)
     images = []
     for i in range(p.dim):
@@ -197,13 +197,46 @@ def restrict_to_span(p, subspace):
 
 
 def equal_on_span(p, q, subspace):
-    """Do p and q agree as functions on the given linear subspace?"""
+    """Do p and q agree as functions on the linear subspace spanned by the
+    given vectors?"""
     if p.dim != q.dim:
         raise ValueError("ambient dimension mismatch")
     diff = p - q
     if diff.is_zero():
         return True
     return restrict_to_span(diff, subspace).is_zero()
+
+
+def gluing_kernel(pairs, nblocks, dim, k):
+    """Basis of the tuples of ``nblocks`` degree-k polynomials that agree on
+    the span of each (a, b, span) in ``pairs``, ``span`` an RREF basis.
+
+    Each coefficient of a restricted difference is one condition; the
+    restrictions of the monomials are computed once per distinct span.  The
+    kernel is read off the RREF, so the basis does not depend on the order of
+    the pairs.
+    """
+    monos = monomial_exponents(dim, k)
+    width = len(monos) * nblocks
+    conditions = {}
+    rows = []
+    for a, b, span in pairs:
+        if span not in conditions:
+            restricted = [restrict_to_span(HomogPoly(dim, k, {e: 1}), span).coeffs
+                          for e in monos]
+            conditions[span] = [[(col, r[pm]) for col, r in enumerate(restricted) if pm in r]
+                                for pm in monomial_exponents(len(span), k)]
+        for terms in conditions[span]:
+            row = [0] * width
+            for col, c in terms:
+                row[a * len(monos) + col] = c
+                row[b * len(monos) + col] = -c
+            rows.append(row)
+    # with no conditions every tuple glues; one zero row carries the width
+    return [tuple(HomogPoly(dim, k, {e: v[blk * len(monos) + col]
+                                     for col, e in enumerate(monos)})
+                  for blk in range(nblocks))
+            for v in kernel_basis(rows or [[0] * width])]
 
 
 def divide_exact(p, divisor):

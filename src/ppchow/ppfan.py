@@ -12,10 +12,10 @@ import itertools
 
 from .errors import (DegreeMismatch, FaceMismatch, NotARay, NotProper,
                      NotRegular)
-from .polyring import (HomogPoly, RatFun, equal_on_span, ratfun_sum_to_poly,
-                       monomial_exponents)
+from .polyring import (HomogPoly, RatFun, equal_on_span, gluing_kernel,
+                       monomial_exponents, ratfun_sum_to_poly)
 from .polyhedra import Cone, common_face
-from .qlinalg import kernel_basis, mat, mat_inverse, primitive, span_basis, vec
+from .qlinalg import mat, mat_inverse, primitive, span_basis, vec
 
 
 def _max_pair_spans(fan):
@@ -193,50 +193,12 @@ def phi_cone(fan, cone):
 def graded_basis(fan, k):
     """A Q-basis of the degree-k piecewise polynomials on the fan.
 
-    Unknown coefficients per maximal cone are subjected to the face
-    constraints (coefficient comparison after restricting the difference to
-    each pairwise intersection span); the kernel of that system is the
-    graded piece.
+    One unknown polynomial per maximal cone, any two agreeing on the span of
+    their intersection: the kernel of that gluing system is the graded piece.
     """
-    rank_ = fan.rank
-    monos = monomial_exponents(rank_, k)
-    nmax = len(fan.maximal)
-    width = len(monos) * nmax
-    rows = []
-    for i, j, span, _ in _max_pair_spans(fan):
-        r = len(span)
-        param_monos = monomial_exponents(r, k)
-        for col, e in enumerate(monos):
-            basis_poly = HomogPoly(rank_, k, {e: 1})
-            restricted = _restrict(basis_poly, span)
-            for pm_idx, pm in enumerate(param_monos):
-                coeff = restricted.coeffs.get(pm, 0)
-                if coeff == 0:
-                    continue
-                row_key = (i, j, pm)
-                rows.append((row_key, i * len(monos) + col, coeff))
-                rows.append((row_key, j * len(monos) + col, -coeff))
-    keys = sorted({rk for rk, _, _ in rows}, key=repr)
-    key_pos = {rk: idx for idx, rk in enumerate(keys)}
-    matrix = [[0] * width for _ in keys]
-    for rk, col, coeff in rows:
-        matrix[key_pos[rk]][col] += coeff
-    kern = kernel_basis(mat(matrix)) if keys else \
-        [tuple(1 if c == i else 0 for c in range(width)) for i in range(width)]
-    basis = []
-    for v in kern:
-        pieces = []
-        for i in range(nmax):
-            coeffs = {e: v[i * len(monos) + col] for col, e in enumerate(monos)
-                      if v[i * len(monos) + col] != 0}
-            pieces.append(HomogPoly(rank_, k, coeffs))
-        basis.append(PPFunction(fan, k, pieces, validate=False))
-    return basis
-
-
-def _restrict(poly, span):
-    from .polyring import restrict_to_span
-    return restrict_to_span(poly, span)
+    pairs = [(i, j, span) for i, j, span, _ in _max_pair_spans(fan)]
+    return [PPFunction(fan, k, pieces, validate=False)
+            for pieces in gluing_kernel(pairs, len(fan.maximal), fan.rank, k)]
 
 
 def pp_coordinates(f, basis):

@@ -1,16 +1,22 @@
 """Exact rational and lattice linear algebra.
 
 Everything here is dense and exact: vectors are tuples of
-:class:`fractions.Fraction`, matrices are tuples of row tuples.  Solutions
-and kernels verify by substitution with no tolerance.  Problem sizes are
-graded pieces of piecewise-polynomial spaces, at most a few hundred
-coordinates, so no attempt is made at asymptotic cleverness.
+:class:`fractions.Fraction`, matrices are tuples of row tuples.  Elimination
+runs on integers: each row is scaled to a primitive integer vector, a row
+update cross-multiplies two rows and divides out the content of the result,
+and only at the end is each pivot row divided by its pivot, which returns
+the RREF over Q.  The RREF of a matrix is unique, so every result equals the
+one rational Gauss-Jordan elimination gives.  The determinant uses the
+fraction-free elimination of Bareiss.  Solutions and kernels verify by
+substitution with no tolerance.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Rat = Fraction
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def rat(x):
@@ -74,33 +80,65 @@ def transpose(A):
     return tuple(zip(*A)) if A else ()
 
 
-def rref(A):
-    """Reduced row echelon form.  Returns (rows, pivot column indices)."""
-    rows = [list(r) for r in A]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
+def _scaled(row):
+    """(integers, d) with row == integers / d, d the least common denominator."""
+    d = lcm(*[x.denominator for x in row])
+    return [x.numerator * (d // x.denominator) for x in row], d
+
+
+def _primitive_row(row):
+    """The primitive integer vector on the ray of a rational row (zero stays zero)."""
+    ints, _ = _scaled(row)
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
+def _combine(row, b, prow, a):
+    """The primitive integer vector on a*row - b*prow."""
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    new = [a * x - b * y for x, y in zip(row, prow)]
+    h = gcd(*new)
+    return [x // h for x in new] if h > 1 else new
+
+
+def _reduce(A):
+    """Gauss-Jordan elimination of a rational matrix on primitive integer rows.
+
+    Returns (rows, pivots): rows[i] is nonzero at pivots[i] and zero at every
+    other pivot column, so row i of the RREF over Q is rows[i] divided by
+    rows[i][pivots[i]].
+    """
+    rows = [_primitive_row(r) for r in A]
     pivots = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if pivot is None:
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        rows[r], rows[p] = rows[p], rows[r]
+        prow = rows[r]
+        for i, row in enumerate(rows):
+            if row[c] and i != r:
+                rows[i] = _combine(row, row[c], prow, prow[c])
         pivots.append(c)
-        r += 1
-        if r == m:
+        if r + 1 == len(rows):
             break
-    return tuple(tuple(row) for row in rows), tuple(pivots)
+    return rows[:len(pivots)], pivots
+
+
+def rref(A):
+    """Reduced row echelon form over Q.  Returns (rows, pivot column indices);
+    zero rows follow the pivot rows."""
+    rows, pivots = _reduce(A)
+    red = [tuple(Fraction(x, row[c]) if x else _ZERO for x in row)
+           for row, c in zip(rows, pivots)]
+    red += [(_ZERO,) * (len(A[0]) if A else 0)] * (len(A) - len(pivots))
+    return tuple(red), tuple(pivots)
 
 
 def rank(A):
-    return len(rref(A)[1])
+    return len(_reduce(A)[1])
 
 
 def solve(A, b):
@@ -115,13 +153,12 @@ def solve(A, b):
     if not A:
         return ()
     n = len(A[0])
-    aug = mat([list(row) + [bi] for row, bi in zip(A, b)])
-    red, pivots = rref(aug)
+    rows, pivots = _reduce([row + (bi,) for row, bi in zip(A, b)])
     if n in pivots:
         return None
-    x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = red[i][n]
+    x = [_ZERO] * n
+    for row, c in zip(rows, pivots):
+        x[c] = Fraction(row[n], row[c])
     return tuple(x)
 
 
@@ -131,39 +168,43 @@ def kernel_basis(A):
     if not A:
         return []
     n = len(A[0])
-    red, pivots = rref(A)
-    free = [c for c in range(n) if c not in pivots]
+    rows, pivots = _reduce(A)
     basis = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for i, c in enumerate(pivots):
-            v[c] = -red[i][f]
+    for f in [c for c in range(n) if c not in pivots]:
+        v = [_ZERO] * n
+        v[f] = _ONE
+        for row, c in zip(rows, pivots):
+            v[c] = Fraction(-row[f], row[c])
         basis.append(tuple(v))
     return basis
 
 
 def det(A):
-    A = [list(r) for r in mat(A)]
+    """Exact determinant by Bareiss's fraction-free elimination: after step k
+    the entries below the pivots are minors of order k + 1, so dividing by
+    the previous pivot is exact and the last pivot is the determinant."""
+    A = mat(A)
     n = len(A)
     if any(len(r) != n for r in A):
         raise ValueError("determinant needs a square matrix")
-    d = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if A[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            A[c], A[pivot] = A[pivot], A[c]
-            d = -d
-        d *= A[c][c]
-        inv = 1 / A[c][c]
-        for i in range(c + 1, n):
-            if A[i][c] != 0:
-                f = A[i][c] * inv
-                for j in range(c, n):
-                    A[i][j] -= f * A[c][j]
-    return d
+    M, den = [], 1
+    for row in A:
+        ints, d = _scaled(row)
+        M.append(ints)
+        den *= d
+    sign, prev = 1, 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if M[i][k]), None)
+        if p is None:
+            return _ZERO
+        if p != k:
+            M[k], M[p], sign = M[p], M[k], -sign
+        a = M[k][k]
+        for i in range(k + 1, n):
+            b = M[i][k]
+            M[i] = [(a * x - b * y) // prev for x, y in zip(M[i], M[k])]
+        prev = a
+    return Fraction(sign * prev, den)
 
 
 def span_basis(vectors):
@@ -171,13 +212,13 @@ def span_basis(vectors):
     if not vectors:
         return []
     red, pivots = rref(mat(vectors))
-    return [red[i] for i in range(len(pivots))]
+    return list(red[:len(pivots)])
 
 
 class RowEchelon:
-    """An echelon basis of a growing row space.
+    """An echelon basis of a growing row space, on primitive integer rows.
 
-    It starts as the RREF of the given rows.  A row added later is a
+    It starts as the reduced rows of the given rows.  A row added later is a
     remainder, zero at every earlier pivot, so reducing a vector against the
     rows in order leaves it zero at every pivot, and it lies in the span iff
     nothing is left: one elimination serves any number of membership tests.
@@ -186,21 +227,18 @@ class RowEchelon:
     __slots__ = ("rows", "pivots")
 
     def __init__(self, rows):
-        red, pivots = rref(mat(rows)) if rows else ((), ())
-        self.rows = list(red[:len(pivots)])
-        self.pivots = list(pivots)
+        self.rows, self.pivots = _reduce(rows)
 
     def extend(self, v):
         """Add v unless it lies in the span; True when it was added."""
-        v = vec(v)
+        v = _primitive_row(v)
         for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c != 0:
-                v = tuple(x - c * y for x, y in zip(v, row))
-        p = next((i for i, x in enumerate(v) if x != 0), None)
+            if v[p]:
+                v = _combine(v, v[p], row, row[p])
+        p = next((i for i, x in enumerate(v) if x), None)
         if p is None:
             return False
-        self.rows.append(vscale(1 / v[p], v))
+        self.rows.append(v)
         self.pivots.append(p)
         return True
 
@@ -294,14 +332,7 @@ def primitive(direction):
     d = vec(direction)
     if is_zero_vec(d):
         raise ValueError("zero vector has no primitive representative")
-    denom = 1
-    for x in d:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in d]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    return tuple(Fraction(x // g) for x in ints)
+    return tuple(Fraction(x) for x in _primitive_row(d))
 
 
 def hermite_row_basis(rows):
@@ -346,10 +377,7 @@ def lattice_basis(generators):
     gens = [vec(g) for g in generators if not is_zero_vec(vec(g))]
     if not gens:
         return []
-    scale = 1
-    for g in gens:
-        for x in g:
-            scale = scale * x.denominator // gcd(scale, x.denominator)
+    scale = lcm(*[x.denominator for g in gens for x in g])
     int_rows = [[int(x * scale) for x in g] for g in gens]
     basis = hermite_row_basis(int_rows)
     return [tuple(x / scale for x in row) for row in basis]

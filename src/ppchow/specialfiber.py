@@ -23,7 +23,8 @@ from .errors import (FaceMismatch, FacetMismatch, InternalIdentityError,
                      NotInKernel, NotARefinement)
 from .polyhedra import (Polyhedron, cone_over, edge_data, recession_fan,
                         vertex_chart)
-from .polyring import HomogPoly, equal_on_span, monomial_exponents
+from .polyring import (HomogPoly, equal_on_span, gluing_kernel,
+                       monomial_exponents)
 from .ppfan import (PPFunction, dual_forms, graded_basis, phi_ray, pullback,
                     pushforward, zero_pp)
 from .qlinalg import RowEchelon, mat, primitive, rank, solve, transpose, vec
@@ -479,42 +480,13 @@ def edge_star_basis(pc, e, k):
     Unknown polynomials per maximal cell containing the edge, subject to
     agreement on the direction space of pairwise intersections.
     """
-    star = _edge_star(pc, e)
-    n = pc.rank
-    monos = monomial_exponents(n, k)
-    width = len(monos) * len(star.cells)
-    rows = []
-    from .polyring import restrict_to_span
+    cells = _edge_star(pc, e).cells
     # cells of the star meet pairwise (in the edge at least)
     spans = {(i, j): span for i, j, span, _ in pc.adjacency()}
-    for (ai, ci), (aj, cj) in itertools.combinations(enumerate(star.cells), 2):
-        span = spans[ci, cj]
-        param_monos = monomial_exponents(len(span), k)
-        for col, e_ in enumerate(monos):
-            restricted = restrict_to_span(HomogPoly(n, k, {e_: 1}), span)
-            for pm in param_monos:
-                coeff = restricted.coeffs.get(pm, 0)
-                if coeff == 0:
-                    continue
-                rows.append(((ai, aj, pm), ai * len(monos) + col, coeff))
-                rows.append(((ai, aj, pm), aj * len(monos) + col, -coeff))
-    keys = sorted({rk for rk, _, _ in rows}, key=repr)
-    key_pos = {rk: i for i, rk in enumerate(keys)}
-    matrix = [[0] * width for _ in keys]
-    for rk, col, coeff in rows:
-        matrix[key_pos[rk]][col] += coeff
-    from .qlinalg import kernel_basis
-    kern = kernel_basis(mat(matrix)) if keys else \
-        [tuple(1 if c == i else 0 for c in range(width)) for i in range(width)]
-    basis = []
-    for vvec in kern:
-        star_polys = {}
-        for ai, ci in enumerate(star.cells):
-            coeffs = {e_: vvec[ai * len(monos) + col] for col, e_ in enumerate(monos)
-                      if vvec[ai * len(monos) + col] != 0}
-            star_polys[ci] = HomogPoly(n, k, coeffs)
-        basis.append(EdgeTuple(pc, k, {e: star_polys}))
-    return basis
+    pairs = [(a, b, spans[cells[a], cells[b]])
+             for a, b in itertools.combinations(range(len(cells)), 2)]
+    return [EdgeTuple(pc, k, {e: dict(zip(cells, polys))})
+            for polys in gluing_kernel(pairs, len(cells), pc.rank, k)]
 
 
 def edge_layer_basis(pc, k):
@@ -565,40 +537,10 @@ def dim_affine_pp(pc, k, cross_check=True):
     Computed by solving the facet conditions directly; with ``cross_check``
     the kernel of rho is computed independently and the dimensions compared.
     """
-    n = pc.rank
-    monos = monomial_exponents(n, k)
-    maxs = list(pc.maximal)
-    width = len(monos) * len(maxs)
-    col_of = {(i, e): maxs.index(i) * len(monos) + ci
-              for i in maxs for ci, e in enumerate(monos)}
-    rows = []
-    from .polyring import restrict_to_span
-    for i, j, dirspan, _ in pc.adjacency():
-        param_monos = monomial_exponents(len(dirspan), k)
-        for ci, e in enumerate(monos):
-            restricted = restrict_to_span(HomogPoly(n, k, {e: 1}), dirspan)
-            for pm in param_monos:
-                coeff = restricted.coeffs.get(pm, 0)
-                if coeff == 0:
-                    continue
-                rows.append(((i, j, pm), col_of[(i, e)], coeff))
-                rows.append(((i, j, pm), col_of[(j, e)], -coeff))
-    keys = sorted({rk for rk, _, _ in rows}, key=repr)
-    key_pos = {rk: t for t, rk in enumerate(keys)}
-    matrix = [[0] * width for _ in keys]
-    for rk, col, coeff in rows:
-        matrix[key_pos[rk]][col] += coeff
-    from .qlinalg import kernel_basis
-    kern = kernel_basis(mat(matrix)) if keys else \
-        [tuple(1 if c == t else 0 for c in range(width)) for t in range(width)]
-    basis = []
-    for vvec in kern:
-        cell_polys = {}
-        for pi, i in enumerate(maxs):
-            coeffs = {e: vvec[pi * len(monos) + ci] for ci, e in enumerate(monos)
-                      if vvec[pi * len(monos) + ci] != 0}
-            cell_polys[i] = HomogPoly(n, k, coeffs)
-        basis.append(AffinePP(pc, k, cell_polys, validate=False))
+    pos = {i: p for p, i in enumerate(pc.maximal)}
+    pairs = [(pos[i], pos[j], span) for i, j, span, _ in pc.adjacency()]
+    basis = [AffinePP(pc, k, dict(zip(pc.maximal, polys)), validate=False)
+             for polys in gluing_kernel(pairs, len(pc.maximal), pc.rank, k)]
     if cross_check and len(basis) != dim_ker_rho(pc, k):
         raise InternalIdentityError(
             f"facet-condition dimension {len(basis)} != dim ker rho {dim_ker_rho(pc, k)}")
@@ -608,12 +550,7 @@ def dim_affine_pp(pc, k, cross_check=True):
 def dim_ker_rho(pc, k):
     """Dimension of ker rho in degree k, solved on the vertex layer."""
     basis = vertex_layer_basis(pc, k)
-    if not basis:
-        return 0
-    cols = [flat_edge(rho(b)) for b in basis]
-    from .qlinalg import rank as _rank
-    r = _rank(mat(cols)) if any(any(x != 0 for x in c) for c in cols) else 0
-    return len(basis) - r
+    return len(basis) - rank([flat_edge(rho(b)) for b in basis])
 
 
 def gamma_image_matrix(pc, k):
@@ -665,15 +602,12 @@ def ker_coker_report(pc, k):
     All three are computed by independent linear algebra.
     """
     vb_k = vertex_layer_basis(pc, k)
-    dim_v = len(vb_k)
-    grank = rank(mat(gamma_image_matrix(pc, k))) if gamma_image_matrix(pc, k) else 0
-    dd_cols_k = [flat_vertex(ddc_model(b, cross_check=False)) for b in vb_k]
-    r_from = rank(mat(dd_cols_k)) if dd_cols_k and any(any(x != 0 for x in c) for c in dd_cols_k) else 0
-    dim_ker = dim_v - grank - r_from
+    grank = rank(gamma_image_matrix(pc, k))
+    r_from = rank([flat_vertex(ddc_model(b, cross_check=False)) for b in vb_k])
+    dim_ker = len(vb_k) - grank - r_from
 
     vb_prev = vertex_layer_basis(pc, k - 1) if k >= 1 else []
-    dd_cols_prev = [flat_vertex(ddc_model(b, cross_check=False)) for b in vb_prev]
-    r_into = rank(mat(dd_cols_prev)) if dd_cols_prev and any(any(x != 0 for x in c) for c in dd_cols_prev) else 0
+    r_into = rank([flat_vertex(ddc_model(b, cross_check=False)) for b in vb_prev])
     dim_coker = dim_ker_rho(pc, k) - r_into
 
     dim_pp = len(graded_basis(recession_fan(pc), k))

@@ -1,11 +1,17 @@
-"""The all-pairs intersection route, kept as an oracle for the combinatorial one.
+"""Earlier routes kept as oracles for the ones ppchow runs.
 
 ppchow reads the meets of cells and cones of a validated complex or fan off
-their common vertices and rays.  The functions here compute the same data the
-way it used to be computed, by H-to-V conversion (``intersect``) and point
-containment, so the two routes share no code beyond the polyhedra
-themselves.  ``install`` swaps the oracle into the program for a monkeypatch
-context, and the model generators give the complexes both routes run on.
+their common vertices and rays.  The first group of functions computes the
+same data the way it used to be computed, by H-to-V conversion
+(``intersect``) and point containment, so the two routes share no code beyond
+the polyhedra themselves.  ``install`` swaps the oracle into the program for
+a monkeypatch context, and the model generators give the complexes both
+routes run on.
+
+ppchow eliminates on primitive integer rows and solves every gluing system
+with one routine.  The second group is the rational Gauss-Jordan elimination
+and determinant, and the three per-basis assemblies of the gluing systems,
+as they were before; they use no ppchow linear algebra.
 """
 
 import itertools
@@ -14,6 +20,7 @@ from fractions import Fraction
 from ppchow import ppfan, specialfiber
 from ppchow.polyhedra import (Cone, PolyComplex, Polyhedron, cone_over,
                               direction_space)
+from ppchow.polyring import HomogPoly, monomial_exponents
 from ppchow.qlinalg import mat, primitive, rank
 
 
@@ -104,6 +111,127 @@ def install(mp):
         self.cells = star_cells(pc, e)
 
     mp.setattr(specialfiber._EdgeStar, "__init__", edge_star_init)
+
+
+# ---------------------------------------------------------------------------
+# rational elimination and the per-basis gluing assemblies
+# ---------------------------------------------------------------------------
+
+
+def fraction_rref(A):
+    """Reduced row echelon form by rational Gauss-Jordan elimination."""
+    rows = [[Fraction(x) for x in r] for r in A]
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(n):
+        pivot = next((i for i in range(r, m) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+def fraction_det(A):
+    """Determinant by rational Gaussian elimination."""
+    A = [[Fraction(x) for x in r] for r in A]
+    n = len(A)
+    d = Fraction(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if A[i][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            A[c], A[pivot] = A[pivot], A[c]
+            d = -d
+        d *= A[c][c]
+        inv = 1 / A[c][c]
+        for i in range(c + 1, n):
+            if A[i][c] != 0:
+                f = A[i][c] * inv
+                for j in range(c, n):
+                    A[i][j] -= f * A[c][j]
+    return d
+
+
+def fraction_kernel(A, width):
+    """Null space basis of A (``width`` columns) from ``fraction_rref``."""
+    if not A:
+        return [tuple(Fraction(int(c == f)) for c in range(width)) for f in range(width)]
+    red, pivots = fraction_rref(A)
+    basis = []
+    for f in (c for c in range(width) if c not in pivots):
+        v = [Fraction(0)] * width
+        v[f] = Fraction(1)
+        for i, c in enumerate(pivots):
+            v[c] = -red[i][f]
+        basis.append(tuple(v))
+    return basis
+
+
+def _restrict(p, subspace):
+    """p in parameters of the RREF basis of the subspace."""
+    red, pivots = fraction_rref(subspace) if subspace else ((), ())
+    basis = red[:len(pivots)]
+    images = [HomogPoly.linear_form([b[i] for b in basis]) if basis else HomogPoly.zero(0, 1)
+              for i in range(p.dim)]
+    return p.substitute(images)
+
+
+def _assemble(pairs, nblocks, dim, k):
+    """Kernel of the gluing system: per pair, block and monomial, the
+    coefficients of the restricted monomial, as it was built per basis."""
+    monos = monomial_exponents(dim, k)
+    rows = []
+    for i, j, span in pairs:
+        for col, e in enumerate(monos):
+            restricted = _restrict(HomogPoly(dim, k, {e: 1}), span)
+            for pm in monomial_exponents(len(span), k):
+                coeff = restricted.coeffs.get(pm, 0)
+                if coeff:
+                    rows.append(((i, j, pm), i * len(monos) + col, coeff))
+                    rows.append(((i, j, pm), j * len(monos) + col, -coeff))
+    keys = sorted({rk for rk, _, _ in rows}, key=repr)
+    key_pos = {rk: t for t, rk in enumerate(keys)}
+    matrix = [[0] * (len(monos) * nblocks) for _ in keys]
+    for rk, col, coeff in rows:
+        matrix[key_pos[rk]][col] += coeff
+    return [[HomogPoly(dim, k, {e: v[b * len(monos) + col] for col, e in enumerate(monos)})
+             for b in range(nblocks)]
+            for v in fraction_kernel(matrix, len(monos) * nblocks)]
+
+
+def graded_basis(fan, k):
+    pairs = [(i, j, span) for i, j, span, _ in ppfan._max_pair_spans(fan)]
+    return [ppfan.PPFunction(fan, k, pieces, validate=False)
+            for pieces in _assemble(pairs, len(fan.maximal), fan.rank, k)]
+
+
+def affine_basis(pc, k):
+    pos = {i: p for p, i in enumerate(pc.maximal)}
+    pairs = [(pos[i], pos[j], span) for i, j, span, _ in pc.adjacency()]
+    return [specialfiber.AffinePP(pc, k, dict(zip(pc.maximal, polys)), validate=False)
+            for polys in _assemble(pairs, len(pc.maximal), pc.rank, k)]
+
+
+def edge_star_basis(pc, e, k):
+    cells = specialfiber._edge_star(pc, e).cells
+    spans = {(i, j): span for i, j, span, _ in pc.adjacency()}
+    pairs = [(a, b, spans[cells[a], cells[b]])
+             for a, b in itertools.combinations(range(len(cells)), 2)]
+    return [specialfiber.EdgeTuple(pc, k, {e: dict(zip(cells, polys))})
+            for polys in _assemble(pairs, len(cells), pc.rank, k)]
 
 
 # ---------------------------------------------------------------------------

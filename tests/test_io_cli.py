@@ -1,4 +1,5 @@
 import json
+import pathlib
 from fractions import Fraction as Q
 
 import pytest
@@ -175,3 +176,65 @@ def test_cli_check_has_no_depth_option(capsys):
         main(["check", "--suite", "core", "--depth", "3"])
     assert exc.value.code == 2
     assert "--depth" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cycle", [
+    {"terms": [{"cone": [["1"]], "coeff": "1"}]},               # no "codim"
+    {"codim": 1, "terms": [{"cone": [["1"]]}]},                 # a term with no "coeff"
+    {"codim": 1, "terms": [{"coeff": "1"}]},                    # a term with no "cone"
+    {"codim": "one", "terms": []},
+    {"codim": 1, "terms": [{"cone": [["1"], ["1", "0"]], "coeff": "1"}]},
+    {"codim": 1, "terms": [{"cone": [["0"]], "coeff": "1"}]},
+    {"codim": 1, "terms": [{"cone": [["1"]], "coeff": "x"}]},
+    ["codim"],
+])
+def test_cli_malformed_cycle_is_input_error(workdir, capsys, cycle):
+    path = workdir["tmp"] / "badcycle.json"
+    path.write_text(json.dumps(cycle))
+    for cmd in ("delta", "green", "degree"):
+        assert main([cmd, "--chain", workdir["chain"], "--cycle", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["input_error"].startswith("InputError: malformed cycle file")
+
+
+_ONE = {"degree": 0, "coeffs": {"0": "1"}}
+
+
+@pytest.mark.parametrize("command, data", [
+    ("push", {"cells": []}),                                    # no "degree"
+    ("push", {"degree": 0, "cells": [{"poly": _ONE}]}),         # a cell with no index
+    ("push", {"degree": 0, "cells": [{"cell": 9, "poly": _ONE}]}),
+    ("push", {"degree": 0, "cells": [{"cell": 0, "poly": {"degree": 0, "coeffs": {"0,1": "1"}}}]}),
+    ("ddc", {"degree": 0, "vertices": [{"pp": {"degree": 0, "pieces": []}}]}),
+    ("ddc", {"degree": 0, "vertices": [{"vertex": ["0"], "pp": {"pieces": []}}]}),
+    ("ddc", {"degree": 0, "vertices": [{"vertex": ["0"],
+                                        "pp": {"degree": 0, "pieces": [{"cone": 5, "poly": _ONE}]}}]}),
+    ("degree", {"degree": 0, "pieces": [{"cone": 0}]}),        # a piece with no "poly"
+    ("degree", {"degree": 0, "pieces": [{"cone": 0, "poly": {"coeffs": {"0,0": "1"}}}]}),
+])
+def test_cli_malformed_piecewise_is_input_error(workdir, capsys, command, data):
+    path = workdir["tmp"] / "badpiecewise.json"
+    path.write_text(json.dumps(data))
+    argv = {"push": ["push", "--source", workdir["f5"], "--target", workdir["f2"],
+                     "--affine", str(path)],
+            "ddc": ["ddc", "--complex", workdir["f2"], "--tuple", str(path)],
+            "degree": ["degree", "--complex", workdir["f2"], "--pp", str(path)]}[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["input_error"].startswith("InputError: malformed ")
+
+
+def test_chain_model_paths_resolve_against_the_chain_file(monkeypatch, capsys, tmp_path):
+    data = pathlib.Path(__file__).resolve().parents[1] / "demos" / "data"
+    runs = [(data.parents[1], "demos/data/p1_chain.json", "demos/data/point_cycle.json"),
+            (data.parent, "data/p1_chain.json", "data/point_cycle.json"),
+            (tmp_path, str(data / "p1_chain.json"), str(data / "point_cycle.json"))]
+    outputs = []
+    for cwd, chain, cycle in runs:
+        monkeypatch.chdir(cwd)
+        assert main(["delta", "--chain", chain, "--cycle", cycle]) == 0
+        outputs.append(json.loads(capsys.readouterr().out))
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0]["stabilizes_at"] == 1

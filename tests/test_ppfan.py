@@ -13,7 +13,8 @@ from ppchow.polyhedra import (Cone, PolyComplex, cone_over, recession_fan,
 from ppchow.polyring import HomogPoly
 from ppchow.ppfan import (constant_pp, equivariant_degree, graded_basis,
                           make_pp, phi_cone, phi_ray, pullback, pushforward)
-from ppchow.specialfiber import (dim_affine_pp, edge_layer_basis, flat_vertex,
+from ppchow.specialfiber import (dim_affine_pp, edge_layer_basis,
+                                 edge_star_basis, flat_vertex,
                                  gamma_image_matrix, homology_presentation,
                                  vertex_layer_basis)
 
@@ -212,3 +213,38 @@ def test_bases_match_intersection_oracle_on_fixtures():
 @given(st.lists(st.integers(0, 50), min_size=1, max_size=3))
 def test_bases_match_intersection_oracle_on_refined_f3c(choices):
     _assert_same_outputs(route_oracle.refined_f3c(choices), [1])
+
+
+# ---------------------------------------------------------------------------
+# the one gluing solver against the per-basis assemblies it replaced
+# ---------------------------------------------------------------------------
+
+
+def _assert_gluing_matches_assemblies(pc, degrees):
+    fans = [cone_over(pc).fan] + [vertex_chart(pc, v).fan for v in pc.vertices]
+    if pc.is_complete():
+        fans.append(recession_fan(pc))
+    for k in degrees:
+        for fan in fans:
+            new, old = graded_basis(fan, k), route_oracle.graded_basis(fan, k)
+            assert new == old
+            assert [pio.pp_to_json(f) for f in new] == [pio.pp_to_json(f) for f in old]
+        new, old = dim_affine_pp(pc, k)[1], route_oracle.affine_basis(pc, k)
+        assert new == old
+        assert [pio.affine_to_json(a) for a in new] == [pio.affine_to_json(a) for a in old]
+        for e in pc.bounded_edges:
+            new, old = edge_star_basis(pc, e, k), route_oracle.edge_star_basis(pc, e, k)
+            assert [et.entries for et in new] == [et.entries for et in old]
+
+
+def test_gluing_kernel_matches_assemblies_on_fixtures():
+    models = list(all_fixture_models().values())
+    models += [route_oracle.interval_model(lo, hi) for lo, hi in ((-1, 2), (-3, 4))]
+    for pc in models:
+        _assert_gluing_matches_assemblies(pc, [0, 1, 2])
+
+
+@settings(derandomize=True, max_examples=3, deadline=None)
+@given(st.lists(st.integers(0, 50), min_size=1, max_size=3))
+def test_gluing_kernel_matches_assemblies_on_refined_f3c(choices):
+    _assert_gluing_matches_assemblies(route_oracle.refined_f3c(choices), [1, 2])

@@ -1,10 +1,16 @@
 import random
 from fractions import Fraction as Q
 
-from ppchow.qlinalg import (det, hermite_row_basis, integer_kernel_basis,
-                            kernel_basis, lattice_basis, mat, mat_vec,
-                            primitive, rat, rat_str, rays_extend_to_basis,
-                            smith_normal_form, solve, vec)
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import route_oracle
+from ppchow.qlinalg import (RowEchelon, det, hermite_row_basis,
+                            integer_kernel_basis, kernel_basis, lattice_basis,
+                            mat, mat_inverse, mat_vec, primitive, rank, rat,
+                            rat_str, rays_extend_to_basis, rref,
+                            smith_normal_form, solve, span_basis, transpose,
+                            vdot, vec)
 
 
 def test_rat_parsing():
@@ -107,3 +113,103 @@ def test_lattice_and_kernel_helpers():
 def test_hermite_row_basis():
     basis = hermite_row_basis([[2, 0], [0, 2], [1, 1]])
     assert len(basis) == 2
+
+
+# ---------------------------------------------------------------------------
+# the integer elimination kernel against rational Gauss-Jordan elimination
+# ---------------------------------------------------------------------------
+
+_entries = st.one_of(
+    st.just(0),
+    st.integers(-6, 6),
+    st.fractions(min_value=-10, max_value=10, max_denominator=12),
+    st.builds(Q, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 30)),
+)
+
+
+@st.composite
+def _matrices(draw, square=False):
+    """Rational matrices up to 6 x 6 with mixed int and Fraction entries,
+    some rows copied from others, zeroed or rescaled."""
+    m = draw(st.integers(0, 6))
+    n = m if square else draw(st.integers(0, 6))
+    rows = [draw(st.lists(_entries, min_size=n, max_size=n)) for _ in range(m)]
+    for _ in range(draw(st.integers(0, 3)) if m else 0):
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        scale = draw(st.sampled_from([0, 1, -2, Q(3, 7)]))
+        rows[i] = [scale * x for x in rows[j]]
+    return rows
+
+
+_edge_cases = ([], [[]], [[], []], [[0, 0], [0, 0]], [[0, 3, Q(1, 2)]], [[2], [0], [-4]],
+               [[1, 2], [1, 2]], [[Q(1, 10 ** 20), 1], [1, Q(10 ** 20, 3)]])
+
+
+def _examples(cases):
+    def decorate(test):
+        for case in cases:
+            test = example(case)(test)
+        return test
+    return decorate
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_matrices())
+@_examples(_edge_cases)
+def test_rref_matches_rational_elimination(A):
+    rows, pivots = rref(A)
+    assert (rows, pivots) == route_oracle.fraction_rref(A)
+    assert all(type(x) is Q for row in rows for x in row)
+    assert rank(A) == len(pivots)
+    assert span_basis(A) == list(rows[:len(pivots)])
+    echelon = RowEchelon(A[:1])
+    assert [echelon.extend(r) for r in A[1:]] == [
+        len(route_oracle.fraction_rref(A[:i + 1])[1]) > len(route_oracle.fraction_rref(A[:i])[1])
+        for i in range(1, len(A))]
+
+
+@st.composite
+def _systems(draw):
+    """A matrix, a vector x to make a consistent right-hand side A x, and a
+    right-hand side c drawn freely."""
+    A = draw(_matrices())
+    n = len(A[0]) if A else 0
+    return (A, draw(st.lists(_entries, min_size=n, max_size=n)),
+            draw(st.lists(_entries, min_size=len(A), max_size=len(A))))
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(_systems())
+@_examples([(A, [1] * len(A[0]), list(range(len(A)))) for A in _edge_cases if A and A[0]])
+def test_kernel_and_solutions_satisfy_the_system(system):
+    A, x, c = system
+    kernel = kernel_basis(A)
+    if A:
+        assert kernel == route_oracle.fraction_kernel(A, len(x))
+        assert all(mat_vec(mat(A), v) == (0,) * len(A) for v in kernel)
+    b = mat_vec(mat(A), vec(x))
+    assert mat_vec(mat(A), solve(A, b)) == b
+    c = vec(c)
+    y = solve(A, c)
+    grows = len(route_oracle.fraction_rref([list(r) + [ci] for r, ci in zip(A, c)])[1]) \
+        > len(route_oracle.fraction_rref(A)[1])
+    assert (y is None) == grows
+    if y is not None:
+        assert mat_vec(mat(A), y) == c
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(_matrices(square=True))
+@_examples([[], [[0]], [[Q(1, 3)]], [[1, 2], [2, 4]], [[0, 1], [1, 0]],
+            [[Q(10 ** 25, 7), 1], [1, Q(1, 10 ** 25)]]])
+def test_det_and_inverse_match_rational_elimination(A):
+    d = det(A)
+    assert d == route_oracle.fraction_det(A) and type(d) is Q
+    n = len(A)
+    if d == 0:
+        with pytest.raises(ValueError):
+            mat_inverse(A)
+        return
+    inv = mat_inverse(A)
+    assert [[vdot(row, col) for col in transpose(inv)] for row in mat(A)] == \
+        [[int(i == j) for j in range(n)] for i in range(n)]
