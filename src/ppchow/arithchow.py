@@ -22,9 +22,8 @@ from .ppfan import (phi_cone, pullback, pushforward,
                     restrict_to_height_zero)
 from .qlinalg import (integer_kernel_basis, kernel_basis, mat, primitive,
                       smith_normal_form, vec)
-from .specialfiber import (HomologyClass, class_equal, ddc_model,
-                           from_vertex_tuple, iota_lower, iota_upper,
-                           vertical_decompose)
+from .specialfiber import (class_equal, ddc_model, from_vertex_tuple,
+                           iota_lower, iota_upper, vertical_decompose)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +342,7 @@ def extended_equal(x, y):
     if x.eta != y.eta:
         return False
     for i in x.green.indices():
-        if not class_equal(HomologyClass(x.green.value(i)), HomologyClass(y.green.value(i))):
+        if not class_equal(x.green.value(i), y.green.value(i)):
             return False
     return True
 

@@ -26,6 +26,12 @@ def _load_complex(path):
     return pio.complex_from_json(pio.load_json(path))
 
 
+def _beside(path, ref):
+    """A path named inside the file at ``path``: a relative one is read
+    against that file's directory."""
+    return os.path.join(os.path.dirname(path), ref)
+
+
 def _emit(data, out):
     text = pio.dump_json(data, out)
     if out is None:
@@ -47,17 +53,14 @@ def cmd_validate(args):
                 entry["regular"] = pc.is_regular()
                 entry["vertices"] = len(pc.vertices)
             elif kind == "polynomial":
-                dim = max((len(k.split(",")) for k in data.get("coeffs", {})), default=0)
-                pio.poly_from_json(data, dim)
+                pio.poly_from_json(data, pio.poly_dim(data))
             elif kind == "cycle":
-                rank = max((len(r) for t in data.get("terms", []) for r in t["cone"]),
-                           default=0)
-                pio.cycle_from_json(data, rank)
+                pio.cycle_from_json(data, pio.cycle_rank(data))
             elif kind in ("pp", "affine", "vertex_tuple"):
                 ref = data.get("complex")
                 if ref is None:
                     raise InputError("piecewise file needs a 'complex' path reference")
-                pc = _load_complex(ref)
+                pc = _load_complex(_beside(path, ref))
                 if kind == "pp":
                     pio.pp_from_json(data, cone_over(pc).fan)
                 elif kind == "affine":
@@ -115,8 +118,7 @@ def _load_chain(path):
     refs = [m.get("complex") if isinstance(m, dict) else None for m in models]
     if not all(isinstance(ref, str) for ref in refs):
         raise InputError("every chain model needs a 'complex' path")
-    base = os.path.dirname(path)
-    return ModelChain([_load_complex(os.path.join(base, ref)) for ref in refs])
+    return ModelChain([_load_complex(_beside(path, ref)) for ref in refs])
 
 
 def _load_cycle(path, rank):

@@ -81,23 +81,19 @@ def closure_class(pc, cycle):
     Each horizontal cone is read at height zero inside c(Pi) and contributes
     its generator there.
     """
-    co = cone_over(pc)
-    fan = co.fan
+    fan = cone_over(pc).fan
     n = pc.rank
-    out = zero_pp(fan, cycle.codim)
-    for key, c in cycle.terms.items():
-        lifted = Cone(n + 1, list(horizontal_lift_key(key, n)))
-        out = out + phi_cone(fan, lifted).scale(c)
-    return out
+    return zero_pp(fan, cycle.codim).combine(
+        [phi_cone(fan, Cone(n + 1, list(horizontal_lift_key(key, n)))) for key in cycle.terms],
+        cycle.terms.values())
 
 
 def model_cycle_class(pc, cycle):
     """The PP class of a model-level cycle on c(Pi)."""
-    co = cone_over(pc)
-    out = zero_pp(co.fan, cycle.codim)
-    for key, c in cycle.terms.items():
-        out = out + phi_cone(co.fan, Cone(pc.rank + 1, list(key))).scale(c)
-    return out
+    fan = cone_over(pc).fan
+    return zero_pp(fan, cycle.codim).combine(
+        [phi_cone(fan, Cone(pc.rank + 1, list(key))) for key in cycle.terms],
+        cycle.terms.values())
 
 
 def horizontal_part(cycle, n):

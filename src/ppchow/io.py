@@ -138,6 +138,18 @@ def vertex_tuple_from_json(data, pc):
     return VertexTuple(pc, degree, entries)
 
 
+@_reads("polynomial")
+def poly_dim(data):
+    """The number of variables a polynomial file's exponents have."""
+    return max((len(k.split(",")) for k in data.get("coeffs", {})), default=0)
+
+
+@_reads("cycle")
+def cycle_rank(data):
+    """The length of the rays a cycle file lists (0 when it lists none)."""
+    return max((len(r) for t in data.get("terms", []) for r in t["cone"]), default=0)
+
+
 def cycle_to_json(z):
     return {"codim": z.codim,
             "terms": [{"cone": [vector_to_json(r) for r in rays],

@@ -19,7 +19,9 @@ earliest model whose transfer system reproduces every later value, with at
 least one later value materialized to confirm.
 """
 
+import operator
 import threading
+from collections import namedtuple
 
 from .errors import (CompatibilityViolation, NotALifting, NotARefinement,
                      NotStabilized)
@@ -27,11 +29,10 @@ from .cycles import closure_class
 from .polyhedra import common_refinement, refines
 from .ppfan import equivariant_degree, pullback, restrict_to_height_zero
 from .polyhedra import cone_over, recession_fan
-from .specialfiber import (AffinePP, HomologyClass, VertexTuple, alpha, beta,
-                           cap_fundamental, class_equal, ddc_model,
-                           from_vertex_tuple, iota_upper, pullback_special,
-                           to_vertex_tuple, vertical_decompose,
-                           zero_vertex_tuple, zeta)
+from .specialfiber import (AffinePP, alpha, beta, cap_fundamental, class_equal,
+                           ddc_model, from_vertex_tuple, iota_upper,
+                           pullback_special, to_vertex_tuple,
+                           vertical_decompose, zero_vertex_tuple, zeta)
 
 
 class ModelChain:
@@ -127,7 +128,7 @@ class FormModDdbar:
 
 def form_mod_equal(a, b):
     pc, ma, mb = common_model(a.model, b.model)
-    return class_equal(HomologyClass(zeta(ma, a.tuple)), HomologyClass(zeta(mb, b.tuple)))
+    return class_equal(zeta(ma, a.tuple), zeta(mb, b.tuple))
 
 
 def ddc_form(c):
@@ -137,20 +138,45 @@ def ddc_form(c):
     return ClosedForm(c.model, from_vertex_tuple(out))
 
 
+# What a tower's flavor decides: the name and map that push a value to the
+# coarser model, the map that pulls one to the finer model, equality of
+# values, the zero value, the value a closed form acts by, and the vertex
+# tuple whose degree is the value's.  The lambdas look the maps up when
+# called, so a rebound module name is seen through the table too.
+_Flavor = namedtuple("_Flavor", "pushforward push pull equal zero acting vertex_tuple")
+
+_FLAVORS = {
+    "closed": _Flavor(pushforward="pushforward",
+                      push=lambda m, a: beta(m, a),
+                      pull=lambda m, a: pullback_special(m, a),
+                      equal=operator.eq,
+                      zero=lambda pc, k: AffinePP(pc, k, {}, validate=False),
+                      acting=lambda form: form,
+                      vertex_tuple=lambda a: cap_fundamental(a).tuple),
+    "tilde": _Flavor(pushforward="vertex pushforward",
+                     push=lambda m, t: alpha(m, t),
+                     pull=lambda m, t: zeta(m, t),
+                     equal=lambda s, t: class_equal(s, t),
+                     zero=lambda pc, k: zero_vertex_tuple(pc, k),
+                     acting=lambda form: to_vertex_tuple(form),
+                     vertex_tuple=lambda t: t),
+}
+
+
 class CurrentTower:
     """A truncated inverse-limit element over a model chain.
 
     ``flavor`` is "closed" (affine-PP values, compatible under the affine
     pushforward) or "tilde" (vertex-tuple values modulo gamma images,
-    compatible under the vertex pushforward).  Values either come
-    materialized or from a rule; rule evaluation memoizes under a lock so
-    towers stay externally pure.
+    compatible under the vertex pushforward); ``_FLAVORS`` holds the maps
+    each one uses.  Values either come materialized or from a rule; rule
+    evaluation memoizes under a lock so towers stay externally pure.
     """
 
     __slots__ = ("chain", "flavor", "start", "rule", "_values", "_lock")
 
     def __init__(self, chain, flavor, values=None, rule=None, start=0):
-        if flavor not in ("closed", "tilde"):
+        if flavor not in _FLAVORS:
             raise ValueError("flavor must be 'closed' or 'tilde'")
         self.chain = chain
         self.flavor = flavor
@@ -179,21 +205,15 @@ class CurrentTower:
 
     def check_compat(self):
         """Exact compatibility on every consecutive materialized pair."""
+        ops = _FLAVORS[self.flavor]
         for i in self.indices():
             if i + 1 >= len(self.chain):
                 break
-            m = self.chain.maps[i]
-            if self.flavor == "closed":
-                if beta(m, self.value(i + 1)) != self.value(i):
-                    raise CompatibilityViolation(
-                        f"pushforward from model {i + 1} to {i} mismatches",
-                        witness=(i, i + 1))
-            else:
-                pushed = alpha(m, self.value(i + 1))
-                if not class_equal(HomologyClass(pushed), HomologyClass(self.value(i))):
-                    raise CompatibilityViolation(
-                        f"vertex pushforward from model {i + 1} to {i} mismatches",
-                        witness=(i, i + 1))
+            pushed = ops.push(self.chain.maps[i], self.value(i + 1))
+            if not ops.equal(pushed, self.value(i)):
+                raise CompatibilityViolation(
+                    f"{ops.pushforward} from model {i + 1} to {i} mismatches",
+                    witness=(i, i + 1))
         return True
 
     def map_values(self, fn, flavor=None):
@@ -203,12 +223,8 @@ class CurrentTower:
 
 
 def zero_tower(chain, flavor, degree, start=0):
-    if flavor == "closed":
-        vals = {i: AffinePP(chain.models[i], degree, {}, validate=False)
-                for i in range(start, len(chain))}
-    else:
-        vals = {i: zero_vertex_tuple(chain.models[i], degree)
-                for i in range(start, len(chain))}
+    zero = _FLAVORS[flavor].zero
+    vals = {i: zero(chain.models[i], degree) for i in range(start, len(chain))}
     return CurrentTower(chain, flavor, values=vals, start=start)
 
 
@@ -225,23 +241,13 @@ def tower_stabilization(tower):
     """Earliest chain position whose transfer system reproduces all later
     values, or None.  Requires at least one later model as confirmation."""
     chain = tower.chain
+    ops = _FLAVORS[tower.flavor]
     last = len(chain) - 1
     for s in tower.indices():
         if s == last:
             return None
-        ok = True
-        for j in range(s + 1, len(chain)):
-            m = chain.map_between(j, s)
-            if tower.flavor == "closed":
-                expect = pullback_special(m, tower.value(s))
-                good = expect == tower.value(j)
-            else:
-                expect = zeta(m, tower.value(s))
-                good = class_equal(HomologyClass(expect), HomologyClass(tower.value(j)))
-            if not good:
-                ok = False
-                break
-        if ok:
+        if all(ops.equal(ops.pull(chain.map_between(j, s), tower.value(s)), tower.value(j))
+               for j in range(s + 1, len(chain))):
             return s
     return None
 
@@ -345,15 +351,10 @@ def module_product_form(c, tower):
     if idx is None or idx > tower.start:
         raise ValueError("acting form must live on a chain model below the tower")
 
+    acting = _FLAVORS[tower.flavor].acting
+
     def act(i, val):
-        m = chain.map_between(i, idx)
-        cf = pullback_special(m, c.form)
-        if tower.flavor == "closed":
-            return cf * val
-        ct = to_vertex_tuple(cf)
-        pc = chain.models[i]
-        entries = {v: ct.entries[v] * val.entries[v] for v in pc.vertices}
-        return VertexTuple(pc, cf.degree + val.degree, entries)
+        return acting(pullback_special(chain.map_between(i, idx), c.form)) * val
 
     out = tower.map_values(act)
     out.check_compat()
@@ -374,9 +375,7 @@ def zero_composition_suite(chain, degrees, rng, samples=5):
             vbasis = vertex_layer_basis(pc, k)
             for _ in range(samples):
                 if basis:
-                    f = basis[0].scale(0)
-                    for b in basis:
-                        f = f + b.scale(rng.randint(-3, 3))
+                    f = basis[0].scale(0).combine(basis, [rng.randint(-3, 3) for _ in basis])
                     # (1) A_closed -> tilde A -> A_closed
                     c = ClosedForm(pc, f)
                     dd = ddc_form(cap_form(c))
@@ -384,13 +383,11 @@ def zero_composition_suite(chain, degrees, rng, samples=5):
                         report["failures"].append(("ddc.g", pc_idx, k))
                     # (3) tilde A -> A_closed -> tilde A
                     if vbasis:
-                        t = zero_vertex_tuple(pc, k)
-                        for b in vbasis:
-                            t = t + b.scale(rng.randint(-3, 3))
+                        t = zero_vertex_tuple(pc, k).combine(
+                            vbasis, [rng.randint(-3, 3) for _ in vbasis])
                         w = ddc_form(FormModDdbar(pc, t))
                         back = cap_form(w)
-                        if not class_equal(HomologyClass(back.tuple),
-                                           HomologyClass(zero_vertex_tuple(pc, w.degree))):
+                        if not class_equal(back.tuple, zero_vertex_tuple(pc, w.degree)):
                             report["failures"].append(("g.ddc", pc_idx, k))
                     report["checked"] += 2
         # (2) and (4): tower versions on the full chain
@@ -399,9 +396,7 @@ def zero_composition_suite(chain, degrees, rng, samples=5):
             _, basis0 = dim_affine_pp(pc0, k)
             if not basis0:
                 continue
-            f0 = basis0[0].scale(0)
-            for b in basis0:
-                f0 = f0 + b.scale(rng.randint(-3, 3))
+            f0 = basis0[0].scale(0).combine(basis0, [rng.randint(-3, 3) for _ in basis0])
             vals = {0: f0}
             for i in range(1, len(chain)):
                 vals[i] = pullback_special(chain.map_between(i, 0), f0)
@@ -414,8 +409,8 @@ def zero_composition_suite(chain, degrees, rng, samples=5):
                     report["failures"].append(("ddc.g'", i, k))
             back = cap_current(dd)
             for i in back.indices():
-                if not class_equal(HomologyClass(back.value(i)),
-                                   HomologyClass(zero_vertex_tuple(chain.models[i], dd.value(i).degree))):
+                if not class_equal(back.value(i),
+                                   zero_vertex_tuple(chain.models[i], dd.value(i).degree)):
                     report["failures"].append(("g'.ddc", i, k))
             report["checked"] += 2
     return report
@@ -492,12 +487,10 @@ def degree_current(tower):
     """
     from .polyhedra import vertex_chart
     values = []
+    vertex_tuple = _FLAVORS[tower.flavor].vertex_tuple
     for i in tower.indices():
         pc = tower.chain.models[i]
-        if tower.flavor == "closed":
-            t = cap_fundamental(tower.value(i)).tuple
-        else:
-            t = tower.value(i)
+        t = vertex_tuple(tower.value(i))
         total = None
         for v in pc.vertices:
             part = equivariant_degree(vertex_chart(pc, v).fan, t.entries[v])

@@ -434,7 +434,8 @@ class _Closure:
         return self._index.get(key)
 
     def same_as(self, other):
-        return self.rank == other.rank and self._index.keys() == other._index.keys()
+        return self is other or (self.rank == other.rank
+                                 and self._index.keys() == other._index.keys())
 
     def is_complete(self):
         if "complete" not in self._cache:

@@ -4,7 +4,9 @@ Polynomials are always stored in ambient coordinates; "a polynomial on the
 span of a cone" is any ambient polynomial, compared modulo vanishing on that
 span (:func:`equal_on_span`).  Rational functions keep their denominators as
 factored lists of linear forms and are only ever collapsed to polynomials by
-exact division, never by truncation.
+exact division, never by truncation.  :class:`Piecewise` is the one base of
+the piecewise carriers (PP functions on fans, affine PP functions, vertex and
+edge tuples): their arithmetic, coordinates and linear combinations.
 """
 
 from fractions import Fraction
@@ -169,6 +171,92 @@ class HomogPoly:
             else:
                 parts.append(rat_str(c))
         return " + ".join(parts).replace("+ -", "- ")
+
+
+class Piecewise:
+    """The vector space every piecewise carrier is: a tuple of parts on a
+    domain (a fan or a complex), added, scaled and multiplied part by part.
+
+    A subclass names its domain (``_domain``), lists its parts in the
+    layout's fixed order (``_parts``: polynomials, or piecewise functions
+    for a tuple of them) and builds a new object of its own layout from
+    parts of a given degree (``_rebuild``).  The zero function sits in every
+    graded piece, so it adds to any degree and equals every zero.
+    """
+
+    __slots__ = ()
+
+    def _same_domain(self, other):
+        return type(other) is type(self) and self._domain().same_as(other._domain())
+
+    def _check_same_domain(self, other):
+        if not self._same_domain(other):
+            raise ValueError("operands live on different domains")
+
+    def is_zero(self):
+        return all(p.is_zero() for p in self._parts())
+
+    def __eq__(self, other):
+        return self._same_domain(other) and self._parts() == other._parts()
+
+    def __hash__(self):
+        return hash(self._parts())
+
+    def __add__(self, other):
+        self._check_same_domain(other)
+        if self.degree != other.degree:
+            if self.is_zero():
+                return other
+            if other.is_zero():
+                return self
+            raise DegreeMismatch(f"adding degrees {self.degree} and {other.degree}")
+        return self._rebuild([p + q for p, q in zip(self._parts(), other._parts())],
+                             self.degree)
+
+    def __neg__(self):
+        return self._rebuild([-p for p in self._parts()], self.degree)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        return self._rebuild([p.scale(c) for p in self._parts()], self.degree)
+
+    def __mul__(self, other):
+        """Part-wise product; a global polynomial acts on every part, and a
+        number scales."""
+        if isinstance(other, Piecewise):
+            self._check_same_domain(other)
+            return self._rebuild([p * q for p, q in zip(self._parts(), other._parts())],
+                                 self.degree + other.degree)
+        if isinstance(other, HomogPoly):
+            return self._rebuild([p * other for p in self._parts()],
+                                 self.degree + other.degree)
+        return self.scale(other)
+
+    __rmul__ = __mul__
+
+    def _polys(self):
+        for p in self._parts():
+            if isinstance(p, Piecewise):
+                yield from p._polys()
+            else:
+                yield p
+
+    def coords(self):
+        """Coefficients of every polynomial, part by part, in
+        ``monomial_exponents`` order of the carrier's degree."""
+        polys = list(self._polys())
+        monos = monomial_exponents(polys[0].dim, self.degree) if polys else ()
+        return tuple(p.coeffs.get(e, 0) for p in polys for e in monos)
+
+    def combine(self, basis, coeffs):
+        """This element plus the sum of c * b over the (c, b) with c != 0."""
+        out = self
+        for c, b in zip(coeffs, basis):
+            if c != 0:
+                out = out + b.scale(c)
+        return out
 
 
 def monomial_exponents(dim, degree):

@@ -12,8 +12,8 @@ import itertools
 
 from .errors import (DegreeMismatch, FaceMismatch, NotARay, NotProper,
                      NotRegular)
-from .polyring import (HomogPoly, RatFun, equal_on_span, gluing_kernel,
-                       monomial_exponents, ratfun_sum_to_poly)
+from .polyring import (HomogPoly, Piecewise, RatFun, equal_on_span,
+                       gluing_kernel, ratfun_sum_to_poly)
 from .polyhedra import Cone, common_face
 from .qlinalg import mat, mat_inverse, primitive, span_basis, vec
 
@@ -31,7 +31,7 @@ def _max_pair_spans(fan):
     return fan._cache["pair_spans"]
 
 
-class PPFunction:
+class PPFunction(Piecewise):
     """A degree-k piecewise polynomial on a fan, stored on maximal cones."""
 
     __slots__ = ("fan", "degree", "pieces")
@@ -64,56 +64,14 @@ class PPFunction:
                 return (i, j, Cone(self.fan.rank, rays))
         return None
 
-    def is_zero(self):
-        return all(p.is_zero() for p in self.pieces)
+    def _domain(self):
+        return self.fan
 
-    def __eq__(self, other):
-        return (isinstance(other, PPFunction) and self.fan.same_as(other.fan)
-                and self.pieces == other.pieces)
+    def _parts(self):
+        return self.pieces
 
-    def __hash__(self):
-        return hash(self.pieces)
-
-    def __add__(self, other):
-        self._check_same_fan(other)
-        if self.degree != other.degree:
-            # the zero function sits in every graded piece
-            if self.is_zero():
-                return other
-            if other.is_zero():
-                return self
-            raise DegreeMismatch(f"adding degrees {self.degree} and {other.degree}")
-        return PPFunction(self.fan, self.degree,
-                          [p + q for p, q in zip(self.pieces, other.pieces)],
-                          validate=False)
-
-    def __neg__(self):
-        return PPFunction(self.fan, self.degree, [-p for p in self.pieces], validate=False)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, PPFunction):
-            self._check_same_fan(other)
-            return PPFunction(self.fan, self.degree + other.degree,
-                              [p * q for p, q in zip(self.pieces, other.pieces)],
-                              validate=False)
-        if isinstance(other, HomogPoly):
-            # a global polynomial acts cone-wise
-            return PPFunction(self.fan, self.degree + other.degree,
-                              [p * other for p in self.pieces], validate=False)
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def scale(self, c):
-        return PPFunction(self.fan, self.degree, [p.scale(c) for p in self.pieces],
-                          validate=False)
-
-    def _check_same_fan(self, other):
-        if not self.fan.same_as(other.fan):
-            raise ValueError("operands live on different fans")
+    def _rebuild(self, parts, degree):
+        return PPFunction(self.fan, degree, parts, validate=False)
 
     def __repr__(self):
         return f"PP(deg={self.degree}, pieces={list(self.pieces)})"
@@ -204,17 +162,10 @@ def graded_basis(fan, k):
 def pp_coordinates(f, basis):
     """Coordinates of f in a graded basis, or None if outside the span."""
     from .qlinalg import solve, transpose
-    monos = monomial_exponents(f.fan.rank, f.degree)
-    def flat(g):
-        out = []
-        for p in g.pieces:
-            out.extend(p.coeffs.get(e, 0) for e in monos)
-        return out
-    cols = [flat(b) for b in basis]
-    target = flat(f)
-    if not cols:
+    target = f.coords()
+    if not basis:
         return () if all(x == 0 for x in target) else None
-    return solve(transpose(mat(cols)), vec(target))
+    return solve(transpose(mat([b.coords() for b in basis])), vec(target))
 
 
 def pullback(fan_map, f):

@@ -10,6 +10,14 @@ two endpoint charts of an edge leaves those ambient polynomials unchanged,
 which turns the kernel condition for the restriction-difference map into a
 literal coefficient comparison.
 
+The carriers are laid out in the complex's fixed orders: an AffinePP has one
+polynomial per maximal cell, a VertexTuple one piecewise polynomial per
+vertex chart, an EdgeTuple one polynomial per maximal cell of each bounded
+edge's star.  Like PPFunction they are :class:`~ppchow.polyring.Piecewise`
+objects, so sums, scalings, part-wise products, equality, the coordinates
+``coords()`` and linear combinations (``combine``) are defined once, on the
+base.  A HomologyClass is a vertex tuple taken modulo the image of gamma.
+
 The maps here are the restriction-difference rho, its signed pushforward
 adjoint gamma (one degree up), their composite -gamma.rho (the model-level
 dd^c), the slice map from classes on the model and the vertical lift back,
@@ -23,8 +31,7 @@ from .errors import (FaceMismatch, FacetMismatch, InternalIdentityError,
                      NotInKernel, NotARefinement)
 from .polyhedra import (Polyhedron, cone_over, edge_data, recession_fan,
                         vertex_chart)
-from .polyring import (HomogPoly, equal_on_span, gluing_kernel,
-                       monomial_exponents)
+from .polyring import HomogPoly, Piecewise, equal_on_span, gluing_kernel
 from .ppfan import (PPFunction, dual_forms, graded_basis, phi_ray, pullback,
                     pushforward, zero_pp)
 from .qlinalg import RowEchelon, mat, primitive, rank, solve, transpose, vec
@@ -35,22 +42,21 @@ from .qlinalg import RowEchelon, mat, primitive, rank, solve, transpose, vec
 # ---------------------------------------------------------------------------
 
 
-class AffinePP:
+class AffinePP(Piecewise):
     """An affine piecewise polynomial: one ambient homogeneous polynomial per
     maximal cell, agreeing on the direction space of every shared face."""
 
-    __slots__ = ("complex", "degree", "cell_polys")
+    __slots__ = ("complex", "degree", "cell_polys", "_pieces")
 
     def __init__(self, pc, degree, cell_polys, validate=True):
         self.complex = pc
         self.degree = degree
-        polys = {}
-        for i in pc.maximal:
-            p = cell_polys.get(i, HomogPoly.zero(pc.rank, degree))
+        self._pieces = tuple(cell_polys.get(i, HomogPoly.zero(pc.rank, degree))
+                             for i in pc.maximal)
+        for i, p in zip(pc.maximal, self._pieces):
             if not p.is_zero() and p.degree != degree:
                 raise FaceMismatch(f"cell {i} piece has degree {p.degree}, expected {degree}")
-            polys[i] = p
-        self.cell_polys = polys
+        self.cell_polys = dict(zip(pc.maximal, self._pieces))
         if validate:
             bad = self.offending_pair()
             if bad is not None:
@@ -67,42 +73,14 @@ class AffinePP:
                 return (i, j, Polyhedron(pc.rank, *meet))
         return None
 
-    def is_zero(self):
-        return all(p.is_zero() for p in self.cell_polys.values())
+    def _domain(self):
+        return self.complex
 
-    def __eq__(self, other):
-        return (isinstance(other, AffinePP) and self.complex.same_as(other.complex)
-                and all(self.cell_polys[i] == other.cell_polys[j]
-                        for i, j in zip(self.complex.maximal, other.complex.maximal)))
+    def _parts(self):
+        return self._pieces
 
-    def __hash__(self):
-        return hash(tuple(self.cell_polys[i] for i in self.complex.maximal))
-
-    def __add__(self, other):
-        return AffinePP(self.complex, self.degree,
-                        {i: self.cell_polys[i] + other.cell_polys[i]
-                         for i in self.complex.maximal}, validate=False)
-
-    def __neg__(self):
-        return AffinePP(self.complex, self.degree,
-                        {i: -self.cell_polys[i] for i in self.complex.maximal},
-                        validate=False)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, AffinePP):
-            return AffinePP(self.complex, self.degree + other.degree,
-                            {i: self.cell_polys[i] * other.cell_polys[i]
-                             for i in self.complex.maximal}, validate=False)
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def scale(self, c):
-        return AffinePP(self.complex, self.degree,
-                        {i: self.cell_polys[i].scale(c) for i in self.complex.maximal},
+    def _rebuild(self, parts, degree):
+        return AffinePP(self.complex, degree, dict(zip(self.complex.maximal, parts)),
                         validate=False)
 
     def __repr__(self):
@@ -120,44 +98,27 @@ def make_affine_pp(pc, cell_polys, degree):
     return AffinePP(pc, degree, cell_polys, validate=True)
 
 
-class VertexTuple:
+class VertexTuple(Piecewise):
     """One piecewise polynomial per vertex chart, all of one degree."""
 
-    __slots__ = ("complex", "degree", "entries")
+    __slots__ = ("complex", "degree", "entries", "_pieces")
 
     def __init__(self, pc, degree, entries):
         self.complex = pc
         self.degree = degree
-        full = {}
-        for v in pc.vertices:
-            f = entries.get(v)
-            if f is None:
-                f = zero_pp(vertex_chart(pc, v).fan, degree)
-            full[v] = f
-        self.entries = full
+        self._pieces = tuple(entries[v] if entries.get(v) is not None
+                             else zero_pp(vertex_chart(pc, v).fan, degree)
+                             for v in pc.vertices)
+        self.entries = dict(zip(pc.vertices, self._pieces))
 
-    def is_zero(self):
-        return all(f.is_zero() for f in self.entries.values())
+    def _domain(self):
+        return self.complex
 
-    def __eq__(self, other):
-        return (isinstance(other, VertexTuple) and self.complex.same_as(other.complex)
-                and all(self.entries[v] == other.entries[v] for v in self.complex.vertices))
+    def _parts(self):
+        return self._pieces
 
-    def __add__(self, other):
-        return VertexTuple(self.complex, self.degree,
-                           {v: self.entries[v] + other.entries[v]
-                            for v in self.complex.vertices})
-
-    def __neg__(self):
-        return VertexTuple(self.complex, self.degree,
-                           {v: -self.entries[v] for v in self.complex.vertices})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        return VertexTuple(self.complex, self.degree,
-                           {v: self.entries[v].scale(c) for v in self.complex.vertices})
+    def _rebuild(self, parts, degree):
+        return VertexTuple(self.complex, degree, dict(zip(self.complex.vertices, parts)))
 
     def __repr__(self):
         return f"VertexTuple(deg={self.degree}, {self.entries})"
@@ -167,34 +128,32 @@ def zero_vertex_tuple(pc, degree):
     return VertexTuple(pc, degree, {})
 
 
-class EdgeTuple:
+class EdgeTuple(Piecewise):
     """One star function per bounded edge: ambient polynomials indexed by the
     maximal cells containing the edge (read in the higher endpoint's chart)."""
 
-    __slots__ = ("complex", "degree", "entries")
+    __slots__ = ("complex", "degree", "entries", "_pieces")
 
     def __init__(self, pc, degree, entries):
         self.complex = pc
         self.degree = degree
-        full = {}
+        self.entries = {}
         for e in pc.bounded_edges:
-            star = _edge_star(pc, e)
             given = entries.get(e, {})
-            full[e] = {i: given.get(i, HomogPoly.zero(pc.rank, degree))
-                       for i in star.cells}
-        self.entries = full
+            self.entries[e] = {i: given.get(i, HomogPoly.zero(pc.rank, degree))
+                               for i in _edge_star(pc, e).cells}
+        self._pieces = tuple(p for star in self.entries.values() for p in star.values())
 
-    def is_zero(self):
-        return all(p.is_zero() for star in self.entries.values() for p in star.values())
+    def _domain(self):
+        return self.complex
 
-    def __eq__(self, other):
-        return (isinstance(other, EdgeTuple) and self.complex.same_as(other.complex)
-                and self.degree == other.degree and self.entries == other.entries)
+    def _parts(self):
+        return self._pieces
 
-    def __neg__(self):
-        return EdgeTuple(self.complex, self.degree,
-                         {e: {i: -p for i, p in star.items()}
-                          for e, star in self.entries.items()})
+    def _rebuild(self, parts, degree):
+        parts = iter(parts)
+        return EdgeTuple(self.complex, degree, {e: {i: next(parts) for i in star}
+                                                for e, star in self.entries.items()})
 
     def __repr__(self):
         return f"EdgeTuple(deg={self.degree}, {self.entries})"
@@ -499,36 +458,9 @@ def edge_layer_basis(pc, k):
     return pc._cache[key]
 
 
-def flat_vertex(t):
-    """Raw coefficient coordinates of a vertex tuple."""
-    pc = t.complex
-    monos = monomial_exponents(pc.rank, t.degree)
-    out = []
-    for v in pc.vertices:
-        for p in t.entries[v].pieces:
-            out.extend(p.coeffs.get(e, 0) for e in monos)
-    return tuple(out)
-
-
-def flat_edge(et):
-    pc = et.complex
-    monos = monomial_exponents(pc.rank, et.degree)
-    out = []
-    for e in pc.bounded_edges:
-        star = _edge_star(pc, e)
-        for i in star.cells:
-            p = et.entries[e][i]
-            out.extend(p.coeffs.get(ee, 0) for ee in monos)
-    return tuple(out)
-
-
-def vertex_tuple_from_coords(pc, k, coords):
-    basis = vertex_layer_basis(pc, k)
-    out = zero_vertex_tuple(pc, k)
-    for c, b in zip(coords, basis):
-        if c != 0:
-            out = out + b.scale(c)
-    return out
+# the coordinates of a vertex tuple, under the name callers outside the
+# package read them by
+flat_vertex = VertexTuple.coords
 
 
 def dim_affine_pp(pc, k, cross_check=True):
@@ -550,7 +482,7 @@ def dim_affine_pp(pc, k, cross_check=True):
 def dim_ker_rho(pc, k):
     """Dimension of ker rho in degree k, solved on the vertex layer."""
     basis = vertex_layer_basis(pc, k)
-    return len(basis) - rank([flat_edge(rho(b)) for b in basis])
+    return len(basis) - rank([rho(b).coords() for b in basis])
 
 
 def gamma_image_matrix(pc, k):
@@ -560,7 +492,7 @@ def gamma_image_matrix(pc, k):
         cols = []
         if k >= 1:
             for b in edge_layer_basis(pc, k - 1):
-                cols.append(flat_vertex(gamma(b)))
+                cols.append(gamma(b).coords())
         pc._cache[key] = cols
     return pc._cache[key]
 
@@ -574,7 +506,7 @@ def homology_presentation(pc, k):
     vbasis = vertex_layer_basis(pc, k)
     span = RowEchelon(gamma_image_matrix(pc, k))
     grank = len(span.rows)
-    reps = [HomologyClass(b) for b in vbasis if span.extend(flat_vertex(b))]
+    reps = [HomologyClass(b) for b in vbasis if span.extend(b.coords())]
     return {"dim": len(vbasis) - grank, "basis": reps,
             "vertex_dim": len(vbasis), "gamma_rank": grank}
 
@@ -584,7 +516,7 @@ def class_equal(a, b):
     ta = a.tuple if isinstance(a, HomologyClass) else a
     tb = b.tuple if isinstance(b, HomologyClass) else b
     pc = ta.complex
-    diff = flat_vertex(ta - tb)
+    diff = (ta - tb).coords()
     if all(x == 0 for x in diff):
         return True
     gcols = gamma_image_matrix(pc, ta.degree)
@@ -603,11 +535,11 @@ def ker_coker_report(pc, k):
     """
     vb_k = vertex_layer_basis(pc, k)
     grank = rank(gamma_image_matrix(pc, k))
-    r_from = rank([flat_vertex(ddc_model(b, cross_check=False)) for b in vb_k])
+    r_from = rank([ddc_model(b, cross_check=False).coords() for b in vb_k])
     dim_ker = len(vb_k) - grank - r_from
 
     vb_prev = vertex_layer_basis(pc, k - 1) if k >= 1 else []
-    r_into = rank([flat_vertex(ddc_model(b, cross_check=False)) for b in vb_prev])
+    r_into = rank([ddc_model(b, cross_check=False).coords() for b in vb_prev])
     dim_coker = dim_ker_rho(pc, k) - r_into
 
     dim_pp = len(graded_basis(recession_fan(pc), k))
@@ -629,23 +561,11 @@ def iota_upper_preimage(pc, a):
     """
     co = cone_over(pc)
     basis = graded_basis(co.fan, a.degree)
-    monos = monomial_exponents(pc.rank, a.degree)
-
-    def flat_affine(x):
-        out = []
-        for i in pc.maximal:
-            out.extend(x.cell_polys[i].coeffs.get(e, 0) for e in monos)
-        return out
-
-    cols = [flat_affine(iota_upper(pc, b)) for b in basis]
-    sol = solve(transpose(mat(cols)), vec(flat_affine(a))) if cols else None
+    cols = [iota_upper(pc, b).coords() for b in basis]
+    sol = solve(transpose(mat(cols)), vec(a.coords())) if cols else None
     if sol is None:
         raise InternalIdentityError("slice map is not onto this class")
-    out = zero_pp(co.fan, a.degree)
-    for c, b in zip(sol, basis):
-        if c != 0:
-            out = out + b.scale(c)
-    return out
+    return zero_pp(co.fan, a.degree).combine(basis, sol)
 
 
 def vertical_expand(pc, F):
@@ -658,31 +578,16 @@ def vertical_expand(pc, F):
     :class:`~ppchow.errors.DecompositionFailed` when no expansion exists.
     """
     from .errors import DecompositionFailed
-    co = cone_over(pc)
-    n = pc.rank
-    monos = monomial_exponents(n + 1, F.degree)
-
-    def flat_c(G):
-        out = []
-        for p in G.pieces:
-            out.extend(p.coeffs.get(e, 0) for e in monos)
-        return out
-
-    t_form = HomogPoly.linear_form((0,) * n + (1,))
+    t_form = HomogPoly.linear_form((0,) * pc.rank + (1,))
+    bases = [vertex_layer_basis(pc, F.degree - 1 - j) for j in range(F.degree)]
     cols = []
-    col_info = []
-    for j in range(F.degree):
-        k = F.degree - 1 - j
-        if k < 0:
-            break
-        basis = vertex_layer_basis(pc, k)
-        for bi, b in enumerate(basis):
+    for j, basis in enumerate(bases):
+        for b in basis:
             lifted = iota_lower(b)
             for _ in range(j):
                 lifted = lifted * t_form
-            cols.append(flat_c(lifted))
-            col_info.append((j, k, bi))
-    target = flat_c(F)
+            cols.append(lifted.coords())
+    target = F.coords()
     if not cols:
         if any(x != 0 for x in target):
             raise DecompositionFailed("no vertical basis but nonzero target")
@@ -690,11 +595,11 @@ def vertical_expand(pc, F):
     sol = solve(transpose(mat(cols)), vec(target))
     if sol is None:
         raise DecompositionFailed("target class admits no vertical expansion")
-    out = {j: zero_vertex_tuple(pc, F.degree - 1 - j) for j in range(F.degree)}
-    for c, (j, k, bi) in zip(sol, col_info):
-        if c != 0:
-            out[j] = out[j] + vertex_layer_basis(pc, k)[bi].scale(c)
-    return [out[j] for j in sorted(out)]
+    out = []
+    for j, basis in enumerate(bases):
+        out.append(zero_vertex_tuple(pc, F.degree - 1 - j).combine(basis, sol[:len(basis)]))
+        sol = sol[len(basis):]
+    return out
 
 
 def alpha(m, t):
@@ -786,20 +691,10 @@ def vertical_decompose(pc, F):
     which for a height-zero-vanishing input is a bug, not a data problem.
     """
     from .errors import DecompositionFailed
-    from .polyring import monomial_exponents as _mx
-    co = cone_over(pc)
     k = F.degree - 1
     basis = vertex_layer_basis(pc, k)
-    monos = _mx(pc.rank + 1, F.degree)
-
-    def flat_c(G):
-        out = []
-        for p in G.pieces:
-            out.extend(p.coeffs.get(e, 0) for e in monos)
-        return out
-
-    cols = [flat_c(iota_lower(b)) for b in basis]
-    target = flat_c(F)
+    cols = [iota_lower(b).coords() for b in basis]
+    target = F.coords()
     if not cols:
         if any(x != 0 for x in target):
             raise DecompositionFailed("no vertical basis but nonzero target")
@@ -807,4 +702,4 @@ def vertical_decompose(pc, F):
     sol = solve(transpose(mat(cols)), vec(target))
     if sol is None:
         raise DecompositionFailed("target class is not a vertical lift")
-    return vertex_tuple_from_coords(pc, k, sol)
+    return zero_vertex_tuple(pc, k).combine(basis, sol)

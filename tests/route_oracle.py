@@ -12,6 +12,11 @@ ppchow eliminates on primitive integer rows and solves every gluing system
 with one routine.  The second group is the rational Gauss-Jordan elimination
 and determinant, and the three per-basis assemblies of the gluing systems,
 as they were before; they use no ppchow linear algebra.
+
+The four piecewise carriers share one base for their arithmetic,
+coordinates and linear combinations.  The third group reads coordinates off
+each carrier's own layout, forms combinations one term at a time and
+multiplies vertex tuples entry by entry, as each carrier used to.
 """
 
 import itertools
@@ -232,6 +237,54 @@ def edge_star_basis(pc, e, k):
              for a, b in itertools.combinations(range(len(cells)), 2)]
     return [specialfiber.EdgeTuple(pc, k, {e: dict(zip(cells, polys))})
             for polys in _assemble(pairs, len(cells), pc.rank, k)]
+
+
+# ---------------------------------------------------------------------------
+# carrier coordinates, combinations and products, written out per carrier
+# ---------------------------------------------------------------------------
+
+
+def flat_pp(f):
+    """Coefficients of a PPFunction, cone by cone."""
+    monos = monomial_exponents(f.fan.rank, f.degree)
+    return tuple(p.coeffs.get(e, 0) for p in f.pieces for e in monos)
+
+
+def flat_affine(a):
+    """Coefficients of an AffinePP, maximal cell by maximal cell."""
+    monos = monomial_exponents(a.complex.rank, a.degree)
+    return tuple(a.cell_polys[i].coeffs.get(e, 0) for i in a.complex.maximal for e in monos)
+
+
+def flat_vertex(t):
+    """Coefficients of a vertex tuple, vertex by vertex and cone by cone."""
+    pc = t.complex
+    monos = monomial_exponents(pc.rank, t.degree)
+    return tuple(p.coeffs.get(e, 0) for v in pc.vertices for p in t.entries[v].pieces
+                 for e in monos)
+
+
+def flat_edge(et):
+    """Coefficients of an edge tuple, edge by edge and star cell by star cell."""
+    pc = et.complex
+    monos = monomial_exponents(pc.rank, et.degree)
+    return tuple(et.entries[e][i].coeffs.get(m, 0) for e in pc.bounded_edges
+                 for i in specialfiber._edge_star(pc, e).cells for m in monos)
+
+
+def combination(zero, basis, coeffs):
+    """zero + sum of c * b, one term at a time."""
+    out = zero
+    for c, b in zip(coeffs, basis):
+        out = out + b.scale(c)
+    return out
+
+
+def vertex_product(s, t):
+    """The entry-wise product of two vertex tuples on one complex."""
+    pc = s.complex
+    return specialfiber.VertexTuple(pc, s.degree + t.degree,
+                                    {v: s.entries[v] * t.entries[v] for v in pc.vertices})
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,18 @@ def test_cli_check_has_no_depth_option(capsys):
 def test_cli_malformed_cycle_is_input_error(workdir, capsys, cycle):
     path = workdir["tmp"] / "badcycle.json"
     path.write_text(json.dumps(cycle))
-    for cmd in ("delta", "green", "degree"):
+    for cmd in ("delta", "green", "degree", "validate"):
+        if cmd == "validate":
+            # validate lists every file with its error instead of stopping
+            assert main([cmd, str(path)]) == 2
+            captured = capsys.readouterr()
+            error = json.loads(captured.out)["files"][0]["error"]
+            # a file without "codim", or not an object, is not seen as a cycle
+            if isinstance(cycle, dict) and "codim" in cycle:
+                assert error.startswith("InputError: malformed cycle file")
+            else:
+                assert error == "InputError: unrecognized file kind"
+            continue
         assert main([cmd, "--chain", workdir["chain"], "--cycle", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -238,3 +249,16 @@ def test_chain_model_paths_resolve_against_the_chain_file(monkeypatch, capsys, t
         outputs.append(json.loads(capsys.readouterr().out))
     assert outputs[0] == outputs[1] == outputs[2]
     assert outputs[0]["stabilizes_at"] == 1
+
+
+def test_validate_reads_the_complex_reference_against_the_file(monkeypatch, capsys, tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    pio.dump_json(pio.complex_to_json(f2_complex()), str(data / "f2.json"))
+    (data / "zero.json").write_text(json.dumps({"complex": "f2.json", "degree": 0, "cells": []}))
+    for cwd, path in ((data, "zero.json"), (tmp_path, "data/zero.json"),
+                      (tmp_path.parent, str(data / "zero.json"))):
+        monkeypatch.chdir(cwd)
+        assert main(["validate", path]) == 0
+        entry = json.loads(capsys.readouterr().out)["files"][0]
+        assert entry["kind"] == "affine" and entry["valid"] is True
