@@ -13,7 +13,7 @@ from .qlinalg import Rat, rat, rat_str
 from .polyring import HomogPoly, RatFun, equal_on_span, ratfun_sum_to_poly
 from .polyhedra import (Cone, Fan, ModelMap, PolyComplex, Polyhedron,
                         build_complex, common_refinement, cone_over, edge_data,
-                        horizontal_star, is_regular, recession_fan, refines,
+                        horizontal_star, recession_fan, refines,
                         star_subdivision, vertex_chart)
 from .ppfan import (PPFunction, equivariant_degree, graded_basis, make_pp,
                     phi_cone, phi_ray, pullback, pushforward)

@@ -3,9 +3,15 @@
 An arithmetic cycle pairs a horizontal invariant cycle with a Green current;
 the direct-limit description trades it for a single piecewise polynomial
 class on the cone over one model (theta), the extended group for a whole
-pushforward-compatible tower of such classes (theta-prime).  Eigenfunction
-divisors provide the rational-equivalence relations and the vertical
-correction currents of the Poincare-Lelong identity.
+pushforward-compatible tower of such classes (theta-prime).  Both are the
+``"pp"`` flavor of ``limits``: a :class:`LimitClass` is compared and
+multiplied on the common model that ``limits.on_common_model`` finds, and a
+:class:`LimitTower` is a ``CurrentTower`` of that flavor, so its
+compatibility check and the module action of limit classes on it
+(``module_action``, which is ``limits.module_product_form``) are the ones
+every other tower uses.  Eigenfunction divisors provide the
+rational-equivalence relations and the vertical correction currents of the
+Poincare-Lelong identity.
 """
 
 from fractions import Fraction
@@ -14,14 +20,13 @@ from .cycles import (InvariantCycle, closure_class, cycle_from_pp,
                      horizontal_part, model_cycle_class)
 from .errors import (CompatibilityViolation, InternalIdentityError,
                      NoCertificate, NotCycleSupported, WeightNotOrthogonal)
-from .limits import (ClosedForm, CurrentTower, common_model, delta_current,
-                     green_from_lifting)
-from .polyhedra import Cone, cone_over, recession_fan
+from .limits import (ClosedForm, CurrentTower, delta_current,
+                     green_from_lifting, limit_equal_in, module_product_form,
+                     on_common_model)
+from .polyhedra import Cone, cone_over, quotient_projection, recession_fan
 from .polyring import HomogPoly
-from .ppfan import (phi_cone, pullback, pushforward,
-                    restrict_to_height_zero)
-from .qlinalg import (integer_kernel_basis, kernel_basis, mat, primitive,
-                      smith_normal_form, vec)
+from .ppfan import phi_cone, restrict_to_height_zero
+from .qlinalg import primitive, vec
 from .specialfiber import (class_equal, ddc_model, from_vertex_tuple,
                            iota_lower, iota_upper, vertical_decompose)
 
@@ -29,25 +34,6 @@ from .specialfiber import (class_equal, ddc_model, from_vertex_tuple,
 # ---------------------------------------------------------------------------
 # eigenfunction divisors
 # ---------------------------------------------------------------------------
-
-
-def _quotient_projection(rank, rays):
-    """Exact quotient coordinates modulo the saturated span of the rays."""
-    if not rays:
-        return list(range(rank)), None
-    comp = kernel_basis(mat(rays))
-    C = [primitive(u) for u in comp] if comp else []
-    if C:
-        sat = integer_kernel_basis([[int(x) for x in row] for row in C])
-    else:
-        sat = [tuple(Fraction(1 if i == j else 0) for j in range(rank)) for i in range(rank)]
-    s = len(sat)
-    _, _, V = smith_normal_form([[int(x) for x in row] for row in sat])
-
-    def project(x):
-        return tuple(sum(x[i] * V[i][j] for i in range(rank)) for j in range(s, rank))
-
-    return None, project
 
 
 def eigen_divisor(fan, sigma, weight):
@@ -62,22 +48,16 @@ def eigen_divisor(fan, sigma, weight):
     sigma_rays = list(sigma.rays)
     if any(sum(weight[i] * r[i] for i in range(fan.rank)) != 0 for r in sigma_rays):
         raise WeightNotOrthogonal("weight does not vanish on the cone")
-    _, project = _quotient_projection(fan.rank, sigma_rays)
+    project = quotient_projection(fan.rank, sigma_rays)
     terms = {}
     for c in fan.cones:
         if c.dim != sigma.dim + 1 or not c.contains_cone(sigma):
             continue
         u = next(r for r in c.rays if not sigma.contains_point(r))
-        if project is None:
-            w_pair = sum(weight[i] * u[i] for i in range(fan.rank))
-            img = primitive(u)
-            g = next(u[i] / img[i] for i in range(fan.rank) if img[i] != 0)
-        else:
-            img = project(u)
-            pimg = primitive(img)
-            g = next(img[i] / pimg[i] for i in range(len(img)) if pimg[i] != 0)
-            w_pair = sum(weight[i] * u[i] for i in range(fan.rank))
-        coeff = w_pair / g
+        img = project(u)
+        pimg = primitive(img)
+        g = next(img[i] / pimg[i] for i in range(len(img)) if pimg[i] != 0)
+        coeff = sum(weight[i] * u[i] for i in range(fan.rank)) / g
         if coeff != 0:
             terms[c.rays] = terms.get(c.rays, Fraction(0)) + coeff
     return InvariantCycle(fan.rank, sigma.dim + 1, terms)
@@ -159,13 +139,12 @@ class LimitClass:
 
 
 def limit_equal(a, b):
-    pc, ma, mb = common_model(a.model, b.model)
-    return pullback(ma.fan_map, a.pp) == pullback(mb.fan_map, b.pp)
+    return limit_equal_in("pp", a, b)
 
 
 def limit_mul(a, b):
-    pc, ma, mb = common_model(a.model, b.model)
-    return LimitClass(pc, pullback(ma.fan_map, a.pp) * pullback(mb.fan_map, b.pp))
+    pc, x, y = on_common_model("pp", a, b)
+    return LimitClass(pc, x * y)
 
 
 class ArithCycle:
@@ -257,33 +236,20 @@ def rational_equivalence_class(chain, start, sigma_t, weight_t):
 # ---------------------------------------------------------------------------
 
 
-class LimitTower:
-    """A pushforward-compatible family of PP classes over the chain."""
+class LimitTower(CurrentTower):
+    """A pushforward-compatible family of PP classes over the chain: a
+    ``"pp"`` tower, checked when it is built."""
 
-    __slots__ = ("chain", "start", "values")
+    __slots__ = ()
 
-    def __init__(self, chain, values, start=0, check=True):
-        self.chain = chain
-        self.start = start
-        self.values = dict(values)
-        if check:
-            self.check_compat()
+    def __init__(self, chain, values, start=0):
+        super().__init__(chain, "pp", values=values, start=start)
+        self.check_compat()
 
-    def indices(self):
-        return range(self.start, len(self.chain))
-
-    def value(self, i):
-        return self.values[i]
-
+    # Defined on the class itself, beside __init__, so that a tracer that
+    # wraps this class's own methods (perfbench/layertrace.py) finds both.
     def check_compat(self):
-        for i in self.indices():
-            if i + 1 >= len(self.chain):
-                break
-            m = self.chain.maps[i]
-            if pushforward(m.fan_map, self.values[i + 1]) != self.values[i]:
-                raise CompatibilityViolation(
-                    f"model pushforward from {i + 1} to {i} mismatches", witness=(i, i + 1))
-        return True
+        return super().check_compat()
 
 
 class ExtendedArithCycle:
@@ -347,15 +313,5 @@ def extended_equal(x, y):
     return True
 
 
-def module_action(c, T):
-    """The limit-class module structure on towers: pull the class back to
-    each model and multiply; compatibility is re-verified."""
-    chain = T.chain
-    idx = next((i for i, m in enumerate(chain.models) if m.same_as(c.model)), None)
-    if idx is None or idx > T.start:
-        raise CompatibilityViolation("acting class must live below the tower")
-    vals = {}
-    for i in T.indices():
-        m = chain.map_between(i, idx)
-        vals[i] = pullback(m.fan_map, c.pp) * T.value(i)
-    return LimitTower(chain, vals, start=T.start)
+# the limit-class module structure on towers
+module_action = module_product_form

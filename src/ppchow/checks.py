@@ -133,7 +133,7 @@ def criterion_2():
     detail = []
     for name, pc in fixtures.all_fixture_models().items():
         for k in range(4):
-            dim_facet, basis = dim_affine_pp(pc, k, cross_check=False)
+            dim_facet, basis = dim_affine_pp(pc, k)
             dim_kernel = dim_ker_rho(pc, k)
             tuples = [to_vertex_tuple(b) for b in basis]
             in_kernel = all(rho(t).is_zero() for t in tuples)
@@ -157,7 +157,7 @@ def criterion_3():
                 detail.append(f"{name} k={k}: homology ranks")
             cols = [rho(b).coords() for b in vertex_layer_basis(pc, k)]
             nullity = len(cols) - rank(cols)
-            if nullity != dim_affine_pp(pc, k, cross_check=False)[0]:
+            if nullity != dim_affine_pp(pc, k)[0]:
                 ok = False
                 detail.append(f"{name} k={k}: ker rho two ways")
     return CheckResult("3 exact sequences", ok,
@@ -169,7 +169,7 @@ def criterion_4():
     for pc in (fixtures.f1_complex(), fixtures.f3_complex()):
         for k in range(4):
             for b in vertex_layer_basis(pc, k):
-                if not ddc_model(b, cross_check=False).is_zero():
+                if not ddc_model(b).is_zero():
                     ok = False
     return CheckResult("4 iota*iota_* = 0 on canonical models", ok,
                        "operator identically zero in degrees <= 3")
@@ -238,7 +238,7 @@ def criterion_8():
                 omega = iota_upper(pc, lift)
                 delta = delta_current(chain, eta)
                 for i in g.indices():
-                    lhs = from_vertex_tuple(ddc_model(g.value(i), cross_check=False)) \
+                    lhs = from_vertex_tuple(ddc_model(g.value(i))) \
                         + delta.value(i)
                     rhs = pullback_special(chain.map_between(i, start), omega)
                     if lhs != rhs:
@@ -440,13 +440,13 @@ def invariant_transfer_diagrams(seed=0):
                 for _ in range(3):
                     t = zero_vertex_tuple(tgt, k).combine(
                         basis_t, [rng.randint(-2, 2) for _ in basis_t])
-                    lhs = from_vertex_tuple(ddc_model(zeta(m, t), cross_check=False))
-                    rhs = pullback_special(m, from_vertex_tuple(ddc_model(t, cross_check=False)))
+                    lhs = from_vertex_tuple(ddc_model(zeta(m, t)))
+                    rhs = pullback_special(m, from_vertex_tuple(ddc_model(t)))
                     ok = ok and lhs == rhs
                     s = zero_vertex_tuple(src, k).combine(
                         basis_s, [rng.randint(-2, 2) for _ in basis_s])
-                    lhs2 = alpha(m, ddc_model(s, cross_check=False))
-                    rhs2 = ddc_model(alpha(m, s), cross_check=False)
+                    lhs2 = alpha(m, ddc_model(s))
+                    rhs2 = ddc_model(alpha(m, s))
                     ok = ok and class_equal(lhs2, rhs2)
     return CheckResult("transfer diagrams", ok, "dd^c commutes with zeta and alpha")
 
@@ -459,7 +459,7 @@ def invariant_im_ddc_in_ker_rho(seed=0):
             continue
         for k in range(2):
             for b in vertex_layer_basis(pc, k):
-                out = ddc_model(b, cross_check=False)
+                out = ddc_model(b)
                 ok = ok and rho(out).is_zero()
     return CheckResult("Im(-gamma.rho) in ker(rho)", ok, "eq. (5.1) on fixture bases")
 
@@ -467,18 +467,17 @@ def invariant_im_ddc_in_ker_rho(seed=0):
 def invariant_module_structure(seed=0):
     """dd^c is a module map over closed forms; the induced product is
     sampled for commutativity and the result reported."""
-    from .specialfiber import dim_affine_pp as _dims
     rng = random.Random(seed)
     ok = True
     commutative = True
     for pc in (fixtures.f2_complex(), fixtures.f5_complex()):
-        _, forms = _dims(pc, 1, cross_check=False)
+        _, forms = dim_affine_pp(pc, 1)
         tuples = vertex_layer_basis(pc, 1)
         for c in forms[:3]:
             ct = to_vertex_tuple(c)
             for t in tuples[:3]:
-                lhs = from_vertex_tuple(ddc_model(ct * t, cross_check=False))
-                rhs = c * from_vertex_tuple(ddc_model(t, cross_check=False))
+                lhs = from_vertex_tuple(ddc_model(ct * t))
+                rhs = c * from_vertex_tuple(ddc_model(t))
                 ok = ok and lhs == rhs
         for c in forms[:2]:
             for d in forms[:2]:
@@ -493,7 +492,7 @@ def invariant_module_structure(seed=0):
 def cap_then_ddc(pc, c, d):
     """The induced product c . dd^c(d) of two degree-one classes."""
     t = to_vertex_tuple(d)
-    dd = from_vertex_tuple(ddc_model(t, cross_check=False))
+    dd = from_vertex_tuple(ddc_model(t))
     return c * dd
 
 

@@ -67,6 +67,8 @@ def cmd_validate(args):
                     pio.affine_from_json(data, pc)
                 else:
                     pio.vertex_tuple_from_json(data, pc)
+            elif kind == "tower":
+                entry["models"] = len(_load_chain(path))
             else:
                 raise InputError("unrecognized file kind")
             entry["valid"] = True

@@ -11,7 +11,7 @@ import functools
 import json
 
 from .cycles import InvariantCycle
-from .errors import InputError
+from .errors import DegreeMismatch, InputError
 from .polyhedra import PolyComplex, Polyhedron
 from .polyring import HomogPoly
 from .ppfan import PPFunction
@@ -135,6 +135,9 @@ def vertex_tuple_from_json(data, pc):
         v = vector_from_json(item["vertex"])
         chart = vertex_chart(pc, v)
         entries[v] = pp_from_json(item["pp"], chart.fan)
+        if entries[v].degree != degree:
+            raise DegreeMismatch(f"the entry at vertex ({', '.join(map(rat_str, v))}) has "
+                                 f"degree {entries[v].degree}, not the file's degree {degree}")
     return VertexTuple(pc, degree, entries)
 
 

@@ -1,15 +1,28 @@
 """Limits of special-fiber Chow groups: forms, currents, delta and Green.
 
-The four groups are represented concretely:
+Every group here is a limit over the directed set of models, presented on a
+finite chain of them; only the transfer maps differ.  A *flavor* names
+them, and ``_FLAVORS`` holds one row per flavor:
 
-* closed forms: an affine piecewise polynomial on one model, two of them
-  equal when their pullbacks to a common refinement agree cell-wise;
-* forms modulo the boundary images: a vertex tuple on one model, compared
-  after transfer to a common refinement, modulo the image of gamma;
-* closed currents: a family of affine piecewise polynomials over a finite
-  refinement chain, compatible under the affine pushforward;
-* currents modulo boundaries: a family of vertex tuples compatible under
-  the vertex pushforward.
+* ``"closed"``: affine piecewise polynomials on the special fiber.  The
+  direct limit is the closed forms (:class:`ClosedForm`), pulled back by
+  ``pullback_special``; the inverse limit is the closed currents, pushed
+  forward by ``beta``; equality is cell-wise.
+* ``"tilde"``: vertex tuples modulo the image of gamma.  The direct limit is
+  the forms modulo dd^c (:class:`FormModDdbar`), pulled back by ``zeta``; the
+  inverse limit is the currents modulo boundaries, pushed forward by
+  ``alpha``; equality is ``class_equal``.
+* ``"pp"``: piecewise polynomials on the cone over a model.  The direct
+  limit is the limit classes of ``arithchow`` (``LimitClass``), pulled back
+  by ``pullback``; the inverse limit is the towers of the extended
+  arithmetic Chow group (``LimitTower``), pushed forward by ``pushforward``;
+  equality is ``==``.
+
+Two direct-limit classes are compared or multiplied after
+:func:`on_common_model` pulls both back to a model refining their own.  An
+inverse-limit element is a :class:`CurrentTower` of one flavor: its
+compatibility check, stabilization test and closed-form action read the
+maps from the same row.
 
 Inverse limits are truncations: an explicit chain of models plus, for the
 rule-defined currents (delta, Green, vertical divisor corrections), a memo
@@ -20,14 +33,14 @@ least one later value materialized to confirm.
 """
 
 import operator
-import threading
 from collections import namedtuple
 
 from .errors import (CompatibilityViolation, NotALifting, NotARefinement,
                      NotStabilized)
 from .cycles import closure_class
 from .polyhedra import common_refinement, refines
-from .ppfan import equivariant_degree, pullback, restrict_to_height_zero
+from .ppfan import (equivariant_degree, pullback, pushforward,
+                    restrict_to_height_zero, zero_pp)
 from .polyhedra import cone_over, recession_fan
 from .specialfiber import (AffinePP, alpha, beta, cap_fundamental, class_equal,
                            ddc_model, from_vertex_tuple, iota_upper,
@@ -78,6 +91,57 @@ def common_model(pc1, pc2):
     return cr, refines(cr, pc1), refines(cr, pc2)
 
 
+# What a flavor decides: the name and map that push a tower value to the
+# coarser model, the map that pulls a value to the finer model, equality of
+# values, the zero value, the representative of a direct-limit class, the
+# value a direct-limit class acts by after pullback along a model map, and
+# the vertex tuple whose degree is a value's (None: no degree is defined).
+# The lambdas look the maps up when called, so a rebound module name is seen
+# through the table too.
+_Flavor = namedtuple("_Flavor", "pushforward push pull equal zero rep acting vertex_tuple")
+
+_FLAVORS = {
+    "closed": _Flavor(pushforward="pushforward",
+                      push=lambda m, a: beta(m, a),
+                      pull=lambda m, a: pullback_special(m, a),
+                      equal=operator.eq,
+                      zero=lambda pc, k: AffinePP(pc, k, {}, validate=False),
+                      rep=operator.attrgetter("form"),
+                      acting=lambda m, c: pullback_special(m, c.form),
+                      vertex_tuple=lambda a: cap_fundamental(a).tuple),
+    "tilde": _Flavor(pushforward="vertex pushforward",
+                     push=lambda m, t: alpha(m, t),
+                     pull=lambda m, t: zeta(m, t),
+                     equal=lambda s, t: class_equal(s, t),
+                     zero=lambda pc, k: zero_vertex_tuple(pc, k),
+                     rep=operator.attrgetter("tuple"),
+                     acting=lambda m, c: to_vertex_tuple(pullback_special(m, c.form)),
+                     vertex_tuple=lambda t: t),
+    "pp": _Flavor(pushforward="model pushforward",
+                  push=lambda m, f: pushforward(m.fan_map, f),
+                  pull=lambda m, f: pullback(m.fan_map, f),
+                  equal=operator.eq,
+                  zero=lambda pc, k: zero_pp(cone_over(pc).fan, k),
+                  rep=operator.attrgetter("pp"),
+                  acting=lambda m, c: pullback(m.fan_map, c.pp),
+                  vertex_tuple=None),
+}
+
+
+def on_common_model(flavor, a, b):
+    """Two direct-limit classes of one flavor on a common refinement of their
+    models: that model and the two representatives pulled back to it."""
+    ops = _FLAVORS[flavor]
+    pc, ma, mb = common_model(a.model, b.model)
+    return pc, ops.pull(ma, ops.rep(a)), ops.pull(mb, ops.rep(b))
+
+
+def limit_equal_in(flavor, a, b):
+    """Equality in the direct limit: the flavor's equality on a common model."""
+    _, x, y = on_common_model(flavor, a, b)
+    return _FLAVORS[flavor].equal(x, y)
+
+
 class ClosedForm:
     """An element of the closed-form direct limit, presented on one model."""
 
@@ -98,14 +162,12 @@ class ClosedForm:
 
 
 def form_equal(a, b):
-    """Equality in the direct limit: compare on a common refinement."""
-    pc, ma, mb = common_model(a.model, b.model)
-    return pullback_special(ma, a.form) == pullback_special(mb, b.form)
+    return limit_equal_in("closed", a, b)
 
 
 def form_product(a, b):
-    pc, ma, mb = common_model(a.model, b.model)
-    return ClosedForm(pc, pullback_special(ma, a.form) * pullback_special(mb, b.form))
+    pc, x, y = on_common_model("closed", a, b)
+    return ClosedForm(pc, x * y)
 
 
 class FormModDdbar:
@@ -127,8 +189,7 @@ class FormModDdbar:
 
 
 def form_mod_equal(a, b):
-    pc, ma, mb = common_model(a.model, b.model)
-    return class_equal(zeta(ma, a.tuple), zeta(mb, b.tuple))
+    return limit_equal_in("tilde", a, b)
 
 
 def ddc_form(c):
@@ -138,52 +199,26 @@ def ddc_form(c):
     return ClosedForm(c.model, from_vertex_tuple(out))
 
 
-# What a tower's flavor decides: the name and map that push a value to the
-# coarser model, the map that pulls one to the finer model, equality of
-# values, the zero value, the value a closed form acts by, and the vertex
-# tuple whose degree is the value's.  The lambdas look the maps up when
-# called, so a rebound module name is seen through the table too.
-_Flavor = namedtuple("_Flavor", "pushforward push pull equal zero acting vertex_tuple")
-
-_FLAVORS = {
-    "closed": _Flavor(pushforward="pushforward",
-                      push=lambda m, a: beta(m, a),
-                      pull=lambda m, a: pullback_special(m, a),
-                      equal=operator.eq,
-                      zero=lambda pc, k: AffinePP(pc, k, {}, validate=False),
-                      acting=lambda form: form,
-                      vertex_tuple=lambda a: cap_fundamental(a).tuple),
-    "tilde": _Flavor(pushforward="vertex pushforward",
-                     push=lambda m, t: alpha(m, t),
-                     pull=lambda m, t: zeta(m, t),
-                     equal=lambda s, t: class_equal(s, t),
-                     zero=lambda pc, k: zero_vertex_tuple(pc, k),
-                     acting=lambda form: to_vertex_tuple(form),
-                     vertex_tuple=lambda t: t),
-}
-
-
 class CurrentTower:
     """A truncated inverse-limit element over a model chain.
 
-    ``flavor`` is "closed" (affine-PP values, compatible under the affine
-    pushforward) or "tilde" (vertex-tuple values modulo gamma images,
-    compatible under the vertex pushforward); ``_FLAVORS`` holds the maps
-    each one uses.  Values either come materialized or from a rule; rule
-    evaluation memoizes under a lock so towers stay externally pure.
+    ``flavor`` names the row of ``_FLAVORS`` that gives the values' pushforward
+    and equality: "closed" (affine-PP values), "tilde" (vertex-tuple values
+    modulo gamma images) or "pp" (PP classes on the cones over the models).
+    Values either come materialized or from a rule; rule evaluation memoizes,
+    so towers stay externally pure.
     """
 
-    __slots__ = ("chain", "flavor", "start", "rule", "_values", "_lock")
+    __slots__ = ("chain", "flavor", "start", "rule", "_values")
 
     def __init__(self, chain, flavor, values=None, rule=None, start=0):
         if flavor not in _FLAVORS:
-            raise ValueError("flavor must be 'closed' or 'tilde'")
+            raise ValueError("flavor must be 'closed', 'tilde' or 'pp'")
         self.chain = chain
         self.flavor = flavor
         self.start = start
         self.rule = rule
         self._values = dict(values or {})
-        self._lock = threading.Lock()
 
     def indices(self):
         return range(self.start, len(self.chain))
@@ -191,12 +226,11 @@ class CurrentTower:
     def value(self, i):
         if i < self.start:
             raise IndexError("below the tower's first materialized model")
-        with self._lock:
-            if i not in self._values:
-                if self.rule is None:
-                    raise IndexError(f"no value at chain position {i}")
-                self._values[i] = self.rule(i)
-            return self._values[i]
+        if i not in self._values:
+            if self.rule is None:
+                raise IndexError(f"no value at chain position {i}")
+            self._values[i] = self.rule(i)
+        return self._values[i]
 
     def materialize(self):
         for i in self.indices():
@@ -345,18 +379,15 @@ def cap_current(tower):
 
 
 def module_product_form(c, tower):
-    """Action of a closed form on a tower, model-wise after pullback."""
+    """Action of a direct-limit class on a tower, model-wise after pullback:
+    a closed form on a closed or tilde tower, a limit class on a pp tower.
+    The product's compatibility is re-verified."""
     chain = tower.chain
     idx = next((i for i, m in enumerate(chain.models) if m.same_as(c.model)), None)
     if idx is None or idx > tower.start:
-        raise ValueError("acting form must live on a chain model below the tower")
-
+        raise CompatibilityViolation("acting class must live on a chain model below the tower")
     acting = _FLAVORS[tower.flavor].acting
-
-    def act(i, val):
-        return acting(pullback_special(chain.map_between(i, idx), c.form)) * val
-
-    out = tower.map_values(act)
+    out = tower.map_values(lambda i, val: acting(chain.map_between(i, idx), c) * val)
     out.check_compat()
     return out
 
@@ -391,11 +422,10 @@ def zero_composition_suite(chain, degrees, rng, samples=5):
                             report["failures"].append(("g.ddc", pc_idx, k))
                     report["checked"] += 2
         # (2) and (4): tower versions on the full chain
+        _, basis0 = dim_affine_pp(chain.models[0], k)
+        if not basis0:
+            continue
         for _ in range(samples):
-            pc0 = chain.models[0]
-            _, basis0 = dim_affine_pp(pc0, k)
-            if not basis0:
-                continue
             f0 = basis0[0].scale(0).combine(basis0, [rng.randint(-3, 3) for _ in basis0])
             vals = {0: f0}
             for i in range(1, len(chain)):
@@ -488,6 +518,8 @@ def degree_current(tower):
     from .polyhedra import vertex_chart
     values = []
     vertex_tuple = _FLAVORS[tower.flavor].vertex_tuple
+    if vertex_tuple is None:
+        raise ValueError("degree acts on closed and tilde towers")
     for i in tower.indices():
         pc = tower.chain.models[i]
         t = vertex_tuple(tower.value(i))

@@ -288,12 +288,6 @@ class Polyhedron:
                    if all(sum(a[i] * r[i] for i in range(n)) == 0 for a, bb in tight))
         return (gv, gr) == self.key()
 
-    def relint_contains(self, x):
-        if not self.contains_point(x):
-            return False
-        n = self.dim_ambient
-        return all(sum(a[i] * x[i] for i in range(n)) < bb for a, bb in self.ineqs)
-
     def __repr__(self):
         return f"Polyhedron(V={list(self.vertices)}, R={list(self.rays)})"
 
@@ -354,12 +348,6 @@ class Cone:
 
     def is_face_of(self, other):
         return self.poly.is_face_of(other.poly)
-
-    def relint_contains(self, x):
-        if not self.contains_point(x):
-            return False
-        smaller = [f for f in self.faces() if f.dim < self.dim]
-        return not any(f.contains_point(x) for f in smaller)
 
     def __repr__(self):
         return f"Cone({list(self.rays)})"
@@ -487,10 +475,6 @@ class Fan(_Closure):
 
     def __repr__(self):
         return f"Fan(rank={self.rank}, {len(self.cones)} cones, {len(self.maximal)} maximal)"
-
-
-def is_regular(fan):
-    return fan.is_regular()
 
 
 class PolyComplex(_Closure):
@@ -711,6 +695,29 @@ def edge_data(pc, edge_cell):
     return v1, v2, primitive(vsub(v2, v1)), primitive(vsub(v1, v2))
 
 
+def quotient_projection(rank, rays):
+    """Exact coordinates on N / (N cap span(rays)): a map sending x in N_R
+    to its image in the quotient lattice's coordinates (the identity when
+    there are no rays)."""
+    if not rays:
+        return tuple
+    # saturated basis of N inside span(rays), then exact quotient coordinates:
+    # with U.S.V = [I_s | 0] the last rank-s entries of x.V project N onto
+    # the quotient
+    comp = kernel_basis(mat(rays))
+    if comp:
+        sat = integer_kernel_basis([[int(x) for x in primitive(u)] for u in comp])
+    else:
+        sat = [tuple(Fraction(1 if i == j else 0) for j in range(rank)) for i in range(rank)]
+    s = len(sat)
+    _, _, V = smith_normal_form([[int(x) for x in row] for row in sat])
+
+    def project(x):
+        return tuple(sum(x[i] * V[i][j] for i in range(rank)) for j in range(s, rank))
+
+    return project
+
+
 def horizontal_star(pc, sigma):
     """The complex Pi(sigma) of projected cells, for a recession cone sigma."""
     if recession_fan(pc).index(sigma.key()) is None:
@@ -719,19 +726,7 @@ def horizontal_star(pc, sigma):
     s = sigma.dim
     if s == 0:
         return pc
-    # saturated basis of N inside span(sigma), then exact quotient coordinates:
-    # with U.S.V = [I_s | 0] the last n-s entries of x.V project N onto N(sigma)
-    comp = kernel_basis(mat(sigma.rays))
-    C = [primitive(u) for u in comp] if comp else []
-    if C:
-        sat = integer_kernel_basis([[int(x) for x in row] for row in C])
-    else:
-        sat = [tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)]
-    _, _, V = smith_normal_form([[int(x) for x in row] for row in sat])
-
-    def project(x):
-        return tuple(sum(x[i] * V[i][j] for i in range(n)) for j in range(s, n))
-
+    project = quotient_projection(n, sigma.rays)
     cells = []
     for i in pc.maximal:
         cell = pc.cells[i]
@@ -775,12 +770,6 @@ class FanMap:
                 return None
             max_map.append(hit)
         return cls(source, target, tuple(max_map))
-
-    def is_identity(self):
-        return (self.source.same_as(self.target)
-                and all(self.source.cones[self.source.maximal[p]].same_as(
-                    self.target.cones[self.target.maximal[q]])
-                    for p, q in enumerate(self.max_map)))
 
     def compose(self, other):
         """self after other: other maps A -> B, self maps B -> C."""

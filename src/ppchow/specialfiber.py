@@ -346,17 +346,15 @@ def ddc_one_shot(t):
     return VertexTuple(pc, t.degree + 1, entries)
 
 
-def ddc_model(t, cross_check=True):
+def ddc_model(t):
     """The model-level dd^c, computed as -gamma.rho.
 
-    With ``cross_check`` the independent one-pass formula is evaluated as
-    well and any disagreement raises :class:`InternalIdentityError`.
+    The independent one-pass formula is evaluated as well and any
+    disagreement raises :class:`InternalIdentityError`.
     """
     out = -gamma(rho(t))
-    if cross_check:
-        alt = ddc_one_shot(t)
-        if out != alt:
-            raise InternalIdentityError("-gamma.rho disagrees with its one-pass form")
+    if out != ddc_one_shot(t):
+        raise InternalIdentityError("-gamma.rho disagrees with its one-pass form")
     return out
 
 
@@ -463,17 +461,17 @@ def edge_layer_basis(pc, k):
 flat_vertex = VertexTuple.coords
 
 
-def dim_affine_pp(pc, k, cross_check=True):
+def dim_affine_pp(pc, k):
     """Dimension (with basis) of the degree-k affine piecewise polynomials.
 
-    Computed by solving the facet conditions directly; with ``cross_check``
-    the kernel of rho is computed independently and the dimensions compared.
+    Computed by solving the facet conditions directly; the kernel of rho is
+    computed independently and the dimensions compared.
     """
     pos = {i: p for p, i in enumerate(pc.maximal)}
     pairs = [(pos[i], pos[j], span) for i, j, span, _ in pc.adjacency()]
     basis = [AffinePP(pc, k, dict(zip(pc.maximal, polys)), validate=False)
              for polys in gluing_kernel(pairs, len(pc.maximal), pc.rank, k)]
-    if cross_check and len(basis) != dim_ker_rho(pc, k):
+    if len(basis) != dim_ker_rho(pc, k):
         raise InternalIdentityError(
             f"facet-condition dimension {len(basis)} != dim ker rho {dim_ker_rho(pc, k)}")
     return len(basis), basis
@@ -535,11 +533,11 @@ def ker_coker_report(pc, k):
     """
     vb_k = vertex_layer_basis(pc, k)
     grank = rank(gamma_image_matrix(pc, k))
-    r_from = rank([ddc_model(b, cross_check=False).coords() for b in vb_k])
+    r_from = rank([ddc_model(b).coords() for b in vb_k])
     dim_ker = len(vb_k) - grank - r_from
 
     vb_prev = vertex_layer_basis(pc, k - 1) if k >= 1 else []
-    r_into = rank([ddc_model(b, cross_check=False).coords() for b in vb_prev])
+    r_into = rank([ddc_model(b).coords() for b in vb_prev])
     dim_coker = dim_ker_rho(pc, k) - r_into
 
     dim_pp = len(graded_basis(recession_fan(pc), k))

@@ -17,16 +17,29 @@ The four piecewise carriers share one base for their arithmetic,
 coordinates and linear combinations.  The third group reads coordinates off
 each carrier's own layout, forms combinations one term at a time and
 multiplies vertex tuples entry by entry, as each carrier used to.
+
+Every limit group is one row of the flavor table in ``limits``, read by one
+tower class, one module action and one common-model helper.  The fourth
+group is the routes each group had of its own: the compatibility loop of the
+old ``LimitTower``, the pullback loops of ``module_action`` and of the old
+``module_product_form``, the five direct-limit comparisons and products,
+and the quotient projection that ``eigen_divisor`` and ``horizontal_star``
+each carried, with the two-branch ``eigen_divisor``.
 """
 
 import itertools
 from fractions import Fraction
 
 from ppchow import ppfan, specialfiber
-from ppchow.polyhedra import (Cone, PolyComplex, Polyhedron, cone_over,
+from ppchow.cycles import InvariantCycle
+from ppchow.errors import CompatibilityViolation
+from ppchow.limits import common_model
+from ppchow.polyhedra import (Cone, PolyComplex, Polyhedron,
+                              cell_contains_recession, cone_over,
                               direction_space)
 from ppchow.polyring import HomogPoly, monomial_exponents
-from ppchow.qlinalg import mat, primitive, rank
+from ppchow.qlinalg import (integer_kernel_basis, is_zero_vec, kernel_basis,
+                            mat, primitive, rank, smith_normal_form, vec)
 
 
 def adjacency(pc):
@@ -285,6 +298,143 @@ def vertex_product(s, t):
     pc = s.complex
     return specialfiber.VertexTuple(pc, s.degree + t.degree,
                                     {v: s.entries[v] * t.entries[v] for v in pc.vertices})
+
+
+# ---------------------------------------------------------------------------
+# towers, module actions, direct-limit helpers and quotient projections
+# ---------------------------------------------------------------------------
+
+
+def limit_tower_compat(chain, values, start=0):
+    """The compatibility loop of the old LimitTower: push each value down by
+    ``pushforward`` and compare by ``==``."""
+    for i in range(start, len(chain)):
+        if i + 1 >= len(chain):
+            break
+        m = chain.maps[i]
+        if ppfan.pushforward(m.fan_map, values[i + 1]) != values[i]:
+            raise CompatibilityViolation(
+                f"model pushforward from {i + 1} to {i} mismatches", witness=(i, i + 1))
+    return True
+
+
+def _acting_index(chain, model, start):
+    idx = next((i for i, m in enumerate(chain.models) if m.same_as(model)), None)
+    if idx is None or idx > start:
+        raise CompatibilityViolation("acting class must live below the tower")
+    return idx
+
+
+def module_action(c, T):
+    """The values of the old ``module_action``: the limit class pulled back
+    to each model times the tower's value, compatibility re-verified."""
+    chain = T.chain
+    idx = _acting_index(chain, c.model, T.start)
+    vals = {}
+    for i in T.indices():
+        m = chain.map_between(i, idx)
+        vals[i] = ppfan.pullback(m.fan_map, c.pp) * T.value(i)
+    limit_tower_compat(chain, vals, T.start)
+    return vals
+
+
+def module_product_form(c, tower):
+    """The values of the old ``module_product_form`` on a closed or tilde
+    tower: the form pulled back, as a vertex tuple on a tilde tower."""
+    chain = tower.chain
+    idx = _acting_index(chain, c.model, tower.start)
+    vals = {}
+    for i in tower.indices():
+        form = specialfiber.pullback_special(chain.map_between(i, idx), c.form)
+        if tower.flavor == "tilde":
+            form = specialfiber.to_vertex_tuple(form)
+        vals[i] = form * tower.value(i)
+    return vals
+
+
+def form_equal(a, b):
+    pc, ma, mb = common_model(a.model, b.model)
+    return specialfiber.pullback_special(ma, a.form) == specialfiber.pullback_special(mb, b.form)
+
+
+def form_product(a, b):
+    """(model, product form) on the common model."""
+    pc, ma, mb = common_model(a.model, b.model)
+    return pc, specialfiber.pullback_special(ma, a.form) * specialfiber.pullback_special(mb, b.form)
+
+
+def form_mod_equal(a, b):
+    pc, ma, mb = common_model(a.model, b.model)
+    return specialfiber.class_equal(specialfiber.zeta(ma, a.tuple),
+                                    specialfiber.zeta(mb, b.tuple))
+
+
+def limit_equal(a, b):
+    pc, ma, mb = common_model(a.model, b.model)
+    return ppfan.pullback(ma.fan_map, a.pp) == ppfan.pullback(mb.fan_map, b.pp)
+
+
+def limit_mul(a, b):
+    """(model, product class) on the common model."""
+    pc, ma, mb = common_model(a.model, b.model)
+    return pc, ppfan.pullback(ma.fan_map, a.pp) * ppfan.pullback(mb.fan_map, b.pp)
+
+
+def quotient_projection(rank_, rays):
+    """(None, project) quotient coordinates modulo the saturated span of the
+    rays; (identity coordinates, None) when there are no rays."""
+    if not rays:
+        return list(range(rank_)), None
+    comp = kernel_basis(mat(rays))
+    C = [primitive(u) for u in comp] if comp else []
+    if C:
+        sat = integer_kernel_basis([[int(x) for x in row] for row in C])
+    else:
+        sat = [tuple(Fraction(1 if i == j else 0) for j in range(rank_)) for i in range(rank_)]
+    s = len(sat)
+    _, _, V = smith_normal_form([[int(x) for x in row] for row in sat])
+
+    def project(x):
+        return tuple(sum(x[i] * V[i][j] for i in range(rank_)) for j in range(s, rank_))
+
+    return None, project
+
+
+def eigen_divisor(fan, sigma, weight):
+    """The two-branch ``eigen_divisor``: primitive generators of the cofaces'
+    rays with no rays in sigma, quotient images otherwise."""
+    weight = vec(weight)
+    _, project = quotient_projection(fan.rank, list(sigma.rays))
+    terms = {}
+    for c in fan.cones:
+        if c.dim != sigma.dim + 1 or not c.contains_cone(sigma):
+            continue
+        u = next(r for r in c.rays if not sigma.contains_point(r))
+        w_pair = sum(weight[i] * u[i] for i in range(fan.rank))
+        if project is None:
+            img = primitive(u)
+            g = next(u[i] / img[i] for i in range(fan.rank) if img[i] != 0)
+        else:
+            img = project(u)
+            pimg = primitive(img)
+            g = next(img[i] / pimg[i] for i in range(len(img)) if pimg[i] != 0)
+        coeff = w_pair / g
+        if coeff != 0:
+            terms[c.rays] = terms.get(c.rays, Fraction(0)) + coeff
+    return InvariantCycle(fan.rank, sigma.dim + 1, terms)
+
+
+def horizontal_star(pc, sigma):
+    """Pi(sigma) through the old projection, for a nonzero recession cone."""
+    n = pc.rank
+    _, project = quotient_projection(n, list(sigma.rays))
+    cells = []
+    for i in pc.maximal:
+        cell = pc.cells[i]
+        if all(cell_contains_recession(cell, r) for r in sigma.rays):
+            rays = [r for r in map(project, cell.rays) if not is_zero_vec(r)]
+            cells.append(Polyhedron(n - sigma.dim, [project(v) for v in cell.vertices], rays))
+    return PolyComplex(n - sigma.dim, cells)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from ppchow.cycles import (InvariantCycle, closure_class, cycle_from_pp,
 from ppchow.errors import (NoCertificate, NotCycleSupported,
                            WeightNotOrthogonal)
 from ppchow.fixtures import p1_chain, p2_chain
-from ppchow.limits import ModelChain
+from ppchow.limits import CurrentTower, ModelChain
 from ppchow.polyhedra import Cone, cone_over
 from ppchow.ppfan import constant_pp, phi_cone
 from ppchow.specialfiber import HomologyClass, class_equal
@@ -158,7 +158,7 @@ def test_theta_prime_round_trips():
     f = next(g for g in graded_basis(co.fan, 2)
              if cycle_from_pp(co.fan, g, 2) is None)
     with pytest.raises(NotCycleSupported):
-        theta_prime(LimitTower(chain, {0: f}, start=0, check=False))
+        theta_prime(CurrentTower(chain, "pp", values={0: f}))
 
 
 def test_module_action():

@@ -7,6 +7,7 @@ import pytest
 from ppchow import io as pio
 from ppchow.cli import main
 from ppchow.cycles import InvariantCycle
+from ppchow.errors import InputError
 from ppchow.fixtures import f1_complex, f2_complex, f5_complex
 from ppchow.polyhedra import cone_over, vertex_chart
 from ppchow.polyring import HomogPoly
@@ -262,3 +263,44 @@ def test_validate_reads_the_complex_reference_against_the_file(monkeypatch, caps
         assert main(["validate", path]) == 0
         entry = json.loads(capsys.readouterr().out)["files"][0]
         assert entry["kind"] == "affine" and entry["valid"] is True
+
+
+def test_vertex_tuple_entry_of_another_degree_is_input_error(workdir, capsys):
+    # a degree-1 file whose one entry is the degree-0 constant 1 at vertex 0
+    path = workdir["tmp"] / "mixed.json"
+    path.write_text(json.dumps({
+        "complex": workdir["f2"], "degree": 1,
+        "vertices": [{"vertex": ["0"],
+                      "pp": {"degree": 0, "pieces": [{"cone": 0, "poly": _ONE},
+                                                     {"cone": 1, "poly": _ONE}]}}]}))
+    with pytest.raises(InputError, match=r"vertex \(0\) has degree 0, not the file's degree 1"):
+        pio.vertex_tuple_from_json(json.loads(path.read_text()), f2_complex())
+    assert main(["validate", str(path)]) == 2
+    entry = json.loads(capsys.readouterr().out)["files"][0]
+    assert entry["kind"] == "vertex_tuple" and entry["valid"] is False
+    assert entry["error"] == ("DegreeMismatch: the entry at vertex (0) has degree 0, "
+                              "not the file's degree 1")
+    assert main(["ddc", "--complex", workdir["f2"], "--tuple", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["input_error"] == entry["error"]
+
+
+def test_validate_checks_a_chain_as_a_chain(monkeypatch, capsys, tmp_path):
+    data = pathlib.Path(__file__).resolve().parents[1] / "demos" / "data"
+    # model paths resolve against the chain file, from any working directory
+    for cwd, path in ((data.parents[1], "demos/data/p1_chain.json"),
+                      (tmp_path, str(data / "p1_chain.json"))):
+        monkeypatch.chdir(cwd)
+        assert main(["validate", path]) == 0
+        entry = json.loads(capsys.readouterr().out)["files"][0]
+        assert entry == {"path": path, "kind": "tower", "models": 3, "valid": True}
+    # F2 does not refine F5, so the pair (F5, F2) is no chain
+    backwards = tmp_path / "backwards.json"
+    backwards.write_text(json.dumps({"models": [{"complex": str(data / "f5_complex.json")},
+                                                {"complex": str(data / "f2_complex.json")}]}))
+    assert main(["validate", str(backwards), str(data / "p1_chain.json")]) == 2
+    first, second = json.loads(capsys.readouterr().out)["files"]
+    assert first["kind"] == "tower" and first["valid"] is False
+    assert first["error"].startswith("NotARefinement: ")
+    assert second["valid"] is True

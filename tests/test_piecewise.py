@@ -27,7 +27,7 @@ def _families(pc, k):
     fan = cone_over(pc).fan
     return [(lambda d: zero_pp(fan, d), graded_basis(fan, k), route_oracle.flat_pp),
             (lambda d: AffinePP(pc, d, {}, validate=False),
-             dim_affine_pp(pc, k, cross_check=False)[1], route_oracle.flat_affine),
+             dim_affine_pp(pc, k)[1], route_oracle.flat_affine),
             (lambda d: zero_vertex_tuple(pc, d), vertex_layer_basis(pc, k),
              route_oracle.flat_vertex),
             (lambda d: EdgeTuple(pc, d, {}), edge_layer_basis(pc, k), route_oracle.flat_edge)]

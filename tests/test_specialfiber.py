@@ -242,7 +242,7 @@ def test_im_ddc_in_ker_rho():
     for make in REDUCED:
         pc = make()
         t = random_tuple(rng, pc, 1)
-        assert rho(ddc_model(t, cross_check=False)).is_zero()
+        assert rho(ddc_model(t)).is_zero()
 
 
 def test_cap_fundamental():
