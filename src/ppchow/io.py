@@ -170,6 +170,8 @@ def cycle_from_json(data, rank):
 
 
 def detect_kind(data):
+    if not isinstance(data, dict):
+        return None
     if "cells" in data and "rank" in data:
         return "complex"
     if "coeffs" in data:

@@ -9,16 +9,21 @@ piecewise-polynomial Chow calculus in the higher layers.
 Conversions between V- and H-descriptions are brute force over generator
 subsets; ambient ranks here are tiny (at most 3 on the shipped fixtures) so
 nothing smarter is warranted.  They run only where no combinatorial answer
-exists: building a polyhedron (its H-description), validation's pairwise
-common-face test, :func:`common_refinement` (cells of two unrelated complexes
-meet in new polyhedra), :func:`star_subdivision` (new cells), and the grid
-oracle of the check suite, which must share no code with the bases.  Once a
-complex or fan is validated, two of its cells meet in the convex hull of
-their common vertices plus the cone on their common rays, and are disjoint
-exactly when they share no vertex; two cones meet in the cone on their common
-rays.  Adjacency, pairwise spans, stars and cell/cone correspondences are
-read off those vertex and ray sets, and each face is built once per complex
-or fan.
+exists: building a polyhedron (its H-description), the pairs of cells that
+validation cannot settle by a facet, :func:`common_refinement` (cells of two
+unrelated complexes meet in new polyhedra), and the grid oracle of the check
+suite, which must share no code with the bases.  Validation tests pairs of
+maximal cells only, which proves every pair of cells meets in a common face;
+a facet of one cell with the other on its far side certifies most pairs
+without intersecting them.  The maximal cells are read off the face walk,
+stellar subdivisions and common refinements are complexes by construction
+and are not validated again, and a refinement's cell map is read off the
+fan map.  Once a complex or fan is validated, two of its cells meet in the
+convex hull of their common vertices plus the cone on their common rays, and
+are disjoint exactly when they share no vertex; two cones meet in the cone on
+their common rays.  Adjacency, pairwise spans, stars and cell/cone
+correspondences are read off those vertex and ray sets, and each face is
+built once per complex or fan.
 """
 
 from fractions import Fraction
@@ -353,33 +358,80 @@ class Cone:
         return f"Cone({list(self.rays)})"
 
 
-def _contains(big, small):
-    return big.contains_cone(small) if isinstance(big, Cone) else big.contains_poly(small)
+def _separations(p, q):
+    """Facet inequalities a.x <= b of p with q on the far side: a.v >= b on
+    the vertices of q and a.r >= 0 on its rays, so p and q meet inside the
+    hyperplane a.x = b, if at all."""
+    n = p.dim_ambient
+    for a, b in p.ineqs:
+        if all(sum(a[i] * v[i] for i in range(n)) >= b for v in q.vertices) and \
+                all(sum(a[i] * r[i] for i in range(n)) >= 0 for r in q.rays):
+            yield a, b
+
+
+def _tight(a, b, p):
+    """(vertices, rays) of p on the hyperplane a.x = b."""
+    n = p.dim_ambient
+    return (tuple(v for v in p.vertices if sum(a[i] * v[i] for i in range(n)) == b),
+            tuple(r for r in p.rays if sum(a[i] * r[i] for i in range(n)) == 0))
+
+
+def _meet_certified(p, q):
+    """Does a facet of p or of q prove that p and q are disjoint, or meet in
+    their common face?
+
+    Let H: a.x = b carry a facet of one with the other on the far side, so
+    p & q lie in (H & p) & (H & q), the faces of p and q spanned by their
+    generators on H.  If no vertex of the far cell is on H, that face of it
+    is empty and p, q are disjoint.  If the generators on H are the common
+    generators in both cells, both faces equal conv(V(p) & V(q)) +
+    cone(R(p) & R(q)), which lies in p & q, so p & q is that face of both.
+    """
+    meet = common_face(p, q)
+    for one, other in ((p, q), (q, p)):
+        for a, b in _separations(one, other):
+            far = _tight(a, b, other)
+            if not far[0] or (far == meet and _tight(a, b, one) == meet):
+                return True
+    return False
 
 
 def _close_and_validate(items, kind, validate=True):
-    """Face closure plus the pairwise common-face test.
+    """Face closure, the maximal members, and the common-face test.
 
     ``items`` are Polyhedron or Cone; returns the closed sorted list and the
     indices of the maximal ones.  Faces shared by several items are built
-    once.
+    once.  A member is maximal when it is not a proper face of an item; on
+    a complex that is the same as being contained in no other member.
+
+    Only pairs of maximal members are tested.  Let P, Q be maximal with
+    P & Q = F a face of both (possibly empty), and take faces P' <= P and
+    Q' <= Q.  Then P' & Q' = (P' & F) & (Q' & F), an intersection of two
+    faces of F, so a face of F, hence of P and of Q, hence of P' and of Q'.
+    Every member is a face of a maximal one, so this proves that every two
+    members meet in a common face, with P = Q covering two faces of one
+    cell.  Most pairs are settled by a separating facet
+    (:func:`_meet_certified`); the rest are intersected exactly.
     """
-    closed, built = {}, {}
+    closed, built, below = {}, {}, set()
     for it in items:
         for f in it.faces(built):
             closed[f.key()] = f
+            if f.key() != it.key():
+                below.add(f.key())
     cells = sorted(closed.values(), key=lambda p: (p.dim, p.key()))
+    maximal = tuple(i for i, p in enumerate(cells) if p.key() not in below)
     if validate:
-        for p, q in itertools.combinations(cells, 2):
-            inter = p.intersect(q)
-            if inter is None:
+        for i, j in itertools.combinations(maximal, 2):
+            p, q = cells[i], cells[j]
+            polys = (p.poly, q.poly) if isinstance(p, Cone) else (p, q)
+            if _meet_certified(*polys):
                 continue
-            if not (inter.is_face_of(p) and inter.is_face_of(q)):
+            inter = p.intersect(q)
+            if inter is not None and not (inter.is_face_of(p) and inter.is_face_of(q)):
                 raise NotAComplex(
                     f"{kind} cells {p!r} and {q!r} meet in {inter!r}, not a common face")
-    maximal = [i for i, p in enumerate(cells)
-               if not any(i != j and _contains(cells[j], p) for j in range(len(cells)))]
-    return tuple(cells), tuple(maximal)
+    return tuple(cells), maximal
 
 
 def direction_space(vertices, rays):
@@ -826,22 +878,23 @@ def refines(finer, coarser):
     fm = FanMap.from_subdivision(co_f.fan, co_c.fan)
     if fm is None:
         return None
-    cell_map = {}
-    for i in finer.maximal:
-        cell = finer.cells[i]
-        hit = next((j for j in coarser.maximal
-                    if coarser.cells[j].contains_poly(cell)), None)
-        if hit is None:
-            return None
-        cell_map[i] = hit
-    return ModelMap(finer, coarser, fm, cell_map)
+    # the cones over the maximal cells are the maximal cones of c(finer); the
+    # fan map sends each to the cone over the coarse cell holding its cell
+    hit = {co_f.cone_to_cell[c]: co_c.cone_to_cell[co_c.fan.maximal[pos]]
+           for c, pos in zip(co_f.fan.maximal, fm.max_map)}
+    return ModelMap(finer, coarser, fm, {i: hit[i] for i in finer.maximal})
 
 
 def star_subdivision(pc, point=None, ray=None):
     """Stellar subdivision of c(Pi) at the ray through (point, 1) or at a ray.
 
     Returns the subdivided complex; subdividing at an existing ray returns a
-    complex with the same cells.
+    complex with the same cells.  It is a complex by construction, so it is
+    not validated again: every maximal cone of c(Pi) containing the new ray
+    w is replaced by the joins of w with its facets not containing w, the
+    others are kept, and this stellar subdivision of a fan at a ray of its
+    support is a fan with the same support.  The new cells are its cones'
+    slices at height one.
     """
     co = cone_over(pc)
     n = pc.rank
@@ -859,17 +912,17 @@ def star_subdivision(pc, point=None, ray=None):
     new_max = []
     for c in co.fan.max_cones():
         if not c.contains_point(w):
-            new_max.append(c)
+            new_max.append(c.rays)
             continue
-        for f in c.faces():
-            if f.dim == c.dim - 1 and not f.contains_point(w):
-                new_max.append(Cone(n + 1, list(f.rays) + [w]))
+        # w lies in c, so a facet a.x <= 0 misses w exactly when a.w < 0
+        for a, _ in c.poly.ineqs:
+            if sum(x * y for x, y in zip(a, w)) < 0:
+                new_max.append(_tight(a, 0, c.poly)[1] + (w,))
     cells = []
-    for c in new_max:
-        verts = [vscale(1 / r[n], r[:n]) for r in c.rays if r[n] > 0]
-        rays = [r[:n] for r in c.rays if r[n] == 0]
-        cells.append(Polyhedron(n, verts, rays))
-    return PolyComplex(n, cells)
+    for rays in new_max:
+        verts = [vscale(1 / r[n], r[:n]) for r in rays if r[n] > 0]
+        cells.append(Polyhedron(n, verts, [r[:n] for r in rays if r[n] == 0]))
+    return PolyComplex(n, cells, validate=False)
 
 
 def common_refinement(pc1, pc2):
@@ -877,6 +930,15 @@ def common_refinement(pc1, pc2):
 
     Regularity of the result is not guaranteed and must be queried by the
     caller via :meth:`PolyComplex.is_regular`.
+
+    The result is a complex by construction, so it is not validated again.
+    The faces of P & Q, for cells P of pc1 and Q of pc2, are the nonempty
+    F & G with F <= P and G <= Q.  So (P & Q) & (P' & Q') = (P & P') &
+    (Q & Q') is such an F & G for both P & Q and P' & Q', and the
+    intersections form a complex.  Both inputs are complete, so the
+    full-dimensional intersections cover N_R, and each lower-dimensional one
+    is a face of a full-dimensional one that meets its relative interior.
+    A pair with a separating facet meets in lower dimension and is skipped.
     """
     if pc1.rank != pc2.rank:
         raise RecessionMismatch("ambient ranks differ")
@@ -885,7 +947,10 @@ def common_refinement(pc1, pc2):
     cells = []
     for i in pc1.maximal:
         for j in pc2.maximal:
-            inter = pc1.cells[i].intersect(pc2.cells[j])
+            p, q = pc1.cells[i], pc2.cells[j]
+            if any(_separations(p, q)) or any(_separations(q, p)):
+                continue
+            inter = p.intersect(q)
             if inter is not None and inter.dim == pc1.rank:
                 cells.append(inter)
-    return PolyComplex(pc1.rank, cells)
+    return PolyComplex(pc1.rank, cells, validate=False)

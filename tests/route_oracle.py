@@ -25,6 +25,16 @@ old ``LimitTower``, the pullback loops of ``module_action`` and of the old
 ``module_product_form``, the five direct-limit comparisons and products,
 and the quotient projection that ``eigen_divisor`` and ``horizontal_star``
 each carried, with the two-branch ``eigen_divisor``.
+
+ppchow validates a complex or fan on pairs of maximal members, most of them
+certified by a separating facet, reads the maximal members off the face
+walk, builds stellar subdivisions and common refinements without validating
+them again, and reads a refinement's cell map off its fan map.  The fifth
+group is the routes these replaced: the exact common-face test on every pair
+of members, faces included, with maximality by containment; the stellar
+subdivision that joins the new ray to the facets of the face list; the
+common refinement from all pairwise intersections, validated; and the cell
+map by containment of cells.
 """
 
 import itertools
@@ -32,7 +42,7 @@ from fractions import Fraction
 
 from ppchow import ppfan, specialfiber
 from ppchow.cycles import InvariantCycle
-from ppchow.errors import CompatibilityViolation
+from ppchow.errors import CompatibilityViolation, NotAComplex
 from ppchow.limits import common_model
 from ppchow.polyhedra import (Cone, PolyComplex, Polyhedron,
                               cell_contains_recession, cone_over,
@@ -435,6 +445,77 @@ def horizontal_star(pc, sigma):
             rays = [r for r in map(project, cell.rays) if not is_zero_vec(r)]
             cells.append(Polyhedron(n - sigma.dim, [project(v) for v in cell.vertices], rays))
     return PolyComplex(n - sigma.dim, cells)
+
+
+# ---------------------------------------------------------------------------
+# validation, subdivision and refinement
+# ---------------------------------------------------------------------------
+
+
+def _contains(big, small):
+    return big.contains_cone(small) if isinstance(big, Cone) else big.contains_poly(small)
+
+
+def close_and_validate(items, kind):
+    """Face closure, the common-face test on every pair of members, and the
+    members contained in no other one as the maximal ones."""
+    closed = {}
+    for it in items:
+        for f in it.faces():
+            closed[f.key()] = f
+    cells = sorted(closed.values(), key=lambda p: (p.dim, p.key()))
+    for p, q in itertools.combinations(cells, 2):
+        inter = p.intersect(q)
+        if inter is None:
+            continue
+        if not (inter.is_face_of(p) and inter.is_face_of(q)):
+            raise NotAComplex(
+                f"{kind} cells {p!r} and {q!r} meet in {inter!r}, not a common face")
+    maximal = [i for i, p in enumerate(cells)
+               if not any(i != j and _contains(cells[j], p) for j in range(len(cells)))]
+    return tuple(cells), tuple(maximal)
+
+
+def star_subdivision(pc, point):
+    """Stellar subdivision of c(Pi) at (point, 1) through the face list of
+    each cone containing it, validated on every pair of cells."""
+    n = pc.rank
+    w = primitive(tuple(vec(point)) + (Fraction(1),))
+    fan = cone_over(pc).fan
+    if any(c.dim == 1 and c.rays == (w,) for c in fan.cones):
+        return close_and_validate(pc.max_cells(), "complex")
+    new_max = []
+    for c in fan.max_cones():
+        if not c.contains_point(w):
+            new_max.append(c)
+            continue
+        for f in c.faces():
+            if f.dim == c.dim - 1 and not f.contains_point(w):
+                new_max.append(Cone(n + 1, list(f.rays) + [w]))
+    cells = [Polyhedron(n, [tuple(x / r[n] for x in r[:n]) for r in c.rays if r[n] > 0],
+                        [r[:n] for r in c.rays if r[n] == 0])
+             for c in new_max]
+    return close_and_validate(cells, "complex")
+
+
+def common_refinement(pc1, pc2):
+    """Full-dimensional intersections of every pair of maximal cells,
+    validated on every pair of cells."""
+    cells = []
+    for i in pc1.maximal:
+        for j in pc2.maximal:
+            inter = pc1.cells[i].intersect(pc2.cells[j])
+            if inter is not None and inter.dim == pc1.rank:
+                cells.append(inter)
+    return close_and_validate(cells, "complex")
+
+
+def refinement_cell_map(finer, coarser):
+    """Each maximal cell of ``finer`` to the first maximal cell of
+    ``coarser`` containing it."""
+    return {i: next(j for j in coarser.maximal
+                    if coarser.cells[j].contains_poly(finer.cells[i]))
+            for i in finer.maximal}
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,16 @@ def test_cli_validate(workdir, capsys):
     assert "FacetMismatch" in out["files"][0]["error"]
 
 
+@pytest.mark.parametrize("data", [5, "cells rank", None, [1, 2]])
+def test_cli_validate_json_that_is_not_an_object(workdir, capsys, data):
+    path = workdir["tmp"] / "scalar.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", str(path)]) == 2
+    entry = json.loads(capsys.readouterr().out)["files"][0]
+    assert entry["kind"] is None and not entry["valid"]
+    assert entry["error"] == "InputError: unrecognized file kind"
+
+
 def test_cli_basis(workdir, capsys):
     assert main(["basis", "--complex", workdir["f2"], "--degree", "1",
                  "--which", "affine"]) == 0

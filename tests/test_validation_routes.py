@@ -1,0 +1,234 @@
+"""Validation on maximal pairs against the all-pairs route it replaced.
+
+ppchow tests only pairs of maximal members of a complex or fan, settles most
+of them with a separating facet, reads the maximal members off the face
+walk, builds stellar subdivisions and common refinements without validating
+them, and reads a refinement's cell map off the fan map.  On valid inputs
+both routes must close to the same members with the same maximal ones; on
+invalid ones both must raise ``NotAComplex``; and every complex built by
+construction must pass the all-pairs test of ``route_oracle``.
+"""
+
+from fractions import Fraction as Q
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import route_oracle
+from ppchow.errors import NotAComplex
+from ppchow.fixtures import all_fixture_models, f1_fan, f3_fan
+from ppchow.polyhedra import (Cone, Fan, PolyComplex, Polyhedron,
+                              _close_and_validate, common_refinement,
+                              cone_over, recession_fan, refines,
+                              star_subdivision, vertex_chart)
+
+FIXTURES = all_fixture_models()
+
+
+def _members(pc_or_fan):
+    if isinstance(pc_or_fan, Fan):
+        return pc_or_fan.max_cones(), "fan"
+    return pc_or_fan.max_cells(), "complex"
+
+
+def _valid_sources():
+    """(items, kind) of every fixture, its cone over, recession fan and
+    vertex charts, the fixture fans and two interval models."""
+    out = [_members(f) for f in (f1_fan(), f3_fan())]
+    models = list(FIXTURES.values()) + [route_oracle.interval_model(-2, 3)]
+    for pc in models:
+        out.append(_members(pc))
+        out.append(_members(cone_over(pc).fan))
+        out.append(_members(recession_fan(pc)))
+        out += [_members(vertex_chart(pc, v).fan) for v in pc.vertices]
+    return out
+
+
+VALID = _valid_sources()
+
+
+def _keys(cells):
+    return [(c.dim, c.key()) for c in cells]
+
+
+def _assert_same_closure(items, kind):
+    new_cells, new_max = _close_and_validate(items, kind)
+    old_cells, old_max = route_oracle.close_and_validate(items, kind)
+    assert _keys(new_cells) == _keys(old_cells)
+    assert new_max == old_max
+    unchecked_cells, unchecked_max = _close_and_validate(items, kind, validate=False)
+    assert _keys(unchecked_cells) == _keys(new_cells) and unchecked_max == new_max
+
+
+@st.composite
+def _padded(draw, items):
+    """The items plus some of their faces and repeats, in a drawn order."""
+    faces = [f for it in items for f in it.faces() if f.key() != it.key()]
+    extra = draw(st.lists(st.sampled_from(faces), max_size=4)) if faces else []
+    repeats = draw(st.lists(st.sampled_from(items), max_size=2))
+    return draw(st.permutations(list(items) + extra + repeats))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.data())
+def test_valid_inputs_close_alike(data):
+    items, kind = data.draw(st.sampled_from(VALID))
+    _assert_same_closure(data.draw(_padded(items)), kind)
+
+
+@settings(derandomize=True, max_examples=4, deadline=None)
+@given(st.lists(st.integers(0, 50), min_size=1, max_size=4), st.data())
+def test_refined_f3c_closes_alike(choices, data):
+    pc = route_oracle.refined_f3c(choices)
+    _assert_same_closure(data.draw(_padded(pc.max_cells())), "complex")
+
+
+# ---------------------------------------------------------------------------
+# invalid inputs: every family is drawn under a lattice map x -> k.A.x + s
+# ---------------------------------------------------------------------------
+
+# (vertices, rays) per cell, in integer coordinates before the map
+INVALID_COMPLEXES = {
+    "overlapping intervals": [([(0,), (2,)], []), ([(1,), (3,)], [])],
+    "nested intervals": [([(0,), (3,)], []), ([(1,), (2,)], [])],
+    "interval on a ray": [([(0,)], [(1,)]), ([(1,), (2,)], [])],
+    "opposite rays overlapping": [([(1,)], [(-1,)]), ([(0,)], [(1,)])],
+    "point inside an interval": [([(1,)], []), ([(0,), (2,)], [])],
+    "overlapping squares": [([(0, 0), (2, 0), (0, 2), (2, 2)], []),
+                            ([(1, 1), (3, 1), (1, 3), (3, 3)], [])],
+    "nested triangles": [([(0, 0), (4, 0), (0, 4)], []),
+                         ([(1, 1), (2, 1), (1, 2)], [])],
+    "T-junction": [([(0, 0), (1, 0), (0, 1), (1, 1)], []),
+                   ([(1, 0), (2, 0), (1, 1), (2, 1)], []),
+                   ([(0, 1), (2, 1), (0, 2), (2, 2)], [])],
+    "mismatched facets": [([(0, 0), (2, 0), (0, 2), (2, 2)], []),
+                          ([(2, 1), (4, 1), (2, 3), (4, 3)], [])],
+    "vertex inside an edge": [([(0, 0), (2, 0), (0, 2), (2, 2)], []),
+                              ([(2, 1), (3, 0), (3, 2)], [])],
+    "overlapping quadrants": [([(0, 0)], [(1, 0), (0, 1)]),
+                              ([(1, 0)], [(0, 1), (1, 1)])],
+    "unbounded strip on a square": [([(0, 0), (2, 0)], [(0, 1)]),
+                                    ([(1, 0), (3, 0), (1, 2), (3, 2)], [])],
+}
+
+INVALID_FANS = {
+    "overlapping cones": [[(1, 0), (1, 2)], [(1, 1), (0, 1)]],
+    "nested cones": [[(1, 0), (0, 1)], [(1, 1), (1, 2)]],
+    "cone across a ray": [[(1, 0), (0, 1)], [(0, 1), (-1, 0)], [(-1, 1), (1, 1)]],
+    "ray inside a cone": [[(1, 0), (0, 1)], [(1, 1)]],
+}
+
+
+def _lattice_map(rank, shear, k, shift):
+    """x -> k.A.x + shift with A unimodular upper triangular (shear above
+    the diagonal)."""
+    def apply(x, linear_only=False):
+        y = [k * (x[i] + sum(shear * x[j] for j in range(i + 1, rank)))
+             for i in range(rank)]
+        return tuple(y) if linear_only else tuple(a + b for a, b in zip(y, shift))
+    return apply
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(st.sampled_from(sorted(INVALID_COMPLEXES)), st.integers(-2, 2),
+       st.integers(1, 3), st.lists(st.integers(-3, 3), min_size=2, max_size=2))
+def test_invalid_complexes_rejected_by_both(name, shear, k, shift):
+    raw = INVALID_COMPLEXES[name]
+    rank = len(raw[0][0][0])
+    f = _lattice_map(rank, shear, Q(k, 2), [Q(s) for s in shift[:rank]])
+    cells = [Polyhedron(rank, [f(v) for v in vs], [f(r, True) for r in rs])
+             for vs, rs in raw]
+    with pytest.raises(NotAComplex):
+        route_oracle.close_and_validate(cells, "complex")
+    with pytest.raises(NotAComplex):
+        PolyComplex(rank, cells)
+
+
+def test_triangle_on_a_square_facet_is_rejected_by_both():
+    """A tetrahedron on three corners of a square pyramid's base: the facet
+    plane z = 1 holds all the common vertices, but they span a face of the
+    tetrahedron only, so both sides' generators on it must be checked."""
+    pyramid = Polyhedron(3, [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1), (0, 0, 0)])
+    tetrahedron = Polyhedron(3, [(0, 0, 1), (1, 0, 1), (0, 1, 1), (0, 0, 2)])
+    for cells in ([pyramid, tetrahedron], [tetrahedron, pyramid]):
+        with pytest.raises(NotAComplex):
+            route_oracle.close_and_validate(cells, "complex")
+        with pytest.raises(NotAComplex):
+            PolyComplex(3, cells)
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(st.sampled_from(sorted(INVALID_FANS)), st.integers(-2, 2), st.booleans())
+def test_invalid_fans_rejected_by_both(name, shear, flip):
+    f = _lattice_map(2, shear, -1 if flip else 1, (0, 0))
+    cones = [Cone(2, [f(r, True) for r in rays]) for rays in INVALID_FANS[name]]
+    with pytest.raises(NotAComplex):
+        route_oracle.close_and_validate(cones, "fan")
+    with pytest.raises(NotAComplex):
+        Fan(2, cones)
+
+
+# ---------------------------------------------------------------------------
+# complexes by construction pass the all-pairs test
+# ---------------------------------------------------------------------------
+
+
+def _assert_valid_as_built(pc, oracle):
+    """The complex built without validation has the members and maximal
+    members of the old route, which ran the all-pairs test on them."""
+    cells, maximal = oracle
+    assert _keys(pc.cells) == _keys(cells) and pc.maximal == maximal
+
+
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(st.lists(st.integers(0, 50), max_size=2),
+       st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(1, 2)))
+def test_star_subdivision_of_refined_f3c_is_a_complex(choices, point):
+    pc = route_oracle.refined_f3c(choices)
+    x = (Q(point[0], point[2]), Q(point[1], point[2]))
+    _assert_valid_as_built(star_subdivision(pc, point=x),
+                           route_oracle.star_subdivision(pc, x))
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(st.sampled_from(["F1", "F2", "F5", "F6"]), st.integers(-9, 9), st.integers(1, 4))
+def test_star_subdivision_in_rank_one_is_a_complex(name, num, den):
+    pc = FIXTURES[name]
+    x = (Q(num, den),)
+    _assert_valid_as_built(star_subdivision(pc, point=x),
+                           route_oracle.star_subdivision(pc, x))
+
+
+@settings(derandomize=True, max_examples=4, deadline=None)
+@given(st.lists(st.integers(0, 50), max_size=2), st.lists(st.integers(0, 50), max_size=2))
+def test_common_refinement_of_refined_f3c_is_a_complex(first, second):
+    pc1, pc2 = route_oracle.refined_f3c(first), route_oracle.refined_f3c(second)
+    _assert_valid_as_built(common_refinement(pc1, pc2),
+                           route_oracle.common_refinement(pc1, pc2))
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(st.lists(st.fractions(-3, 3, max_denominator=3), min_size=1, max_size=3, unique=True),
+       st.lists(st.fractions(-3, 3, max_denominator=3), min_size=1, max_size=3, unique=True))
+def test_common_refinement_in_rank_one_is_a_complex(first, second):
+    def line(points):
+        pts = sorted(points)
+        cells = [Polyhedron(1, [(pts[0],)], [(-1,)]), Polyhedron(1, [(pts[-1],)], [(1,)])]
+        cells += [Polyhedron(1, [(a,), (b,)]) for a, b in zip(pts, pts[1:])]
+        return PolyComplex(1, cells)
+    pc1, pc2 = line(first), line(second)
+    _assert_valid_as_built(common_refinement(pc1, pc2),
+                           route_oracle.common_refinement(pc1, pc2))
+
+
+@settings(derandomize=True, max_examples=5, deadline=None)
+@given(st.lists(st.integers(0, 50), min_size=1, max_size=4))
+def test_refines_reads_the_cell_map_off_the_fan_map(choices):
+    chain = [route_oracle.refined_f3c(choices[:k]) for k in range(len(choices) + 1)]
+    for i, finer in enumerate(chain):
+        for coarser in chain[:i + 1]:
+            m = refines(finer, coarser)
+            assert m is not None
+            assert m.cell_map == route_oracle.refinement_cell_map(finer, coarser)
+            assert all(coarser.cells[m.cell_map[j]].contains_poly(finer.cells[j])
+                       for j in finer.maximal)
