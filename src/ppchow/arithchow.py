@@ -170,7 +170,7 @@ def theta(chain, start, cycle):
     """
     from .limits import ddc_current
     from .specialfiber import pullback_special
-    pc = chain.models[start]
+    pc = chain.model(start)
     F = model_cycle_class(pc, cycle)
     eta = horizontal_part(cycle, pc.rank)
     g = green_from_lifting(chain, start, F, eta)

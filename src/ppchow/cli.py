@@ -141,8 +141,7 @@ def cmd_green(args):
     chain = _load_chain(args.chain).truncate(args.depth)
     cycle = _load_cycle(args.cycle, chain.models[0].rank)
     start = args.start
-    pc = chain.models[start]
-    lifting = closure_class(pc, cycle)
+    lifting = closure_class(chain.model(start), cycle)
     g = green_from_lifting(chain, start, lifting, cycle)
     cert = is_green(g, cycle)
     out = {"values": [pio.vertex_tuple_to_json(g.value(i)) for i in g.indices()],
@@ -163,23 +162,28 @@ def cmd_push(args):
 
 
 def cmd_degree(args):
-    if args.chain:
+    if args.chain and args.cycle:
         chain = _load_chain(args.chain).truncate(args.depth)
         cycle = _load_cycle(args.cycle, chain.models[0].rank)
         d = delta_current(chain, cycle)
         value = degree_current(d)
-    else:
+    elif args.complex and args.pp:
         pc = _load_complex(args.complex)
         fan = cone_over(pc).fan
         f = pio.pp_from_json(pio.load_json(args.pp), fan)
         value = equivariant_degree(fan, f)
+    else:
+        raise InputError("degree needs --chain and --cycle, or --complex and --pp")
     _emit({"degree": pio.poly_to_json(value)}, args.out)
     return 0
 
 
 def cmd_refine(args):
     pc = _load_complex(args.complex)
-    point = [rat(x) for x in args.point.split(",")]
+    try:
+        point = [rat(x) for x in args.point.split(",")]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"--point needs comma-separated rationals: {exc}") from exc
     out = star_subdivision(pc, point=point)
     _emit(pio.complex_to_json(out), args.out)
     return 0

@@ -34,8 +34,9 @@ class InvariantCycle:
         for rays, c in terms.items():
             key = _cone_key(rays) if rays else ()
             c = rat(c)
-            if len(key) and len({len(r) for r in key}) != 1:
-                raise ValueError("ragged ray data")
+            for r in key:
+                if len(r) != rank:
+                    raise ValueError(f"a ray has {len(r)} coordinates, the rank is {rank}")
             if c != 0:
                 clean[key] = clean.get(key, Fraction(0)) + c
         self.terms = {k: c for k, c in clean.items() if c != 0}

@@ -35,8 +35,8 @@ least one later value materialized to confirm.
 import operator
 from collections import namedtuple
 
-from .errors import (CompatibilityViolation, NotALifting, NotARefinement,
-                     NotStabilized)
+from .errors import (CompatibilityViolation, InputError, NotALifting,
+                     NotARefinement, NotStabilized)
 from .cycles import closure_class
 from .polyhedra import common_refinement, refines
 from .ppfan import (equivariant_degree, pullback, pushforward,
@@ -62,6 +62,12 @@ class ModelChain:
 
     def __len__(self):
         return len(self.models)
+
+    def model(self, i):
+        """The model at chain position i, which must lie in [0, len)."""
+        if not 0 <= i < len(self.models):
+            raise InputError(f"chain position {i} is outside [0, {len(self.models)})")
+        return self.models[i]
 
     def truncate(self, depth):
         return ModelChain(self.models[:max(1, depth)])
@@ -306,7 +312,7 @@ def green_from_lifting(chain, start, lifting, cycle):
     otherwise).  On each finer chain model the value is the vertical part of
     pullback-minus-closure, decomposed through the vertical lift.
     """
-    pc0 = chain.models[start]
+    pc0 = chain.model(start)
     rec = recession_fan(pc0)
     eta_class = closure_class(pc0, cycle)
     restr_lift = restrict_to_height_zero(cone_over(pc0), lifting)

@@ -6,13 +6,17 @@ faces.  The cone over a complete complex, vertex charts, recession fans,
 stellar subdivisions and common refinements are the raw material for the
 piecewise-polynomial Chow calculus in the higher layers.
 
-Conversions between V- and H-descriptions are brute force over generator
-subsets; ambient ranks here are tiny (at most 3 on the shipped fixtures) so
-nothing smarter is warranted.  They run only where no combinatorial answer
-exists: building a polyhedron (its H-description), the pairs of cells that
-validation cannot settle by a facet, :func:`common_refinement` (cells of two
-unrelated complexes meet in new polyhedra), and the grid oracle of the check
-suite, which must share no code with the bases.  Validation tests pairs of
+Both conversions between V- and H-descriptions are one routine,
+:func:`_extreme_rays`, the double description method on a pointed cone: the
+facets of a polyhedron are the extreme rays of the cone of inequalities
+valid on it, and the vertices and rays of {x : a.x <= b} are the extreme
+rays of its homogenization.  A generator is extreme when no other one lies
+on a strict superset of its facets.  Conversions run only where no
+combinatorial answer exists: building a polyhedron (its H-description), the
+pairs of cells that validation cannot settle by a facet,
+:func:`common_refinement` (cells of two unrelated complexes meet in new
+polyhedra), and the grid oracle of the check suite, which must share no code
+with the bases.  Validation tests pairs of
 maximal cells only, which proves every pair of cells meets in a common face;
 a facet of one cell with the other on its far side certifies most pairs
 without intersecting them.  The maximal cells are read off the face walk,
@@ -30,138 +34,129 @@ from fractions import Fraction
 from math import gcd
 import itertools
 
-from .errors import (IncompleteInput, NonSCR, NotAComplex, NotARecessionCone,
-                     NotARefinement, NotAVertex, PointOutsideSupport,
-                     RecessionMismatch, UnboundedEdge)
-from .qlinalg import (integer_kernel_basis, is_zero_vec, kernel_basis, mat,
-                      primitive, rank, rays_extend_to_basis,
-                      smith_normal_form, solve, span_basis, vadd, vec, vscale,
-                      vsub, zero_vec)
+from .errors import (IncompleteInput, InputError, NonSCR, NotAComplex,
+                     NotARecessionCone, NotARefinement, NotAVertex,
+                     PointOutsideSupport, RecessionMismatch, UnboundedEdge)
+from .qlinalg import (RowEchelon, integer_kernel_basis, is_zero_vec,
+                      kernel_basis, mat, mat_inverse, primitive, primitive_ints,
+                      rays_extend_to_basis, smith_normal_form, solve,
+                      span_basis, vadd, vdot, vec, vscale, vsub, zero_vec)
 
 
-def _hrep_from_generators(dim, vertices, rays):
-    """(equations, inequalities) cutting out conv(vertices) + cone(rays).
+def _extreme_rays(rows, dim):
+    """Extreme rays of the cone {y in Q^dim : r.y <= 0 for every row r}.
 
-    Equations are pairs (a, b) with a.x = b on the affine hull;
-    inequalities are facet pairs (a, b) with a.x <= b, canonicalized to a
-    primitive integer normal.
+    The double description method (Motzkin, Raiffa, Thompson and Thrall
+    1953; Fukuda and Prodon 1996).  The cone cut out by ``dim`` independent
+    rows is simplicial, with the columns of minus their inverse as rays.
+    Each further row r keeps the rays with r.y <= 0 and replaces those with
+    r.y > 0 by their combinations on r.y = 0 with the adjacent rays having
+    r.y < 0.  Two extreme rays are adjacent when no third one vanishes on
+    every row so far that vanishes on both: the face those rows cut out is
+    then two-dimensional.
+
+    Returns (ray, tight) pairs: the ray a primitive integer tuple, and tight
+    a bitmask with bit k set when row k vanishes on it.  Returns None when
+    the rows have rank below ``dim``, so the cone contains a line.
     """
-    base = vertices[0]
-    dirs = [vsub(v, base) for v in vertices[1:]] + list(rays)
-    dirs = [d for d in dirs if not is_zero_vec(d)]
-    dir_basis = span_basis(dirs)
-    m = len(dir_basis)
+    rows = [primitive_ints(r) for r in rows]
+    echelon = RowEchelon([])
+    basis = [k for k, r in enumerate(rows)
+             if len(echelon.pivots) < dim and echelon.extend(r)]
+    if len(basis) < dim:
+        return None
+    inv = mat_inverse([rows[k] for k in basis])
+    chosen = sum(1 << k for k in basis)
+    rays = [(primitive_ints([-row[i] for row in inv]), chosen & ~(1 << k))
+            for i, k in enumerate(basis)]
+    for k, row in enumerate(rows):
+        if chosen >> k & 1:
+            continue
+        bit = 1 << k
+        vals = [sum(a * y for a, y in zip(row, ray)) for ray, _ in rays]
+        out = [(ray, tight | bit if v == 0 else tight)
+               for (ray, tight), v in zip(rays, vals) if v <= 0]
+        for i, vi in enumerate(vals):
+            if vi <= 0:
+                continue
+            for j, vj in enumerate(vals):
+                if vj >= 0:
+                    continue
+                common = rays[i][1] & rays[j][1]
+                if common.bit_count() < dim - 2 or any(
+                        common & ~t == 0 for l, (_, t) in enumerate(rays)
+                        if l != i and l != j):
+                    continue
+                y = [vi * b - vj * a for a, b in zip(rays[i][0], rays[j][0])]
+                g = gcd(*y)
+                out.append(([x // g for x in y], common | bit))
+        rays = out
+    return [(tuple(ray), tight) for ray, tight in rays]
 
-    eqs = []
-    for a in (kernel_basis(mat(dir_basis)) if dir_basis else
-              kernel_basis(mat([zero_vec(dim)]))):
-        a = primitive(a) if not is_zero_vec(a) else a
-        eqs.append((a, sum(x * y for x, y in zip(a, base))))
 
-    if m == 0:
+def _facets(dim, vertices, rays):
+    """(equations, facets) of conv(vertices) + cone(rays).
+
+    Equations are pairs (a, b) with a.x = b on the affine hull.  Facets are
+    triples (a, b, on): the inequality a.x <= b with a the primitive integer
+    normal inside the direction space, and ``on`` the bitmask of the
+    generators on the facet, vertices first.  With D the RREF basis of the
+    direction space, the inequalities c.(D x) <= s valid on the polyhedron
+    form the polar cone {(c, s) : c.(D v) <= s, c.(D r) <= 0}.  It is
+    pointed, because D maps the direction space onto Q^m, and its extreme
+    rays other than (0, 1) are the facets.
+    """
+    dir_basis = direction_space(vertices, rays)
+    eqs = [(a, vdot(a, vertices[0])) for a in map(
+        primitive, kernel_basis(mat(dir_basis if dir_basis else [zero_vec(dim)])))]
+    if not dir_basis:
         return tuple(eqs), ()
-
-    ineqs = {}
-    for w in vertices:
-        pool = [vsub(v, w) for v in vertices if v != w] + list(rays)
-        for subset in itertools.combinations(range(len(pool)), m - 1):
-            chosen = [pool[i] for i in subset]
-            if len(span_basis(chosen)) != m - 1:
-                continue
-            # normals inside the direction space vanishing on the chosen set
-            rows = [[sum(b[i] * d[i] for i in range(dim)) for b in dir_basis] for d in chosen]
-            if rows:
-                null = kernel_basis(mat(rows))
-            else:
-                null = [(Fraction(1),)] if m == 1 else kernel_basis(
-                    mat([[Fraction(0)] * m]))
-            if len(null) != 1:
-                continue
-            a = zero_vec(dim)
-            for c, b in zip(null[0], dir_basis):
-                a = vadd(a, vscale(c, b))
-            for aa in (a, vscale(-1, a)):
-                ok = all(sum(x * y for x, y in zip(aa, vsub(v, w))) <= 0 for v in vertices)
-                ok = ok and all(sum(x * y for x, y in zip(aa, r)) <= 0 for r in rays)
-                if ok:
-                    aa_p = primitive(aa)
-                    ineqs[aa_p] = sum(x * y for x, y in zip(aa_p, w))
-                    break
-    return tuple(eqs), tuple(sorted(ineqs.items()))
+    m = len(dir_basis)
+    polar = [[vdot(d, g) for d in dir_basis] + [s]
+             for gens, s in ((vertices, -1), (rays, 0)) for g in gens]
+    facets = []
+    for y, on in _extreme_rays(polar, m + 1):
+        if not any(y[:m]):
+            continue
+        a = zero_vec(dim)
+        for c, d in zip(y, dir_basis):
+            a = vadd(a, vscale(c, d))
+        a = primitive(a)
+        v = next(v for i, v in enumerate(vertices) if on >> i & 1)
+        facets.append((a, vdot(a, v), on))
+    return tuple(eqs), facets
 
 
 def _vrep_from_hrep(dim, eqs, ineqs):
-    """Vertices and extreme rays of {x : eqs hold, a.x <= b}; None if empty.
+    """Vertices and extreme rays of {x : eqs hold, a.x <= b}; None if the set
+    is empty or contains a line.
 
-    The result is only meaningful for pointed solution sets, which is all
-    this library ever intersects.
+    With x = x0 + B y on the solutions of the equations, the homogenization
+    {(y, t) : a.(x0 t + B y) <= b t, t >= 0} has the vertices as its
+    extreme rays with t > 0, and the extreme rays as those with t = 0.
     """
-    A = [e[0] for e in eqs]
-    b = [e[1] for e in eqs]
-    if A:
-        x0 = solve(mat(A), vec(b))
-        if x0 is None:
-            return None
-        B = kernel_basis(mat(A))
-    else:
-        x0 = zero_vec(dim)
-        B = [tuple(Fraction(1 if i == j else 0) for j in range(dim)) for i in range(dim)]
-    m = len(B)
-
-    rows = []
-    for a, bb in ineqs:
-        alpha = tuple(sum(a[i] * Bj[i] for i in range(dim)) for Bj in B)
-        beta = bb - sum(a[i] * x0[i] for i in range(dim))
-        if is_zero_vec(alpha):
-            if beta < 0:
-                return None
-            continue
-        rows.append((alpha, beta))
-
-    verts = set()
-    for subset in itertools.combinations(range(len(rows)), m):
-        Asub = [rows[i][0] for i in subset]
-        bsub = [rows[i][1] for i in subset]
-        if m and rank(mat(Asub)) != m:
-            continue
-        s = solve(mat(Asub), vec(bsub)) if m else ()
-        if s is None:
-            continue
-        if all(sum(a[i] * s[i] for i in range(m)) <= bb for a, bb in rows):
-            x = x0
-            for c, Bj in zip(s, B):
-                x = vadd(x, vscale(c, Bj))
-            verts.add(x)
-    if not verts and m > 0:
-        if not rows:
-            return None  # whole subspace, not pointed
+    A = [a for a, _ in eqs]
+    x0 = solve(mat(A), vec([b for _, b in eqs])) if A else zero_vec(dim)
+    if x0 is None:
         return None
-    if m == 0:
-        if any(bb < 0 for _, bb in rows):
-            return None
-        return (tuple(sorted(verts | {x0})), ())
-
-    rays_out = set()
-    hom = [a for a, _ in rows]
-    for subset in itertools.combinations(range(len(hom)), m - 1):
-        Asub = [hom[i] for i in subset]
-        if Asub and rank(mat(Asub)) != m - 1:
-            continue
-        null = kernel_basis(mat(Asub)) if Asub else [
-            tuple(Fraction(1 if i == j else 0) for j in range(m)) for i in range(m)]
-        if len(null) != 1:
-            continue
-        for d in (null[0], vscale(-1, null[0])):
-            if all(sum(a[i] * d[i] for i in range(m)) <= 0 for a in hom):
-                tight = [a for a in hom if sum(a[i] * d[i] for i in range(m)) == 0]
-                if (rank(mat(tight)) if tight else 0) == m - 1:
-                    amb = zero_vec(dim)
-                    for c, Bj in zip(d, B):
-                        amb = vadd(amb, vscale(c, Bj))
-                    if not is_zero_vec(amb):
-                        rays_out.add(primitive(amb))
-                break
-    return (tuple(sorted(verts)), tuple(sorted(rays_out)))
+    B = kernel_basis(mat(A if A else [zero_vec(dim)]))
+    m = len(B)
+    rows = [tuple(vdot(a, Bj) for Bj in B) + (vdot(a, x0) - b,) for a, b in ineqs]
+    rays = _extreme_rays(rows + [(0,) * m + (-1,)], m + 1)
+    if rays is None:
+        return None
+    verts, rays_out = [], []
+    for y, _ in rays:
+        amb = zero_vec(dim)
+        for c, Bj in zip(y, B):
+            amb = vadd(amb, vscale(c, Bj))
+        if y[m]:
+            verts.append(vadd(x0, vscale(Fraction(1, y[m]), amb)))
+        else:
+            rays_out.append(primitive(amb))
+    if not verts:
+        return None
+    return tuple(sorted(verts)), tuple(sorted(rays_out))
 
 
 class Polyhedron:
@@ -180,31 +175,25 @@ class Polyhedron:
         if not vertices:
             raise NonSCR("a pointed polyhedron needs at least one vertex")
         self.dim_ambient = dim_ambient
-        eqs, ineqs = _hrep_from_generators(dim_ambient, vertices, rays)
+        eqs, facets = _facets(dim_ambient, vertices, rays)
+        ineqs = tuple(sorted((a, b) for a, b, _ in facets))
         # lineality check: directions satisfying every constraint both ways
         lin_rows = [a for a, _ in ineqs] + [a for a, _ in eqs]
-        lin = kernel_basis(mat(lin_rows)) if lin_rows else \
-            ([tuple(Fraction(1 if i == j else 0) for j in range(dim_ambient))
-              for i in range(dim_ambient)] if dim_ambient else [])
+        lin = kernel_basis(mat(lin_rows if lin_rows else [zero_vec(dim_ambient)]))
         if lin:
             raise NonSCR(f"polyhedron contains a line in direction {lin[0]}")
         self.eqs = eqs
         self.ineqs = ineqs
-        n = dim_ambient
-        keep_v = []
-        for v in vertices:
-            tight = [a for a, bb in ineqs if sum(x * y for x, y in zip(a, v)) == bb]
-            tight += [a for a, _ in eqs]
-            if (rank(mat(tight)) if tight else 0) == n:
-                keep_v.append(v)
-        keep_r = []
-        for r in rays:
-            tight = [a for a, _ in ineqs if sum(x * y for x, y in zip(a, r)) == 0]
-            tight += [a for a, _ in eqs]
-            if (rank(mat(tight)) if tight else 0) == n - 1:
-                keep_r.append(r)
-        self.vertices = tuple(keep_v)
-        self.rays = tuple(keep_r)
+        # In the cone over the polyhedron, a generator spans an extreme ray
+        # exactly when no other generator lies on a strict superset of the
+        # facets it lies on, counting t >= 0, which holds the rays only.
+        level = 1 << len(facets)
+        on = [sum(1 << k for k, (_, _, f) in enumerate(facets) if f >> g & 1)
+              | (level if g >= len(vertices) else 0)
+              for g in range(len(vertices) + len(rays))]
+        extreme = [not any(s != t and s & t == s for t in on) for s in on]
+        self.vertices = tuple(v for v, e in zip(vertices, extreme) if e)
+        self.rays = tuple(r for r, e in zip(rays, extreme[len(vertices):]) if e)
         if not self.vertices:
             raise NonSCR("generators have no extreme point")
         self.dim = dim_ambient - len(eqs)
@@ -235,12 +224,9 @@ class Polyhedron:
         return True
 
     def intersect(self, other):
-        eqs = list(self.eqs) + list(other.eqs)
-        ineqs = list(self.ineqs) + list(other.ineqs)
-        out = _vrep_from_hrep(self.dim_ambient, eqs, ineqs)
-        if out is None or not out[0]:
-            return None
-        return Polyhedron(self.dim_ambient, out[0], out[1])
+        out = _vrep_from_hrep(self.dim_ambient, self.eqs + other.eqs,
+                              self.ineqs + other.ineqs)
+        return None if out is None else Polyhedron(self.dim_ambient, *out)
 
     def facet_keys(self):
         """Keys of the facets: the generators on each facet hyperplane.
@@ -516,14 +502,6 @@ class Fan(_Closure):
         if "regular" not in self._cache:
             self._cache["regular"] = all(rays_extend_to_basis(c.rays) for c in self.cones)
         return self._cache["regular"]
-
-    def smallest_containing(self, cone):
-        best = None
-        for c in self.cones:
-            if c.contains_cone(cone):
-                if best is None or c.dim < best.dim:
-                    best = c
-        return best
 
     def __repr__(self):
         return f"Fan(rank={self.rank}, {len(self.cones)} cones, {len(self.maximal)} maximal)"
@@ -866,7 +844,18 @@ class ModelMap:
 
 
 def refines(finer, coarser):
-    """The ModelMap witnessing c(finer) subdividing c(coarser), or None."""
+    """The ModelMap witnessing c(finer) subdividing c(coarser), or None.
+
+    It is kept in ``finer``'s cache with ``coarser`` itself, so the id in the
+    key cannot pass to another complex while the entry lives.
+    """
+    key = ("refines", id(coarser))
+    if key not in finer._cache:
+        finer._cache[key] = (coarser, _model_map(finer, coarser))
+    return finer._cache[key][1]
+
+
+def _model_map(finer, coarser):
     if finer.rank != coarser.rank:
         return None
     if not (finer.is_complete() and coarser.is_complete()):
@@ -898,6 +887,10 @@ def star_subdivision(pc, point=None, ray=None):
     """
     co = cone_over(pc)
     n = pc.rank
+    what, coords, length = ("point", point, n) if ray is None else ("ray", ray, n + 1)
+    if len(coords) != length:
+        raise InputError(f"the {what} has {len(coords)} coordinates, "
+                         f"the complex needs {length}")
     if ray is None:
         point = vec(point)
         if pc.find_cell(point) is None:
@@ -905,7 +898,7 @@ def star_subdivision(pc, point=None, ray=None):
         w = primitive(tuple(point) + (Fraction(1),))
     else:
         w = primitive(ray)
-        if co.fan.smallest_containing(Cone(n + 1, [w])) is None:
+        if not any(c.contains_point(w) for c in co.fan.max_cones()):
             raise PointOutsideSupport(f"ray {w} is outside c(Pi)")
     if any(c.dim == 1 and c.rays == (w,) for c in co.fan.cones):
         return PolyComplex(pc.rank, pc.max_cells(), validate=False)

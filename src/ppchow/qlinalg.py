@@ -86,8 +86,9 @@ def _scaled(row):
     return [x.numerator * (d // x.denominator) for x in row], d
 
 
-def _primitive_row(row):
-    """The primitive integer vector on the ray of a rational row (zero stays zero)."""
+def primitive_ints(row):
+    """The primitive integer vector on the ray of a rational row, as a list of
+    ints (zero stays zero)."""
     ints, _ = _scaled(row)
     g = gcd(*ints)
     return [x // g for x in ints] if g > 1 else ints
@@ -109,7 +110,7 @@ def _reduce(A):
     other pivot column, so row i of the RREF over Q is rows[i] divided by
     rows[i][pivots[i]].
     """
-    rows = [_primitive_row(r) for r in A]
+    rows = [primitive_ints(r) for r in A]
     pivots = []
     for c in range(len(rows[0]) if rows else 0):
         r = len(pivots)
@@ -231,7 +232,7 @@ class RowEchelon:
 
     def extend(self, v):
         """Add v unless it lies in the span; True when it was added."""
-        v = _primitive_row(v)
+        v = primitive_ints(v)
         for row, p in zip(self.rows, self.pivots):
             if v[p]:
                 v = _combine(v, v[p], row, row[p])
@@ -332,7 +333,7 @@ def primitive(direction):
     d = vec(direction)
     if is_zero_vec(d):
         raise ValueError("zero vector has no primitive representative")
-    return tuple(Fraction(x) for x in _primitive_row(d))
+    return tuple(Fraction(x) for x in primitive_ints(d))
 
 
 def hermite_row_basis(rows):

@@ -35,6 +35,13 @@ of members, faces included, with maximality by containment; the stellar
 subdivision that joins the new ray to the facets of the face list; the
 common refinement from all pairwise intersections, validated; and the cell
 map by containment of cells.
+
+ppchow converts between V- and H-descriptions with one double description
+routine and reads a polyhedron's extreme generators off the facets each
+lies on.  The sixth group is the routes these replaced: facets from every
+subset of generators spanning a hyperplane, vertices from every square
+subsystem of the inequalities and rays from every subsystem one row short,
+and the extreme generators as those whose tight rows have full rank.
 """
 
 import itertools
@@ -42,14 +49,15 @@ from fractions import Fraction
 
 from ppchow import ppfan, specialfiber
 from ppchow.cycles import InvariantCycle
-from ppchow.errors import CompatibilityViolation, NotAComplex
+from ppchow.errors import CompatibilityViolation, NonSCR, NotAComplex
 from ppchow.limits import common_model
 from ppchow.polyhedra import (Cone, PolyComplex, Polyhedron,
                               cell_contains_recession, cone_over,
                               direction_space)
 from ppchow.polyring import HomogPoly, monomial_exponents
 from ppchow.qlinalg import (integer_kernel_basis, is_zero_vec, kernel_basis,
-                            mat, primitive, rank, smith_normal_form, vec)
+                            mat, primitive, rank, smith_normal_form, solve,
+                            span_basis, vadd, vec, vscale, vsub, zero_vec)
 
 
 def adjacency(pc):
@@ -516,6 +524,178 @@ def refinement_cell_map(finer, coarser):
     return {i: next(j for j in coarser.maximal
                     if coarser.cells[j].contains_poly(finer.cells[i]))
             for i in finer.maximal}
+
+
+# ---------------------------------------------------------------------------
+# V- and H-descriptions by subset enumeration, extreme generators by rank
+# ---------------------------------------------------------------------------
+
+
+def _hrep_from_generators(dim, vertices, rays):
+    """(equations, inequalities) cutting out conv(vertices) + cone(rays).
+
+    Equations are pairs (a, b) with a.x = b on the affine hull;
+    inequalities are facet pairs (a, b) with a.x <= b, canonicalized to a
+    primitive integer normal.
+    """
+    base = vertices[0]
+    dirs = [vsub(v, base) for v in vertices[1:]] + list(rays)
+    dirs = [d for d in dirs if not is_zero_vec(d)]
+    dir_basis = span_basis(dirs)
+    m = len(dir_basis)
+
+    eqs = []
+    for a in (kernel_basis(mat(dir_basis)) if dir_basis else
+              kernel_basis(mat([zero_vec(dim)]))):
+        a = primitive(a) if not is_zero_vec(a) else a
+        eqs.append((a, sum(x * y for x, y in zip(a, base))))
+
+    if m == 0:
+        return tuple(eqs), ()
+
+    ineqs = {}
+    for w in vertices:
+        pool = [vsub(v, w) for v in vertices if v != w] + list(rays)
+        for subset in itertools.combinations(range(len(pool)), m - 1):
+            chosen = [pool[i] for i in subset]
+            if len(span_basis(chosen)) != m - 1:
+                continue
+            # normals inside the direction space vanishing on the chosen set
+            rows = [[sum(b[i] * d[i] for i in range(dim)) for b in dir_basis] for d in chosen]
+            if rows:
+                null = kernel_basis(mat(rows))
+            else:
+                null = [(Fraction(1),)] if m == 1 else kernel_basis(
+                    mat([[Fraction(0)] * m]))
+            if len(null) != 1:
+                continue
+            a = zero_vec(dim)
+            for c, b in zip(null[0], dir_basis):
+                a = vadd(a, vscale(c, b))
+            for aa in (a, vscale(-1, a)):
+                ok = all(sum(x * y for x, y in zip(aa, vsub(v, w))) <= 0 for v in vertices)
+                ok = ok and all(sum(x * y for x, y in zip(aa, r)) <= 0 for r in rays)
+                if ok:
+                    aa_p = primitive(aa)
+                    ineqs[aa_p] = sum(x * y for x, y in zip(aa_p, w))
+                    break
+    return tuple(eqs), tuple(sorted(ineqs.items()))
+
+
+def _vrep_from_hrep(dim, eqs, ineqs):
+    """Vertices and extreme rays of {x : eqs hold, a.x <= b}; None if empty.
+
+    The result is only meaningful for pointed solution sets, which is all
+    this library ever intersects.
+    """
+    A = [e[0] for e in eqs]
+    b = [e[1] for e in eqs]
+    if A:
+        x0 = solve(mat(A), vec(b))
+        if x0 is None:
+            return None
+        B = kernel_basis(mat(A))
+    else:
+        x0 = zero_vec(dim)
+        B = [tuple(Fraction(1 if i == j else 0) for j in range(dim)) for i in range(dim)]
+    m = len(B)
+
+    rows = []
+    for a, bb in ineqs:
+        alpha = tuple(sum(a[i] * Bj[i] for i in range(dim)) for Bj in B)
+        beta = bb - sum(a[i] * x0[i] for i in range(dim))
+        if is_zero_vec(alpha):
+            if beta < 0:
+                return None
+            continue
+        rows.append((alpha, beta))
+
+    verts = set()
+    for subset in itertools.combinations(range(len(rows)), m):
+        Asub = [rows[i][0] for i in subset]
+        bsub = [rows[i][1] for i in subset]
+        if m and rank(mat(Asub)) != m:
+            continue
+        s = solve(mat(Asub), vec(bsub)) if m else ()
+        if s is None:
+            continue
+        if all(sum(a[i] * s[i] for i in range(m)) <= bb for a, bb in rows):
+            x = x0
+            for c, Bj in zip(s, B):
+                x = vadd(x, vscale(c, Bj))
+            verts.add(x)
+    if not verts and m > 0:
+        if not rows:
+            return None  # whole subspace, not pointed
+        return None
+    if m == 0:
+        if any(bb < 0 for _, bb in rows):
+            return None
+        return (tuple(sorted(verts | {x0})), ())
+
+    rays_out = set()
+    hom = [a for a, _ in rows]
+    for subset in itertools.combinations(range(len(hom)), m - 1):
+        Asub = [hom[i] for i in subset]
+        if Asub and rank(mat(Asub)) != m - 1:
+            continue
+        null = kernel_basis(mat(Asub)) if Asub else [
+            tuple(Fraction(1 if i == j else 0) for j in range(m)) for i in range(m)]
+        if len(null) != 1:
+            continue
+        for d in (null[0], vscale(-1, null[0])):
+            if all(sum(a[i] * d[i] for i in range(m)) <= 0 for a in hom):
+                tight = [a for a in hom if sum(a[i] * d[i] for i in range(m)) == 0]
+                if (rank(mat(tight)) if tight else 0) == m - 1:
+                    amb = zero_vec(dim)
+                    for c, Bj in zip(d, B):
+                        amb = vadd(amb, vscale(c, Bj))
+                    if not is_zero_vec(amb):
+                        rays_out.add(primitive(amb))
+                break
+    return (tuple(sorted(verts)), tuple(sorted(rays_out)))
+
+
+def polyhedron(dim_ambient, vertices, rays=()):
+    """(eqs, ineqs, vertices, rays) of conv(vertices) + cone(rays), with the
+    extreme generators kept by the rank of their tight rows; NonSCR on the
+    same inputs as ``Polyhedron``."""
+    vertices = sorted({vec(v) for v in vertices})
+    rays = sorted({primitive(r) for r in rays if not is_zero_vec(vec(r))})
+    if not vertices:
+        raise NonSCR("a pointed polyhedron needs at least one vertex")
+    eqs, ineqs = _hrep_from_generators(dim_ambient, vertices, rays)
+    # lineality check: directions satisfying every constraint both ways
+    lin_rows = [a for a, _ in ineqs] + [a for a, _ in eqs]
+    lin = kernel_basis(mat(lin_rows)) if lin_rows else \
+        ([tuple(Fraction(1 if i == j else 0) for j in range(dim_ambient))
+          for i in range(dim_ambient)] if dim_ambient else [])
+    if lin:
+        raise NonSCR(f"polyhedron contains a line in direction {lin[0]}")
+    n = dim_ambient
+    keep_v = []
+    for v in vertices:
+        tight = [a for a, bb in ineqs if sum(x * y for x, y in zip(a, v)) == bb]
+        tight += [a for a, _ in eqs]
+        if (rank(mat(tight)) if tight else 0) == n:
+            keep_v.append(v)
+    keep_r = []
+    for r in rays:
+        tight = [a for a, _ in ineqs if sum(x * y for x, y in zip(a, r)) == 0]
+        tight += [a for a, _ in eqs]
+        if (rank(mat(tight)) if tight else 0) == n - 1:
+            keep_r.append(r)
+    if not keep_v:
+        raise NonSCR("generators have no extreme point")
+    return eqs, ineqs, tuple(keep_v), tuple(keep_r)
+
+
+def intersect(dim_ambient, p, q):
+    """The ``polyhedron`` tuple of the meet of two such tuples, or None."""
+    out = _vrep_from_hrep(dim_ambient, list(p[0]) + list(q[0]), list(p[1]) + list(q[1]))
+    if out is None or not out[0]:
+        return None
+    return polyhedron(dim_ambient, out[0], out[1])
 
 
 # ---------------------------------------------------------------------------

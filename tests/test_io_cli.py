@@ -314,3 +314,25 @@ def test_validate_checks_a_chain_as_a_chain(monkeypatch, capsys, tmp_path):
     assert first["kind"] == "tower" and first["valid"] is False
     assert first["error"].startswith("NotARefinement: ")
     assert second["valid"] is True
+
+
+@pytest.mark.parametrize("argv, message", [
+    # F2 has rank 1: the point (1, 2) is not read as x = 1/2 at height 2
+    (["refine", "--complex", "{f2}", "--point", "1,2"], "has 2 coordinates, the complex needs 1"),
+    (["refine", "--complex", "{f2}", "--point", "x"], "--point needs comma-separated rationals"),
+    (["refine", "--complex", "{f2}", "--point", "1/0"], "--point needs comma-separated rationals"),
+    (["green", "--chain", "{chain}", "--cycle", "{cycle}", "--start", "5"], "chain position 5"),
+    (["green", "--chain", "{chain}", "--cycle", "{cycle}", "--start", "-1"], "chain position -1"),
+    (["delta", "--chain", "{chain}", "--cycle", "{wide}"], "malformed cycle file"),
+    (["green", "--chain", "{chain}", "--cycle", "{wide}"], "malformed cycle file"),
+    (["degree", "--chain", "{chain}", "--cycle", "{wide}"], "malformed cycle file"),
+    (["degree", "--depth", "2"], "degree needs --chain and --cycle, or --complex and --pp"),
+])
+def test_cli_bad_arguments_exit_2(workdir, capsys, argv, message):
+    wide = workdir["tmp"] / "wide.json"    # a cycle with rays of length 2 on a rank-1 chain
+    wide.write_text(json.dumps({"codim": 1, "terms": [{"cone": [["1", "0"]], "coeff": "1"}]}))
+    assert main([a.format(wide=wide, **workdir) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["input_error"]
+    assert error.startswith("InputError: ") and message in error

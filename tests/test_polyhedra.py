@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import route_oracle
-from ppchow.errors import (NonSCR, NotAComplex, NotARecessionCone,
-                           RecessionMismatch, UnboundedEdge)
+from ppchow.errors import (InputError, NonSCR, NotAComplex, NotARecessionCone,
+                           PointOutsideSupport, RecessionMismatch, UnboundedEdge)
 from ppchow.fixtures import (all_fixture_models, f1_complex, f1_fan,
                              f2_complex, f3_complex, f3s_complex, f5_complex,
                              f6_complex)
@@ -130,6 +130,7 @@ def test_refines_partial_order():
     m = refines(F5, F2)
     assert all(m.target.cells[m.cell_map[i]].contains_poly(m.source.cells[i])
                for i in m.source.maximal)
+    assert refines(F5, F2) is m     # kept in F5's cache
 
 
 def test_star_subdivision_examples():
@@ -139,6 +140,15 @@ def test_star_subdivision_examples():
     sub = star_subdivision(f3_complex(), point=(1, 0))
     assert sub.same_as(f3s_complex())
     assert refines(sub, f3_complex()) is not None
+    # a ray of c(Pi) subdivides as its point does; a point or ray of the
+    # wrong length, or a ray outside c(Pi), is refused
+    assert star_subdivision(f2_complex(), ray=(-1, 1)).same_as(f5_complex())
+    with pytest.raises(InputError, match="has 2 coordinates, the complex needs 1"):
+        star_subdivision(f2_complex(), point=(1, 2))
+    with pytest.raises(InputError, match="has 1 coordinates, the complex needs 2"):
+        star_subdivision(f2_complex(), ray=(1,))
+    with pytest.raises(PointOutsideSupport):
+        star_subdivision(f2_complex(), ray=(1, -1))
 
 
 def test_common_refinement():
