@@ -70,7 +70,9 @@ class ModelChain:
         return self.models[i]
 
     def truncate(self, depth):
-        return ModelChain(self.models[:max(1, depth)])
+        if depth < 1:
+            raise InputError(f"depth must be at least 1, got {depth}")
+        return ModelChain(self.models[:depth])
 
     def map_between(self, fine_idx, coarse_idx):
         """The composed ModelMap models[fine_idx] -> models[coarse_idx]."""

@@ -777,14 +777,16 @@ def cell_contains_recession(cell, direction):
 
 
 class FanMap:
-    """A subdivision map of fans: every source cone sits inside a target cone."""
+    """A subdivision map of fans: every source cone sits inside a target cone.
+    ``_cache`` holds data derived from the map, such as its properness."""
 
-    __slots__ = ("source", "target", "max_map")
+    __slots__ = ("source", "target", "max_map", "_cache")
 
     def __init__(self, source, target, max_map):
         self.source = source
         self.target = target
         self.max_map = max_map  # source maximal position -> target maximal position
+        self._cache = {}
 
     @classmethod
     def from_subdivision(cls, source, target):

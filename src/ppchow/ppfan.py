@@ -176,7 +176,7 @@ def pullback(fan_map, f):
     return PPFunction(fan_map.source, f.degree, pieces, validate=False)
 
 
-def _truncated_volume(cone, functional, rank_):
+def _truncated_volume(cone, functional):
     """n! times the volume of the cone cut off at functional <= 1."""
     from .qlinalg import det
     scaled = []
@@ -199,8 +199,8 @@ def _check_covers(sigma, parts, rank_):
     functional = c[0]
     for form in c[1:]:
         functional = functional + form
-    total = _truncated_volume(sigma, functional, rank_)
-    covered = sum(_truncated_volume(p, functional, rank_) for p in parts)
+    total = _truncated_volume(sigma, functional)
+    covered = sum(_truncated_volume(p, functional) for p in parts)
     return covered == total
 
 
@@ -212,7 +212,7 @@ def pushforward(fan_map, f):
     of piece / (prod of the source cone's dual forms), summed exactly; a
     nonzero remainder in the division means the map was not a subdivision.
     Properness (equal supports) is certified by an exact volume count of the
-    source cones inside each target cone.
+    source cones inside each target cone, kept on the map, failing or not.
     """
     src, tgt = fan_map.source, fan_map.target
     if not f.fan.same_as(src):
@@ -223,15 +223,15 @@ def pushforward(fan_map, f):
     pieces = []
     for t, tmax in enumerate(tgt.maximal):
         sigma = tgt.cones[tmax]
-        parts = [src.cones[src.maximal[s]] for s in range(len(src.maximal))
-                 if fan_map.max_map[s] == t]
-        if not _check_covers(sigma, parts, rank_):
+        if ("covering", t) not in fan_map._cache:
+            inside = tuple(s for s, u in enumerate(fan_map.max_map) if u == t)
+            covers = _check_covers(sigma, [src.cones[src.maximal[s]] for s in inside], rank_)
+            fan_map._cache["covering", t] = inside if covers else None
+        if fan_map._cache["covering", t] is None:
             raise NotProper(f"source cones do not cover target cone {sigma!r}")
         numf = dual_forms(sigma, rank_)
         terms = []
-        for s in range(len(src.maximal)):
-            if fan_map.max_map[s] != t:
-                continue
+        for s in fan_map._cache["covering", t]:
             num = f.pieces[s]
             for form in numf:
                 num = num * form

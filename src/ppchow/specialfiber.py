@@ -22,7 +22,9 @@ The maps here are the restriction-difference rho, its signed pushforward
 adjoint gamma (one degree up), their composite -gamma.rho (the model-level
 dd^c), the slice map from classes on the model and the vertical lift back,
 the cap with the fundamental class of the fiber, homology presentations, and
-the four transfer maps between models.
+the four transfer maps between models.  The vertical lift, the height
+expansion, the slice and the gamma image are each solved on one matrix per
+model and degree, kept in the model's cache.
 """
 
 import itertools
@@ -34,7 +36,7 @@ from .polyhedra import (Polyhedron, cone_over, edge_data, recession_fan,
 from .polyring import HomogPoly, Piecewise, equal_on_span, gluing_kernel
 from .ppfan import (PPFunction, dual_forms, graded_basis, phi_ray, pullback,
                     pushforward, zero_pp)
-from .qlinalg import RowEchelon, mat, primitive, rank, solve, transpose, vec
+from .qlinalg import RowEchelon, mat, primitive, rank, solve, transpose
 
 
 # ---------------------------------------------------------------------------
@@ -517,10 +519,8 @@ def class_equal(a, b):
     diff = (ta - tb).coords()
     if all(x == 0 for x in diff):
         return True
-    gcols = gamma_image_matrix(pc, ta.degree)
-    if not gcols:
-        return False
-    return solve(transpose(mat(gcols)), vec(diff)) is not None
+    return _preimage(pc, ("gamma", ta.degree), lambda: gamma_image_matrix(pc, ta.degree),
+                     lambda col: col, diff)[1] is not None
 
 
 def ker_coker_report(pc, k):
@@ -550,6 +550,24 @@ def ker_coker_report(pc, k):
 # ---------------------------------------------------------------------------
 
 
+def _preimage(pc, key, basis, image, target):
+    """(basis, coefficients on it of one preimage of ``target``, or None).
+
+    ``basis`` builds a basis of one linear map's domain and ``image`` gives
+    the coordinates of the map on one element.  Both run once per model and
+    ``key`` (the map and its degree): the entry kept in the model's cache
+    holds the matrix of image columns and a basis that the model's cache
+    reaches anyway.  The solution is ``solve``'s, free variables zero.
+    """
+    if key not in pc._cache:
+        b = basis()
+        pc._cache[key] = b, transpose(mat([image(x) for x in b]))
+    b, A = pc._cache[key]
+    if not b:
+        return b, None if any(x != 0 for x in target) else ()
+    return b, solve(A, target)
+
+
 def iota_upper_preimage(pc, a):
     """A class on c(Pi) slicing to the given affine piecewise polynomial.
 
@@ -557,13 +575,12 @@ def iota_upper_preimage(pc, a):
     mean the model cannot see the fiber class and is raised as an internal
     error.  The preimage is the deterministic least-free-variable solution.
     """
-    co = cone_over(pc)
-    basis = graded_basis(co.fan, a.degree)
-    cols = [iota_upper(pc, b).coords() for b in basis]
-    sol = solve(transpose(mat(cols)), vec(a.coords())) if cols else None
-    if sol is None:
+    fan = cone_over(pc).fan
+    basis, sol = _preimage(pc, ("slice", a.degree), lambda: graded_basis(fan, a.degree),
+                           lambda b: iota_upper(pc, b).coords(), a.coords())
+    if not basis or sol is None:
         raise InternalIdentityError("slice map is not onto this class")
-    return zero_pp(co.fan, a.degree).combine(basis, sol)
+    return zero_pp(fan, a.degree).combine(basis, sol)
 
 
 def vertical_expand(pc, F):
@@ -577,22 +594,19 @@ def vertical_expand(pc, F):
     """
     from .errors import DecompositionFailed
     t_form = HomogPoly.linear_form((0,) * pc.rank + (1,))
-    bases = [vertex_layer_basis(pc, F.degree - 1 - j) for j in range(F.degree)]
-    cols = []
-    for j, basis in enumerate(bases):
-        for b in basis:
-            lifted = iota_lower(b)
-            for _ in range(j):
-                lifted = lifted * t_form
-            cols.append(lifted.coords())
-    target = F.coords()
-    if not cols:
-        if any(x != 0 for x in target):
-            raise DecompositionFailed("no vertical basis but nonzero target")
-        return [zero_vertex_tuple(pc, F.degree - 1)]
-    sol = solve(transpose(mat(cols)), vec(target))
+    # at least one block: below degree 1 the expansion is [0], or none exists
+    bases = [vertex_layer_basis(pc, F.degree - 1 - j) for j in range(max(F.degree, 1))]
+
+    def image(b):
+        lifted = iota_lower(b)
+        for _ in range(F.degree - 1 - b.degree):
+            lifted = lifted * t_form
+        return lifted.coords()
+
+    flat, sol = _preimage(pc, ("expand", F.degree), lambda: sum(bases, []), image, F.coords())
     if sol is None:
-        raise DecompositionFailed("target class admits no vertical expansion")
+        raise DecompositionFailed("target class admits no vertical expansion" if flat
+                                  else "no vertical basis but nonzero target")
     out = []
     for j, basis in enumerate(bases):
         out.append(zero_vertex_tuple(pc, F.degree - 1 - j).combine(basis, sol[:len(basis)]))
@@ -690,14 +704,9 @@ def vertical_decompose(pc, F):
     """
     from .errors import DecompositionFailed
     k = F.degree - 1
-    basis = vertex_layer_basis(pc, k)
-    cols = [iota_lower(b).coords() for b in basis]
-    target = F.coords()
-    if not cols:
-        if any(x != 0 for x in target):
-            raise DecompositionFailed("no vertical basis but nonzero target")
-        return zero_vertex_tuple(pc, k)
-    sol = solve(transpose(mat(cols)), vec(target))
+    basis, sol = _preimage(pc, ("lift", k), lambda: vertex_layer_basis(pc, k),
+                           lambda b: iota_lower(b).coords(), F.coords())
     if sol is None:
-        raise DecompositionFailed("target class is not a vertical lift")
+        raise DecompositionFailed("target class is not a vertical lift" if basis
+                                  else "no vertical basis but nonzero target")
     return zero_vertex_tuple(pc, k).combine(basis, sol)

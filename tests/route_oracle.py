@@ -42,22 +42,33 @@ lies on.  The sixth group is the routes these replaced: facets from every
 subset of generators spanning a hyperplane, vertices from every square
 subsystem of the inequalities and rays from every subsystem one row short,
 and the extreme generators as those whose tight rows have full rank.
+
+ppchow builds the systems of the vertical lift, the height expansion, the
+slice and the gamma image once per model and degree, eliminates each once,
+and certifies a fan map's properness once per target cone.  The seventh
+group is the routes these replaced, which build and solve every system and
+run every certificate on each call, and ``install_transfers``, which swaps
+them into the program.
 """
 
 import itertools
 from fractions import Fraction
 
-from ppchow import ppfan, specialfiber
+from ppchow import arithchow, checks, limits, ppfan, specialfiber
 from ppchow.cycles import InvariantCycle
-from ppchow.errors import CompatibilityViolation, NonSCR, NotAComplex
+from ppchow.errors import (CompatibilityViolation, DecompositionFailed,
+                           InternalIdentityError, NonSCR, NotAComplex,
+                           NotProper, NotRegular)
 from ppchow.limits import common_model
 from ppchow.polyhedra import (Cone, PolyComplex, Polyhedron,
                               cell_contains_recession, cone_over,
                               direction_space)
-from ppchow.polyring import HomogPoly, monomial_exponents
+from ppchow.polyring import (HomogPoly, RatFun, monomial_exponents,
+                             ratfun_sum_to_poly)
 from ppchow.qlinalg import (integer_kernel_basis, is_zero_vec, kernel_basis,
                             mat, primitive, rank, smith_normal_form, solve,
-                            span_basis, vadd, vec, vscale, vsub, zero_vec)
+                            span_basis, transpose, vadd, vec, vscale, vsub,
+                            zero_vec)
 
 
 def adjacency(pc):
@@ -696,6 +707,124 @@ def intersect(dim_ambient, p, q):
     if out is None or not out[0]:
         return None
     return polyhedron(dim_ambient, out[0], out[1])
+
+
+# ---------------------------------------------------------------------------
+# transfer solvers and the properness certificate, run per call
+# ---------------------------------------------------------------------------
+
+
+def iota_upper_preimage(pc, a):
+    """A class on c(Pi) slicing to ``a``: the slice images of a graded basis
+    are built and solved on every call."""
+    co = cone_over(pc)
+    basis = ppfan.graded_basis(co.fan, a.degree)
+    cols = [specialfiber.iota_upper(pc, b).coords() for b in basis]
+    sol = solve(transpose(mat(cols)), vec(a.coords())) if cols else None
+    if sol is None:
+        raise InternalIdentityError("slice map is not onto this class")
+    return ppfan.zero_pp(co.fan, a.degree).combine(basis, sol)
+
+
+def vertical_expand(pc, F):
+    """F = sum_j t^j . iota_lower(g_j), the lifted columns built per call."""
+    t_form = HomogPoly.linear_form((0,) * pc.rank + (1,))
+    bases = [specialfiber.vertex_layer_basis(pc, F.degree - 1 - j) for j in range(F.degree)]
+    cols = []
+    for j, basis in enumerate(bases):
+        for b in basis:
+            lifted = specialfiber.iota_lower(b)
+            for _ in range(j):
+                lifted = lifted * t_form
+            cols.append(lifted.coords())
+    target = F.coords()
+    if not cols:
+        if any(x != 0 for x in target):
+            raise DecompositionFailed("no vertical basis but nonzero target")
+        return [specialfiber.zero_vertex_tuple(pc, F.degree - 1)]
+    sol = solve(transpose(mat(cols)), vec(target))
+    if sol is None:
+        raise DecompositionFailed("target class admits no vertical expansion")
+    out = []
+    for j, basis in enumerate(bases):
+        out.append(specialfiber.zero_vertex_tuple(pc, F.degree - 1 - j).combine(
+            basis, sol[:len(basis)]))
+        sol = sol[len(basis):]
+    return out
+
+
+def vertical_decompose(pc, F):
+    """Solve iota_lower(g) = F, the lifted columns built per call."""
+    k = F.degree - 1
+    basis = specialfiber.vertex_layer_basis(pc, k)
+    cols = [specialfiber.iota_lower(b).coords() for b in basis]
+    target = F.coords()
+    if not cols:
+        if any(x != 0 for x in target):
+            raise DecompositionFailed("no vertical basis but nonzero target")
+        return specialfiber.zero_vertex_tuple(pc, k)
+    sol = solve(transpose(mat(cols)), vec(target))
+    if sol is None:
+        raise DecompositionFailed("target class is not a vertical lift")
+    return specialfiber.zero_vertex_tuple(pc, k).combine(basis, sol)
+
+
+def class_equal(a, b):
+    """Equality of homology classes by one elimination of the gamma image
+    per call."""
+    ta = a.tuple if isinstance(a, specialfiber.HomologyClass) else a
+    tb = b.tuple if isinstance(b, specialfiber.HomologyClass) else b
+    pc = ta.complex
+    diff = (ta - tb).coords()
+    if all(x == 0 for x in diff):
+        return True
+    gcols = specialfiber.gamma_image_matrix(pc, ta.degree)
+    if not gcols:
+        return False
+    return solve(transpose(mat(gcols)), vec(diff)) is not None
+
+
+def pushforward(fan_map, f):
+    """Pushforward with the volume certificate of properness run on every
+    call, for every target cone."""
+    src, tgt = fan_map.source, fan_map.target
+    if not f.fan.same_as(src):
+        raise ValueError("function does not live on the map's source")
+    if not (src.is_regular() and tgt.is_regular()):
+        raise NotRegular("pushforward needs regular fans")
+    rank_ = tgt.rank
+    pieces = []
+    for t, tmax in enumerate(tgt.maximal):
+        sigma = tgt.cones[tmax]
+        parts = [src.cones[src.maximal[s]] for s in range(len(src.maximal))
+                 if fan_map.max_map[s] == t]
+        if not ppfan._check_covers(sigma, parts, rank_):
+            raise NotProper(f"source cones do not cover target cone {sigma!r}")
+        numf = ppfan.dual_forms(sigma, rank_)
+        terms = []
+        for s in range(len(src.maximal)):
+            if fan_map.max_map[s] != t:
+                continue
+            num = f.pieces[s]
+            for form in numf:
+                num = num * form
+            terms.append(RatFun(num, ppfan.dual_forms(src.cones[src.maximal[s]], rank_)))
+        pieces.append(ratfun_sum_to_poly(terms, dim=rank_, degree=f.degree))
+    return ppfan.PPFunction(tgt, f.degree, pieces, validate=False)
+
+
+def install_transfers(mp):
+    """Route the four solvers and ``pushforward`` through the per-call routes
+    at every binding in the program, for the life of ``mp``; ``alpha`` and
+    ``beta`` then run on them."""
+    swaps = {id(getattr(mod, f.__name__)): f
+             for mod, f in ((ppfan, pushforward), (specialfiber, iota_upper_preimage),
+                            (specialfiber, vertical_expand), (specialfiber, vertical_decompose),
+                            (specialfiber, class_equal))}
+    for mod in (ppfan, specialfiber, limits, arithchow, checks):
+        for name, obj in list(vars(mod).items()):
+            if id(obj) in swaps:
+                mp.setattr(mod, name, swaps[id(obj)])
 
 
 # ---------------------------------------------------------------------------

@@ -327,6 +327,12 @@ def test_validate_checks_a_chain_as_a_chain(monkeypatch, capsys, tmp_path):
     (["green", "--chain", "{chain}", "--cycle", "{wide}"], "malformed cycle file"),
     (["degree", "--chain", "{chain}", "--cycle", "{wide}"], "malformed cycle file"),
     (["degree", "--depth", "2"], "degree needs --chain and --cycle, or --complex and --pp"),
+    (["delta", "--chain", "{chain}", "--cycle", "{cycle}", "--depth", "-3"],
+     "depth must be at least 1, got -3"),
+    (["green", "--chain", "{chain}", "--cycle", "{cycle}", "--depth", "0"],
+     "depth must be at least 1, got 0"),
+    (["degree", "--chain", "{chain}", "--cycle", "{cycle}", "--depth", "-1"],
+     "depth must be at least 1, got -1"),
 ])
 def test_cli_bad_arguments_exit_2(workdir, capsys, argv, message):
     wide = workdir["tmp"] / "wide.json"    # a cycle with rays of length 2 on a rank-1 chain
