@@ -10,7 +10,7 @@ its class is the generator phi_sigma.
 from fractions import Fraction
 
 from .polyhedra import Cone, cone_over
-from .ppfan import phi_cone, zero_pp
+from .ppfan import PPFunction, phi_cone, zero_pp
 from .qlinalg import primitive, rat, vec
 
 
@@ -64,9 +64,6 @@ class InvariantCycle:
         return (isinstance(other, InvariantCycle) and self.rank == other.rank
                 and self.terms == other.terms)
 
-    def cones(self):
-        return [Cone(self.rank, list(k)) for k in self.terms]
-
     def __repr__(self):
         return f"InvariantCycle(codim={self.codim}, {self.terms})"
 
@@ -76,25 +73,36 @@ def horizontal_lift_key(key, n):
     return tuple(tuple(r) + (Fraction(0),) for r in key)
 
 
+def _generator(fan, key):
+    """phi_sigma of the cone on the rays ``key``, kept on the fan as (degree,
+    pieces), which hold no reference to it; a key that is no cone of the fan
+    raises on every call."""
+    if ("generator", key) not in fan._cache:
+        f = phi_cone(fan, Cone(fan.rank, list(key)))
+        fan._cache["generator", key] = (f.degree, f.pieces)
+    return PPFunction(fan, *fan._cache["generator", key], validate=False)
+
+
+def _class_on_model(pc, cycle, keys):
+    """The sum over the cycle's terms of c * phi_sigma, sigma read off ``keys``."""
+    fan = cone_over(pc).fan
+    return zero_pp(fan, cycle.codim).combine([_generator(fan, k) for k in keys],
+                                             cycle.terms.values())
+
+
 def closure_class(pc, cycle):
     """The class of the Zariski closure of a horizontal cycle on a model.
 
     Each horizontal cone is read at height zero inside c(Pi) and contributes
     its generator there.
     """
-    fan = cone_over(pc).fan
-    n = pc.rank
-    return zero_pp(fan, cycle.codim).combine(
-        [phi_cone(fan, Cone(n + 1, list(horizontal_lift_key(key, n)))) for key in cycle.terms],
-        cycle.terms.values())
+    return _class_on_model(pc, cycle, [horizontal_lift_key(key, pc.rank)
+                                       for key in cycle.terms])
 
 
 def model_cycle_class(pc, cycle):
     """The PP class of a model-level cycle on c(Pi)."""
-    fan = cone_over(pc).fan
-    return zero_pp(fan, cycle.codim).combine(
-        [phi_cone(fan, Cone(pc.rank + 1, list(key))) for key in cycle.terms],
-        cycle.terms.values())
+    return _class_on_model(pc, cycle, cycle.terms)
 
 
 def horizontal_part(cycle, n):

@@ -34,6 +34,15 @@ def _reads(kind):
     return wrap
 
 
+def _int(x, field, count=None):
+    """A JSON integer read from ``field``: nonnegative, and below ``count``
+    when it indexes a list of that length."""
+    if type(x) is not int or x < 0 or (count is not None and x >= count):
+        bound = "a nonnegative integer" if count is None else f"an index in [0, {count})"
+        raise ValueError(f"{field} must be {bound}, got {json.dumps(x, default=repr)}")
+    return x
+
+
 def vector_to_json(v):
     return [rat_str(x) for x in v]
 
@@ -62,11 +71,11 @@ def complex_to_json(pc):
 
 @_reads("complex")
 def complex_from_json(data):
-    rank = int(data["rank"])
+    rank = _int(data["rank"], "rank")
     points = [vector_from_json(p) for p in data["points"]]
     cells = []
     for c in data["cells"]:
-        verts = [points[i] for i in c["vertices"]]
+        verts = [points[_int(i, "vertex", len(points))] for i in c["vertices"]]
         rays = [vector_from_json(r) for r in c.get("rays", [])]
         cells.append(Polyhedron(rank, verts, rays))
     return PolyComplex(rank, cells)
@@ -84,7 +93,7 @@ def poly_from_json(data, dim):
     for key, val in data.get("coeffs", {}).items():
         expo = tuple(int(x) for x in key.split(",")) if key else ()
         coeffs[expo] = rat(val)
-    return HomogPoly(dim, int(data["degree"]), coeffs)
+    return HomogPoly(dim, _int(data["degree"], "degree"), coeffs)
 
 
 def pp_to_json(f):
@@ -95,10 +104,10 @@ def pp_to_json(f):
 
 @_reads("piecewise")
 def pp_from_json(data, fan):
-    degree = int(data["degree"])
+    degree = _int(data["degree"], "degree")
     pieces = [HomogPoly.zero(fan.rank, degree) for _ in fan.maximal]
     for item in data.get("pieces", []):
-        pieces[int(item["cone"])] = poly_from_json(item["poly"], fan.rank)
+        pieces[_int(item["cone"], "cone", len(pieces))] = poly_from_json(item["poly"], fan.rank)
     return PPFunction(fan, degree, pieces, validate=True)
 
 
@@ -112,10 +121,11 @@ def affine_to_json(a):
 
 @_reads("piecewise")
 def affine_from_json(data, pc):
-    degree = int(data["degree"])
+    degree = _int(data["degree"], "degree")
     polys = {}
     for item in data.get("cells", []):
-        polys[pc.maximal[int(item["cell"])]] = poly_from_json(item["poly"], pc.rank)
+        cell = _int(item["cell"], "cell", len(pc.maximal))
+        polys[pc.maximal[cell]] = poly_from_json(item["poly"], pc.rank)
     return AffinePP(pc, degree, polys, validate=True)
 
 
@@ -129,7 +139,7 @@ def vertex_tuple_to_json(t):
 
 @_reads("piecewise")
 def vertex_tuple_from_json(data, pc):
-    degree = int(data["degree"])
+    degree = _int(data["degree"], "degree")
     entries = {}
     for item in data.get("vertices", []):
         v = vector_from_json(item["vertex"])
@@ -166,7 +176,7 @@ def cycle_from_json(data, rank):
     for item in data.get("terms", []):
         rays = tuple(vector_from_json(r) for r in item["cone"])
         terms[rays] = rat(item["coeff"])
-    return InvariantCycle(rank, int(data["codim"]), terms)
+    return InvariantCycle(rank, _int(data["codim"], "codim"), terms)
 
 
 def detect_kind(data):

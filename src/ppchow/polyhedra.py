@@ -876,8 +876,8 @@ def _model_map(finer, coarser):
     return ModelMap(finer, coarser, fm, {i: hit[i] for i in finer.maximal})
 
 
-def star_subdivision(pc, point=None, ray=None):
-    """Stellar subdivision of c(Pi) at the ray through (point, 1) or at a ray.
+def star_subdivision(pc, point):
+    """Stellar subdivision of c(Pi) at the ray through (point, 1).
 
     Returns the subdivided complex; subdividing at an existing ray returns a
     complex with the same cells.  It is a complex by construction, so it is
@@ -889,19 +889,13 @@ def star_subdivision(pc, point=None, ray=None):
     """
     co = cone_over(pc)
     n = pc.rank
-    what, coords, length = ("point", point, n) if ray is None else ("ray", ray, n + 1)
-    if len(coords) != length:
-        raise InputError(f"the {what} has {len(coords)} coordinates, "
-                         f"the complex needs {length}")
-    if ray is None:
-        point = vec(point)
-        if pc.find_cell(point) is None:
-            raise PointOutsideSupport(f"{point} is outside the support")
-        w = primitive(tuple(point) + (Fraction(1),))
-    else:
-        w = primitive(ray)
-        if not any(c.contains_point(w) for c in co.fan.max_cones()):
-            raise PointOutsideSupport(f"ray {w} is outside c(Pi)")
+    if len(point) != n:
+        raise InputError(f"the point has {len(point)} coordinates, "
+                         f"the complex needs {n}")
+    point = vec(point)
+    if pc.find_cell(point) is None:
+        raise PointOutsideSupport(f"{point} is outside the support")
+    w = primitive(tuple(point) + (Fraction(1),))
     if any(c.dim == 1 and c.rays == (w,) for c in co.fan.cones):
         return PolyComplex(pc.rank, pc.max_cells(), validate=False)
     new_max = []

@@ -10,6 +10,7 @@ edge tuples): their arithmetic, coordinates and linear combinations.
 """
 
 from fractions import Fraction
+from operator import add
 
 from .errors import DegreeMismatch, NotPolynomial
 from .qlinalg import kernel_basis, rat, rat_str, vec
@@ -30,9 +31,9 @@ class HomogPoly:
         self.degree = degree
         clean = {}
         for expo, c in (coeffs or {}).items():
-            expo = tuple(int(e) for e in expo)
+            expo = tuple(expo)
             c = rat(c)
-            if len(expo) != dim or any(e < 0 for e in expo):
+            if len(expo) != dim or any(type(e) is not int or e < 0 for e in expo):
                 raise ValueError(f"bad exponent {expo} for dimension {dim}")
             if sum(expo) != degree:
                 raise ValueError(f"exponent {expo} is not homogeneous of degree {degree}")
@@ -41,8 +42,17 @@ class HomogPoly:
         self.coeffs = {e: c for e, c in clean.items() if c != 0}
 
     @classmethod
+    def _trusted(cls, dim, degree, coeffs):
+        """The polynomial with these coefficients unchecked: int exponent
+        tuples of length ``dim`` summing to ``degree``, nonzero Fraction
+        values.  Arithmetic on checked operands builds its results here."""
+        p = cls.__new__(cls)
+        p.dim, p.degree, p.coeffs = dim, degree, coeffs
+        return p
+
+    @classmethod
     def zero(cls, dim, degree):
-        return cls(dim, degree, {})
+        return cls._trusted(dim, degree, {})
 
     @classmethod
     def constant(cls, dim, value):
@@ -53,19 +63,12 @@ class HomogPoly:
     def linear_form(cls, coefficients):
         coefficients = vec(coefficients)
         d = len(coefficients)
-        coeffs = {}
-        for i, c in enumerate(coefficients):
-            if c != 0:
-                e = [0] * d
-                e[i] = 1
-                coeffs[tuple(e)] = c
-        return cls(d, 1, coeffs)
+        return cls(d, 1, {tuple(int(i == j) for j in range(d)): c
+                          for i, c in enumerate(coefficients)})
 
     @classmethod
     def variable(cls, dim, index, power=1):
-        e = [0] * dim
-        e[index] = power
-        return cls(dim, power, {tuple(e): 1})
+        return cls(dim, power, {tuple(power * (i == index) for i in range(dim)): 1})
 
     def is_zero(self):
         return not self.coeffs
@@ -89,11 +92,11 @@ class HomogPoly:
             raise DegreeMismatch(f"cannot add degrees {self.degree} and {other.degree}")
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return HomogPoly(self.dim, self.degree, out)
+            out[e] = out[e] + c if e in out else c
+        return HomogPoly._trusted(self.dim, self.degree, {e: c for e, c in out.items() if c})
 
     def __neg__(self):
-        return HomogPoly(self.dim, self.degree, {e: -c for e, c in self.coeffs.items()})
+        return HomogPoly._trusted(self.dim, self.degree, {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -103,18 +106,15 @@ class HomogPoly:
             return self.scale(other)
         if self.dim != other.dim:
             raise ValueError("ambient dimension mismatch")
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return HomogPoly(self.dim, self.degree + other.degree, out)
+        return HomogPoly._trusted(self.dim, self.degree + other.degree,
+                                  _times(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
     def scale(self, c):
         c = rat(c)
-        return HomogPoly(self.dim, self.degree, {e: c * v for e, v in self.coeffs.items()})
+        return HomogPoly._trusted(self.dim, self.degree,
+                                  {e: c * v for e, v in self.coeffs.items()} if c else {})
 
     def evaluate(self, point):
         point = vec(point)
@@ -136,17 +136,17 @@ class HomogPoly:
         if len(images) != self.dim:
             raise ValueError("need one image per variable")
         tdim = images[0].dim if images else 0
-        out = HomogPoly.zero(tdim, self.degree)
+        if any(img.dim != tdim or img.degree != 1 and not img.is_zero() for img in images):
+            raise ValueError("images must be forms of degree one in one dimension")
+        out = {}
         for e, c in self.coeffs.items():
-            term = HomogPoly.constant(tdim, c)
+            term = {(0,) * tdim: c}
             for img, k in zip(images, e):
                 for _ in range(k):
-                    term = term * img
-            out = out + term
-        return out
-
-    def monomials(self):
-        return sorted(self.coeffs)
+                    term = _times(term, img.coeffs)
+            for t, v in term.items():
+                out[t] = out[t] + v if t in out else v
+        return HomogPoly._trusted(tdim, self.degree, {t: v for t, v in out.items() if v})
 
     def leading(self):
         """Leading (exponent, coefficient) in graded-lex order."""
@@ -171,6 +171,16 @@ class HomogPoly:
             else:
                 parts.append(rat_str(c))
         return " + ".join(parts).replace("+ -", "- ")
+
+
+def _times(a, b):
+    """The product of two coefficient maps, zero coefficients dropped."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+    return {e: c for e, c in out.items() if c}
 
 
 class Piecewise:
@@ -344,11 +354,11 @@ def divide_exact(p, divisor):
         e, c = work.leading()
         if all(a >= b for a, b in zip(e, lead_e)):
             me = tuple(a - b for a, b in zip(e, lead_e))
-            mono = HomogPoly(p.dim, sum(me), {me: c / lead_c})
+            mono = HomogPoly._trusted(p.dim, sum(me), {me: c / lead_c})
             quot = quot + mono if not quot.is_zero() else mono
             work = work - mono * divisor
         else:
-            mono = HomogPoly(p.dim, sum(e), {e: c})
+            mono = HomogPoly._trusted(p.dim, sum(e), {e: c})
             rem = rem + mono if not rem.is_zero() else mono
             work = work - mono
     return quot, rem

@@ -211,6 +211,7 @@ def pushforward(fan_map, f):
     (prod of sigma's dual forms) * sum over maximal source cones inside sigma
     of piece / (prod of the source cone's dual forms), summed exactly; a
     nonzero remainder in the division means the map was not a subdivision.
+    A target cone that the map does not split keeps its one piece.
     Properness (equal supports) is certified by an exact volume count of the
     source cones inside each target cone, kept on the map, failing or not.
     """
@@ -229,9 +230,14 @@ def pushforward(fan_map, f):
             fan_map._cache["covering", t] = inside if covers else None
         if fan_map._cache["covering", t] is None:
             raise NotProper(f"source cones do not cover target cone {sigma!r}")
+        inside = fan_map._cache["covering", t]
+        if len(inside) == 1 and src.cones[src.maximal[inside[0]]].rays == sigma.rays:
+            # sigma is not split: its term f_s * prod phi_sigma / prod phi_sigma is f_s
+            pieces.append(f.pieces[inside[0]])
+            continue
         numf = dual_forms(sigma, rank_)
         terms = []
-        for s in fan_map._cache["covering", t]:
+        for s in inside:
             num = f.pieces[s]
             for form in numf:
                 num = num * form
@@ -271,9 +277,10 @@ def restrict_to_height_zero(cone_over_, f):
     images = [HomogPoly.variable(n, i) for i in range(n)] + [HomogPoly.zero(n, 1)]
     pieces = []
     for rmax in rec.maximal:
-        sigma = rec.cones[rmax]
-        lift = Cone(n + 1, [tuple(r) + (0,) for r in sigma.rays])
+        # the lifted rays are rays of c(Pi), and a cone of a fan contains a
+        # ray of the fan only as one of its own rays
+        lift = {tuple(r) + (0,) for r in rec.cones[rmax].rays}
         pos = next(p for p, i in enumerate(cone_over_.fan.maximal)
-                   if cone_over_.fan.cones[i].contains_cone(lift))
+                   if lift <= set(cone_over_.fan.cones[i].rays))
         pieces.append(f.pieces[pos].substitute(images))
     return PPFunction(rec, f.degree, pieces, validate=False)

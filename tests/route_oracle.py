@@ -49,20 +49,31 @@ and certifies a fan map's properness once per target cone.  The seventh
 group is the routes these replaced, which build and solve every system and
 run every certificate on each call, and ``install_transfers``, which swaps
 them into the program.
+
+ppchow passes the piece of a target cone that a fan map does not split
+through the pushforward, keeps each cycle term's generator on the fan, and
+finds the cone of c(Pi) above a recession cone by its rays.  The eighth
+group is the routes these replaced: the localization sum on every target
+cone, a ``Cone`` built for every term of every cycle class, and the cone
+above a recession cone by ``contains_cone``; ``install_towers`` swaps them
+into the program.
 """
 
 import itertools
+import sys
 from fractions import Fraction
 
-from ppchow import arithchow, checks, limits, ppfan, specialfiber
-from ppchow.cycles import InvariantCycle
+from hypothesis import strategies as st
+
+from ppchow import arithchow, checks, cycles, limits, ppfan, specialfiber
+from ppchow.cycles import InvariantCycle, horizontal_lift_key
 from ppchow.errors import (CompatibilityViolation, DecompositionFailed,
                            InternalIdentityError, NonSCR, NotAComplex,
                            NotProper, NotRegular)
-from ppchow.limits import common_model
+from ppchow.limits import ModelChain, common_model
 from ppchow.polyhedra import (Cone, PolyComplex, Polyhedron,
                               cell_contains_recession, cone_over,
-                              direction_space)
+                              direction_space, recession_fan)
 from ppchow.polyring import (HomogPoly, RatFun, monomial_exponents,
                              ratfun_sum_to_poly)
 from ppchow.qlinalg import (integer_kernel_basis, is_zero_vec, kernel_basis,
@@ -828,6 +839,93 @@ def install_transfers(mp):
 
 
 # ---------------------------------------------------------------------------
+# pushforward, cycle classes and the height-zero restriction, rebuilt per call
+# ---------------------------------------------------------------------------
+
+
+def localized_pushforward(fan_map, f):
+    """Pushforward with the localization sum on every target cone, split by
+    the map or not; properness is certified once per target cone, kept on
+    the map."""
+    src, tgt = fan_map.source, fan_map.target
+    if not f.fan.same_as(src):
+        raise ValueError("function does not live on the map's source")
+    if not (src.is_regular() and tgt.is_regular()):
+        raise NotRegular("pushforward needs regular fans")
+    rank_ = tgt.rank
+    pieces = []
+    for t, tmax in enumerate(tgt.maximal):
+        sigma = tgt.cones[tmax]
+        if ("covering", t) not in fan_map._cache:
+            inside = tuple(s for s, u in enumerate(fan_map.max_map) if u == t)
+            covers = ppfan._check_covers(sigma, [src.cones[src.maximal[s]] for s in inside],
+                                         rank_)
+            fan_map._cache["covering", t] = inside if covers else None
+        if fan_map._cache["covering", t] is None:
+            raise NotProper(f"source cones do not cover target cone {sigma!r}")
+        numf = ppfan.dual_forms(sigma, rank_)
+        terms = []
+        for s in fan_map._cache["covering", t]:
+            num = f.pieces[s]
+            for form in numf:
+                num = num * form
+            terms.append(RatFun(num, ppfan.dual_forms(src.cones[src.maximal[s]], rank_)))
+        pieces.append(ratfun_sum_to_poly(terms, dim=rank_, degree=f.degree))
+    return ppfan.PPFunction(tgt, f.degree, pieces, validate=False)
+
+
+def closure_class(pc, cycle):
+    """The closure class, a ``Cone`` built for each term on every call."""
+    fan = cone_over(pc).fan
+    n = pc.rank
+    return ppfan.zero_pp(fan, cycle.codim).combine(
+        [ppfan.phi_cone(fan, Cone(n + 1, list(horizontal_lift_key(key, n))))
+         for key in cycle.terms],
+        cycle.terms.values())
+
+
+def model_cycle_class(pc, cycle):
+    """The class of a model-level cycle, a ``Cone`` built for each term on
+    every call."""
+    fan = cone_over(pc).fan
+    return ppfan.zero_pp(fan, cycle.codim).combine(
+        [ppfan.phi_cone(fan, Cone(pc.rank + 1, list(key))) for key in cycle.terms],
+        cycle.terms.values())
+
+
+def restrict_to_height_zero(cone_over_, f):
+    """The restriction to rec(Pi), the cone above each recession cone found
+    by building the lifted cone and testing containment."""
+    pc = cone_over_.complex
+    rec = recession_fan(pc)
+    n = pc.rank
+    images = [HomogPoly.variable(n, i) for i in range(n)] + [HomogPoly.zero(n, 1)]
+    pieces = []
+    for rmax in rec.maximal:
+        sigma = rec.cones[rmax]
+        lift = Cone(n + 1, [tuple(r) + (0,) for r in sigma.rays])
+        pos = next(p for p, i in enumerate(cone_over_.fan.maximal)
+                   if cone_over_.fan.cones[i].contains_cone(lift))
+        pieces.append(f.pieces[pos].substitute(images))
+    return ppfan.PPFunction(rec, f.degree, pieces, validate=False)
+
+
+def install_towers(mp):
+    """Route ``pushforward``, the two cycle classes and the height-zero
+    restriction through the routes above at every binding in ppchow, for the
+    life of ``mp``."""
+    swaps = {id(ppfan.pushforward): localized_pushforward,
+             id(cycles.closure_class): closure_class,
+             id(cycles.model_cycle_class): model_cycle_class,
+             id(ppfan.restrict_to_height_zero): restrict_to_height_zero}
+    for name, mod in list(sys.modules.items()):
+        if name == "ppchow" or name.startswith("ppchow."):
+            for attr, obj in list(vars(mod).items()):
+                if id(obj) in swaps:
+                    mp.setattr(mod, attr, swaps[id(obj)])
+
+
+# ---------------------------------------------------------------------------
 # models
 # ---------------------------------------------------------------------------
 
@@ -837,6 +935,34 @@ def interval_model(lo, hi):
     cells = [Polyhedron(1, [(lo,)], [(-1,)]), Polyhedron(1, [(hi,)], [(1,)])]
     cells += [Polyhedron(1, [(a,), (a + 1,)]) for a in range(lo, hi)]
     return PolyComplex(1, cells)
+
+
+def rank_one_model(vertices):
+    """The rank-one model with these vertices, in increasing order."""
+    cells = [Polyhedron(1, [(vertices[0],)], [(-1,)]), Polyhedron(1, [(vertices[-1],)], [(1,)])]
+    cells += [Polyhedron(1, [(a,), (b,)]) for a, b in zip(vertices, vertices[1:])]
+    return PolyComplex(1, cells)
+
+
+@st.composite
+def rank_one_chains(draw):
+    """A rank-one chain of length 2-5 from F1: each step adds the next lattice
+    point on one side, or the mediant of two neighbours, which keeps c(Pi)
+    regular and gives a component of multiplicity its denominator."""
+    vertices = [Fraction(0)]
+    models = [rank_one_model(vertices)]
+    for _ in range(draw(st.integers(1, 4))):
+        step = draw(st.integers(0, len(vertices)))
+        if step == 0:
+            vertices = [vertices[0] - 1] + vertices
+        elif step == len(vertices):
+            vertices = vertices + [vertices[-1] + 1]
+        else:
+            a, b = vertices[step - 1], vertices[step]
+            mediant = Fraction(a.numerator + b.numerator, a.denominator + b.denominator)
+            vertices = vertices[:step] + [mediant] + vertices[step:]
+        models.append(rank_one_model(vertices))
+    return ModelChain(models)
 
 
 def refined_f3c(choices):

@@ -198,6 +198,8 @@ def test_cli_check_has_no_depth_option(capsys):
     {"codim": 1, "terms": [{"cone": [["0"]], "coeff": "1"}]},
     {"codim": 1, "terms": [{"cone": [["1"]], "coeff": "x"}]},
     ["codim"],
+    {"codim": 1.7, "terms": [{"cone": [["1"]], "coeff": "1"}]},  # not truncated to 1
+    {"codim": True, "terms": [{"cone": [["1"]], "coeff": "1"}]},
 ])
 def test_cli_malformed_cycle_is_input_error(workdir, capsys, cycle):
     path = workdir["tmp"] / "badcycle.json"
@@ -221,6 +223,7 @@ def test_cli_malformed_cycle_is_input_error(workdir, capsys, cycle):
 
 
 _ONE = {"degree": 0, "coeffs": {"0": "1"}}
+_X = {"degree": 1, "coeffs": {"1": "1"}}
 
 
 @pytest.mark.parametrize("command, data", [
@@ -234,6 +237,13 @@ _ONE = {"degree": 0, "coeffs": {"0": "1"}}
                                         "pp": {"degree": 0, "pieces": [{"cone": 5, "poly": _ONE}]}}]}),
     ("degree", {"degree": 0, "pieces": [{"cone": 0}]}),        # a piece with no "poly"
     ("degree", {"degree": 0, "pieces": [{"cone": 0, "poly": {"coeffs": {"0,0": "1"}}}]}),
+    # indices are JSON integers in range, not truncated or counted from the end
+    ("push", {"degree": 1, "cells": [{"cell": 2, "poly": _X}, {"cell": -1, "poly": _X}]}),
+    ("push", {"degree": 1, "cells": [{"cell": 2.9, "poly": _X}, {"cell": 3, "poly": _X}]}),
+    ("push", {"degree": 1.0, "cells": [{"cell": 2, "poly": _X}, {"cell": 3, "poly": _X}]}),
+    ("ddc", {"degree": 0, "vertices": [{"vertex": ["0"],
+                                        "pp": {"degree": 0, "pieces": [{"cone": 0, "poly": _ONE},
+                                                                       {"cone": -1, "poly": _ONE}]}}]}),
 ])
 def test_cli_malformed_piecewise_is_input_error(workdir, capsys, command, data):
     path = workdir["tmp"] / "badpiecewise.json"
@@ -246,6 +256,27 @@ def test_cli_malformed_piecewise_is_input_error(workdir, capsys, command, data):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["input_error"].startswith("InputError: malformed ")
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"rank": 1.5}, "rank must be a nonnegative integer, got 1.5"),
+    ({"rank": True}, "rank must be a nonnegative integer, got true"),
+    ({"rank": -1}, "rank must be a nonnegative integer, got -1"),
+    ({"cells": [{"vertices": [0, -1]}]}, "vertex must be an index in [0, 2), got -1"),
+    ({"cells": [{"vertices": [0, 1.0]}]}, "vertex must be an index in [0, 2), got 1.0"),
+])
+def test_cli_malformed_complex_is_input_error(workdir, capsys, change, message):
+    data = {"rank": 1, "points": [["0"], ["1"]], "cells": [{"vertices": [0, 1]}]}
+    path = workdir["tmp"] / "badcomplex.json"
+    path.write_text(json.dumps({**data, **change}))
+    assert main(["validate", str(path)]) == 2
+    entry = json.loads(capsys.readouterr().out)["files"][0]
+    assert entry["kind"] == "complex" and not entry["valid"]
+    assert entry["error"] == f"InputError: malformed complex file: {message}"
+    assert main(["basis", "--complex", str(path), "--degree", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["input_error"].endswith(message)
 
 
 def test_chain_model_paths_resolve_against_the_chain_file(monkeypatch, capsys, tmp_path):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import route_oracle
 from ppchow.errors import (InputError, NonSCR, NotAComplex, NotARecessionCone,
-                           PointOutsideSupport, RecessionMismatch, UnboundedEdge)
+                           RecessionMismatch, UnboundedEdge)
 from ppchow.fixtures import (all_fixture_models, f1_complex, f1_fan,
                              f2_complex, f3_complex, f3s_complex, f5_complex,
                              f6_complex)
@@ -140,15 +140,9 @@ def test_star_subdivision_examples():
     sub = star_subdivision(f3_complex(), point=(1, 0))
     assert sub.same_as(f3s_complex())
     assert refines(sub, f3_complex()) is not None
-    # a ray of c(Pi) subdivides as its point does; a point or ray of the
-    # wrong length, or a ray outside c(Pi), is refused
-    assert star_subdivision(f2_complex(), ray=(-1, 1)).same_as(f5_complex())
+    # a point of the wrong length is refused
     with pytest.raises(InputError, match="has 2 coordinates, the complex needs 1"):
         star_subdivision(f2_complex(), point=(1, 2))
-    with pytest.raises(InputError, match="has 1 coordinates, the complex needs 2"):
-        star_subdivision(f2_complex(), ray=(1,))
-    with pytest.raises(PointOutsideSupport):
-        star_subdivision(f2_complex(), ray=(1, -1))
 
 
 def test_common_refinement():

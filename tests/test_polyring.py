@@ -21,6 +21,15 @@ def test_mul_examples():
     assert (x + t) * (x - t) == HomogPoly(2, 2, {(2, 0): 1, (0, 2): -1})
 
 
+def test_exponents_must_be_integers():
+    # (1.5,) is not read as (1,)
+    with pytest.raises(ValueError, match="bad exponent"):
+        HomogPoly(1, 1, {(1.5,): 1})
+    with pytest.raises(ValueError, match="bad exponent"):
+        HomogPoly(2, 2, {(Q(1), 1): 1})
+    assert HomogPoly(2, 2, {(1, 1): 1}).coeffs == {(1, 1): 1}
+
+
 def test_add_degree_mismatch():
     with pytest.raises(DegreeMismatch):
         x_() + x_() * x_()

@@ -9,8 +9,6 @@ pushforward must give the results of the per-call routes in
 ``route_oracle``, or raise the same error.  The cache tests count the basis images a second call builds.
 """
 
-from fractions import Fraction as Q
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,8 +20,7 @@ from ppchow.errors import NotProper
 from ppchow.fixtures import (f1_fan, f2_complex, f3s_complex, f5_complex,
                              f6_complex)
 from ppchow.limits import ModelChain
-from ppchow.polyhedra import (Cone, Fan, FanMap, PolyComplex, Polyhedron,
-                              cone_over)
+from ppchow.polyhedra import Cone, Fan, FanMap, cone_over
 from ppchow.ppfan import constant_pp, graded_basis, pushforward
 from ppchow.polyring import HomogPoly
 from ppchow.specialfiber import (AffinePP, EdgeTuple, dim_affine_pp,
@@ -37,33 +34,6 @@ KINDS = ("alpha", "beta", "decompose", "expand", "preimage", "pushforward", "cla
 
 def _height(pc):
     return HomogPoly.linear_form((0,) * pc.rank + (1,))
-
-
-def _model(vertices):
-    cells = [Polyhedron(1, [(vertices[0],)], [(-1,)]), Polyhedron(1, [(vertices[-1],)], [(1,)])]
-    cells += [Polyhedron(1, [(a,), (b,)]) for a, b in zip(vertices, vertices[1:])]
-    return PolyComplex(1, cells)
-
-
-@st.composite
-def _chains(draw):
-    """A rank-one chain of length 2-5 from F1: each step adds the next lattice
-    point on one side, or the mediant of two neighbours, which keeps c(Pi)
-    regular and gives a component of multiplicity its denominator."""
-    vertices = [Q(0)]
-    models = [_model(vertices)]
-    for _ in range(draw(st.integers(1, 4))):
-        step = draw(st.integers(0, len(vertices)))
-        if step == 0:
-            vertices = [vertices[0] - 1] + vertices
-        elif step == len(vertices):
-            vertices = vertices + [vertices[-1] + 1]
-        else:
-            a, b = vertices[step - 1], vertices[step]
-            mediant = Q(a.numerator + b.numerator, a.denominator + b.denominator)
-            vertices = vertices[:step] + [mediant] + vertices[step:]
-        models.append(_model(vertices))
-    return ModelChain(models)
 
 
 def _element(draw, zero, basis):
@@ -127,7 +97,7 @@ def _outcome(fn, *args):
 @settings(derandomize=True, max_examples=20, deadline=None)
 @given(st.data())
 def test_cached_transfers_match_the_per_call_routes(data):
-    chain = data.draw(_chains())
+    chain = data.draw(route_oracle.rank_one_chains())
     pc = data.draw(st.sampled_from(chain.models))
     calls = [_call(kind, data.draw, chain, pc)
              for kind in data.draw(st.lists(st.sampled_from(KINDS), min_size=4, max_size=10))]
