@@ -34,6 +34,8 @@ class InvariantCycle:
         for rays, c in terms.items():
             key = _cone_key(rays) if rays else ()
             c = rat(c)
+            if len(key) != codim:
+                raise ValueError(f"a term has {len(key)} rays, the codimension is {codim}")
             for r in key:
                 if len(r) != rank:
                     raise ValueError(f"a ray has {len(r)} coordinates, the rank is {rank}")

@@ -12,12 +12,11 @@ import json
 
 from .cycles import InvariantCycle
 from .errors import DegreeMismatch, InputError
-from .polyhedra import PolyComplex, Polyhedron
+from .polyhedra import PolyComplex, Polyhedron, vertex_chart
 from .polyring import HomogPoly
 from .ppfan import PPFunction
 from .qlinalg import rat, rat_str, vec
 from .specialfiber import AffinePP, VertexTuple
-from .polyhedra import vertex_chart
 
 
 def _reads(kind):
@@ -91,8 +90,10 @@ def poly_to_json(p):
 def poly_from_json(data, dim):
     coeffs = {}
     for key, val in data.get("coeffs", {}).items():
-        expo = tuple(int(x) for x in key.split(",")) if key else ()
-        coeffs[expo] = rat(val)
+        digits = key.split(",") if key else []
+        if not all(x.isascii() and x.isdigit() for x in digits):
+            raise ValueError(f"exponent key {key!r} is not comma-separated digits")
+        coeffs[tuple(map(int, digits))] = rat(val)
     return HomogPoly(dim, _int(data["degree"], "degree"), coeffs)
 
 

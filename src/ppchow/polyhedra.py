@@ -823,9 +823,6 @@ class ModelMap:
         self.cell_map = cell_map  # source maximal cell index -> target maximal cell index
         self._cache = {}
 
-    def is_identity(self):
-        return self.source.same_as(self.target)
-
     def chart_map(self, v):
         """Fan map Pi'(v) -> Pi(v) between vertex charts at an old vertex."""
         v = vec(v)

@@ -438,14 +438,3 @@ def ratfun_sum_to_poly(terms, dim=None, degree=None):
             if not rem.is_zero():
                 raise NotPolynomial("rational-function sum is not a polynomial", remainder=rem)
     return total
-
-
-def random_homog(rng, dim, degree, coeff_range=9):
-    """Deterministic random polynomial with small rational coefficients."""
-    coeffs = {}
-    for e in monomial_exponents(dim, degree):
-        num = rng.randint(-coeff_range, coeff_range)
-        den = rng.randint(1, 3)
-        if num:
-            coeffs[e] = Fraction(num, den)
-    return HomogPoly(dim, degree, coeffs)

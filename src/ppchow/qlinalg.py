@@ -20,10 +20,10 @@ _ONE = Fraction(1)
 
 
 def rat(x):
-    """Coerce ints, Fractions and "p/q" strings to an exact rational."""
+    """Coerce ints (not bools), Fractions and "p/q" strings to a rational."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)

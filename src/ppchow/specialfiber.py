@@ -30,7 +30,7 @@ model and degree, kept in the model's cache.
 import itertools
 
 from .errors import (FaceMismatch, FacetMismatch, InternalIdentityError,
-                     NotInKernel, NotARefinement)
+                     NotInKernel, NotARefinement, NotRegular)
 from .polyhedra import (Polyhedron, cone_over, edge_data, recession_fan,
                         vertex_chart)
 from .polyring import HomogPoly, Piecewise, equal_on_span, gluing_kernel
@@ -101,16 +101,18 @@ def make_affine_pp(pc, cell_polys, degree):
 
 
 class VertexTuple(Piecewise):
-    """One piecewise polynomial per vertex chart, all of one degree."""
+    """One piecewise polynomial per vertex chart, all of one degree, given by
+    vertex or parallel to ``pc.vertices``; a missing one is the shared zero."""
 
     __slots__ = ("complex", "degree", "entries", "_pieces")
 
     def __init__(self, pc, degree, entries):
         self.complex = pc
         self.degree = degree
-        self._pieces = tuple(entries[v] if entries.get(v) is not None
-                             else zero_pp(vertex_chart(pc, v).fan, degree)
-                             for v in pc.vertices)
+        if isinstance(entries, dict):
+            entries = [entries.get(v) for v in pc.vertices]
+        zeros = _table(pc).zeros(degree)
+        self._pieces = tuple(z if f is None else f for f, z in zip(entries, zeros))
         self.entries = dict(zip(pc.vertices, self._pieces))
 
     def _domain(self):
@@ -120,7 +122,7 @@ class VertexTuple(Piecewise):
         return self._pieces
 
     def _rebuild(self, parts, degree):
-        return VertexTuple(self.complex, degree, dict(zip(self.complex.vertices, parts)))
+        return VertexTuple(self.complex, degree, parts)
 
     def __repr__(self):
         return f"VertexTuple(deg={self.degree}, {self.entries})"
@@ -139,11 +141,11 @@ class EdgeTuple(Piecewise):
     def __init__(self, pc, degree, entries):
         self.complex = pc
         self.degree = degree
+        zero = HomogPoly.zero(pc.rank, degree)
         self.entries = {}
-        for e in pc.bounded_edges:
+        for e, star in zip(pc.bounded_edges, _table(pc).stars):
             given = entries.get(e, {})
-            self.entries[e] = {i: given.get(i, HomogPoly.zero(pc.rank, degree))
-                               for i in _edge_star(pc, e).cells}
+            self.entries[e] = {i: given.get(i, zero) for i in star.cells}
         self._pieces = tuple(p for star in self.entries.values() for p in star.values())
 
     def _domain(self):
@@ -176,11 +178,73 @@ class _EdgeStar:
                            if self.v1 in pc.cells[i].vertices and self.v2 in pc.cells[i].vertices)
 
 
+class _FiberTable:
+    """The positions the special-fiber maps read, built once per model.
+
+    Vertex p and edge q are ``pc.vertices[p]`` and ``pc.bounded_edges[q]``.
+    ``cell_pos[p]`` maps a maximal cell at p to its position among the
+    maximal cones of ``charts[p]``; edge q has the star ``stars[q]`` and
+    the endpoints ``ends[q]``, higher first.  Edge forms need simplicial
+    charts and phi_ray regular ones, so both are built on first use, for the
+    whole model: ``sides()[q]`` holds, per endpoint, the (cell, position
+    there, position at the other end, edge form) of each star cell, and
+    ``incident()[p]`` the other endpoint, those cells and p's phi_ray pieces
+    for each edge at p.
+    """
+
+    __slots__ = ("charts", "cell_pos", "vpos", "stars", "ends", "_zeros", "_sides",
+                 "_incident")
+
+    def __init__(self, pc):
+        self.charts = tuple(vertex_chart(pc, v) for v in pc.vertices)
+        self.cell_pos = tuple({i: c.fan.maximal.index(c.cell_to_cone[i]) for i in c.max_cells}
+                              for c in self.charts)
+        self.vpos = {v: p for p, v in enumerate(pc.vertices)}
+        self.stars = tuple(_EdgeStar(pc, e) for e in pc.bounded_edges)
+        self.ends = tuple((self.vpos[s.v1], self.vpos[s.v2]) for s in self.stars)
+        self._zeros, self._sides, self._incident = {}, None, None
+
+    def zeros(self, k):
+        """The zero function of degree k on every chart, one object each."""
+        if k not in self._zeros:
+            self._zeros[k] = tuple(zero_pp(c.fan, k) for c in self.charts)
+        return self._zeros[k]
+
+    def sides(self):
+        if self._sides is None:
+            out = []
+            for s, ends in zip(self.stars, self.ends):
+                pair = []
+                for p, o, r in ((*ends, s.ray1), (*ends[::-1], s.ray2)):
+                    fan, to_cone = self.charts[p].fan, self.charts[p].cell_to_cone
+                    cells = []
+                    for i in s.cells:
+                        cone = fan.cones[to_cone[i]]
+                        form = dual_forms(cone, fan.rank)[cone.rays.index(r)]
+                        cells.append((i, self.cell_pos[p][i], self.cell_pos[o][i], form))
+                    pair.append((p, tuple(cells)))
+                out.append(tuple(pair))
+            self._sides = tuple(out)
+        return self._sides
+
+    def incident(self):
+        if self._incident is None:
+            out = [[] for _ in self.charts]
+            for s, ((p1, c1), (p2, c2)) in zip(self.stars, self.sides()):
+                out[p1].append((p2, c1, phi_ray(self.charts[p1].fan, s.ray1).pieces))
+                out[p2].append((p1, c2, phi_ray(self.charts[p2].fan, s.ray2).pieces))
+            self._incident = tuple(map(tuple, out))
+        return self._incident
+
+
+def _table(pc):
+    if "fiber" not in pc._cache:
+        pc._cache["fiber"] = _FiberTable(pc)
+    return pc._cache["fiber"]
+
+
 def _edge_star(pc, e):
-    key = ("estar", e)
-    if key not in pc._cache:
-        pc._cache[key] = _EdgeStar(pc, e)
-    return pc._cache[key]
+    return _table(pc).stars[pc.bounded_edges.index(e)]
 
 
 class HomologyClass:
@@ -198,40 +262,14 @@ class HomologyClass:
         return f"HomologyClass({self.tuple!r})"
 
 
-# ---------------------------------------------------------------------------
-# chart bookkeeping
-# ---------------------------------------------------------------------------
-
-
-def _chart_positions(pc, v):
-    """Map maximal cell index -> position in the chart fan's maximal list."""
-    chart = vertex_chart(pc, v)
-    key = ("chart_pos", v)
-    if key not in pc._cache:
-        pos = {}
-        for cell_idx in chart.max_cells:
-            cone_idx = chart.cell_to_cone[cell_idx]
-            pos[cell_idx] = chart.fan.maximal.index(cone_idx)
-        pc._cache[key] = pos
-    return pc._cache[key]
-
-
-def _piece_at(pc, t, v, cell_idx):
-    """The ambient polynomial of the vertex entry at v on a maximal cell."""
-    return t.entries[v].pieces[_chart_positions(pc, v)[cell_idx]]
-
-
 def _edge_ray_form(pc, v, edge_star, cell_idx):
     """The linear form of the edge direction on the chart cone of the cell.
 
     This is the dual form of the primitive edge direction inside the chart
     cone at v, i.e. the piece of phi_{v,gamma} on that cone.
     """
-    chart = vertex_chart(pc, v)
-    r = edge_star.ray1 if v == edge_star.v1 else edge_star.ray2
-    cone = chart.fan.cones[chart.cell_to_cone[cell_idx]]
-    idx = cone.rays.index(r)
-    return dual_forms(cone, pc.rank)[idx]
+    side = _table(pc).sides()[pc.bounded_edges.index(edge_star.edge)]
+    return next(form for i, _, _, form in side[v != edge_star.v1][1] if i == cell_idx)
 
 
 # ---------------------------------------------------------------------------
@@ -242,14 +280,13 @@ def _edge_ray_form(pc, v, edge_star, cell_idx):
 def to_vertex_tuple(a):
     """Read an AffinePP as its tuple of chart restrictions (always in ker rho)."""
     pc = a.complex
-    entries = {}
-    for v in pc.vertices:
-        chart = vertex_chart(pc, v)
-        pos = _chart_positions(pc, v)
+    tab = _table(pc)
+    entries = []
+    for chart, pos in zip(tab.charts, tab.cell_pos):
         pieces = [None] * len(chart.fan.maximal)
-        for cell_idx in chart.max_cells:
-            pieces[pos[cell_idx]] = a.cell_polys[cell_idx]
-        entries[v] = PPFunction(chart.fan, a.degree, pieces, validate=False)
+        for i, j in pos.items():
+            pieces[j] = a.cell_polys[i]
+        entries.append(PPFunction(chart.fan, a.degree, pieces, validate=False))
     return VertexTuple(pc, a.degree, entries)
 
 
@@ -260,31 +297,35 @@ def from_vertex_tuple(t):
     polynomials on a shared maximal cell.
     """
     pc = t.complex
-    cell_polys = {}
-    for i in pc.maximal:
-        cell = pc.cells[i]
-        readings = [(v, _piece_at(pc, t, v, i)) for v in pc.vertices if v in cell.vertices]
-        first = readings[0][1]
-        for v, p in readings[1:]:
+    readings = {i: [] for i in pc.maximal}
+    for v, f, pos in zip(pc.vertices, t._pieces, _table(pc).cell_pos):
+        for i, j in pos.items():
+            readings[i].append((v, f.pieces[j]))
+    for i, ((v0, first), *rest) in readings.items():
+        for v, p in rest:
             if p != first:
                 raise NotInKernel(
-                    f"cell {i}: chart at {readings[0][0]} reads {first!r}, chart at {v} reads {p!r}")
-        cell_polys[i] = first
-    return make_affine_pp(pc, cell_polys, t.degree)
+                    f"cell {i}: chart at {v0} reads {first!r}, chart at {v} reads {p!r}")
+    return make_affine_pp(pc, {i: r[0][1] for i, r in readings.items()}, t.degree)
 
 
 def rho(t):
     """Restriction difference to the bounded-edge strata.
 
     On each maximal cell containing the edge the value is the higher
-    endpoint's reading minus the lower endpoint's reading.
+    endpoint's reading minus the lower endpoint's reading.  Both readings
+    vanish on an edge with no endpoint in t's support, so only the edges at
+    that support are computed.
     """
     pc = t.complex
+    tab = _table(pc)
+    live = [not f.is_zero() for f in t._pieces]
     entries = {}
-    for e in pc.bounded_edges:
-        star = _edge_star(pc, e)
-        entries[e] = {i: _piece_at(pc, t, star.v1, i) - _piece_at(pc, t, star.v2, i)
-                      for i in star.cells}
+    for e, star, (p1, p2) in zip(pc.bounded_edges, tab.stars, tab.ends):
+        if live[p1] or live[p2]:
+            f1, f2 = t._pieces[p1].pieces, t._pieces[p2].pieces
+            pos1, pos2 = tab.cell_pos[p1], tab.cell_pos[p2]
+            entries[e] = {i: f1[pos1[i]] - f2[pos2[i]] for i in star.cells}
     return EdgeTuple(pc, t.degree, entries)
 
 
@@ -293,59 +334,56 @@ def gamma(et):
 
     Each star function is multiplied by the dual form of the edge direction
     and extended by zero into the endpoint chart, with sign +1 at the higher
-    endpoint and -1 at the lower one.
+    endpoint and -1 at the lower one.  An edge whose star function is zero
+    adds nothing and is skipped.  Every vertex entry that receives a
+    contribution is validated; a vertex that receives none gets the zero
+    function, which glues on every fan, so its check could not fail.
     """
     pc = et.complex
-    n = pc.rank
-    acc = {v: {} for v in pc.vertices}  # vertex -> cell -> poly
-    for e in pc.bounded_edges:
-        star = _edge_star(pc, e)
-        for v, sign in ((star.v1, 1), (star.v2, -1)):
-            for i in star.cells:
-                form = _edge_ray_form(pc, v, star, i)
-                contrib = et.entries[e][i] * form
-                if sign < 0:
-                    contrib = -contrib
-                cur = acc[v].get(i)
-                acc[v][i] = contrib if cur is None else cur + contrib
-    entries = {}
-    for v in pc.vertices:
-        chart = vertex_chart(pc, v)
-        pos = _chart_positions(pc, v)
-        pieces = [HomogPoly.zero(n, et.degree + 1)] * len(chart.fan.maximal)
-        for cell_idx, p in acc[v].items():
-            pieces[pos[cell_idx]] = p
-        f = PPFunction(chart.fan, et.degree + 1, pieces, validate=True)
-        entries[v] = f
-    return VertexTuple(pc, et.degree + 1, entries)
+    tab = _table(pc)
+    k = et.degree + 1
+    zero = HomogPoly.zero(pc.rank, k)
+    acc = {}  # vertex position -> pieces on its chart
+    for e, sides in zip(pc.bounded_edges, tab.sides()):
+        fn = et.entries[e]
+        if all(p.is_zero() for p in fn.values()):
+            continue
+        for (p, cells), sign in zip(sides, (1, -1)):
+            pieces = acc.setdefault(p, [zero] * len(tab.charts[p].fan.maximal))
+            for i, j, _, form in cells:
+                contrib = fn[i] * form
+                pieces[j] = pieces[j] + (contrib if sign > 0 else -contrib)
+    entries = [None] * len(pc.vertices)
+    for p in sorted(acc):
+        entries[p] = PPFunction(tab.charts[p].fan, k, acc[p], validate=True)
+    return VertexTuple(pc, k, entries)
 
 
 def ddc_one_shot(t):
     """-gamma.rho in a single pass: at each vertex, the sum over incident
     bounded edges of (transport of the other endpoint's function, pushed in)
-    minus (the edge generator times the own function)."""
+    minus (the edge generator times the own function).  Both terms vanish at
+    a vertex outside t's support with no neighbour in it, which stays zero."""
     pc = t.complex
-    n = pc.rank
-    entries = {}
-    for v in pc.vertices:
-        chart = vertex_chart(pc, v)
-        pos = _chart_positions(pc, v)
-        total = zero_pp(chart.fan, t.degree + 1)
-        for e in pc.bounded_edges:
-            star = _edge_star(pc, e)
-            if v not in (star.v1, star.v2):
-                continue
-            other = star.v2 if v == star.v1 else star.v1
-            pieces = [HomogPoly.zero(n, t.degree + 1)] * len(chart.fan.maximal)
-            for i in star.cells:
-                form = _edge_ray_form(pc, v, star, i)
-                pieces[pos[i]] = _piece_at(pc, t, other, i) * form
-            pushed = PPFunction(chart.fan, t.degree + 1, pieces, validate=False)
-            r = star.ray1 if v == star.v1 else star.ray2
-            phi = phi_ray(chart.fan, r)
-            total = total + (pushed - phi * t.entries[v])
-        entries[v] = total
-    return VertexTuple(pc, t.degree + 1, entries)
+    tab = _table(pc)
+    k = t.degree + 1
+    zero = HomogPoly.zero(pc.rank, k)
+    live = [not f.is_zero() for f in t._pieces]
+    entries = []
+    for p, (f, incident) in enumerate(zip(t._pieces, tab.incident())):
+        if not live[p] and not any(live[o] for o, _, _ in incident):
+            entries.append(None)
+            continue
+        pieces = [zero] * len(f.pieces)
+        for o, cells, phi in incident:
+            if live[o]:
+                g = t._pieces[o].pieces
+                for _, j, jo, form in cells:
+                    pieces[j] = pieces[j] + g[jo] * form
+            if live[p]:
+                pieces = [x - y * z for x, y, z in zip(pieces, phi, f.pieces)]
+        entries.append(PPFunction(tab.charts[p].fan, k, pieces, validate=False))
+    return VertexTuple(pc, k, entries)
 
 
 def ddc_model(t):
@@ -380,25 +418,27 @@ def iota_lower(t):
     """Lift special-fiber homology into the model, degree +1.
 
     Each vertex entry is pulled back along a - t v and multiplied by the
-    generator of the vertex's ray in c(Pi), then summed over the vertices.
+    generator of the vertex's ray in c(Pi), then summed over the vertices
+    where t is nonzero.
     """
     pc = t.complex
     co = cone_over(pc)
     n = pc.rank
     fan = co.fan
+    if not fan.is_regular():
+        raise NotRegular("phi generators need a regular fan")
+    pos_of_cell = {i: fan.maximal.index(co.cell_to_cone[i]) for i in pc.maximal}
     out = zero_pp(fan, t.degree + 1)
-    for v in pc.vertices:
+    for v, f, pos in zip(pc.vertices, t._pieces, _table(pc).cell_pos):
+        if f.is_zero():
+            continue
         lift_images = [HomogPoly.linear_form(
             tuple(1 if i == j else 0 for j in range(n)) + (-v[i],)) for i in range(n)]
-        ray_v = primitive(tuple(v) + (1,))
-        phi_v = phi_ray(fan, ray_v)
-        pos_of_cell = {i: fan.maximal.index(co.cell_to_cone[i]) for i in pc.maximal}
+        phi_v = phi_ray(fan, primitive(tuple(v) + (1,)))
         pieces = [HomogPoly.zero(n + 1, t.degree)] * len(fan.maximal)
-        for cell_idx in vertex_chart(pc, v).max_cells:
-            p = _piece_at(pc, t, v, cell_idx)
-            pieces[pos_of_cell[cell_idx]] = p.substitute(lift_images)
-        lifted = PPFunction(fan, t.degree, pieces, validate=False)
-        out = out + lifted * phi_v
+        for i, j in pos.items():
+            pieces[pos_of_cell[i]] = f.pieces[j].substitute(lift_images)
+        out = out + PPFunction(fan, t.degree, pieces, validate=False) * phi_v
     bad = out.offending_pair()
     if bad is not None:  # pragma: no cover - would be a library bug
         raise InternalIdentityError(f"vertical lift failed validation at {bad}")
@@ -410,9 +450,8 @@ def cap_fundamental(a):
     of chart restrictions weighted by the component multiplicities."""
     pc = a.complex
     t = to_vertex_tuple(a)
-    entries = {v: t.entries[v].scale(vertex_chart(pc, v).multiplicity)
-               for v in pc.vertices}
-    return HomologyClass(VertexTuple(pc, a.degree, entries))
+    return HomologyClass(VertexTuple(pc, a.degree, [
+        f.scale(chart.multiplicity) for f, chart in zip(t._pieces, _table(pc).charts)]))
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +464,7 @@ def vertex_layer_basis(pc, k):
     key = ("vlb", k)
     if key not in pc._cache:
         out = []
-        for v in pc.vertices:
-            chart = vertex_chart(pc, v)
+        for v, chart in zip(pc.vertices, _table(pc).charts):
             for b in graded_basis(chart.fan, k):
                 out.append(VertexTuple(pc, k, {v: b}))
         pc._cache[key] = out
@@ -668,23 +706,21 @@ def zeta(m, t):
     if t.complex is not m.target and not t.complex.same_as(m.target):
         raise NotARefinement("tuple does not live on the map's target")
     src, tgt = m.source, m.target
-    entries = {}
-    old = set(tgt.vertices)
-    for v in src.vertices:
-        if v in old:
-            entries[v] = pullback(m.chart_map(v), t.entries[v])
+    old = _table(tgt)
+    entries = []
+    for v, chart, pos in zip(src.vertices, _table(src).charts, _table(src).cell_pos):
+        if v in old.vpos:
+            entries.append(pullback(m.chart_map(v), t._pieces[old.vpos[v]]))
             continue
-        sigma = tgt.find_cell(v)
-        chart = vertex_chart(src, v)
-        pos = _chart_positions(src, v)
+        readers = [(t._pieces[old.vpos[w]].pieces, old.cell_pos[old.vpos[w]])
+                   for w in tgt.find_cell(v).vertices]
         pieces = [None] * len(chart.fan.maximal)
-        for cell_idx in chart.max_cells:
-            parent = m.cell_map[cell_idx]
+        for i, j in pos.items():
             total = HomogPoly.zero(src.rank, t.degree)
-            for w in sigma.vertices:
-                total = total + _piece_at(tgt, t, w, parent)
-            pieces[pos[cell_idx]] = total
-        entries[v] = PPFunction(chart.fan, t.degree, pieces, validate=True)
+            for g, gpos in readers:
+                total = total + g[gpos[m.cell_map[i]]]
+            pieces[j] = total
+        entries.append(PPFunction(chart.fan, t.degree, pieces, validate=True))
     return VertexTuple(src, t.degree, entries)
 
 

@@ -57,6 +57,14 @@ group is the routes these replaced: the localization sum on every target
 cone, a ``Cone`` built for every term of every cycle class, and the cone
 above a recession cone by ``contains_cone``; ``install_towers`` swaps them
 into the program.
+
+ppchow runs rho, gamma and the one-pass dd^c on a table of positions built
+once per model, and touches only the vertices and edges of the input's
+support.  The ninth group is the routes these replaced, which walk every
+vertex and edge of the model on each call and look every chart up by its
+vertex's coordinates: ``rho``, ``gamma``, ``ddc_one_shot``,
+``to_vertex_tuple``, ``from_vertex_tuple``, ``iota_lower``,
+``cap_fundamental`` and ``zeta``.
 """
 
 import itertools
@@ -69,11 +77,14 @@ from ppchow import arithchow, checks, cycles, limits, ppfan, specialfiber
 from ppchow.cycles import InvariantCycle, horizontal_lift_key
 from ppchow.errors import (CompatibilityViolation, DecompositionFailed,
                            InternalIdentityError, NonSCR, NotAComplex,
-                           NotProper, NotRegular)
+                           NotInKernel, NotProper, NotRegular)
 from ppchow.limits import ModelChain, common_model
 from ppchow.polyhedra import (Cone, PolyComplex, Polyhedron,
                               cell_contains_recession, cone_over,
-                              direction_space, recession_fan)
+                              direction_space, recession_fan, vertex_chart)
+from ppchow.ppfan import PPFunction, dual_forms, phi_ray, pullback, zero_pp
+from ppchow.specialfiber import (HomologyClass, EdgeTuple, VertexTuple,
+                                 make_affine_pp)
 from ppchow.polyring import (HomogPoly, RatFun, monomial_exponents,
                              ratfun_sum_to_poly)
 from ppchow.qlinalg import (integer_kernel_basis, is_zero_vec, kernel_basis,
@@ -923,6 +934,224 @@ def install_towers(mp):
             for attr, obj in list(vars(mod).items()):
                 if id(obj) in swaps:
                     mp.setattr(mod, attr, swaps[id(obj)])
+
+
+# ---------------------------------------------------------------------------
+# the special-fiber maps, walking the whole model by vertex coordinates
+# ---------------------------------------------------------------------------
+
+
+def _chart_positions(pc, v):
+    """Map maximal cell index -> position in the chart fan's maximal list."""
+    chart = vertex_chart(pc, v)
+    key = ("oracle_chart_pos", v)
+    if key not in pc._cache:
+        pos = {}
+        for cell_idx in chart.max_cells:
+            cone_idx = chart.cell_to_cone[cell_idx]
+            pos[cell_idx] = chart.fan.maximal.index(cone_idx)
+        pc._cache[key] = pos
+    return pc._cache[key]
+
+
+def _piece_at(pc, t, v, cell_idx):
+    """The ambient polynomial of the vertex entry at v on a maximal cell."""
+    return t.entries[v].pieces[_chart_positions(pc, v)[cell_idx]]
+
+
+def _edge_star(pc, e):
+    key = ("oracle_estar", e)
+    if key not in pc._cache:
+        pc._cache[key] = specialfiber._EdgeStar(pc, e)
+    return pc._cache[key]
+
+
+def _edge_ray_form(pc, v, edge_star, cell_idx):
+    """The linear form of the edge direction on the chart cone of the cell."""
+    chart = vertex_chart(pc, v)
+    r = edge_star.ray1 if v == edge_star.v1 else edge_star.ray2
+    cone = chart.fan.cones[chart.cell_to_cone[cell_idx]]
+    idx = cone.rays.index(r)
+    return dual_forms(cone, pc.rank)[idx]
+
+
+def rho(t):
+    """Restriction difference to the bounded-edge strata.
+
+    On each maximal cell containing the edge the value is the higher
+    endpoint's reading minus the lower endpoint's reading.
+    """
+    pc = t.complex
+    entries = {}
+    for e in pc.bounded_edges:
+        star = _edge_star(pc, e)
+        entries[e] = {i: _piece_at(pc, t, star.v1, i) - _piece_at(pc, t, star.v2, i)
+                      for i in star.cells}
+    return EdgeTuple(pc, t.degree, entries)
+
+
+def gamma(et):
+    """Signed pushforward from edge strata into the components, degree +1.
+
+    Each star function is multiplied by the dual form of the edge direction
+    and extended by zero into the endpoint chart, with sign +1 at the higher
+    endpoint and -1 at the lower one.
+    """
+    pc = et.complex
+    n = pc.rank
+    acc = {v: {} for v in pc.vertices}  # vertex -> cell -> poly
+    for e in pc.bounded_edges:
+        star = _edge_star(pc, e)
+        for v, sign in ((star.v1, 1), (star.v2, -1)):
+            for i in star.cells:
+                form = _edge_ray_form(pc, v, star, i)
+                contrib = et.entries[e][i] * form
+                if sign < 0:
+                    contrib = -contrib
+                cur = acc[v].get(i)
+                acc[v][i] = contrib if cur is None else cur + contrib
+    entries = {}
+    for v in pc.vertices:
+        chart = vertex_chart(pc, v)
+        pos = _chart_positions(pc, v)
+        pieces = [HomogPoly.zero(n, et.degree + 1)] * len(chart.fan.maximal)
+        for cell_idx, p in acc[v].items():
+            pieces[pos[cell_idx]] = p
+        f = PPFunction(chart.fan, et.degree + 1, pieces, validate=True)
+        entries[v] = f
+    return VertexTuple(pc, et.degree + 1, entries)
+
+
+def ddc_one_shot(t):
+    """-gamma.rho in a single pass: at each vertex, the sum over incident
+    bounded edges of (transport of the other endpoint's function, pushed in)
+    minus (the edge generator times the own function)."""
+    pc = t.complex
+    n = pc.rank
+    entries = {}
+    for v in pc.vertices:
+        chart = vertex_chart(pc, v)
+        pos = _chart_positions(pc, v)
+        total = zero_pp(chart.fan, t.degree + 1)
+        for e in pc.bounded_edges:
+            star = _edge_star(pc, e)
+            if v not in (star.v1, star.v2):
+                continue
+            other = star.v2 if v == star.v1 else star.v1
+            pieces = [HomogPoly.zero(n, t.degree + 1)] * len(chart.fan.maximal)
+            for i in star.cells:
+                form = _edge_ray_form(pc, v, star, i)
+                pieces[pos[i]] = _piece_at(pc, t, other, i) * form
+            pushed = PPFunction(chart.fan, t.degree + 1, pieces, validate=False)
+            r = star.ray1 if v == star.v1 else star.ray2
+            phi = phi_ray(chart.fan, r)
+            total = total + (pushed - phi * t.entries[v])
+        entries[v] = total
+    return VertexTuple(pc, t.degree + 1, entries)
+
+
+def to_vertex_tuple(a):
+    """Read an AffinePP as its tuple of chart restrictions (always in ker rho)."""
+    pc = a.complex
+    entries = {}
+    for v in pc.vertices:
+        chart = vertex_chart(pc, v)
+        pos = _chart_positions(pc, v)
+        pieces = [None] * len(chart.fan.maximal)
+        for cell_idx in chart.max_cells:
+            pieces[pos[cell_idx]] = a.cell_polys[cell_idx]
+        entries[v] = PPFunction(chart.fan, a.degree, pieces, validate=False)
+    return VertexTuple(pc, a.degree, entries)
+
+
+def from_vertex_tuple(t):
+    """Assemble a vertex tuple in ker rho into the AffinePP it represents.
+
+    Raises :class:`NotInKernel` when two endpoint charts read different
+    polynomials on a shared maximal cell.
+    """
+    pc = t.complex
+    cell_polys = {}
+    for i in pc.maximal:
+        cell = pc.cells[i]
+        readings = [(v, _piece_at(pc, t, v, i)) for v in pc.vertices if v in cell.vertices]
+        first = readings[0][1]
+        for v, p in readings[1:]:
+            if p != first:
+                raise NotInKernel(
+                    f"cell {i}: chart at {readings[0][0]} reads {first!r}, chart at {v} reads {p!r}")
+        cell_polys[i] = first
+    return make_affine_pp(pc, cell_polys, t.degree)
+
+
+def iota_lower(t):
+    """Lift special-fiber homology into the model, degree +1.
+
+    Each vertex entry is pulled back along a - t v and multiplied by the
+    generator of the vertex's ray in c(Pi), then summed over the vertices.
+    """
+    pc = t.complex
+    co = cone_over(pc)
+    n = pc.rank
+    fan = co.fan
+    out = zero_pp(fan, t.degree + 1)
+    for v in pc.vertices:
+        lift_images = [HomogPoly.linear_form(
+            tuple(1 if i == j else 0 for j in range(n)) + (-v[i],)) for i in range(n)]
+        ray_v = primitive(tuple(v) + (1,))
+        phi_v = phi_ray(fan, ray_v)
+        pos_of_cell = {i: fan.maximal.index(co.cell_to_cone[i]) for i in pc.maximal}
+        pieces = [HomogPoly.zero(n + 1, t.degree)] * len(fan.maximal)
+        for cell_idx in vertex_chart(pc, v).max_cells:
+            p = _piece_at(pc, t, v, cell_idx)
+            pieces[pos_of_cell[cell_idx]] = p.substitute(lift_images)
+        lifted = PPFunction(fan, t.degree, pieces, validate=False)
+        out = out + lifted * phi_v
+    bad = out.offending_pair()
+    if bad is not None:  # pragma: no cover - would be a library bug
+        raise InternalIdentityError(f"vertical lift failed validation at {bad}")
+    return out
+
+
+def cap_fundamental(a):
+    """Cap with the fundamental class of the special fiber: the vertex tuple
+    of chart restrictions weighted by the component multiplicities."""
+    pc = a.complex
+    t = to_vertex_tuple(a)
+    entries = {v: t.entries[v].scale(vertex_chart(pc, v).multiplicity)
+               for v in pc.vertices}
+    return HomologyClass(VertexTuple(pc, a.degree, entries))
+
+
+def zeta(m, t):
+    """Pullback of vertex tuples along a refinement.
+
+    Old vertices re-read their function on the finer chart; a new vertex
+    interior to a cell of the coarse complex receives the sum of that cell's
+    vertex functions, read off on its own chart.  Validity of the new entries
+    is checked, not assumed.
+    """
+    if t.complex is not m.target and not t.complex.same_as(m.target):
+        raise NotARefinement("tuple does not live on the map's target")
+    src, tgt = m.source, m.target
+    entries = {}
+    old = set(tgt.vertices)
+    for v in src.vertices:
+        if v in old:
+            entries[v] = pullback(m.chart_map(v), t.entries[v])
+            continue
+        sigma = tgt.find_cell(v)
+        chart = vertex_chart(src, v)
+        pos = _chart_positions(src, v)
+        pieces = [None] * len(chart.fan.maximal)
+        for cell_idx in chart.max_cells:
+            parent = m.cell_map[cell_idx]
+            total = HomogPoly.zero(src.rank, t.degree)
+            for w in sigma.vertices:
+                total = total + _piece_at(tgt, t, w, parent)
+            pieces[pos[cell_idx]] = total
+        entries[v] = PPFunction(chart.fan, t.degree, pieces, validate=True)
+    return VertexTuple(src, t.degree, entries)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,14 @@ def chain1():
     return ModelChain(p1_chain())
 
 
+def test_cycle_terms_have_codim_rays():
+    with pytest.raises(ValueError, match="a term has 1 rays, the codimension is 2"):
+        InvariantCycle(1, 2, {((1,),): 1})
+    with pytest.raises(ValueError, match="a term has 0 rays, the codimension is 1"):
+        InvariantCycle(1, 1, {(): 1})
+    assert InvariantCycle(1, 0, {(): 1}).terms == {(): 1}
+
+
 def test_eigen_divisor_examples():
     chain = chain1()
     co1 = cone_over(chain.models[0])

@@ -200,6 +200,9 @@ def test_cli_check_has_no_depth_option(capsys):
     ["codim"],
     {"codim": 1.7, "terms": [{"cone": [["1"]], "coeff": "1"}]},  # not truncated to 1
     {"codim": True, "terms": [{"cone": [["1"]], "coeff": "1"}]},
+    {"codim": 2, "terms": [{"cone": [["1"]], "coeff": "1"}]},  # a term with one ray
+    {"codim": 1, "terms": [{"cone": [["1"]], "coeff": True}]},  # a bool is no rational
+    {"codim": 1, "terms": [{"cone": [[True]], "coeff": "1"}]},
 ])
 def test_cli_malformed_cycle_is_input_error(workdir, capsys, cycle):
     path = workdir["tmp"] / "badcycle.json"
@@ -244,6 +247,13 @@ _X = {"degree": 1, "coeffs": {"1": "1"}}
     ("ddc", {"degree": 0, "vertices": [{"vertex": ["0"],
                                         "pp": {"degree": 0, "pieces": [{"cone": 0, "poly": _ONE},
                                                                        {"cone": -1, "poly": _ONE}]}}]}),
+    # coefficients are not bools, and exponent keys are ASCII digits only
+    ("push", {"degree": 1, "cells": [{"cell": c, "poly": {"degree": 1, "coeffs": {"1": True}}}
+                                     for c in (2, 3)]}),
+    ("push", {"degree": 1, "cells": [{"cell": c, "poly": {"degree": 1, "coeffs": {" 1": "1"}}}
+                                     for c in (2, 3)]}),
+    ("degree", {"degree": 10, "pieces": [{"cone": c, "poly": {"degree": 10, "coeffs": {"1_0,0": "1"}}}
+                                         for c in range(3)]}),
 ])
 def test_cli_malformed_piecewise_is_input_error(workdir, capsys, command, data):
     path = workdir["tmp"] / "badpiecewise.json"

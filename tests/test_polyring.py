@@ -5,8 +5,19 @@ import pytest
 
 from ppchow.errors import DegreeMismatch, NotPolynomial
 from ppchow.polyring import (HomogPoly, RatFun, divide_exact, equal_on_span,
-                             monomial_exponents, random_homog,
-                             ratfun_sum_to_poly, restrict_to_span)
+                             monomial_exponents, ratfun_sum_to_poly,
+                             restrict_to_span)
+
+
+def random_homog(rng, dim, degree, coeff_range=9):
+    """Deterministic random polynomial with small rational coefficients."""
+    coeffs = {}
+    for e in monomial_exponents(dim, degree):
+        num = rng.randint(-coeff_range, coeff_range)
+        den = rng.randint(1, 3)
+        if num:
+            coeffs[e] = Q(num, den)
+    return HomogPoly(dim, degree, coeffs)
 
 
 def x_(dim=2, i=0):

@@ -18,6 +18,9 @@ def test_rat_parsing():
     assert rat(5) == Q(5)
     assert rat_str(Q(3, 4)) == "3/4"
     assert rat_str(Q(4, 2)) == "2"
+    # JSON true is no rational
+    with pytest.raises(TypeError):
+        rat(True)
 
 
 def test_solve_identity_scaled():

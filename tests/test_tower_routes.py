@@ -13,6 +13,7 @@ The last test draws polynomials and checks that each result is what the
 checking constructor builds from the same coefficients.
 """
 
+import itertools
 from fractions import Fraction as Q
 
 import pytest
@@ -47,12 +48,15 @@ def _pp(draw, fan, k):
 
 def _cycle(draw, fan, codim):
     """A cycle on drawn cones of ``fan`` of dimension ``codim``, perhaps with
-    a term that is no cone of it: all its rays, which span a line, or the
-    sum of two rays of a cone, which is no ray of the fan."""
+    a term of ``codim`` rays that is no cone of it: rays of the fan that
+    span no cone, or the sum of two rays of a cone, which is no ray of the
+    fan."""
     keys = [c.rays for c in fan.cones if c.dim == codim]
     rays = [c.rays[0] for c in fan.cones if c.dim == 1]
-    keys.append(tuple(rays))
-    keys += [(vadd(*c.rays[:2]),) for c in fan.cones if c.dim == 2][:1]
+    cones = {frozenset(c.rays) for c in fan.cones}
+    keys += [k for k in itertools.combinations(rays, codim) if frozenset(k) not in cones][:1]
+    if codim == 1:
+        keys += [(vadd(*c.rays[:2]),) for c in fan.cones if c.dim == 2][:1]
     chosen = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3, unique=True))
     coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(chosen), max_size=len(chosen)))
     return InvariantCycle(fan.rank, codim, dict(zip(chosen, coeffs)))
