@@ -11,23 +11,24 @@ Both conversions between V- and H-descriptions are one routine,
 facets of a polyhedron are the extreme rays of the cone of inequalities
 valid on it, and the vertices and rays of {x : a.x <= b} are the extreme
 rays of its homogenization.  A generator is extreme when no other one lies
-on a strict superset of its facets.  Conversions run only where no
-combinatorial answer exists: building a polyhedron (its H-description), the
-pairs of cells that validation cannot settle by a facet,
-:func:`common_refinement` (cells of two unrelated complexes meet in new
-polyhedra), and the grid oracle of the check suite, which must share no code
-with the bases.  Validation tests pairs of
-maximal cells only, which proves every pair of cells meets in a common face;
-a facet of one cell with the other on its far side certifies most pairs
-without intersecting them.  The maximal cells are read off the face walk,
-stellar subdivisions and common refinements are complexes by construction
-and are not validated again, and a refinement's cell map is read off the
-fan map.  Once a complex or fan is validated, two of its cells meet in the
-convex hull of their common vertices plus the cone on their common rays, and
-are disjoint exactly when they share no vertex; two cones meet in the cone on
-their common rays.  Adjacency, pairwise spans, stars and cell/cone
-correspondences are read off those vertex and ray sets, and each face is
-built once per complex or fan.
+on a strict superset of its facets.  Conversions run only on user input and
+bare rays (building a polyhedron), on the pairs of cells that validation
+cannot settle by a facet, in :func:`common_refinement` (cells of two
+unrelated complexes meet in new polyhedra), and in the check suite's grid
+oracle, which must share no code with the bases.  Each polyhedron keeps the
+mask of its generators on each facet, so faces, cones over cells and chart
+cones are read off the parent's facets and the face lattice.  Validation
+tests pairs of maximal cells only, which proves every pair of cells meets in
+a common face; a facet of one cell with the other on its far side certifies
+most pairs without intersecting them.  The maximal cells are read off the
+face walk, stellar subdivisions and common refinements are complexes by
+construction and are not validated again, and a refinement's cell map is
+read off the fan map.  Once a complex or fan is validated, two of its cells
+meet in the convex hull of their common vertices plus the cone on their
+common rays, and are disjoint exactly when they share no vertex; two cones
+meet in the cone on their common rays.  Adjacency, pairwise spans, stars and
+cell/cone correspondences are read off those vertex and ray sets, and each
+face is built once per complex or fan.
 """
 
 from fractions import Fraction
@@ -38,9 +39,10 @@ from .errors import (IncompleteInput, InputError, NonSCR, NotAComplex,
                      NotARecessionCone, NotARefinement, NotAVertex,
                      PointOutsideSupport, RecessionMismatch, UnboundedEdge)
 from .qlinalg import (RowEchelon, integer_kernel_basis, is_zero_vec,
-                      kernel_basis, mat, mat_inverse, primitive, primitive_ints,
-                      rays_extend_to_basis, smith_normal_form, solve,
-                      span_basis, vadd, vdot, vec, vscale, vsub, zero_vec)
+                      kernel_basis, mat, mat_inverse, mat_vec, primitive,
+                      primitive_ints, rays_extend_to_basis, smith_normal_form,
+                      solve, span_basis, transpose, vadd, vdot, vec, vscale,
+                      vsub, zero_vec)
 
 
 def _extreme_rays(rows, dim):
@@ -107,10 +109,9 @@ def _facets(dim, vertices, rays):
     rays other than (0, 1) are the facets.
     """
     dir_basis = direction_space(vertices, rays)
-    eqs = [(a, vdot(a, vertices[0])) for a in map(
-        primitive, kernel_basis(mat(dir_basis if dir_basis else [zero_vec(dim)])))]
+    eqs = _equations(dim, vertices, dir_basis)
     if not dir_basis:
-        return tuple(eqs), ()
+        return eqs, []
     m = len(dir_basis)
     polar = [[vdot(d, g) for d in dir_basis] + [s]
              for gens, s in ((vertices, -1), (rays, 0)) for g in gens]
@@ -124,7 +125,13 @@ def _facets(dim, vertices, rays):
         a = primitive(a)
         v = next(v for i, v in enumerate(vertices) if on >> i & 1)
         facets.append((a, vdot(a, v), on))
-    return tuple(eqs), facets
+    return eqs, sorted(facets)
+
+
+def _equations(dim, vertices, dir_basis):
+    """Primitive equations (a, b) of the affine hull: vertices[0] + span."""
+    return tuple((a, vdot(a, vertices[0])) for a in map(
+        primitive, kernel_basis(mat(dir_basis if dir_basis else [zero_vec(dim)]))))
 
 
 def _vrep_from_hrep(dim, eqs, ineqs):
@@ -163,20 +170,26 @@ class Polyhedron:
     """A pointed rational polyhedron conv(vertices) + cone(rays).
 
     Construction canonicalizes the generators to the extreme ones and
-    precomputes an exact H-description.  Raises :class:`NonSCR` for inputs
-    with no vertex or with a lineality direction.
+    precomputes an exact H-description, with ``_on`` parallel to ``ineqs``:
+    each facet's mask of generators, vertices first.  Raises :class:`NonSCR`
+    for inputs with no vertex or with a lineality direction.
     """
 
-    __slots__ = ("dim_ambient", "vertices", "rays", "eqs", "ineqs", "dim")
+    __slots__ = ("dim_ambient", "vertices", "rays", "eqs", "ineqs", "dim", "_on")
 
     def __init__(self, dim_ambient, vertices, rays=()):
-        vertices = sorted({vec(v) for v in vertices})
-        rays = sorted({primitive(r) for r in rays if not is_zero_vec(vec(r))})
+        vertices, rays = [vec(v) for v in vertices], [vec(r) for r in rays]
+        for kind, g in [("vertex", v) for v in vertices] + [("ray", r) for r in rays]:
+            if len(g) != dim_ambient:
+                raise ValueError(f"{kind} ({', '.join(map(str, g))}) has length {len(g)} "
+                                 f"but dim_ambient is {dim_ambient}")
+        vertices = sorted(set(vertices))
+        rays = sorted({primitive(r) for r in rays if not is_zero_vec(r)})
         if not vertices:
             raise NonSCR("a pointed polyhedron needs at least one vertex")
         self.dim_ambient = dim_ambient
         eqs, facets = _facets(dim_ambient, vertices, rays)
-        ineqs = tuple(sorted((a, b) for a, b, _ in facets))
+        ineqs = tuple((a, b) for a, b, _ in facets)
         # lineality check: directions satisfying every constraint both ways
         lin_rows = [a for a, _ in ineqs] + [a for a, _ in eqs]
         lin = kernel_basis(mat(lin_rows if lin_rows else [zero_vec(dim_ambient)]))
@@ -191,12 +204,47 @@ class Polyhedron:
         on = [sum(1 << k for k, (_, _, f) in enumerate(facets) if f >> g & 1)
               | (level if g >= len(vertices) else 0)
               for g in range(len(vertices) + len(rays))]
-        extreme = [not any(s != t and s & t == s for t in on) for s in on]
-        self.vertices = tuple(v for v, e in zip(vertices, extreme) if e)
-        self.rays = tuple(r for r, e in zip(rays, extreme[len(vertices):]) if e)
+        kept = [g for g, s in enumerate(on) if not any(s != t and s & t == s for t in on)]
+        self.vertices = tuple(vertices[g] for g in kept if g < len(vertices))
+        self.rays = tuple(rays[g - len(vertices)] for g in kept if g >= len(vertices))
         if not self.vertices:
             raise NonSCR("generators have no extreme point")
+        self._on = tuple(sum(1 << i for i, g in enumerate(kept) if f >> g & 1)
+                         for _, _, f in facets)
         self.dim = dim_ambient - len(eqs)
+
+    @classmethod
+    def _derived(cls, dim_ambient, vertices, rays, facets):
+        """conv(vertices) + cone(rays), built from known facets.
+
+        ``vertices`` and ``rays`` map bit positions to extreme generators,
+        and ``facets`` holds one pair (a, on) per facet, ``on`` the bits of
+        the generators on it and a.x <= c valid, with equality exactly on
+        the facet, for some c.  The equations are those :func:`_facets`
+        computes.  The projection u of a onto the direction space D agrees
+        with a on D, so u.x <= c' is valid with equality exactly on the
+        facet as well.  In D the normals of the facet's hyperplane form a
+        line, and validity fixes the sign, so u and the normal in D that
+        double description finds have one primitive vector.
+        """
+        order = sorted(vertices, key=vertices.get) + sorted(rays, key=rays.get)
+        p = cls.__new__(cls)
+        p.dim_ambient = dim_ambient
+        p.vertices = tuple(vertices[g] for g in order[:len(vertices)])
+        p.rays = tuple(rays[g] for g in order[len(vertices):])
+        dir_basis = direction_space(p.vertices, p.rays)
+        p.eqs = _equations(dim_ambient, p.vertices, dir_basis)
+        p.dim = dim_ambient - len(p.eqs)
+        if p.eqs and facets:
+            gram_inv = mat_inverse([mat_vec(dir_basis, d) for d in dir_basis])
+            facets = [(mat_vec(transpose(dir_basis), mat_vec(gram_inv, mat_vec(dir_basis, a))),
+                       on) for a, on in facets]
+        facets = sorted((primitive(a), sum(1 << j for j, g in enumerate(order) if on >> g & 1))
+                        for a, on in facets)
+        # b at the facet's first generator, a vertex
+        p.ineqs = tuple((a, vdot(a, p.vertices[(on & -on).bit_length() - 1])) for a, on in facets)
+        p._on = tuple(on for _, on in facets)
+        return p
 
     def key(self):
         return (self.vertices, self.rays)
@@ -228,22 +276,40 @@ class Polyhedron:
                               self.ineqs + other.ineqs)
         return None if out is None else Polyhedron(self.dim_ambient, *out)
 
+    def _gens(self, mask):
+        """(vertices, rays) with their bits set in ``mask``."""
+        nv = len(self.vertices)
+        return (tuple(v for i, v in enumerate(self.vertices) if mask >> i & 1),
+                tuple(r for i, r in enumerate(self.rays) if mask >> (nv + i) & 1))
+
     def facet_keys(self):
         """Keys of the facets: the generators on each facet hyperplane.
 
         A face is spanned by the vertices and rays it contains, so these are
         the facets' canonical keys, known without building them.
         """
-        n = self.dim_ambient
-        out = []
-        for a, bb in self.ineqs:
-            vs = tuple(v for v in self.vertices
-                       if sum(a[i] * v[i] for i in range(n)) == bb)
-            rs = tuple(r for r in self.rays
-                       if sum(a[i] * r[i] for i in range(n)) == 0)
-            if vs:
-                out.append((vs, rs))
-        return out
+        return [self._gens(on) for on in self._on]
+
+    def _face(self, mask):
+        """The face whose generators have their bits set in ``mask``.
+
+        Its facets are the inclusion-maximal sets mask & on_k, over the
+        facets k, that are not the whole mask and hold a vertex.  In the face
+        lattice of a pointed polyhedron the faces of a face F are the sets
+        F & G for faces G, each G an intersection of facets, and the facets
+        of F are its maximal proper nonempty faces; a nonempty face has a
+        vertex.  On F, a_k.x <= b_k holds with equality exactly on F & G_k.
+        """
+        nv = len(self.vertices)
+        cands = {}
+        for (a, _), on in zip(self.ineqs, self._on):
+            if on & mask != mask and on & mask & ((1 << nv) - 1):
+                cands.setdefault(on & mask, a)
+        facets = [(a, t) for t, a in cands.items()
+                  if not any(t != u and t & u == t for u in cands)]
+        gens = [(g, x) for g, x in enumerate(self.vertices + self.rays) if mask >> g & 1]
+        nfv = (mask & ((1 << nv) - 1)).bit_count()
+        return Polyhedron._derived(self.dim_ambient, dict(gens[:nfv]), dict(gens[nfv:]), facets)
 
     def faces(self, built=None):
         """All nonempty faces, this polyhedron included.
@@ -260,9 +326,9 @@ class Polyhedron:
             if f.key() in seen:
                 continue
             seen[f.key()] = f
-            for key in f.facet_keys():
+            for key, on in zip(f.facet_keys(), f._on):
                 if key not in built:
-                    built[key] = Polyhedron(self.dim_ambient, *key)
+                    built[key] = f._face(on)
                 stack.append(built[key])
         return sorted(seen.values(), key=lambda p: (p.dim, p.key()))
 
@@ -345,21 +411,14 @@ class Cone:
 
 
 def _separations(p, q):
-    """Facet inequalities a.x <= b of p with q on the far side: a.v >= b on
-    the vertices of q and a.r >= 0 on its rays, so p and q meet inside the
-    hyperplane a.x = b, if at all."""
+    """Facets (a, b, on) of p, as in ``ineqs`` and ``_on``, with q on the far
+    side: a.v >= b on the vertices of q and a.r >= 0 on its rays, so p and q
+    meet inside the hyperplane a.x = b, if at all."""
     n = p.dim_ambient
-    for a, b in p.ineqs:
+    for (a, b), on in zip(p.ineqs, p._on):
         if all(sum(a[i] * v[i] for i in range(n)) >= b for v in q.vertices) and \
                 all(sum(a[i] * r[i] for i in range(n)) >= 0 for r in q.rays):
-            yield a, b
-
-
-def _tight(a, b, p):
-    """(vertices, rays) of p on the hyperplane a.x = b."""
-    n = p.dim_ambient
-    return (tuple(v for v in p.vertices if sum(a[i] * v[i] for i in range(n)) == b),
-            tuple(r for r in p.rays if sum(a[i] * r[i] for i in range(n)) == 0))
+            yield a, b, on
 
 
 def _meet_certified(p, q):
@@ -375,9 +434,10 @@ def _meet_certified(p, q):
     """
     meet = common_face(p, q)
     for one, other in ((p, q), (q, p)):
-        for a, b in _separations(one, other):
-            far = _tight(a, b, other)
-            if not far[0] or (far == meet and _tight(a, b, one) == meet):
+        for a, b, on in _separations(one, other):
+            far = (tuple(v for v in other.vertices if vdot(a, v) == b),
+                   tuple(r for r in other.rays if vdot(a, r) == 0))
+            if not far[0] or (far == meet and one._gens(on) == meet):
                 return True
     return False
 
@@ -628,12 +688,29 @@ def _cone_over_rays(cell):
     return tuple(sorted(rays))
 
 
+def _cone_over_cell(cell):
+    """The cone over a cell, read off the cell's facets.
+
+    Every face of the cone over P that meets t > 0 is the cone over a face
+    of P, so each facet a.x <= b of P gives the facet (a, -b).(y, t) <= 0.
+    The face t = 0 is rec(P) x 0, a facet exactly when dim rec(P) = dim P.
+    """
+    n, nv = cell.dim_ambient, len(cell.vertices)
+    top = nv + len(cell.rays)     # the apex's bit
+    rays = {g: primitive(tuple(v) + (Fraction(1),)) for g, v in enumerate(cell.vertices)}
+    rays.update((nv + g, tuple(r) + (Fraction(0),)) for g, r in enumerate(cell.rays))
+    facets = [(a + (-b,), on | 1 << top) for (a, b), on in zip(cell.ineqs, cell._on)]
+    if len(span_basis(cell.rays)) == cell.dim:
+        facets.append((zero_vec(n) + (Fraction(-1),), (2 << top) - (1 << nv)))
+    return Cone._of_poly(Polyhedron._derived(n + 1, {top: zero_vec(n + 1)}, rays, facets))
+
+
 def cone_over(pc):
     """The fan c(Pi): cones over the cells plus their height-zero faces."""
     if "cone_over" in pc._cache:
         return pc._cache["cone_over"]
     n = pc.rank
-    max_cones = [Cone(n + 1, _cone_over_rays(pc.cells[i])) for i in pc.maximal]
+    max_cones = [_cone_over_cell(pc.cells[i]) for i in pc.maximal]
     fan = Fan(n + 1, max_cones, validate=False)
     cell_to_cone = {}
     for ci, cell in enumerate(pc.cells):
@@ -663,8 +740,7 @@ def recession_fan(pc, _check_complete=True):
 
 def rec_fan_as_complex(fan):
     """Read a complete fan as the canonical polyhedral complex."""
-    cells = [Polyhedron(fan.rank, [zero_vec(fan.rank)], c.rays) for c in fan.max_cones()]
-    return PolyComplex(fan.rank, cells, validate=False)
+    return PolyComplex(fan.rank, [c.poly for c in fan.max_cones()], validate=False)
 
 
 class VertexChart:
@@ -676,14 +752,12 @@ class VertexChart:
     coefficients unchanged.
     """
 
-    __slots__ = ("complex", "vertex", "multiplicity", "fan", "max_cells",
-                 "cell_to_cone")
+    __slots__ = ("vertex", "multiplicity", "fan", "max_cells", "cell_to_cone")
 
     def __init__(self, pc, v):
         n = pc.rank
         if v not in pc.vertices:
             raise NotAVertex(f"{v} is not a vertex of the complex")
-        self.complex = pc
         self.vertex = v
         denom = 1
         for x in v:
@@ -697,9 +771,22 @@ class VertexChart:
 
 
 def _chart_cone(v, cell):
-    """The cone at the vertex v of a cell containing it."""
-    rays = [vsub(u, v) for u in cell.vertices if u != v] + list(cell.rays)
-    return Cone(cell.dim_ambient, [primitive(r) for r in rays])
+    """The cone at the vertex v of a cell containing it, read off the cell.
+
+    The faces of the cone spanned by cell - v are those of the cell through
+    v, so its facets are a.y <= 0 for the facets a.x <= b through v, and its
+    extreme rays are the edges at v: the directions u - v and rays lying on
+    a maximal set of those facets.  The apex takes v's bit.
+    """
+    g0 = cell.vertices.index(v)
+    facets = [(a, on) for (a, _), on in zip(cell.ineqs, cell._on) if on >> g0 & 1]
+    dirs = {g: primitive(vsub(u, v)) for g, u in enumerate(cell.vertices) if g != g0}
+    dirs.update((len(cell.vertices) + g, r) for g, r in enumerate(cell.rays))
+    tight = {g: sum(1 << k for k, (_, on) in enumerate(facets) if on >> g & 1) for g in dirs}
+    edges = {g: dirs[g] for g, s in tight.items()
+             if not any(s != t and s & t == s for t in tight.values())}
+    return Cone._of_poly(Polyhedron._derived(cell.dim_ambient, {g0: zero_vec(cell.dim_ambient)},
+                                             edges, facets))
 
 
 def vertex_chart(pc, v):
@@ -901,9 +988,9 @@ def star_subdivision(pc, point):
             new_max.append(c.rays)
             continue
         # w lies in c, so a facet a.x <= 0 misses w exactly when a.w < 0
-        for a, _ in c.poly.ineqs:
+        for (a, _), on in zip(c.poly.ineqs, c.poly._on):
             if sum(x * y for x, y in zip(a, w)) < 0:
-                new_max.append(_tight(a, 0, c.poly)[1] + (w,))
+                new_max.append(c.poly._gens(on)[1] + (w,))
     cells = []
     for rays in new_max:
         verts = [vscale(1 / r[n], r[:n]) for r in rays if r[n] > 0]

@@ -65,6 +65,13 @@ vertex and edge of the model on each call and look every chart up by its
 vertex's coordinates: ``rho``, ``gamma``, ``ddc_one_shot``,
 ``to_vertex_tuple``, ``from_vertex_tuple``, ``iota_lower``,
 ``cap_fundamental`` and ``zeta``.
+
+ppchow builds a face, the cone over a cell and the cone of a cell at a
+vertex from the facet normals and generator masks of the polyhedron they
+come from, with no double description.  The tenth group is the routes these
+replaced, which build each one from its generators: ``faces``, the face walk
+with every face built from its key and the facets found by dot products,
+``cone_over_cell`` and ``chart_cone``.
 """
 
 import itertools
@@ -79,7 +86,7 @@ from ppchow.errors import (CompatibilityViolation, DecompositionFailed,
                            InternalIdentityError, NonSCR, NotAComplex,
                            NotInKernel, NotProper, NotRegular)
 from ppchow.limits import ModelChain, common_model
-from ppchow.polyhedra import (Cone, PolyComplex, Polyhedron,
+from ppchow.polyhedra import (Cone, PolyComplex, Polyhedron, _cone_over_rays,
                               cell_contains_recession, cone_over,
                               direction_space, recession_fan, vertex_chart)
 from ppchow.ppfan import PPFunction, dual_forms, phi_ray, pullback, zero_pp
@@ -143,12 +150,12 @@ def cell_to_cone(pc):
     return out
 
 
-def chart_cell_to_cone(chart):
+def chart_cell_to_cone(pc, chart):
     """Maximal cell index -> index of its cone at the chart's vertex."""
     v = chart.vertex
     out = {}
     for i in chart.max_cells:
-        cell = chart.complex.cells[i]
+        cell = pc.cells[i]
         rays = [tuple(a - b for a, b in zip(u, v)) for u in cell.vertices if u != v]
         rays += list(cell.rays)
         out[i] = _position(chart.fan, Cone(cell.dim_ambient, [primitive(r) for r in rays]))
@@ -1152,6 +1159,53 @@ def zeta(m, t):
             pieces[pos[cell_idx]] = total
         entries[v] = PPFunction(chart.fan, t.degree, pieces, validate=True)
     return VertexTuple(src, t.degree, entries)
+
+
+# ---------------------------------------------------------------------------
+# faces, cones over cells and chart cones, each built from its generators
+# ---------------------------------------------------------------------------
+
+
+def _facet_keys(p):
+    """(vertices, rays) of p on each facet hyperplane."""
+    n = p.dim_ambient
+    out = []
+    for a, bb in p.ineqs:
+        vs = tuple(v for v in p.vertices if sum(a[i] * v[i] for i in range(n)) == bb)
+        rs = tuple(r for r in p.rays if sum(a[i] * r[i] for i in range(n)) == 0)
+        if vs:
+            out.append((vs, rs))
+    return out
+
+
+def faces(p, built=None):
+    """All nonempty faces of p, sorted like ``Polyhedron.faces``; faces
+    missing from ``built`` are built from their keys and added."""
+    built = {} if built is None else built
+    built.setdefault(p.key(), p)
+    seen = {}
+    stack = [p]
+    while stack:
+        f = stack.pop()
+        if f.key() in seen:
+            continue
+        seen[f.key()] = f
+        for key in _facet_keys(f):
+            if key not in built:
+                built[key] = Polyhedron(p.dim_ambient, *key)
+            stack.append(built[key])
+    return sorted(seen.values(), key=lambda f: (f.dim, f.key()))
+
+
+def cone_over_cell(cell):
+    """The cone over a cell, built from its rays."""
+    return Cone(cell.dim_ambient + 1, _cone_over_rays(cell))
+
+
+def chart_cone(v, cell):
+    """The cone at the vertex v of a cell containing it."""
+    rays = [vsub(u, v) for u in cell.vertices if u != v] + list(cell.rays)
+    return Cone(cell.dim_ambient, [primitive(r) for r in rays])
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,9 @@ _PRISM = [(t,) + v for t in (0, 1)
           for v in ((1, 1, 0), (1, -1, 0), (-1, 1, 0), (-1, -1, 0), (0, 0, 1))]
 
 
-@pytest.mark.parametrize("vertices, rays", [
+# non-simplicial cases, where the double description step must combine only
+# adjacent rays
+MANY_FACETS = [
     (_CUBE, []),
     (_CUBE + [(Q(1, 2), Q(1, 2), 1)], [(1, 1, 1), (0, 0, 1)]),
     ([(1, 1, 0), (-1, 1, 0), (1, -1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)], []),
@@ -97,10 +99,11 @@ _PRISM = [(t,) + v for t in (0, 1)
     # polar, the two other side facets share the edge's three rows, but only
     # the facets on the last point's hyperplanes show they are not adjacent
     (_PRISM + [(Q(1, 2), 0, 0, 1), (2, 0, 1, 1)], []),
-])
+]
+
+
+@pytest.mark.parametrize("vertices, rays", MANY_FACETS)
 def test_polytopes_with_many_facets_match_the_subset_route(vertices, rays):
-    """Non-simplicial cases, where the double description step must combine
-    only adjacent rays."""
     assert _as_tuple(Polyhedron(len(vertices[0]), vertices, rays)) == \
         route_oracle.polyhedron(len(vertices[0]), vertices, rays)
 

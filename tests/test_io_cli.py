@@ -274,6 +274,11 @@ def test_cli_malformed_piecewise_is_input_error(workdir, capsys, command, data):
     ({"rank": -1}, "rank must be a nonnegative integer, got -1"),
     ({"cells": [{"vertices": [0, -1]}]}, "vertex must be an index in [0, 2), got -1"),
     ({"cells": [{"vertices": [0, 1.0]}]}, "vertex must be an index in [0, 2), got 1.0"),
+    # generators of the wrong length are named, with their length and the rank
+    ({"points": [["0", "0"], ["1"]]}, "vertex (0, 0) has length 2 but dim_ambient is 1"),
+    ({"rank": 2, "points": [["0", "0"], ["1", "0"]],
+      "cells": [{"vertices": [0, 1], "rays": [["1"]]}]},
+     "ray (1) has length 1 but dim_ambient is 2"),
 ])
 def test_cli_malformed_complex_is_input_error(workdir, capsys, change, message):
     data = {"rank": 1, "points": [["0"], ["1"]], "cells": [{"vertices": [0, 1]}]}

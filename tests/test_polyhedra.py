@@ -185,7 +185,7 @@ def _assert_same_route(pc):
     for v in pc.vertices:
         chart = vertex_chart(pc, v)
         assert list(chart.max_cells) == route_oracle.chart_cells(pc, v)
-        assert chart.cell_to_cone == route_oracle.chart_cell_to_cone(chart)
+        assert chart.cell_to_cone == route_oracle.chart_cell_to_cone(pc, chart)
         fans.append(chart.fan)
     for fan in fans:
         assert _max_pair_spans(fan) == route_oracle.pair_spans(fan)

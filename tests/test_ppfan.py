@@ -1,14 +1,16 @@
+import functools
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import route_oracle
 from ppchow import io as pio
 from ppchow.errors import DegreeMismatch, FaceMismatch, NotARay, NotRegular
 from ppchow.fixtures import (all_fixture_models, f1_complex, f1_fan,
                              f2_complex, f3_complex, f3_fan, f5_complex)
-from ppchow.polyhedra import (Cone, PolyComplex, cone_over, recession_fan,
+from ppchow.polyhedra import (Cone, Fan, PolyComplex, cone_over, recession_fan,
                               refines, vertex_chart)
 from ppchow.polyring import HomogPoly
 from ppchow.ppfan import (constant_pp, equivariant_degree, graded_basis,
@@ -248,3 +250,35 @@ def test_gluing_kernel_matches_assemblies_on_fixtures():
 @given(st.lists(st.integers(0, 50), min_size=1, max_size=3))
 def test_gluing_kernel_matches_assemblies_on_refined_f3c(choices):
     _assert_gluing_matches_assemblies(route_oracle.refined_f3c(choices), [1, 2])
+
+
+def _cross(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _counterclockwise(u, v):
+    """Order by angle in [0, 2 pi): upper half-plane first, then by the
+    sign of the cross product."""
+    def half(w):
+        return 0 if w[1] > 0 or (w[1] == 0 and w[0] > 0) else 1
+    return half(u) - half(v) or (-1 if _cross(u, v) > 0 else 1)
+
+
+_PRIMITIVE = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(
+    lambda w: gcd(*w) == 1)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.lists(_PRIMITIVE, min_size=3, max_size=7, unique=True))
+def test_pp_dimensions_of_complete_rank_two_fans_follow_the_hilbert_series(rays):
+    """r rays in counterclockwise order, each cyclically consecutive pair
+    less than pi apart, span a complete simplicial fan, unimodular or not.
+    Its h-vector is (1, r - 2, 1), so the Hilbert series of PP is
+    (1 + (r - 2) t + t^2) / (1 - t)^2 (Billera 1989; Brion 1996): dim PP^0
+    is 1 and dim PP^k is (k + 1) + (r - 2) k + (k - 1) = r k for k >= 1."""
+    rays.sort(key=functools.cmp_to_key(_counterclockwise))
+    r = len(rays)
+    pairs = [(rays[i], rays[(i + 1) % r]) for i in range(r)]
+    assume(all(_cross(u, v) > 0 for u, v in pairs))
+    fan = Fan(2, [Cone(2, list(pair)) for pair in pairs])
+    assert [len(graded_basis(fan, k)) for k in range(4)] == [1, r, 2 * r, 3 * r]
