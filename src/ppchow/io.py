@@ -27,7 +27,8 @@ def _reads(kind):
         def read(*args):
             try:
                 return fn(*args)
-            except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
+            except (AttributeError, KeyError, IndexError, TypeError, ValueError,
+                    ZeroDivisionError) as exc:
                 raise InputError(f"malformed {kind} file: {exc}") from exc
         return read
     return wrap

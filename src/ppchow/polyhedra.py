@@ -38,6 +38,7 @@ import itertools
 from .errors import (IncompleteInput, InputError, NonSCR, NotAComplex,
                      NotARecessionCone, NotARefinement, NotAVertex,
                      PointOutsideSupport, RecessionMismatch, UnboundedEdge)
+from .polyring import Span
 from .qlinalg import (RowEchelon, integer_kernel_basis, is_zero_vec,
                       kernel_basis, mat, mat_inverse, mat_vec, primitive,
                       primitive_ints, rays_extend_to_basis, smith_normal_form,
@@ -630,13 +631,14 @@ class PolyComplex(_Closure):
 
     def adjacency(self):
         """Pairs of maximal cells that meet, with the direction space of
-        their common face and its (vertices, rays)."""
+        their common face (a shared :class:`Span`) and its (vertices, rays)."""
         if "adj" not in self._cache:
-            out = []
+            out, spans = [], {}
             for i, j in itertools.combinations(self.maximal, 2):
                 meet = common_face(self.cells[i], self.cells[j])
                 if meet is not None:
-                    out.append((i, j, tuple(direction_space(*meet)), meet))
+                    span = tuple(direction_space(*meet))
+                    out.append((i, j, spans.setdefault(span, Span(span)), meet))
             self._cache["adj"] = tuple(out)
         return self._cache["adj"]
 

@@ -2,7 +2,13 @@
 
 Polynomials are always stored in ambient coordinates; "a polynomial on the
 span of a cone" is any ambient polynomial, compared modulo vanishing on that
-span (:func:`equal_on_span`).  Rational functions keep their denominators as
+span (:func:`equal_on_span`).  Restriction to a span is a fixed linear map,
+so each fan and complex gives every pair meeting in one span the same
+:class:`Span`, which keeps the vanishing rows per (n, k) for
+:func:`gluing_kernel` and the validators.  Scaling a row to a primitive
+integer vector and sharing it between pairs change no row space, hence
+neither the unique RREF of a gluing system nor the kernel read off it.
+Rational functions keep their denominators as
 factored lists of linear forms and are only ever collapsed to polynomials by
 exact division, never by truncation.  :class:`Piecewise` is the one base of
 the piecewise carriers (PP functions on fans, affine PP functions, vertex and
@@ -10,10 +16,11 @@ edge tuples): their arithmetic, coordinates and linear combinations.
 """
 
 from fractions import Fraction
+from math import prod
 from operator import add
 
 from .errors import DegreeMismatch, NotPolynomial
-from .qlinalg import kernel_basis, rat, rat_str, vec
+from .qlinalg import kernel_basis, primitive_ints, rat, rat_str, vec
 
 
 class HomogPoly:
@@ -294,47 +301,72 @@ def restrict_to_span(p, basis):
     return p.substitute(images)
 
 
+class Span(tuple):
+    """A basis of a meet's span, one object per distinct span of a fan or
+    complex; ``conditions`` keeps its vanishing rows per (dimension, degree)
+    and reaches nothing but ints and exponent tuples."""
+
+    def __init__(self, basis):
+        self.conditions = {}
+
+
+def _vanishing_rows(span, dim, k):
+    """The conditions for a degree-k polynomial in ``dim`` variables to vanish
+    on the span of the vectors ``span``: per parameter monomial, the
+    (column, exponent, coefficient) of each monomial whose restriction has
+    it, scaled to a primitive integer vector.  Only a :class:`Span` keeps them."""
+    cache = getattr(span, "conditions", {})
+    if (dim, k) not in cache:
+        images = [restrict_to_span(HomogPoly.variable(dim, i), span) for i in range(dim)]
+        one = HomogPoly.constant(len(span), 1)
+        monos = monomial_exponents(dim, k)
+        restricted = [prod((img for img, power in zip(images, e) for _ in range(power)),
+                           start=one).coeffs for e in monos]
+        rows = []
+        for pm in monomial_exponents(len(span), k):
+            terms = [(col, e, r[pm]) for col, (e, r) in enumerate(zip(monos, restricted))
+                     if pm in r]
+            ints = primitive_ints([c for _, _, c in terms])
+            rows.append(tuple((col, e, v) for (col, e, _), v in zip(terms, ints)))
+        cache[dim, k] = tuple(rows)
+    return cache[dim, k]
+
+
 def equal_on_span(p, q, subspace):
     """Do p and q agree as functions on the linear subspace spanned by the
     given vectors?"""
     if p.dim != q.dim:
         raise ValueError("ambient dimension mismatch")
     diff = p - q
-    if diff.is_zero():
+    d = diff.coeffs
+    if not d:
         return True
-    return restrict_to_span(diff, subspace).is_zero()
+    return all(sum(v * d[e] for _, e, v in row if e in d) == 0
+               for row in _vanishing_rows(subspace, p.dim, diff.degree))
 
 
 def gluing_kernel(pairs, nblocks, dim, k):
     """Basis of the tuples of ``nblocks`` degree-k polynomials that agree on
     the span of each (a, b, span) in ``pairs``, ``span`` an RREF basis.
 
-    Each coefficient of a restricted difference is one condition; the
-    restrictions of the monomials are computed once per distinct span.  The
-    kernel is read off the RREF, so the basis does not depend on the order of
-    the pairs.
+    Each vanishing row of a span gives one condition on the difference of
+    blocks a and b.  The kernel is read off the RREF, so the basis does not
+    depend on the order of the pairs.
     """
     monos = monomial_exponents(dim, k)
-    width = len(monos) * nblocks
-    conditions = {}
-    rows = []
+    m, rows = len(monos), []
     for a, b, span in pairs:
-        if span not in conditions:
-            restricted = [restrict_to_span(HomogPoly(dim, k, {e: 1}), span).coeffs
-                          for e in monos]
-            conditions[span] = [[(col, r[pm]) for col, r in enumerate(restricted) if pm in r]
-                                for pm in monomial_exponents(len(span), k)]
-        for terms in conditions[span]:
-            row = [0] * width
-            for col, c in terms:
-                row[a * len(monos) + col] = c
-                row[b * len(monos) + col] = -c
+        for terms in _vanishing_rows(span, dim, k):
+            row = [0] * m * nblocks
+            for col, _, v in terms:
+                row[a * m + col] = v
+                row[b * m + col] = -v
             rows.append(row)
     # with no conditions every tuple glues; one zero row carries the width
-    return [tuple(HomogPoly(dim, k, {e: v[blk * len(monos) + col]
-                                     for col, e in enumerate(monos)})
+    return [tuple(HomogPoly._trusted(dim, k, {e: c for e, c in zip(monos, v[m * blk:m * blk + m])
+                                              if c})
                   for blk in range(nblocks))
-            for v in kernel_basis(rows or [[0] * width])]
+            for v in kernel_basis(rows or [[0] * m * nblocks])]
 
 
 def divide_exact(p, divisor):

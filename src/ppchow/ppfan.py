@@ -12,7 +12,7 @@ import itertools
 
 from .errors import (DegreeMismatch, FaceMismatch, NotARay, NotProper,
                      NotRegular)
-from .polyring import (HomogPoly, Piecewise, RatFun, equal_on_span,
+from .polyring import (HomogPoly, Piecewise, RatFun, Span, equal_on_span,
                        gluing_kernel, ratfun_sum_to_poly)
 from .polyhedra import Cone, common_face
 from .qlinalg import mat, mat_inverse, primitive, span_basis, vec
@@ -20,13 +20,15 @@ from .qlinalg import mat, mat_inverse, primitive, span_basis, vec
 
 def _max_pair_spans(fan):
     """For every pair of maximal cones, the span of their intersection and
-    its rays: two cones of a fan meet in the cone on their common rays."""
+    its rays: two cones of a fan meet in the cone on their common rays.
+    Pairs with one span share one :class:`Span`."""
     if "pair_spans" not in fan._cache:
-        out = []
+        out, spans = [], {}
         maxs = fan.max_cones()
         for (i, ci), (j, cj) in itertools.combinations(enumerate(maxs), 2):
             _, rays = common_face(ci.poly, cj.poly)
-            out.append((i, j, tuple(span_basis(rays)), rays))
+            span = tuple(span_basis(rays))
+            out.append((i, j, spans.setdefault(span, Span(span)), rays))
         fan._cache["pair_spans"] = tuple(out)
     return fan._cache["pair_spans"]
 

@@ -164,11 +164,13 @@ def solve(A, b):
 
 
 def kernel_basis(A):
-    """Basis of the exact null space of A; empty list iff A is injective."""
-    A = mat(A)
+    """Basis of the exact null space of A (rows of ints or Fractions, not
+    coerced); empty list iff A is injective."""
     if not A:
         return []
     n = len(A[0])
+    if any(len(r) != n for r in A):
+        raise ValueError("ragged matrix")
     rows, pivots = _reduce(A)
     basis = []
     for f in [c for c in range(n) if c not in pivots]:

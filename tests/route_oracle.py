@@ -72,6 +72,13 @@ come from, with no double description.  The tenth group is the routes these
 replaced, which build each one from its generators: ``faces``, the face walk
 with every face built from its key and the facets found by dot products,
 ``cone_over_cell`` and ``chart_cone``.
+
+ppchow keeps, on each distinct span of a fan's pairs of maximal cones or of
+a complex's adjacency, the rows of the conditions for a polynomial to vanish
+there, per (dimension, degree), and reads the gluing systems and the
+validators off them.  The eleventh group is the routes these replaced:
+``equal_on_span`` and ``gluing_kernel`` restricting to the span through
+``restrict_to_span`` on every call, with ``kernel_basis`` on Fraction rows.
 """
 
 import itertools
@@ -93,7 +100,7 @@ from ppchow.ppfan import PPFunction, dual_forms, phi_ray, pullback, zero_pp
 from ppchow.specialfiber import (HomologyClass, EdgeTuple, VertexTuple,
                                  make_affine_pp)
 from ppchow.polyring import (HomogPoly, RatFun, monomial_exponents,
-                             ratfun_sum_to_poly)
+                             ratfun_sum_to_poly, restrict_to_span)
 from ppchow.qlinalg import (integer_kernel_basis, is_zero_vec, kernel_basis,
                             mat, primitive, rank, smith_normal_form, solve,
                             span_basis, transpose, vadd, vec, vscale, vsub,
@@ -1206,6 +1213,50 @@ def chart_cone(v, cell):
     """The cone at the vertex v of a cell containing it."""
     rays = [vsub(u, v) for u in cell.vertices if u != v] + list(cell.rays)
     return Cone(cell.dim_ambient, [primitive(r) for r in rays])
+
+
+# ---------------------------------------------------------------------------
+# vanishing on a span and the gluing kernel, restricting on every call
+# ---------------------------------------------------------------------------
+
+
+def equal_on_span(p, q, subspace):
+    """Do p and q agree as functions on the linear subspace spanned by the
+    given vectors?"""
+    if p.dim != q.dim:
+        raise ValueError("ambient dimension mismatch")
+    diff = p - q
+    if diff.is_zero():
+        return True
+    return restrict_to_span(diff, subspace).is_zero()
+
+
+def gluing_kernel(pairs, nblocks, dim, k):
+    """Basis of the tuples of ``nblocks`` degree-k polynomials that agree on
+    the span of each (a, b, span) in ``pairs``: each coefficient of a
+    restricted difference is one condition, the monomials restricted once
+    per distinct span of the call."""
+    monos = monomial_exponents(dim, k)
+    width = len(monos) * nblocks
+    conditions = {}
+    rows = []
+    for a, b, span in pairs:
+        if span not in conditions:
+            restricted = [restrict_to_span(HomogPoly(dim, k, {e: 1}), span).coeffs
+                          for e in monos]
+            conditions[span] = [[(col, r[pm]) for col, r in enumerate(restricted) if pm in r]
+                                for pm in monomial_exponents(len(span), k)]
+        for terms in conditions[span]:
+            row = [0] * width
+            for col, c in terms:
+                row[a * len(monos) + col] = c
+                row[b * len(monos) + col] = -c
+            rows.append(row)
+    # with no conditions every tuple glues; one zero row carries the width
+    return [tuple(HomogPoly(dim, k, {e: v[blk * len(monos) + col]
+                                     for col, e in enumerate(monos)})
+                  for blk in range(nblocks))
+            for v in kernel_basis(mat(rows or [[0] * width]))]
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,9 @@ def test_cli_check_has_no_depth_option(capsys):
     {"codim": 2, "terms": [{"cone": [["1"]], "coeff": "1"}]},  # a term with one ray
     {"codim": 1, "terms": [{"cone": [["1"]], "coeff": True}]},  # a bool is no rational
     {"codim": 1, "terms": [{"cone": [[True]], "coeff": "1"}]},
+    # a zero denominator is malformed input, not a crash
+    {"codim": 1, "terms": [{"cone": [["1"]], "coeff": "1/0"}]},
+    {"codim": 1, "terms": [{"cone": [["1/0"]], "coeff": "1"}]},
 ])
 def test_cli_malformed_cycle_is_input_error(workdir, capsys, cycle):
     path = workdir["tmp"] / "badcycle.json"
@@ -279,6 +282,10 @@ def test_cli_malformed_piecewise_is_input_error(workdir, capsys, command, data):
     ({"rank": 2, "points": [["0", "0"], ["1", "0"]],
       "cells": [{"vertices": [0, 1], "rays": [["1"]]}]},
      "ray (1) has length 1 but dim_ambient is 2"),
+    # a zero denominator in a point or a ray
+    ({"points": [["1/0"], ["1"]]}, "Fraction(1, 0)"),
+    ({"cells": [{"vertices": [0], "rays": [["1/0"]]}, {"vertices": [0, 1]}]},
+     "Fraction(1, 0)"),
 ])
 def test_cli_malformed_complex_is_input_error(workdir, capsys, change, message):
     data = {"rank": 1, "points": [["0"], ["1"]], "cells": [{"vertices": [0, 1]}]}
