@@ -274,13 +274,13 @@ def theta_prime(T):
     k = T.value(T.start).degree
     pc0 = chain.models[T.start]
     rec = recession_fan(pc0)
-    restr = restrict_to_height_zero(cone_over(pc0), T.value(T.start))
+    restr = restrict_to_height_zero(pc0, T.value(T.start))
     eta = cycle_from_pp(rec, restr, k)
     if eta is None:
         raise NotCycleSupported("horizontal restriction is not supported on cycles")
     for i in T.indices():
         pc = chain.models[i]
-        if restrict_to_height_zero(cone_over(pc), T.value(i)) != restr:
+        if restrict_to_height_zero(pc, T.value(i)) != restr:
             raise CompatibilityViolation("horizontal restrictions differ along the tower",
                                          witness=i)
     vals = {}

@@ -70,7 +70,7 @@ class InvariantCycle:
         return f"InvariantCycle(codim={self.codim}, {self.terms})"
 
 
-def horizontal_lift_key(key, n):
+def horizontal_lift_key(key):
     """Embed a cone of the recession fan at height zero in c(Pi)."""
     return tuple(tuple(r) + (Fraction(0),) for r in key)
 
@@ -98,8 +98,7 @@ def closure_class(pc, cycle):
     Each horizontal cone is read at height zero inside c(Pi) and contributes
     its generator there.
     """
-    return _class_on_model(pc, cycle, [horizontal_lift_key(key, pc.rank)
-                                       for key in cycle.terms])
+    return _class_on_model(pc, cycle, [horizontal_lift_key(key) for key in cycle.terms])
 
 
 def model_cycle_class(pc, cycle):

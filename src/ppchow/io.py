@@ -34,12 +34,18 @@ def _reads(kind):
     return wrap
 
 
+MAX_DEGREE = 20
+
+
 def _int(x, field, count=None):
-    """A JSON integer read from ``field``: nonnegative, and below ``count``
-    when it indexes a list of that length."""
+    """A JSON integer read from ``field``: nonnegative, below ``count`` when
+    it indexes a list of that length, and at most MAX_DEGREE for a degree,
+    which every basis and transfer enumerates monomials of."""
     if type(x) is not int or x < 0 or (count is not None and x >= count):
         bound = "a nonnegative integer" if count is None else f"an index in [0, {count})"
         raise ValueError(f"{field} must be {bound}, got {json.dumps(x, default=repr)}")
+    if field == "degree" and x > MAX_DEGREE:
+        raise ValueError(f"degree {x} is past the limit MAX_DEGREE = {MAX_DEGREE}")
     return x
 
 

@@ -75,13 +75,9 @@ class ModelChain:
         return ModelChain(self.models[:depth])
 
     def map_between(self, fine_idx, coarse_idx):
-        """The composed ModelMap models[fine_idx] -> models[coarse_idx]."""
-        if fine_idx == coarse_idx:
-            return refines(self.models[fine_idx], self.models[coarse_idx])
-        m = self.maps[coarse_idx]
-        for i in range(coarse_idx + 1, fine_idx):
-            m = m.compose(self.maps[i])
-        return m
+        """The ModelMap models[fine_idx] -> models[coarse_idx]; refinement is
+        transitive, so it exists, and ``refines`` keeps it on the finer model."""
+        return refines(self.models[fine_idx], self.models[coarse_idx])
 
 
 def common_model(pc1, pc2):
@@ -317,8 +313,8 @@ def green_from_lifting(chain, start, lifting, cycle):
     pc0 = chain.model(start)
     rec = recession_fan(pc0)
     eta_class = closure_class(pc0, cycle)
-    restr_lift = restrict_to_height_zero(cone_over(pc0), lifting)
-    restr_eta = restrict_to_height_zero(cone_over(pc0), eta_class)
+    restr_lift = restrict_to_height_zero(pc0, lifting)
+    restr_eta = restrict_to_height_zero(pc0, eta_class)
     if restr_lift != restr_eta:
         raise NotALifting("lifting does not restrict to the cycle's class")
 

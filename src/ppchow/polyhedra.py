@@ -394,10 +394,9 @@ class Cone:
         return span_basis(self.rays)
 
     def intersect(self, other):
+        # two pointed cones meet in a pointed cone: the apex is its one vertex
         p = self.poly.intersect(other.poly)
-        if p is None:
-            return None
-        return Cone(self.dim_ambient, p.rays)
+        return None if p is None else Cone._of_poly(p)
 
     def faces(self, built=None):
         """All faces, sorted like :meth:`Polyhedron.faces`; ``built`` shares
@@ -670,16 +669,18 @@ def build_complex(cell_data, rank=None):
 
 
 class ConeOver:
-    """The fan c(Pi) in N_R x R_{>=0} with the cell/cone correspondence."""
+    """The fan c(Pi) in N_R x R_{>=0} with the cells under its maximal cones.
 
-    __slots__ = ("complex", "fan", "cell_to_cone", "cone_to_cell", "horizontal")
+    ``max_cells[p]`` is the maximal cell of Pi under the maximal cone
+    ``fan.maximal[p]``, so a PP function on c(Pi) reads cell by cell as
+    ``zip(max_cells, f.pieces)``.
+    """
 
-    def __init__(self, complex_, fan, cell_to_cone, cone_to_cell, horizontal):
-        self.complex = complex_
+    __slots__ = ("fan", "max_cells")
+
+    def __init__(self, fan, max_cells):
         self.fan = fan
-        self.cell_to_cone = cell_to_cone      # cell index -> cone index
-        self.cone_to_cell = cone_to_cell      # cone index -> cell index or None
-        self.horizontal = horizontal          # cone indices inside {t = 0}
+        self.max_cells = max_cells
 
 
 def _cone_over_rays(cell):
@@ -714,16 +715,13 @@ def cone_over(pc):
     n = pc.rank
     max_cones = [_cone_over_cell(pc.cells[i]) for i in pc.maximal]
     fan = Fan(n + 1, max_cones, validate=False)
-    cell_to_cone = {}
+    cell_at = {}
     for ci, cell in enumerate(pc.cells):
         idx = fan.index(_cone_over_rays(cell))
         if idx is None:
             raise NotAComplex("cone over a cell missing from the closure")
-        cell_to_cone[ci] = idx
-    cone_to_cell = {v: k for k, v in cell_to_cone.items()}
-    horizontal = tuple(i for i, c in enumerate(fan.cones)
-                       if all(r[n] == 0 for r in c.rays))
-    out = ConeOver(pc, fan, cell_to_cone, cone_to_cell, horizontal)
+        cell_at[idx] = ci
+    out = ConeOver(fan, tuple(cell_at[j] for j in fan.maximal))
     pc._cache["cone_over"] = out
     return out
 
@@ -748,13 +746,14 @@ def rec_fan_as_complex(fan):
 class VertexChart:
     """The star fan Pi(v) under the identification (a, t) -> a - t v.
 
-    ``max_cells`` lists the maximal cells of Pi containing v, parallel to the
-    maximal cones of ``fan``; the chart keeps ambient N-coordinates (the
-    fixed identification), so polynomials transport between charts with
+    ``max_cells`` lists the maximal cells of Pi containing v in the order of
+    ``fan.maximal``: ``max_cells[p]`` is the cell whose cone at v is
+    ``fan.maximal[p]``.  The chart keeps ambient N-coordinates (the fixed
+    identification), so polynomials transport between charts with
     coefficients unchanged.
     """
 
-    __slots__ = ("vertex", "multiplicity", "fan", "max_cells", "cell_to_cone")
+    __slots__ = ("vertex", "multiplicity", "fan", "max_cells")
 
     def __init__(self, pc, v):
         n = pc.rank
@@ -765,11 +764,11 @@ class VertexChart:
         for x in v:
             denom = denom * x.denominator // gcd(denom, x.denominator)
         self.multiplicity = denom
-        max_cells = pc.max_cells_containing_vertex(v)
-        cones = [_chart_cone(v, pc.cells[i]) for i in max_cells]
-        self.max_cells = tuple(max_cells)
+        cells = pc.max_cells_containing_vertex(v)
+        cones = [_chart_cone(v, pc.cells[i]) for i in cells]
         self.fan = Fan(n, cones, validate=False)
-        self.cell_to_cone = {i: self.fan.index(c.key()) for i, c in zip(max_cells, cones)}
+        cell_at = {self.fan.index(c.key()): i for i, c in zip(cells, cones)}
+        self.max_cells = tuple(cell_at[j] for j in self.fan.maximal)
 
 
 def _chart_cone(v, cell):
@@ -892,13 +891,6 @@ class FanMap:
             max_map.append(hit)
         return cls(source, target, tuple(max_map))
 
-    def compose(self, other):
-        """self after other: other maps A -> B, self maps B -> C."""
-        if other.target is not self.source and not other.target.same_as(self.source):
-            raise ValueError("fan maps do not compose")
-        return FanMap(other.source, self.target,
-                      tuple(self.max_map[q] for q in other.max_map))
-
 
 class ModelMap:
     """A refinement Pi' >= Pi of complete complexes with equal recession fan."""
@@ -923,12 +915,6 @@ class ModelMap:
                 raise NotARefinement(f"charts at {v} are not nested")
             self._cache[("chart", v)] = fm
         return self._cache[("chart", v)]
-
-    def compose(self, other):
-        """self after other, for towers Pi'' >= Pi' >= Pi."""
-        fm = self.fan_map.compose(other.fan_map)
-        cell_map = {i: self.cell_map[j] for i, j in other.cell_map.items()}
-        return ModelMap(other.source, self.target, fm, cell_map)
 
 
 def refines(finer, coarser):
@@ -957,8 +943,7 @@ def _model_map(finer, coarser):
         return None
     # the cones over the maximal cells are the maximal cones of c(finer); the
     # fan map sends each to the cone over the coarse cell holding its cell
-    hit = {co_f.cone_to_cell[c]: co_c.cone_to_cell[co_c.fan.maximal[pos]]
-           for c, pos in zip(co_f.fan.maximal, fm.max_map)}
+    hit = {i: co_c.max_cells[q] for i, q in zip(co_f.max_cells, fm.max_map)}
     return ModelMap(finer, coarser, fm, {i: hit[i] for i in finer.maximal})
 
 

@@ -265,15 +265,15 @@ def equivariant_degree(fan, f):
     return ratfun_sum_to_poly(terms, dim=fan.rank, degree=f.degree - fan.rank)
 
 
-def restrict_to_height_zero(cone_over_, f):
+def restrict_to_height_zero(pc, f):
     """Restrict a PP function on c(Pi) to the horizontal subfan rec(Pi).
 
     The piece on a maximal recession cone is the piece of any maximal cone of
     c(Pi) above it with the height variable set to zero; face compatibility
     makes the choice immaterial.
     """
-    from .polyhedra import recession_fan
-    pc = cone_over_.complex
+    from .polyhedra import cone_over, recession_fan
+    fan = cone_over(pc).fan
     rec = recession_fan(pc)
     n = pc.rank
     images = [HomogPoly.variable(n, i) for i in range(n)] + [HomogPoly.zero(n, 1)]
@@ -282,7 +282,6 @@ def restrict_to_height_zero(cone_over_, f):
         # the lifted rays are rays of c(Pi), and a cone of a fan contains a
         # ray of the fan only as one of its own rays
         lift = {tuple(r) + (0,) for r in rec.cones[rmax].rays}
-        pos = next(p for p, i in enumerate(cone_over_.fan.maximal)
-                   if lift <= set(cone_over_.fan.cones[i].rays))
+        pos = next(p for p, i in enumerate(fan.maximal) if lift <= set(fan.cones[i].rays))
         pieces.append(f.pieces[pos].substitute(images))
     return PPFunction(rec, f.degree, pieces, validate=False)

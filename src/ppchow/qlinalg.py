@@ -338,54 +338,6 @@ def primitive(direction):
     return tuple(Fraction(x) for x in primitive_ints(d))
 
 
-def hermite_row_basis(rows):
-    """Basis of the integer row span of an integer matrix (row-style HNF)."""
-    M = [[int(x) for x in row] for row in rows]
-    if not M:
-        return []
-    n = len(M[0])
-    basis = []
-    r = 0
-    for c in range(n):
-        pivot = None
-        for i in range(r, len(M)):
-            if M[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        _swap_rows(M, r, pivot)
-        # euclidean elimination below the pivot
-        while True:
-            nz = [i for i in range(r + 1, len(M)) if M[i][c] != 0]
-            if not nz:
-                break
-            for i in nz:
-                q = -(M[i][c] // M[r][c])
-                _add_row(M, i, r, q)
-                if M[i][c] != 0 and abs(M[i][c]) < abs(M[r][c]):
-                    _swap_rows(M, r, i)
-        if M[r][c] < 0:
-            M[r] = [-x for x in M[r]]
-        r += 1
-    return [tuple(Fraction(x) for x in row) for row in M[:r] if any(row)]
-
-
-def lattice_basis(generators):
-    """Basis of the lattice generated by rational vectors in Q^n.
-
-    Clears denominators uniformly, runs an integer Hermite reduction and
-    scales back, so the result generates exactly the same subgroup.
-    """
-    gens = [vec(g) for g in generators if not is_zero_vec(vec(g))]
-    if not gens:
-        return []
-    scale = lcm(*[x.denominator for g in gens for x in g])
-    int_rows = [[int(x * scale) for x in g] for g in gens]
-    basis = hermite_row_basis(int_rows)
-    return [tuple(x / scale for x in row) for row in basis]
-
-
 def mat_inverse(A):
     """Exact inverse of a square rational matrix."""
     A = mat(A)

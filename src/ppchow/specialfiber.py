@@ -182,14 +182,14 @@ class _FiberTable:
     """The positions the special-fiber maps read, built once per model.
 
     Vertex p and edge q are ``pc.vertices[p]`` and ``pc.bounded_edges[q]``.
-    ``cell_pos[p]`` maps a maximal cell at p to its position among the
-    maximal cones of ``charts[p]``; edge q has the star ``stars[q]`` and
-    the endpoints ``ends[q]``, higher first.  Edge forms need simplicial
-    charts and phi_ray regular ones, so both are built on first use, for the
-    whole model: ``sides()[q]`` holds, per endpoint, the (cell, position
-    there, position at the other end, edge form) of each star cell, and
-    ``incident()[p]`` the other endpoint, those cells and p's phi_ray pieces
-    for each edge at p.
+    ``cell_pos[p]`` inverts ``charts[p].max_cells``: it maps a maximal cell
+    at p to its position among the chart's maximal cones.  Edge q has the
+    star ``stars[q]`` and the endpoints ``ends[q]``, higher first.  Edge
+    forms need simplicial charts and phi_ray regular ones, so both are built
+    on first use, for the whole model: ``sides()[q]`` holds, per endpoint,
+    the (cell, position there, position at the other end, edge form) of each
+    star cell, and ``incident()[p]`` the other endpoint, those cells and p's
+    phi_ray pieces for each edge at p.
     """
 
     __slots__ = ("charts", "cell_pos", "vpos", "stars", "ends", "_zeros", "_sides",
@@ -197,8 +197,7 @@ class _FiberTable:
 
     def __init__(self, pc):
         self.charts = tuple(vertex_chart(pc, v) for v in pc.vertices)
-        self.cell_pos = tuple({i: c.fan.maximal.index(c.cell_to_cone[i]) for i in c.max_cells}
-                              for c in self.charts)
+        self.cell_pos = tuple({i: j for j, i in enumerate(c.max_cells)} for c in self.charts)
         self.vpos = {v: p for p, v in enumerate(pc.vertices)}
         self.stars = tuple(_EdgeStar(pc, e) for e in pc.bounded_edges)
         self.ends = tuple((self.vpos[s.v1], self.vpos[s.v2]) for s in self.stars)
@@ -216,10 +215,10 @@ class _FiberTable:
             for s, ends in zip(self.stars, self.ends):
                 pair = []
                 for p, o, r in ((*ends, s.ray1), (*ends[::-1], s.ray2)):
-                    fan, to_cone = self.charts[p].fan, self.charts[p].cell_to_cone
+                    fan = self.charts[p].fan
                     cells = []
                     for i in s.cells:
-                        cone = fan.cones[to_cone[i]]
+                        cone = fan.cones[fan.maximal[self.cell_pos[p][i]]]
                         form = dual_forms(cone, fan.rank)[cone.rays.index(r)]
                         cells.append((i, self.cell_pos[p][i], self.cell_pos[o][i], form))
                     pair.append((p, tuple(cells)))
@@ -280,13 +279,8 @@ def _edge_ray_form(pc, v, edge_star, cell_idx):
 def to_vertex_tuple(a):
     """Read an AffinePP as its tuple of chart restrictions (always in ker rho)."""
     pc = a.complex
-    tab = _table(pc)
-    entries = []
-    for chart, pos in zip(tab.charts, tab.cell_pos):
-        pieces = [None] * len(chart.fan.maximal)
-        for i, j in pos.items():
-            pieces[j] = a.cell_polys[i]
-        entries.append(PPFunction(chart.fan, a.degree, pieces, validate=False))
+    entries = [PPFunction(chart.fan, a.degree, [a.cell_polys[i] for i in chart.max_cells],
+                          validate=False) for chart in _table(pc).charts]
     return VertexTuple(pc, a.degree, entries)
 
 
@@ -298,9 +292,9 @@ def from_vertex_tuple(t):
     """
     pc = t.complex
     readings = {i: [] for i in pc.maximal}
-    for v, f, pos in zip(pc.vertices, t._pieces, _table(pc).cell_pos):
-        for i, j in pos.items():
-            readings[i].append((v, f.pieces[j]))
+    for v, f, chart in zip(pc.vertices, t._pieces, _table(pc).charts):
+        for i, g in zip(chart.max_cells, f.pieces):
+            readings[i].append((v, g))
     for i, ((v0, first), *rest) in readings.items():
         for v, p in rest:
             if p != first:
@@ -404,10 +398,7 @@ def iota_upper(pc, F):
     co = cone_over(pc)
     n = pc.rank
     images = [HomogPoly.variable(n, i) for i in range(n)] + [HomogPoly.zero(n, 1)]
-    cell_polys = {}
-    for i in pc.maximal:
-        pos = co.fan.maximal.index(co.cell_to_cone[i])
-        cell_polys[i] = F.pieces[pos].substitute(images)
+    cell_polys = {i: f.substitute(images) for i, f in zip(co.max_cells, F.pieces)}
     try:
         return make_affine_pp(pc, cell_polys, F.degree)
     except FaceMismatch as exc:  # pragma: no cover - would be a library bug
@@ -427,17 +418,17 @@ def iota_lower(t):
     fan = co.fan
     if not fan.is_regular():
         raise NotRegular("phi generators need a regular fan")
-    pos_of_cell = {i: fan.maximal.index(co.cell_to_cone[i]) for i in pc.maximal}
+    pos_of_cell = {i: p for p, i in enumerate(co.max_cells)}
     out = zero_pp(fan, t.degree + 1)
-    for v, f, pos in zip(pc.vertices, t._pieces, _table(pc).cell_pos):
+    for v, f, chart in zip(pc.vertices, t._pieces, _table(pc).charts):
         if f.is_zero():
             continue
         lift_images = [HomogPoly.linear_form(
             tuple(1 if i == j else 0 for j in range(n)) + (-v[i],)) for i in range(n)]
         phi_v = phi_ray(fan, primitive(tuple(v) + (1,)))
         pieces = [HomogPoly.zero(n + 1, t.degree)] * len(fan.maximal)
-        for i, j in pos.items():
-            pieces[pos_of_cell[i]] = f.pieces[j].substitute(lift_images)
+        for i, g in zip(chart.max_cells, f.pieces):
+            pieces[pos_of_cell[i]] = g.substitute(lift_images)
         out = out + PPFunction(fan, t.degree, pieces, validate=False) * phi_v
     bad = out.offending_pair()
     if bad is not None:  # pragma: no cover - would be a library bug
@@ -708,18 +699,18 @@ def zeta(m, t):
     src, tgt = m.source, m.target
     old = _table(tgt)
     entries = []
-    for v, chart, pos in zip(src.vertices, _table(src).charts, _table(src).cell_pos):
+    for v, chart in zip(src.vertices, _table(src).charts):
         if v in old.vpos:
             entries.append(pullback(m.chart_map(v), t._pieces[old.vpos[v]]))
             continue
         readers = [(t._pieces[old.vpos[w]].pieces, old.cell_pos[old.vpos[w]])
                    for w in tgt.find_cell(v).vertices]
-        pieces = [None] * len(chart.fan.maximal)
-        for i, j in pos.items():
+        pieces = []
+        for i in chart.max_cells:
             total = HomogPoly.zero(src.rank, t.degree)
             for g, gpos in readers:
                 total = total + g[gpos[m.cell_map[i]]]
-            pieces[j] = total
+            pieces.append(total)
         entries.append(PPFunction(chart.fan, t.degree, pieces, validate=True))
     return VertexTuple(src, t.degree, entries)
 

@@ -29,19 +29,23 @@ each carried, with the two-branch ``eigen_divisor``.
 ppchow validates a complex or fan on pairs of maximal members, most of them
 certified by a separating facet, reads the maximal members off the face
 walk, builds stellar subdivisions and common refinements without validating
-them again, and reads a refinement's cell map off its fan map.  The fifth
-group is the routes these replaced: the exact common-face test on every pair
-of members, faces included, with maximality by containment; the stellar
-subdivision that joins the new ray to the facets of the face list; the
-common refinement from all pairwise intersections, validated; and the cell
-map by containment of cells.
+them again, reads a refinement's cell map off its fan map, and takes the
+map between two models of a chain from ``refines``.  The fifth group is the
+routes these replaced: the exact common-face test on every pair of members,
+faces included, with maximality by containment; the stellar subdivision
+that joins the new ray to the facets of the face list; the common
+refinement from all pairwise intersections, validated; the cell map by
+containment of cells; and the map between two chain models composed from
+the consecutive ones.
 
 ppchow converts between V- and H-descriptions with one double description
-routine and reads a polyhedron's extreme generators off the facets each
-lies on.  The sixth group is the routes these replaced: facets from every
-subset of generators spanning a hyperplane, vertices from every square
-subsystem of the inequalities and rays from every subsystem one row short,
-and the extreme generators as those whose tight rows have full rank.
+routine, reads a polyhedron's extreme generators off the facets each lies
+on, and keeps the intersected polyhedron of two cones as their meet.  The
+sixth group is the routes these replaced: facets from every subset of
+generators spanning a hyperplane, vertices from every square subsystem of
+the inequalities and rays from every subsystem one row short, the extreme
+generators as those whose tight rows have full rank, and the meet of two
+cones built again from its rays.
 
 ppchow builds the systems of the vertical lift, the height expansion, the
 slice and the gamma image once per model and degree, eliminates each once,
@@ -95,7 +99,8 @@ from ppchow.errors import (CompatibilityViolation, DecompositionFailed,
 from ppchow.limits import ModelChain, common_model
 from ppchow.polyhedra import (Cone, PolyComplex, Polyhedron, _cone_over_rays,
                               cell_contains_recession, cone_over,
-                              direction_space, recession_fan, vertex_chart)
+                              direction_space, recession_fan, refines,
+                              vertex_chart)
 from ppchow.ppfan import PPFunction, dual_forms, phi_ray, pullback, zero_pp
 from ppchow.specialfiber import (HomologyClass, EdgeTuple, VertexTuple,
                                  make_affine_pp)
@@ -573,6 +578,20 @@ def refinement_cell_map(finer, coarser):
             for i in finer.maximal}
 
 
+def composed_map(chain, fine, coarse):
+    """(max_map, cell_map) of models[fine] -> models[coarse], composed from
+    the consecutive maps of the chain, each step applied after the next."""
+    if fine == coarse:
+        m = refines(chain.models[fine], chain.models[coarse])
+        return m.fan_map.max_map, m.cell_map
+    m = chain.maps[coarse]
+    max_map, cell_map = m.fan_map.max_map, m.cell_map
+    for step in chain.maps[coarse + 1:fine]:
+        max_map = tuple(max_map[q] for q in step.fan_map.max_map)
+        cell_map = {i: cell_map[j] for i, j in step.cell_map.items()}
+    return max_map, cell_map
+
+
 # ---------------------------------------------------------------------------
 # V- and H-descriptions by subset enumeration, extreme generators by rank
 # ---------------------------------------------------------------------------
@@ -745,6 +764,13 @@ def intersect(dim_ambient, p, q):
     return polyhedron(dim_ambient, out[0], out[1])
 
 
+def cone_intersect(c, d):
+    """The meet of two cones, built again from the rays of the intersected
+    polyhedra."""
+    p = c.poly.intersect(d.poly)
+    return None if p is None else Cone(c.dim_ambient, p.rays)
+
+
 # ---------------------------------------------------------------------------
 # transfer solvers and the properness certificate, run per call
 # ---------------------------------------------------------------------------
@@ -904,7 +930,7 @@ def closure_class(pc, cycle):
     fan = cone_over(pc).fan
     n = pc.rank
     return ppfan.zero_pp(fan, cycle.codim).combine(
-        [ppfan.phi_cone(fan, Cone(n + 1, list(horizontal_lift_key(key, n))))
+        [ppfan.phi_cone(fan, Cone(n + 1, list(horizontal_lift_key(key))))
          for key in cycle.terms],
         cycle.terms.values())
 
@@ -918,10 +944,10 @@ def model_cycle_class(pc, cycle):
         cycle.terms.values())
 
 
-def restrict_to_height_zero(cone_over_, f):
+def restrict_to_height_zero(pc, f):
     """The restriction to rec(Pi), the cone above each recession cone found
     by building the lifted cone and testing containment."""
-    pc = cone_over_.complex
+    cone_over_ = cone_over(pc)
     rec = recession_fan(pc)
     n = pc.rank
     images = [HomogPoly.variable(n, i) for i in range(n)] + [HomogPoly.zero(n, 1)]
@@ -960,11 +986,7 @@ def _chart_positions(pc, v):
     chart = vertex_chart(pc, v)
     key = ("oracle_chart_pos", v)
     if key not in pc._cache:
-        pos = {}
-        for cell_idx in chart.max_cells:
-            cone_idx = chart.cell_to_cone[cell_idx]
-            pos[cell_idx] = chart.fan.maximal.index(cone_idx)
-        pc._cache[key] = pos
+        pc._cache[key] = {cell_idx: p for p, cell_idx in enumerate(chart.max_cells)}
     return pc._cache[key]
 
 
@@ -984,7 +1006,7 @@ def _edge_ray_form(pc, v, edge_star, cell_idx):
     """The linear form of the edge direction on the chart cone of the cell."""
     chart = vertex_chart(pc, v)
     r = edge_star.ray1 if v == edge_star.v1 else edge_star.ray2
-    cone = chart.fan.cones[chart.cell_to_cone[cell_idx]]
+    cone = chart.fan.max_cones()[chart.max_cells.index(cell_idx)]
     idx = cone.rays.index(r)
     return dual_forms(cone, pc.rank)[idx]
 
@@ -1114,7 +1136,7 @@ def iota_lower(t):
             tuple(1 if i == j else 0 for j in range(n)) + (-v[i],)) for i in range(n)]
         ray_v = primitive(tuple(v) + (1,))
         phi_v = phi_ray(fan, ray_v)
-        pos_of_cell = {i: fan.maximal.index(co.cell_to_cone[i]) for i in pc.maximal}
+        pos_of_cell = {i: p for p, i in enumerate(co.max_cells)}
         pieces = [HomogPoly.zero(n + 1, t.degree)] * len(fan.maximal)
         for cell_idx in vertex_chart(pc, v).max_cells:
             p = _piece_at(pc, t, v, cell_idx)

@@ -70,15 +70,13 @@ def _assert_cones_match(pc):
     """The cone over each maximal cell and each chart cone equal the cones
     built from their rays, and so do all faces of the fans they span."""
     co = cone_over(pc)
-    for i in pc.maximal:
-        assert _fields(co.fan.cones[co.cell_to_cone[i]].poly) == \
-            _fields(route_oracle.cone_over_cell(pc.cells[i]).poly)
+    for i, cone in zip(co.max_cells, co.fan.max_cones()):
+        assert _fields(cone.poly) == _fields(route_oracle.cone_over_cell(pc.cells[i]).poly)
     fans = [co.fan]
     for v in pc.vertices:
         chart = vertex_chart(pc, v)
-        for i in chart.max_cells:
-            assert _fields(chart.fan.cones[chart.cell_to_cone[i]].poly) == \
-                _fields(route_oracle.chart_cone(v, pc.cells[i]).poly)
+        for i, cone in zip(chart.max_cells, chart.fan.max_cones()):
+            assert _fields(cone.poly) == _fields(route_oracle.chart_cone(v, pc.cells[i]).poly)
         fans.append(chart.fan)
     for fan in fans:
         for c in fan.cones:

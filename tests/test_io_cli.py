@@ -257,6 +257,8 @@ _X = {"degree": 1, "coeffs": {"1": "1"}}
                                      for c in (2, 3)]}),
     ("degree", {"degree": 10, "pieces": [{"cone": c, "poly": {"degree": 10, "coeffs": {"1_0,0": "1"}}}
                                          for c in range(3)]}),
+    # a degree past io.MAX_DEGREE (20) is refused before any basis is enumerated
+    ("push", {"degree": 21, "cells": []}),
 ])
 def test_cli_malformed_piecewise_is_input_error(workdir, capsys, command, data):
     path = workdir["tmp"] / "badpiecewise.json"

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as Q
 
 import pytest
@@ -54,8 +55,7 @@ def test_cone_over_slice_recovers_cells():
     for pc in (f2_complex(), f5_complex(), f3s_complex()):
         co = cone_over(pc)
         n = pc.rank
-        for i in pc.maximal:
-            cone = co.fan.cones[co.cell_to_cone[i]]
+        for i, cone in zip(co.max_cells, co.fan.max_cones()):
             verts = [tuple(x / r[n] for x in r[:n]) for r in cone.rays if r[n] > 0]
             rays = [r[:n] for r in cone.rays if r[n] == 0]
             cell = Polyhedron(n, verts, rays)
@@ -83,7 +83,7 @@ def test_vertex_charts():
     assert ch0.fan.is_complete()
     ch1 = vertex_chart(F2, (1,))
     cell_b = next(i for i in F2.maximal if F2.cells[i].is_bounded())
-    cone_b = ch1.fan.cones[ch1.cell_to_cone[cell_b]]
+    cone_b = ch1.fan.max_cones()[ch1.max_cells.index(cell_b)]
     assert cone_b.rays == ((Q(-1),),)
     ch6 = vertex_chart(f6_complex(), (Q(1, 2),))
     assert ch6.multiplicity == 2
@@ -176,7 +176,11 @@ def _assert_same_route(pc):
     from ppchow.specialfiber import _edge_star
     assert pc.adjacency() == route_oracle.adjacency(pc)
     co = cone_over(pc)
-    assert co.cell_to_cone == route_oracle.cell_to_cone(pc)
+    # every cell's cone is a cone of c(Pi), and each maximal cell stands at
+    # the position of its cone among the maximal ones
+    to_cone = route_oracle.cell_to_cone(pc)
+    assert sorted(co.max_cells) == list(pc.maximal)
+    assert [to_cone[i] for i in co.max_cells] == list(co.fan.maximal)
     fans = [co.fan]
     if pc.is_complete():
         fans.append(recession_fan(pc))
@@ -184,12 +188,18 @@ def _assert_same_route(pc):
         assert _edge_star(pc, e).cells == route_oracle.star_cells(pc, e)
     for v in pc.vertices:
         chart = vertex_chart(pc, v)
-        assert list(chart.max_cells) == route_oracle.chart_cells(pc, v)
-        assert chart.cell_to_cone == route_oracle.chart_cell_to_cone(pc, chart)
+        assert sorted(chart.max_cells) == route_oracle.chart_cells(pc, v)
+        to_cone = route_oracle.chart_cell_to_cone(pc, chart)
+        assert [to_cone[i] for i in chart.max_cells] == list(chart.fan.maximal)
         fans.append(chart.fan)
     for fan in fans:
         assert _max_pair_spans(fan) == route_oracle.pair_spans(fan)
         assert fan.same_as(Fan(fan.rank, fan.max_cones(), validate=False))
+        # two cones meet in the intersected polyhedron, as built from its rays
+        for c, d in itertools.combinations(fan.max_cones(), 2):
+            meet, old = c.intersect(d), route_oracle.cone_intersect(c, d)
+            assert (meet.rays, meet.dim, meet.poly.eqs, meet.poly.ineqs, meet.poly._on) == \
+                (old.rays, old.dim, old.poly.eqs, old.poly.ineqs, old.poly._on)
     # shared and wrapped faces carry what a build from scratch gives
     for members in [pc.cells] + [fan.cones for fan in fans]:
         for m in members:

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import route_oracle
-from ppchow.qlinalg import (RowEchelon, det, hermite_row_basis,
-                            integer_kernel_basis, kernel_basis, lattice_basis,
-                            mat, mat_inverse, mat_vec, primitive, rank, rat,
-                            rat_str, rays_extend_to_basis, rref,
+from ppchow.qlinalg import (RowEchelon, det, integer_kernel_basis,
+                            kernel_basis, mat, mat_inverse, mat_vec, primitive,
+                            rank, rat, rat_str, rays_extend_to_basis, rref,
                             smith_normal_form, solve, span_basis, transpose,
                             vdot, vec)
 
@@ -103,19 +102,11 @@ def test_primitive():
 
 
 def test_lattice_and_kernel_helpers():
-    basis = lattice_basis([(1, 0), (0, 1), (Q(1, 2), Q(1, 2))])
-    # index-2 overlattice of Z^2
-    assert len(basis) == 2
     ker = integer_kernel_basis([[1, -2]])
     assert len(ker) == 1 and ker[0][0] - 2 * ker[0][1] == 0
     assert rays_extend_to_basis([(1, 0)])
     assert rays_extend_to_basis([(1, 0), (1, 1)])
     assert not rays_extend_to_basis([(1, 0), (1, 2)])
-
-
-def test_hermite_row_basis():
-    basis = hermite_row_basis([[2, 0], [0, 2], [1, 1]])
-    assert len(basis) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ finds the cone of c(Pi) above a recession cone by its rays.  On drawn
 rank-one chains and refinements of F3C, the pushforward, both cycle classes
 and the height-zero restriction must give the results of the routes in
 ``route_oracle``, or raise the same error, on a first and on a second,
-cached pass; and pushing forward a pullback gives the function back.
+cached pass; and pushing forward a pullback gives the function back.  The
+map between any two models of the chain, which ``refines`` builds once and
+keeps, is the composition of the consecutive maps between them.
 
 ``HomogPoly`` arithmetic builds its results without checking them again.
 The last test draws polynomials and checks that each result is what the
@@ -75,10 +77,22 @@ def _call(kind, draw, chain):
         return cycles, kind, (pc, cycle)
     if kind == "model_cycle_class":
         return cycles, kind, (pc, _cycle(draw, co.fan, draw(st.integers(0, pc.rank + 1))))
-    return ppfan, kind, (co, _pp(draw, co.fan, draw(st.integers(0, 2))))
+    return ppfan, kind, (pc, _pp(draw, co.fan, draw(st.integers(0, 2))))
+
+
+def _assert_maps_compose(chain):
+    """map_between(i, j), on a first and on a second, memoized call, is the
+    composition of the consecutive maps from i down to j."""
+    for _ in range(2):
+        for i, j in itertools.combinations_with_replacement(range(len(chain)), 2):
+            m = chain.map_between(j, i)
+            assert m.source is chain.models[j] and m.target is chain.models[i]
+            assert (m.fan_map.max_map, m.cell_map) == route_oracle.composed_map(chain, j, i)
+            assert chain.map_between(j, i) is m
 
 
 def _check_routes(data, chain, max_calls):
+    _assert_maps_compose(chain)
     calls = [_call(kind, data.draw, chain)
              for kind in data.draw(st.lists(st.sampled_from(KINDS), min_size=2,
                                             max_size=max_calls))]
