@@ -83,7 +83,10 @@ def cmd_validate(args):
 
 def cmd_basis(args):
     pc = _load_complex(args.complex)
-    k = args.degree
+    try:
+        k = pio._int(args.degree, "degree")
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     if args.which == "pp-cone":
         basis = graded_basis(cone_over(pc).fan, k)
         out = {"dimension": len(basis),

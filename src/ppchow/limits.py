@@ -38,10 +38,9 @@ from collections import namedtuple
 from .errors import (CompatibilityViolation, InputError, NotALifting,
                      NotARefinement, NotStabilized)
 from .cycles import closure_class
-from .polyhedra import common_refinement, refines
+from .polyhedra import common_refinement, cone_over, recession_fan, refines
 from .ppfan import (equivariant_degree, pullback, pushforward,
                     restrict_to_height_zero, zero_pp)
-from .polyhedra import cone_over, recession_fan
 from .specialfiber import (AffinePP, alpha, beta, cap_fundamental, class_equal,
                            ddc_model, from_vertex_tuple, iota_upper,
                            pullback_special, to_vertex_tuple,
@@ -480,32 +479,28 @@ def closed_degree_one_evaluator(c):
     """
     from .qlinalg import mat, solve, vec
     pc = c.model
-    a = c.form
-    maxs = list(pc.maximal)
-    cols = {i: pos for pos, i in enumerate(maxs)}
+    pieces = c.form._parts()
     rows, rhs = [], []
-    for i, j, dirspan, (verts, _) in pc.adjacency():
+    for p, q, dirspan, (verts, _) in pc.adjacency():
         if len(dirspan) != pc.rank - 1:
             continue
-        q = verts[0]
-        row = [0] * len(maxs)
-        row[cols[i]] = 1
-        row[cols[j]] = -1
+        x = verts[0]
+        row = [0] * len(pieces)
+        row[p] = 1
+        row[q] = -1
         rows.append(row)
-        rhs.append(a.cell_polys[j].evaluate(q) - a.cell_polys[i].evaluate(q))
-    rows.append([1] + [0] * (len(maxs) - 1))
+        rhs.append(pieces[q].evaluate(x) - pieces[p].evaluate(x))
+    rows.append([1] + [0] * (len(pieces) - 1))
     rhs.append(0)
-    sol = solve(mat(rows), vec(rhs))
-    if sol is None:
+    consts = solve(mat(rows), vec(rhs))
+    if consts is None:
         return None
-    consts = {i: sol[cols[i]] for i in maxs}
 
     def evaluate(point):
-        cell = pc.find_cell(point)
-        if cell is None:
+        if pc.find_cell(point) is None:
             return None
-        idx = next(i for i in maxs if pc.cells[i].contains_point(point))
-        return a.cell_polys[idx].evaluate(point) + consts[idx]
+        p = next(p for p, m in enumerate(pc.max_cells()) if m.contains_point(point))
+        return pieces[p].evaluate(point) + consts[p]
 
     return evaluate
 

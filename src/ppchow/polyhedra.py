@@ -26,9 +26,11 @@ construction and are not validated again, and a refinement's cell map is
 read off the fan map.  Once a complex or fan is validated, two of its cells
 meet in the convex hull of their common vertices plus the cone on their
 common rays, and are disjoint exactly when they share no vertex; two cones
-meet in the cone on their common rays.  Adjacency, pairwise spans, stars and
-cell/cone correspondences are read off those vertex and ray sets, and each
-face is built once per complex or fan.
+meet in the cone on their common rays.  One adjacency serves fans and
+complexes alike: the pairs of maximal members that meet, by position, with
+the span and key of each meet.  Stars and cell/cone correspondences are read
+off the same vertex and ray sets, and each face is built once per complex or
+fan.
 """
 
 from fractions import Fraction
@@ -262,15 +264,8 @@ class Polyhedron:
                 and all(sum(a[i] * x[i] for i in range(self.dim_ambient)) <= bb for a, bb in self.ineqs))
 
     def contains_poly(self, other):
-        for v in other.vertices:
-            if not self.contains_point(v):
-                return False
-        for r in other.rays:
-            if any(sum(a[i] * r[i] for i in range(self.dim_ambient)) != 0 for a, _ in self.eqs):
-                return False
-            if any(sum(a[i] * r[i] for i in range(self.dim_ambient)) > 0 for a, _ in self.ineqs):
-                return False
-        return True
+        return (all(self.contains_point(v) for v in other.vertices)
+                and all(cell_contains_recession(self, r) for r in other.rays))
 
     def intersect(self, other):
         out = _vrep_from_hrep(self.dim_ambient, self.eqs + other.eqs,
@@ -470,14 +465,18 @@ def _close_and_validate(items, kind, validate=True):
     if validate:
         for i, j in itertools.combinations(maximal, 2):
             p, q = cells[i], cells[j]
-            polys = (p.poly, q.poly) if isinstance(p, Cone) else (p, q)
-            if _meet_certified(*polys):
+            if _meet_certified(_poly(p), _poly(q)):
                 continue
             inter = p.intersect(q)
             if inter is not None and not (inter.is_face_of(p) and inter.is_face_of(q)):
                 raise NotAComplex(
                     f"{kind} cells {p!r} and {q!r} meet in {inter!r}, not a common face")
     return tuple(cells), maximal
+
+
+def _poly(member):
+    """The polyhedron of a cell, or of a cone with its apex at the origin."""
+    return member.poly if isinstance(member, Cone) else member
 
 
 def direction_space(vertices, rays):
@@ -504,7 +503,8 @@ def common_face(p, q):
 
 class _Closure:
     """What fans and complexes share: face-closed members in canonical order,
-    the indices of the maximal ones, and an index of the members by key."""
+    the indices of the maximal ones, an index of the members by key, and the
+    pairs of maximal members that meet."""
 
     __slots__ = ("rank", "maximal", "_index", "_cache")
 
@@ -518,6 +518,24 @@ class _Closure:
     def index(self, key):
         """Position of the member with this key, or None."""
         return self._index.get(key)
+
+    def adjacency(self):
+        """(p, q, span, meet) for each pair of positions p < q in ``maximal``
+        whose members meet: ``meet`` is the key of their common face and
+        ``span`` its direction space, one shared :class:`Span` per distinct
+        space.  Two cones of a fan always meet, in the cone on their common
+        rays, which is its key."""
+        if "adj" not in self._cache:
+            out, spans = [], {}
+            maxs = self.max_cones() if isinstance(self, Fan) else self.max_cells()
+            for (p, a), (q, b) in itertools.combinations(enumerate(maxs), 2):
+                meet = common_face(_poly(a), _poly(b))
+                if meet is not None:
+                    span = tuple(direction_space(*meet))
+                    out.append((p, q, spans.setdefault(span, Span(span)),
+                                meet[1] if isinstance(a, Cone) else meet))
+            self._cache["adj"] = tuple(out)
+        return self._cache["adj"]
 
     def same_as(self, other):
         return self is other or (self.rank == other.rank
@@ -627,19 +645,6 @@ class PolyComplex(_Closure):
         """Maximal cells containing a vertex of the complex: those having it
         as a vertex."""
         return [i for i in self.maximal if v in self.cells[i].vertices]
-
-    def adjacency(self):
-        """Pairs of maximal cells that meet, with the direction space of
-        their common face (a shared :class:`Span`) and its (vertices, rays)."""
-        if "adj" not in self._cache:
-            out, spans = [], {}
-            for i, j in itertools.combinations(self.maximal, 2):
-                meet = common_face(self.cells[i], self.cells[j])
-                if meet is not None:
-                    span = tuple(direction_space(*meet))
-                    out.append((i, j, spans.setdefault(span, Span(span)), meet))
-            self._cache["adj"] = tuple(out)
-        return self._cache["adj"]
 
     def __repr__(self):
         return (f"PolyComplex(rank={self.rank}, {len(self.cells)} cells, "
@@ -878,18 +883,12 @@ class FanMap:
 
     @classmethod
     def from_subdivision(cls, source, target):
-        max_map = []
-        for i in source.maximal:
-            c = source.cones[i]
-            hit = None
-            for pos, j in enumerate(target.maximal):
-                if target.cones[j].contains_cone(c):
-                    hit = pos
-                    break
-            if hit is None:
-                return None
-            max_map.append(hit)
-        return cls(source, target, tuple(max_map))
+        """The map sending each maximal source cone to the first maximal
+        target cone holding it, or None if some cone has none."""
+        tmax = target.max_cones()
+        max_map = tuple(next((pos for pos, t in enumerate(tmax) if t.contains_cone(c)), None)
+                        for c in source.max_cones())
+        return None if None in max_map else cls(source, target, max_map)
 
 
 class ModelMap:

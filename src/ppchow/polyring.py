@@ -213,6 +213,16 @@ class Piecewise:
     def is_zero(self):
         return all(p.is_zero() for p in self._parts())
 
+    def _disagreement(self):
+        """(p, q, m): the first pair of positions in the domain's adjacency
+        whose parts, one polynomial per maximal member, differ on the span of
+        their meet, member m of the domain; None when every pair agrees."""
+        dom, parts = self._domain(), self._parts()
+        for p, q, span, meet in dom.adjacency():
+            if not equal_on_span(parts[p], parts[q], span):
+                return p, q, dom.index(meet)
+        return None
+
     def __eq__(self, other):
         return self._same_domain(other) and self._parts() == other._parts()
 

@@ -2,35 +2,21 @@
 
 A PPFunction keeps one ambient homogeneous polynomial per maximal cone; the
 lower faces are determined by restriction, and validity means any two pieces
-agree on the span of the cones' intersection.  On a regular fan the ray
+agree on the span of the cones' intersection.  The pairs of maximal cones,
+by position, and the spans of their meets are the fan's ``adjacency``, the
+one complexes have too, and validation is the search for disagreeing pieces
+that affine piecewise polynomials run as well.  On a regular fan the ray
 generators phi_tau (1 on the primitive generator, 0 on the opposite facet)
 generate everything; products, pullbacks along subdivisions, pushforwards and
 the localization degree are all exact.
 """
 
-import itertools
-
 from .errors import (DegreeMismatch, FaceMismatch, NotARay, NotProper,
                      NotRegular)
-from .polyring import (HomogPoly, Piecewise, RatFun, Span, equal_on_span,
-                       gluing_kernel, ratfun_sum_to_poly)
-from .polyhedra import Cone, common_face
-from .qlinalg import mat, mat_inverse, primitive, span_basis, vec
-
-
-def _max_pair_spans(fan):
-    """For every pair of maximal cones, the span of their intersection and
-    its rays: two cones of a fan meet in the cone on their common rays.
-    Pairs with one span share one :class:`Span`."""
-    if "pair_spans" not in fan._cache:
-        out, spans = [], {}
-        maxs = fan.max_cones()
-        for (i, ci), (j, cj) in itertools.combinations(enumerate(maxs), 2):
-            _, rays = common_face(ci.poly, cj.poly)
-            span = tuple(span_basis(rays))
-            out.append((i, j, spans.setdefault(span, Span(span)), rays))
-        fan._cache["pair_spans"] = tuple(out)
-    return fan._cache["pair_spans"]
+from .polyring import (HomogPoly, Piecewise, RatFun, gluing_kernel,
+                       ratfun_sum_to_poly)
+from .polyhedra import Cone, cone_over, recession_fan
+from .qlinalg import det, mat, mat_inverse, primitive, solve, transpose, vec
 
 
 class PPFunction(Piecewise):
@@ -60,11 +46,10 @@ class PPFunction(Piecewise):
                     witness=bad)
 
     def offending_pair(self):
-        """(i, j, common face) for the first pair of pieces that disagree."""
-        for i, j, span, rays in _max_pair_spans(self.fan):
-            if not equal_on_span(self.pieces[i], self.pieces[j], span):
-                return (i, j, Cone(self.fan.rank, rays))
-        return None
+        """(i, j, common face) for the first pair of pieces that disagree,
+        the cones named by their position among the maximal ones."""
+        bad = self._disagreement()
+        return None if bad is None else (bad[0], bad[1], self.fan.cones[bad[2]])
 
     def _domain(self):
         return self.fan
@@ -156,14 +141,13 @@ def graded_basis(fan, k):
     One unknown polynomial per maximal cone, any two agreeing on the span of
     their intersection: the kernel of that gluing system is the graded piece.
     """
-    pairs = [(i, j, span) for i, j, span, _ in _max_pair_spans(fan)]
+    pairs = [(p, q, span) for p, q, span, _ in fan.adjacency()]
     return [PPFunction(fan, k, pieces, validate=False)
             for pieces in gluing_kernel(pairs, len(fan.maximal), fan.rank, k)]
 
 
 def pp_coordinates(f, basis):
     """Coordinates of f in a graded basis, or None if outside the span."""
-    from .qlinalg import solve, transpose
     target = f.coords()
     if not basis:
         return () if all(x == 0 for x in target) else None
@@ -180,7 +164,6 @@ def pullback(fan_map, f):
 
 def _truncated_volume(cone, functional):
     """n! times the volume of the cone cut off at functional <= 1."""
-    from .qlinalg import det
     scaled = []
     for r in cone.rays:
         h = functional.evaluate(r)
@@ -272,7 +255,6 @@ def restrict_to_height_zero(pc, f):
     c(Pi) above it with the height variable set to zero; face compatibility
     makes the choice immaterial.
     """
-    from .polyhedra import cone_over, recession_fan
     fan = cone_over(pc).fan
     rec = recession_fan(pc)
     n = pc.rank

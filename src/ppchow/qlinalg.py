@@ -232,12 +232,27 @@ class RowEchelon:
     def __init__(self, rows):
         self.rows, self.pivots = _reduce(rows)
 
-    def extend(self, v):
-        """Add v unless it lies in the span; True when it was added."""
+    def copy(self):
+        """An echelon of the same span that extends independently."""
+        out = RowEchelon([])
+        out.rows, out.pivots = list(self.rows), list(self.pivots)
+        return out
+
+    def _remainder(self, v):
+        """v reduced against the rows, on a primitive integer vector."""
         v = primitive_ints(v)
         for row, p in zip(self.rows, self.pivots):
             if v[p]:
                 v = _combine(v, v[p], row, row[p])
+        return v
+
+    def contains(self, v):
+        """Does v lie in the span?  The echelon does not change."""
+        return not any(self._remainder(v))
+
+    def extend(self, v):
+        """Add v unless it lies in the span; True when it was added."""
+        v = self._remainder(v)
         p = next((i for i, x in enumerate(v) if x), None)
         if p is None:
             return False

@@ -23,17 +23,17 @@ adjoint gamma (one degree up), their composite -gamma.rho (the model-level
 dd^c), the slice map from classes on the model and the vertical lift back,
 the cap with the fundamental class of the fiber, homology presentations, and
 the four transfer maps between models.  The vertical lift, the height
-expansion, the slice and the gamma image are each solved on one matrix per
-model and degree, kept in the model's cache.
+expansion and the slice are each solved on one matrix per model and degree,
+and the gamma image is eliminated once per model and degree, for class
+equality, homology presentations and the gamma rank alike; all are kept in
+the model's cache.
 """
 
-import itertools
-
-from .errors import (FaceMismatch, FacetMismatch, InternalIdentityError,
-                     NotInKernel, NotARefinement, NotRegular)
-from .polyhedra import (Polyhedron, cone_over, edge_data, recession_fan,
-                        vertex_chart)
-from .polyring import HomogPoly, Piecewise, equal_on_span, gluing_kernel
+from .errors import (DecompositionFailed, FaceMismatch, FacetMismatch,
+                     InternalIdentityError, NotInKernel, NotARefinement,
+                     NotRegular)
+from .polyhedra import cone_over, edge_data, recession_fan, vertex_chart
+from .polyring import HomogPoly, Piecewise, gluing_kernel
 from .ppfan import (PPFunction, dual_forms, graded_basis, phi_ray, pullback,
                     pushforward, zero_pp)
 from .qlinalg import RowEchelon, mat, primitive, rank, solve, transpose
@@ -68,12 +68,12 @@ class AffinePP(Piecewise):
                     witness=bad)
 
     def offending_pair(self):
-        """(i, j, common face) for the first pair of cells that disagree."""
-        pc = self.complex
-        for i, j, dirspan, meet in pc.adjacency():
-            if not equal_on_span(self.cell_polys[i], self.cell_polys[j], dirspan):
-                return (i, j, Polyhedron(pc.rank, *meet))
-        return None
+        """(i, j, common face) for the first pair of cells that disagree, the
+        cells named by their index in the complex."""
+        pc, bad = self.complex, self._disagreement()
+        if bad is None:
+            return None
+        return pc.maximal[bad[0]], pc.maximal[bad[1]], pc.cells[bad[2]]
 
     def _domain(self):
         return self.complex
@@ -259,16 +259,6 @@ class HomologyClass:
 
     def __repr__(self):
         return f"HomologyClass({self.tuple!r})"
-
-
-def _edge_ray_form(pc, v, edge_star, cell_idx):
-    """The linear form of the edge direction on the chart cone of the cell.
-
-    This is the dual form of the primitive edge direction inside the chart
-    cone at v, i.e. the piece of phi_{v,gamma} on that cone.
-    """
-    side = _table(pc).sides()[pc.bounded_edges.index(edge_star.edge)]
-    return next(form for i, _, _, form in side[v != edge_star.v1][1] if i == cell_idx)
 
 
 # ---------------------------------------------------------------------------
@@ -469,10 +459,11 @@ def edge_star_basis(pc, e, k):
     agreement on the direction space of pairwise intersections.
     """
     cells = _edge_star(pc, e).cells
-    # cells of the star meet pairwise (in the edge at least)
-    spans = {(i, j): span for i, j, span, _ in pc.adjacency()}
-    pairs = [(a, b, spans[cells[a], cells[b]])
-             for a, b in itertools.combinations(range(len(cells)), 2)]
+    # the star's cells meet pairwise (in the edge at least) and come in the
+    # order of pc.maximal: block b is the b-th position of the complex in it
+    block = {p: b for b, p in enumerate(q for q, i in enumerate(pc.maximal) if i in cells)}
+    pairs = [(block[p], block[q], span) for p, q, span, _ in pc.adjacency()
+             if p in block and q in block]
     return [EdgeTuple(pc, k, {e: dict(zip(cells, polys))})
             for polys in gluing_kernel(pairs, len(cells), pc.rank, k)]
 
@@ -498,8 +489,7 @@ def dim_affine_pp(pc, k):
     Computed by solving the facet conditions directly; the kernel of rho is
     computed independently and the dimensions compared.
     """
-    pos = {i: p for p, i in enumerate(pc.maximal)}
-    pairs = [(pos[i], pos[j], span) for i, j, span, _ in pc.adjacency()]
+    pairs = [(p, q, span) for p, q, span, _ in pc.adjacency()]
     basis = [AffinePP(pc, k, dict(zip(pc.maximal, polys)), validate=False)
              for polys in gluing_kernel(pairs, len(pc.maximal), pc.rank, k)]
     if len(basis) != dim_ker_rho(pc, k):
@@ -526,6 +516,15 @@ def gamma_image_matrix(pc, k):
     return pc._cache[key]
 
 
+def _gamma_span(pc, k):
+    """The span of the gamma image in vertex degree k, eliminated once per
+    model and degree."""
+    key = ("gammaspan", k)
+    if key not in pc._cache:
+        pc._cache[key] = RowEchelon(gamma_image_matrix(pc, k))
+    return pc._cache[key]
+
+
 def homology_presentation(pc, k):
     """coker(gamma) in vertex degree k: dimension plus representative basis.
 
@@ -533,7 +532,7 @@ def homology_presentation(pc, k):
     the gamma image and of the representatives chosen before them.
     """
     vbasis = vertex_layer_basis(pc, k)
-    span = RowEchelon(gamma_image_matrix(pc, k))
+    span = _gamma_span(pc, k).copy()
     grank = len(span.rows)
     reps = [HomologyClass(b) for b in vbasis if span.extend(b.coords())]
     return {"dim": len(vbasis) - grank, "basis": reps,
@@ -544,12 +543,8 @@ def class_equal(a, b):
     """Equality of homology classes: difference lies in the image of gamma."""
     ta = a.tuple if isinstance(a, HomologyClass) else a
     tb = b.tuple if isinstance(b, HomologyClass) else b
-    pc = ta.complex
     diff = (ta - tb).coords()
-    if all(x == 0 for x in diff):
-        return True
-    return _preimage(pc, ("gamma", ta.degree), lambda: gamma_image_matrix(pc, ta.degree),
-                     lambda col: col, diff)[1] is not None
+    return not any(diff) or _gamma_span(ta.complex, ta.degree).contains(diff)
 
 
 def ker_coker_report(pc, k):
@@ -561,7 +556,7 @@ def ker_coker_report(pc, k):
     All three are computed by independent linear algebra.
     """
     vb_k = vertex_layer_basis(pc, k)
-    grank = rank(gamma_image_matrix(pc, k))
+    grank = len(_gamma_span(pc, k).rows)
     r_from = rank([ddc_model(b).coords() for b in vb_k])
     dim_ker = len(vb_k) - grank - r_from
 
@@ -621,7 +616,6 @@ def vertical_expand(pc, F):
     class.  Returns the list [g_0, g_1, ...]; raises
     :class:`~ppchow.errors.DecompositionFailed` when no expansion exists.
     """
-    from .errors import DecompositionFailed
     t_form = HomogPoly.linear_form((0,) * pc.rank + (1,))
     # at least one block: below degree 1 the expansion is [0], or none exists
     bases = [vertex_layer_basis(pc, F.degree - 1 - j) for j in range(max(F.degree, 1))]
@@ -729,7 +723,6 @@ def vertical_decompose(pc, F):
     :class:`~ppchow.errors.DecompositionFailed` when no solution exists,
     which for a height-zero-vanishing input is a bug, not a data problem.
     """
-    from .errors import DecompositionFailed
     k = F.degree - 1
     basis, sol = _preimage(pc, ("lift", k), lambda: vertex_layer_basis(pc, k),
                            lambda b: iota_lower(b).coords(), F.coords())

@@ -83,6 +83,14 @@ there, per (dimension, degree), and reads the gluing systems and the
 validators off them.  The eleventh group is the routes these replaced:
 ``equal_on_span`` and ``gluing_kernel`` restricting to the span through
 ``restrict_to_span`` on every call, with ``kernel_basis`` on Fraction rows.
+
+ppchow lists the pairs of maximal members that meet with one routine for
+fans and complexes, by position, and validates PP functions and affine PP
+functions with one search that takes its witness face from the domain.  The
+twelfth group is the routes these replaced: the pairs of a fan's maximal
+cones by position, the pairs of a complex's maximal cells by cell index,
+and the two validators, each building its witness face from the meet's
+generators.
 """
 
 import itertools
@@ -97,14 +105,14 @@ from ppchow.errors import (CompatibilityViolation, DecompositionFailed,
                            InternalIdentityError, NonSCR, NotAComplex,
                            NotInKernel, NotProper, NotRegular)
 from ppchow.limits import ModelChain, common_model
-from ppchow.polyhedra import (Cone, PolyComplex, Polyhedron, _cone_over_rays,
-                              cell_contains_recession, cone_over,
-                              direction_space, recession_fan, refines,
-                              vertex_chart)
+from ppchow.polyhedra import (Cone, Fan, PolyComplex, Polyhedron, _Closure,
+                              _cone_over_rays, cell_contains_recession,
+                              common_face, cone_over, direction_space,
+                              recession_fan, refines, vertex_chart)
 from ppchow.ppfan import PPFunction, dual_forms, phi_ray, pullback, zero_pp
 from ppchow.specialfiber import (HomologyClass, EdgeTuple, VertexTuple,
                                  make_affine_pp)
-from ppchow.polyring import (HomogPoly, RatFun, monomial_exponents,
+from ppchow.polyring import (HomogPoly, RatFun, Span, monomial_exponents,
                              ratfun_sum_to_poly, restrict_to_span)
 from ppchow.qlinalg import (integer_kernel_basis, is_zero_vec, kernel_basis,
                             mat, primitive, rank, smith_normal_form, solve,
@@ -134,6 +142,15 @@ def pair_spans(fan):
                 out.append((i, j, tuple(inter.span()), inter.rays))
         fan._cache["oracle_spans"] = tuple(out)
     return fan._cache["oracle_spans"]
+
+
+def positioned_adjacency(closure):
+    """``adjacency`` or ``pair_spans``, with pairs of maximal cells named by
+    their positions in ``maximal``: what the program's adjacency gives."""
+    if isinstance(closure, Fan):
+        return pair_spans(closure)
+    pos = {i: p for p, i in enumerate(closure.maximal)}
+    return tuple((pos[i], pos[j], span, meet) for i, j, span, meet in adjacency(closure))
 
 
 def star_cells(pc, e):
@@ -187,11 +204,13 @@ def homology_reps(vbasis_flat, gamma_cols):
 
 
 def install(mp):
-    """Route adjacency, pairwise spans, edge stars and vertex-chart cells
-    through the oracle for the life of the monkeypatch context ``mp``."""
-    mp.setattr(PolyComplex, "adjacency", adjacency)
+    """Route the adjacency of fans and complexes, edge stars, vertex-chart
+    cells and both validators through the oracle for the life of the
+    monkeypatch context ``mp``."""
+    mp.setattr(_Closure, "adjacency", positioned_adjacency)
     mp.setattr(PolyComplex, "max_cells_containing_vertex", chart_cells)
-    mp.setattr(ppfan, "_max_pair_spans", pair_spans)
+    mp.setattr(PPFunction, "offending_pair", pp_offending_pair)
+    mp.setattr(specialfiber.AffinePP, "offending_pair", affine_offending_pair)
     star_init = specialfiber._EdgeStar.__init__
 
     def edge_star_init(self, pc, e):
@@ -301,22 +320,22 @@ def _assemble(pairs, nblocks, dim, k):
 
 
 def graded_basis(fan, k):
-    pairs = [(i, j, span) for i, j, span, _ in ppfan._max_pair_spans(fan)]
+    pairs = [(p, q, span) for p, q, span, _ in fan.adjacency()]
     return [ppfan.PPFunction(fan, k, pieces, validate=False)
             for pieces in _assemble(pairs, len(fan.maximal), fan.rank, k)]
 
 
 def affine_basis(pc, k):
-    pos = {i: p for p, i in enumerate(pc.maximal)}
-    pairs = [(pos[i], pos[j], span) for i, j, span, _ in pc.adjacency()]
+    pairs = [(p, q, span) for p, q, span, _ in pc.adjacency()]
     return [specialfiber.AffinePP(pc, k, dict(zip(pc.maximal, polys)), validate=False)
             for polys in _assemble(pairs, len(pc.maximal), pc.rank, k)]
 
 
 def edge_star_basis(pc, e, k):
     cells = specialfiber._edge_star(pc, e).cells
-    spans = {(i, j): span for i, j, span, _ in pc.adjacency()}
-    pairs = [(a, b, spans[cells[a], cells[b]])
+    spans = {(p, q): span for p, q, span, _ in pc.adjacency()}
+    pos = [pc.maximal.index(i) for i in cells]
+    pairs = [(a, b, spans[pos[a], pos[b]])
              for a, b in itertools.combinations(range(len(cells)), 2)]
     return [specialfiber.EdgeTuple(pc, k, {e: dict(zip(cells, polys))})
             for polys in _assemble(pairs, len(cells), pc.rank, k)]
@@ -1279,6 +1298,58 @@ def gluing_kernel(pairs, nblocks, dim, k):
                                      for col, e in enumerate(monos)})
                   for blk in range(nblocks))
             for v in kernel_basis(mat(rows or [[0] * width]))]
+
+
+# ---------------------------------------------------------------------------
+# the meeting pairs of fans and of complexes, and the two validators
+# ---------------------------------------------------------------------------
+
+
+def max_pair_spans(fan):
+    """For every pair of maximal cones, by position, the span of their
+    intersection and its rays: two cones of a fan meet in the cone on their
+    common rays.  Pairs with one span share one :class:`Span`."""
+    if "oracle_pair_spans" not in fan._cache:
+        out, spans = [], {}
+        maxs = fan.max_cones()
+        for (i, ci), (j, cj) in itertools.combinations(enumerate(maxs), 2):
+            _, rays = common_face(ci.poly, cj.poly)
+            span = tuple(span_basis(rays))
+            out.append((i, j, spans.setdefault(span, Span(span)), rays))
+        fan._cache["oracle_pair_spans"] = tuple(out)
+    return fan._cache["oracle_pair_spans"]
+
+
+def cell_adjacency(pc):
+    """Pairs of maximal cells that meet, by cell index, with the direction
+    space of their common face (a shared :class:`Span`) and its (vertices,
+    rays)."""
+    if "oracle_cell_adj" not in pc._cache:
+        out, spans = [], {}
+        for i, j in itertools.combinations(pc.maximal, 2):
+            meet = common_face(pc.cells[i], pc.cells[j])
+            if meet is not None:
+                span = tuple(direction_space(*meet))
+                out.append((i, j, spans.setdefault(span, Span(span)), meet))
+        pc._cache["oracle_cell_adj"] = tuple(out)
+    return pc._cache["oracle_cell_adj"]
+
+
+def pp_offending_pair(f):
+    """(i, j, common face) for the first pair of pieces that disagree."""
+    for i, j, span, rays in max_pair_spans(f.fan):
+        if not equal_on_span(f.pieces[i], f.pieces[j], span):
+            return (i, j, Cone(f.fan.rank, rays))
+    return None
+
+
+def affine_offending_pair(a):
+    """(i, j, common face) for the first pair of cells that disagree."""
+    pc = a.complex
+    for i, j, dirspan, meet in cell_adjacency(pc):
+        if not equal_on_span(a.cell_polys[i], a.cell_polys[j], dirspan):
+            return (i, j, Polyhedron(pc.rank, *meet))
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -135,3 +135,13 @@ def test_a_star_function_that_does_not_glue_fails_on_both_routes(choices):
     got = _outcome(specialfiber.gamma, et)
     assert got[:2] == ("raised", FaceMismatch)
     _check([("gamma", (et,))])
+    # the one search for disagreeing pieces names the pair and face that the
+    # validator it replaced names
+    with pytest.raises(FaceMismatch) as new:
+        specialfiber.gamma(et)
+    with pytest.MonkeyPatch.context() as mp:
+        route_oracle.install(mp)
+        with pytest.raises(FaceMismatch) as old:
+            specialfiber.gamma(et)
+    assert str(new.value) == str(old.value)
+    assert repr(new.value.witness) == repr(old.value.witness)

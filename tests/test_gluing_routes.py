@@ -1,11 +1,11 @@
 """Gluing on cached vanishing conditions, against restriction on every call.
 
-ppchow keeps, on each distinct span of a fan's pairs of maximal cones and of
-a complex's adjacency, the rows of the conditions for a polynomial to vanish
-on it, per (dimension, degree); ``gluing_kernel`` and ``equal_on_span`` read
-them.  On drawn polynomials and spans, and on the gluing systems of every
-fan, complex, vertex chart and edge star of the fixture models, of drawn
-refinements of F3C and of rank-one chains, both must give what the routes in
+ppchow keeps, on each distinct span of the adjacency of a fan or a complex,
+the rows of the conditions for a polynomial to vanish on it, per (dimension,
+degree); ``gluing_kernel`` and ``equal_on_span`` read them.  On drawn
+polynomials and spans, and on the gluing systems of every fan, complex,
+vertex chart and edge star of the fixture models, of drawn refinements of
+F3C and of rank-one chains, both must give what the routes in
 ``route_oracle`` give by restricting on every call, on a first and on a
 second, cached, pass over the same span objects.
 """
@@ -20,7 +20,6 @@ import route_oracle
 from ppchow.fixtures import all_fixture_models
 from ppchow.polyhedra import cone_over, recession_fan, vertex_chart
 from ppchow.polyring import HomogPoly, Span, equal_on_span, gluing_kernel, monomial_exponents
-from ppchow.ppfan import _max_pair_spans
 from ppchow.qlinalg import kernel_basis, mat, span_basis
 from ppchow.specialfiber import _edge_star
 
@@ -90,17 +89,14 @@ def _systems(pc):
     fans = [cone_over(pc).fan] + [vertex_chart(pc, v).fan for v in pc.vertices]
     if pc.is_complete():
         fans.append(recession_fan(pc))
-    out = [([(i, j, span) for i, j, span, _ in _max_pair_spans(fan)], len(fan.maximal),
-            fan.rank) for fan in fans]
-    pos = {i: p for p, i in enumerate(pc.maximal)}
-    out.append(([(pos[i], pos[j], span) for i, j, span, _ in pc.adjacency()],
-                len(pc.maximal), pc.rank))
-    spans = {(i, j): span for i, j, span, _ in pc.adjacency()}
+    out = [([(p, q, span) for p, q, span, _ in c.adjacency()], len(c.maximal), c.rank)
+           for c in fans + [pc]]
+    spans = {(p, q): span for p, q, span, _ in pc.adjacency()}
     for e in pc.bounded_edges:
-        cells = _edge_star(pc, e).cells
-        out.append(([(a, b, spans[cells[a], cells[b]])
-                     for a, b in itertools.combinations(range(len(cells)), 2)],
-                    len(cells), pc.rank))
+        pos = [pc.maximal.index(i) for i in _edge_star(pc, e).cells]
+        out.append(([(a, b, spans[pos[a], pos[b]])
+                     for a, b in itertools.combinations(range(len(pos)), 2)],
+                    len(pos), pc.rank))
     return out
 
 

@@ -81,7 +81,20 @@ def test_cli_validate(workdir, capsys):
                   {"cell": 2, "poly": {"degree": 0, "coeffs": {"0": "1"}}}]}))
     assert main(["validate", str(badpp)]) == 2
     out = json.loads(capsys.readouterr().out)
-    assert "FacetMismatch" in out["files"][0]["error"]
+    assert out["files"][0]["error"] == (
+        "FacetMismatch: cells 2 and 3 disagree on the direction space of "
+        "Polyhedron(V=[(Fraction(0, 1),)], R=[])")
+    # a PP file on c(F2) whose pieces x_2 and x_1 disagree on the ray (0, 1)
+    badcone = workdir["tmp"] / "badcone.json"
+    badcone.write_text(json.dumps({
+        "complex": workdir["f2"], "degree": 1,
+        "pieces": [{"cone": 0, "poly": {"degree": 1, "coeffs": {"0,1": "1"}}},
+                   {"cone": 1, "poly": {"degree": 1, "coeffs": {"1,0": "1"}}}]}))
+    assert main(["validate", str(badcone)]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["files"][0]["error"] == (
+        "FaceMismatch: pieces on cones 0 and 1 disagree on their common face "
+        "Cone([(Fraction(0, 1), Fraction(1, 1))])")
 
 
 @pytest.mark.parametrize("data", [5, "cells rank", None, [1, 2]])
@@ -388,6 +401,10 @@ def test_validate_checks_a_chain_as_a_chain(monkeypatch, capsys, tmp_path):
      "depth must be at least 1, got 0"),
     (["degree", "--chain", "{chain}", "--cycle", "{cycle}", "--depth", "-1"],
      "depth must be at least 1, got -1"),
+    (["basis", "--complex", "{f2}", "--degree", "21", "--which", "pp-cone"],
+     "degree 21 is past the limit MAX_DEGREE = 20"),
+    (["basis", "--complex", "{f2}", "--degree", "-1", "--which", "pp-cone"],
+     "degree must be a nonnegative integer, got -1"),
 ])
 def test_cli_bad_arguments_exit_2(workdir, capsys, argv, message):
     wide = workdir["tmp"] / "wide.json"    # a cycle with rays of length 2 on a rank-1 chain

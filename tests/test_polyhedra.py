@@ -171,10 +171,30 @@ def test_chart_fans_complete():
 # ---------------------------------------------------------------------------
 
 
+def _assert_same_adjacency(closure):
+    """The one adjacency of a fan or complex, on a rebuilt closure's first
+    call and on its second, cached one, against the intersection oracle and
+    the route it replaced, both by position; one Span object per span."""
+    if isinstance(closure, Fan):
+        fresh = Fan(closure.rank, closure.max_cones(), validate=False)
+        kept = route_oracle.max_pair_spans(closure)
+    else:
+        fresh = PolyComplex(closure.rank, closure.max_cells(), validate=False)
+        pos = {i: p for p, i in enumerate(closure.maximal)}
+        kept = tuple((pos[i], pos[j], span, meet)
+                     for i, j, span, meet in route_oracle.cell_adjacency(closure))
+    want = route_oracle.positioned_adjacency(closure)
+    assert kept == want
+    first = fresh.adjacency()
+    assert first == want and fresh.adjacency() is first
+    assert closure.adjacency() == want
+    spans = {}
+    assert all(spans.setdefault(tuple(span), span) is span for _, _, span, _ in first)
+
+
 def _assert_same_route(pc):
-    from ppchow.ppfan import _max_pair_spans
     from ppchow.specialfiber import _edge_star
-    assert pc.adjacency() == route_oracle.adjacency(pc)
+    _assert_same_adjacency(pc)
     co = cone_over(pc)
     # every cell's cone is a cone of c(Pi), and each maximal cell stands at
     # the position of its cone among the maximal ones
@@ -193,7 +213,7 @@ def _assert_same_route(pc):
         assert [to_cone[i] for i in chart.max_cells] == list(chart.fan.maximal)
         fans.append(chart.fan)
     for fan in fans:
-        assert _max_pair_spans(fan) == route_oracle.pair_spans(fan)
+        _assert_same_adjacency(fan)
         assert fan.same_as(Fan(fan.rank, fan.max_cones(), validate=False))
         # two cones meet in the intersected polyhedron, as built from its rays
         for c, d in itertools.combinations(fan.max_cones(), 2):

@@ -13,8 +13,9 @@ from ppchow.fixtures import (all_fixture_models, f1_complex, f1_fan,
 from ppchow.polyhedra import (Cone, Fan, PolyComplex, cone_over, recession_fan,
                               refines, vertex_chart)
 from ppchow.polyring import HomogPoly
-from ppchow.ppfan import (constant_pp, equivariant_degree, graded_basis,
-                          make_pp, phi_cone, phi_ray, pullback, pushforward)
+from ppchow.ppfan import (PPFunction, constant_pp, equivariant_degree,
+                          graded_basis, make_pp, phi_cone, phi_ray, pullback,
+                          pushforward)
 from ppchow.specialfiber import (dim_affine_pp, edge_layer_basis,
                                  edge_star_basis, flat_vertex,
                                  gamma_image_matrix, homology_presentation,
@@ -36,8 +37,15 @@ def test_make_pp_examples():
     # cones sorted: <(-1,0),(0,1)>, <(0,1),(1,1)>, <(1,0),(1,1)>
     f2 = make_pp(co.fan, [lin(0, 1), lin(-1, 1), HomogPoly.zero(2, 1)])
     assert f2.degree == 1
-    with pytest.raises(FaceMismatch):
-        make_pp(co.fan, [lin(0, 1), lin(1, 0), HomogPoly.zero(2, 1)])
+    bad = [lin(0, 1), lin(1, 0), HomogPoly.zero(2, 1)]
+    with pytest.raises(FaceMismatch) as info:
+        make_pp(co.fan, bad)
+    # one search for both carriers, against the validator it replaced
+    f = PPFunction(co.fan, 1, bad, validate=False)
+    witness = route_oracle.pp_offending_pair(f)
+    assert repr(info.value.witness) == repr(f.offending_pair()) == repr(witness)
+    assert str(info.value) == f"pieces on cones {witness[0]} and {witness[1]} disagree " \
+        f"on their common face {witness[2]!r}"
 
 
 def test_phi_ray_examples():

@@ -3,14 +3,15 @@ from fractions import Fraction as Q
 
 import pytest
 
+import route_oracle
 from ppchow.errors import FacetMismatch, NotInKernel
 from ppchow.fixtures import (f1_complex, f2_complex, f3_complex, f3s_complex,
                              f5_complex, f6_complex)
 from ppchow.polyhedra import cone_over, refines, vertex_chart
 from ppchow.polyring import HomogPoly
 from ppchow.ppfan import constant_pp, phi_ray, zero_pp
-from ppchow.specialfiber import (HomologyClass, VertexTuple, alpha, beta,
-                                 cap_fundamental, class_equal, ddc_model,
+from ppchow.specialfiber import (AffinePP, HomologyClass, VertexTuple, alpha,
+                                 beta, cap_fundamental, class_equal, ddc_model,
                                  dim_affine_pp, flat_vertex,
                                  from_vertex_tuple, gamma, edge_layer_basis,
                                  homology_presentation, iota_lower, iota_upper,
@@ -50,9 +51,15 @@ def test_make_affine_pp_examples():
     pieces = {i: (HomogPoly.zero(1, 1) if F2.cells[i].contains_point((-1,)) else x)
               for i in F2.maximal}
     make_affine_pp(F2, pieces, 1)             # 0 and x agree at the origin
-    with pytest.raises(FacetMismatch):
-        make_affine_pp(F2, [HomogPoly.constant(1, 1), HomogPoly.constant(1, 2),
-                            HomogPoly.constant(1, 1)], 0)
+    bad = [HomogPoly.constant(1, 1), HomogPoly.constant(1, 2), HomogPoly.constant(1, 1)]
+    with pytest.raises(FacetMismatch) as info:
+        make_affine_pp(F2, bad, 0)
+    # one search for both carriers, against the validator it replaced
+    a = AffinePP(F2, 0, dict(zip(F2.maximal, bad)), validate=False)
+    witness = route_oracle.affine_offending_pair(a)
+    assert repr(info.value.witness) == repr(a.offending_pair()) == repr(witness)
+    assert str(info.value) == f"cells {witness[0]} and {witness[1]} disagree on the " \
+        f"direction space of {witness[2]!r}"
 
 
 def test_dim_affine_pp():
@@ -120,7 +127,8 @@ def test_gamma_projection_formula():
     # per edge and endpoint: u_*(u^* x . y) = x . u_*(y), where u^* restricts
     # a chart function to the star cells and u_* multiplies by the edge form
     # and extends by zero
-    from ppchow.specialfiber import _edge_ray_form, _edge_star
+    from ppchow.specialfiber import _edge_star
+    from route_oracle import _edge_ray_form
     rng = random.Random(9)
     for make in (f2_complex, f5_complex, f3s_complex):
         pc = make()
@@ -186,7 +194,8 @@ def test_ddc_one_shot_single_vertex_branches():
     t = component_class(F2, (1,))
     out = ddc_one_shot(t)
     e = F2.bounded_edges[0]
-    from ppchow.specialfiber import _edge_star, _edge_ray_form
+    from ppchow.specialfiber import _edge_star
+    from route_oracle import _edge_ray_form
     star = _edge_star(F2, e)
     bcell = star.cells[0]
     # at the other endpoint: u_* u^* of the function; at the vertex itself:
