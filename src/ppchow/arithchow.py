@@ -51,7 +51,7 @@ def eigen_divisor(fan, sigma, weight):
     project = quotient_projection(fan.rank, sigma_rays)
     terms = {}
     for c in fan.cones:
-        if c.dim != sigma.dim + 1 or not c.contains_cone(sigma):
+        if c.dim != sigma.dim + 1 or not c.contains_poly(sigma):
             continue
         u = next(r for r in c.rays if not sigma.contains_point(r))
         img = project(u)

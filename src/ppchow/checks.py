@@ -452,7 +452,6 @@ def invariant_transfer_diagrams(seed=0):
 
 
 def invariant_im_ddc_in_ker_rho(seed=0):
-    rng = random.Random(seed)
     ok = True
     for name, pc in fixtures.all_fixture_models().items():
         if name == "F6":
@@ -467,7 +466,6 @@ def invariant_im_ddc_in_ker_rho(seed=0):
 def invariant_module_structure(seed=0):
     """dd^c is a module map over closed forms; the induced product is
     sampled for commutativity and the result reported."""
-    rng = random.Random(seed)
     ok = True
     commutative = True
     for pc in (fixtures.f2_complex(), fixtures.f5_complex()):

@@ -259,10 +259,10 @@ class CurrentTower:
                             start=self.start)
 
 
-def zero_tower(chain, flavor, degree, start=0):
+def zero_tower(chain, flavor, degree):
     zero = _FLAVORS[flavor].zero
-    vals = {i: zero(chain.models[i], degree) for i in range(start, len(chain))}
-    return CurrentTower(chain, flavor, values=vals, start=start)
+    vals = {i: zero(chain.models[i], degree) for i in range(len(chain))}
+    return CurrentTower(chain, flavor, values=vals)
 
 
 def ddc_current(tower):

@@ -1,10 +1,11 @@
 """SCR polyhedral complexes, fans and the directed set of models.
 
 All geometry is exact over Q.  Polyhedra are pointed (strongly convex
-rational); complexes are face-closed lists of cells meeting along common
-faces.  The cone over a complete complex, vertex charts, recession fans,
-stellar subdivisions and common refinements are the raw material for the
-piecewise-polynomial Chow calculus in the higher layers.
+rational), and a cone is the polyhedron whose one vertex is the origin;
+complexes and fans are face-closed lists of cells or cones meeting along
+common faces.  The cone over a complete complex, vertex charts, recession
+fans, stellar subdivisions and common refinements are the raw material for
+the piecewise-polynomial Chow calculus in the higher layers.
 
 Both conversions between V- and H-descriptions are one routine,
 :func:`_extreme_rays`, the double description method on a pointed cone: the
@@ -175,10 +176,11 @@ class Polyhedron:
     Construction canonicalizes the generators to the extreme ones and
     precomputes an exact H-description, with ``_on`` parallel to ``ineqs``:
     each facet's mask of generators, vertices first.  Raises :class:`NonSCR`
-    for inputs with no vertex or with a lineality direction.
+    for inputs with no vertex or with a lineality direction.  ``_cache``
+    holds data derived from the polyhedron, such as a cone's dual forms.
     """
 
-    __slots__ = ("dim_ambient", "vertices", "rays", "eqs", "ineqs", "dim", "_on")
+    __slots__ = ("dim_ambient", "vertices", "rays", "eqs", "ineqs", "dim", "_on", "_cache")
 
     def __init__(self, dim_ambient, vertices, rays=()):
         vertices, rays = [vec(v) for v in vertices], [vec(r) for r in rays]
@@ -215,6 +217,7 @@ class Polyhedron:
         self._on = tuple(sum(1 << i for i, g in enumerate(kept) if f >> g & 1)
                          for _, _, f in facets)
         self.dim = dim_ambient - len(eqs)
+        self._cache = {}
 
     @classmethod
     def _derived(cls, dim_ambient, vertices, rays, facets):
@@ -247,6 +250,7 @@ class Polyhedron:
         # b at the facet's first generator, a vertex
         p.ineqs = tuple((a, vdot(a, p.vertices[(on & -on).bit_length() - 1])) for a, on in facets)
         p._on = tuple(on for _, on in facets)
+        p._cache = {}
         return p
 
     def key(self):
@@ -263,14 +267,24 @@ class Polyhedron:
         return (all(sum(a[i] * x[i] for i in range(self.dim_ambient)) == bb for a, bb in self.eqs)
                 and all(sum(a[i] * x[i] for i in range(self.dim_ambient)) <= bb for a, bb in self.ineqs))
 
+    def recession_contains(self, direction):
+        n = self.dim_ambient
+        return (all(sum(a[i] * direction[i] for i in range(n)) == 0 for a, _ in self.eqs)
+                and all(sum(a[i] * direction[i] for i in range(n)) <= 0 for a, _ in self.ineqs))
+
     def contains_poly(self, other):
         return (all(self.contains_point(v) for v in other.vertices)
-                and all(cell_contains_recession(self, r) for r in other.rays))
+                and all(self.recession_contains(r) for r in other.rays))
 
     def intersect(self, other):
+        """The meet, of this polyhedron's kind: two cones meet in a cone."""
         out = _vrep_from_hrep(self.dim_ambient, self.eqs + other.eqs,
                               self.ineqs + other.ineqs)
-        return None if out is None else Polyhedron(self.dim_ambient, *out)
+        if out is None:
+            return None
+        p = type(self).__new__(type(self))
+        Polyhedron.__init__(p, self.dim_ambient, *out)
+        return p
 
     def _gens(self, mask):
         """(vertices, rays) with their bits set in ``mask``."""
@@ -305,23 +319,24 @@ class Polyhedron:
                   if not any(t != u and t & u == t for u in cands)]
         gens = [(g, x) for g, x in enumerate(self.vertices + self.rays) if mask >> g & 1]
         nfv = (mask & ((1 << nv) - 1)).bit_count()
-        return Polyhedron._derived(self.dim_ambient, dict(gens[:nfv]), dict(gens[nfv:]), facets)
+        return type(self)._derived(self.dim_ambient, dict(gens[:nfv]), dict(gens[nfv:]), facets)
 
     def faces(self, built=None):
         """All nonempty faces, this polyhedron included.
 
-        ``built`` maps keys to faces already built, for sharing the faces of
-        the cells of one complex; faces missing from it are built and added.
+        ``built`` maps generator tuples (vertices, rays) to faces already
+        built, for sharing the faces of the cells of one complex or the cones
+        of one fan; faces missing from it are built and added.
         """
         built = {} if built is None else built
-        built.setdefault(self.key(), self)
+        built.setdefault((self.vertices, self.rays), self)
         seen = {}
         stack = [self]
         while stack:
             f = stack.pop()
-            if f.key() in seen:
+            if (f.vertices, f.rays) in seen:
                 continue
-            seen[f.key()] = f
+            seen[f.vertices, f.rays] = f
             for key, on in zip(f.facet_keys(), f._on):
                 if key not in built:
                     built[key] = f._face(on)
@@ -339,67 +354,33 @@ class Polyhedron:
                    if all(sum(a[i] * v[i] for i in range(n)) == bb for a, bb in tight))
         gr = tuple(r for r in other.rays
                    if all(sum(a[i] * r[i] for i in range(n)) == 0 for a, bb in tight))
-        return (gv, gr) == self.key()
+        return (gv, gr) == (self.vertices, self.rays)
 
     def __repr__(self):
         return f"Polyhedron(V={list(self.vertices)}, R={list(self.rays)})"
 
 
-class Cone:
-    """A strongly convex rational cone, stored by its primitive extreme rays.
+class Cone(Polyhedron):
+    """A strongly convex rational cone: the pointed polyhedron whose one
+    vertex is the origin, keyed by its primitive extreme rays.  Its faces and
+    its meets with cones are cones."""
 
-    ``_cache`` holds data derived from the cone, such as its dual forms.
-    """
-
-    __slots__ = ("dim_ambient", "rays", "poly", "dim", "_cache")
+    __slots__ = ()
 
     def __init__(self, dim_ambient, rays):
-        poly = Polyhedron(dim_ambient, [zero_vec(dim_ambient)], rays)
-        if len(poly.vertices) != 1:
+        super().__init__(dim_ambient, [zero_vec(dim_ambient)], rays)
+        if len(self.vertices) != 1:
             raise NonSCR("cone is not strongly convex")
-        self._wrap(poly)
 
-    @classmethod
-    def _of_poly(cls, poly):
-        """The cone whose polyhedron, apex at the origin, is already built."""
-        cone = cls.__new__(cls)
-        cone._wrap(poly)
-        return cone
-
-    def _wrap(self, poly):
-        self.poly = poly
-        self.dim_ambient = poly.dim_ambient
-        self.rays = poly.rays
-        self.dim = poly.dim
-        self._cache = {}
+    # Bound on the class itself, so that a tracer that wraps this class's own
+    # methods (perfbench/layertrace.py) finds it beside __init__.
+    intersect = Polyhedron.intersect
 
     def key(self):
         return self.rays
 
-    def same_as(self, other):
-        return self.dim_ambient == other.dim_ambient and self.rays == other.rays
-
-    def contains_point(self, x):
-        return self.poly.contains_point(x)
-
-    def contains_cone(self, other):
-        return all(self.poly.contains_point(r) for r in other.rays)
-
     def span(self):
         return span_basis(self.rays)
-
-    def intersect(self, other):
-        # two pointed cones meet in a pointed cone: the apex is its one vertex
-        p = self.poly.intersect(other.poly)
-        return None if p is None else Cone._of_poly(p)
-
-    def faces(self, built=None):
-        """All faces, sorted like :meth:`Polyhedron.faces`; ``built`` shares
-        the face polyhedra the same way."""
-        return [Cone._of_poly(f) for f in self.poly.faces(built)]
-
-    def is_face_of(self, other):
-        return self.poly.is_face_of(other.poly)
 
     def __repr__(self):
         return f"Cone({list(self.rays)})"
@@ -465,18 +446,13 @@ def _close_and_validate(items, kind, validate=True):
     if validate:
         for i, j in itertools.combinations(maximal, 2):
             p, q = cells[i], cells[j]
-            if _meet_certified(_poly(p), _poly(q)):
+            if _meet_certified(p, q):
                 continue
             inter = p.intersect(q)
             if inter is not None and not (inter.is_face_of(p) and inter.is_face_of(q)):
                 raise NotAComplex(
                     f"{kind} cells {p!r} and {q!r} meet in {inter!r}, not a common face")
     return tuple(cells), maximal
-
-
-def _poly(member):
-    """The polyhedron of a cell, or of a cone with its apex at the origin."""
-    return member.poly if isinstance(member, Cone) else member
 
 
 def direction_space(vertices, rays):
@@ -489,9 +465,9 @@ def common_face(p, q):
     """(vertices, rays) of the common face of two cells of one complex.
 
     In a complex, p and q meet in conv(V(p) & V(q)) + cone(R(p) & R(q)), and
-    they are disjoint exactly when they share no vertex (None).  The
-    polyhedra of two cones of one fan share the apex, so there the common
-    rays give the common face.
+    they are disjoint exactly when they share no vertex (None).  Two cones
+    of one fan share their apex, so there the common rays give the common
+    face.
     """
     qv = set(q.vertices)
     vs = tuple(v for v in p.vertices if v in qv)
@@ -527,13 +503,14 @@ class _Closure:
         rays, which is its key."""
         if "adj" not in self._cache:
             out, spans = [], {}
-            maxs = self.max_cones() if isinstance(self, Fan) else self.max_cells()
+            fan = isinstance(self, Fan)
+            maxs = self.max_cones() if fan else self.max_cells()
             for (p, a), (q, b) in itertools.combinations(enumerate(maxs), 2):
-                meet = common_face(_poly(a), _poly(b))
+                meet = common_face(a, b)
                 if meet is not None:
                     span = tuple(direction_space(*meet))
                     out.append((p, q, spans.setdefault(span, Span(span)),
-                                meet[1] if isinstance(a, Cone) else meet))
+                                meet[1] if fan else meet))
             self._cache["adj"] = tuple(out)
         return self._cache["adj"]
 
@@ -574,7 +551,7 @@ class Fan(_Closure):
         maxs = self.max_cones()
         if not maxs or any(c.dim != self.rank for c in maxs):
             return self.rank == 0 and len(self.cones) == 1
-        return self.rank == 0 or self._facets_paired([c.poly for c in maxs])
+        return self.rank == 0 or self._facets_paired(maxs)
 
     def is_regular(self):
         if "regular" not in self._cache:
@@ -661,6 +638,8 @@ def build_complex(cell_data, rank=None):
     """
     cells = []
     for item in cell_data:
+        if isinstance(item, Cone):
+            raise InputError(f"{item!r} is a cone, not a cell of a complex")
         if isinstance(item, Polyhedron):
             cells.append(item)
             continue
@@ -710,7 +689,7 @@ def _cone_over_cell(cell):
     facets = [(a + (-b,), on | 1 << top) for (a, b), on in zip(cell.ineqs, cell._on)]
     if len(span_basis(cell.rays)) == cell.dim:
         facets.append((zero_vec(n) + (Fraction(-1),), (2 << top) - (1 << nv)))
-    return Cone._of_poly(Polyhedron._derived(n + 1, {top: zero_vec(n + 1)}, rays, facets))
+    return Cone._derived(n + 1, {top: zero_vec(n + 1)}, rays, facets)
 
 
 def cone_over(pc):
@@ -744,8 +723,14 @@ def recession_fan(pc, _check_complete=True):
 
 
 def rec_fan_as_complex(fan):
-    """Read a complete fan as the canonical polyhedral complex."""
-    return PolyComplex(fan.rank, [c.poly for c in fan.max_cones()], validate=False)
+    """Read a complete fan as the canonical polyhedral complex: each maximal
+    cone's fields make a plain polyhedron, keyed by vertices and rays."""
+    cells = [Polyhedron.__new__(Polyhedron) for _ in fan.maximal]
+    for p, c in zip(cells, fan.max_cones()):
+        for name in Polyhedron.__slots__:
+            setattr(p, name, getattr(c, name))
+        p._cache = {}
+    return PolyComplex(fan.rank, cells, validate=False)
 
 
 class VertexChart:
@@ -791,8 +776,7 @@ def _chart_cone(v, cell):
     tight = {g: sum(1 << k for k, (_, on) in enumerate(facets) if on >> g & 1) for g in dirs}
     edges = {g: dirs[g] for g, s in tight.items()
              if not any(s != t and s & t == s for t in tight.values())}
-    return Cone._of_poly(Polyhedron._derived(cell.dim_ambient, {g0: zero_vec(cell.dim_ambient)},
-                                             edges, facets))
+    return Cone._derived(cell.dim_ambient, {g0: zero_vec(cell.dim_ambient)}, edges, facets)
 
 
 def vertex_chart(pc, v):
@@ -853,20 +837,13 @@ def horizontal_star(pc, sigma):
     cells = []
     for i in pc.maximal:
         cell = pc.cells[i]
-        if not all(cell_contains_recession(cell, r) for r in sigma.rays):
+        if not all(cell.recession_contains(r) for r in sigma.rays):
             continue
         verts = [project(v) for v in cell.vertices]
         rays = [project(r) for r in cell.rays]
         rays = [r for r in rays if not is_zero_vec(r)]
         cells.append(Polyhedron(n - s, verts, rays))
     return PolyComplex(n - s, cells)
-
-
-def cell_contains_recession(cell, direction):
-    return all(sum(a[i] * direction[i] for i in range(cell.dim_ambient)) == 0
-               for a, _ in cell.eqs) and \
-           all(sum(a[i] * direction[i] for i in range(cell.dim_ambient)) <= 0
-               for a, _ in cell.ineqs)
 
 
 class FanMap:
@@ -886,7 +863,7 @@ class FanMap:
         """The map sending each maximal source cone to the first maximal
         target cone holding it, or None if some cone has none."""
         tmax = target.max_cones()
-        max_map = tuple(next((pos for pos, t in enumerate(tmax) if t.contains_cone(c)), None)
+        max_map = tuple(next((pos for pos, t in enumerate(tmax) if t.contains_poly(c)), None)
                         for c in source.max_cones())
         return None if None in max_map else cls(source, target, max_map)
 
@@ -974,9 +951,9 @@ def star_subdivision(pc, point):
             new_max.append(c.rays)
             continue
         # w lies in c, so a facet a.x <= 0 misses w exactly when a.w < 0
-        for (a, _), on in zip(c.poly.ineqs, c.poly._on):
+        for (a, _), on in zip(c.ineqs, c._on):
             if sum(x * y for x, y in zip(a, w)) < 0:
-                new_max.append(c.poly._gens(on)[1] + (w,))
+                new_max.append(c._gens(on)[1] + (w,))
     cells = []
     for rays in new_max:
         verts = [vscale(1 / r[n], r[:n]) for r in rays if r[n] > 0]

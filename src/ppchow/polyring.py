@@ -74,8 +74,8 @@ class HomogPoly:
                           for i, c in enumerate(coefficients)})
 
     @classmethod
-    def variable(cls, dim, index, power=1):
-        return cls(dim, power, {tuple(power * (i == index) for i in range(dim)): 1})
+    def variable(cls, dim, index):
+        return cls(dim, 1, {tuple(int(i == index) for i in range(dim)): 1})
 
     def is_zero(self):
         return not self.coeffs

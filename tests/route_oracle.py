@@ -59,7 +59,7 @@ through the pushforward, keeps each cycle term's generator on the fan, and
 finds the cone of c(Pi) above a recession cone by its rays.  The eighth
 group is the routes these replaced: the localization sum on every target
 cone, a ``Cone`` built for every term of every cycle class, and the cone
-above a recession cone by ``contains_cone``; ``install_towers`` swaps them
+above a recession cone by containment; ``install_towers`` swaps them
 into the program.
 
 ppchow runs rho, gamma and the one-pass dd^c on a table of positions built
@@ -106,9 +106,9 @@ from ppchow.errors import (CompatibilityViolation, DecompositionFailed,
                            NotInKernel, NotProper, NotRegular)
 from ppchow.limits import ModelChain, common_model
 from ppchow.polyhedra import (Cone, Fan, PolyComplex, Polyhedron, _Closure,
-                              _cone_over_rays, cell_contains_recession,
-                              common_face, cone_over, direction_space,
-                              recession_fan, refines, vertex_chart)
+                              _cone_over_rays, common_face, cone_over,
+                              direction_space, recession_fan, refines,
+                              vertex_chart)
 from ppchow.ppfan import PPFunction, dual_forms, phi_ray, pullback, zero_pp
 from ppchow.specialfiber import (HomologyClass, EdgeTuple, VertexTuple,
                                  make_affine_pp)
@@ -137,7 +137,7 @@ def pair_spans(fan):
     if "oracle_spans" not in fan._cache:
         out = []
         for (i, ci), (j, cj) in itertools.combinations(enumerate(fan.max_cones()), 2):
-            inter = ci.intersect(cj)
+            inter = cone_intersect(ci, cj)
             if inter is not None:
                 out.append((i, j, tuple(inter.span()), inter.rays))
         fan._cache["oracle_spans"] = tuple(out)
@@ -496,7 +496,7 @@ def eigen_divisor(fan, sigma, weight):
     _, project = quotient_projection(fan.rank, list(sigma.rays))
     terms = {}
     for c in fan.cones:
-        if c.dim != sigma.dim + 1 or not c.contains_cone(sigma):
+        if c.dim != sigma.dim + 1 or not c.contains_poly(sigma):
             continue
         u = next(r for r in c.rays if not sigma.contains_point(r))
         w_pair = sum(weight[i] * u[i] for i in range(fan.rank))
@@ -520,7 +520,7 @@ def horizontal_star(pc, sigma):
     cells = []
     for i in pc.maximal:
         cell = pc.cells[i]
-        if all(cell_contains_recession(cell, r) for r in sigma.rays):
+        if all(cell.recession_contains(r) for r in sigma.rays):
             rays = [r for r in map(project, cell.rays) if not is_zero_vec(r)]
             cells.append(Polyhedron(n - sigma.dim, [project(v) for v in cell.vertices], rays))
     return PolyComplex(n - sigma.dim, cells)
@@ -529,10 +529,6 @@ def horizontal_star(pc, sigma):
 # ---------------------------------------------------------------------------
 # validation, subdivision and refinement
 # ---------------------------------------------------------------------------
-
-
-def _contains(big, small):
-    return big.contains_cone(small) if isinstance(big, Cone) else big.contains_poly(small)
 
 
 def close_and_validate(items, kind):
@@ -551,7 +547,7 @@ def close_and_validate(items, kind):
             raise NotAComplex(
                 f"{kind} cells {p!r} and {q!r} meet in {inter!r}, not a common face")
     maximal = [i for i, p in enumerate(cells)
-               if not any(i != j and _contains(cells[j], p) for j in range(len(cells)))]
+               if not any(i != j and cells[j].contains_poly(p) for j in range(len(cells)))]
     return tuple(cells), tuple(maximal)
 
 
@@ -783,11 +779,19 @@ def intersect(dim_ambient, p, q):
     return polyhedron(dim_ambient, out[0], out[1])
 
 
+def _plain(cone):
+    """The cone as a plain polyhedron with the same fields."""
+    p = Polyhedron.__new__(Polyhedron)
+    for name in Polyhedron.__slots__:
+        setattr(p, name, getattr(cone, name))
+    return p
+
+
 def cone_intersect(c, d):
-    """The meet of two cones, built again from the rays of the intersected
-    polyhedra."""
-    p = c.poly.intersect(d.poly)
-    return None if p is None else Cone(c.dim_ambient, p.rays)
+    """The meet of two cones, built again from the rays of the meet of the
+    two cones read as plain polyhedra."""
+    meet = _plain(c).intersect(_plain(d))
+    return None if meet is None else Cone(c.dim_ambient, meet.rays)
 
 
 # ---------------------------------------------------------------------------
@@ -975,7 +979,7 @@ def restrict_to_height_zero(pc, f):
         sigma = rec.cones[rmax]
         lift = Cone(n + 1, [tuple(r) + (0,) for r in sigma.rays])
         pos = next(p for p, i in enumerate(cone_over_.fan.maximal)
-                   if cone_over_.fan.cones[i].contains_cone(lift))
+                   if cone_over_.fan.cones[i].contains_poly(lift))
         pieces.append(f.pieces[pos].substitute(images))
     return ppfan.PPFunction(rec, f.degree, pieces, validate=False)
 
@@ -1313,7 +1317,7 @@ def max_pair_spans(fan):
         out, spans = [], {}
         maxs = fan.max_cones()
         for (i, ci), (j, cj) in itertools.combinations(enumerate(maxs), 2):
-            _, rays = common_face(ci.poly, cj.poly)
+            _, rays = common_face(ci, cj)
             span = tuple(span_basis(rays))
             out.append((i, j, spans.setdefault(span, Span(span)), rays))
         fan._cache["oracle_pair_spans"] = tuple(out)

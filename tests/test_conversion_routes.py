@@ -136,6 +136,12 @@ def _pair(draw, dim):
     return (v1, r1), draw(other)
 
 
+# The subset route's cost grows fast with the facets it starts from: drawn
+# pairs in dimension 4 with 21 or more facets between them ran for seconds
+# to minutes, those with 20 or fewer for under one second.
+MAX_PAIR_FACETS = 20
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(st.integers(1, 4).flatmap(_pair))
 def test_intersections_match_the_subset_route(pair):
@@ -144,6 +150,7 @@ def test_intersections_match_the_subset_route(pair):
     e1, p = _both(dim, v1, r1)
     e2, q = _both(dim, v2, r2)
     assume(p is not None and q is not None)
+    assume(len(e1[1]) + len(e2[1]) <= MAX_PAIR_FACETS)
     expected = route_oracle.intersect(dim, e1, e2)
     meet = p.intersect(q)
     assert (None if meet is None else _as_tuple(meet)) == expected

@@ -22,7 +22,7 @@ from test_conversion_routes import MANY_FACETS, _generators
 
 
 def _fields(p):
-    return p.key(), p.dim, p.eqs, p.ineqs, p._on
+    return (p.vertices, p.rays), p.dim, p.eqs, p.ineqs, p._on
 
 
 def _assert_faces_match(polys):
@@ -35,7 +35,7 @@ def _assert_faces_match(polys):
             got = p.faces(ours)
             expected = route_oracle.faces(p, theirs)
             assert [_fields(f) for f in got] == [_fields(f) for f in expected]
-            assert not second or all(ours[f.key()] is f for f in got)
+            assert not second or all(ours[f.vertices, f.rays] is f for f in got)
 
 
 def _polyhedron(vertices, rays):
@@ -48,9 +48,9 @@ def _polyhedron(vertices, rays):
 def _assert_cells_match(p):
     """Faces of p, the cone over p and the cone of p at each vertex."""
     _assert_faces_match([p])
-    assert _fields(_cone_over_cell(p).poly) == _fields(route_oracle.cone_over_cell(p).poly)
+    assert _fields(_cone_over_cell(p)) == _fields(route_oracle.cone_over_cell(p))
     for v in p.vertices:
-        assert _fields(_chart_cone(v, p).poly) == _fields(route_oracle.chart_cone(v, p).poly)
+        assert _fields(_chart_cone(v, p)) == _fields(route_oracle.chart_cone(v, p))
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -71,18 +71,18 @@ def _assert_cones_match(pc):
     built from their rays, and so do all faces of the fans they span."""
     co = cone_over(pc)
     for i, cone in zip(co.max_cells, co.fan.max_cones()):
-        assert _fields(cone.poly) == _fields(route_oracle.cone_over_cell(pc.cells[i]).poly)
+        assert _fields(cone) == _fields(route_oracle.cone_over_cell(pc.cells[i]))
     fans = [co.fan]
     for v in pc.vertices:
         chart = vertex_chart(pc, v)
         for i, cone in zip(chart.max_cells, chart.fan.max_cones()):
-            assert _fields(cone.poly) == _fields(route_oracle.chart_cone(v, pc.cells[i]).poly)
+            assert _fields(cone) == _fields(route_oracle.chart_cone(v, pc.cells[i]))
         fans.append(chart.fan)
     for fan in fans:
         for c in fan.cones:
-            fresh = Polyhedron(c.dim_ambient, c.poly.vertices, c.rays)
-            assert _fields(c.poly) == _fields(fresh)
-        _assert_faces_match([c.poly for c in fan.max_cones()])
+            fresh = Polyhedron(c.dim_ambient, c.vertices, c.rays)
+            assert _fields(c) == _fields(fresh)
+        _assert_faces_match(fan.max_cones())
 
 
 def test_cones_match_on_f6_and_a_point():

@@ -37,6 +37,16 @@ def test_build_complex_rejects_line():
         Polyhedron(1, [(0,)], [(1,), (-1,)])
 
 
+def test_build_complex_rejects_a_cone_cell():
+    # a cone is keyed by its rays, a cell by its vertices and rays
+    cone = Cone(2, [(1, 0), (0, 1)])
+    for data in ([cone], [Polyhedron(2, [(1, 1)]), cone]):
+        with pytest.raises(InputError, match=r"Cone\(\[\(Fraction\(0, 1\), Fraction\(1, 1\)\)"):
+            build_complex(data)
+    plain = build_complex([Polyhedron(2, cone.vertices, cone.rays)])
+    assert plain.same_as(build_complex([([(0, 0)], [(1, 0), (0, 1)])], rank=2))
+
+
 def test_cone_over_examples():
     co1 = cone_over(f1_complex())
     keys = {c.rays for c in co1.fan.max_cones()}
@@ -215,17 +225,20 @@ def _assert_same_route(pc):
     for fan in fans:
         _assert_same_adjacency(fan)
         assert fan.same_as(Fan(fan.rank, fan.max_cones(), validate=False))
+        # every face of a fan, cone over a cell and chart cone is a cone
+        # keyed by its rays
+        assert all(type(c) is Cone and c.key() == c.rays for c in fan.cones)
         # two cones meet in the intersected polyhedron, as built from its rays
         for c, d in itertools.combinations(fan.max_cones(), 2):
             meet, old = c.intersect(d), route_oracle.cone_intersect(c, d)
-            assert (meet.rays, meet.dim, meet.poly.eqs, meet.poly.ineqs, meet.poly._on) == \
-                (old.rays, old.dim, old.poly.eqs, old.poly.ineqs, old.poly._on)
-    # shared and wrapped faces carry what a build from scratch gives
+            assert type(meet) is Cone and meet.key() == meet.rays
+            assert (meet.rays, meet.dim, meet.eqs, meet.ineqs, meet._on) == \
+                (old.rays, old.dim, old.eqs, old.ineqs, old._on)
+    # shared and derived faces carry what a build from scratch gives
     for members in [pc.cells] + [fan.cones for fan in fans]:
-        for m in members:
-            p = m.poly if isinstance(m, Cone) else m
+        for p in members:
             fresh = Polyhedron(p.dim_ambient, p.vertices, p.rays)
-            assert (p.key(), m.dim, p.eqs, p.ineqs) == \
+            assert ((p.vertices, p.rays), p.dim, p.eqs, p.ineqs) == \
                 (fresh.key(), fresh.dim, fresh.eqs, fresh.ineqs)
 
 
