@@ -17,21 +17,23 @@ bare rays (building a polyhedron), on the pairs of cells that validation
 cannot settle by a facet, in :func:`common_refinement` (cells of two
 unrelated complexes meet in new polyhedra), and in the check suite's grid
 oracle, which must share no code with the bases.  Each polyhedron keeps the
-mask of its generators on each facet, so faces, cones over cells and chart
-cones are read off the parent's facets and the face lattice.  Validation
-tests pairs of maximal cells only, which proves every pair of cells meets in
-a common face; a facet of one cell with the other on its far side certifies
-most pairs without intersecting them.  The maximal cells are read off the
-face walk, stellar subdivisions and common refinements are complexes by
-construction and are not validated again, and a refinement's cell map is
-read off the fan map.  Once a complex or fan is validated, two of its cells
-meet in the convex hull of their common vertices plus the cone on their
-common rays, and are disjoint exactly when they share no vertex; two cones
-meet in the cone on their common rays.  One adjacency serves fans and
-complexes alike: the pairs of maximal members that meet, by position, with
-the span and key of each meet.  Stars and cell/cone correspondences are read
-off the same vertex and ray sets, and each face is built once per complex or
-fan.
+mask of its generators on each facet, so faces, cones over cells, chart
+cones and recession cones are read off the parent's facets and the face
+lattice.  Validation tests pairs of maximal cells only, which proves every
+pair of cells meets in a common face; a facet of one cell with the other on
+its far side, read with the facet masks, certifies nearly all pairs without
+intersecting them.  The maximal cells are read off the face walk, stellar
+subdivisions and common refinements are complexes by construction and are
+not validated again, and a refinement's cell map is read off the fan map.
+Once a complex or fan is validated, two of its cells meet in the convex hull
+of their common vertices plus the cone on their common rays, and are
+disjoint exactly when they share no vertex; two cones meet in the cone on
+their common rays.  One adjacency serves fans and complexes alike: by
+position, the pairs of maximal members whose agreement the gluing
+conditions need, a spanning forest of each meet's star (on the models, the
+pairs sharing a facet), with the span and key of each meet.  Stars and
+cell/cone correspondences are read off the same vertex and ray sets, and
+each face is built once per complex or fan.
 """
 
 from fractions import Fraction
@@ -398,24 +400,35 @@ def _separations(p, q):
 
 
 def _meet_certified(p, q):
-    """Does a facet of p or of q prove that p and q are disjoint, or meet in
-    their common face?
+    """The generators (vertices, rays) of p & q when a facet of p or of q
+    settles the pair, ((), ()) when it shows them disjoint; None otherwise.
 
     Let H: a.x = b carry a facet of one with the other on the far side, so
-    p & q lie in (H & p) & (H & q), the faces of p and q spanned by their
-    generators on H.  If no vertex of the far cell is on H, that face of it
-    is empty and p, q are disjoint.  If the generators on H are the common
-    generators in both cells, both faces equal conv(V(p) & V(q)) +
-    cone(R(p) & R(q)), which lies in p & q, so p & q is that face of both.
+    p & q lies in H & other, the face of the other spanned by its generators
+    G on H (the hull of G's vertices plus the cone on its rays).  If G holds
+    no vertex, p and q are disjoint.  Otherwise the facets of one holding
+    the generators of one in G cut out a face of one, whose generators are
+    those under the AND of their masks.  If these are exactly G, that face
+    is H & other, which then lies in p & q, so p & q = H & other is a face
+    of both.  This covers G being the common generators of p and q and also
+    all of one's generators on H, since H is among those facets.
     """
-    meet = common_face(p, q)
     for one, other in ((p, q), (q, p)):
-        for a, b, on in _separations(one, other):
-            far = (tuple(v for v in other.vertices if vdot(a, v) == b),
-                   tuple(r for r in other.rays if vdot(a, r) == 0))
-            if not far[0] or (far == meet and one._gens(on) == meet):
-                return True
-    return False
+        nv = len(one.vertices)
+        for a, b, _ in _separations(one, other):
+            g = (tuple(v for v in other.vertices if vdot(a, v) == b),
+                 tuple(r for r in other.rays if vdot(a, r) == 0))
+            if not g[0]:
+                return (), ()
+            mask = (sum(1 << i for i, v in enumerate(one.vertices) if v in g[0])
+                    | sum(1 << nv + i for i, r in enumerate(one.rays) if r in g[1]))
+            face = -1
+            for on in one._on:
+                if on & mask == mask:
+                    face &= on
+            if one._gens(face) == g:
+                return g
+    return None
 
 
 def _close_and_validate(items, kind, validate=True):
@@ -446,7 +459,7 @@ def _close_and_validate(items, kind, validate=True):
     if validate:
         for i, j in itertools.combinations(maximal, 2):
             p, q = cells[i], cells[j]
-            if _meet_certified(p, q):
+            if _meet_certified(p, q) is not None:
                 continue
             inter = p.intersect(q)
             if inter is not None and not (inter.is_face_of(p) and inter.is_face_of(q)):
@@ -461,26 +474,21 @@ def direction_space(vertices, rays):
     return span_basis([vsub(v, base) for v in vertices[1:]] + list(rays))
 
 
-def common_face(p, q):
-    """(vertices, rays) of the common face of two cells of one complex.
-
-    In a complex, p and q meet in conv(V(p) & V(q)) + cone(R(p) & R(q)), and
-    they are disjoint exactly when they share no vertex (None).  Two cones
-    of one fan share their apex, so there the common rays give the common
-    face.
-    """
-    qv = set(q.vertices)
-    vs = tuple(v for v in p.vertices if v in qv)
-    if not vs:
-        return None
-    qr = set(q.rays)
-    return vs, tuple(r for r in p.rays if r in qr)
+def _join(parent, p, q):
+    """Union-find: link the trees of p and q in ``parent``; were they apart?"""
+    while p in parent:
+        p = parent[p]
+    while q in parent:
+        q = parent[q]
+    if p != q:
+        parent[p] = q
+    return p != q
 
 
 class _Closure:
     """What fans and complexes share: face-closed members in canonical order,
     the indices of the maximal ones, an index of the members by key, and the
-    pairs of maximal members that meet."""
+    pairs of maximal members whose gluing conditions are needed."""
 
     __slots__ = ("rank", "maximal", "_index", "_cache")
 
@@ -496,21 +504,51 @@ class _Closure:
         return self._index.get(key)
 
     def adjacency(self):
-        """(p, q, span, meet) for each pair of positions p < q in ``maximal``
-        whose members meet: ``meet`` is the key of their common face and
-        ``span`` its direction space, one shared :class:`Span` per distinct
-        space.  Two cones of a fan always meet, in the cone on their common
-        rays, which is its key."""
+        """(p, q, span, meet) for the pairs of positions p < q in ``maximal``
+        whose gluing conditions are needed: ``meet`` is the key of their
+        common face and ``span`` its direction space, one shared :class:`Span`
+        per distinct space.  Two cones of a fan meet in the cone on their
+        common rays, which is its key.
+
+        The pairs form a spanning forest of the star of every meet F.  The
+        common faces are taken each after the faces containing it, which have
+        more generators, and a pair meeting in F is kept when it joins two
+        components of F's star that the kept pairs meeting in faces
+        containing F do not join.  So any two members meeting in F are linked
+        by kept pairs meeting in faces G containing F: pieces agreeing on
+        span G agree on span F, and equality is transitive.  The same holds
+        inside the star of any face, such as an edge star.  A pair meeting in
+        a face of dimension rank - 1 is always kept, as no third member holds
+        that face.  Members and meets are bitmasks of generators: a common
+        face is an AND, containment a subset test.
+        """
         if "adj" not in self._cache:
-            out, spans = [], {}
             fan = isinstance(self, Fan)
-            maxs = self.max_cones() if fan else self.max_cells()
-            for (p, a), (q, b) in itertools.combinations(enumerate(maxs), 2):
-                meet = common_face(a, b)
-                if meet is not None:
-                    span = tuple(direction_space(*meet))
-                    out.append((p, q, spans.setdefault(span, Span(span)),
-                                meet[1] if fan else meet))
+            bit = {}
+            masks = [sum(bit.setdefault((kind, g), 1 << len(bit))
+                         for kind, gens in enumerate((m.vertices, m.rays)) for g in gens)
+                     for m in (self.max_cones() if fan else self.max_cells())]
+            # two members meet exactly when they share a vertex
+            vertex = sum(b for (kind, _), b in bit.items() if kind == 0)
+            by_meet = {}
+            for p, q in itertools.combinations(range(len(masks)), 2):
+                if masks[p] & masks[q] & vertex:
+                    by_meet.setdefault(masks[p] & masks[q], []).append((p, q))
+            kept = []
+            for f in sorted(by_meet, key=int.bit_count, reverse=True):
+                parent = {}
+                for p, q in kept:
+                    if masks[p] & masks[q] & f == f:
+                        _join(parent, p, q)
+                kept += [(p, q) for p, q in by_meet[f] if _join(parent, p, q)]
+            out, spans = [], {}
+            for p, q in sorted(kept):
+                meet = tuple(tuple(sorted(g for (k, g), b in bit.items()
+                                          if k == kind and masks[p] & masks[q] & b))
+                             for kind in (0, 1))
+                span = tuple(direction_space(*meet))
+                out.append((p, q, spans.setdefault(span, Span(span)),
+                            meet[1] if fan else meet))
             self._cache["adj"] = tuple(out)
         return self._cache["adj"]
 
@@ -519,18 +557,24 @@ class _Closure:
                                  and self._index.keys() == other._index.keys())
 
     def is_complete(self):
+        """Is the support all of N_R?  In rank 0, when there is a member;
+        otherwise, when the maximal members are full-dimensional and each of
+        their facets lies in exactly two of them.  Were a point z outside the
+        support, a segment from a generic interior point of a maximal member
+        to z would miss every face of dimension below rank - 1, so it would
+        leave the support at a relative interior point of a facet; the two
+        members holding that facet lie on either side of it and cover a ball
+        around the point."""
         if "complete" not in self._cache:
-            self._cache["complete"] = self._complete_test()
+            maxs = self.max_cones() if isinstance(self, Fan) else self.max_cells()
+            count = {}
+            for p in maxs:
+                for key in p.facet_keys():
+                    count[key] = count.get(key, 0) + 1
+            self._cache["complete"] = bool(maxs) and (self.rank == 0 or (
+                all(p.dim == self.rank for p in maxs)
+                and all(v == 2 for v in count.values())))
         return self._cache["complete"]
-
-    @staticmethod
-    def _facets_paired(max_polys):
-        """Does every facet of a maximal member lie in exactly two of them?"""
-        count = {}
-        for p in max_polys:
-            for key in p.facet_keys():
-                count[key] = count.get(key, 0) + 1
-        return all(v == 2 for v in count.values())
 
 
 class Fan(_Closure):
@@ -546,12 +590,6 @@ class Fan(_Closure):
 
     def max_cones(self):
         return [self.cones[i] for i in self.maximal]
-
-    def _complete_test(self):
-        maxs = self.max_cones()
-        if not maxs or any(c.dim != self.rank for c in maxs):
-            return self.rank == 0 and len(self.cones) == 1
-        return self.rank == 0 or self._facets_paired(maxs)
 
     def is_regular(self):
         if "regular" not in self._cache:
@@ -595,16 +633,6 @@ class PolyComplex(_Closure):
             self._cache["bedges"] = tuple(
                 i for i, c in enumerate(self.cells) if c.dim == 1 and not c.rays)
         return self._cache["bedges"]
-
-    def _complete_test(self):
-        maxs = self.max_cells()
-        if self.rank == 0:
-            return bool(maxs)
-        if not maxs or any(c.dim != self.rank for c in maxs):
-            return False
-        if not self._facets_paired(maxs):
-            return False
-        return recession_fan(self, _check_complete=False).is_complete()
 
     def is_regular(self):
         return cone_over(self).fan.is_regular()
@@ -710,15 +738,26 @@ def cone_over(pc):
     return out
 
 
-def recession_fan(pc, _check_complete=True):
-    """rec(Pi): the fan of recession cones of a complete complex."""
-    if _check_complete and not pc.is_complete():
+def recession_fan(pc):
+    """rec(Pi): the fan of recession cones of a complete complex.
+
+    The recession cone of a cell P, times 0, is the face t = 0 of the cone
+    over P, which c(Pi) holds.  That face lies in N_R x 0, so its facet
+    normals, taken in its direction space, end in 0, and dropping the last
+    coordinate of its rays and normals gives the cone's facets in N_R.
+    """
+    if not pc.is_complete():
         raise IncompleteInput("recession fan needs a complete complex")
     key = "rec_fan"
     if key not in pc._cache:
-        distinct = dict.fromkeys(c.rays for c in pc.max_cells())
-        cones = [Cone(pc.rank, rays) for rays in distinct]
-        pc._cache[key] = Fan(pc.rank, cones, validate=False)
+        n, fan = pc.rank, cone_over(pc).fan
+        cones = []
+        for rays in dict.fromkeys(c.rays for c in pc.max_cells()):
+            face = fan.cones[fan.index(tuple(r + (Fraction(0),) for r in rays))]
+            cones.append(Cone._derived(
+                n, {0: zero_vec(n)}, {1 + g: r[:n] for g, r in enumerate(face.rays)},
+                [(a[:n], on) for (a, _), on in zip(face.ineqs, face._on)]))
+        pc._cache[key] = Fan(n, cones, validate=False)
     return pc._cache[key]
 
 

@@ -3,14 +3,15 @@
 Polynomials are always stored in ambient coordinates; "a polynomial on the
 span of a cone" is any ambient polynomial, compared modulo vanishing on that
 span (:func:`equal_on_span`).  Restriction to a span is a fixed linear map,
-so each fan and complex gives every pair meeting in one span the same
-:class:`Span`, which keeps the vanishing rows per (n, k) for
-:func:`gluing_kernel` and the validators.  Scaling a row to a primitive
-integer vector and sharing it between pairs change no row space, hence
-neither the unique RREF of a gluing system nor the kernel read off it.
-Rational functions keep their denominators as
-factored lists of linear forms and are only ever collapsed to polynomials by
-exact division, never by truncation.  :class:`Piecewise` is the one base of
+so each fan and complex gives every pair of its adjacency that meets in one
+span the same :class:`Span`, which keeps the vanishing rows per (n, k) for
+:func:`gluing_kernel` and the validators.  The adjacency holds a spanning
+forest of each meet's star, whose conditions imply those of every meeting
+pair.  Scaling a row to a primitive integer vector, sharing it between
+pairs and leaving out the implied pairs change no row space, hence neither
+the unique RREF of a gluing system nor the kernel read off it.  Rational
+functions keep their denominators as factored lists of linear forms and are
+only ever collapsed to polynomials by exact division, never by truncation.  :class:`Piecewise` is the one base of
 the piecewise carriers (PP functions on fans, affine PP functions, vertex and
 edge tuples): their arithmetic, coordinates and linear combinations.
 """

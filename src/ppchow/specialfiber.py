@@ -459,8 +459,8 @@ def edge_star_basis(pc, e, k):
     agreement on the direction space of pairwise intersections.
     """
     cells = _edge_star(pc, e).cells
-    # the star's cells meet pairwise (in the edge at least) and come in the
-    # order of pc.maximal: block b is the b-th position of the complex in it
+    # the star's cells come in the order of pc.maximal, and the adjacency's
+    # pairs inside the star glue it: block b is the b-th position in it
     block = {p: b for b, p in enumerate(q for q, i in enumerate(pc.maximal) if i in cells)}
     pairs = [(block[p], block[q], span) for p, q, span, _ in pc.adjacency()
              if p in block and q in block]

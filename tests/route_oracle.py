@@ -32,11 +32,12 @@ walk, builds stellar subdivisions and common refinements without validating
 them again, reads a refinement's cell map off its fan map, and takes the
 map between two models of a chain from ``refines``.  The fifth group is the
 routes these replaced: the exact common-face test on every pair of members,
-faces included, with maximality by containment; the stellar subdivision
-that joins the new ray to the facets of the face list; the common
-refinement from all pairwise intersections, validated; the cell map by
-containment of cells; and the map between two chain models composed from
-the consecutive ones.
+faces included, with maximality by containment; the separating-facet
+certificate that settled only pairs whose generators on the facet are their
+common ones on both sides; the stellar subdivision that joins the new ray
+to the facets of the face list; the common refinement from all pairwise
+intersections, validated; the cell map by containment of cells; and the map
+between two chain models composed from the consecutive ones.
 
 ppchow converts between V- and H-descriptions with one double description
 routine, reads a polyhedron's extreme generators off the facets each lies
@@ -72,10 +73,13 @@ vertex's coordinates: ``rho``, ``gamma``, ``ddc_one_shot``,
 
 ppchow builds a face, the cone over a cell and the cone of a cell at a
 vertex from the facet normals and generator masks of the polyhedron they
-come from, with no double description.  The tenth group is the routes these
-replaced, which build each one from its generators: ``faces``, the face walk
-with every face built from its key and the facets found by dot products,
-``cone_over_cell`` and ``chart_cone``.
+come from, with no double description, reads a recession cone off the cone
+over its cell, and tests completeness on the facets of the maximal members
+alone.  The tenth group is the routes these replaced, which build each one
+from its generators: ``faces``, the face walk with every face built from its
+key and the facets found by dot products, ``cone_over_cell``,
+``chart_cone`` and ``recession_cone``, and ``is_complete``, which also asked
+a complex for a complete fan of recession cones built that way.
 
 ppchow keeps, on each distinct span of a fan's pairs of maximal cones or of
 a complex's adjacency, the rows of the conditions for a polynomial to vanish
@@ -84,13 +88,15 @@ validators off them.  The eleventh group is the routes these replaced:
 ``equal_on_span`` and ``gluing_kernel`` restricting to the span through
 ``restrict_to_span`` on every call, with ``kernel_basis`` on Fraction rows.
 
-ppchow lists the pairs of maximal members that meet with one routine for
-fans and complexes, by position, and validates PP functions and affine PP
-functions with one search that takes its witness face from the domain.  The
-twelfth group is the routes these replaced: the pairs of a fan's maximal
-cones by position, the pairs of a complex's maximal cells by cell index,
-and the two validators, each building its witness face from the meet's
-generators.
+ppchow lists the pairs of maximal members whose gluing conditions are
+needed, a spanning forest of each meet's star, with one routine for fans and
+complexes, by position, and validates PP functions and affine PP functions
+with one search over them that takes its witness face from the domain.  The
+twelfth group is the routes these replaced: every pair of a fan's maximal
+cones by position, every meeting pair of a complex's maximal cells by cell
+index, each meet read off the common vertices and rays by set lookups
+(``common_face``), and the two validators over all those pairs, each
+building its witness face from the meet's generators.
 """
 
 import itertools
@@ -106,9 +112,8 @@ from ppchow.errors import (CompatibilityViolation, DecompositionFailed,
                            NotInKernel, NotProper, NotRegular)
 from ppchow.limits import ModelChain, common_model
 from ppchow.polyhedra import (Cone, Fan, PolyComplex, Polyhedron, _Closure,
-                              _cone_over_rays, common_face, cone_over,
-                              direction_space, recession_fan, refines,
-                              vertex_chart)
+                              _cone_over_rays, cone_over, direction_space,
+                              recession_fan, refines, vertex_chart)
 from ppchow.ppfan import PPFunction, dual_forms, phi_ray, pullback, zero_pp
 from ppchow.specialfiber import (HomologyClass, EdgeTuple, VertexTuple,
                                  make_affine_pp)
@@ -333,9 +338,8 @@ def affine_basis(pc, k):
 
 def edge_star_basis(pc, e, k):
     cells = specialfiber._edge_star(pc, e).cells
-    spans = {(p, q): span for p, q, span, _ in pc.adjacency()}
-    pos = [pc.maximal.index(i) for i in cells]
-    pairs = [(a, b, spans[pos[a], pos[b]])
+    spans = {(i, j): span for i, j, span, _ in cell_adjacency(pc)}
+    pairs = [(a, b, spans[cells[a], cells[b]])
              for a, b in itertools.combinations(range(len(cells)), 2)]
     return [specialfiber.EdgeTuple(pc, k, {e: dict(zip(cells, polys))})
             for polys in _assemble(pairs, len(cells), pc.rank, k)]
@@ -549,6 +553,25 @@ def close_and_validate(items, kind):
     maximal = [i for i, p in enumerate(cells)
                if not any(i != j and cells[j].contains_poly(p) for j in range(len(cells)))]
     return tuple(cells), tuple(maximal)
+
+
+def meet_certified(p, q):
+    """Does a facet of p or of q, with the other on its far side, show p and
+    q disjoint, or carry the common generators of both and no other
+    generator of either?"""
+    meet = common_face(p, q)
+    for one, other in ((p, q), (q, p)):
+        n = one.dim_ambient
+        for a, bb in one.ineqs:
+            if not (all(sum(a[i] * v[i] for i in range(n)) >= bb for v in other.vertices)
+                    and all(sum(a[i] * r[i] for i in range(n)) >= 0 for r in other.rays)):
+                continue
+            far, near = [(tuple(v for v in c.vertices if sum(a[i] * v[i] for i in range(n)) == bb),
+                          tuple(r for r in c.rays if sum(a[i] * r[i] for i in range(n)) == 0))
+                         for c in (other, one)]
+            if not far[0] or far == near == meet:
+                return True
+    return False
 
 
 def star_subdivision(pc, point):
@@ -1254,6 +1277,29 @@ def cone_over_cell(cell):
     return Cone(cell.dim_ambient + 1, _cone_over_rays(cell))
 
 
+def recession_cone(cell):
+    """The recession cone of a cell, built from the cell's rays."""
+    return Cone(cell.dim_ambient, cell.rays)
+
+
+def is_complete(closure):
+    """Completeness as it was tested: full-dimensional maximal members, each
+    facet (found by dot products) in exactly two of them, and for a complex
+    also a complete fan of the recession cones built from the cells' rays."""
+    fan = isinstance(closure, Fan)
+    maxs = closure.max_cones() if fan else closure.max_cells()
+    if closure.rank == 0 or not maxs:
+        return bool(maxs)
+    count = {}
+    for p in maxs:
+        for key in _facet_keys(p):
+            count[key] = count.get(key, 0) + 1
+    if any(p.dim != closure.rank for p in maxs) or any(v != 2 for v in count.values()):
+        return False
+    return fan or is_complete(Fan(closure.rank, [recession_cone(p) for p in maxs],
+                                  validate=False))
+
+
 def chart_cone(v, cell):
     """The cone at the vertex v of a cell containing it."""
     rays = [vsub(u, v) for u in cell.vertices if u != v] + list(cell.rays)
@@ -1307,6 +1353,17 @@ def gluing_kernel(pairs, nblocks, dim, k):
 # ---------------------------------------------------------------------------
 # the meeting pairs of fans and of complexes, and the two validators
 # ---------------------------------------------------------------------------
+
+
+def common_face(p, q):
+    """(vertices, rays) of the common face of two cells of one complex, read
+    off their common vertices and rays; None when they share no vertex."""
+    qv = set(q.vertices)
+    vs = tuple(v for v in p.vertices if v in qv)
+    if not vs:
+        return None
+    qr = set(q.rays)
+    return vs, tuple(r for r in p.rays if r in qr)
 
 
 def max_pair_spans(fan):

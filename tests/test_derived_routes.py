@@ -1,11 +1,13 @@
-"""Faces, cones over cells and chart cones against builds from scratch.
+"""Faces, cones over cells, chart cones and recession cones against builds
+from scratch.
 
 ppchow builds a face of a polyhedron, the cone over a cell and the cone of a
 cell at a vertex from the facet normals and generator masks of the
-polyhedron they come from.  ``route_oracle`` builds each of them from its
-generators by double description.  Both routes must give the same key,
-dimension, equations, facets and facet masks, on a first pass and on a
-second pass that shares the faces already built.
+polyhedron they come from, and a recession cone from the cone over its
+cell.  ``route_oracle`` builds each of them from its generators by double
+description.  Both routes must give the same key, dimension, equations,
+facets and facet masks, on a first pass and on a second pass that shares
+the faces already built.
 """
 
 from fractions import Fraction as Q
@@ -17,7 +19,7 @@ import route_oracle
 from ppchow.errors import NonSCR
 from ppchow.fixtures import f6_complex
 from ppchow.polyhedra import (Polyhedron, _chart_cone, _cone_over_cell, build_complex,
-                              cone_over, vertex_chart)
+                              cone_over, recession_fan, vertex_chart)
 from test_conversion_routes import MANY_FACETS, _generators
 
 
@@ -67,8 +69,9 @@ def test_non_simplicial_faces_and_cones_match_builds_from_scratch(vertices, rays
 
 
 def _assert_cones_match(pc):
-    """The cone over each maximal cell and each chart cone equal the cones
-    built from their rays, and so do all faces of the fans they span."""
+    """The cone over each maximal cell, each chart cone and each maximal
+    recession cone equal the cones built from their rays, and so do all
+    faces of the fans they span."""
     co = cone_over(pc)
     for i, cone in zip(co.max_cells, co.fan.max_cones()):
         assert _fields(cone) == _fields(route_oracle.cone_over_cell(pc.cells[i]))
@@ -78,6 +81,12 @@ def _assert_cones_match(pc):
         for i, cone in zip(chart.max_cells, chart.fan.max_cones()):
             assert _fields(cone) == _fields(route_oracle.chart_cone(v, pc.cells[i]))
         fans.append(chart.fan)
+    if pc.is_complete():
+        rec = recession_fan(pc)
+        want = {c.rays: route_oracle.recession_cone(c) for c in pc.max_cells()}
+        assert [_fields(c) for c in rec.max_cones()] == [_fields(want[c.rays])
+                                                       for c in rec.max_cones()]
+        fans.append(rec)
     for fan in fans:
         for c in fan.cones:
             fresh = Polyhedron(c.dim_ambient, c.vertices, c.rays)

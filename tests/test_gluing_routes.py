@@ -85,18 +85,19 @@ def test_equal_on_span_matches_restriction_on_every_call(seed):
 def _systems(pc):
     """(pairs, blocks, dimension) of every gluing system on the model: the
     fans over it and at its vertices, its recession fan when it is
-    complete, the model itself and the star of each bounded edge."""
+    complete, the model itself and the star of each bounded edge, on every
+    pair of the star's cells."""
     fans = [cone_over(pc).fan] + [vertex_chart(pc, v).fan for v in pc.vertices]
     if pc.is_complete():
         fans.append(recession_fan(pc))
     out = [([(p, q, span) for p, q, span, _ in c.adjacency()], len(c.maximal), c.rank)
            for c in fans + [pc]]
-    spans = {(p, q): span for p, q, span, _ in pc.adjacency()}
+    spans = {(i, j): span for i, j, span, _ in route_oracle.cell_adjacency(pc)}
     for e in pc.bounded_edges:
-        pos = [pc.maximal.index(i) for i in _edge_star(pc, e).cells]
-        out.append(([(a, b, spans[pos[a], pos[b]])
-                     for a, b in itertools.combinations(range(len(pos)), 2)],
-                    len(pos), pc.rank))
+        cells = _edge_star(pc, e).cells
+        out.append(([(a, b, spans[cells[a], cells[b]])
+                     for a, b in itertools.combinations(range(len(cells)), 2)],
+                    len(cells), pc.rank))
     return out
 
 

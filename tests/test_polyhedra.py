@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import route_oracle
-from ppchow.errors import (InputError, NonSCR, NotAComplex, NotARecessionCone,
-                           RecessionMismatch, UnboundedEdge)
+from ppchow.errors import (FaceMismatch, InputError, NonSCR, NotAComplex,
+                           NotARecessionCone, RecessionMismatch, UnboundedEdge)
 from ppchow.fixtures import (all_fixture_models, f1_complex, f1_fan,
                              f2_complex, f3_complex, f3s_complex, f5_complex,
                              f6_complex)
@@ -14,6 +14,9 @@ from ppchow.polyhedra import (Cone, Fan, PolyComplex, Polyhedron, build_complex,
                               common_refinement, cone_over, edge_data,
                               horizontal_star, recession_fan, refines,
                               star_subdivision, vertex_chart)
+from ppchow.polyring import HomogPoly, gluing_kernel
+from ppchow.ppfan import make_pp
+from ppchow.specialfiber import make_affine_pp
 
 
 def test_fixture_complexes_valid_and_complete():
@@ -181,30 +184,68 @@ def test_chart_fans_complete():
 # ---------------------------------------------------------------------------
 
 
-def _assert_same_adjacency(closure):
-    """The one adjacency of a fan or complex, on a rebuilt closure's first
-    call and on its second, cached one, against the intersection oracle and
-    the route it replaced, both by position; one Span object per span."""
-    if isinstance(closure, Fan):
+def _generators(key, fan):
+    vertices, rays = ((), key) if fan else key
+    return frozenset([(0, v) for v in vertices] + [(1, r) for r in rays])
+
+
+def _components(members, links):
+    """The number of classes of ``members`` under the pairs ``links``."""
+    label = {p: p for p in members}
+    for p, q in links:
+        old, new = label[p], label[q]
+        label = {x: new if y == old else y for x, y in label.items()}
+    return len(set(label.values()))
+
+
+def _assert_forest_adjacency(closure):
+    """The adjacency of a fan or complex, on a rebuilt closure's first call
+    and on its second, cached one, against the pairs of maximal members that
+    meet, by the intersection oracle and by the route it replaced: each kept
+    pair is such a pair with its span and meet, one Span object per span;
+    every pair meeting in a codimension-one face is kept; for each meet F,
+    the kept pairs meeting in faces containing F link F's star, with no pair
+    meeting in F to spare; and the gluing kernels of the kept pairs and of
+    all pairs agree in degrees 0-3."""
+    fan = isinstance(closure, Fan)
+    if fan:
         fresh = Fan(closure.rank, closure.max_cones(), validate=False)
-        kept = route_oracle.max_pair_spans(closure)
+        every = route_oracle.max_pair_spans(closure)
     else:
         fresh = PolyComplex(closure.rank, closure.max_cells(), validate=False)
         pos = {i: p for p, i in enumerate(closure.maximal)}
-        kept = tuple((pos[i], pos[j], span, meet)
-                     for i, j, span, meet in route_oracle.cell_adjacency(closure))
+        every = tuple((pos[i], pos[j], span, meet)
+                      for i, j, span, meet in route_oracle.cell_adjacency(closure))
     want = route_oracle.positioned_adjacency(closure)
-    assert kept == want
+    assert every == want
     first = fresh.adjacency()
-    assert first == want and fresh.adjacency() is first
-    assert closure.adjacency() == want
+    assert fresh.adjacency() is first and closure.adjacency() == first
     spans = {}
     assert all(spans.setdefault(tuple(span), span) is span for _, _, span, _ in first)
+    meets = {(p, q): (span, meet) for p, q, span, meet in want}
+    assert all(meets.get((p, q)) == (span, meet) for p, q, span, meet in first)
+    kept = [(p, q) for p, q, _, _ in first]
+    assert {(p, q) for p, q, span, _ in want if len(span) == closure.rank - 1} <= set(kept)
+    gens = [_generators(m.key(), fan)
+            for m in (fresh.max_cones() if fan else fresh.max_cells())]
+    for meet in {meet for _, _, _, meet in want}:
+        f = _generators(meet, fan)
+        star = [p for p, g in enumerate(gens) if f <= g]
+        above = [(p, q) for p, q in kept if f < gens[p] & gens[q]]
+        at = [(p, q) for p, q in kept if f == gens[p] & gens[q]]
+        assert _components(star, above + at) == 1
+        assert len(at) == _components(star, above) - 1
+    n = len(closure.maximal)
+    for k in range(4):
+        got = gluing_kernel([(p, q, span) for p, q, span, _ in first], n, closure.rank, k)
+        full = gluing_kernel([(p, q, span) for p, q, span, _ in every], n, closure.rank, k)
+        assert [[list(f.coeffs.items()) for f in b] for b in got] == \
+            [[list(f.coeffs.items()) for f in b] for b in full]
 
 
 def _assert_same_route(pc):
     from ppchow.specialfiber import _edge_star
-    _assert_same_adjacency(pc)
+    _assert_forest_adjacency(pc)
     co = cone_over(pc)
     # every cell's cone is a cone of c(Pi), and each maximal cell stands at
     # the position of its cone among the maximal ones
@@ -223,7 +264,7 @@ def _assert_same_route(pc):
         assert [to_cone[i] for i in chart.max_cells] == list(chart.fan.maximal)
         fans.append(chart.fan)
     for fan in fans:
-        _assert_same_adjacency(fan)
+        _assert_forest_adjacency(fan)
         assert fan.same_as(Fan(fan.rank, fan.max_cones(), validate=False))
         # every face of a fan, cone over a cell and chart cone is a cone
         # keyed by its rays
@@ -257,3 +298,64 @@ def test_meets_match_intersection_oracle_on_refined_f3c(choices):
     assert len(pc.maximal) == 3 + 2 * len(choices)
     assert pc.is_complete() and pc.is_regular()
     _assert_same_route(pc)
+
+
+# two members that share no facet, so only the pair itself links them
+NON_HEREDITARY = {
+    "2-cones meeting at the origin":
+        lambda: Fan(2, [Cone(2, [(1, 0), (1, 1)]), Cone(2, [(-1, 0), (-1, -1)])]),
+    "triangles meeting at a vertex":
+        lambda: build_complex([([(0, 0), (1, 0), (0, 1)], []),
+                               ([(0, 0), (-1, 0), (0, -1)], [])], rank=2),
+    "3-cones sharing a ray":
+        lambda: Fan(3, [Cone(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+                        Cone(3, [(-1, 0, 0), (0, -1, 0), (0, 0, 1)])]),
+}
+
+
+def _verdict(domain):
+    """The outcome of validating constants 1 and 2 on the two members."""
+    pieces = [HomogPoly.constant(domain.rank, c) for c in (1, 2)]
+    try:
+        if isinstance(domain, Fan):
+            make_pp(domain, pieces, 0)
+        else:
+            make_affine_pp(domain, pieces, 0)
+    except FaceMismatch as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(NON_HEREDITARY))
+def test_linking_pairs_survive_on_non_hereditary_domains(name, monkeypatch):
+    domain = NON_HEREDITARY[name]()
+    _assert_forest_adjacency(domain)
+    assert [(p, q) for p, q, _, _ in domain.adjacency()] == [(0, 1)]
+    # the constants agree across every facet, as there is none, but not at
+    # the shared face, on both routes
+    got = _verdict(domain)
+    assert got is not None
+    with monkeypatch.context() as mp:
+        route_oracle.install(mp)
+        assert _verdict(NON_HEREDITARY[name]()) == got
+
+
+def test_completeness_matches_the_recession_fan_route():
+    """Each model, with each maximal cell dropped in turn, its fans, the
+    non-hereditary domains and the edges of a triangle, whose facets are
+    paired but which is not full-dimensional."""
+    domains = [build() for build in NON_HEREDITARY.values()]
+    domains.append(build_complex([([(0, 0), (1, 0)], []), ([(1, 0), (0, 1)], []),
+                                  ([(0, 1), (0, 0)], [])], rank=2))
+    models = list(all_fixture_models().values())
+    models += [route_oracle.refined_f3c([3, 7]), route_oracle.interval_model(-1, 2)]
+    for pc in models:
+        cells = pc.max_cells()
+        parts = [PolyComplex(pc.rank, cells[:i] + cells[i + 1:], validate=False)
+                 for i in range(len(cells))]
+        domains += [pc, recession_fan(pc)] + parts
+        domains += [cone_over(c).fan for c in [pc] + parts]
+        domains += [vertex_chart(pc, v).fan for v in pc.vertices]
+    got = [d.is_complete() for d in domains]
+    assert got == [route_oracle.is_complete(d) for d in domains]
+    assert any(got) and not all(got)

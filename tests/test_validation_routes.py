@@ -9,6 +9,7 @@ invalid ones both must raise ``NotAComplex``; and every complex built by
 construction must pass the all-pairs test of ``route_oracle``.
 """
 
+import itertools
 from fractions import Fraction as Q
 
 import pytest
@@ -18,9 +19,9 @@ import route_oracle
 from ppchow.errors import NotAComplex
 from ppchow.fixtures import all_fixture_models, f1_fan, f3_fan
 from ppchow.polyhedra import (Cone, Fan, PolyComplex, Polyhedron,
-                              _close_and_validate, common_refinement,
-                              cone_over, recession_fan, refines,
-                              star_subdivision, vertex_chart)
+                              _close_and_validate, _meet_certified,
+                              common_refinement, cone_over, recession_fan,
+                              refines, star_subdivision, vertex_chart)
 
 FIXTURES = all_fixture_models()
 
@@ -109,6 +110,12 @@ INVALID_COMPLEXES = {
                               ([(1, 0)], [(0, 1), (1, 1)])],
     "unbounded strip on a square": [([(0, 0), (2, 0)], [(0, 1)]),
                                     ([(1, 0), (3, 0), (1, 2), (3, 2)], [])],
+    # a triangle's vertex inside another's edge, the triangle with the edge
+    # first in the canonical order, then second
+    "triangle's vertex inside an edge": [([(0, 0), (2, 0), (0, 2)], []),
+                                         ([(1, 1), (3, 1), (1, 3)], [])],
+    "triangle's vertex inside an edge, reversed": [([(0, 0), (-2, 0), (0, -2)], []),
+                                                   ([(-1, -1), (-3, -1), (-1, -3)], [])],
 }
 
 INVALID_FANS = {
@@ -133,6 +140,15 @@ def _lattice_map(rank, shear, k, shift):
 @given(st.sampled_from(sorted(INVALID_COMPLEXES)), st.integers(-2, 2),
        st.integers(1, 3), st.lists(st.integers(-3, 3), min_size=2, max_size=2))
 def test_invalid_complexes_rejected_by_both(name, shear, k, shift):
+    _assert_rejected_by_both(name, shear, k, shift)
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_COMPLEXES))
+def test_each_invalid_complex_is_rejected_by_both(name):
+    _assert_rejected_by_both(name, 0, 2, (0, 0))    # the identity map
+
+
+def _assert_rejected_by_both(name, shear, k, shift):
     raw = INVALID_COMPLEXES[name]
     rank = len(raw[0][0][0])
     f = _lattice_map(rank, shear, Q(k, 2), [Q(s) for s in shift[:rank]])
@@ -232,3 +248,24 @@ def test_refines_reads_the_cell_map_off_the_fan_map(choices):
             assert m.cell_map == route_oracle.refinement_cell_map(finer, coarser)
             assert all(coarser.cells[m.cell_map[j]].contains_poly(finer.cells[j])
                        for j in finer.maximal)
+
+
+@settings(derandomize=True, max_examples=4, deadline=None)
+@given(st.lists(st.integers(0, 50), min_size=1, max_size=4))
+def test_certified_meets_are_the_intersections_on_refined_f3c(choices):
+    """Every pair of maximal cells that a facet settles meets in the
+    certified face, by the subset oracle's intersection; every pair the
+    earlier certificate settled is settled, and some that it did not settle
+    are."""
+    pc = route_oracle.refined_f3c(choices)
+    newly = 0
+    for p, q in itertools.combinations(pc.max_cells(), 2):
+        got, before = _meet_certified(p, q), route_oracle.meet_certified(p, q)
+        if got is None:
+            assert not before
+            continue
+        meet = route_oracle.intersect(2, route_oracle.polyhedron(2, p.vertices, p.rays),
+                                      route_oracle.polyhedron(2, q.vertices, q.rays))
+        assert got == (((), ()) if meet is None else meet[2:])
+        newly += not before
+    assert newly
