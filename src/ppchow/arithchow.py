@@ -20,7 +20,7 @@ from .cycles import (InvariantCycle, closure_class, cycle_from_pp,
                      horizontal_part, model_cycle_class)
 from .errors import (CompatibilityViolation, InternalIdentityError,
                      NoCertificate, NotCycleSupported, WeightNotOrthogonal)
-from .limits import (ClosedForm, CurrentTower, delta_current,
+from .limits import (ClosedForm, CurrentTower, ddc_current, delta_current,
                      green_from_lifting, limit_equal_in, module_product_form,
                      on_common_model)
 from .polyhedra import Cone, cone_over, quotient_projection, recession_fan
@@ -28,7 +28,8 @@ from .polyring import HomogPoly
 from .ppfan import phi_cone, restrict_to_height_zero
 from .qlinalg import primitive, vec
 from .specialfiber import (class_equal, ddc_model, from_vertex_tuple,
-                           iota_lower, iota_upper, vertical_decompose)
+                           iota_lower, iota_upper, pullback_special,
+                           vertical_decompose)
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +169,6 @@ def theta(chain, start, cycle):
     closure.  The certificate is the slice of the lifting, verified to equal
     dd^c of the tower plus the delta current on every materialized model.
     """
-    from .limits import ddc_current
-    from .specialfiber import pullback_special
     pc = chain.model(start)
     F = model_cycle_class(pc, cycle)
     eta = horizontal_part(cycle, pc.rank)

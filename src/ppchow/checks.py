@@ -314,8 +314,7 @@ def criterion_11():
         ok = False
         notes.append("theta' round trip")
     vcyc = InvariantCycle(2, 1, {(((0, 1)),): 1})
-    from .arithchow import theta as _theta
-    bv = _theta(chain, 1, vcyc)
+    bv = theta(chain, 1, vcyc)
     xb = ExtendedArithCycle(chain, InvariantCycle(1, 1, {}), bv.green)
     Tb = theta_prime_inverse(xb)
     yb = theta_prime(Tb)

@@ -10,7 +10,7 @@ its class is the generator phi_sigma.
 from fractions import Fraction
 
 from .polyhedra import Cone, cone_over
-from .ppfan import PPFunction, phi_cone, zero_pp
+from .ppfan import PPFunction, phi_cone, pp_coordinates, zero_pp
 from .qlinalg import primitive, rat, vec
 
 
@@ -121,7 +121,6 @@ def cycle_from_pp(fan, f, codim):
     Returns the InvariantCycle or None when the class is not supported on
     cycles of that codimension.
     """
-    from .ppfan import pp_coordinates
     cones = [c for c in fan.cones if c.dim == codim]
     basis = [phi_cone(fan, c) for c in cones]
     coords = pp_coordinates(f, basis)

@@ -38,13 +38,16 @@ from collections import namedtuple
 from .errors import (CompatibilityViolation, InputError, NotALifting,
                      NotARefinement, NotStabilized)
 from .cycles import closure_class
-from .polyhedra import common_refinement, cone_over, recession_fan, refines
+from .polyhedra import (common_refinement, cone_over, recession_fan, refines,
+                        vertex_chart)
 from .ppfan import (equivariant_degree, pullback, pushforward,
                     restrict_to_height_zero, zero_pp)
+from .qlinalg import mat, solve, vec
 from .specialfiber import (AffinePP, alpha, beta, cap_fundamental, class_equal,
-                           ddc_model, from_vertex_tuple, iota_upper,
-                           pullback_special, to_vertex_tuple,
-                           vertical_decompose, zero_vertex_tuple, zeta)
+                           ddc_model, dim_affine_pp, from_vertex_tuple,
+                           iota_upper, pullback_special, to_vertex_tuple,
+                           vertex_layer_basis, vertical_decompose,
+                           zero_vertex_tuple, zeta)
 
 
 class ModelChain:
@@ -401,7 +404,6 @@ def zero_composition_suite(chain, degrees, rng, samples=5):
     Returns a report dict; every composite is asserted to vanish exactly
     (forms side) or modulo gamma images (tilde side).
     """
-    from .specialfiber import dim_affine_pp, vertex_layer_basis
     report = {"checked": 0, "failures": []}
     for k in degrees:
         for pc_idx, pc in enumerate(chain.models):
@@ -477,7 +479,6 @@ def closed_degree_one_evaluator(c):
     constant to zero and returns an evaluator, or None when the gluing
     system is unsolvable (reported, not asserted).
     """
-    from .qlinalg import mat, solve, vec
     pc = c.model
     pieces = c.form._parts()
     rows, rhs = [], []
@@ -514,7 +515,6 @@ def degree_current(tower):
     so compatible towers give one value along the whole chain; disagreement
     raises :class:`NotStabilized`.
     """
-    from .polyhedra import vertex_chart
     values = []
     vertex_tuple = _FLAVORS[tower.flavor].vertex_tuple
     if vertex_tuple is None:

@@ -19,12 +19,15 @@ unrelated complexes meet in new polyhedra), and in the check suite's grid
 oracle, which must share no code with the bases.  Each polyhedron keeps the
 mask of its generators on each facet, so faces, cones over cells, chart
 cones and recession cones are read off the parent's facets and the face
-lattice.  Validation tests pairs of maximal cells only, which proves every
-pair of cells meets in a common face; a facet of one cell with the other on
-its far side, read with the facet masks, certifies nearly all pairs without
-intersecting them.  The maximal cells are read off the face walk, stellar
-subdivisions and common refinements are complexes by construction and are
-not validated again, and a refinement's cell map is read off the fan map.
+lattice; generators span a face when the facets holding them cut out just
+them, and one facet-pairing test, :func:`_facets_paired`, decides both
+completeness and a pushforward's properness.  Validation tests pairs of
+maximal cells only, which proves every pair of cells meets in a common face;
+a facet of one cell with the other on its far side, read with the facet
+masks, certifies nearly all pairs without intersecting them.  The maximal
+cells are read off the face walk, stellar subdivisions and common
+refinements are complexes by construction and are not validated again, and
+a refinement's cell map is read off the fan map.
 Once a complex or fan is validated, two of its cells meet in the convex hull
 of their common vertices plus the cone on their common rays, and are
 disjoint exactly when they share no vertex; two cones meet in the cone on
@@ -345,19 +348,6 @@ class Polyhedron:
                 stack.append(built[key])
         return sorted(seen.values(), key=lambda p: (p.dim, p.key()))
 
-    def is_face_of(self, other):
-        if not other.contains_poly(self):
-            return False
-        n = other.dim_ambient
-        tight = [(a, bb) for a, bb in other.ineqs
-                 if all(sum(a[i] * v[i] for i in range(n)) == bb for v in self.vertices)
-                 and all(sum(a[i] * r[i] for i in range(n)) == 0 for r in self.rays)]
-        gv = tuple(v for v in other.vertices
-                   if all(sum(a[i] * v[i] for i in range(n)) == bb for a, bb in tight))
-        gr = tuple(r for r in other.rays
-                   if all(sum(a[i] * r[i] for i in range(n)) == 0 for a, bb in tight))
-        return (gv, gr) == (self.vertices, self.rays)
-
     def __repr__(self):
         return f"Polyhedron(V={list(self.vertices)}, R={list(self.rays)})"
 
@@ -399,6 +389,20 @@ def _separations(p, q):
             yield a, b, on
 
 
+def _is_face(one, g):
+    """Do the generators g = (vertices, rays) span a face of ``one``?  The
+    facets of one holding all of g cut out the smallest face containing g,
+    whose generators are those under the AND of their masks."""
+    nv = len(one.vertices)
+    mask = (sum(1 << i for i, v in enumerate(one.vertices) if v in g[0])
+            | sum(1 << nv + i for i, r in enumerate(one.rays) if r in g[1]))
+    face = -1
+    for on in one._on:
+        if on & mask == mask:
+            face &= on
+    return one._gens(face) == g
+
+
 def _meet_certified(p, q):
     """The generators (vertices, rays) of p & q when a facet of p or of q
     settles the pair, ((), ()) when it shows them disjoint; None otherwise.
@@ -406,27 +410,18 @@ def _meet_certified(p, q):
     Let H: a.x = b carry a facet of one with the other on the far side, so
     p & q lies in H & other, the face of the other spanned by its generators
     G on H (the hull of G's vertices plus the cone on its rays).  If G holds
-    no vertex, p and q are disjoint.  Otherwise the facets of one holding
-    the generators of one in G cut out a face of one, whose generators are
-    those under the AND of their masks.  If these are exactly G, that face
-    is H & other, which then lies in p & q, so p & q = H & other is a face
-    of both.  This covers G being the common generators of p and q and also
-    all of one's generators on H, since H is among those facets.
+    no vertex, p and q are disjoint.  Otherwise, if G spans a face of one
+    (:func:`_is_face`), that face is H & other, which then lies in p & q, so
+    p & q = H & other is a face of both.  This covers G being the common
+    generators of p and q and also all of one's generators on H.
     """
     for one, other in ((p, q), (q, p)):
-        nv = len(one.vertices)
         for a, b, _ in _separations(one, other):
             g = (tuple(v for v in other.vertices if vdot(a, v) == b),
                  tuple(r for r in other.rays if vdot(a, r) == 0))
             if not g[0]:
                 return (), ()
-            mask = (sum(1 << i for i, v in enumerate(one.vertices) if v in g[0])
-                    | sum(1 << nv + i for i, r in enumerate(one.rays) if r in g[1]))
-            face = -1
-            for on in one._on:
-                if on & mask == mask:
-                    face &= on
-            if one._gens(face) == g:
+            if _is_face(one, g):
                 return g
     return None
 
@@ -462,7 +457,10 @@ def _close_and_validate(items, kind, validate=True):
             if _meet_certified(p, q) is not None:
                 continue
             inter = p.intersect(q)
-            if inter is not None and not (inter.is_face_of(p) and inter.is_face_of(q)):
+            if inter is None:
+                continue
+            g = (inter.vertices, inter.rays)
+            if not (_is_face(p, g) and _is_face(q, g)):
                 raise NotAComplex(
                     f"{kind} cells {p!r} and {q!r} meet in {inter!r}, not a common face")
     return tuple(cells), maximal
@@ -483,6 +481,35 @@ def _join(parent, p, q):
     if p != q:
         parent[p] = q
     return p != q
+
+
+def _facets_paired(members, rank, region=None):
+    """Do the members, which meet in common faces and lie in the region,
+    cover it?  The region is a full-dimensional polyhedron, or N_R if None.
+
+    They do exactly when there is a member, all are full-dimensional, and
+    each facet lies in two members or in one and inside a facet of the
+    region.  A facet F of a member lies in a facet a.x <= b of the region or
+    has its relative interior in the region's interior: a.x <= b holds on F,
+    so equality at one relative interior point gives it on all of F.  Were
+    a point z of the interior outside the support, a segment from a generic
+    interior point of a member to z would stay in the interior, miss every
+    face of dimension below rank - 1, and leave the support at a relative
+    interior point of a facet; two members hold that facet, one on either
+    side, and cover a ball around the point.  Conversely, on a cover, the
+    points just past a facet F in the interior lie in a second member, which
+    meets the first in a face containing F, so in F; past a facet inside one
+    of the region's, none do.
+    """
+    count = {}
+    for p in members:
+        for key in p.facet_keys():
+            count[key] = count.get(key, 0) + 1
+    walls = () if region is None else region.ineqs
+    return bool(members) and all(p.dim == rank for p in members) and all(
+        v == 2 or v == 1 and any(all(vdot(a, x) == b for x in key[0])
+                                 and all(vdot(a, r) == 0 for r in key[1]) for a, b in walls)
+        for key, v in count.items())
 
 
 class _Closure:
@@ -557,23 +584,10 @@ class _Closure:
                                  and self._index.keys() == other._index.keys())
 
     def is_complete(self):
-        """Is the support all of N_R?  In rank 0, when there is a member;
-        otherwise, when the maximal members are full-dimensional and each of
-        their facets lies in exactly two of them.  Were a point z outside the
-        support, a segment from a generic interior point of a maximal member
-        to z would miss every face of dimension below rank - 1, so it would
-        leave the support at a relative interior point of a facet; the two
-        members holding that facet lie on either side of it and cover a ball
-        around the point."""
+        """Is the support all of N_R?  Decided by :func:`_facets_paired`."""
         if "complete" not in self._cache:
             maxs = self.max_cones() if isinstance(self, Fan) else self.max_cells()
-            count = {}
-            for p in maxs:
-                for key in p.facet_keys():
-                    count[key] = count.get(key, 0) + 1
-            self._cache["complete"] = bool(maxs) and (self.rank == 0 or (
-                all(p.dim == self.rank for p in maxs)
-                and all(v == 2 for v in count.values())))
+            self._cache["complete"] = _facets_paired(maxs, self.rank)
         return self._cache["complete"]
 
 
@@ -592,8 +606,12 @@ class Fan(_Closure):
         return [self.cones[i] for i in self.maximal]
 
     def is_regular(self):
+        """Do every cone's rays extend to a basis of Z^rank?  Every cone is a
+        face of a maximal one, and a face of a simplicial cone is spanned by
+        a subset of its rays, which extends to a basis when they do; a
+        non-simplicial maximal cone fails either way."""
         if "regular" not in self._cache:
-            self._cache["regular"] = all(rays_extend_to_basis(c.rays) for c in self.cones)
+            self._cache["regular"] = all(rays_extend_to_basis(c.rays) for c in self.max_cones())
         return self._cache["regular"]
 
     def __repr__(self):
@@ -695,14 +713,6 @@ class ConeOver:
         self.max_cells = max_cells
 
 
-def _cone_over_rays(cell):
-    """Sorted primitive rays of the cone over a cell, which is its key: the
-    vertices and extreme rays of a pointed cell are all extreme."""
-    rays = {primitive(tuple(v) + (Fraction(1),)) for v in cell.vertices}
-    rays.update(tuple(r) + (Fraction(0),) for r in cell.rays)
-    return tuple(sorted(rays))
-
-
 def _cone_over_cell(cell):
     """The cone over a cell, read off the cell's facets.
 
@@ -727,12 +737,7 @@ def cone_over(pc):
     n = pc.rank
     max_cones = [_cone_over_cell(pc.cells[i]) for i in pc.maximal]
     fan = Fan(n + 1, max_cones, validate=False)
-    cell_at = {}
-    for ci, cell in enumerate(pc.cells):
-        idx = fan.index(_cone_over_rays(cell))
-        if idx is None:
-            raise NotAComplex("cone over a cell missing from the closure")
-        cell_at[idx] = ci
+    cell_at = {fan.index(c.key()): i for i, c in zip(pc.maximal, max_cones)}
     out = ConeOver(fan, tuple(cell_at[j] for j in fan.maximal))
     pc._cache["cone_over"] = out
     return out

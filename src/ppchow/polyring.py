@@ -21,7 +21,7 @@ from math import prod
 from operator import add
 
 from .errors import DegreeMismatch, NotPolynomial
-from .qlinalg import kernel_basis, primitive_ints, rat, rat_str, vec
+from .qlinalg import kernel_basis, primitive, primitive_ints, rat, rat_str, vec
 
 
 class HomogPoly:
@@ -415,7 +415,6 @@ def _canonical_linear(form):
         raise ValueError("denominator factors must be nonzero linear forms")
     coeffs = [form.coeffs.get(tuple(1 if i == j else 0 for j in range(form.dim)), Fraction(0))
               for i in range(form.dim)]
-    from .qlinalg import primitive
     prim = list(primitive(coeffs))
     idx = next(i for i, c in enumerate(prim) if c != 0)
     if prim[idx] < 0:

@@ -15,8 +15,8 @@ from .errors import (DegreeMismatch, FaceMismatch, NotARay, NotProper,
                      NotRegular)
 from .polyring import (HomogPoly, Piecewise, RatFun, gluing_kernel,
                        ratfun_sum_to_poly)
-from .polyhedra import Cone, cone_over, recession_fan
-from .qlinalg import det, mat, mat_inverse, primitive, solve, transpose, vec
+from .polyhedra import Cone, _facets_paired, cone_over, recession_fan
+from .qlinalg import mat, mat_inverse, primitive, solve, transpose, vec
 
 
 class PPFunction(Piecewise):
@@ -162,33 +162,6 @@ def pullback(fan_map, f):
     return PPFunction(fan_map.source, f.degree, pieces, validate=False)
 
 
-def _truncated_volume(cone, functional):
-    """n! times the volume of the cone cut off at functional <= 1."""
-    scaled = []
-    for r in cone.rays:
-        h = functional.evaluate(r)
-        if h <= 0:
-            raise NotProper("functional not positive on a covering cone")
-        scaled.append([x / h for x in r])
-    return abs(det(mat(scaled)))
-
-
-def _check_covers(sigma, parts, rank_):
-    """Exact check that the full-dimensional cones cover sigma.
-
-    Compares the volume of sigma truncated by a functional positive on it
-    against the sum over the parts; the parts sit inside sigma and meet along
-    faces, so equality is equivalent to covering.
-    """
-    c = dual_forms(sigma, rank_)
-    functional = c[0]
-    for form in c[1:]:
-        functional = functional + form
-    total = _truncated_volume(sigma, functional)
-    covered = sum(_truncated_volume(p, functional) for p in parts)
-    return covered == total
-
-
 def pushforward(fan_map, f):
     """Pushforward along a proper subdivision of regular fans.
 
@@ -197,8 +170,9 @@ def pushforward(fan_map, f):
     of piece / (prod of the source cone's dual forms), summed exactly; a
     nonzero remainder in the division means the map was not a subdivision.
     A target cone that the map does not split keeps its one piece.
-    Properness (equal supports) is certified by an exact volume count of the
-    source cones inside each target cone, kept on the map, failing or not.
+    Properness (equal supports) is certified on each target cone by pairing
+    the facets of the source cones inside it (:func:`_facets_paired`), kept
+    on the map, failing or not.
     """
     src, tgt = fan_map.source, fan_map.target
     if not f.fan.same_as(src):
@@ -209,9 +183,11 @@ def pushforward(fan_map, f):
     pieces = []
     for t, tmax in enumerate(tgt.maximal):
         sigma = tgt.cones[tmax]
+        # refuses a cone that is not full-dimensional, as the certificate needs
+        numf = dual_forms(sigma, rank_)
         if ("covering", t) not in fan_map._cache:
             inside = tuple(s for s, u in enumerate(fan_map.max_map) if u == t)
-            covers = _check_covers(sigma, [src.cones[src.maximal[s]] for s in inside], rank_)
+            covers = _facets_paired([src.cones[src.maximal[s]] for s in inside], rank_, sigma)
             fan_map._cache["covering", t] = inside if covers else None
         if fan_map._cache["covering", t] is None:
             raise NotProper(f"source cones do not cover target cone {sigma!r}")
@@ -220,7 +196,6 @@ def pushforward(fan_map, f):
             # sigma is not split: its term f_s * prod phi_sigma / prod phi_sigma is f_s
             pieces.append(f.pieces[inside[0]])
             continue
-        numf = dual_forms(sigma, rank_)
         terms = []
         for s in inside:
             num = f.pieces[s]

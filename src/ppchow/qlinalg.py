@@ -6,8 +6,7 @@ runs on integers: each row is scaled to a primitive integer vector, a row
 update cross-multiplies two rows and divides out the content of the result,
 and only at the end is each pivot row divided by its pivot, which returns
 the RREF over Q.  The RREF of a matrix is unique, so every result equals the
-one rational Gauss-Jordan elimination gives.  The determinant uses the
-fraction-free elimination of Bareiss.  Solutions and kernels verify by
+one rational Gauss-Jordan elimination gives.  Solutions and kernels verify by
 substitution with no tolerance.
 """
 
@@ -80,16 +79,11 @@ def transpose(A):
     return tuple(zip(*A)) if A else ()
 
 
-def _scaled(row):
-    """(integers, d) with row == integers / d, d the least common denominator."""
-    d = lcm(*[x.denominator for x in row])
-    return [x.numerator * (d // x.denominator) for x in row], d
-
-
 def primitive_ints(row):
     """The primitive integer vector on the ray of a rational row, as a list of
     ints (zero stays zero)."""
-    ints, _ = _scaled(row)
+    d = lcm(*[x.denominator for x in row])
+    ints = [x.numerator * (d // x.denominator) for x in row]
     g = gcd(*ints)
     return [x // g for x in ints] if g > 1 else ints
 
@@ -180,34 +174,6 @@ def kernel_basis(A):
             v[c] = Fraction(-row[f], row[c])
         basis.append(tuple(v))
     return basis
-
-
-def det(A):
-    """Exact determinant by Bareiss's fraction-free elimination: after step k
-    the entries below the pivots are minors of order k + 1, so dividing by
-    the previous pivot is exact and the last pivot is the determinant."""
-    A = mat(A)
-    n = len(A)
-    if any(len(r) != n for r in A):
-        raise ValueError("determinant needs a square matrix")
-    M, den = [], 1
-    for row in A:
-        ints, d = _scaled(row)
-        M.append(ints)
-        den *= d
-    sign, prev = 1, 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if M[i][k]), None)
-        if p is None:
-            return _ZERO
-        if p != k:
-            M[k], M[p], sign = M[p], M[k], -sign
-        a = M[k][k]
-        for i in range(k + 1, n):
-            b = M[i][k]
-            M[i] = [(a * x - b * y) // prev for x, y in zip(M[i], M[k])]
-        prev = a
-    return Fraction(sign * prev, den)
 
 
 def span_basis(vectors):

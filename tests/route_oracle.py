@@ -97,6 +97,15 @@ cones by position, every meeting pair of a complex's maximal cells by cell
 index, each meet read off the common vertices and rays by set lookups
 (``common_face``), and the two validators over all those pairs, each
 building its witness face from the meet's generators.
+
+ppchow decides whether members cover a region, for completeness and for a
+pushforward's properness, by pairing their facets, tests whether an
+intersection is a face by the facet masks, and reads the cell map of c(Pi)
+off the cones over the maximal cells.  The thirteenth group is the routes
+these replaced: ``check_covers_by_volume``, which compares truncated volumes
+through ``fraction_det``, ``is_face_of`` by dot products with the facets,
+and ``_cone_over_rays``, the key of the cone over a cell from its
+generators.
 """
 
 import itertools
@@ -112,8 +121,8 @@ from ppchow.errors import (CompatibilityViolation, DecompositionFailed,
                            NotInKernel, NotProper, NotRegular)
 from ppchow.limits import ModelChain, common_model
 from ppchow.polyhedra import (Cone, Fan, PolyComplex, Polyhedron, _Closure,
-                              _cone_over_rays, cone_over, direction_space,
-                              recession_fan, refines, vertex_chart)
+                              cone_over, direction_space, recession_fan,
+                              refines, vertex_chart)
 from ppchow.ppfan import PPFunction, dual_forms, phi_ray, pullback, zero_pp
 from ppchow.specialfiber import (HomologyClass, EdgeTuple, VertexTuple,
                                  make_affine_pp)
@@ -174,14 +183,8 @@ def _position(fan, cone):
 
 def cell_to_cone(pc):
     """Cell index -> index of the cone over it in c(Pi), by a linear scan."""
-    n = pc.rank
     fan = cone_over(pc).fan
-    out = {}
-    for ci, cell in enumerate(pc.cells):
-        rays = [primitive(tuple(v) + (Fraction(1),)) for v in cell.vertices]
-        rays += [tuple(r) + (Fraction(0),) for r in cell.rays]
-        out[ci] = _position(fan, Cone(n + 1, rays))
-    return out
+    return {ci: _position(fan, cone_over_cell(cell)) for ci, cell in enumerate(pc.cells)}
 
 
 def chart_cell_to_cone(pc, chart):
@@ -547,12 +550,28 @@ def close_and_validate(items, kind):
         inter = p.intersect(q)
         if inter is None:
             continue
-        if not (inter.is_face_of(p) and inter.is_face_of(q)):
+        if not (is_face_of(inter, p) and is_face_of(inter, q)):
             raise NotAComplex(
                 f"{kind} cells {p!r} and {q!r} meet in {inter!r}, not a common face")
     maximal = [i for i, p in enumerate(cells)
                if not any(i != j and cells[j].contains_poly(p) for j in range(len(cells)))]
     return tuple(cells), tuple(maximal)
+
+
+def is_face_of(face, other):
+    """Is ``face`` a face of ``other``: contained in it, and the generators
+    of other on every facet tight on face exactly face's generators?"""
+    if not other.contains_poly(face):
+        return False
+    n = other.dim_ambient
+    tight = [(a, bb) for a, bb in other.ineqs
+             if all(sum(a[i] * v[i] for i in range(n)) == bb for v in face.vertices)
+             and all(sum(a[i] * r[i] for i in range(n)) == 0 for r in face.rays)]
+    gv = tuple(v for v in other.vertices
+               if all(sum(a[i] * v[i] for i in range(n)) == bb for a, bb in tight))
+    gr = tuple(r for r in other.rays
+               if all(sum(a[i] * r[i] for i in range(n)) == 0 for a, bb in tight))
+    return (gv, gr) == (face.vertices, face.rays)
 
 
 def meet_certified(p, q):
@@ -892,6 +911,30 @@ def class_equal(a, b):
     return solve(transpose(mat(gcols)), vec(diff)) is not None
 
 
+def _truncated_volume(cone, functional):
+    """n! times the volume of the cone cut off at functional <= 1."""
+    scaled = []
+    for r in cone.rays:
+        h = functional.evaluate(r)
+        if h <= 0:
+            raise NotProper("functional not positive on a covering cone")
+        scaled.append([x / h for x in r])
+    return abs(fraction_det(scaled))
+
+
+def check_covers_by_volume(sigma, parts, rank_):
+    """Do the full-dimensional cones cover sigma?  Compares the volume of
+    sigma truncated by a functional positive on it against the sum over the
+    parts; the parts sit inside sigma and meet along faces, so equality is
+    equivalent to covering."""
+    c = ppfan.dual_forms(sigma, rank_)
+    functional = c[0]
+    for form in c[1:]:
+        functional = functional + form
+    total = _truncated_volume(sigma, functional)
+    return sum(_truncated_volume(p, functional) for p in parts) == total
+
+
 def pushforward(fan_map, f):
     """Pushforward with the volume certificate of properness run on every
     call, for every target cone."""
@@ -906,7 +949,7 @@ def pushforward(fan_map, f):
         sigma = tgt.cones[tmax]
         parts = [src.cones[src.maximal[s]] for s in range(len(src.maximal))
                  if fan_map.max_map[s] == t]
-        if not ppfan._check_covers(sigma, parts, rank_):
+        if not check_covers_by_volume(sigma, parts, rank_):
             raise NotProper(f"source cones do not cover target cone {sigma!r}")
         numf = ppfan.dual_forms(sigma, rank_)
         terms = []
@@ -955,8 +998,8 @@ def localized_pushforward(fan_map, f):
         sigma = tgt.cones[tmax]
         if ("covering", t) not in fan_map._cache:
             inside = tuple(s for s, u in enumerate(fan_map.max_map) if u == t)
-            covers = ppfan._check_covers(sigma, [src.cones[src.maximal[s]] for s in inside],
-                                         rank_)
+            covers = check_covers_by_volume(
+                sigma, [src.cones[src.maximal[s]] for s in inside], rank_)
             fan_map._cache["covering", t] = inside if covers else None
         if fan_map._cache["covering", t] is None:
             raise NotProper(f"source cones do not cover target cone {sigma!r}")
@@ -1270,6 +1313,14 @@ def faces(p, built=None):
                 built[key] = Polyhedron(p.dim_ambient, *key)
             stack.append(built[key])
     return sorted(seen.values(), key=lambda f: (f.dim, f.key()))
+
+
+def _cone_over_rays(cell):
+    """Sorted primitive rays of the cone over a cell, which is its key: the
+    vertices and extreme rays of a pointed cell are all extreme."""
+    rays = {primitive(tuple(v) + (Fraction(1),)) for v in cell.vertices}
+    rays.update(tuple(r) + (Fraction(0),) for r in cell.rays)
+    return tuple(sorted(rays))
 
 
 def cone_over_cell(cell):

@@ -181,8 +181,8 @@ def test_a_failed_properness_certificate_is_kept():
     f = constant_pp(half, 1)
     with pytest.MonkeyPatch.context() as mp:
         runs = []
-        check = ppfan._check_covers
-        mp.setattr(ppfan, "_check_covers", lambda *args: runs.append(args) or check(*args))
+        check = ppfan._facets_paired
+        mp.setattr(ppfan, "_facets_paired", lambda *args: runs.append(args) or check(*args))
         with pytest.raises(NotProper, match="do not cover target cone"):
             pushforward(m, f)
         first = len(runs)
@@ -191,3 +191,14 @@ def test_a_failed_properness_certificate_is_kept():
         assert first and len(runs) == first
     with pytest.raises(NotProper, match="do not cover target cone"):
         route_oracle.pushforward(m, f)
+
+
+def test_a_lower_dimensional_part_covers_nothing():
+    """A maximal source cone of lower dimension inside a target cone does
+    not cover it, even beside cones that cover the rest of the support."""
+    src = Fan(2, [Cone(2, [(1, 0), (0, 1)]), Cone(2, [(-1, 0)])])
+    tgt = Fan(2, [Cone(2, [(1, 0), (0, 1)]), Cone(2, [(0, 1), (-1, -1)]),
+                  Cone(2, [(-1, -1), (1, 0)])])
+    m = FanMap.from_subdivision(src, tgt)
+    with pytest.raises(NotProper, match="do not cover target cone"):
+        pushforward(m, constant_pp(src, 1))

@@ -6,7 +6,10 @@ walk, builds stellar subdivisions and common refinements without validating
 them, and reads a refinement's cell map off the fan map.  On valid inputs
 both routes must close to the same members with the same maximal ones; on
 invalid ones both must raise ``NotAComplex``; and every complex built by
-construction must pass the all-pairs test of ``route_oracle``.
+construction must pass the all-pairs test of ``route_oracle``.  Covering
+is decided by pairing facets and faces are tested by facet masks; both must
+agree with the volume count and the dot-product face test they replaced, on
+covers and non-covers, faces and non-faces.
 """
 
 import itertools
@@ -19,9 +22,10 @@ import route_oracle
 from ppchow.errors import NotAComplex
 from ppchow.fixtures import all_fixture_models, f1_fan, f3_fan
 from ppchow.polyhedra import (Cone, Fan, PolyComplex, Polyhedron,
-                              _close_and_validate, _meet_certified,
-                              common_refinement, cone_over, recession_fan,
-                              refines, star_subdivision, vertex_chart)
+                              _close_and_validate, _facets_paired, _is_face,
+                              _meet_certified, common_refinement, cone_over,
+                              recession_fan, refines, star_subdivision,
+                              vertex_chart)
 
 FIXTURES = all_fixture_models()
 
@@ -269,3 +273,59 @@ def test_certified_meets_are_the_intersections_on_refined_f3c(choices):
         assert got == (((), ()) if meet is None else meet[2:])
         newly += not before
     assert newly
+
+
+# ---------------------------------------------------------------------------
+# covering by facet pairing and faces by masks, against volumes and dot
+# products
+# ---------------------------------------------------------------------------
+
+
+def _face_verdicts(p, q):
+    """The mask verdict on p & q as a face of p and of q, each asserted
+    equal to the dot-product one."""
+    inter = p.intersect(q)
+    if inter is None:
+        return set()
+    got = [_is_face(one, (inter.vertices, inter.rays)) for one in (p, q)]
+    assert got == [route_oracle.is_face_of(inter, one) for one in (p, q)]
+    return set(got)
+
+
+def _assert_certificates_agree(models):
+    """On every target cone of the maps between the models, the facet-pairing
+    verdict equals the volume verdict with all the parts inside it and with
+    each one dropped; on every pair of maximal cells of each model, the face
+    verdicts agree."""
+    covers = set()
+    for j, coarser in enumerate(models):
+        for finer in models[j + 1:]:
+            fm = refines(finer, coarser).fan_map
+            src, rank = fm.source.max_cones(), fm.target.rank
+            for t, sigma in enumerate(fm.target.max_cones()):
+                parts = [c for c, u in zip(src, fm.max_map) if u == t]
+                for some in [parts] + [parts[:k] + parts[k + 1:] for k in range(len(parts))]:
+                    got = _facets_paired(some, rank, sigma)
+                    assert got == route_oracle.check_covers_by_volume(sigma, some, rank)
+                    covers.add(got)
+    assert covers == {True, False}
+    for pc in models:
+        for p, q in itertools.combinations(pc.max_cells(), 2):
+            assert _face_verdicts(p, q) <= {True}
+
+
+@settings(derandomize=True, max_examples=4, deadline=None)
+@given(st.lists(st.integers(0, 50), min_size=1, max_size=3), route_oracle.rank_one_chains())
+def test_facet_pairing_and_face_masks_match_volumes_and_dot_products(choices, chain):
+    _assert_certificates_agree([route_oracle.refined_f3c(choices[:k])
+                                for k in range(len(choices) + 1)])
+    _assert_certificates_agree(chain.models)
+
+
+def test_face_masks_match_dot_products_on_invalid_complexes():
+    verdicts = set()
+    for raw in INVALID_COMPLEXES.values():
+        cells = [Polyhedron(len(raw[0][0][0]), vs, rs) for vs, rs in raw]
+        for p, q in itertools.combinations(cells, 2):
+            verdicts |= _face_verdicts(p, q)
+    assert verdicts == {True, False}
