@@ -13,17 +13,22 @@ import random
 from fractions import Fraction
 
 from . import fixtures
+from .arithchow import (ExtendedArithCycle, LimitClass, LimitTower, extended_equal,
+                        limit_equal, poincare_lelong_check, theta, theta_inverse,
+                        theta_prime, theta_prime_inverse)
 from .cycles import InvariantCycle, closure_class, model_cycle_class
 from .errors import NotStabilized
-from .limits import (CurrentTower, ModelChain, ddc_current, delta_current,
-                     green_from_lifting, tower_stabilization,
+from .limits import (CurrentTower, FormModDdbar, ModelChain, ddc_current,
+                     degree_current, delta_current, form_mod_equal,
+                     green_from_lifting, regularity_check, tower_stabilization,
                      zero_composition_suite)
 from .polyhedra import Cone, cone_over, recession_fan, vertex_chart
 from .polyring import HomogPoly, monomial_exponents
-from .ppfan import equivariant_degree, graded_basis, phi_cone, phi_ray, zero_pp
+from .ppfan import (constant_pp, equivariant_degree, graded_basis, phi_cone, phi_ray,
+                    zero_pp)
 from .qlinalg import rank
-from .specialfiber import (class_equal, ddc_model, dim_affine_pp, dim_ker_rho,
-                           from_vertex_tuple, gamma, homology_presentation,
+from .specialfiber import (VertexTuple, alpha, class_equal, ddc_model, dim_affine_pp,
+                           dim_ker_rho, from_vertex_tuple, gamma, homology_presentation,
                            iota_upper, ker_coker_report, ddc_one_shot,
                            pullback_special, rho, to_vertex_tuple,
                            vertex_layer_basis, zero_vertex_tuple, zeta)
@@ -249,7 +254,6 @@ def criterion_8():
 
 
 def criterion_9():
-    from .arithchow import poincare_lelong_check
     chains = fixture_chains()
     ok = True
     runs = []
@@ -276,9 +280,6 @@ def criterion_10(seed=0):
 
 
 def criterion_11():
-    from .arithchow import (ExtendedArithCycle, LimitClass, LimitTower,
-                            extended_equal, limit_equal, theta, theta_inverse,
-                            theta_prime, theta_prime_inverse)
     chain = fixture_chains()["P1"]
     ok = True
     notes = []
@@ -326,7 +327,6 @@ def criterion_11():
 
 
 def criterion_12():
-    from .limits import degree_current
     ok = True
     f1 = fixtures.f1_fan()
     d1 = equivariant_degree(f1, phi_cone(f1, f1.max_cones()[0]))
@@ -345,7 +345,6 @@ def criterion_12():
 
 
 def criterion_13():
-    from .limits import regularity_check
     ok = True
     notes = []
     certified = 0
@@ -385,9 +384,7 @@ def criterion_13():
     # adversarial towers: violate form-ness at depth <= 3, must never certify
     chain = fixture_chains()["P1"]
     F5 = chain.models[2]
-    from .ppfan import constant_pp
     bad_entry = {F5.vertices[-1]: constant_pp(vertex_chart(F5, F5.vertices[-1]).fan, 1)}
-    from .specialfiber import VertexTuple
     bad = CurrentTower(chain, "tilde", values={
         0: zero_vertex_tuple(chain.models[0], 0),
         1: zero_vertex_tuple(chain.models[1], 0),
@@ -427,7 +424,6 @@ def run_acceptance(seed=0):
 
 def invariant_transfer_diagrams(seed=0):
     """dd^c commutes with the transfer maps on sampled data."""
-    from .specialfiber import alpha
     rng = random.Random(seed)
     ok = True
     for chain in fixture_chains().values():
@@ -494,7 +490,6 @@ def cap_then_ddc(pc, c, d):
 
 
 def invariant_limit_transitivity():
-    from .limits import FormModDdbar, form_mod_equal
     chain = fixture_chains()["P1"]
     F1, F2, F5 = chain.models
     ok = True

@@ -9,7 +9,7 @@ its class is the generator phi_sigma.
 
 from fractions import Fraction
 
-from .polyhedra import Cone, cone_over
+from .polyhedra import Cone, _memo, cone_over
 from .ppfan import PPFunction, phi_cone, pp_coordinates, zero_pp
 from .qlinalg import primitive, rat, vec
 
@@ -75,21 +75,21 @@ def horizontal_lift_key(key):
     return tuple(tuple(r) + (Fraction(0),) for r in key)
 
 
+@_memo
 def _generator(fan, key):
-    """phi_sigma of the cone on the rays ``key``, kept on the fan as (degree,
-    pieces), which hold no reference to it; a key that is no cone of the fan
-    raises on every call."""
-    if ("generator", key) not in fan._cache:
-        f = phi_cone(fan, Cone(fan.rank, list(key)))
-        fan._cache["generator", key] = (f.degree, f.pieces)
-    return PPFunction(fan, *fan._cache["generator", key], validate=False)
+    """phi_sigma of the cone on the rays ``key`` as (degree, pieces), which
+    hold no reference to the fan that keeps them; a key that is no cone of
+    the fan raises on every call."""
+    f = phi_cone(fan, Cone(fan.rank, list(key)))
+    return f.degree, f.pieces
 
 
 def _class_on_model(pc, cycle, keys):
     """The sum over the cycle's terms of c * phi_sigma, sigma read off ``keys``."""
     fan = cone_over(pc).fan
-    return zero_pp(fan, cycle.codim).combine([_generator(fan, k) for k in keys],
-                                             cycle.terms.values())
+    return zero_pp(fan, cycle.codim).combine(
+        [PPFunction(fan, *_generator(fan, k), validate=False) for k in keys],
+        cycle.terms.values())
 
 
 def closure_class(pc, cycle):

@@ -36,11 +36,14 @@ position, the pairs of maximal members whose agreement the gluing
 conditions need, a spanning forest of each meet's star (on the models, the
 pairs sharing a facet), with the span and key of each meet.  Stars and
 cell/cone correspondences are read off the same vertex and ray sets, and
-each face is built once per complex or fan.
+each face is built once per complex or fan.  Derived data is memoized by one
+routine, :func:`_memo`, keyed by builder and arguments, on the object it
+derives from.
 """
 
 from fractions import Fraction
 from math import gcd
+import functools
 import itertools
 
 from .errors import (IncompleteInput, InputError, NonSCR, NotAComplex,
@@ -173,6 +176,23 @@ def _vrep_from_hrep(dim, eqs, ineqs):
     if not verts:
         return None
     return tuple(sorted(verts)), tuple(sorted(rays_out))
+
+
+def _memo(build):
+    """Keep ``build(obj, *args)`` in ``obj._cache`` under ``(build, *args)``.
+
+    The key holds the builder itself, so no two builders share an entry.  A
+    result is built once per object and arguments, None included; a build
+    that raises keeps nothing.  The arguments must be hashable and already
+    normalized.
+    """
+    @functools.wraps(build)
+    def memo(obj, *args):
+        cache, key = obj._cache, (build, *args)
+        if key not in cache:
+            cache[key] = build(obj, *args)
+        return cache[key]
+    return memo
 
 
 class Polyhedron:
@@ -530,6 +550,7 @@ class _Closure:
         """Position of the member with this key, or None."""
         return self._index.get(key)
 
+    @_memo
     def adjacency(self):
         """(p, q, span, meet) for the pairs of positions p < q in ``maximal``
         whose gluing conditions are needed: ``meet`` is the key of their
@@ -549,46 +570,43 @@ class _Closure:
         that face.  Members and meets are bitmasks of generators: a common
         face is an AND, containment a subset test.
         """
-        if "adj" not in self._cache:
-            fan = isinstance(self, Fan)
-            bit = {}
-            masks = [sum(bit.setdefault((kind, g), 1 << len(bit))
-                         for kind, gens in enumerate((m.vertices, m.rays)) for g in gens)
-                     for m in (self.max_cones() if fan else self.max_cells())]
-            # two members meet exactly when they share a vertex
-            vertex = sum(b for (kind, _), b in bit.items() if kind == 0)
-            by_meet = {}
-            for p, q in itertools.combinations(range(len(masks)), 2):
-                if masks[p] & masks[q] & vertex:
-                    by_meet.setdefault(masks[p] & masks[q], []).append((p, q))
-            kept = []
-            for f in sorted(by_meet, key=int.bit_count, reverse=True):
-                parent = {}
-                for p, q in kept:
-                    if masks[p] & masks[q] & f == f:
-                        _join(parent, p, q)
-                kept += [(p, q) for p, q in by_meet[f] if _join(parent, p, q)]
-            out, spans = [], {}
-            for p, q in sorted(kept):
-                meet = tuple(tuple(sorted(g for (k, g), b in bit.items()
-                                          if k == kind and masks[p] & masks[q] & b))
-                             for kind in (0, 1))
-                span = tuple(direction_space(*meet))
-                out.append((p, q, spans.setdefault(span, Span(span)),
-                            meet[1] if fan else meet))
-            self._cache["adj"] = tuple(out)
-        return self._cache["adj"]
+        fan = isinstance(self, Fan)
+        bit = {}
+        masks = [sum(bit.setdefault((kind, g), 1 << len(bit))
+                     for kind, gens in enumerate((m.vertices, m.rays)) for g in gens)
+                 for m in (self.max_cones() if fan else self.max_cells())]
+        # two members meet exactly when they share a vertex
+        vertex = sum(b for (kind, _), b in bit.items() if kind == 0)
+        by_meet = {}
+        for p, q in itertools.combinations(range(len(masks)), 2):
+            if masks[p] & masks[q] & vertex:
+                by_meet.setdefault(masks[p] & masks[q], []).append((p, q))
+        kept = []
+        for f in sorted(by_meet, key=int.bit_count, reverse=True):
+            parent = {}
+            for p, q in kept:
+                if masks[p] & masks[q] & f == f:
+                    _join(parent, p, q)
+            kept += [(p, q) for p, q in by_meet[f] if _join(parent, p, q)]
+        out, spans = [], {}
+        for p, q in sorted(kept):
+            meet = tuple(tuple(sorted(g for (k, g), b in bit.items()
+                                      if k == kind and masks[p] & masks[q] & b))
+                         for kind in (0, 1))
+            span = tuple(direction_space(*meet))
+            out.append((p, q, spans.setdefault(span, Span(span)),
+                        meet[1] if fan else meet))
+        return tuple(out)
 
     def same_as(self, other):
         return self is other or (self.rank == other.rank
                                  and self._index.keys() == other._index.keys())
 
+    @_memo
     def is_complete(self):
         """Is the support all of N_R?  Decided by :func:`_facets_paired`."""
-        if "complete" not in self._cache:
-            maxs = self.max_cones() if isinstance(self, Fan) else self.max_cells()
-            self._cache["complete"] = _facets_paired(maxs, self.rank)
-        return self._cache["complete"]
+        maxs = self.max_cones() if isinstance(self, Fan) else self.max_cells()
+        return _facets_paired(maxs, self.rank)
 
 
 class Fan(_Closure):
@@ -605,14 +623,13 @@ class Fan(_Closure):
     def max_cones(self):
         return [self.cones[i] for i in self.maximal]
 
+    @_memo
     def is_regular(self):
         """Do every cone's rays extend to a basis of Z^rank?  Every cone is a
         face of a maximal one, and a face of a simplicial cone is spanned by
         a subset of its rays, which extends to a basis when they do; a
         non-simplicial maximal cone fails either way."""
-        if "regular" not in self._cache:
-            self._cache["regular"] = all(rays_extend_to_basis(c.rays) for c in self.max_cones())
-        return self._cache["regular"]
+        return all(rays_extend_to_basis(c.rays) for c in self.max_cones())
 
     def __repr__(self):
         return f"Fan(rank={self.rank}, {len(self.cones)} cones, {len(self.maximal)} maximal)"
@@ -637,20 +654,16 @@ class PolyComplex(_Closure):
         return [self.cells[i] for i in self.maximal]
 
     @property
+    @_memo
     def vertices(self):
         """Pi(0), descending lexicographic."""
-        if "vertices" not in self._cache:
-            vs = [c.vertices[0] for c in self.cells if c.dim == 0]
-            self._cache["vertices"] = tuple(sorted(vs, reverse=True))
-        return self._cache["vertices"]
+        return tuple(sorted((c.vertices[0] for c in self.cells if c.dim == 0), reverse=True))
 
     @property
+    @_memo
     def bounded_edges(self):
         """Bounded cells of Pi(1), in canonical cell order."""
-        if "bedges" not in self._cache:
-            self._cache["bedges"] = tuple(
-                i for i, c in enumerate(self.cells) if c.dim == 1 and not c.rays)
-        return self._cache["bedges"]
+        return tuple(i for i, c in enumerate(self.cells) if c.dim == 1 and not c.rays)
 
     def is_regular(self):
         return cone_over(self).fan.is_regular()
@@ -730,19 +743,17 @@ def _cone_over_cell(cell):
     return Cone._derived(n + 1, {top: zero_vec(n + 1)}, rays, facets)
 
 
+@_memo
 def cone_over(pc):
     """The fan c(Pi): cones over the cells plus their height-zero faces."""
-    if "cone_over" in pc._cache:
-        return pc._cache["cone_over"]
     n = pc.rank
     max_cones = [_cone_over_cell(pc.cells[i]) for i in pc.maximal]
     fan = Fan(n + 1, max_cones, validate=False)
     cell_at = {fan.index(c.key()): i for i, c in zip(pc.maximal, max_cones)}
-    out = ConeOver(fan, tuple(cell_at[j] for j in fan.maximal))
-    pc._cache["cone_over"] = out
-    return out
+    return ConeOver(fan, tuple(cell_at[j] for j in fan.maximal))
 
 
+@_memo
 def recession_fan(pc):
     """rec(Pi): the fan of recession cones of a complete complex.
 
@@ -753,17 +764,14 @@ def recession_fan(pc):
     """
     if not pc.is_complete():
         raise IncompleteInput("recession fan needs a complete complex")
-    key = "rec_fan"
-    if key not in pc._cache:
-        n, fan = pc.rank, cone_over(pc).fan
-        cones = []
-        for rays in dict.fromkeys(c.rays for c in pc.max_cells()):
-            face = fan.cones[fan.index(tuple(r + (Fraction(0),) for r in rays))]
-            cones.append(Cone._derived(
-                n, {0: zero_vec(n)}, {1 + g: r[:n] for g, r in enumerate(face.rays)},
-                [(a[:n], on) for (a, _), on in zip(face.ineqs, face._on)]))
-        pc._cache[key] = Fan(n, cones, validate=False)
-    return pc._cache[key]
+    n, fan = pc.rank, cone_over(pc).fan
+    cones = []
+    for rays in dict.fromkeys(c.rays for c in pc.max_cells()):
+        face = fan.cones[fan.index(tuple(r + (Fraction(0),) for r in rays))]
+        cones.append(Cone._derived(
+            n, {0: zero_vec(n)}, {1 + g: r[:n] for g, r in enumerate(face.rays)},
+            [(a[:n], on) for (a, _), on in zip(face.ineqs, face._on)]))
+    return Fan(n, cones, validate=False)
 
 
 def rec_fan_as_complex(fan):
@@ -824,11 +832,12 @@ def _chart_cone(v, cell):
 
 
 def vertex_chart(pc, v):
-    v = vec(v)
-    key = ("chart", v)
-    if key not in pc._cache:
-        pc._cache[key] = VertexChart(pc, v)
-    return pc._cache[key]
+    return _vertex_chart(pc, vec(v))
+
+
+@_memo
+def _vertex_chart(pc, v):
+    return VertexChart(pc, v)
 
 
 def edge_data(pc, edge_cell):
@@ -924,32 +933,22 @@ class ModelMap:
         self.cell_map = cell_map  # source maximal cell index -> target maximal cell index
         self._cache = {}
 
+    @_memo
     def chart_map(self, v):
-        """Fan map Pi'(v) -> Pi(v) between vertex charts at an old vertex."""
-        v = vec(v)
-        if ("chart", v) not in self._cache:
-            src = vertex_chart(self.source, v)
-            tgt = vertex_chart(self.target, v)
-            fm = FanMap.from_subdivision(src.fan, tgt.fan)
-            if fm is None:
-                raise NotARefinement(f"charts at {v} are not nested")
-            self._cache[("chart", v)] = fm
-        return self._cache[("chart", v)]
+        """Fan map Pi'(v) -> Pi(v) between vertex charts at an old vertex v,
+        given as the complexes list it."""
+        src = vertex_chart(self.source, v)
+        tgt = vertex_chart(self.target, v)
+        fm = FanMap.from_subdivision(src.fan, tgt.fan)
+        if fm is None:
+            raise NotARefinement(f"charts at {v} are not nested")
+        return fm
 
 
+@_memo
 def refines(finer, coarser):
-    """The ModelMap witnessing c(finer) subdividing c(coarser), or None.
-
-    It is kept in ``finer``'s cache with ``coarser`` itself, so the id in the
-    key cannot pass to another complex while the entry lives.
-    """
-    key = ("refines", id(coarser))
-    if key not in finer._cache:
-        finer._cache[key] = (coarser, _model_map(finer, coarser))
-    return finer._cache[key][1]
-
-
-def _model_map(finer, coarser):
+    """The ModelMap witnessing c(finer) subdividing c(coarser), or None,
+    kept in ``finer``'s cache under ``coarser`` itself."""
     if finer.rank != coarser.rank:
         return None
     if not (finer.is_complete() and coarser.is_complete()):

@@ -358,7 +358,8 @@ def equal_on_span(p, q, subspace):
 
 def gluing_kernel(pairs, nblocks, dim, k):
     """Basis of the tuples of ``nblocks`` degree-k polynomials that agree on
-    the span of each (a, b, span) in ``pairs``, ``span`` an RREF basis.
+    the span of each (a, b, span, ...) in ``pairs``, such as a domain's
+    adjacency, ``span`` an RREF basis.
 
     Each vanishing row of a span gives one condition on the difference of
     blocks a and b.  The kernel is read off the RREF, so the basis does not
@@ -366,7 +367,7 @@ def gluing_kernel(pairs, nblocks, dim, k):
     """
     monos = monomial_exponents(dim, k)
     m, rows = len(monos), []
-    for a, b, span in pairs:
+    for a, b, span, *_ in pairs:
         for terms in _vanishing_rows(span, dim, k):
             row = [0] * m * nblocks
             for col, _, v in terms:

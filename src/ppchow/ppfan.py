@@ -15,7 +15,7 @@ from .errors import (DegreeMismatch, FaceMismatch, NotARay, NotProper,
                      NotRegular)
 from .polyring import (HomogPoly, Piecewise, RatFun, gluing_kernel,
                        ratfun_sum_to_poly)
-from .polyhedra import Cone, _facets_paired, cone_over, recession_fan
+from .polyhedra import Cone, _facets_paired, _memo, cone_over, recession_fan
 from .qlinalg import mat, mat_inverse, primitive, solve, transpose, vec
 
 
@@ -90,6 +90,7 @@ def _ray_vector(fan, ray):
     return primitive(vec(ray))
 
 
+@_memo
 def dual_forms(cone, rank):
     """The forms phi_{tau,sigma} for a full-dimensional regular cone.
 
@@ -97,17 +98,14 @@ def dual_forms(cone, rank):
     the i-th primitive ray and 0 on the others.  The inverse is taken once
     per cone.
     """
-    key = ("dual_forms", rank)
-    if key not in cone._cache:
-        if cone.dim != rank or len(cone.rays) != rank:
-            raise NotRegular(f"cone {cone!r} is not full-dimensional simplicial")
-        M = mat([[cone.rays[j][i] for j in range(rank)] for i in range(rank)])
-        try:
-            inv = mat_inverse(M)
-        except ValueError:
-            raise NotRegular(f"cone {cone!r} is degenerate")
-        cone._cache[key] = tuple(HomogPoly.linear_form(row) for row in inv)
-    return cone._cache[key]
+    if cone.dim != rank or len(cone.rays) != rank:
+        raise NotRegular(f"cone {cone!r} is not full-dimensional simplicial")
+    M = mat([[cone.rays[j][i] for j in range(rank)] for i in range(rank)])
+    try:
+        inv = mat_inverse(M)
+    except ValueError:
+        raise NotRegular(f"cone {cone!r} is degenerate")
+    return tuple(HomogPoly.linear_form(row) for row in inv)
 
 
 def phi_ray(fan, ray):
@@ -141,9 +139,8 @@ def graded_basis(fan, k):
     One unknown polynomial per maximal cone, any two agreeing on the span of
     their intersection: the kernel of that gluing system is the graded piece.
     """
-    pairs = [(p, q, span) for p, q, span, _ in fan.adjacency()]
     return [PPFunction(fan, k, pieces, validate=False)
-            for pieces in gluing_kernel(pairs, len(fan.maximal), fan.rank, k)]
+            for pieces in gluing_kernel(fan.adjacency(), len(fan.maximal), fan.rank, k)]
 
 
 def pp_coordinates(f, basis):
@@ -185,13 +182,9 @@ def pushforward(fan_map, f):
         sigma = tgt.cones[tmax]
         # refuses a cone that is not full-dimensional, as the certificate needs
         numf = dual_forms(sigma, rank_)
-        if ("covering", t) not in fan_map._cache:
-            inside = tuple(s for s, u in enumerate(fan_map.max_map) if u == t)
-            covers = _facets_paired([src.cones[src.maximal[s]] for s in inside], rank_, sigma)
-            fan_map._cache["covering", t] = inside if covers else None
-        if fan_map._cache["covering", t] is None:
+        inside = _covering(fan_map, t)
+        if inside is None:
             raise NotProper(f"source cones do not cover target cone {sigma!r}")
-        inside = fan_map._cache["covering", t]
         if len(inside) == 1 and src.cones[src.maximal[inside[0]]].rays == sigma.rays:
             # sigma is not split: its term f_s * prod phi_sigma / prod phi_sigma is f_s
             pieces.append(f.pieces[inside[0]])
@@ -204,6 +197,17 @@ def pushforward(fan_map, f):
             terms.append(RatFun(num, dual_forms(src.cones[src.maximal[s]], rank_)))
         pieces.append(ratfun_sum_to_poly(terms, dim=rank_, degree=f.degree))
     return PPFunction(tgt, f.degree, pieces, validate=False)
+
+
+@_memo
+def _covering(fan_map, t):
+    """The positions of the maximal source cones inside the t-th maximal
+    target cone, or None when they do not cover it."""
+    src, tgt = fan_map.source, fan_map.target
+    inside = tuple(s for s, u in enumerate(fan_map.max_map) if u == t)
+    covers = _facets_paired([src.cones[src.maximal[s]] for s in inside], tgt.rank,
+                            tgt.cones[tgt.maximal[t]])
+    return inside if covers else None
 
 
 def equivariant_degree(fan, f):

@@ -25,14 +25,15 @@ the cap with the fundamental class of the fiber, homology presentations, and
 the four transfer maps between models.  The vertical lift, the height
 expansion and the slice are each solved on one matrix per model and degree,
 and the gamma image is eliminated once per model and degree, for class
-equality, homology presentations and the gamma rank alike; all are kept in
-the model's cache.
+equality, homology presentations and the gamma rank alike.  Like all derived
+data, they are memoized by one routine, :func:`~ppchow.polyhedra._memo`,
+keyed by builder and arguments, on the model they derive from.
 """
 
 from .errors import (DecompositionFailed, FaceMismatch, FacetMismatch,
                      InternalIdentityError, NotInKernel, NotARefinement,
                      NotRegular)
-from .polyhedra import cone_over, edge_data, recession_fan, vertex_chart
+from .polyhedra import _memo, cone_over, edge_data, recession_fan, vertex_chart
 from .polyring import HomogPoly, Piecewise, gluing_kernel
 from .ppfan import (PPFunction, dual_forms, graded_basis, phi_ray, pullback,
                     pushforward, zero_pp)
@@ -192,8 +193,7 @@ class _FiberTable:
     phi_ray pieces for each edge at p.
     """
 
-    __slots__ = ("charts", "cell_pos", "vpos", "stars", "ends", "_zeros", "_sides",
-                 "_incident")
+    __slots__ = ("charts", "cell_pos", "vpos", "stars", "ends", "_cache")
 
     def __init__(self, pc):
         self.charts = tuple(vertex_chart(pc, v) for v in pc.vertices)
@@ -201,45 +201,41 @@ class _FiberTable:
         self.vpos = {v: p for p, v in enumerate(pc.vertices)}
         self.stars = tuple(_EdgeStar(pc, e) for e in pc.bounded_edges)
         self.ends = tuple((self.vpos[s.v1], self.vpos[s.v2]) for s in self.stars)
-        self._zeros, self._sides, self._incident = {}, None, None
+        self._cache = {}
 
+    @_memo
     def zeros(self, k):
         """The zero function of degree k on every chart, one object each."""
-        if k not in self._zeros:
-            self._zeros[k] = tuple(zero_pp(c.fan, k) for c in self.charts)
-        return self._zeros[k]
+        return tuple(zero_pp(c.fan, k) for c in self.charts)
 
+    @_memo
     def sides(self):
-        if self._sides is None:
-            out = []
-            for s, ends in zip(self.stars, self.ends):
-                pair = []
-                for p, o, r in ((*ends, s.ray1), (*ends[::-1], s.ray2)):
-                    fan = self.charts[p].fan
-                    cells = []
-                    for i in s.cells:
-                        cone = fan.cones[fan.maximal[self.cell_pos[p][i]]]
-                        form = dual_forms(cone, fan.rank)[cone.rays.index(r)]
-                        cells.append((i, self.cell_pos[p][i], self.cell_pos[o][i], form))
-                    pair.append((p, tuple(cells)))
-                out.append(tuple(pair))
-            self._sides = tuple(out)
-        return self._sides
+        out = []
+        for s, ends in zip(self.stars, self.ends):
+            pair = []
+            for p, o, r in ((*ends, s.ray1), (*ends[::-1], s.ray2)):
+                fan = self.charts[p].fan
+                cells = []
+                for i in s.cells:
+                    cone = fan.cones[fan.maximal[self.cell_pos[p][i]]]
+                    form = dual_forms(cone, fan.rank)[cone.rays.index(r)]
+                    cells.append((i, self.cell_pos[p][i], self.cell_pos[o][i], form))
+                pair.append((p, tuple(cells)))
+            out.append(tuple(pair))
+        return tuple(out)
 
+    @_memo
     def incident(self):
-        if self._incident is None:
-            out = [[] for _ in self.charts]
-            for s, ((p1, c1), (p2, c2)) in zip(self.stars, self.sides()):
-                out[p1].append((p2, c1, phi_ray(self.charts[p1].fan, s.ray1).pieces))
-                out[p2].append((p1, c2, phi_ray(self.charts[p2].fan, s.ray2).pieces))
-            self._incident = tuple(map(tuple, out))
-        return self._incident
+        out = [[] for _ in self.charts]
+        for s, ((p1, c1), (p2, c2)) in zip(self.stars, self.sides()):
+            out[p1].append((p2, c1, phi_ray(self.charts[p1].fan, s.ray1).pieces))
+            out[p2].append((p1, c2, phi_ray(self.charts[p2].fan, s.ray2).pieces))
+        return tuple(map(tuple, out))
 
 
+@_memo
 def _table(pc):
-    if "fiber" not in pc._cache:
-        pc._cache["fiber"] = _FiberTable(pc)
-    return pc._cache["fiber"]
+    return _FiberTable(pc)
 
 
 def _edge_star(pc, e):
@@ -440,16 +436,11 @@ def cap_fundamental(a):
 # ---------------------------------------------------------------------------
 
 
+@_memo
 def vertex_layer_basis(pc, k):
     """Basis of the degree-k vertex layer as single-vertex tuples."""
-    key = ("vlb", k)
-    if key not in pc._cache:
-        out = []
-        for v, chart in zip(pc.vertices, _table(pc).charts):
-            for b in graded_basis(chart.fan, k):
-                out.append(VertexTuple(pc, k, {v: b}))
-        pc._cache[key] = out
-    return pc._cache[key]
+    return [VertexTuple(pc, k, {v: b}) for v, chart in zip(pc.vertices, _table(pc).charts)
+            for b in graded_basis(chart.fan, k)]
 
 
 def edge_star_basis(pc, e, k):
@@ -468,14 +459,9 @@ def edge_star_basis(pc, e, k):
             for polys in gluing_kernel(pairs, len(cells), pc.rank, k)]
 
 
+@_memo
 def edge_layer_basis(pc, k):
-    key = ("elb", k)
-    if key not in pc._cache:
-        out = []
-        for e in pc.bounded_edges:
-            out.extend(edge_star_basis(pc, e, k))
-        pc._cache[key] = out
-    return pc._cache[key]
+    return [b for e in pc.bounded_edges for b in edge_star_basis(pc, e, k)]
 
 
 # the coordinates of a vertex tuple, under the name callers outside the
@@ -489,9 +475,8 @@ def dim_affine_pp(pc, k):
     Computed by solving the facet conditions directly; the kernel of rho is
     computed independently and the dimensions compared.
     """
-    pairs = [(p, q, span) for p, q, span, _ in pc.adjacency()]
     basis = [AffinePP(pc, k, dict(zip(pc.maximal, polys)), validate=False)
-             for polys in gluing_kernel(pairs, len(pc.maximal), pc.rank, k)]
+             for polys in gluing_kernel(pc.adjacency(), len(pc.maximal), pc.rank, k)]
     if len(basis) != dim_ker_rho(pc, k):
         raise InternalIdentityError(
             f"facet-condition dimension {len(basis)} != dim ker rho {dim_ker_rho(pc, k)}")
@@ -504,25 +489,17 @@ def dim_ker_rho(pc, k):
     return len(basis) - rank([rho(b).coords() for b in basis])
 
 
+@_memo
 def gamma_image_matrix(pc, k):
     """Columns: flattened gamma images of the degree-(k-1) edge basis."""
-    key = ("gammaim", k)
-    if key not in pc._cache:
-        cols = []
-        if k >= 1:
-            for b in edge_layer_basis(pc, k - 1):
-                cols.append(gamma(b).coords())
-        pc._cache[key] = cols
-    return pc._cache[key]
+    return [gamma(b).coords() for b in edge_layer_basis(pc, k - 1)] if k >= 1 else []
 
 
+@_memo
 def _gamma_span(pc, k):
     """The span of the gamma image in vertex degree k, eliminated once per
     model and degree."""
-    key = ("gammaspan", k)
-    if key not in pc._cache:
-        pc._cache[key] = RowEchelon(gamma_image_matrix(pc, k))
-    return pc._cache[key]
+    return RowEchelon(gamma_image_matrix(pc, k))
 
 
 def homology_presentation(pc, k):
@@ -574,22 +551,25 @@ def ker_coker_report(pc, k):
 # ---------------------------------------------------------------------------
 
 
-def _preimage(pc, key, basis, image, target):
-    """(basis, coefficients on it of one preimage of ``target``, or None).
+def _system(basis, image):
+    """A basis of a linear map's domain and the matrix of its image columns,
+    built once per model and degree by each of the three builders below."""
+    return basis, transpose(mat([image(b) for b in basis]))
 
-    ``basis`` builds a basis of one linear map's domain and ``image`` gives
-    the coordinates of the map on one element.  Both run once per model and
-    ``key`` (the map and its degree): the entry kept in the model's cache
-    holds the matrix of image columns and a basis that the model's cache
-    reaches anyway.  The solution is ``solve``'s, free variables zero.
-    """
-    if key not in pc._cache:
-        b = basis()
-        pc._cache[key] = b, transpose(mat([image(x) for x in b]))
-    b, A = pc._cache[key]
-    if not b:
-        return b, None if any(x != 0 for x in target) else ()
-    return b, solve(A, target)
+
+def _preimage(system, target):
+    """(the system's basis, coefficients on it of one preimage of ``target``,
+    or None): ``solve``'s solution, free variables zero."""
+    basis, A = system
+    if not basis:
+        return basis, None if any(x != 0 for x in target) else ()
+    return basis, solve(A, target)
+
+
+@_memo
+def _slice_system(pc, fan, k):
+    """The slice map on degree-k classes on ``fan``, which is c(Pi)."""
+    return _system(graded_basis(fan, k), lambda b: iota_upper(pc, b).coords())
 
 
 def iota_upper_preimage(pc, a):
@@ -600,11 +580,30 @@ def iota_upper_preimage(pc, a):
     error.  The preimage is the deterministic least-free-variable solution.
     """
     fan = cone_over(pc).fan
-    basis, sol = _preimage(pc, ("slice", a.degree), lambda: graded_basis(fan, a.degree),
-                           lambda b: iota_upper(pc, b).coords(), a.coords())
+    basis, sol = _preimage(_slice_system(pc, fan, a.degree), a.coords())
     if not basis or sol is None:
         raise InternalIdentityError("slice map is not onto this class")
     return zero_pp(fan, a.degree).combine(basis, sol)
+
+
+def _expand_blocks(pc, d):
+    # at least one block: below degree 1 the expansion is [0], or none exists
+    return [vertex_layer_basis(pc, d - 1 - j) for j in range(max(d, 1))]
+
+
+@_memo
+def _expand_system(pc, d):
+    """The height expansion on degree-d classes: the block of degree d-1-j
+    is lifted and multiplied by t^j."""
+    t_form = HomogPoly.linear_form((0,) * pc.rank + (1,))
+
+    def image(b):
+        lifted = iota_lower(b)
+        for _ in range(d - 1 - b.degree):
+            lifted = lifted * t_form
+        return lifted.coords()
+
+    return _system(sum(_expand_blocks(pc, d), []), image)
 
 
 def vertical_expand(pc, F):
@@ -616,22 +615,12 @@ def vertical_expand(pc, F):
     class.  Returns the list [g_0, g_1, ...]; raises
     :class:`~ppchow.errors.DecompositionFailed` when no expansion exists.
     """
-    t_form = HomogPoly.linear_form((0,) * pc.rank + (1,))
-    # at least one block: below degree 1 the expansion is [0], or none exists
-    bases = [vertex_layer_basis(pc, F.degree - 1 - j) for j in range(max(F.degree, 1))]
-
-    def image(b):
-        lifted = iota_lower(b)
-        for _ in range(F.degree - 1 - b.degree):
-            lifted = lifted * t_form
-        return lifted.coords()
-
-    flat, sol = _preimage(pc, ("expand", F.degree), lambda: sum(bases, []), image, F.coords())
+    flat, sol = _preimage(_expand_system(pc, F.degree), F.coords())
     if sol is None:
         raise DecompositionFailed("target class admits no vertical expansion" if flat
                                   else "no vertical basis but nonzero target")
     out = []
-    for j, basis in enumerate(bases):
+    for j, basis in enumerate(_expand_blocks(pc, F.degree)):
         out.append(zero_vertex_tuple(pc, F.degree - 1 - j).combine(basis, sol[:len(basis)]))
         sol = sol[len(basis):]
     return out
@@ -714,6 +703,12 @@ def zeta(m, t):
 # ---------------------------------------------------------------------------
 
 
+@_memo
+def _lift_system(pc, k):
+    """The vertical lift on the degree-k vertex layer."""
+    return _system(vertex_layer_basis(pc, k), lambda b: iota_lower(b).coords())
+
+
 def vertical_decompose(pc, F):
     """Express a vertically supported class on c(Pi) as a vertical lift.
 
@@ -724,8 +719,7 @@ def vertical_decompose(pc, F):
     which for a height-zero-vanishing input is a bug, not a data problem.
     """
     k = F.degree - 1
-    basis, sol = _preimage(pc, ("lift", k), lambda: vertex_layer_basis(pc, k),
-                           lambda b: iota_lower(b).coords(), F.coords())
+    basis, sol = _preimage(_lift_system(pc, k), F.coords())
     if sol is None:
         raise DecompositionFailed("target class is not a vertical lift" if basis
                                   else "no vertical basis but nonzero target")

@@ -996,16 +996,16 @@ def localized_pushforward(fan_map, f):
     pieces = []
     for t, tmax in enumerate(tgt.maximal):
         sigma = tgt.cones[tmax]
-        if ("covering", t) not in fan_map._cache:
+        if ("oracle_covering", t) not in fan_map._cache:
             inside = tuple(s for s, u in enumerate(fan_map.max_map) if u == t)
             covers = check_covers_by_volume(
                 sigma, [src.cones[src.maximal[s]] for s in inside], rank_)
-            fan_map._cache["covering", t] = inside if covers else None
-        if fan_map._cache["covering", t] is None:
+            fan_map._cache["oracle_covering", t] = inside if covers else None
+        if fan_map._cache["oracle_covering", t] is None:
             raise NotProper(f"source cones do not cover target cone {sigma!r}")
         numf = ppfan.dual_forms(sigma, rank_)
         terms = []
-        for s in fan_map._cache["covering", t]:
+        for s in fan_map._cache["oracle_covering", t]:
             num = f.pieces[s]
             for form in numf:
                 num = num * form

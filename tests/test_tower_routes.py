@@ -140,6 +140,23 @@ def test_a_split_cone_that_does_not_glue_is_not_polynomial(fine, coarse):
     assert _outcome(route_oracle.localized_pushforward, m.fan_map, f) == got
 
 
+def test_the_localized_oracle_certifies_a_map_the_program_certified():
+    """The oracle keeps its own volume verdicts on the map, apart from the
+    program's facet-pairing ones, so it runs its certificate after the
+    program's pushforward has certified every target cone."""
+    m = refines(f2_complex(), f1_complex())
+    f = ppfan.constant_pp(m.fan_map.source, 1)
+    got = _outcome(ppfan.pushforward, m.fan_map, f)
+    assert got[0] == "value"
+    check = route_oracle.check_covers_by_volume
+    with pytest.MonkeyPatch.context() as mp:
+        runs = []
+        mp.setattr(route_oracle, "check_covers_by_volume",
+                   lambda *args: runs.append(args) or check(*args))
+        assert _outcome(route_oracle.localized_pushforward, m.fan_map, f) == got
+    assert len(runs) == len(m.fan_map.target.maximal)
+
+
 def _well_formed(p):
     """p holds int exponent tuples summing to its degree and only nonzero
     Fraction coefficients, and is what the checking constructor builds."""
