@@ -9,8 +9,9 @@ its class is the generator phi_sigma.
 
 from fractions import Fraction
 
-from .polyhedra import Cone, _memo, cone_over
-from .ppfan import PPFunction, phi_cone, pp_coordinates, zero_pp
+from .polyhedra import Cone, cone_over
+from .polyring import _memo
+from .ppfan import PPFunction, _preimage, _system, phi_cone, zero_pp
 from .qlinalg import primitive, rat, vec
 
 
@@ -122,8 +123,8 @@ def cycle_from_pp(fan, f, codim):
     cycles of that codimension.
     """
     cones = [c for c in fan.cones if c.dim == codim]
-    basis = [phi_cone(fan, c) for c in cones]
-    coords = pp_coordinates(f, basis)
+    system = _system([phi_cone(fan, c) for c in cones], PPFunction.coords)
+    _, coords = _preimage(system, f.coords())
     if coords is None:
         return None
     return InvariantCycle(fan.rank, codim,

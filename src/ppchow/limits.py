@@ -79,7 +79,7 @@ class ModelChain:
     def map_between(self, fine_idx, coarse_idx):
         """The ModelMap models[fine_idx] -> models[coarse_idx]; refinement is
         transitive, so it exists, and ``refines`` keeps it on the finer model."""
-        return refines(self.models[fine_idx], self.models[coarse_idx])
+        return refines(self.model(fine_idx), self.model(coarse_idx))
 
 
 def common_model(pc1, pc2):

@@ -37,19 +37,18 @@ conditions need, a spanning forest of each meet's star (on the models, the
 pairs sharing a facet), with the span and key of each meet.  Stars and
 cell/cone correspondences are read off the same vertex and ray sets, and
 each face is built once per complex or fan.  Derived data is memoized by one
-routine, :func:`_memo`, keyed by builder and arguments, on the object it
-derives from.
+routine, :func:`~ppchow.polyring._memo`, keyed by builder and arguments, on
+the object it derives from.
 """
 
 from fractions import Fraction
 from math import gcd
-import functools
 import itertools
 
 from .errors import (IncompleteInput, InputError, NonSCR, NotAComplex,
                      NotARecessionCone, NotARefinement, NotAVertex,
                      PointOutsideSupport, RecessionMismatch, UnboundedEdge)
-from .polyring import Span
+from .polyring import Span, _memo
 from .qlinalg import (RowEchelon, integer_kernel_basis, is_zero_vec,
                       kernel_basis, mat, mat_inverse, mat_vec, primitive,
                       primitive_ints, rays_extend_to_basis, smith_normal_form,
@@ -176,23 +175,6 @@ def _vrep_from_hrep(dim, eqs, ineqs):
     if not verts:
         return None
     return tuple(sorted(verts)), tuple(sorted(rays_out))
-
-
-def _memo(build):
-    """Keep ``build(obj, *args)`` in ``obj._cache`` under ``(build, *args)``.
-
-    The key holds the builder itself, so no two builders share an entry.  A
-    result is built once per object and arguments, None included; a build
-    that raises keeps nothing.  The arguments must be hashable and already
-    normalized.
-    """
-    @functools.wraps(build)
-    def memo(obj, *args):
-        cache, key = obj._cache, (build, *args)
-        if key not in cache:
-            cache[key] = build(obj, *args)
-        return cache[key]
-    return memo
 
 
 class Polyhedron:

@@ -11,17 +11,37 @@ pair.  Scaling a row to a primitive integer vector, sharing it between
 pairs and leaving out the implied pairs change no row space, hence neither
 the unique RREF of a gluing system nor the kernel read off it.  Rational
 functions keep their denominators as factored lists of linear forms and are
-only ever collapsed to polynomials by exact division, never by truncation.  :class:`Piecewise` is the one base of
-the piecewise carriers (PP functions on fans, affine PP functions, vertex and
-edge tuples): their arithmetic, coordinates and linear combinations.
+only ever collapsed to polynomials by exact division, never by truncation.
+:class:`Piecewise` is the one base of the piecewise carriers (PP functions
+on fans, affine PP functions, vertex and edge tuples): their arithmetic,
+coordinates and linear combinations.  All derived data of the package is
+memoized by one routine, :func:`_memo`, here in the lowest module with any.
 """
 
 from fractions import Fraction
+import functools
 from math import prod
 from operator import add
 
 from .errors import DegreeMismatch, NotPolynomial
 from .qlinalg import kernel_basis, primitive, primitive_ints, rat, rat_str, vec
+
+
+def _memo(build):
+    """Keep ``build(obj, *args)`` in ``obj._cache`` under ``(build, *args)``.
+
+    The key holds the builder itself, so no two builders share an entry.  A
+    result is built once per object and arguments, None included; a build
+    that raises keeps nothing.  The arguments must be hashable and already
+    normalized.
+    """
+    @functools.wraps(build)
+    def memo(obj, *args):
+        cache, key = obj._cache, (build, *args)
+        if key not in cache:
+            cache[key] = build(obj, *args)
+        return cache[key]
+    return memo
 
 
 class HomogPoly:
@@ -314,33 +334,31 @@ def restrict_to_span(p, basis):
 
 class Span(tuple):
     """A basis of a meet's span, one object per distinct span of a fan or
-    complex; ``conditions`` keeps its vanishing rows per (dimension, degree)
+    complex; its ``_cache`` keeps the vanishing rows per (dimension, degree)
     and reaches nothing but ints and exponent tuples."""
 
     def __init__(self, basis):
-        self.conditions = {}
+        self._cache = {}
 
 
+@_memo
 def _vanishing_rows(span, dim, k):
     """The conditions for a degree-k polynomial in ``dim`` variables to vanish
-    on the span of the vectors ``span``: per parameter monomial, the
+    on the span of the :class:`Span` ``span``: per parameter monomial, the
     (column, exponent, coefficient) of each monomial whose restriction has
-    it, scaled to a primitive integer vector.  Only a :class:`Span` keeps them."""
-    cache = getattr(span, "conditions", {})
-    if (dim, k) not in cache:
-        images = [restrict_to_span(HomogPoly.variable(dim, i), span) for i in range(dim)]
-        one = HomogPoly.constant(len(span), 1)
-        monos = monomial_exponents(dim, k)
-        restricted = [prod((img for img, power in zip(images, e) for _ in range(power)),
-                           start=one).coeffs for e in monos]
-        rows = []
-        for pm in monomial_exponents(len(span), k):
-            terms = [(col, e, r[pm]) for col, (e, r) in enumerate(zip(monos, restricted))
-                     if pm in r]
-            ints = primitive_ints([c for _, _, c in terms])
-            rows.append(tuple((col, e, v) for (col, e, _), v in zip(terms, ints)))
-        cache[dim, k] = tuple(rows)
-    return cache[dim, k]
+    it, scaled to a primitive integer vector."""
+    images = [restrict_to_span(HomogPoly.variable(dim, i), span) for i in range(dim)]
+    one = HomogPoly.constant(len(span), 1)
+    monos = monomial_exponents(dim, k)
+    restricted = [prod((img for img, power in zip(images, e) for _ in range(power)),
+                       start=one).coeffs for e in monos]
+    rows = []
+    for pm in monomial_exponents(len(span), k):
+        terms = [(col, e, r[pm]) for col, (e, r) in enumerate(zip(monos, restricted))
+                 if pm in r]
+        ints = primitive_ints([c for _, _, c in terms])
+        rows.append(tuple((col, e, v) for (col, e, _), v in zip(terms, ints)))
+    return tuple(rows)
 
 
 def equal_on_span(p, q, subspace):
@@ -352,8 +370,9 @@ def equal_on_span(p, q, subspace):
     d = diff.coeffs
     if not d:
         return True
+    span = subspace if isinstance(subspace, Span) else Span(subspace)
     return all(sum(v * d[e] for _, e, v in row if e in d) == 0
-               for row in _vanishing_rows(subspace, p.dim, diff.degree))
+               for row in _vanishing_rows(span, p.dim, diff.degree))
 
 
 def gluing_kernel(pairs, nblocks, dim, k):
@@ -368,6 +387,8 @@ def gluing_kernel(pairs, nblocks, dim, k):
     monos = monomial_exponents(dim, k)
     m, rows = len(monos), []
     for a, b, span, *_ in pairs:
+        if not isinstance(span, Span):
+            span = Span(span)
         for terms in _vanishing_rows(span, dim, k):
             row = [0] * m * nblocks
             for col, _, v in terms:

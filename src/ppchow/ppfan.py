@@ -13,9 +13,9 @@ the localization degree are all exact.
 
 from .errors import (DegreeMismatch, FaceMismatch, NotARay, NotProper,
                      NotRegular)
-from .polyring import (HomogPoly, Piecewise, RatFun, gluing_kernel,
+from .polyring import (HomogPoly, Piecewise, RatFun, _memo, gluing_kernel,
                        ratfun_sum_to_poly)
-from .polyhedra import Cone, _facets_paired, _memo, cone_over, recession_fan
+from .polyhedra import Cone, _facets_paired, cone_over, recession_fan
 from .qlinalg import mat, mat_inverse, primitive, solve, transpose, vec
 
 
@@ -143,12 +143,20 @@ def graded_basis(fan, k):
             for pieces in gluing_kernel(fan.adjacency(), len(fan.maximal), fan.rank, k)]
 
 
-def pp_coordinates(f, basis):
-    """Coordinates of f in a graded basis, or None if outside the span."""
-    target = f.coords()
+def _system(basis, image):
+    """A basis of a linear map's domain and the matrix whose columns are the
+    coordinates of the basis images, as :func:`_preimage` solves it."""
+    return basis, transpose(mat([image(b) for b in basis]))
+
+
+def _preimage(system, target):
+    """(the system's basis, coefficients on it of one preimage of ``target``,
+    or None): ``solve``'s solution, free variables zero.  The one solver of
+    coefficients on a basis, for cycles and the transfers alike."""
+    basis, A = system
     if not basis:
-        return () if all(x == 0 for x in target) else None
-    return solve(transpose(mat([b.coords() for b in basis])), vec(target))
+        return basis, None if any(x != 0 for x in target) else ()
+    return basis, solve(A, target)
 
 
 def pullback(fan_map, f):

@@ -1,13 +1,13 @@
 """Exact rational and lattice linear algebra.
 
 Everything here is dense and exact: vectors are tuples of
-:class:`fractions.Fraction`, matrices are tuples of row tuples.  Elimination
-runs on integers: each row is scaled to a primitive integer vector, a row
-update cross-multiplies two rows and divides out the content of the result,
-and only at the end is each pivot row divided by its pivot, which returns
-the RREF over Q.  The RREF of a matrix is unique, so every result equals the
-one rational Gauss-Jordan elimination gives.  Solutions and kernels verify by
-substitution with no tolerance.
+:class:`fractions.Fraction`, matrices are tuples of row tuples.  There is one
+elimination, :class:`RowEchelon`, row by row on integers: each row is scaled
+to a primitive integer vector, a row update cross-multiplies two rows and
+divides out the content of the result, and only the reader divides a row by
+its pivot, which returns the RREF over Q.  The RREF of a matrix is unique,
+so every result equals the one rational Gauss-Jordan elimination gives.
+Solutions and kernels verify by substitution with no tolerance.
 """
 
 from fractions import Fraction
@@ -98,28 +98,11 @@ def _combine(row, b, prow, a):
 
 
 def _reduce(A):
-    """Gauss-Jordan elimination of a rational matrix on primitive integer rows.
-
-    Returns (rows, pivots): rows[i] is nonzero at pivots[i] and zero at every
-    other pivot column, so row i of the RREF over Q is rows[i] divided by
-    rows[i][pivots[i]].
-    """
-    rows = [primitive_ints(r) for r in A]
-    pivots = []
-    for c in range(len(rows[0]) if rows else 0):
-        r = len(pivots)
-        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        prow = rows[r]
-        for i, row in enumerate(rows):
-            if row[c] and i != r:
-                rows[i] = _combine(row, row[c], prow, prow[c])
-        pivots.append(c)
-        if r + 1 == len(rows):
-            break
-    return rows[:len(pivots)], pivots
+    """(rows, pivots): the rows of a :class:`RowEchelon` of A in pivot order,
+    so row i of the RREF over Q is rows[i] divided by rows[i][pivots[i]]."""
+    echelon = RowEchelon(A)
+    pairs = sorted(zip(echelon.pivots, echelon.rows))
+    return [row for _, row in pairs], [c for c, _ in pairs]
 
 
 def rref(A):
@@ -133,7 +116,7 @@ def rref(A):
 
 
 def rank(A):
-    return len(_reduce(A)[1])
+    return len(RowEchelon(A).pivots)
 
 
 def solve(A, b):
@@ -178,25 +161,30 @@ def kernel_basis(A):
 
 def span_basis(vectors):
     """Subset-free basis of the span, as the nonzero rows of the RREF."""
-    if not vectors:
-        return []
     red, pivots = rref(mat(vectors))
     return list(red[:len(pivots)])
 
 
 class RowEchelon:
-    """An echelon basis of a growing row space, on primitive integer rows.
+    """The package's one Gauss-Jordan elimination: the RREF of a growing row
+    space, on primitive integer rows kept in the order they were added.
 
-    It starts as the reduced rows of the given rows.  A row added later is a
-    remainder, zero at every earlier pivot, so reducing a vector against the
-    rows in order leaves it zero at every pivot, and it lies in the span iff
-    nothing is left: one elimination serves any number of membership tests.
+    A vector is added as its remainder against the rows, zero at every
+    pivot, with a positive leading entry at its new pivot, which is then
+    eliminated from the earlier rows.  So each row is zero at every other
+    pivot, and the rows sorted by pivot, each divided by its pivot entry,
+    are the RREF of the rows added so far; a vector lies in the span iff
+    its remainder is zero.  The RREF is unique, and every reader divides a
+    row by its pivot entry or reads only the pivots and whether a vector was
+    added, so no result depends on the order of the elimination.
     """
 
     __slots__ = ("rows", "pivots")
 
     def __init__(self, rows):
-        self.rows, self.pivots = _reduce(rows)
+        self.rows, self.pivots = [], []
+        for row in rows:
+            self.extend(row)
 
     def copy(self):
         """An echelon of the same span that extends independently."""
@@ -222,7 +210,13 @@ class RowEchelon:
         p = next((i for i, x in enumerate(v) if x), None)
         if p is None:
             return False
-        self.rows.append(v)
+        if v[p] < 0:
+            v = [-x for x in v]
+        rows = self.rows
+        for i, row in enumerate(rows):
+            if row[p]:
+                rows[i] = _combine(row, row[p], v, v[p])
+        rows.append(v)
         self.pivots.append(p)
         return True
 

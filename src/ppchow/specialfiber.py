@@ -23,21 +23,22 @@ adjoint gamma (one degree up), their composite -gamma.rho (the model-level
 dd^c), the slice map from classes on the model and the vertical lift back,
 the cap with the fundamental class of the fiber, homology presentations, and
 the four transfer maps between models.  The vertical lift, the height
-expansion and the slice are each solved on one matrix per model and degree,
-and the gamma image is eliminated once per model and degree, for class
-equality, homology presentations and the gamma rank alike.  Like all derived
-data, they are memoized by one routine, :func:`~ppchow.polyhedra._memo`,
-keyed by builder and arguments, on the model they derive from.
+expansion and the slice are each solved on one matrix per model and degree
+by ppfan's basis solver, and the gamma image is eliminated once per model
+and degree, for class equality, homology presentations and the gamma rank
+alike.  Like all derived data, they are memoized by one routine,
+:func:`~ppchow.polyring._memo`, keyed by builder and arguments, on the model
+they derive from.
 """
 
 from .errors import (DecompositionFailed, FaceMismatch, FacetMismatch,
                      InternalIdentityError, NotInKernel, NotARefinement,
                      NotRegular)
-from .polyhedra import _memo, cone_over, edge_data, recession_fan, vertex_chart
-from .polyring import HomogPoly, Piecewise, gluing_kernel
-from .ppfan import (PPFunction, dual_forms, graded_basis, phi_ray, pullback,
-                    pushforward, zero_pp)
-from .qlinalg import RowEchelon, mat, primitive, rank, solve, transpose
+from .polyhedra import cone_over, edge_data, recession_fan, vertex_chart
+from .polyring import HomogPoly, Piecewise, _memo, gluing_kernel
+from .ppfan import (PPFunction, _preimage, _system, dual_forms, graded_basis,
+                    phi_ray, pullback, pushforward, zero_pp)
+from .qlinalg import RowEchelon, primitive, rank
 
 
 # ---------------------------------------------------------------------------
@@ -93,11 +94,17 @@ class AffinePP(Piecewise):
 def make_affine_pp(pc, cell_polys, degree):
     """Validated AffinePP from per-maximal-cell polynomials.
 
-    ``cell_polys`` may be a dict keyed by maximal cell index or a sequence
-    parallel to ``pc.maximal``.
+    ``cell_polys`` may be a dict keyed by maximal cell index, a missing cell
+    reading zero, or a sequence parallel to ``pc.maximal``.
     """
     if not isinstance(cell_polys, dict):
-        cell_polys = {i: p for i, p in zip(pc.maximal, cell_polys)}
+        cell_polys = list(cell_polys)
+        if len(cell_polys) != len(pc.maximal):
+            raise ValueError("need one piece per maximal cell")
+        cell_polys = dict(zip(pc.maximal, cell_polys))
+    bad = [i for i in cell_polys if i not in pc.maximal]
+    if bad:
+        raise ValueError(f"cell {bad[0]!r} is not a maximal cell")
     return AffinePP(pc, degree, cell_polys, validate=True)
 
 
@@ -551,21 +558,6 @@ def ker_coker_report(pc, k):
 # ---------------------------------------------------------------------------
 
 
-def _system(basis, image):
-    """A basis of a linear map's domain and the matrix of its image columns,
-    built once per model and degree by each of the three builders below."""
-    return basis, transpose(mat([image(b) for b in basis]))
-
-
-def _preimage(system, target):
-    """(the system's basis, coefficients on it of one preimage of ``target``,
-    or None): ``solve``'s solution, free variables zero."""
-    basis, A = system
-    if not basis:
-        return basis, None if any(x != 0 for x in target) else ()
-    return basis, solve(A, target)
-
-
 @_memo
 def _slice_system(pc, fan, k):
     """The slice map on degree-k classes on ``fan``, which is c(Pi)."""
@@ -581,7 +573,7 @@ def iota_upper_preimage(pc, a):
     """
     fan = cone_over(pc).fan
     basis, sol = _preimage(_slice_system(pc, fan, a.degree), a.coords())
-    if not basis or sol is None:
+    if sol is None:
         raise InternalIdentityError("slice map is not onto this class")
     return zero_pp(fan, a.degree).combine(basis, sol)
 

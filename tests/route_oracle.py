@@ -8,10 +8,12 @@ the polyhedra themselves.  ``install`` swaps the oracle into the program for
 a monkeypatch context, and the model generators give the complexes both
 routes run on.
 
-ppchow eliminates on primitive integer rows and solves every gluing system
+ppchow eliminates on primitive integer rows, row by row in one echelon that
+reduces each new row into the earlier ones, and solves every gluing system
 with one routine.  The second group is the rational Gauss-Jordan elimination
-and determinant, and the three per-basis assemblies of the gluing systems,
-as they were before; they use no ppchow linear algebra.
+and determinant, the integer column sweep that ``qlinalg._reduce`` ran
+before, and the three per-basis assemblies of the gluing systems, as they
+were before; they use no ppchow linear algebra.
 
 The four piecewise carriers share one base for their arithmetic,
 coordinates and linear combinations.  The third group reads coordinates off
@@ -111,6 +113,7 @@ generators.
 import itertools
 import sys
 from fractions import Fraction
+from math import gcd, lcm
 
 from hypothesis import strategies as st
 
@@ -256,6 +259,39 @@ def fraction_rref(A):
         if r == m:
             break
     return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+def _primitive_ints(row):
+    """The primitive integer vector on the ray of a rational row."""
+    d = lcm(*[Fraction(x).denominator for x in row])
+    ints = [int(Fraction(x) * d) for x in row]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
+def integer_reduce(A):
+    """Gauss-Jordan elimination on primitive integer rows, one pivot column
+    at a time: (rows, pivots) with rows[i] nonzero at pivots[i] and zero at
+    every other pivot column, so row i of the RREF over Q is rows[i] divided
+    by rows[i][pivots[i]]."""
+    rows = [_primitive_ints(r) for r in A]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        prow = rows[r]
+        for i, row in enumerate(rows):
+            if row[c] and i != r:
+                g = gcd(prow[c], row[c])
+                a, b = prow[c] // g, row[c] // g
+                rows[i] = _primitive_ints([a * x - b * y for x, y in zip(row, prow)])
+        pivots.append(c)
+        if r + 1 == len(rows):
+            break
+    return rows[:len(pivots)], pivots
 
 
 def fraction_det(A):

@@ -4,7 +4,8 @@ from fractions import Fraction as Q
 import pytest
 
 from ppchow.cycles import InvariantCycle, closure_class
-from ppchow.errors import CompatibilityViolation, NotALifting, NotStabilized
+from ppchow.errors import (CompatibilityViolation, InputError, NotALifting,
+                           NotStabilized)
 from ppchow.fixtures import p1_chain, p2_chain
 from ppchow.limits import (ClosedForm, CurrentTower, FormModDdbar, ModelChain,
                            cap_current, cap_form, closed_degree_one_evaluator,
@@ -229,6 +230,10 @@ def test_limit_equality_transitive():
             assert form_mod_equal(a1, a2)
             assert form_mod_equal(a2, a3)
             assert form_mod_equal(a1, a3)
+    # a chain position outside [0, 3) is refused, as chain.model refuses it
+    for fine, coarse in ((-1, 0), (2, -1), (3, 0), (2, 3)):
+        with pytest.raises(InputError, match="outside"):
+            chain.map_between(fine, coarse)
 
 
 def test_common_model():

@@ -1,6 +1,6 @@
 """The one memo behind every derived-data cache.
 
-``polyhedra._memo`` keeps ``build(obj, *args)`` in ``obj._cache`` under the
+``polyring._memo`` keeps ``build(obj, *args)`` in ``obj._cache`` under the
 key ``(build, *args)``: once per object and arguments, a None result
 included, and nothing for a build that raises.  Callers normalize the
 arguments before the key is made.  No other code of the package reads or
@@ -13,7 +13,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from ppchow import cycles, ppfan, specialfiber
+from ppchow import cycles, polyring, ppfan, specialfiber
 from ppchow.errors import IncompleteInput, NotARefinement
 from ppchow.fixtures import f2_complex, f3_complex, f5_complex, f6_complex
 from ppchow.polyhedra import (Cone, Fan, FanMap, ModelMap, build_complex, cone_over,
@@ -35,6 +35,8 @@ def _routines():
         ("refines", lambda: refines(f5, f2)),
         ("chart_map", lambda: m.chart_map(zero)),
         ("adjacency", lambda: f5.adjacency()),
+        ("vanishing_rows",
+         lambda: polyring._vanishing_rows(fan.adjacency()[0][2], fan.rank, 2)),
         ("is_complete", lambda: f3.is_complete()),
         ("is_regular", lambda: cone_over(f3).fan.is_regular()),
         ("vertices", lambda: f5.vertices),

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import route_oracle
-from ppchow.qlinalg import (RowEchelon, integer_kernel_basis, kernel_basis,
-                            mat, mat_inverse, mat_vec, primitive, rank, rat,
-                            rat_str, rays_extend_to_basis, rref,
+from ppchow.qlinalg import (RowEchelon, _reduce, integer_kernel_basis,
+                            kernel_basis, mat, mat_inverse, mat_vec, primitive,
+                            rank, rat, rat_str, rays_extend_to_basis, rref,
                             smith_normal_form, solve, span_basis, transpose,
                             vdot, vec)
 
@@ -160,6 +160,25 @@ def test_rref_matches_rational_elimination(A):
     assert [echelon.extend(r) for r in A[1:]] == [
         len(route_oracle.fraction_rref(A[:i + 1])[1]) > len(route_oracle.fraction_rref(A[:i])[1])
         for i in range(1, len(A))]
+    # after every extend the rows, in pivot order and divided by their pivot
+    # entries, are the RREF of the rows added so far; a copy extends alone
+    echelon = RowEchelon([])
+    for i, row in enumerate(A):
+        before = [tuple(r) for r in echelon.rows], list(echelon.pivots)
+        echelon.copy().extend(row)
+        assert ([tuple(r) for r in echelon.rows], list(echelon.pivots)) == before
+        echelon.extend(row)
+        red, pivots = route_oracle.fraction_rref(A[:i + 1])
+        pairs = sorted(zip(echelon.pivots, echelon.rows))
+        assert [tuple(Q(x, r[c]) for x in r) for c, r in pairs] == list(red[:len(pivots)])
+        assert tuple(c for c, _ in pairs) == pivots
+    # the row-by-row elimination gives the column sweep's rows up to sign
+    assert _positive(*_reduce(A)) == _positive(*route_oracle.integer_reduce(A))
+
+
+def _positive(rows, pivots):
+    """The rows scaled to a positive pivot entry, and the pivots."""
+    return [[-x for x in r] if r[c] < 0 else list(r) for r, c in zip(rows, pivots)], list(pivots)
 
 
 @st.composite

@@ -60,6 +60,14 @@ def test_make_affine_pp_examples():
     assert repr(info.value.witness) == repr(a.offending_pair()) == repr(witness)
     assert str(info.value) == f"cells {witness[0]} and {witness[1]} disagree on the " \
         f"direction space of {witness[2]!r}"
+    # F2 has 3 maximal cells: 2 or 4 pieces, or a piece on a cell that is not
+    # maximal, are refused rather than zero-filled, dropped or ignored
+    for short_or_long in ([x, x], [x, x, x, x]):
+        with pytest.raises(ValueError, match="one piece per maximal cell"):
+            make_affine_pp(F2, short_or_long, 1)
+    face = next(i for i in range(len(F2.cells)) if i not in F2.maximal)
+    with pytest.raises(ValueError, match=f"cell {face} is not a maximal cell"):
+        make_affine_pp(F2, {**dict(zip(F2.maximal, [x, x, x])), face: x}, 1)
 
 
 def test_dim_affine_pp():
