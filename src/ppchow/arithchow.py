@@ -20,7 +20,7 @@ from .cycles import (InvariantCycle, closure_class, cycle_from_pp,
                      horizontal_part, model_cycle_class)
 from .errors import (CompatibilityViolation, InternalIdentityError,
                      NoCertificate, NotCycleSupported, WeightNotOrthogonal)
-from .limits import (ClosedForm, CurrentTower, ddc_current, delta_current,
+from .limits import (ClosedForm, CurrentTower, _tower, ddc_current, delta_current,
                      green_from_lifting, limit_equal_in, module_product_form,
                      on_common_model)
 from .polyhedra import Cone, cone_over, quotient_projection, recession_fan
@@ -78,7 +78,7 @@ def div_nu(chain, sigma, u):
     u = vec(u)
     weight = tuple(u) + (Fraction(0),)
 
-    def rule(i):
+    def value(i):
         pc = chain.models[i]
         co = cone_over(pc)
         E = eigen_divisor(co.fan, horizontal_cone_in_model(pc, sigma), weight)
@@ -88,10 +88,7 @@ def div_nu(chain, sigma, u):
         cls = model_cycle_class(pc, vert)
         return vertical_decompose(pc, cls).scale(-1)
 
-    t = CurrentTower(chain, "tilde", rule=rule)
-    t.materialize()
-    t.check_compat()
-    return t
+    return _tower(chain, "tilde", value)
 
 
 def poincare_lelong_check(chain, sigma, u):
@@ -189,8 +186,9 @@ def theta_inverse(a):
     of the Green tower, on the model where the certificate stabilizes."""
     if a.certificate is None:
         raise NoCertificate("arithmetic cycle carries no Green certificate")
-    idx = next(i for i, m in enumerate(a.chain.models)
-               if m.same_as(a.certificate.model))
+    idx = a.chain.position(a.certificate.model)
+    if idx is None:
+        raise NoCertificate("the Green certificate's model is not on the cycle's chain")
     pc = a.chain.models[idx]
     F = closure_class(pc, a.eta) + iota_lower(a.green.value(idx))
     return LimitClass(pc, F)
@@ -206,7 +204,7 @@ def arith_product(a, b):
     chain = a.chain
     la, lb = theta_inverse(a), theta_inverse(b)
     prod = limit_mul(la, lb)
-    idx = next((i for i, m in enumerate(chain.models) if m.same_as(prod.model)), None)
+    idx = chain.position(prod.model)
     if idx is None:
         raise NotCycleSupported("product lives outside the working chain")
     cyc = cycle_from_pp(cone_over(chain.models[idx]).fan, prod.pp, prod.degree)
@@ -282,14 +280,12 @@ def theta_prime(T):
         if restrict_to_height_zero(pc, T.value(i)) != restr:
             raise CompatibilityViolation("horizontal restrictions differ along the tower",
                                          witness=i)
-    vals = {}
-    for i in T.indices():
+
+    def value(i):
         pc = chain.models[i]
-        z = T.value(i) - closure_class(pc, eta)
-        vals[i] = vertical_decompose(pc, z)
-    g = CurrentTower(chain, "tilde", values=vals, start=T.start)
-    g.check_compat()
-    return ExtendedArithCycle(chain, eta, g)
+        return vertical_decompose(pc, T.value(i) - closure_class(pc, eta))
+
+    return ExtendedArithCycle(chain, eta, _tower(chain, "tilde", value, T.start))
 
 
 def theta_prime_inverse(x):

@@ -24,12 +24,12 @@ inverse-limit element is a :class:`CurrentTower` of one flavor: its
 compatibility check, stabilization test and closed-form action read the
 maps from the same row.
 
-Inverse limits are truncations: an explicit chain of models plus, for the
-rule-defined currents (delta, Green, vertical divisor corrections), a memo
-cache keyed by chain position so evaluators stay pure.  Stabilization
-detection is always chain-relative: a tower counts as stabilized at the
-earliest model whose transfer system reproduces every later value, with at
-least one later value materialized to confirm.
+Inverse limits are truncations: an explicit chain of models with a value on
+each from the tower's first position on.  One routine builds every derived
+tower: it computes the values when the tower is made and checks their
+compatibility once.  Stabilization detection is always chain-relative: a
+tower counts as stabilized at the earliest model whose transfer system
+reproduces every later value, with at least one later value to confirm.
 """
 
 import operator
@@ -75,6 +75,10 @@ class ModelChain:
         if depth < 1:
             raise InputError(f"depth must be at least 1, got {depth}")
         return ModelChain(self.models[:depth])
+
+    def position(self, model):
+        """The chain position of a model equal to ``model``, or None."""
+        return next((i for i, m in enumerate(self.models) if m.same_as(model)), None)
 
     def map_between(self, fine_idx, coarse_idx):
         """The ModelMap models[fine_idx] -> models[coarse_idx]; refinement is
@@ -154,7 +158,7 @@ class ClosedForm:
     __slots__ = ("model", "form")
 
     def __init__(self, model, form):
-        if form.complex is not model and not form.complex.same_as(model):
+        if not form.complex.same_as(model):
             raise ValueError("form does not live on the stated model")
         self.model = model
         self.form = form
@@ -211,20 +215,18 @@ class CurrentTower:
     ``flavor`` names the row of ``_FLAVORS`` that gives the values' pushforward
     and equality: "closed" (affine-PP values), "tilde" (vertex-tuple values
     modulo gamma images) or "pp" (PP classes on the cones over the models).
-    Values either come materialized or from a rule; rule evaluation memoizes,
-    so towers stay externally pure.
+    The values come with the tower, one per chain position from ``start`` on.
     """
 
-    __slots__ = ("chain", "flavor", "start", "rule", "_values")
+    __slots__ = ("chain", "flavor", "start", "_values")
 
-    def __init__(self, chain, flavor, values=None, rule=None, start=0):
+    def __init__(self, chain, flavor, values, start=0):
         if flavor not in _FLAVORS:
             raise ValueError("flavor must be 'closed', 'tilde' or 'pp'")
         self.chain = chain
         self.flavor = flavor
         self.start = start
-        self.rule = rule
-        self._values = dict(values or {})
+        self._values = dict(values)
 
     def indices(self):
         return range(self.start, len(self.chain))
@@ -233,12 +235,11 @@ class CurrentTower:
         if i < self.start:
             raise IndexError("below the tower's first materialized model")
         if i not in self._values:
-            if self.rule is None:
-                raise IndexError(f"no value at chain position {i}")
-            self._values[i] = self.rule(i)
+            raise IndexError(f"no value at chain position {i}")
         return self._values[i]
 
     def materialize(self):
+        """The tower, once every value from ``start`` on is read."""
         for i in self.indices():
             self.value(i)
         return self
@@ -256,10 +257,13 @@ class CurrentTower:
                     witness=(i, i + 1))
         return True
 
-    def map_values(self, fn, flavor=None):
-        vals = {i: fn(i, self.value(i)) for i in self.indices()}
-        return CurrentTower(self.chain, flavor or self.flavor, values=vals,
-                            start=self.start)
+
+def _tower(chain, flavor, value, start=0):
+    """The tower whose value at each chain position i from ``start`` on is
+    ``value(i)``, computed in chain order and checked compatible."""
+    t = CurrentTower(chain, flavor, {i: value(i) for i in range(start, len(chain))}, start)
+    t.check_compat()
+    return t
 
 
 def zero_tower(chain, flavor, degree):
@@ -272,9 +276,8 @@ def ddc_current(tower):
     """Model-wise dd^c of a tilde tower; output compatibility re-verified."""
     if tower.flavor != "tilde":
         raise ValueError("dd^c acts on tilde towers")
-    out = tower.map_values(lambda i, t: from_vertex_tuple(ddc_model(t)), flavor="closed")
-    out.check_compat()
-    return out
+    return _tower(tower.chain, "closed",
+                  lambda i: from_vertex_tuple(ddc_model(tower.value(i))), tower.start)
 
 
 def tower_stabilization(tower):
@@ -295,13 +298,10 @@ def tower_stabilization(tower):
 def delta_current(chain, cycle):
     """The closed current of a horizontal cycle: per model, the slice of the
     class of its Zariski closure."""
-    def rule(i):
+    def value(i):
         pc = chain.models[i]
         return iota_upper(pc, closure_class(pc, cycle))
-    t = CurrentTower(chain, "closed", rule=rule)
-    t.materialize()
-    t.check_compat()
-    return t
+    return _tower(chain, "closed", value)
 
 
 def green_from_lifting(chain, start, lifting, cycle):
@@ -313,24 +313,23 @@ def green_from_lifting(chain, start, lifting, cycle):
     pullback-minus-closure, decomposed through the vertical lift.
     """
     pc0 = chain.model(start)
-    rec = recession_fan(pc0)
+    # the fan is unused: the call refuses an incomplete model (IncompleteInput)
+    # before closure_class raises NotARay on a ray outside its support
+    recession_fan(pc0)
     eta_class = closure_class(pc0, cycle)
     restr_lift = restrict_to_height_zero(pc0, lifting)
     restr_eta = restrict_to_height_zero(pc0, eta_class)
     if restr_lift != restr_eta:
         raise NotALifting("lifting does not restrict to the cycle's class")
 
-    def rule(i):
+    def value(i):
         pc = chain.models[i]
         m = chain.map_between(i, start)
         pulled = pullback(m.fan_map, lifting)
         diff = pulled - closure_class(pc, cycle)
         return vertical_decompose(pc, diff)
 
-    t = CurrentTower(chain, "tilde", rule=rule, start=start)
-    t.materialize()
-    t.check_compat()
-    return t
+    return _tower(chain, "tilde", value, start)
 
 
 def is_green(tower, cycle):
@@ -379,9 +378,8 @@ def cap_form(c):
 def cap_current(tower):
     if tower.flavor != "closed":
         raise ValueError("cap acts on closed towers")
-    out = tower.map_values(lambda i, f: cap_fundamental(f).tuple, flavor="tilde")
-    out.check_compat()
-    return out
+    return _tower(tower.chain, "tilde",
+                  lambda i: cap_fundamental(tower.value(i)).tuple, tower.start)
 
 
 def module_product_form(c, tower):
@@ -389,13 +387,12 @@ def module_product_form(c, tower):
     a closed form on a closed or tilde tower, a limit class on a pp tower.
     The product's compatibility is re-verified."""
     chain = tower.chain
-    idx = next((i for i, m in enumerate(chain.models) if m.same_as(c.model)), None)
+    idx = chain.position(c.model)
     if idx is None or idx > tower.start:
         raise CompatibilityViolation("acting class must live on a chain model below the tower")
     acting = _FLAVORS[tower.flavor].acting
-    out = tower.map_values(lambda i, val: acting(chain.map_between(i, idx), c) * val)
-    out.check_compat()
-    return out
+    return _tower(chain, tower.flavor,
+                  lambda i: acting(chain.map_between(i, idx), c) * tower.value(i), tower.start)
 
 
 def zero_composition_suite(chain, degrees, rng, samples=5):
@@ -432,11 +429,8 @@ def zero_composition_suite(chain, degrees, rng, samples=5):
             continue
         for _ in range(samples):
             f0 = basis0[0].scale(0).combine(basis0, [rng.randint(-3, 3) for _ in basis0])
-            vals = {0: f0}
-            for i in range(1, len(chain)):
-                vals[i] = pullback_special(chain.map_between(i, 0), f0)
-            T = CurrentTower(chain, "closed", values=vals)
-            T.check_compat()
+            T = _tower(chain, "closed",
+                       lambda i: pullback_special(chain.map_between(i, 0), f0) if i else f0)
             TT = cap_current(T)
             dd = ddc_current(TT)
             for i in dd.indices():

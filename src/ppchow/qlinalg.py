@@ -146,8 +146,6 @@ def kernel_basis(A):
     if not A:
         return []
     n = len(A[0])
-    if any(len(r) != n for r in A):
-        raise ValueError("ragged matrix")
     rows, pivots = _reduce(A)
     basis = []
     for f in [c for c in range(n) if c not in pivots]:
@@ -176,24 +174,28 @@ class RowEchelon:
     are the RREF of the rows added so far; a vector lies in the span iff
     its remainder is zero.  The RREF is unique, and every reader divides a
     row by its pivot entry or reads only the pivots and whether a vector was
-    added, so no result depends on the order of the elimination.
+    added, so no result depends on the order of the elimination.  The first
+    vector given fixes the width; a vector of any other length is refused.
     """
 
-    __slots__ = ("rows", "pivots")
+    __slots__ = ("rows", "pivots", "width")
 
     def __init__(self, rows):
-        self.rows, self.pivots = [], []
+        self.rows, self.pivots, self.width = [], [], None
         for row in rows:
             self.extend(row)
 
     def copy(self):
         """An echelon of the same span that extends independently."""
         out = RowEchelon([])
-        out.rows, out.pivots = list(self.rows), list(self.pivots)
+        out.rows, out.pivots, out.width = list(self.rows), list(self.pivots), self.width
         return out
 
     def _remainder(self, v):
         """v reduced against the rows, on a primitive integer vector."""
+        self.width = len(v) if self.width is None else self.width
+        if len(v) != self.width:
+            raise ValueError("ragged matrix")
         v = primitive_ints(v)
         for row, p in zip(self.rows, self.pivots):
             if v[p]:

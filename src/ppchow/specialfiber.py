@@ -22,13 +22,13 @@ The maps here are the restriction-difference rho, its signed pushforward
 adjoint gamma (one degree up), their composite -gamma.rho (the model-level
 dd^c), the slice map from classes on the model and the vertical lift back,
 the cap with the fundamental class of the fiber, homology presentations, and
-the four transfer maps between models.  The vertical lift, the height
-expansion and the slice are each solved on one matrix per model and degree
-by ppfan's basis solver, and the gamma image is eliminated once per model
-and degree, for class equality, homology presentations and the gamma rank
-alike.  Like all derived data, they are memoized by one routine,
-:func:`~ppchow.polyring._memo`, keyed by builder and arguments, on the model
-they derive from.
+the four transfer maps between models.  The height expansion and the slice
+are each solved on one matrix per model and degree by ppfan's basis solver,
+and the vertical lift on the expansion's matrix, whose first block is the
+lift's own.  The gamma image is eliminated once per model and degree, for
+class equality, homology presentations and the gamma rank alike.  Like all
+derived data, they are memoized by one routine, :func:`~ppchow.polyring._memo`,
+keyed by builder and arguments, on the model they derive from.
 """
 
 from .errors import (DecompositionFailed, FaceMismatch, FacetMismatch,
@@ -559,9 +559,9 @@ def ker_coker_report(pc, k):
 
 
 @_memo
-def _slice_system(pc, fan, k):
-    """The slice map on degree-k classes on ``fan``, which is c(Pi)."""
-    return _system(graded_basis(fan, k), lambda b: iota_upper(pc, b).coords())
+def _slice_system(pc, k):
+    """The slice map on degree-k classes on c(Pi)."""
+    return _system(graded_basis(cone_over(pc).fan, k), lambda b: iota_upper(pc, b).coords())
 
 
 def iota_upper_preimage(pc, a):
@@ -572,7 +572,7 @@ def iota_upper_preimage(pc, a):
     error.  The preimage is the deterministic least-free-variable solution.
     """
     fan = cone_over(pc).fan
-    basis, sol = _preimage(_slice_system(pc, fan, a.degree), a.coords())
+    basis, sol = _preimage(_slice_system(pc, a.degree), a.coords())
     if sol is None:
         raise InternalIdentityError("slice map is not onto this class")
     return zero_pp(fan, a.degree).combine(basis, sol)
@@ -629,7 +629,7 @@ def alpha(m, t):
     sends gamma images outside gamma images and breaks the delta-tower
     compatibility, so it cannot be the pushforward.
     """
-    if t.complex is not m.source and not t.complex.same_as(m.source):
+    if not t.complex.same_as(m.source):
         raise NotARefinement("tuple does not live on the map's source")
     pushed = pushforward(m.fan_map, iota_lower(t))
     return vertical_expand(m.target, pushed)[0]
@@ -643,7 +643,7 @@ def beta(m, a):
     pushforward.  Failures of the final validation are surfaced as
     :class:`FacetMismatch` diagnostics.
     """
-    if a.complex is not m.source and not a.complex.same_as(m.source):
+    if not a.complex.same_as(m.source):
         raise NotARefinement("function does not live on the map's source")
     lifted = iota_upper_preimage(m.source, a)
     try:
@@ -655,7 +655,7 @@ def beta(m, a):
 def pullback_special(m, a):
     """Pullback of affine piecewise polynomials: re-read the cell polynomials
     on the subdivided cells, coefficients unchanged."""
-    if a.complex is not m.target and not a.complex.same_as(m.target):
+    if not a.complex.same_as(m.target):
         raise NotARefinement("function does not live on the map's target")
     cell_polys = {i: a.cell_polys[m.cell_map[i]] for i in m.source.maximal}
     return AffinePP(m.source, a.degree, cell_polys, validate=False)
@@ -669,7 +669,7 @@ def zeta(m, t):
     vertex functions, read off on its own chart.  Validity of the new entries
     is checked, not assumed.
     """
-    if t.complex is not m.target and not t.complex.same_as(m.target):
+    if not t.complex.same_as(m.target):
         raise NotARefinement("tuple does not live on the map's target")
     src, tgt = m.source, m.target
     old = _table(tgt)
@@ -695,12 +695,6 @@ def zeta(m, t):
 # ---------------------------------------------------------------------------
 
 
-@_memo
-def _lift_system(pc, k):
-    """The vertical lift on the degree-k vertex layer."""
-    return _system(vertex_layer_basis(pc, k), lambda b: iota_lower(b).coords())
-
-
 def vertical_decompose(pc, F):
     """Express a vertically supported class on c(Pi) as a vertical lift.
 
@@ -709,10 +703,18 @@ def vertical_decompose(pc, F):
     unique modulo the image of gamma.  Raises
     :class:`~ppchow.errors.DecompositionFailed` when no solution exists,
     which for a height-zero-vanishing input is a bug, not a data problem.
+
+    Solved on the height expansion's matrix, whose first block is the lift.
+    With free variables at zero this is exact: the pivots of a column prefix
+    are the prefix's own, and coordinates on independent columns are unique,
+    so a target in the span of the first block gets zero on every later
+    pivot and the lift's own coefficients.  So the lift fails exactly when
+    there is no solution or a later coefficient is nonzero.
     """
     k = F.degree - 1
-    basis, sol = _preimage(_lift_system(pc, k), F.coords())
-    if sol is None:
+    basis = _expand_blocks(pc, F.degree)[0]
+    _, sol = _preimage(_expand_system(pc, F.degree), F.coords())
+    if sol is None or any(sol[len(basis):]):
         raise DecompositionFailed("target class is not a vertical lift" if basis
                                   else "no vertical basis but nonzero target")
-    return zero_vertex_tuple(pc, k).combine(basis, sol)
+    return zero_vertex_tuple(pc, k).combine(basis, sol[:len(basis)])

@@ -50,12 +50,13 @@ the inequalities and rays from every subsystem one row short, the extreme
 generators as those whose tight rows have full rank, and the meet of two
 cones built again from its rays.
 
-ppchow builds the systems of the vertical lift, the height expansion, the
-slice and the gamma image once per model and degree, eliminates each once,
-and certifies a fan map's properness once per target cone.  The seventh
-group is the routes these replaced, which build and solve every system and
-run every certificate on each call, and ``install_transfers``, which swaps
-them into the program.
+ppchow builds the systems of the height expansion, the slice and the gamma
+image once per model and degree, eliminates each once, solves the vertical
+lift on the height expansion's system, whose first block is the lift, and
+certifies a fan map's properness once per target cone.  The seventh group
+is the routes these replaced, which build and solve every system, the lift
+on its own columns, and run every certificate on each call, and
+``install_transfers``, which swaps them into the program.
 
 ppchow passes the piece of a target cone that a fan map does not split
 through the pushforward, keeps each cycle term's generator on the fan, and

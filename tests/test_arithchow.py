@@ -117,6 +117,16 @@ def test_no_certificate():
         theta_inverse(bare)
 
 
+def test_certificate_off_the_chain():
+    # a certificate on a model outside the chain is refused, not searched for
+    chain = chain1()
+    from ppchow.arithchow import ArithCycle
+    a = theta(chain, 1, cyc(2, 1, ([(0, 1)], 1)))
+    off_chain = ArithCycle(chain.truncate(1), a.eta, a.green, a.certificate)
+    with pytest.raises(NoCertificate, match="not on the cycle's chain"):
+        theta_inverse(off_chain)
+
+
 def test_arith_product():
     chain = chain1()
     F2 = chain.models[1]

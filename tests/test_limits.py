@@ -4,8 +4,8 @@ from fractions import Fraction as Q
 import pytest
 
 from ppchow.cycles import InvariantCycle, closure_class
-from ppchow.errors import (CompatibilityViolation, InputError, NotALifting,
-                           NotStabilized)
+from ppchow.errors import (CompatibilityViolation, IncompleteInput, InputError,
+                           NotALifting, NotStabilized)
 from ppchow.fixtures import p1_chain, p2_chain
 from ppchow.limits import (ClosedForm, CurrentTower, FormModDdbar, ModelChain,
                            cap_current, cap_form, closed_degree_one_evaluator,
@@ -15,9 +15,9 @@ from ppchow.limits import (ClosedForm, CurrentTower, FormModDdbar, ModelChain,
                            is_green, module_product_form, regularity_check,
                            tower_stabilization, zero_composition_suite,
                            zero_tower)
-from ppchow.polyhedra import cone_over, vertex_chart
+from ppchow.polyhedra import build_complex, cone_over, vertex_chart
 from ppchow.polyring import HomogPoly
-from ppchow.ppfan import constant_pp, phi_ray
+from ppchow.ppfan import constant_pp, phi_ray, zero_pp
 from ppchow.specialfiber import (VertexTuple, from_vertex_tuple, iota_upper,
                                  make_affine_pp, pullback_special,
                                  to_vertex_tuple, vertex_layer_basis,
@@ -114,6 +114,16 @@ def test_green_from_lifting_and_is_green():
         2: VertexTuple(F5, 0, {(Q(0),): _cpp(vertex_chart(F5, (Q(0),)).fan, 1)})})
     with pytest.raises(CompatibilityViolation):
         is_green(broken, PLUS)
+
+
+def test_green_from_lifting_refuses_an_incomplete_model():
+    # F1's cell [0, +inf) alone: its recession fan is refused before the
+    # closure of MINUS, whose ray lies outside the support, is attempted
+    half = build_complex([([(0,)], [(1,)])], rank=1)
+    chain = ModelChain([half])
+    for cycle in (PLUS, MINUS):
+        with pytest.raises(IncompleteInput):
+            green_from_lifting(chain, 0, zero_pp(cone_over(half).fan, 1), cycle)
 
 
 def test_green_property_all_models():
@@ -234,6 +244,15 @@ def test_limit_equality_transitive():
     for fine, coarse in ((-1, 0), (2, -1), (3, 0), (2, 3)):
         with pytest.raises(InputError, match="outside"):
             chain.map_between(fine, coarse)
+
+
+def test_chain_position():
+    chain = chain1()
+    F1, F2, F5 = p1_chain()
+    assert [chain.position(m) for m in (F1, F2, F5)] == [0, 1, 2]
+    assert chain.position(chain.models[1]) == 1
+    assert chain.truncate(2).position(F5) is None
+    assert chain.position(p2_chain()[0]) is None
 
 
 def test_common_model():

@@ -51,9 +51,8 @@ def _routines():
         ("edge_layer_basis", lambda: specialfiber.edge_layer_basis(f5, 1)),
         ("gamma_image_matrix", lambda: specialfiber.gamma_image_matrix(f5, 1)),
         ("gamma_span", lambda: specialfiber._gamma_span(f5, 1)),
-        ("slice_system", lambda: specialfiber._slice_system(f5, fan, 1)),
+        ("slice_system", lambda: specialfiber._slice_system(f5, 1)),
         ("expand_system", lambda: specialfiber._expand_system(f5, 2)),
-        ("lift_system", lambda: specialfiber._lift_system(f5, 1)),
         ("generator", lambda: cycles._generator(fan, fan.cones[fan.maximal[0]].rays)),
     ]
 

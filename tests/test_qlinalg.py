@@ -139,6 +139,23 @@ _edge_cases = ([], [[]], [[], []], [[0, 0], [0, 0]], [[0, 3, Q(1, 2)]], [[2], [0
                [[1, 2], [1, 2]], [[Q(1, 10 ** 20), 1], [1, Q(10 ** 20, 3)]])
 
 
+@pytest.mark.parametrize("A", [[[1, 2], [3]], [[3], [1, 2]]])
+def test_ragged_rows_are_refused(A):
+    for call in (rank, rref, kernel_basis, RowEchelon, lambda A: solve(A, [0, 0])):
+        with pytest.raises(ValueError, match="ragged matrix"):
+            call(A)
+    # the first vector fixes the width, and a copy keeps it
+    first, other = A
+    for echelon in (RowEchelon([first]), RowEchelon([first]).copy()):
+        for method in (echelon.extend, echelon.contains):
+            with pytest.raises(ValueError, match="ragged matrix"):
+                method(other)
+    empty = RowEchelon([])
+    assert not empty.contains(first)
+    with pytest.raises(ValueError, match="ragged matrix"):
+        empty.extend(other)
+
+
 def _examples(cases):
     def decorate(test):
         for case in cases:

@@ -19,7 +19,7 @@ from ppchow.specialfiber import (AffinePP, HomologyClass, VertexTuple, alpha,
                                  ddc_one_shot, make_affine_pp,
                                  pullback_special, rho, to_vertex_tuple,
                                  vertex_layer_basis, vertical_decompose,
-                                 zero_vertex_tuple, zeta)
+                                 vertical_expand, zero_vertex_tuple, zeta)
 
 
 def lin(*coeffs):
@@ -389,3 +389,14 @@ def test_vertical_decompose_and_preimage():
         _, basis = dim_affine_pp(F2, k)
         for a in basis:
             assert iota_upper(F2, iota_upper_preimage(F2, a)) == a
+
+
+def test_vertical_decompose_builds_the_expansion_system():
+    # the lift is solved on the height expansion's matrix, so expanding a
+    # degree-1 class after decomposing it builds nothing new on the model
+    F5 = f5_complex()
+    F = iota_lower(vertex_layer_basis(F5, 0)[-1])
+    g = vertical_decompose(F5, F)
+    before = set(F5._cache)
+    assert vertical_expand(F5, F) == [g]
+    assert set(F5._cache) == before
