@@ -20,7 +20,7 @@ from .cycles import (InvariantCycle, closure_class, cycle_from_pp,
                      horizontal_part, model_cycle_class)
 from .errors import (CompatibilityViolation, InternalIdentityError,
                      NoCertificate, NotCycleSupported, WeightNotOrthogonal)
-from .limits import (ClosedForm, CurrentTower, _tower, ddc_current, delta_current,
+from .limits import (ClosedForm, CurrentTower, _pulled_back, _tower, ddc_plus_delta,
                      green_from_lifting, limit_equal_in, module_product_form,
                      on_common_model)
 from .polyhedra import Cone, cone_over, quotient_projection, recession_fan
@@ -28,8 +28,7 @@ from .polyring import HomogPoly
 from .ppfan import phi_cone, restrict_to_height_zero
 from .qlinalg import primitive, vec
 from .specialfiber import (class_equal, ddc_model, from_vertex_tuple,
-                           iota_lower, iota_upper, pullback_special,
-                           vertical_decompose)
+                           iota_lower, iota_upper, vertical_decompose)
 
 
 # ---------------------------------------------------------------------------
@@ -148,14 +147,13 @@ def limit_mul(a, b):
 class ArithCycle:
     """A horizontal cycle with a Green current and its certificate."""
 
-    __slots__ = ("chain", "eta", "green", "certificate", "lifting")
+    __slots__ = ("chain", "eta", "green", "certificate")
 
-    def __init__(self, chain, eta, green, certificate, lifting=None):
+    def __init__(self, chain, eta, green, certificate):
         self.chain = chain
         self.eta = eta
         self.green = green
         self.certificate = certificate
-        self.lifting = lifting  # (chain index, PPFunction) when known
 
 
 def theta(chain, start, cycle):
@@ -164,21 +162,16 @@ def theta(chain, start, cycle):
     The cycle's class is its own lifting; the horizontal restriction gives
     the generic-fiber cycle, and the Green tower comes from pullback minus
     closure.  The certificate is the slice of the lifting, verified to equal
-    dd^c of the tower plus the delta current on every materialized model.
+    dd^c of the tower plus the delta current on every model of the tower.
     """
     pc = chain.model(start)
     F = model_cycle_class(pc, cycle)
     eta = horizontal_part(cycle, pc.rank)
     g = green_from_lifting(chain, start, F, eta)
     cert = ClosedForm(pc, iota_upper(pc, F))
-    delta = delta_current(chain, eta)
-    dd = ddc_current(g)
-    for i in g.indices():
-        lhs = dd.value(i) + delta.value(i)
-        rhs = pullback_special(chain.map_between(i, start), cert.form)
-        if lhs != rhs:
-            raise InternalIdentityError("Green certificate failed on a chain model")
-    return ArithCycle(chain, eta, g, cert, lifting=(start, F))
+    if not _pulled_back(ddc_plus_delta(g, eta), start, cert.form):
+        raise InternalIdentityError("Green certificate failed on a chain model")
+    return ArithCycle(chain, eta, g, cert)
 
 
 def theta_inverse(a):
@@ -235,13 +228,12 @@ def rational_equivalence_class(chain, start, sigma_t, weight_t):
 
 class LimitTower(CurrentTower):
     """A pushforward-compatible family of PP classes over the chain: a
-    ``"pp"`` tower, checked when it is built."""
+    ``"pp"`` tower, checked when it is built, as every tower is."""
 
     __slots__ = ()
 
     def __init__(self, chain, values, start=0):
         super().__init__(chain, "pp", values=values, start=start)
-        self.check_compat()
 
     # Defined on the class itself, beside __init__, so that a tracer that
     # wraps this class's own methods (perfbench/layertrace.py) finds both.

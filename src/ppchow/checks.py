@@ -18,10 +18,10 @@ from .arithchow import (ExtendedArithCycle, LimitClass, LimitTower, extended_equ
                         theta_prime, theta_prime_inverse)
 from .cycles import InvariantCycle, closure_class, model_cycle_class
 from .errors import NotStabilized
-from .limits import (CurrentTower, FormModDdbar, ModelChain, ddc_current,
-                     degree_current, delta_current, form_mod_equal,
-                     green_from_lifting, regularity_check, tower_stabilization,
-                     zero_composition_suite)
+from .limits import (CurrentTower, FormModDdbar, ModelChain, _pulled_back,
+                     ddc_current, ddc_plus_delta, degree_current, delta_current,
+                     form_mod_equal, green_from_lifting, regularity_check,
+                     tower_stabilization, zero_composition_suite)
 from .polyhedra import Cone, cone_over, recession_fan, vertex_chart
 from .polyring import HomogPoly, monomial_exponents
 from .ppfan import (constant_pp, equivariant_degree, graded_basis, phi_cone, phi_ray,
@@ -245,14 +245,8 @@ def criterion_8():
                 pc = chain.models[start]
                 lift = closure_class(pc, eta)
                 g = green_from_lifting(chain, start, lift, eta)
-                omega = iota_upper(pc, lift)
-                delta = delta_current(chain, eta)
-                for i in g.indices():
-                    lhs = from_vertex_tuple(ddc_model(g.value(i))) \
-                        + delta.value(i)
-                    rhs = pullback_special(chain.map_between(i, start), omega)
-                    if lhs != rhs:
-                        ok = False
+                if not _pulled_back(ddc_plus_delta(g, eta), start, iota_upper(pc, lift)):
+                    ok = False
                 checked += 1
     return CheckResult("8 Green property", ok,
                        f"dd^c g + delta = slice of lifting, {checked} (model, cycle) pairs")
@@ -393,7 +387,6 @@ def criterion_13():
         0: zero_vertex_tuple(chain.models[0], 0),
         1: zero_vertex_tuple(chain.models[1], 0),
         2: VertexTuple(F5, 0, bad_entry)})
-    bad.check_compat()
     try:
         regularity_check(bad)
         ok = False

@@ -25,11 +25,13 @@ compatibility check, stabilization test and closed-form action read the
 maps from the same row.
 
 Inverse limits are truncations: an explicit chain of models with a value on
-each from the tower's first position on.  One routine builds every derived
-tower: it computes the values when the tower is made and checks their
-compatibility once.  Stabilization detection is always chain-relative: a
-tower counts as stabilized at the earliest model whose transfer system
-reproduces every later value, with at least one later value to confirm.
+each from the tower's first position on.  The tower's constructor checks
+that it has exactly those values and that they are compatible, so every
+tower is checked once, when it is made.  One routine builds every derived
+tower by computing its values in chain order.  Stabilization detection is
+always chain-relative: a tower counts as stabilized at the earliest model
+whose transfer system reproduces every later value, with at least one later
+value to confirm.
 """
 
 import operator
@@ -215,7 +217,9 @@ class CurrentTower:
     ``flavor`` names the row of ``_FLAVORS`` that gives the values' pushforward
     and equality: "closed" (affine-PP values), "tilde" (vertex-tuple values
     modulo gamma images) or "pp" (PP classes on the cones over the models).
-    The values come with the tower, one per chain position from ``start`` on.
+    The values come with the tower, one per chain position from ``start``
+    on; the constructor refuses any other positions (:class:`InputError`)
+    and checks the values compatible (:class:`CompatibilityViolation`).
     """
 
     __slots__ = ("chain", "flavor", "start", "_values")
@@ -223,19 +227,24 @@ class CurrentTower:
     def __init__(self, chain, flavor, values, start=0):
         if flavor not in _FLAVORS:
             raise ValueError("flavor must be 'closed', 'tilde' or 'pp'")
+        if not 0 <= start < len(chain):
+            raise InputError(f"tower start {start} is outside [0, {len(chain)})")
         self.chain = chain
         self.flavor = flavor
         self.start = start
         self._values = dict(values)
+        if sorted(self._values) != list(self.indices()):
+            raise InputError(f"tower values must sit at chain positions {start}.."
+                             f"{len(chain) - 1}, got {sorted(self._values)}")
+        self.check_compat()
 
     def indices(self):
         return range(self.start, len(self.chain))
 
     def value(self, i):
-        if i < self.start:
-            raise IndexError("below the tower's first materialized model")
         if i not in self._values:
-            raise IndexError(f"no value at chain position {i}")
+            raise IndexError(f"no value at chain position {i}: the tower has "
+                             f"positions {self.start}..{len(self.chain) - 1}")
         return self._values[i]
 
     def materialize(self):
@@ -245,11 +254,9 @@ class CurrentTower:
         return self
 
     def check_compat(self):
-        """Exact compatibility on every consecutive materialized pair."""
+        """Exact compatibility on every consecutive pair of values."""
         ops = _FLAVORS[self.flavor]
-        for i in self.indices():
-            if i + 1 >= len(self.chain):
-                break
+        for i in range(self.start, len(self.chain) - 1):
             pushed = ops.push(self.chain.maps[i], self.value(i + 1))
             if not ops.equal(pushed, self.value(i)):
                 raise CompatibilityViolation(
@@ -260,16 +267,12 @@ class CurrentTower:
 
 def _tower(chain, flavor, value, start=0):
     """The tower whose value at each chain position i from ``start`` on is
-    ``value(i)``, computed in chain order and checked compatible."""
-    t = CurrentTower(chain, flavor, {i: value(i) for i in range(start, len(chain))}, start)
-    t.check_compat()
-    return t
+    ``value(i)``, computed in chain order."""
+    return CurrentTower(chain, flavor, {i: value(i) for i in range(start, len(chain))}, start)
 
 
 def zero_tower(chain, flavor, degree):
-    zero = _FLAVORS[flavor].zero
-    vals = {i: zero(chain.models[i], degree) for i in range(len(chain))}
-    return CurrentTower(chain, flavor, values=vals)
+    return _tower(chain, flavor, lambda i: _FLAVORS[flavor].zero(chain.models[i], degree))
 
 
 def ddc_current(tower):
@@ -280,19 +283,21 @@ def ddc_current(tower):
                   lambda i: from_vertex_tuple(ddc_model(tower.value(i))), tower.start)
 
 
+def _pulled_back(tower, s, form):
+    """Whether the tower's value at chain position s is ``form`` and every
+    later value is the pullback of ``form`` to its model."""
+    chain = tower.chain
+    ops = _FLAVORS[tower.flavor]
+    return ops.equal(tower.value(s), form) and all(
+        ops.equal(ops.pull(chain.map_between(j, s), form), tower.value(j))
+        for j in range(s + 1, len(chain)))
+
+
 def tower_stabilization(tower):
     """Earliest chain position whose transfer system reproduces all later
     values, or None.  Requires at least one later model as confirmation."""
-    chain = tower.chain
-    ops = _FLAVORS[tower.flavor]
-    last = len(chain) - 1
-    for s in tower.indices():
-        if s == last:
-            return None
-        if all(ops.equal(ops.pull(chain.map_between(j, s), tower.value(s)), tower.value(j))
-               for j in range(s + 1, len(chain))):
-            return s
-    return None
+    return next((s for s in range(tower.start, len(tower.chain) - 1)
+                 if _pulled_back(tower, s, tower.value(s))), None)
 
 
 def delta_current(chain, cycle):
@@ -332,25 +337,22 @@ def green_from_lifting(chain, start, lifting, cycle):
     return _tower(chain, "tilde", value, start)
 
 
+def ddc_plus_delta(tower, cycle):
+    """The closed tower dd^c(tower) + delta(cycle) from the tower's start on:
+    a pullback system exactly when the tilde tower is a Green current of the
+    cycle."""
+    delta = delta_current(tower.chain, cycle)
+    return _tower(tower.chain, "closed",
+                  lambda i: from_vertex_tuple(ddc_model(tower.value(i))) + delta.value(i),
+                  tower.start)
+
+
 def is_green(tower, cycle):
     """dd^c(tower) + delta(cycle) along the chain; Some(stabilized closed
-    form) when that sum is a pullback system, None otherwise.  Incompatible
-    input towers are surfaced as :class:`CompatibilityViolation`."""
-    chain = tower.chain
-    tower.check_compat()
-    delta = delta_current(chain, cycle)
-
-    def value(i):
-        dd = from_vertex_tuple(ddc_model(tower.value(i)))
-        return dd + delta.value(i)
-
-    sum_tower = CurrentTower(chain, "closed",
-                             values={i: value(i) for i in tower.indices()},
-                             start=tower.start)
-    s = tower_stabilization(sum_tower)
-    if s is None:
-        return None
-    return ClosedForm(chain.models[s], sum_tower.value(s))
+    form) when that sum is a pullback system, None otherwise."""
+    total = ddc_plus_delta(tower, cycle)
+    s = tower_stabilization(total)
+    return None if s is None else ClosedForm(tower.chain.models[s], total.value(s))
 
 
 def regularity_check(tower):
@@ -492,10 +494,8 @@ def closed_degree_one_evaluator(c):
         return None
 
     def evaluate(point):
-        if pc.find_cell(point) is None:
-            return None
-        p = next(p for p, m in enumerate(pc.max_cells()) if m.contains_point(point))
-        return pieces[p].evaluate(point) + consts[p]
+        p = next((p for p, m in enumerate(pc.max_cells()) if m.contains_point(point)), None)
+        return None if p is None else pieces[p].evaluate(point) + consts[p]
 
     return evaluate
 

@@ -26,7 +26,11 @@ group is the routes each group had of its own: the compatibility loop of the
 old ``LimitTower``, the pullback loops of ``module_action`` and of the old
 ``module_product_form``, the five direct-limit comparisons and products,
 and the quotient projection that ``eigen_divisor`` and ``horizontal_star``
-each carried, with the two-branch ``eigen_divisor``.
+each carried, with the two-branch ``eigen_divisor``.  ppchow writes the
+Green identity once, as the tower dd^c g + delta of ``ddc_plus_delta``, and
+tests it and every stabilization with one pullback-system predicate; the
+group also keeps the old ``tower_stabilization`` loop and theta's
+certificate loop, model by model.
 
 ppchow validates a complex or fan on pairs of maximal members, most of them
 certified by a separating facet, reads the maximal members off the face
@@ -449,6 +453,41 @@ def limit_tower_compat(chain, values, start=0):
             raise CompatibilityViolation(
                 f"model pushforward from {i + 1} to {i} mismatches", witness=(i, i + 1))
     return True
+
+
+# each flavor's pullback along a model map and equality of values
+_PULL_EQUAL = {
+    "closed": (specialfiber.pullback_special, lambda a, b: a == b),
+    "tilde": (specialfiber.zeta, specialfiber.class_equal),
+    "pp": (lambda m, f: ppfan.pullback(m.fan_map, f), lambda a, b: a == b),
+}
+
+
+def tower_stabilization(tower):
+    """The old ``tower_stabilization``: the earliest position whose value,
+    pulled back to every later model, equals the value there, with at least
+    one later model to confirm; None when there is none."""
+    chain = tower.chain
+    pull, equal = _PULL_EQUAL[tower.flavor]
+    last = len(chain) - 1
+    for s in tower.indices():
+        if s == last:
+            return None
+        if all(equal(pull(chain.map_between(j, s), tower.value(s)), tower.value(j))
+               for j in range(s + 1, len(chain))):
+            return s
+    return None
+
+
+def green_certificate(chain, start, green, cycle, form):
+    """Theta's old certificate loop: on every model of the Green tower,
+    dd^c of its value plus the delta current against the pullback of
+    ``form`` from model ``start``."""
+    delta = limits.delta_current(chain, cycle)
+    dd = limits.ddc_current(green)
+    return all(dd.value(i) + delta.value(i)
+               == specialfiber.pullback_special(chain.map_between(i, start), form)
+               for i in green.indices())
 
 
 def _acting_index(chain, model, start):

@@ -6,6 +6,8 @@ arithmetic Chow groups are rows of one flavor table in ``limits``: a
 action of limit classes is ``module_product_form``, and the direct-limit
 comparisons and products go through one common-model helper.
 ``eigen_divisor`` and ``horizontal_star`` share one quotient projection.
+Stabilization and theta's Green certificate are one pullback-system
+predicate, the certificate on the tower dd^c g + delta.
 On the two fixture chains every decision and value must equal the old
 routes kept in ``route_oracle``.
 """
@@ -18,19 +20,23 @@ import route_oracle
 from ppchow.arithchow import (LimitClass, LimitTower, eigen_divisor,
                               limit_equal, limit_mul, module_action)
 from ppchow.checks import prime_cycles
-from ppchow.cycles import InvariantCycle, closure_class, model_cycle_class
+from ppchow.cycles import (InvariantCycle, closure_class, horizontal_part,
+                           model_cycle_class)
 from ppchow.errors import CompatibilityViolation
-from ppchow.fixtures import all_fixture_models, f1_fan, f3_fan, p1_chain, p2_chain
+from ppchow.fixtures import (all_fixture_models, f1_fan, f3_fan, f6_complex,
+                             p1_chain, p2_chain)
 from ppchow.limits import (ClosedForm, CurrentTower, FormModDdbar, ModelChain,
-                           cap_current, delta_current, form_equal,
-                           form_mod_equal, form_product, module_product_form,
-                           tower_stabilization, zero_tower)
+                           _pulled_back, cap_current, ddc_plus_delta,
+                           delta_current, form_equal, form_mod_equal,
+                           form_product, green_from_lifting,
+                           module_product_form, tower_stabilization, zero_tower)
 from ppchow.polyhedra import (cone_over, horizontal_star, quotient_projection,
-                              recession_fan)
-from ppchow.ppfan import graded_basis
+                              recession_fan, vertex_chart)
+from ppchow.ppfan import constant_pp, graded_basis
 from ppchow.qlinalg import kernel_basis, mat
-from ppchow.specialfiber import (dim_affine_pp, pullback_special,
-                                 vertex_layer_basis, zeta)
+from ppchow.specialfiber import (VertexTuple, dim_affine_pp, iota_upper,
+                                 pullback_special, vertex_layer_basis,
+                                 zero_vertex_tuple, zeta)
 
 CHAINS = {"P1": p1_chain, "P2": p2_chain}
 
@@ -71,6 +77,45 @@ def test_limit_tower_accepts_and_rejects_like_the_old_loop(name):
     zero = zero_tower(chain, "pp", 1)
     assert zero.check_compat()
     assert tower_stabilization(zero) == 0
+
+
+def _theta_green(chain, start, cycle):
+    """Theta's Green tower of a model-level cycle, the cycle's horizontal
+    part and the slice of its class, before theta's certificate."""
+    pc = chain.models[start]
+    F = model_cycle_class(pc, cycle)
+    eta = horizontal_part(cycle, pc.rank)
+    return green_from_lifting(chain, start, F, eta), eta, iota_upper(pc, F)
+
+
+def test_stabilization_and_the_green_certificate_match_the_old_loops():
+    chain = ModelChain(p1_chain())
+    plus, minus = (InvariantCycle(1, 1, {((s,),): 1}) for s in (1, -1))
+    towers = [delta_current(chain, eta) for eta in (plus, minus)]
+    towers += [green_from_lifting(chain, start, closure_class(chain.models[start], eta), eta)
+               for eta in (plus, minus) for start in (0, 1)]
+    # criterion 13's adversarial tower: a constant 1 at F5's last vertex
+    F5 = chain.models[2]
+    v = F5.vertices[-1]
+    towers.append(CurrentTower(chain, "tilde", values={
+        0: zero_vertex_tuple(chain.models[0], 0),
+        1: zero_vertex_tuple(chain.models[1], 0),
+        2: VertexTuple(F5, 0, {v: constant_pp(vertex_chart(F5, v).fan, 1)})}))
+    stable = [tower_stabilization(t) for t in towers]
+    assert stable == [route_oracle.tower_stabilization(t) for t in towers]
+    assert stable[:2] == [1, None] and stable[-1] is None
+    # theta's certificate: it holds on P1, and both routes refuse it next to
+    # F6's multiplicity-2 component
+    cases = [(chain, start, InvariantCycle(2, 1, terms)) for start, terms in (
+        (0, {((1, 0),): 1}), (1, {((0, 1),): 1, ((1, 0),): 2}),
+        (2, {((1, 1),): 1, ((-1, 0),): -1}))]
+    cases.append((ModelChain([f6_complex()]), 0, InvariantCycle(2, 1, {((0, 1),): 1})))
+    held = []
+    for ch, start, cycle in cases:
+        g, eta, form = _theta_green(ch, start, cycle)
+        held.append(_pulled_back(ddc_plus_delta(g, eta), start, form))
+        assert held[-1] == route_oracle.green_certificate(ch, start, g, eta, form)
+    assert held == [True, True, True, False]
 
 
 @pytest.mark.parametrize("name", sorted(CHAINS))

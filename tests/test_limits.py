@@ -8,8 +8,9 @@ from ppchow.errors import (CompatibilityViolation, IncompleteInput, InputError,
                            NotALifting, NotStabilized)
 from ppchow.fixtures import p1_chain, p2_chain
 from ppchow.limits import (ClosedForm, CurrentTower, FormModDdbar, ModelChain,
-                           cap_current, cap_form, closed_degree_one_evaluator,
-                           common_model, ddc_current, ddc_form, degree_current,
+                           _pulled_back, cap_current, cap_form,
+                           closed_degree_one_evaluator, common_model,
+                           ddc_current, ddc_form, ddc_plus_delta, degree_current,
                            delta_current, evaluate_tilde_degree_zero,
                            form_equal, form_mod_equal, green_from_lifting,
                            is_green, module_product_form, regularity_check,
@@ -83,9 +84,18 @@ def test_ddc_current_and_towers():
     assert tower_stabilization(d2) is None
     bad_vals = {i: d.value(i) for i in range(3)}
     bad_vals[0] = d.value(0).scale(2)
-    bad = CurrentTower(chain, "closed", values=bad_vals)
     with pytest.raises(CompatibilityViolation):
-        bad.check_compat()
+        CurrentTower(chain, "closed", values=bad_vals)
+
+
+def test_tower_constructor_refuses_values_off_its_positions():
+    chain = chain1()
+    d = delta_current(chain, PLUS)
+    vals = {i: d.value(i) for i in d.indices()}
+    # one value on a three-model chain, an extra position, a start past the end
+    for values, start in (({0: vals[0]}, 0), ({**vals, 5: vals[2]}, 0), (vals, 3)):
+        with pytest.raises(InputError):
+            CurrentTower(chain, "closed", values=values, start=start)
 
 
 def test_green_from_lifting_and_is_green():
@@ -105,15 +115,14 @@ def test_green_from_lifting_and_is_green():
     assert w2 is not None
     # and against one whose delta does not stabilize at this depth
     assert is_green(z, MINUS) is None
-    # incompatible towers are surfaced, not silently processed
+    # incompatible towers are refused when they are built
     F5 = chain.models[2]
     from ppchow.ppfan import constant_pp as _cpp
-    broken = CurrentTower(chain, "tilde", values={
-        0: zero_vertex_tuple(chain.models[0], 0),
-        1: zero_vertex_tuple(chain.models[1], 0),
-        2: VertexTuple(F5, 0, {(Q(0),): _cpp(vertex_chart(F5, (Q(0),)).fan, 1)})})
     with pytest.raises(CompatibilityViolation):
-        is_green(broken, PLUS)
+        CurrentTower(chain, "tilde", values={
+            0: zero_vertex_tuple(chain.models[0], 0),
+            1: zero_vertex_tuple(chain.models[1], 0),
+            2: VertexTuple(F5, 0, {(Q(0),): _cpp(vertex_chart(F5, (Q(0),)).fan, 1)})})
 
 
 def test_green_from_lifting_refuses_an_incomplete_model():
@@ -141,6 +150,8 @@ def test_green_property_all_models():
                 for i in g.indices():
                     lhs = from_vertex_tuple(ddc_model(g.value(i))) + delta.value(i)
                     assert lhs == pullback_special(chain.map_between(i, start), omega)
+                # the one pullback-system predicate on the one dd^c g + delta tower
+                assert _pulled_back(ddc_plus_delta(g, eta), start, omega)
 
 
 def test_regularity_check():
