@@ -51,7 +51,7 @@ print()
 print("== multiplicities enter through the cap product ==")
 F6 = f6_complex()
 one = make_affine_pp(F6, {i: HomogPoly.constant(1, 1) for i in F6.maximal}, 0)
-capped = cap_fundamental(one).tuple
+capped = cap_fundamental(one)
 print("capping the unit with the fundamental class weights the half-integral "
       "vertex by 2:",
       {v: f.pieces[0] for v, f in capped.entries.items()})

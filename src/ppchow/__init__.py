@@ -17,20 +17,20 @@ from .polyhedra import (Cone, Fan, ModelMap, PolyComplex, Polyhedron,
                         star_subdivision, vertex_chart)
 from .ppfan import (PPFunction, equivariant_degree, graded_basis, make_pp,
                     phi_cone, phi_ray, pullback, pushforward)
-from .specialfiber import (AffinePP, EdgeTuple, HomologyClass, VertexTuple,
-                           alpha, beta, cap_fundamental, class_equal,
-                           ddc_model, dim_affine_pp, from_vertex_tuple, gamma,
+from .specialfiber import (AffinePP, EdgeTuple, FormModDdbar, VertexTuple, alpha,
+                           beta, cap_fundamental, class_equal, ddc_model,
+                           dim_affine_pp, from_vertex_tuple, gamma,
                            homology_presentation, iota_lower, iota_upper,
                            ker_coker_report, make_affine_pp, pullback_special,
                            rho, to_vertex_tuple, zeta)
 from .cycles import InvariantCycle, closure_class, model_cycle_class
-from .limits import (ClosedForm, CurrentTower, FormModDdbar, ModelChain,
-                     ddc_current, ddc_form, degree_current, delta_current,
-                     form_equal, green_from_lifting, is_green,
-                     regularity_check, tower_stabilization)
-from .arithchow import (ArithCycle, ExtendedArithCycle, LimitClass, LimitTower,
-                        arith_product, div_nu, eigen_divisor, limit_equal,
-                        module_action, poincare_lelong_check, theta,
-                        theta_inverse, theta_prime, theta_prime_inverse)
+from .limits import (ClosedForm, CurrentTower, ModelChain, ddc_current,
+                     ddc_form, degree_current, delta_current, form_equal,
+                     green_from_lifting, is_green, regularity_check,
+                     tower_stabilization)
+from .arithchow import (ArithCycle, LimitClass, LimitTower, arith_product,
+                        div_nu, eigen_divisor, limit_equal, module_action,
+                        poincare_lelong_check, theta, theta_inverse,
+                        theta_prime, theta_prime_inverse)
 
 __version__ = "0.1.0"

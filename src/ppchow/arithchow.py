@@ -3,7 +3,10 @@
 An arithmetic cycle pairs a horizontal invariant cycle with a Green current;
 the direct-limit description trades it for a single piecewise polynomial
 class on the cone over one model (theta), the extended group for a whole
-pushforward-compatible tower of such classes (theta-prime).  Both are the
+pushforward-compatible tower of such classes (theta-prime, whose
+:class:`ArithCycle` has no certificate).  On each model both take F to the
+vertical part of F minus the closure of the cycle, and back by closure plus
+vertical lift, one routine each way.  Both are the
 ``"pp"`` flavor of ``limits``: a :class:`LimitClass` is compared and
 multiplied on the common model that ``limits.on_common_model`` finds, and a
 :class:`LimitTower` is a ``CurrentTower`` of that flavor, so its
@@ -20,9 +23,9 @@ from .cycles import (InvariantCycle, closure_class, cycle_from_pp,
                      horizontal_part, model_cycle_class)
 from .errors import (CompatibilityViolation, InternalIdentityError,
                      NoCertificate, NotCycleSupported, WeightNotOrthogonal)
-from .limits import (ClosedForm, CurrentTower, _pulled_back, _tower, ddc_plus_delta,
-                     green_from_lifting, limit_equal_in, module_product_form,
-                     on_common_model)
+from .limits import (ClosedForm, CurrentTower, _pulled_back, _tower,
+                     _vertical_current, ddc_plus_delta, green_from_lifting,
+                     limit_equal_in, module_product_form, on_common_model)
 from .polyhedra import Cone, cone_over, quotient_projection, recession_fan
 from .polyring import HomogPoly
 from .ppfan import phi_cone, restrict_to_height_zero
@@ -145,11 +148,13 @@ def limit_mul(a, b):
 
 
 class ArithCycle:
-    """A horizontal cycle with a Green current and its certificate."""
+    """A horizontal cycle with a current and, from theta, the closed form
+    certifying it Green; theta-prime's cycles carry None, which
+    ``theta_inverse`` refuses (:class:`NoCertificate`)."""
 
     __slots__ = ("chain", "eta", "green", "certificate")
 
-    def __init__(self, chain, eta, green, certificate):
+    def __init__(self, chain, eta, green, certificate=None):
         self.chain = chain
         self.eta = eta
         self.green = green
@@ -174,6 +179,12 @@ def theta(chain, start, cycle):
     return ArithCycle(chain, eta, g, cert)
 
 
+def _model_class(a, i):
+    """The PP class on the cone over chain model i of an arithmetic cycle:
+    the closure of its cycle plus the vertical lift of its current there."""
+    return closure_class(a.chain.models[i], a.eta) + iota_lower(a.green.value(i))
+
+
 def theta_inverse(a):
     """Back to the direct limit: closure of the cycle plus the vertical lift
     of the Green tower, on the model where the certificate stabilizes."""
@@ -182,9 +193,7 @@ def theta_inverse(a):
     idx = a.chain.position(a.certificate.model)
     if idx is None:
         raise NoCertificate("the Green certificate's model is not on the cycle's chain")
-    pc = a.chain.models[idx]
-    F = closure_class(pc, a.eta) + iota_lower(a.green.value(idx))
-    return LimitClass(pc, F)
+    return LimitClass(a.chain.models[idx], _model_class(a, idx))
 
 
 def arith_product(a, b):
@@ -241,19 +250,9 @@ class LimitTower(CurrentTower):
         return super().check_compat()
 
 
-class ExtendedArithCycle:
-    """A horizontal cycle with an arbitrary (not necessarily Green) current."""
-
-    __slots__ = ("chain", "eta", "green")
-
-    def __init__(self, chain, eta, green):
-        self.chain = chain
-        self.eta = eta
-        self.green = green
-
-
 def theta_prime(T):
-    """From a compatible tower to (cycle, current).
+    """From a compatible tower to (cycle, current), an :class:`ArithCycle`
+    without a certificate.
 
     The horizontal restriction must be supported on cycles of the tower's
     degree; every model then contributes the vertical difference between its
@@ -272,22 +271,13 @@ def theta_prime(T):
         if restrict_to_height_zero(pc, T.value(i)) != restr:
             raise CompatibilityViolation("horizontal restrictions differ along the tower",
                                          witness=i)
-
-    def value(i):
-        pc = chain.models[i]
-        return vertical_decompose(pc, T.value(i) - closure_class(pc, eta))
-
-    return ExtendedArithCycle(chain, eta, _tower(chain, "tilde", value, T.start))
+    return ArithCycle(chain, eta, _vertical_current(chain, T.start, eta, T.value))
 
 
 def theta_prime_inverse(x):
     """From (cycle, current) back to the tower: closure plus vertical lift."""
-    chain = x.chain
-    vals = {}
-    for i in x.green.indices():
-        pc = chain.models[i]
-        vals[i] = closure_class(pc, x.eta) + iota_lower(x.green.value(i))
-    return LimitTower(chain, vals, start=x.green.start)
+    return LimitTower(x.chain, {i: _model_class(x, i) for i in x.green.indices()},
+                      start=x.green.start)
 
 
 def extended_equal(x, y):

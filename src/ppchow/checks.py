@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 
 from . import fixtures
-from .arithchow import (ExtendedArithCycle, LimitClass, LimitTower, extended_equal,
+from .arithchow import (ArithCycle, LimitClass, LimitTower, extended_equal,
                         limit_equal, poincare_lelong_check, theta, theta_inverse,
                         theta_prime, theta_prime_inverse)
 from .cycles import InvariantCycle, closure_class, model_cycle_class
@@ -315,7 +315,7 @@ def criterion_11():
         notes.append("theta' round trip")
     vcyc = InvariantCycle(2, 1, {(((0, 1)),): 1})
     bv = theta(chain, 1, vcyc)
-    xb = ExtendedArithCycle(chain, InvariantCycle(1, 1, {}), bv.green)
+    xb = ArithCycle(chain, InvariantCycle(1, 1, {}), bv.green)
     Tb = theta_prime_inverse(xb)
     yb = theta_prime(Tb)
     if not (yb.eta.is_zero() and extended_equal(xb, yb)):

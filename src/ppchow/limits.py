@@ -9,7 +9,8 @@ them, and ``_FLAVORS`` holds one row per flavor:
   ``pullback_special``; the inverse limit is the closed currents, pushed
   forward by ``beta``; equality is cell-wise.
 * ``"tilde"``: vertex tuples modulo the image of gamma.  The direct limit is
-  the forms modulo dd^c (:class:`FormModDdbar`), pulled back by ``zeta``; the
+  the forms modulo dd^c (``specialfiber.FormModDdbar``, the homology class
+  of one model, which this module re-exports), pulled back by ``zeta``; the
   inverse limit is the currents modulo boundaries, pushed forward by
   ``alpha``; equality is ``class_equal``.
 * ``"pp"``: piecewise polynomials on the cone over a model.  The direct
@@ -45,11 +46,11 @@ from .polyhedra import (common_refinement, cone_over, recession_fan, refines,
 from .ppfan import (equivariant_degree, pullback, pushforward,
                     restrict_to_height_zero, zero_pp)
 from .qlinalg import mat, solve, vec
-from .specialfiber import (AffinePP, alpha, beta, cap_fundamental, class_equal,
-                           ddc_model, dim_affine_pp, from_vertex_tuple,
-                           iota_upper, pullback_special, to_vertex_tuple,
-                           vertex_layer_basis, vertical_decompose,
-                           zero_vertex_tuple, zeta)
+from .specialfiber import (AffinePP, FormModDdbar, alpha, beta, cap_fundamental,
+                           class_equal, ddc_model, dim_affine_pp,
+                           from_vertex_tuple, iota_upper, pullback_special,
+                           to_vertex_tuple, vertex_layer_basis,
+                           vertical_decompose, zero_vertex_tuple, zeta)
 
 
 class ModelChain:
@@ -120,7 +121,7 @@ _FLAVORS = {
                       zero=lambda pc, k: AffinePP(pc, k, {}, validate=False),
                       rep=operator.attrgetter("form"),
                       acting=lambda m, c: pullback_special(m, c.form),
-                      vertex_tuple=lambda a: cap_fundamental(a).tuple),
+                      vertex_tuple=lambda a: cap_fundamental(a)),
     "tilde": _Flavor(pushforward="vertex pushforward",
                      push=lambda m, t: alpha(m, t),
                      pull=lambda m, t: zeta(m, t),
@@ -180,24 +181,6 @@ def form_equal(a, b):
 def form_product(a, b):
     pc, x, y = on_common_model("closed", a, b)
     return ClosedForm(pc, x * y)
-
-
-class FormModDdbar:
-    """An element of the direct limit of homology layers, presented on one
-    model by a vertex tuple (considered modulo the image of gamma)."""
-
-    __slots__ = ("model", "tuple")
-
-    def __init__(self, model, t):
-        self.model = model
-        self.tuple = t
-
-    @property
-    def degree(self):
-        return self.tuple.degree
-
-    def __repr__(self):
-        return f"FormModDdbar(deg={self.tuple.degree} on {self.model!r})"
 
 
 def form_mod_equal(a, b):
@@ -300,13 +283,23 @@ def tower_stabilization(tower):
                  if _pulled_back(tower, s, tower.value(s))), None)
 
 
-def delta_current(chain, cycle):
-    """The closed current of a horizontal cycle: per model, the slice of the
-    class of its Zariski closure."""
+def delta_current(chain, cycle, start=0):
+    """The closed current of a horizontal cycle from chain position ``start``
+    on: per model, the slice of the class of its Zariski closure."""
     def value(i):
         pc = chain.models[i]
         return iota_upper(pc, closure_class(pc, cycle))
-    return _tower(chain, "closed", value)
+    return _tower(chain, "closed", value, start)
+
+
+def _vertical_current(chain, start, cycle, classes):
+    """The tilde tower from ``start`` on whose value on each model i is the
+    vertical part of ``classes(i)`` minus the closure of the cycle,
+    decomposed through the vertical lift."""
+    def value(i):
+        pc = chain.models[i]
+        return vertical_decompose(pc, classes(i) - closure_class(pc, cycle))
+    return _tower(chain, "tilde", value, start)
 
 
 def green_from_lifting(chain, start, lifting, cycle):
@@ -326,22 +319,15 @@ def green_from_lifting(chain, start, lifting, cycle):
     restr_eta = restrict_to_height_zero(pc0, eta_class)
     if restr_lift != restr_eta:
         raise NotALifting("lifting does not restrict to the cycle's class")
-
-    def value(i):
-        pc = chain.models[i]
-        m = chain.map_between(i, start)
-        pulled = pullback(m.fan_map, lifting)
-        diff = pulled - closure_class(pc, cycle)
-        return vertical_decompose(pc, diff)
-
-    return _tower(chain, "tilde", value, start)
+    return _vertical_current(chain, start, cycle,
+                             lambda i: pullback(chain.map_between(i, start).fan_map, lifting))
 
 
 def ddc_plus_delta(tower, cycle):
     """The closed tower dd^c(tower) + delta(cycle) from the tower's start on:
     a pullback system exactly when the tilde tower is a Green current of the
     cycle."""
-    delta = delta_current(tower.chain, cycle)
+    delta = delta_current(tower.chain, cycle, tower.start)
     return _tower(tower.chain, "closed",
                   lambda i: from_vertex_tuple(ddc_model(tower.value(i))) + delta.value(i),
                   tower.start)
@@ -374,14 +360,14 @@ def regularity_check(tower):
 
 def cap_form(c):
     """Cap a closed form with the fundamental class of the special fiber."""
-    return FormModDdbar(c.model, cap_fundamental(c.form).tuple)
+    return FormModDdbar(c.model, cap_fundamental(c.form))
 
 
 def cap_current(tower):
     if tower.flavor != "closed":
         raise ValueError("cap acts on closed towers")
     return _tower(tower.chain, "tilde",
-                  lambda i: cap_fundamental(tower.value(i)).tuple, tower.start)
+                  lambda i: cap_fundamental(tower.value(i)), tower.start)
 
 
 def module_product_form(c, tower):

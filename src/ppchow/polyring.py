@@ -464,9 +464,6 @@ class RatFun:
         self.numerator = numerator.scale(1 / scale) if scale != 1 else numerator
         self.denominator = den
 
-    def degree(self):
-        return self.numerator.degree - sum(self.denominator.values())
-
 
 def ratfun_sum_to_poly(terms, dim=None, degree=None):
     """Exact sum of rational functions, collapsed to a polynomial.

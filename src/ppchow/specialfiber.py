@@ -16,7 +16,8 @@ vertex chart, an EdgeTuple one polynomial per maximal cell of each bounded
 edge's star.  Like PPFunction they are :class:`~ppchow.polyring.Piecewise`
 objects, so sums, scalings, part-wise products, equality, the coordinates
 ``coords()`` and linear combinations (``combine``) are defined once, on the
-base.  A HomologyClass is a vertex tuple taken modulo the image of gamma.
+base.  A FormModDdbar is a vertex tuple on one model taken modulo the image
+of gamma, and class equality compares vertex tuples modulo that image.
 
 The maps here are the restriction-difference rho, its signed pushforward
 adjoint gamma (one degree up), their composite -gamma.rho (the model-level
@@ -249,19 +250,23 @@ def _edge_star(pc, e):
     return _table(pc).stars[pc.bounded_edges.index(e)]
 
 
-class HomologyClass:
-    """A Chow homology class of the special fiber: a vertex tuple considered
-    modulo the image of gamma in its degree."""
+class FormModDdbar:
+    """A vertex tuple on one model, taken modulo the image of gamma: a Chow
+    homology class of that model's special fiber, and, compared after
+    pullback to a common model, a form modulo dd^c in the direct limit."""
 
-    __slots__ = ("complex", "degree", "tuple")
+    __slots__ = ("model", "tuple")
 
-    def __init__(self, t):
-        self.complex = t.complex
-        self.degree = t.degree
+    def __init__(self, model, t):
+        self.model = model
         self.tuple = t
 
+    @property
+    def degree(self):
+        return self.tuple.degree
+
     def __repr__(self):
-        return f"HomologyClass({self.tuple!r})"
+        return f"FormModDdbar(deg={self.tuple.degree} on {self.model!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -431,11 +436,12 @@ def iota_lower(t):
 
 def cap_fundamental(a):
     """Cap with the fundamental class of the special fiber: the vertex tuple
-    of chart restrictions weighted by the component multiplicities."""
+    of chart restrictions weighted by the component multiplicities, a
+    representative of the capped homology class."""
     pc = a.complex
     t = to_vertex_tuple(a)
-    return HomologyClass(VertexTuple(pc, a.degree, [
-        f.scale(chart.multiplicity) for f, chart in zip(t._pieces, _table(pc).charts)]))
+    return VertexTuple(pc, a.degree, [
+        f.scale(chart.multiplicity) for f, chart in zip(t._pieces, _table(pc).charts)])
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +472,6 @@ def edge_star_basis(pc, e, k):
             for polys in gluing_kernel(pairs, len(cells), pc.rank, k)]
 
 
-@_memo
 def edge_layer_basis(pc, k):
     return [b for e in pc.bounded_edges for b in edge_star_basis(pc, e, k)]
 
@@ -513,22 +518,22 @@ def homology_presentation(pc, k):
     """coker(gamma) in vertex degree k: dimension plus representative basis.
 
     The representatives are the vertex-basis elements outside the span of
-    the gamma image and of the representatives chosen before them.
+    the gamma image and of the representatives chosen before them, each
+    wrapped as a :class:`FormModDdbar` on ``pc``.
     """
     vbasis = vertex_layer_basis(pc, k)
     span = _gamma_span(pc, k).copy()
     grank = len(span.rows)
-    reps = [HomologyClass(b) for b in vbasis if span.extend(b.coords())]
+    reps = [FormModDdbar(pc, b) for b in vbasis if span.extend(b.coords())]
     return {"dim": len(vbasis) - grank, "basis": reps,
             "vertex_dim": len(vbasis), "gamma_rank": grank}
 
 
-def class_equal(a, b):
-    """Equality of homology classes: difference lies in the image of gamma."""
-    ta = a.tuple if isinstance(a, HomologyClass) else a
-    tb = b.tuple if isinstance(b, HomologyClass) else b
-    diff = (ta - tb).coords()
-    return not any(diff) or _gamma_span(ta.complex, ta.degree).contains(diff)
+def class_equal(s, t):
+    """Equality of the homology classes of two vertex tuples of one model and
+    degree: their difference lies in the image of gamma."""
+    diff = (s - t).coords()
+    return not any(diff) or _gamma_span(s.complex, s.degree).contains(diff)
 
 
 def ker_coker_report(pc, k):

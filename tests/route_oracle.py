@@ -132,8 +132,7 @@ from ppchow.polyhedra import (Cone, Fan, PolyComplex, Polyhedron, _Closure,
                               cone_over, direction_space, recession_fan,
                               refines, vertex_chart)
 from ppchow.ppfan import PPFunction, dual_forms, phi_ray, pullback, zero_pp
-from ppchow.specialfiber import (HomologyClass, EdgeTuple, VertexTuple,
-                                 make_affine_pp)
+from ppchow.specialfiber import EdgeTuple, VertexTuple, make_affine_pp
 from ppchow.polyring import (HomogPoly, RatFun, Span, monomial_exponents,
                              ratfun_sum_to_poly, restrict_to_span)
 from ppchow.qlinalg import (integer_kernel_basis, is_zero_vec, kernel_basis,
@@ -972,11 +971,9 @@ def vertical_decompose(pc, F):
     return specialfiber.zero_vertex_tuple(pc, k).combine(basis, sol)
 
 
-def class_equal(a, b):
-    """Equality of homology classes by one elimination of the gamma image
-    per call."""
-    ta = a.tuple if isinstance(a, specialfiber.HomologyClass) else a
-    tb = b.tuple if isinstance(b, specialfiber.HomologyClass) else b
+def class_equal(ta, tb):
+    """Equality of the homology classes of two vertex tuples by one
+    elimination of the gamma image per call."""
     pc = ta.complex
     diff = (ta - tb).coords()
     if all(x == 0 for x in diff):
@@ -1321,7 +1318,7 @@ def cap_fundamental(a):
     t = to_vertex_tuple(a)
     entries = {v: t.entries[v].scale(vertex_chart(pc, v).multiplicity)
                for v in pc.vertices}
-    return HomologyClass(VertexTuple(pc, a.degree, entries))
+    return VertexTuple(pc, a.degree, entries)
 
 
 def zeta(m, t):

@@ -2,7 +2,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from ppchow.arithchow import (ExtendedArithCycle, LimitClass, LimitTower,
+from ppchow import limits
+from ppchow.arithchow import (ArithCycle, LimitClass, LimitTower,
                               arith_product, div_nu, eigen_divisor,
                               extended_equal, limit_equal, limit_mul,
                               module_action, poincare_lelong_check,
@@ -16,7 +17,7 @@ from ppchow.fixtures import p1_chain, p2_chain
 from ppchow.limits import CurrentTower, ModelChain
 from ppchow.polyhedra import Cone, cone_over
 from ppchow.ppfan import constant_pp, phi_cone
-from ppchow.specialfiber import HomologyClass, class_equal
+from ppchow.specialfiber import class_equal
 
 
 def cyc(rank, codim, *terms):
@@ -64,8 +65,7 @@ def test_div_nu_and_poincare_lelong():
     from ppchow.polyhedra import vertex_chart
     minus_v1 = {(Q(1),): constant_pp(vertex_chart(F2, (Q(1),)).fan, -1)}
     from ppchow.specialfiber import VertexTuple
-    assert class_equal(HomologyClass(nu.value(1)),
-                       HomologyClass(VertexTuple(F2, 0, minus_v1)))
+    assert class_equal(nu.value(1), VertexTuple(F2, 0, minus_v1))
     assert poincare_lelong_check(chain, Cone(1, []), (1,))["all_equal"]
     chain2 = ModelChain(p2_chain())
     for u in ((1, 0), (0, 1)):
@@ -109,9 +109,22 @@ def test_limit_class_representatives_across_models():
     assert not limit_equal(a, LimitClass(F5, model_cycle_class(F5, cyc(2, 1, ([(0, 1)], 1)))))
 
 
+def test_theta_slices_delta_only_from_its_start(monkeypatch):
+    # the delta tower of the Green identity starts where the Green tower does
+    chain = chain1()
+    sliced, slice_ = [], limits.iota_upper
+
+    def recording(pc, F):
+        sliced.append(pc)
+        return slice_(pc, F)
+
+    monkeypatch.setattr(limits, "iota_upper", recording)
+    theta(chain, 2, cyc(2, 1, ([(1, 0)], 1)))
+    assert len(sliced) == 1 and sliced[0] is chain.models[2]
+
+
 def test_no_certificate():
     chain = chain1()
-    from ppchow.arithchow import ArithCycle
     bare = ArithCycle(chain, cyc(1, 1, ([(1,)], 1)), None, None)
     with pytest.raises(NoCertificate):
         theta_inverse(bare)
@@ -120,7 +133,6 @@ def test_no_certificate():
 def test_certificate_off_the_chain():
     # a certificate on a model outside the chain is refused, not searched for
     chain = chain1()
-    from ppchow.arithchow import ArithCycle
     a = theta(chain, 1, cyc(2, 1, ([(0, 1)], 1)))
     off_chain = ArithCycle(chain.truncate(1), a.eta, a.green, a.certificate)
     with pytest.raises(NoCertificate, match="not on the cycle's chain"):
@@ -165,7 +177,7 @@ def test_theta_prime_round_trips():
     assert all(T2.value(i) == T.value(i) for i in range(3))
     # vertical-lift towers come back as (0, g)
     b = theta(chain, 1, cyc(2, 1, ([(0, 1)], 1)))
-    xb = ExtendedArithCycle(chain, cyc(1, 1), b.green)
+    xb = ArithCycle(chain, cyc(1, 1), b.green)
     Tb = theta_prime_inverse(xb)
     yb = theta_prime(Tb)
     assert yb.eta.is_zero()
@@ -177,6 +189,20 @@ def test_theta_prime_round_trips():
              if cycle_from_pp(co.fan, g, 2) is None)
     with pytest.raises(NotCycleSupported):
         theta_prime(CurrentTower(chain.truncate(1), "pp", values={0: f}))
+
+
+def test_theta_prime_cycles_are_refused_a_certificate():
+    # theta-prime's current need not be Green, so it carries no certificate,
+    # and what needs one refuses it with the typed error
+    chain = chain1()
+    eta = cyc(1, 1, ([(1,)], 1))
+    x = theta_prime(LimitTower(chain, {i: closure_class(chain.models[i], eta)
+                                       for i in range(3)}))
+    with pytest.raises(NoCertificate):
+        theta_inverse(x)
+    with pytest.raises(NoCertificate):
+        arith_product(x, x)
+    assert isinstance(x, ArithCycle) and x.certificate is None
 
 
 def test_module_action():

@@ -48,7 +48,6 @@ def _routines():
         ("sides", lambda: specialfiber._table(f5).sides()),
         ("incident", lambda: specialfiber._table(f5).incident()),
         ("vertex_layer_basis", lambda: specialfiber.vertex_layer_basis(f5, 1)),
-        ("edge_layer_basis", lambda: specialfiber.edge_layer_basis(f5, 1)),
         ("gamma_image_matrix", lambda: specialfiber.gamma_image_matrix(f5, 1)),
         ("gamma_span", lambda: specialfiber._gamma_span(f5, 1)),
         ("slice_system", lambda: specialfiber._slice_system(f5, 1)),

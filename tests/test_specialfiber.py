@@ -10,8 +10,8 @@ from ppchow.fixtures import (f1_complex, f2_complex, f3_complex, f3s_complex,
 from ppchow.polyhedra import cone_over, refines, vertex_chart
 from ppchow.polyring import HomogPoly
 from ppchow.ppfan import constant_pp, phi_ray, zero_pp
-from ppchow.specialfiber import (AffinePP, HomologyClass, VertexTuple, alpha,
-                                 beta, cap_fundamental, class_equal, ddc_model,
+from ppchow.specialfiber import (AffinePP, VertexTuple, alpha, beta,
+                                 cap_fundamental, class_equal, ddc_model,
                                  dim_affine_pp, flat_vertex,
                                  from_vertex_tuple, gamma, edge_layer_basis,
                                  homology_presentation, iota_lower, iota_upper,
@@ -264,26 +264,29 @@ def test_cap_fundamental():
     F2 = f2_complex()
     x = lin(1)
     a = make_affine_pp(F2, [x, x, x], 1)
-    assert flat_vertex(cap_fundamental(a).tuple) == flat_vertex(to_vertex_tuple(a))
+    assert flat_vertex(cap_fundamental(a)) == flat_vertex(to_vertex_tuple(a))
     F6 = f6_complex()
     one6 = make_affine_pp(F6, {i: HomogPoly.constant(1, 1) for i in F6.maximal}, 0)
-    capped = cap_fundamental(one6).tuple
+    capped = cap_fundamental(one6)
     assert capped.entries[(Q(1, 2),)].pieces[0] == HomogPoly.constant(1, 2)
     assert capped.entries[(Q(0),)].pieces[0] == HomogPoly.constant(1, 1)
-    assert cap_fundamental(make_affine_pp(F2, {}, 1)).tuple.is_zero()
+    assert cap_fundamental(make_affine_pp(F2, {}, 1)).is_zero()
 
 
 def test_homology_presentation_and_classes():
     F2 = f2_complex()
     hp = homology_presentation(F2, 0)
     assert hp["dim"] == 2
+    # each representative is a class on F2, held by its vertex tuple
+    assert all(c.model is F2 and c.tuple.complex is F2 and c.degree == 0
+               for c in hp["basis"])
     t0, t1 = component_class(F2, (0,)), component_class(F2, (1,))
-    assert not class_equal(HomologyClass(t0), HomologyClass(t1))
-    assert not class_equal(HomologyClass(t0), HomologyClass(zero_vertex_tuple(F2, 0)))
+    assert not class_equal(t0, t1)
+    assert not class_equal(t0, zero_vertex_tuple(F2, 0))
     # gamma images are zero classes
     for b in edge_layer_basis(F2, 0):
         g = gamma(b)
-        assert class_equal(HomologyClass(g), HomologyClass(zero_vertex_tuple(F2, 1)))
+        assert class_equal(g, zero_vertex_tuple(F2, 1))
     F1 = f1_complex()
     for k in range(3):
         hp = homology_presentation(F1, k)
@@ -314,8 +317,7 @@ def test_transfers():
         assert pb.cell_polys[i] == expect
     # alpha drops the class of the exceptional component
     tm1 = component_class(F5, (-1,))
-    assert class_equal(HomologyClass(alpha(m, tm1)),
-                       HomologyClass(zero_vertex_tuple(F2, 0)))
+    assert class_equal(alpha(m, tm1), zero_vertex_tuple(F2, 0))
     # beta after pullback is the identity
     for k in range(3):
         _, basis = dim_affine_pp(F2, k)
@@ -324,7 +326,7 @@ def test_transfers():
     # alpha after zeta is the identity on classes
     for k in range(2):
         for b in vertex_layer_basis(F2, k):
-            assert class_equal(HomologyClass(alpha(m, zeta(m, b))), HomologyClass(b))
+            assert class_equal(alpha(m, zeta(m, b)), b)
 
 
 def test_zeta_new_vertex_rule():
@@ -372,15 +374,14 @@ def test_vertical_expansion_residue_unique():
                 for c, (j, k, bi) in zip(kv, info):
                     if j == 0 and c != 0:
                         g0 = g0 + vertex_layer_basis(pc, k)[bi].scale(c)
-                assert class_equal(HomologyClass(g0),
-                                   HomologyClass(zero_vertex_tuple(pc, deg - 1)))
+                assert class_equal(g0, zero_vertex_tuple(pc, deg - 1))
 
 
 def test_vertical_decompose_and_preimage():
     F2 = f2_complex()
     co = cone_over(F2)
     g = vertical_decompose(F2, phi_ray(co.fan, (0, 1)))
-    assert class_equal(HomologyClass(g), HomologyClass(component_class(F2, (0,))))
+    assert class_equal(g, component_class(F2, (0,)))
     # iota_lower of gamma images vanishes, so solutions are classes
     for b in edge_layer_basis(F2, 0):
         assert iota_lower(gamma(b)).is_zero()
