@@ -120,11 +120,9 @@ def pp_from_json(data, fan):
 
 
 def affine_to_json(a):
-    pc = a.complex
     return {"degree": a.degree,
-            "cells": [{"cell": pos, "poly": poly_to_json(a.cell_polys[i])}
-                      for pos, i in enumerate(pc.maximal)
-                      if not a.cell_polys[i].is_zero()]}
+            "cells": [{"cell": pos, "poly": poly_to_json(p)}
+                      for pos, p in enumerate(a.pieces) if not p.is_zero()]}
 
 
 @_reads("piecewise")
@@ -138,11 +136,9 @@ def affine_from_json(data, pc):
 
 
 def vertex_tuple_to_json(t):
-    pc = t.complex
     return {"degree": t.degree,
-            "vertices": [{"vertex": vector_to_json(v),
-                          "pp": pp_to_json(t.entries[v])}
-                         for v in pc.vertices if not t.entries[v].is_zero()]}
+            "vertices": [{"vertex": vector_to_json(v), "pp": pp_to_json(f)}
+                         for v, f in zip(t.complex.vertices, t.pieces) if not f.is_zero()]}
 
 
 @_reads("piecewise")

@@ -41,8 +41,7 @@ from collections import namedtuple
 from .errors import (CompatibilityViolation, InputError, NotALifting,
                      NotARefinement, NotStabilized)
 from .cycles import closure_class
-from .polyhedra import (common_refinement, cone_over, recession_fan, refines,
-                        vertex_chart)
+from .polyhedra import common_refinement, cone_over, recession_fan, refines
 from .ppfan import (equivariant_degree, pullback, pushforward,
                     restrict_to_height_zero, zero_pp)
 from .qlinalg import mat, solve, vec
@@ -91,9 +90,6 @@ class ModelChain:
 
 def common_model(pc1, pc2):
     """A model refining both inputs, with the two refinement maps."""
-    if pc1.same_as(pc2):
-        m = refines(pc1, pc2)
-        return pc1, m, m
     m12 = refines(pc1, pc2)
     if m12 is not None:
         return pc1, refines(pc1, pc1), m12
@@ -462,7 +458,7 @@ def closed_degree_one_evaluator(c):
     system is unsolvable (reported, not asserted).
     """
     pc = c.model
-    pieces = c.form._parts()
+    pieces = c.form.pieces
     rows, rhs = [], []
     for p, q, dirspan, (verts, _) in pc.adjacency():
         if len(dirspan) != pc.rank - 1:
@@ -500,11 +496,10 @@ def degree_current(tower):
     if vertex_tuple is None:
         raise ValueError("degree acts on closed and tilde towers")
     for i in tower.indices():
-        pc = tower.chain.models[i]
         t = vertex_tuple(tower.value(i))
         total = None
-        for v in pc.vertices:
-            part = equivariant_degree(vertex_chart(pc, v).fan, t.entries[v])
+        for f in t.pieces:
+            part = equivariant_degree(f.fan, f)
             total = part if total is None else total + part
         values.append(total)
     first = values[0]

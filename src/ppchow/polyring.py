@@ -13,15 +13,18 @@ the unique RREF of a gluing system nor the kernel read off it.  Rational
 functions keep their denominators as factored lists of linear forms and are
 only ever collapsed to polynomials by exact division, never by truncation.
 :class:`Piecewise` is the one base of the piecewise carriers (PP functions
-on fans, affine PP functions, vertex and edge tuples): their arithmetic,
-coordinates and linear combinations.  All derived data of the package is
-memoized by one routine, :func:`_memo`, here in the lowest module with any.
+on fans, affine PP functions, vertex and edge tuples): it keeps their parts,
+one tuple in the layout's fixed order, builds every arithmetic result
+through one unchecked builder, and gives their coordinates and linear
+combinations; the carriers' constructors share the part checks here.  All
+derived data of the package is memoized by one routine, :func:`_memo`, here
+in the lowest module with any.
 """
 
 from fractions import Fraction
 import functools
 from math import prod
-from operator import add
+from operator import add, mul
 
 from .errors import DegreeMismatch, NotPolynomial
 from .qlinalg import kernel_basis, primitive, primitive_ints, rat, rat_str, vec
@@ -215,40 +218,68 @@ class Piecewise:
     """The vector space every piecewise carrier is: a tuple of parts on a
     domain (a fan or a complex), added, scaled and multiplied part by part.
 
-    A subclass names its domain (``_domain``), lists its parts in the
-    layout's fixed order (``_parts``: polynomials, or piecewise functions
-    for a tuple of them) and builds a new object of its own layout from
-    parts of a given degree (``_rebuild``).  The zero function sits in every
-    graded piece, so it adds to any degree and equals every zero.
+    A carrier keeps its domain (``domain``, which a subclass also names
+    ``fan`` or ``complex``), its degree, and ``pieces``: its parts in the
+    fixed order of its layout, polynomials, or piecewise functions for a
+    tuple of them.  A subclass's constructor is its one checked way in; it
+    takes the parts by key or in layout order and refuses a part off the
+    layout or of another degree.  :meth:`_of` builds a carrier unchecked,
+    and every arithmetic result is built there.  The zero function sits in
+    every graded piece, so it adds to any degree and equals every zero.
     """
 
-    __slots__ = ()
+    __slots__ = ("domain", "degree", "pieces")
+
+    @classmethod
+    def _of(cls, domain, degree, pieces):
+        """The carrier with these parts, unchecked: ``pieces`` is a tuple in
+        the layout of ``domain``, one part per position, each in the
+        domain's dimension (a piecewise part on the fan of its position) and
+        of degree ``degree``, a zero part too.
+
+        The constructor's checks cannot fail on the result of arithmetic on
+        checked operands.  Sums, differences and part-wise products pair the
+        parts of two carriers on one domain position by position, and a
+        scalar or a global polynomial acts on each part, so the count and
+        the fan of each part are the operands'.  Polynomial and piecewise
+        arithmetic keep the dimension and give each part, zero or not, the
+        degree of the result.  Restriction to a span is a ring map, so parts
+        that glue still glue.  The special-fiber maps that lay out parts
+        themselves build here too, with parts the constructor would keep as
+        they are.
+        """
+        out = object.__new__(cls)
+        out.domain, out.degree, out.pieces = domain, degree, pieces
+        return out
+
+    def _rebuild(self, parts, degree):
+        return self._of(self.domain, degree, tuple(parts))
 
     def _same_domain(self, other):
-        return type(other) is type(self) and self._domain().same_as(other._domain())
+        return type(other) is type(self) and self.domain.same_as(other.domain)
 
     def _check_same_domain(self, other):
         if not self._same_domain(other):
             raise ValueError("operands live on different domains")
 
     def is_zero(self):
-        return all(p.is_zero() for p in self._parts())
+        return all(p.is_zero() for p in self.pieces)
 
     def _disagreement(self):
         """(p, q, m): the first pair of positions in the domain's adjacency
         whose parts, one polynomial per maximal member, differ on the span of
         their meet, member m of the domain; None when every pair agrees."""
-        dom, parts = self._domain(), self._parts()
+        dom, parts = self.domain, self.pieces
         for p, q, span, meet in dom.adjacency():
             if not equal_on_span(parts[p], parts[q], span):
                 return p, q, dom.index(meet)
         return None
 
     def __eq__(self, other):
-        return self._same_domain(other) and self._parts() == other._parts()
+        return self._same_domain(other) and self.pieces == other.pieces
 
     def __hash__(self):
-        return hash(self._parts())
+        return hash(self.pieces)
 
     def __add__(self, other):
         self._check_same_domain(other)
@@ -258,34 +289,33 @@ class Piecewise:
             if other.is_zero():
                 return self
             raise DegreeMismatch(f"adding degrees {self.degree} and {other.degree}")
-        return self._rebuild([p + q for p, q in zip(self._parts(), other._parts())],
-                             self.degree)
+        return self._rebuild(map(add, self.pieces, other.pieces), self.degree)
 
     def __neg__(self):
-        return self._rebuild([-p for p in self._parts()], self.degree)
+        return self._rebuild([-p for p in self.pieces], self.degree)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
-        return self._rebuild([p.scale(c) for p in self._parts()], self.degree)
+        return self._rebuild([p.scale(c) for p in self.pieces], self.degree)
 
     def __mul__(self, other):
         """Part-wise product; a global polynomial acts on every part, and a
         number scales."""
         if isinstance(other, Piecewise):
             self._check_same_domain(other)
-            return self._rebuild([p * q for p, q in zip(self._parts(), other._parts())],
+            return self._rebuild(map(mul, self.pieces, other.pieces),
                                  self.degree + other.degree)
         if isinstance(other, HomogPoly):
-            return self._rebuild([p * other for p in self._parts()],
+            return self._rebuild([p * other for p in self.pieces],
                                  self.degree + other.degree)
         return self.scale(other)
 
     __rmul__ = __mul__
 
     def _polys(self):
-        for p in self._parts():
+        for p in self.pieces:
             if isinstance(p, Piecewise):
                 yield from p._polys()
             else:
@@ -305,6 +335,46 @@ class Piecewise:
             if c != 0:
                 out = out + b.scale(c)
         return out
+
+
+def _regraded(part, degree, zero):
+    """A part (a polynomial or a piecewise function) of a degree-``degree``
+    carrier: ``part`` itself when it has that degree, ``zero`` when it is a
+    zero of another degree; any other part is refused."""
+    if part.degree == degree:
+        return part
+    if part.is_zero():
+        return zero
+    raise DegreeMismatch(f"piece of degree {part.degree} in a degree-{degree} function")
+
+
+def _graded_polys(polys, dim, degree):
+    """The polynomial parts of a degree-``degree`` carrier in ``dim``
+    variables, as a tuple of parts of that degree."""
+    zero = HomogPoly.zero(dim, degree)
+    out = []
+    for p in polys:
+        if p.dim != dim:
+            raise ValueError("piece has wrong ambient dimension")
+        out.append(_regraded(p, degree, zero))
+    return tuple(out)
+
+
+def _layout(given, positions, zeros, noun, kind):
+    """The parts ``given`` as a list in layout order: a sequence with one
+    part per position, or a dict from keys of ``positions`` (key -> position)
+    in which a missing key reads its entry of ``zeros``."""
+    if isinstance(given, dict):
+        parts = list(zeros)
+        for key, part in given.items():
+            if key not in positions:
+                raise ValueError(f"{noun} {key!r} is not a {kind}")
+            parts[positions[key]] = part
+        return parts
+    parts = list(given)
+    if len(parts) != len(zeros):
+        raise ValueError(f"need one piece per {kind}")
+    return parts
 
 
 def monomial_exponents(dim, degree):

@@ -11,32 +11,26 @@ generate everything; products, pullbacks along subdivisions, pushforwards and
 the localization degree are all exact.
 """
 
-from .errors import (DegreeMismatch, FaceMismatch, NotARay, NotProper,
-                     NotRegular)
-from .polyring import (HomogPoly, Piecewise, RatFun, _memo, gluing_kernel,
-                       ratfun_sum_to_poly)
+from .errors import FaceMismatch, NotARay, NotProper, NotRegular
+from .polyring import (HomogPoly, Piecewise, RatFun, _graded_polys, _memo,
+                       gluing_kernel, ratfun_sum_to_poly)
 from .polyhedra import Cone, _facets_paired, cone_over, recession_fan
 from .qlinalg import mat, mat_inverse, primitive, solve, transpose, vec
 
 
 class PPFunction(Piecewise):
-    """A degree-k piecewise polynomial on a fan, stored on maximal cones."""
+    """A degree-k piecewise polynomial on a fan, stored on maximal cones:
+    ``pieces[p]`` is the polynomial on the cone ``fan.maximal[p]``."""
 
-    __slots__ = ("fan", "degree", "pieces")
+    __slots__ = ()
+    fan = Piecewise.domain
 
     def __init__(self, fan, degree, pieces, validate=True):
         pieces = tuple(pieces)
         if len(pieces) != len(fan.maximal):
             raise ValueError("need one piece per maximal cone")
-        for p in pieces:
-            if p.dim != fan.rank:
-                raise ValueError("piece has wrong ambient dimension")
-            if not p.is_zero() and p.degree != degree:
-                raise DegreeMismatch(f"piece of degree {p.degree} in a degree-{degree} function")
-        self.fan = fan
-        self.degree = degree
-        self.pieces = tuple(p if not p.is_zero() else HomogPoly.zero(fan.rank, degree)
-                            for p in pieces)
+        self.fan, self.degree = fan, degree
+        self.pieces = _graded_polys(pieces, fan.rank, degree)
         if validate:
             bad = self.offending_pair()
             if bad is not None:
@@ -50,15 +44,6 @@ class PPFunction(Piecewise):
         the cones named by their position among the maximal ones."""
         bad = self._disagreement()
         return None if bad is None else (bad[0], bad[1], self.fan.cones[bad[2]])
-
-    def _domain(self):
-        return self.fan
-
-    def _parts(self):
-        return self.pieces
-
-    def _rebuild(self, parts, degree):
-        return PPFunction(self.fan, degree, parts, validate=False)
 
     def __repr__(self):
         return f"PP(deg={self.degree}, pieces={list(self.pieces)})"

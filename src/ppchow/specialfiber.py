@@ -14,10 +14,17 @@ The carriers are laid out in the complex's fixed orders: an AffinePP has one
 polynomial per maximal cell, a VertexTuple one piecewise polynomial per
 vertex chart, an EdgeTuple one polynomial per maximal cell of each bounded
 edge's star.  Like PPFunction they are :class:`~ppchow.polyring.Piecewise`
-objects, so sums, scalings, part-wise products, equality, the coordinates
-``coords()`` and linear combinations (``combine``) are defined once, on the
-base.  A FormModDdbar is a vertex tuple on one model taken modulo the image
-of gamma, and class equality compares vertex tuples modulo that image.
+objects, which keep the parts in one ``pieces`` tuple in that order, so
+sums, scalings, part-wise products, equality, the coordinates ``coords()``
+and linear combinations (``combine``) are defined once, on the base.  Each
+constructor is the carrier's checked way in, taking parts by key or in
+layout order; ``cell_polys`` and ``entries`` are dicts by key built from
+``pieces`` when read.  The maps that lay out parts themselves (rho, gamma,
+the edge-star basis, the chart restrictions, the cap, the pullback and the
+zero tuple) build through the unchecked
+:meth:`~ppchow.polyring.Piecewise._of`.  A FormModDdbar is a vertex tuple
+on one model taken modulo the image of gamma, and class equality compares
+vertex tuples modulo that image.
 
 The maps here are the restriction-difference rho, its signed pushforward
 adjoint gamma (one degree up), their composite -gamma.rho (the model-level
@@ -32,11 +39,14 @@ derived data, they are memoized by one routine, :func:`~ppchow.polyring._memo`,
 keyed by builder and arguments, on the model they derive from.
 """
 
+from itertools import accumulate
+
 from .errors import (DecompositionFailed, FaceMismatch, FacetMismatch,
                      InternalIdentityError, NotInKernel, NotARefinement,
                      NotRegular)
 from .polyhedra import cone_over, edge_data, recession_fan, vertex_chart
-from .polyring import HomogPoly, Piecewise, _memo, gluing_kernel
+from .polyring import (HomogPoly, Piecewise, _graded_polys, _layout, _memo,
+                       _regraded, gluing_kernel)
 from .ppfan import (PPFunction, _preimage, _system, dual_forms, graded_basis,
                     phi_ray, pullback, pushforward, zero_pp)
 from .qlinalg import RowEchelon, primitive, rank
@@ -49,19 +59,21 @@ from .qlinalg import RowEchelon, primitive, rank
 
 class AffinePP(Piecewise):
     """An affine piecewise polynomial: one ambient homogeneous polynomial per
-    maximal cell, agreeing on the direction space of every shared face."""
+    maximal cell, agreeing on the direction space of every shared face.
 
-    __slots__ = ("complex", "degree", "cell_polys", "_pieces")
+    The polynomials are given by maximal cell, a missing one reading zero,
+    or parallel to ``pc.maximal``; ``pieces[p]`` is the one on the cell
+    ``pc.maximal[p]``.
+    """
+
+    __slots__ = ()
+    complex = Piecewise.domain
 
     def __init__(self, pc, degree, cell_polys, validate=True):
-        self.complex = pc
-        self.degree = degree
-        self._pieces = tuple(cell_polys.get(i, HomogPoly.zero(pc.rank, degree))
-                             for i in pc.maximal)
-        for i, p in zip(pc.maximal, self._pieces):
-            if not p.is_zero() and p.degree != degree:
-                raise FaceMismatch(f"cell {i} piece has degree {p.degree}, expected {degree}")
-        self.cell_polys = dict(zip(pc.maximal, self._pieces))
+        zeros = [HomogPoly.zero(pc.rank, degree)] * len(pc.maximal)
+        parts = _layout(cell_polys, _cell_pos(pc), zeros, "cell", "maximal cell")
+        self.complex, self.degree = pc, degree
+        self.pieces = _graded_polys(parts, pc.rank, degree)
         if validate:
             bad = self.offending_pair()
             if bad is not None:
@@ -69,6 +81,11 @@ class AffinePP(Piecewise):
                 raise FacetMismatch(
                     f"cells {i} and {j} disagree on the direction space of {inter!r}",
                     witness=bad)
+
+    @property
+    def cell_polys(self):
+        """The polynomials by maximal cell, as a new dict."""
+        return dict(zip(self.complex.maximal, self.pieces))
 
     def offending_pair(self):
         """(i, j, common face) for the first pair of cells that disagree, the
@@ -78,95 +95,85 @@ class AffinePP(Piecewise):
             return None
         return pc.maximal[bad[0]], pc.maximal[bad[1]], pc.cells[bad[2]]
 
-    def _domain(self):
-        return self.complex
-
-    def _parts(self):
-        return self._pieces
-
-    def _rebuild(self, parts, degree):
-        return AffinePP(self.complex, degree, dict(zip(self.complex.maximal, parts)),
-                        validate=False)
-
     def __repr__(self):
         return f"AffinePP(deg={self.degree}, {self.cell_polys})"
 
 
 def make_affine_pp(pc, cell_polys, degree):
-    """Validated AffinePP from per-maximal-cell polynomials.
-
-    ``cell_polys`` may be a dict keyed by maximal cell index, a missing cell
-    reading zero, or a sequence parallel to ``pc.maximal``.
-    """
-    if not isinstance(cell_polys, dict):
-        cell_polys = list(cell_polys)
-        if len(cell_polys) != len(pc.maximal):
-            raise ValueError("need one piece per maximal cell")
-        cell_polys = dict(zip(pc.maximal, cell_polys))
-    bad = [i for i in cell_polys if i not in pc.maximal]
-    if bad:
-        raise ValueError(f"cell {bad[0]!r} is not a maximal cell")
+    """Validated AffinePP from per-maximal-cell polynomials, given by cell
+    index or parallel to ``pc.maximal``."""
     return AffinePP(pc, degree, cell_polys, validate=True)
+
+
+@_memo
+def _cell_pos(pc):
+    """The position of each maximal cell in ``pc.maximal``."""
+    return {i: p for p, i in enumerate(pc.maximal)}
 
 
 class VertexTuple(Piecewise):
     """One piecewise polynomial per vertex chart, all of one degree, given by
-    vertex or parallel to ``pc.vertices``; a missing one is the shared zero."""
+    vertex or parallel to ``pc.vertices``; a missing one is the shared zero.
+    ``pieces[p]`` is the function on the chart of ``pc.vertices[p]``."""
 
-    __slots__ = ("complex", "degree", "entries", "_pieces")
+    __slots__ = ()
+    complex = Piecewise.domain
 
     def __init__(self, pc, degree, entries):
-        self.complex = pc
-        self.degree = degree
-        if isinstance(entries, dict):
-            entries = [entries.get(v) for v in pc.vertices]
-        zeros = _table(pc).zeros(degree)
-        self._pieces = tuple(z if f is None else f for f, z in zip(entries, zeros))
-        self.entries = dict(zip(pc.vertices, self._pieces))
+        tab = _table(pc)
+        zeros = tab.zeros(degree)
+        parts = _layout(entries, tab.vpos, zeros, "vertex", "vertex of the complex")
+        for p, (f, chart) in enumerate(zip(parts, tab.charts)):
+            if not f.fan.same_as(chart.fan):
+                raise ValueError(f"the entry at vertex {chart.vertex} is not on its chart")
+            parts[p] = _regraded(f, degree, zeros[p])
+        self.complex, self.degree, self.pieces = pc, degree, tuple(parts)
 
-    def _domain(self):
-        return self.complex
-
-    def _parts(self):
-        return self._pieces
-
-    def _rebuild(self, parts, degree):
-        return VertexTuple(self.complex, degree, parts)
+    @property
+    def entries(self):
+        """The functions by vertex, as a new dict."""
+        return dict(zip(self.complex.vertices, self.pieces))
 
     def __repr__(self):
         return f"VertexTuple(deg={self.degree}, {self.entries})"
 
 
 def zero_vertex_tuple(pc, degree):
-    return VertexTuple(pc, degree, {})
+    return VertexTuple._of(pc, degree, _table(pc).zeros(degree))
 
 
 class EdgeTuple(Piecewise):
     """One star function per bounded edge: ambient polynomials indexed by the
-    maximal cells containing the edge (read in the higher endpoint's chart)."""
+    maximal cells containing the edge (read in the higher endpoint's chart),
+    given as a dict from edge to a dict from cell to polynomial, a missing
+    one reading zero.  ``pieces`` runs edge by edge, each edge's star cells
+    in order; edge q's are ``pieces[offsets[q]:offsets[q + 1]]`` with the
+    ``offsets`` of its :class:`_FiberTable`."""
 
-    __slots__ = ("complex", "degree", "entries", "_pieces")
+    __slots__ = ()
+    complex = Piecewise.domain
 
     def __init__(self, pc, degree, entries):
-        self.complex = pc
-        self.degree = degree
-        zero = HomogPoly.zero(pc.rank, degree)
-        self.entries = {}
-        for e, star in zip(pc.bounded_edges, _table(pc).stars):
-            given = entries.get(e, {})
-            self.entries[e] = {i: given.get(i, zero) for i in star.cells}
-        self._pieces = tuple(p for star in self.entries.values() for p in star.values())
+        tab = _table(pc)
+        cut = tab.offsets
+        parts = [HomogPoly.zero(pc.rank, degree)] * cut[-1]
+        for e, polys in entries.items():
+            q = tab.epos.get(e)
+            if q is None:
+                raise ValueError(f"cell {e!r} is not a bounded edge")
+            cells = tab.stars[q].cells
+            parts[cut[q]:cut[q + 1]] = _layout(polys, dict(zip(cells, range(len(cells)))),
+                                               parts[cut[q]:cut[q + 1]], "cell",
+                                               f"maximal cell at edge {e}")
+        self.complex, self.degree = pc, degree
+        self.pieces = _graded_polys(parts, pc.rank, degree)
 
-    def _domain(self):
-        return self.complex
-
-    def _parts(self):
-        return self._pieces
-
-    def _rebuild(self, parts, degree):
-        parts = iter(parts)
-        return EdgeTuple(self.complex, degree, {e: {i: next(parts) for i in star}
-                                                for e, star in self.entries.items()})
+    @property
+    def entries(self):
+        """The star functions by edge and cell, as new dicts."""
+        parts = iter(self.pieces)
+        return {e: {i: next(parts) for i in s.cells}
+                for e, s in zip(self.complex.bounded_edges, _table(self.complex).stars)}
 
     def __repr__(self):
         return f"EdgeTuple(deg={self.degree}, {self.entries})"
@@ -190,25 +197,30 @@ class _EdgeStar:
 class _FiberTable:
     """The positions the special-fiber maps read, built once per model.
 
-    Vertex p and edge q are ``pc.vertices[p]`` and ``pc.bounded_edges[q]``.
+    Vertex p and edge q are ``pc.vertices[p]`` and ``pc.bounded_edges[q]``;
+    ``vpos`` and ``epos`` map a vertex and an edge to its position.
     ``cell_pos[p]`` inverts ``charts[p].max_cells``: it maps a maximal cell
     at p to its position among the chart's maximal cones.  Edge q has the
-    star ``stars[q]`` and the endpoints ``ends[q]``, higher first.  Edge
-    forms need simplicial charts and phi_ray regular ones, so both are built
-    on first use, for the whole model: ``sides()[q]`` holds, per endpoint,
-    the (cell, position there, position at the other end, edge form) of each
-    star cell, and ``incident()[p]`` the other endpoint, those cells and p's
-    phi_ray pieces for each edge at p.
+    star ``stars[q]`` and the endpoints ``ends[q]``, higher first, and its
+    parts in an :class:`EdgeTuple` run from ``offsets[q]`` to
+    ``offsets[q + 1]``.  Edge forms need simplicial charts and phi_ray
+    regular ones, so both are built on first use, for the whole model:
+    ``sides()[q]`` holds, per endpoint, the (cell, position there, position
+    at the other end, edge form) of each star cell, and ``incident()[p]``
+    the other endpoint, those cells and p's phi_ray pieces for each edge at
+    p.
     """
 
-    __slots__ = ("charts", "cell_pos", "vpos", "stars", "ends", "_cache")
+    __slots__ = ("charts", "cell_pos", "vpos", "epos", "stars", "ends", "offsets", "_cache")
 
     def __init__(self, pc):
         self.charts = tuple(vertex_chart(pc, v) for v in pc.vertices)
         self.cell_pos = tuple({i: j for j, i in enumerate(c.max_cells)} for c in self.charts)
         self.vpos = {v: p for p, v in enumerate(pc.vertices)}
+        self.epos = {e: q for q, e in enumerate(pc.bounded_edges)}
         self.stars = tuple(_EdgeStar(pc, e) for e in pc.bounded_edges)
         self.ends = tuple((self.vpos[s.v1], self.vpos[s.v2]) for s in self.stars)
+        self.offsets = tuple(accumulate((len(s.cells) for s in self.stars), initial=0))
         self._cache = {}
 
     @_memo
@@ -247,7 +259,8 @@ def _table(pc):
 
 
 def _edge_star(pc, e):
-    return _table(pc).stars[pc.bounded_edges.index(e)]
+    tab = _table(pc)
+    return tab.stars[tab.epos[e]]
 
 
 class FormModDdbar:
@@ -276,10 +289,10 @@ class FormModDdbar:
 
 def to_vertex_tuple(a):
     """Read an AffinePP as its tuple of chart restrictions (always in ker rho)."""
-    pc = a.complex
-    entries = [PPFunction(chart.fan, a.degree, [a.cell_polys[i] for i in chart.max_cells],
-                          validate=False) for chart in _table(pc).charts]
-    return VertexTuple(pc, a.degree, entries)
+    pc, pos = a.complex, _cell_pos(a.complex)
+    return VertexTuple._of(pc, a.degree, tuple(
+        PPFunction._of(chart.fan, a.degree, tuple(a.pieces[pos[i]] for i in chart.max_cells))
+        for chart in _table(pc).charts))
 
 
 def from_vertex_tuple(t):
@@ -290,7 +303,7 @@ def from_vertex_tuple(t):
     """
     pc = t.complex
     readings = {i: [] for i in pc.maximal}
-    for v, f, chart in zip(pc.vertices, t._pieces, _table(pc).charts):
+    for v, f, chart in zip(pc.vertices, t.pieces, _table(pc).charts):
         for i, g in zip(chart.max_cells, f.pieces):
             readings[i].append((v, g))
     for i, ((v0, first), *rest) in readings.items():
@@ -311,14 +324,15 @@ def rho(t):
     """
     pc = t.complex
     tab = _table(pc)
-    live = [not f.is_zero() for f in t._pieces]
-    entries = {}
-    for e, star, (p1, p2) in zip(pc.bounded_edges, tab.stars, tab.ends):
+    live = [not f.is_zero() for f in t.pieces]
+    parts = [HomogPoly.zero(pc.rank, t.degree)] * tab.offsets[-1]
+    for q, (star, (p1, p2)) in enumerate(zip(tab.stars, tab.ends)):
         if live[p1] or live[p2]:
-            f1, f2 = t._pieces[p1].pieces, t._pieces[p2].pieces
+            f1, f2 = t.pieces[p1].pieces, t.pieces[p2].pieces
             pos1, pos2 = tab.cell_pos[p1], tab.cell_pos[p2]
-            entries[e] = {i: f1[pos1[i]] - f2[pos2[i]] for i in star.cells}
-    return EdgeTuple(pc, t.degree, entries)
+            parts[tab.offsets[q]:tab.offsets[q + 1]] = [f1[pos1[i]] - f2[pos2[i]]
+                                                        for i in star.cells]
+    return EdgeTuple._of(pc, t.degree, tuple(parts))
 
 
 def gamma(et):
@@ -336,19 +350,19 @@ def gamma(et):
     k = et.degree + 1
     zero = HomogPoly.zero(pc.rank, k)
     acc = {}  # vertex position -> pieces on its chart
-    for e, sides in zip(pc.bounded_edges, tab.sides()):
-        fn = et.entries[e]
-        if all(p.is_zero() for p in fn.values()):
+    for q, sides in enumerate(tab.sides()):
+        fn = et.pieces[tab.offsets[q]:tab.offsets[q + 1]]
+        if all(p.is_zero() for p in fn):
             continue
         for (p, cells), sign in zip(sides, (1, -1)):
             pieces = acc.setdefault(p, [zero] * len(tab.charts[p].fan.maximal))
-            for i, j, _, form in cells:
-                contrib = fn[i] * form
+            for (_, j, _, form), f in zip(cells, fn):
+                contrib = f * form
                 pieces[j] = pieces[j] + (contrib if sign > 0 else -contrib)
-    entries = [None] * len(pc.vertices)
+    entries = list(tab.zeros(k))
     for p in sorted(acc):
         entries[p] = PPFunction(tab.charts[p].fan, k, acc[p], validate=True)
-    return VertexTuple(pc, k, entries)
+    return VertexTuple._of(pc, k, tuple(entries))
 
 
 def ddc_one_shot(t):
@@ -360,16 +374,16 @@ def ddc_one_shot(t):
     tab = _table(pc)
     k = t.degree + 1
     zero = HomogPoly.zero(pc.rank, k)
-    live = [not f.is_zero() for f in t._pieces]
+    live = [not f.is_zero() for f in t.pieces]
     entries = []
-    for p, (f, incident) in enumerate(zip(t._pieces, tab.incident())):
+    for p, (f, incident) in enumerate(zip(t.pieces, tab.incident())):
         if not live[p] and not any(live[o] for o, _, _ in incident):
-            entries.append(None)
+            entries.append(tab.zeros(k)[p])
             continue
         pieces = [zero] * len(f.pieces)
         for o, cells, phi in incident:
             if live[o]:
-                g = t._pieces[o].pieces
+                g = t.pieces[o].pieces
                 for _, j, jo, form in cells:
                     pieces[j] = pieces[j] + g[jo] * form
             if live[p]:
@@ -418,7 +432,7 @@ def iota_lower(t):
         raise NotRegular("phi generators need a regular fan")
     pos_of_cell = {i: p for p, i in enumerate(co.max_cells)}
     out = zero_pp(fan, t.degree + 1)
-    for v, f, chart in zip(pc.vertices, t._pieces, _table(pc).charts):
+    for v, f, chart in zip(pc.vertices, t.pieces, _table(pc).charts):
         if f.is_zero():
             continue
         lift_images = [HomogPoly.linear_form(
@@ -440,8 +454,8 @@ def cap_fundamental(a):
     representative of the capped homology class."""
     pc = a.complex
     t = to_vertex_tuple(a)
-    return VertexTuple(pc, a.degree, [
-        f.scale(chart.multiplicity) for f, chart in zip(t._pieces, _table(pc).charts)])
+    return VertexTuple._of(pc, a.degree, tuple(
+        f.scale(chart.multiplicity) for f, chart in zip(t.pieces, _table(pc).charts)))
 
 
 # ---------------------------------------------------------------------------
@@ -462,13 +476,17 @@ def edge_star_basis(pc, e, k):
     Unknown polynomials per maximal cell containing the edge, subject to
     agreement on the direction space of pairwise intersections.
     """
-    cells = _edge_star(pc, e).cells
+    tab = _table(pc)
+    at = tab.epos[e]
+    cells = tab.stars[at].cells
     # the star's cells come in the order of pc.maximal, and the adjacency's
     # pairs inside the star glue it: block b is the b-th position in it
     block = {p: b for b, p in enumerate(q for q, i in enumerate(pc.maximal) if i in cells)}
     pairs = [(block[p], block[q], span) for p, q, span, _ in pc.adjacency()
              if p in block and q in block]
-    return [EdgeTuple(pc, k, {e: dict(zip(cells, polys))})
+    zeros = (HomogPoly.zero(pc.rank, k),) * tab.offsets[-1]
+    start, end = tab.offsets[at], tab.offsets[at + 1]
+    return [EdgeTuple._of(pc, k, zeros[:start] + polys + zeros[end:])
             for polys in gluing_kernel(pairs, len(cells), pc.rank, k)]
 
 
@@ -662,8 +680,9 @@ def pullback_special(m, a):
     on the subdivided cells, coefficients unchanged."""
     if not a.complex.same_as(m.target):
         raise NotARefinement("function does not live on the map's target")
-    cell_polys = {i: a.cell_polys[m.cell_map[i]] for i in m.source.maximal}
-    return AffinePP(m.source, a.degree, cell_polys, validate=False)
+    pos = _cell_pos(m.target)
+    return AffinePP._of(m.source, a.degree,
+                        tuple(a.pieces[pos[m.cell_map[i]]] for i in m.source.maximal))
 
 
 def zeta(m, t):
@@ -681,9 +700,9 @@ def zeta(m, t):
     entries = []
     for v, chart in zip(src.vertices, _table(src).charts):
         if v in old.vpos:
-            entries.append(pullback(m.chart_map(v), t._pieces[old.vpos[v]]))
+            entries.append(pullback(m.chart_map(v), t.pieces[old.vpos[v]]))
             continue
-        readers = [(t._pieces[old.vpos[w]].pieces, old.cell_pos[old.vpos[w]])
+        readers = [(t.pieces[old.vpos[w]].pieces, old.cell_pos[old.vpos[w]])
                    for w in tgt.find_cell(v).vertices]
         pieces = []
         for i in chart.max_cells:

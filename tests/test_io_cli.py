@@ -95,6 +95,17 @@ def test_cli_validate(workdir, capsys):
     assert out["files"][0]["error"] == (
         "FaceMismatch: pieces on cones 0 and 1 disagree on their common face "
         "Cone([(Fraction(0, 1), Fraction(1, 1))])")
+    # an affine and a PP file with a constant piece in a degree-1 function
+    # report one error
+    for key, place, expo in (("cells", "cell", "0"), ("pieces", "cone", "0,0")):
+        wrong = workdir["tmp"] / f"wrong_degree_{key}.json"
+        wrong.write_text(json.dumps({
+            "complex": workdir["f2"], "degree": 1,
+            key: [{place: 1, "poly": {"degree": 0, "coeffs": {expo: "1"}}}]}))
+        assert main(["validate", str(wrong)]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["files"][0]["error"] == (
+            "DegreeMismatch: piece of degree 0 in a degree-1 function")
 
 
 @pytest.mark.parametrize("data", [5, "cells rank", None, [1, 2]])

@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from ppchow.arithchow import LimitClass, limit_equal
 from ppchow.cycles import InvariantCycle, closure_class
 from ppchow.errors import (CompatibilityViolation, IncompleteInput, InputError,
                            NotALifting, NotStabilized)
@@ -12,14 +13,14 @@ from ppchow.limits import (ClosedForm, CurrentTower, FormModDdbar, ModelChain,
                            closed_degree_one_evaluator, common_model,
                            ddc_current, ddc_form, ddc_plus_delta, degree_current,
                            delta_current, evaluate_tilde_degree_zero,
-                           form_equal, form_mod_equal, green_from_lifting,
+                           form_equal, form_mod_equal, form_product, green_from_lifting,
                            is_green, module_product_form, regularity_check,
                            tower_stabilization, zero_composition_suite,
                            zero_tower)
 from ppchow.polyhedra import build_complex, cone_over, vertex_chart
 from ppchow.polyring import HomogPoly
 from ppchow.ppfan import constant_pp, phi_ray, zero_pp
-from ppchow.specialfiber import (VertexTuple, from_vertex_tuple, iota_upper,
+from ppchow.specialfiber import (AffinePP, VertexTuple, from_vertex_tuple, iota_upper,
                                  make_affine_pp, pullback_special,
                                  to_vertex_tuple, vertex_layer_basis,
                                  zero_vertex_tuple, zeta)
@@ -272,6 +273,15 @@ def test_common_model():
     assert pc.same_as(F5)
     pc2, _, _ = common_model(F2, F2)
     assert pc2.same_as(F2)
+    # two classes on one incomplete model have no common complete model
+    seg = build_complex([([(0,), (1,)], [])], rank=1)
+    a = ClosedForm(seg, AffinePP(seg, 0, {}))
+    t = FormModDdbar(seg, zero_vertex_tuple(seg, 0))
+    c = LimitClass(seg, constant_pp(cone_over(seg).fan, 1))
+    for compare, x in ((form_equal, a), (form_product, a), (form_mod_equal, t),
+                       (limit_equal, c)):
+        with pytest.raises(IncompleteInput):
+            compare(x, x)
 
 
 def test_evaluators():

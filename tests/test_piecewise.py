@@ -6,6 +6,8 @@ combinations of the graded bases of the fixtures and of random refinements
 of F3C, ``coords()`` must equal the coordinates each carrier's own layout
 gives (``route_oracle``) and be linear, ``combine`` must equal the sum built
 one term at a time, and the product of vertex tuples the entry-wise one.
+Every arithmetic result is one the checked constructors take back: built
+from its keyed view or from its pieces, it is the carrier itself.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -13,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 import route_oracle
 from ppchow.fixtures import all_fixture_models
 from ppchow.polyhedra import cone_over
-from ppchow.ppfan import graded_basis, zero_pp
-from ppchow.specialfiber import (AffinePP, EdgeTuple, dim_affine_pp,
+from ppchow.ppfan import PPFunction, graded_basis, zero_pp
+from ppchow.specialfiber import (AffinePP, EdgeTuple, VertexTuple, dim_affine_pp,
                                  edge_layer_basis, vertex_layer_basis,
                                  zero_vertex_tuple)
 
@@ -22,15 +24,27 @@ FIXTURES = sorted(all_fixture_models())
 
 
 def _families(pc, k):
-    """(zero in a given degree, degree-k basis, oracle coordinates) for each
-    carrier."""
+    """(zero in a given degree, degree-k basis, oracle coordinates, what the
+    checked constructor builds from a carrier's keyed view and pieces) for
+    each carrier."""
     fan = cone_over(pc).fan
-    return [(lambda d: zero_pp(fan, d), graded_basis(fan, k), route_oracle.flat_pp),
+    return [(lambda d: zero_pp(fan, d), graded_basis(fan, k), route_oracle.flat_pp,
+             lambda f: [PPFunction(fan, f.degree, f.pieces)]),
             (lambda d: AffinePP(pc, d, {}, validate=False),
-             dim_affine_pp(pc, k)[1], route_oracle.flat_affine),
+             dim_affine_pp(pc, k)[1], route_oracle.flat_affine,
+             lambda a: [AffinePP(pc, a.degree, a.cell_polys), AffinePP(pc, a.degree, a.pieces)]),
             (lambda d: zero_vertex_tuple(pc, d), vertex_layer_basis(pc, k),
-             route_oracle.flat_vertex),
-            (lambda d: EdgeTuple(pc, d, {}), edge_layer_basis(pc, k), route_oracle.flat_edge)]
+             route_oracle.flat_vertex,
+             lambda t: [VertexTuple(pc, t.degree, t.entries), VertexTuple(pc, t.degree, t.pieces)]),
+            (lambda d: EdgeTuple(pc, d, {}), edge_layer_basis(pc, k), route_oracle.flat_edge,
+             lambda e: [EdgeTuple(pc, e.degree, e.entries)])]
+
+
+def _taken_back(z, remake):
+    """The checked constructor builds z itself from z's keyed view and
+    pieces, and every polynomial of z has z's degree."""
+    assert all(r == z and r.degree == z.degree for r in remake(z))
+    assert all(p.degree == z.degree for p in z._polys())
 
 
 def _coeffs(data, n):
@@ -38,7 +52,7 @@ def _coeffs(data, n):
 
 
 def _check_carriers(data, pc, k):
-    for make_zero, basis, flat in _families(pc, k):
+    for make_zero, basis, flat, remake in _families(pc, k):
         zero = make_zero(k)
         a, b = _coeffs(data, len(basis)), _coeffs(data, len(basis))
         x, y = zero.combine(basis, a), zero.combine(basis, b)
@@ -46,10 +60,12 @@ def _check_carriers(data, pc, k):
         assert x == route_oracle.combination(zero, basis, a)
         for z in (zero, x, y, x - y, -x):
             assert z.coords() == flat(z)
+            _taken_back(z, remake)
         # linear: coordinates of a combination combine the coordinates
         p, q = data.draw(st.integers(-4, 4)), data.draw(st.integers(-4, 4))
         expect = [p * s + q * t for s, t in zip(x.coords(), y.coords())]
         assert list((x.scale(p) + y.scale(q)).coords()) == expect
+        _taken_back(x.scale(p) + y.scale(q), remake)
         cols = [e.coords() for e in basis]
         assert list(x.coords()) == [sum(c * v[j] for c, v in zip(a, cols))
                                     for j in range(len(zero.coords()))]
@@ -66,6 +82,8 @@ def _check_carriers(data, pc, k):
         t = zero_vertex_tuple(pc, j).combine(other, _coeffs(data, len(other)))
         product = route_oracle.vertex_product(s, t)
         assert s * t == product and (s * t).degree == k + j
+        _taken_back(s * t, lambda u: [VertexTuple(pc, u.degree, u.entries),
+                                      VertexTuple(pc, u.degree, u.pieces)])
         assert (s * t).coords() == route_oracle.flat_vertex(product)
 
 

@@ -4,14 +4,14 @@ from fractions import Fraction as Q
 import pytest
 
 import route_oracle
-from ppchow.errors import FacetMismatch, NotInKernel
+from ppchow.errors import DegreeMismatch, FacetMismatch, NotInKernel
 from ppchow.fixtures import (f1_complex, f2_complex, f3_complex, f3s_complex,
                              f5_complex, f6_complex)
 from ppchow.polyhedra import cone_over, refines, vertex_chart
 from ppchow.polyring import HomogPoly
 from ppchow.ppfan import constant_pp, phi_ray, zero_pp
-from ppchow.specialfiber import (AffinePP, VertexTuple, alpha, beta,
-                                 cap_fundamental, class_equal, ddc_model,
+from ppchow.specialfiber import (AffinePP, EdgeTuple, VertexTuple, _edge_star,
+                                 alpha, beta, cap_fundamental, class_equal, ddc_model,
                                  dim_affine_pp, flat_vertex,
                                  from_vertex_tuple, gamma, edge_layer_basis,
                                  homology_presentation, iota_lower, iota_upper,
@@ -68,6 +68,37 @@ def test_make_affine_pp_examples():
     face = next(i for i in range(len(F2.cells)) if i not in F2.maximal)
     with pytest.raises(ValueError, match=f"cell {face} is not a maximal cell"):
         make_affine_pp(F2, {**dict(zip(F2.maximal, [x, x, x])), face: x}, 1)
+
+
+def test_each_carrier_refuses_parts_off_its_layout():
+    # a key or a count the layout does not have, a part of another degree and
+    # a vertex entry on another chart are refused, not dropped, truncated or kept
+    F2, F3s = f2_complex(), f3s_complex()
+    f = constant_pp(vertex_chart(F2, (Q(0),)).fan, 1)
+    one = HomogPoly.constant(1, 1)
+    with pytest.raises(ValueError, match=r"vertex \(5,\) is not a vertex of the complex"):
+        VertexTuple(F2, 0, {(5,): f})
+    with pytest.raises(ValueError, match="need one piece per vertex of the complex"):
+        VertexTuple(F2, 0, [f])
+    with pytest.raises(DegreeMismatch, match="piece of degree 0 in a degree-1 function"):
+        VertexTuple(F2, 1, {(Q(0),): f})
+    v1, v2 = F3s.vertices
+    with pytest.raises(ValueError, match=r"the entry at vertex \(.*\) is not on its chart"):
+        VertexTuple(F3s, 0, {v2: constant_pp(vertex_chart(F3s, v1).fan, 1)})
+    with pytest.raises(ValueError, match="cell 99 is not a maximal cell"):
+        AffinePP(F2, 0, {99: one}, validate=False)
+    with pytest.raises(DegreeMismatch, match="piece of degree 0 in a degree-1 function"):
+        AffinePP(F2, 1, {F2.maximal[0]: one}, validate=False)
+    (e,) = F3s.bounded_edges
+    cells = _edge_star(F3s, e).cells
+    outside = next(i for i in F3s.maximal if i not in cells)
+    const = HomogPoly.constant(2, 1)
+    with pytest.raises(ValueError, match=f"cell {outside} is not a bounded edge"):
+        EdgeTuple(F3s, 0, {outside: {}})
+    with pytest.raises(ValueError, match=f"cell {outside} is not a maximal cell at edge {e}"):
+        EdgeTuple(F3s, 0, {e: {outside: const}})
+    with pytest.raises(DegreeMismatch, match="piece of degree 0 in a degree-1 function"):
+        EdgeTuple(F3s, 1, {e: {cells[0]: const}})
 
 
 def test_dim_affine_pp():
