@@ -11,11 +11,11 @@ from fractions import Fraction as Q
 
 from ppchow import (HomogPoly, cap_fundamental, ddc_model, dim_affine_pp,
                     from_vertex_tuple, homology_presentation, iota_lower,
-                    iota_upper, ker_coker_report, make_affine_pp, rho,
-                    to_vertex_tuple, vertex_chart)
+                    iota_upper, ker_coker_report, rho, to_vertex_tuple,
+                    vertex_chart)
 from ppchow.fixtures import f2_complex, f3s_complex, f6_complex
 from ppchow.ppfan import constant_pp
-from ppchow.specialfiber import VertexTuple
+from ppchow.specialfiber import AffinePP, VertexTuple
 
 F2 = f2_complex()
 x = HomogPoly.linear_form((1,))
@@ -23,7 +23,7 @@ x = HomogPoly.linear_form((1,))
 print("== affine piecewise polynomials ==")
 print("dimensions on the two-vertex model, k=0..2:",
       [dim_affine_pp(F2, k)[0] for k in range(3)])
-aff = make_affine_pp(F2, [x, x, x], 1)
+aff = AffinePP(F2, 1, [x, x, x])
 print("a global linear form is affine-PP; its restriction differences vanish:",
       rho(to_vertex_tuple(aff)).is_zero())
 
@@ -50,7 +50,7 @@ print("two components, no relations in degree zero:", hp["dim"] == 2)
 print()
 print("== multiplicities enter through the cap product ==")
 F6 = f6_complex()
-one = make_affine_pp(F6, {i: HomogPoly.constant(1, 1) for i in F6.maximal}, 0)
+one = AffinePP(F6, 0, {i: HomogPoly.constant(1, 1) for i in F6.maximal})
 capped = cap_fundamental(one)
 print("capping the unit with the fundamental class weights the half-integral "
       "vertex by 2:",

@@ -21,7 +21,7 @@ from .specialfiber import (AffinePP, EdgeTuple, FormModDdbar, VertexTuple, alpha
                            beta, cap_fundamental, class_equal, ddc_model,
                            dim_affine_pp, from_vertex_tuple, gamma,
                            homology_presentation, iota_lower, iota_upper,
-                           ker_coker_report, make_affine_pp, pullback_special,
+                           ker_coker_report, pullback_special,
                            rho, to_vertex_tuple, zeta)
 from .cycles import InvariantCycle, closure_class, model_cycle_class
 from .limits import (ClosedForm, CurrentTower, ModelChain, ddc_current,

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .cycles import (InvariantCycle, closure_class, cycle_from_pp,
                      horizontal_part, model_cycle_class)
-from .errors import (CompatibilityViolation, InternalIdentityError,
+from .errors import (CompatibilityViolation, InputError, InternalIdentityError,
                      NoCertificate, NotCycleSupported, WeightNotOrthogonal)
 from .limits import (ClosedForm, CurrentTower, _pulled_back, _tower,
                      _vertical_current, ddc_plus_delta, green_from_lifting,
@@ -90,7 +90,7 @@ def div_nu(chain, sigma, u):
         cls = model_cycle_class(pc, vert)
         return vertical_decompose(pc, cls).scale(-1)
 
-    return _tower(chain, "tilde", value)
+    return _tower(chain, value)
 
 
 def poincare_lelong_check(chain, sigma, u):
@@ -242,7 +242,10 @@ class LimitTower(CurrentTower):
     __slots__ = ()
 
     def __init__(self, chain, values, start=0):
-        super().__init__(chain, "pp", values=values, start=start)
+        super().__init__(chain, values, start)
+        if self.flavor != "pp":
+            raise InputError("a limit tower's values must be PPFunction, not the values "
+                             f"of a {self.flavor} tower")
 
     # Defined on the class itself, beside __init__, so that a tracer that
     # wraps this class's own methods (perfbench/layertrace.py) finds both.

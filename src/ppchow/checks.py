@@ -383,7 +383,7 @@ def criterion_13():
     chain = fixture_chains()["P1"]
     F5 = chain.models[2]
     bad_entry = {F5.vertices[-1]: constant_pp(vertex_chart(F5, F5.vertices[-1]).fan, 1)}
-    bad = CurrentTower(chain, "tilde", values={
+    bad = CurrentTower(chain, values={
         0: zero_vertex_tuple(chain.models[0], 0),
         1: zero_vertex_tuple(chain.models[1], 0),
         2: VertexTuple(F5, 0, bad_entry)})
@@ -393,7 +393,7 @@ def criterion_13():
         notes.append("adversarial tower was certified")
     except NotStabilized:
         pass
-    shallow = CurrentTower(chain.truncate(1), "tilde",
+    shallow = CurrentTower(chain.truncate(1),
                            values={0: zero_vertex_tuple(chain.models[0], 0)})
     try:
         regularity_check(shallow)

@@ -89,7 +89,7 @@ def _class_on_model(pc, cycle, keys):
     """The sum over the cycle's terms of c * phi_sigma, sigma read off ``keys``."""
     fan = cone_over(pc).fan
     return zero_pp(fan, cycle.codim).combine(
-        [PPFunction(fan, *_generator(fan, k), validate=False) for k in keys],
+        [PPFunction._of(fan, *_generator(fan, k)) for k in keys],
         cycle.terms.values())
 
 

@@ -1,18 +1,27 @@
-"""JSON serialization of the external data formats.
+"""JSON serialization of the external data formats, and the one reader of
+input files.
 
 Rationals travel as "p/q" strings with the denominator omitted when 1.
 Complexes list a point table plus per-cell vertex indices and rays; face
 closure may be omitted and is recomputed.  Piecewise data indexes the
 canonical maximal-cone (or maximal-cell) lists, which are sorted by their
-generator matrices, so files are stable across runs.
+generator matrices, so files are stable across runs.  Chains list their
+models coarse to fine, each by the path of its complex.
+
+A file's keys give its kind (:func:`detect_kind`), and :func:`read` reads
+every input file: it refuses a file whose keys give another kind or none,
+resolves the paths a file names against that file's directory, and reads
+the file with its kind's one reader.
 """
 
 import functools
 import json
+import os
 
 from .cycles import InvariantCycle
 from .errors import DegreeMismatch, InputError
-from .polyhedra import PolyComplex, Polyhedron, vertex_chart
+from .limits import ModelChain
+from .polyhedra import PolyComplex, Polyhedron, cone_over, vertex_chart
 from .polyring import HomogPoly
 from .ppfan import PPFunction
 from .qlinalg import rat, rat_str, vec
@@ -116,7 +125,7 @@ def pp_from_json(data, fan):
     pieces = [HomogPoly.zero(fan.rank, degree) for _ in fan.maximal]
     for item in data.get("pieces", []):
         pieces[_int(item["cone"], "cone", len(pieces))] = poly_from_json(item["poly"], fan.rank)
-    return PPFunction(fan, degree, pieces, validate=True)
+    return PPFunction(fan, degree, pieces)
 
 
 def affine_to_json(a):
@@ -132,7 +141,7 @@ def affine_from_json(data, pc):
     for item in data.get("cells", []):
         cell = _int(item["cell"], "cell", len(pc.maximal))
         polys[pc.maximal[cell]] = poly_from_json(item["poly"], pc.rank)
-    return AffinePP(pc, degree, polys, validate=True)
+    return AffinePP(pc, degree, polys)
 
 
 def vertex_tuple_to_json(t):
@@ -184,6 +193,7 @@ def cycle_from_json(data, rank):
 
 
 def detect_kind(data):
+    """The kind a file's keys give it, or None."""
     if not isinstance(data, dict):
         return None
     if "cells" in data and "rank" in data:
@@ -201,6 +211,51 @@ def detect_kind(data):
     if "models" in data:
         return "tower"
     return None
+
+
+def read(path, kind, domain=None):
+    """What the file at ``path``, a file of the given kind, holds.
+
+    A file whose keys give it another kind or none is refused
+    (:class:`InputError`).  A piecewise file ("pp", "affine" or
+    "vertex_tuple") is read on ``domain``, a complex, or else on the complex
+    its "complex" names; a cycle at the rank of ``domain``, a chain, or else
+    at its own rank; a chain file ("tower") as the chain of the complexes its
+    models name, each read by this function.
+    """
+    data = load_json(path)
+    found = detect_kind(data)
+    if found != kind:
+        what = f"of kind {found}" if found else "of no known kind"
+        raise InputError(f"malformed {kind} file: by its keys it is {what}")
+    if kind == "complex":
+        return complex_from_json(data)
+    if kind == "polynomial":
+        return poly_from_json(data, poly_dim(data))
+    if kind == "cycle":
+        return cycle_from_json(data, cycle_rank(data) if domain is None else domain.models[0].rank)
+    if kind == "tower":
+        models = data["models"]
+        if not isinstance(models, list) or not models:
+            raise InputError("chain file needs a nonempty 'models' list")
+        if not all(isinstance(m, dict) and m.get("complex") is not None for m in models):
+            raise InputError("every chain model needs a 'complex' path")
+        return ModelChain([read(_beside(path, m["complex"], kind), "complex") for m in models])
+    if domain is None:
+        if data.get("complex") is None:
+            raise InputError("piecewise file needs a 'complex' path reference")
+        domain = read(_beside(path, data["complex"], kind), "complex")
+    if kind == "pp":
+        return pp_from_json(data, cone_over(domain).fan)
+    return (affine_from_json if kind == "affine" else vertex_tuple_from_json)(data, domain)
+
+
+def _beside(path, ref, kind):
+    """A path named inside the file at ``path``, of the given kind: a
+    relative one is read against that file's directory."""
+    if not isinstance(ref, str):
+        raise InputError(f"malformed {kind} file: 'complex' must be a path, got {json.dumps(ref)}")
+    return os.path.join(os.path.dirname(path), ref)
 
 
 def load_json(path):

@@ -21,9 +21,10 @@ them, and ``_FLAVORS`` holds one row per flavor:
 
 Two direct-limit classes are compared or multiplied after
 :func:`on_common_model` pulls both back to a model refining their own.  An
-inverse-limit element is a :class:`CurrentTower` of one flavor: its
-compatibility check, stabilization test and closed-form action read the
-maps from the same row.
+inverse-limit element is a :class:`CurrentTower` of one flavor, which the
+carrier of its values fixes (``AffinePP``, ``VertexTuple`` or
+``PPFunction``): its compatibility check, stabilization test and
+closed-form action read the maps from the same row.
 
 Inverse limits are truncations: an explicit chain of models with a value on
 each from the tower's first position on.  The tower's constructor checks
@@ -42,11 +43,12 @@ from .errors import (CompatibilityViolation, InputError, NotALifting,
                      NotARefinement, NotStabilized)
 from .cycles import closure_class
 from .polyhedra import common_refinement, cone_over, recession_fan, refines
-from .ppfan import (equivariant_degree, pullback, pushforward,
+from .polyring import HomogPoly
+from .ppfan import (PPFunction, equivariant_degree, pullback, pushforward,
                     restrict_to_height_zero, zero_pp)
 from .qlinalg import mat, solve, vec
-from .specialfiber import (AffinePP, FormModDdbar, alpha, beta, cap_fundamental,
-                           class_equal, ddc_model, dim_affine_pp,
+from .specialfiber import (AffinePP, FormModDdbar, VertexTuple, alpha, beta,
+                           cap_fundamental, class_equal, ddc_model, dim_affine_pp,
                            from_vertex_tuple, iota_upper, pullback_special,
                            to_vertex_tuple, vertex_layer_basis,
                            vertical_decompose, zero_vertex_tuple, zeta)
@@ -114,7 +116,8 @@ _FLAVORS = {
                       push=lambda m, a: beta(m, a),
                       pull=lambda m, a: pullback_special(m, a),
                       equal=operator.eq,
-                      zero=lambda pc, k: AffinePP(pc, k, {}, validate=False),
+                      zero=lambda pc, k: AffinePP._of(
+                          pc, k, (HomogPoly.zero(pc.rank, k),) * len(pc.maximal)),
                       rep=operator.attrgetter("form"),
                       acting=lambda m, c: pullback_special(m, c.form),
                       vertex_tuple=lambda a: cap_fundamental(a)),
@@ -135,6 +138,9 @@ _FLAVORS = {
                   acting=lambda m, c: pullback(m.fan_map, c.pp),
                   vertex_tuple=None),
 }
+
+# The flavor of a tower whose values are of the given carrier.
+_CARRIERS = {AffinePP: "closed", VertexTuple: "tilde", PPFunction: "pp"}
 
 
 def on_common_model(flavor, a, b):
@@ -193,28 +199,32 @@ def ddc_form(c):
 class CurrentTower:
     """A truncated inverse-limit element over a model chain.
 
-    ``flavor`` names the row of ``_FLAVORS`` that gives the values' pushforward
-    and equality: "closed" (affine-PP values), "tilde" (vertex-tuple values
-    modulo gamma images) or "pp" (PP classes on the cones over the models).
     The values come with the tower, one per chain position from ``start``
-    on; the constructor refuses any other positions (:class:`InputError`)
-    and checks the values compatible (:class:`CompatibilityViolation`).
+    on, all of one carrier, which fixes the tower's ``flavor``: the row of
+    ``_FLAVORS`` that gives the values' pushforward and equality.  Affine-PP
+    values make a "closed" tower, vertex tuples (modulo gamma images) a
+    "tilde" one and PP classes on the cones over the models a "pp" one.  The
+    constructor refuses values at other positions or of no one carrier
+    (:class:`InputError`) and checks the values compatible
+    (:class:`CompatibilityViolation`).
     """
 
     __slots__ = ("chain", "flavor", "start", "_values")
 
-    def __init__(self, chain, flavor, values, start=0):
-        if flavor not in _FLAVORS:
-            raise ValueError("flavor must be 'closed', 'tilde' or 'pp'")
+    def __init__(self, chain, values, start=0):
         if not 0 <= start < len(chain):
             raise InputError(f"tower start {start} is outside [0, {len(chain)})")
         self.chain = chain
-        self.flavor = flavor
         self.start = start
         self._values = dict(values)
         if sorted(self._values) != list(self.indices()):
             raise InputError(f"tower values must sit at chain positions {start}.."
                              f"{len(chain) - 1}, got {sorted(self._values)}")
+        kinds = {type(v) for v in self._values.values()}
+        if len(kinds) != 1 or not kinds <= _CARRIERS.keys():
+            raise InputError("tower values must be all AffinePP, all VertexTuple or all "
+                             f"PPFunction, got {sorted(k.__name__ for k in kinds)}")
+        self.flavor = _CARRIERS[kinds.pop()]
         self.check_compat()
 
     def indices(self):
@@ -244,22 +254,22 @@ class CurrentTower:
         return True
 
 
-def _tower(chain, flavor, value, start=0):
+def _tower(chain, value, start=0):
     """The tower whose value at each chain position i from ``start`` on is
     ``value(i)``, computed in chain order."""
-    return CurrentTower(chain, flavor, {i: value(i) for i in range(start, len(chain))}, start)
+    return CurrentTower(chain, {i: value(i) for i in range(start, len(chain))}, start)
 
 
 def zero_tower(chain, flavor, degree):
-    return _tower(chain, flavor, lambda i: _FLAVORS[flavor].zero(chain.models[i], degree))
+    return _tower(chain, lambda i: _FLAVORS[flavor].zero(chain.models[i], degree))
 
 
 def ddc_current(tower):
     """Model-wise dd^c of a tilde tower; output compatibility re-verified."""
     if tower.flavor != "tilde":
         raise ValueError("dd^c acts on tilde towers")
-    return _tower(tower.chain, "closed",
-                  lambda i: from_vertex_tuple(ddc_model(tower.value(i))), tower.start)
+    return _tower(tower.chain, lambda i: from_vertex_tuple(ddc_model(tower.value(i))),
+                  tower.start)
 
 
 def _pulled_back(tower, s, form):
@@ -285,7 +295,7 @@ def delta_current(chain, cycle, start=0):
     def value(i):
         pc = chain.models[i]
         return iota_upper(pc, closure_class(pc, cycle))
-    return _tower(chain, "closed", value, start)
+    return _tower(chain, value, start)
 
 
 def _vertical_current(chain, start, cycle, classes):
@@ -295,7 +305,7 @@ def _vertical_current(chain, start, cycle, classes):
     def value(i):
         pc = chain.models[i]
         return vertical_decompose(pc, classes(i) - closure_class(pc, cycle))
-    return _tower(chain, "tilde", value, start)
+    return _tower(chain, value, start)
 
 
 def green_from_lifting(chain, start, lifting, cycle):
@@ -324,7 +334,7 @@ def ddc_plus_delta(tower, cycle):
     a pullback system exactly when the tilde tower is a Green current of the
     cycle."""
     delta = delta_current(tower.chain, cycle, tower.start)
-    return _tower(tower.chain, "closed",
+    return _tower(tower.chain,
                   lambda i: from_vertex_tuple(ddc_model(tower.value(i))) + delta.value(i),
                   tower.start)
 
@@ -362,8 +372,7 @@ def cap_form(c):
 def cap_current(tower):
     if tower.flavor != "closed":
         raise ValueError("cap acts on closed towers")
-    return _tower(tower.chain, "tilde",
-                  lambda i: cap_fundamental(tower.value(i)), tower.start)
+    return _tower(tower.chain, lambda i: cap_fundamental(tower.value(i)), tower.start)
 
 
 def module_product_form(c, tower):
@@ -375,8 +384,8 @@ def module_product_form(c, tower):
     if idx is None or idx > tower.start:
         raise CompatibilityViolation("acting class must live on a chain model below the tower")
     acting = _FLAVORS[tower.flavor].acting
-    return _tower(chain, tower.flavor,
-                  lambda i: acting(chain.map_between(i, idx), c) * tower.value(i), tower.start)
+    return _tower(chain, lambda i: acting(chain.map_between(i, idx), c) * tower.value(i),
+                  tower.start)
 
 
 def zero_composition_suite(chain, degrees, rng, samples=5):
@@ -413,8 +422,7 @@ def zero_composition_suite(chain, degrees, rng, samples=5):
             continue
         for _ in range(samples):
             f0 = basis0[0].scale(0).combine(basis0, [rng.randint(-3, 3) for _ in basis0])
-            T = _tower(chain, "closed",
-                       lambda i: pullback_special(chain.map_between(i, 0), f0) if i else f0)
+            T = _tower(chain, lambda i: pullback_special(chain.map_between(i, 0), f0) if i else f0)
             TT = cap_current(T)
             dd = ddc_current(TT)
             for i in dd.indices():

@@ -246,7 +246,16 @@ class Piecewise:
         degree of the result.  Restriction to a span is a ring map, so parts
         that glue still glue.  The special-fiber maps that lay out parts
         themselves build here too, with parts the constructor would keep as
-        they are.
+        they are.  So do the maps whose parts glue by construction: in
+        ``ppfan`` the zero and constant functions, the generators phi_tau,
+        the graded bases (gluing kernels), pullback (a piece per source cone
+        read off its image), pushforward (exact localization sums) and the
+        restriction to height zero (a ring map); in ``specialfiber`` the
+        one-pass dd^c (which ``ddc_model`` compares with the checked
+        -gamma.rho), the parts of the vertical lift (whose sum is checked)
+        and the affine basis (a gluing kernel); the generators that the
+        cycle classes of ``cycles`` sum; and the zero of the closed flavor
+        in ``limits``.
         """
         out = object.__new__(cls)
         out.domain, out.degree, out.pieces = domain, degree, pieces

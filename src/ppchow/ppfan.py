@@ -20,7 +20,13 @@ from .qlinalg import mat, mat_inverse, primitive, solve, transpose, vec
 
 class PPFunction(Piecewise):
     """A degree-k piecewise polynomial on a fan, stored on maximal cones:
-    ``pieces[p]`` is the polynomial on the cone ``fan.maximal[p]``."""
+    ``pieces[p]`` is the polynomial on the cone ``fan.maximal[p]``.
+
+    ``validate=False`` skips the gluing check.  The program builds its
+    unchecked results through :meth:`~ppchow.polyring.Piecewise._of`; the
+    switch stays because ``perfbench/selftest.py`` plants faulty functions
+    through it.
+    """
 
     __slots__ = ()
     fan = Piecewise.domain
@@ -54,17 +60,15 @@ def make_pp(fan, pieces, degree=None):
     pieces = list(pieces)
     if degree is None:
         degree = next((p.degree for p in pieces if not p.is_zero()), 0)
-    return PPFunction(fan, degree, pieces, validate=True)
+    return PPFunction(fan, degree, pieces)
 
 
 def zero_pp(fan, degree):
-    return PPFunction(fan, degree, [HomogPoly.zero(fan.rank, degree)
-                                    for _ in fan.maximal], validate=False)
+    return PPFunction._of(fan, degree, (HomogPoly.zero(fan.rank, degree),) * len(fan.maximal))
 
 
 def constant_pp(fan, value):
-    return PPFunction(fan, 0, [HomogPoly.constant(fan.rank, value)
-                               for _ in fan.maximal], validate=False)
+    return PPFunction._of(fan, 0, (HomogPoly.constant(fan.rank, value),) * len(fan.maximal))
 
 
 def _ray_vector(fan, ray):
@@ -107,7 +111,7 @@ def phi_ray(fan, ray):
             pieces.append(dual_forms(c, fan.rank)[c.rays.index(v)])
         else:
             pieces.append(HomogPoly.zero(fan.rank, 1))
-    return PPFunction(fan, 1, pieces, validate=False)
+    return PPFunction._of(fan, 1, tuple(pieces))
 
 
 def phi_cone(fan, cone):
@@ -124,7 +128,7 @@ def graded_basis(fan, k):
     One unknown polynomial per maximal cone, any two agreeing on the span of
     their intersection: the kernel of that gluing system is the graded piece.
     """
-    return [PPFunction(fan, k, pieces, validate=False)
+    return [PPFunction._of(fan, k, pieces)
             for pieces in gluing_kernel(fan.adjacency(), len(fan.maximal), fan.rank, k)]
 
 
@@ -148,8 +152,8 @@ def pullback(fan_map, f):
     """(pi^* f) on the source: the piece over a cone is the piece of its image."""
     if not f.fan.same_as(fan_map.target):
         raise ValueError("function does not live on the map's target")
-    pieces = [f.pieces[fan_map.max_map[s]] for s in range(len(fan_map.source.maximal))]
-    return PPFunction(fan_map.source, f.degree, pieces, validate=False)
+    pieces = tuple(f.pieces[fan_map.max_map[s]] for s in range(len(fan_map.source.maximal)))
+    return PPFunction._of(fan_map.source, f.degree, pieces)
 
 
 def pushforward(fan_map, f):
@@ -189,7 +193,7 @@ def pushforward(fan_map, f):
                 num = num * form
             terms.append(RatFun(num, dual_forms(src.cones[src.maximal[s]], rank_)))
         pieces.append(ratfun_sum_to_poly(terms, dim=rank_, degree=f.degree))
-    return PPFunction(tgt, f.degree, pieces, validate=False)
+    return PPFunction._of(tgt, f.degree, tuple(pieces))
 
 
 @_memo
@@ -238,4 +242,4 @@ def restrict_to_height_zero(pc, f):
         lift = {tuple(r) + (0,) for r in rec.cones[rmax].rays}
         pos = next(p for p, i in enumerate(fan.maximal) if lift <= set(fan.cones[i].rays))
         pieces.append(f.pieces[pos].substitute(images))
-    return PPFunction(rec, f.degree, pieces, validate=False)
+    return PPFunction._of(rec, f.degree, tuple(pieces))

@@ -20,11 +20,11 @@ and linear combinations (``combine``) are defined once, on the base.  Each
 constructor is the carrier's checked way in, taking parts by key or in
 layout order; ``cell_polys`` and ``entries`` are dicts by key built from
 ``pieces`` when read.  The maps that lay out parts themselves (rho, gamma,
-the edge-star basis, the chart restrictions, the cap, the pullback and the
-zero tuple) build through the unchecked
-:meth:`~ppchow.polyring.Piecewise._of`.  A FormModDdbar is a vertex tuple
-on one model taken modulo the image of gamma, and class equality compares
-vertex tuples modulo that image.
+the edge-star basis, the chart restrictions, the cap, the pullback, the
+zero tuple, the one-pass dd^c, the vertical lift and the affine basis) build
+through the unchecked :meth:`~ppchow.polyring.Piecewise._of`.  A
+FormModDdbar is a vertex tuple on one model taken modulo the image of gamma,
+and class equality compares vertex tuples modulo that image.
 
 The maps here are the restriction-difference rho, its signed pushforward
 adjoint gamma (one degree up), their composite -gamma.rho (the model-level
@@ -63,7 +63,10 @@ class AffinePP(Piecewise):
 
     The polynomials are given by maximal cell, a missing one reading zero,
     or parallel to ``pc.maximal``; ``pieces[p]`` is the one on the cell
-    ``pc.maximal[p]``.
+    ``pc.maximal[p]``.  ``validate=False`` skips the facet check.  The
+    program builds its unchecked results through
+    :meth:`~ppchow.polyring.Piecewise._of`; the switch stays because
+    ``perfbench/selftest.py`` plants faulty functions through it.
     """
 
     __slots__ = ()
@@ -97,12 +100,6 @@ class AffinePP(Piecewise):
 
     def __repr__(self):
         return f"AffinePP(deg={self.degree}, {self.cell_polys})"
-
-
-def make_affine_pp(pc, cell_polys, degree):
-    """Validated AffinePP from per-maximal-cell polynomials, given by cell
-    index or parallel to ``pc.maximal``."""
-    return AffinePP(pc, degree, cell_polys, validate=True)
 
 
 @_memo
@@ -311,7 +308,7 @@ def from_vertex_tuple(t):
             if p != first:
                 raise NotInKernel(
                     f"cell {i}: chart at {v0} reads {first!r}, chart at {v} reads {p!r}")
-    return make_affine_pp(pc, {i: r[0][1] for i, r in readings.items()}, t.degree)
+    return AffinePP(pc, t.degree, {i: r[0][1] for i, r in readings.items()})
 
 
 def rho(t):
@@ -361,7 +358,7 @@ def gamma(et):
                 pieces[j] = pieces[j] + (contrib if sign > 0 else -contrib)
     entries = list(tab.zeros(k))
     for p in sorted(acc):
-        entries[p] = PPFunction(tab.charts[p].fan, k, acc[p], validate=True)
+        entries[p] = PPFunction(tab.charts[p].fan, k, acc[p])
     return VertexTuple._of(pc, k, tuple(entries))
 
 
@@ -388,7 +385,7 @@ def ddc_one_shot(t):
                     pieces[j] = pieces[j] + g[jo] * form
             if live[p]:
                 pieces = [x - y * z for x, y, z in zip(pieces, phi, f.pieces)]
-        entries.append(PPFunction(tab.charts[p].fan, k, pieces, validate=False))
+        entries.append(PPFunction._of(tab.charts[p].fan, k, tuple(pieces)))
     return VertexTuple(pc, k, entries)
 
 
@@ -412,7 +409,7 @@ def iota_upper(pc, F):
     images = [HomogPoly.variable(n, i) for i in range(n)] + [HomogPoly.zero(n, 1)]
     cell_polys = {i: f.substitute(images) for i, f in zip(co.max_cells, F.pieces)}
     try:
-        return make_affine_pp(pc, cell_polys, F.degree)
+        return AffinePP(pc, F.degree, cell_polys)
     except FaceMismatch as exc:  # pragma: no cover - would be a library bug
         raise InternalIdentityError(f"slice of a valid class failed validation: {exc}")
 
@@ -441,7 +438,7 @@ def iota_lower(t):
         pieces = [HomogPoly.zero(n + 1, t.degree)] * len(fan.maximal)
         for i, g in zip(chart.max_cells, f.pieces):
             pieces[pos_of_cell[i]] = g.substitute(lift_images)
-        out = out + PPFunction(fan, t.degree, pieces, validate=False) * phi_v
+        out = out + PPFunction._of(fan, t.degree, tuple(pieces)) * phi_v
     bad = out.offending_pair()
     if bad is not None:  # pragma: no cover - would be a library bug
         raise InternalIdentityError(f"vertical lift failed validation at {bad}")
@@ -505,7 +502,7 @@ def dim_affine_pp(pc, k):
     Computed by solving the facet conditions directly; the kernel of rho is
     computed independently and the dimensions compared.
     """
-    basis = [AffinePP(pc, k, dict(zip(pc.maximal, polys)), validate=False)
+    basis = [AffinePP._of(pc, k, polys)
              for polys in gluing_kernel(pc.adjacency(), len(pc.maximal), pc.rank, k)]
     if len(basis) != dim_ker_rho(pc, k):
         raise InternalIdentityError(
@@ -710,7 +707,7 @@ def zeta(m, t):
             for g, gpos in readers:
                 total = total + g[gpos[m.cell_map[i]]]
             pieces.append(total)
-        entries.append(PPFunction(chart.fan, t.degree, pieces, validate=True))
+        entries.append(PPFunction(chart.fan, t.degree, pieces))
     return VertexTuple(src, t.degree, entries)
 
 

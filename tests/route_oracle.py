@@ -132,7 +132,7 @@ from ppchow.polyhedra import (Cone, Fan, PolyComplex, Polyhedron, _Closure,
                               cone_over, direction_space, recession_fan,
                               refines, vertex_chart)
 from ppchow.ppfan import PPFunction, dual_forms, phi_ray, pullback, zero_pp
-from ppchow.specialfiber import EdgeTuple, VertexTuple, make_affine_pp
+from ppchow.specialfiber import AffinePP, EdgeTuple, VertexTuple
 from ppchow.polyring import (HomogPoly, RatFun, Span, monomial_exponents,
                              ratfun_sum_to_poly, restrict_to_span)
 from ppchow.qlinalg import (integer_kernel_basis, is_zero_vec, kernel_basis,
@@ -1279,7 +1279,7 @@ def from_vertex_tuple(t):
                 raise NotInKernel(
                     f"cell {i}: chart at {readings[0][0]} reads {first!r}, chart at {v} reads {p!r}")
         cell_polys[i] = first
-    return make_affine_pp(pc, cell_polys, t.degree)
+    return AffinePP(pc, t.degree, cell_polys)
 
 
 def iota_lower(t):

@@ -188,7 +188,7 @@ def test_theta_prime_round_trips():
     f = next(g for g in graded_basis(co.fan, 2)
              if cycle_from_pp(co.fan, g, 2) is None)
     with pytest.raises(NotCycleSupported):
-        theta_prime(CurrentTower(chain.truncate(1), "pp", values={0: f}))
+        theta_prime(CurrentTower(chain.truncate(1), values={0: f}))
 
 
 def test_theta_prime_cycles_are_refused_a_certificate():

@@ -12,7 +12,7 @@ from ppchow.fixtures import f1_complex, f2_complex, f5_complex
 from ppchow.polyhedra import cone_over, vertex_chart
 from ppchow.polyring import HomogPoly
 from ppchow.ppfan import constant_pp, phi_ray
-from ppchow.specialfiber import VertexTuple, make_affine_pp
+from ppchow.specialfiber import AffinePP, VertexTuple
 
 
 def test_complex_round_trip():
@@ -34,7 +34,7 @@ def test_poly_and_pp_round_trip():
 def test_affine_tuple_cycle_round_trip():
     F2 = f2_complex()
     x = HomogPoly.linear_form((1,))
-    a = make_affine_pp(F2, [x, x, x], 1)
+    a = AffinePP(F2, 1, [x, x, x])
     assert pio.affine_from_json(pio.affine_to_json(a), F2) == a
     t = VertexTuple(F2, 0, {(Q(0),): constant_pp(vertex_chart(F2, (Q(0),)).fan, 1)})
     assert pio.vertex_tuple_from_json(pio.vertex_tuple_to_json(t), F2) == t
@@ -195,6 +195,8 @@ def test_cli_input_error_exit_code(tmp_path, capsys):
     {"models": "f1.json"},
     {"models": []},
     ["models"],
+    {"models": [{"complex": 5}]},               # a model "complex" that is not a path
+    {"models": [{"complex": ["f1.json"]}]},
 ])
 def test_cli_malformed_chain_is_input_error(workdir, capsys, chain):
     path = workdir["tmp"] / "badchain.json"
@@ -395,6 +397,20 @@ def test_validate_checks_a_chain_as_a_chain(monkeypatch, capsys, tmp_path):
     assert second["valid"] is True
 
 
+@pytest.mark.parametrize("data, kind, got", [
+    ({"complex": 5, "degree": 0, "pieces": []}, "pp", "5"),
+    ({"complex": ["a"], "degree": 0, "cells": []}, "affine", '["a"]'),
+    ({"models": [{"complex": 5}]}, "tower", "5"),
+])
+def test_validate_refuses_a_reference_that_is_not_a_path(tmp_path, capsys, data, kind, got):
+    path = tmp_path / "reference.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", str(path)]) == 2
+    entry = json.loads(capsys.readouterr().out)["files"][0]
+    assert entry["kind"] == kind and not entry["valid"]
+    assert entry["error"] == f"InputError: malformed {kind} file: 'complex' must be a path, got {got}"
+
+
 @pytest.mark.parametrize("argv, message", [
     # F2 has rank 1: the point (1, 2) is not read as x = 1/2 at height 2
     (["refine", "--complex", "{f2}", "--point", "1,2"], "has 2 coordinates, the complex needs 1"),
@@ -416,6 +432,27 @@ def test_validate_checks_a_chain_as_a_chain(monkeypatch, capsys, tmp_path):
      "degree 21 is past the limit MAX_DEGREE = 20"),
     (["basis", "--complex", "{f2}", "--degree", "-1", "--which", "pp-cone"],
      "degree must be a nonnegative integer, got -1"),
+    # every file flag refuses a file whose keys give it another kind
+    (["basis", "--complex", "{cycle}", "--degree", "0"],
+     "InputError: malformed complex file: by its keys it is of kind cycle"),
+    (["refine", "--complex", "{chain}", "--point", "1"],
+     "InputError: malformed complex file: by its keys it is of kind tower"),
+    (["ddc", "--complex", "{f2}", "--tuple", "{f5}"],
+     "InputError: malformed vertex_tuple file: by its keys it is of kind complex"),
+    (["push", "--source", "{cycle}", "--target", "{f2}", "--affine", "{f5}"],
+     "InputError: malformed complex file: by its keys it is of kind cycle"),
+    (["push", "--source", "{f5}", "--target", "{chain}", "--affine", "{f5}"],
+     "InputError: malformed complex file: by its keys it is of kind tower"),
+    (["push", "--source", "{f5}", "--target", "{f2}", "--affine", "{cycle}"],
+     "InputError: malformed affine file: by its keys it is of kind cycle"),
+    (["degree", "--complex", "{f2}", "--pp", "{wide}"],
+     "InputError: malformed pp file: by its keys it is of kind cycle"),
+    (["delta", "--chain", "{f1}", "--cycle", "{cycle}"],
+     "InputError: malformed tower file: by its keys it is of kind complex"),
+    (["green", "--chain", "{chain}", "--cycle", "{f2}"],
+     "InputError: malformed cycle file: by its keys it is of kind complex"),
+    (["degree", "--chain", "{chain}", "--cycle", "{chain}"],
+     "InputError: malformed cycle file: by its keys it is of kind tower"),
 ])
 def test_cli_bad_arguments_exit_2(workdir, capsys, argv, message):
     wide = workdir["tmp"] / "wide.json"    # a cycle with rays of length 2 on a rank-1 chain

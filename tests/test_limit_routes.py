@@ -97,7 +97,7 @@ def test_stabilization_and_the_green_certificate_match_the_old_loops():
     # criterion 13's adversarial tower: a constant 1 at F5's last vertex
     F5 = chain.models[2]
     v = F5.vertices[-1]
-    towers.append(CurrentTower(chain, "tilde", values={
+    towers.append(CurrentTower(chain, values={
         0: zero_vertex_tuple(chain.models[0], 0),
         1: zero_vertex_tuple(chain.models[1], 0),
         2: VertexTuple(F5, 0, {v: constant_pp(vertex_chart(F5, v).fan, 1)})}))

@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from ppchow.arithchow import LimitClass, limit_equal
+from ppchow.arithchow import LimitClass, LimitTower, limit_equal
 from ppchow.cycles import InvariantCycle, closure_class
 from ppchow.errors import (CompatibilityViolation, IncompleteInput, InputError,
                            NotALifting, NotStabilized)
@@ -21,8 +21,7 @@ from ppchow.polyhedra import build_complex, cone_over, vertex_chart
 from ppchow.polyring import HomogPoly
 from ppchow.ppfan import constant_pp, phi_ray, zero_pp
 from ppchow.specialfiber import (AffinePP, VertexTuple, from_vertex_tuple, iota_upper,
-                                 make_affine_pp, pullback_special,
-                                 to_vertex_tuple, vertex_layer_basis,
+                                 pullback_special, to_vertex_tuple, vertex_layer_basis,
                                  zero_vertex_tuple, zeta)
 
 
@@ -42,14 +41,14 @@ def test_form_equal_via_refinement():
     chain = chain1()
     F2, F5 = chain.models[1], chain.models[2]
     x = lin(1)
-    a = ClosedForm(F2, make_affine_pp(F2, [x, x, x], 1))
+    a = ClosedForm(F2, AffinePP(F2, 1, [x, x, x]))
     m = chain.maps[1]
     b = ClosedForm(F5, pullback_special(m, a.form))
     assert form_equal(a, b)
     perturbed = dict(b.form.cell_polys)
     cell = next(i for i in F5.maximal if F5.cells[i].contains_point((Q(-1, 2),)))
     perturbed[cell] = x.scale(2)
-    c = ClosedForm(F5, make_affine_pp(F5, perturbed, 1))
+    c = ClosedForm(F5, AffinePP(F5, 1, perturbed))
     assert not form_equal(a, c)
     from ppchow.limits import form_product
     prod = form_product(a, a)
@@ -86,17 +85,23 @@ def test_ddc_current_and_towers():
     bad_vals = {i: d.value(i) for i in range(3)}
     bad_vals[0] = d.value(0).scale(2)
     with pytest.raises(CompatibilityViolation):
-        CurrentTower(chain, "closed", values=bad_vals)
+        CurrentTower(chain, values=bad_vals)
 
 
 def test_tower_constructor_refuses_values_off_its_positions():
     chain = chain1()
     d = delta_current(chain, PLUS)
     vals = {i: d.value(i) for i in d.indices()}
-    # one value on a three-model chain, an extra position, a start past the end
-    for values, start in (({0: vals[0]}, 0), ({**vals, 5: vals[2]}, 0), (vals, 3)):
+    # one value on a three-model chain, an extra position, a start past the end,
+    # values of two carriers, and values of none
+    for values, start in (({0: vals[0]}, 0), ({**vals, 5: vals[2]}, 0), (vals, 3),
+                          ({**vals, 1: to_vertex_tuple(vals[1])}, 0),
+                          ({i: ClosedForm(chain.models[i], v) for i, v in vals.items()}, 0)):
         with pytest.raises(InputError):
-            CurrentTower(chain, "closed", values=values, start=start)
+            CurrentTower(chain, values=values, start=start)
+    # a limit tower is a "pp" tower: the affine values of delta are refused
+    with pytest.raises(InputError, match="limit tower"):
+        LimitTower(chain, vals)
 
 
 def test_green_from_lifting_and_is_green():
@@ -120,7 +125,7 @@ def test_green_from_lifting_and_is_green():
     F5 = chain.models[2]
     from ppchow.ppfan import constant_pp as _cpp
     with pytest.raises(CompatibilityViolation):
-        CurrentTower(chain, "tilde", values={
+        CurrentTower(chain, values={
             0: zero_vertex_tuple(chain.models[0], 0),
             1: zero_vertex_tuple(chain.models[1], 0),
             2: VertexTuple(F5, 0, {(Q(0),): _cpp(vertex_chart(F5, (Q(0),)).fan, 1)})})
@@ -161,7 +166,7 @@ def test_regularity_check():
     # a pullback-system tower of a fixed tuple is recovered
     b = vertex_layer_basis(F2, 1)[0]
     vals = {1: b, 2: zeta(chain.maps[1], b)}
-    t = CurrentTower(chain, "tilde", values=vals, start=1)
+    t = CurrentTower(chain, values=vals, start=1)
     t.check_compat()
     out = regularity_check(t)
     assert out.model.same_as(F2)
@@ -170,7 +175,7 @@ def test_regularity_check():
     g = green_from_lifting(chain, 1, closure_class(F2, PLUS), PLUS)
     assert regularity_check(g).model.same_as(F2)
     # insufficient depth is inconclusive
-    shallow = CurrentTower(chain.truncate(1), "tilde",
+    shallow = CurrentTower(chain.truncate(1),
                            values={0: zero_vertex_tuple(chain.models[0], 0)})
     with pytest.raises(NotStabilized):
         regularity_check(shallow)
@@ -180,7 +185,7 @@ def test_cap_maps_and_zero_compositions():
     chain = chain1()
     F2 = chain.models[1]
     x = lin(1)
-    c = ClosedForm(F2, make_affine_pp(F2, [x, x, x], 1))
+    c = ClosedForm(F2, AffinePP(F2, 1, [x, x, x]))
     capped = cap_form(c)
     assert capped.tuple == to_vertex_tuple(c.form)  # reduced fiber
     rng = random.Random(0)
@@ -207,9 +212,9 @@ def test_degree_current():
     assert degree_current(z).is_zero()
     # module product with a degree-zero form keeps the degree
     one = ClosedForm(chain.models[0],
-                     make_affine_pp(chain.models[0],
-                                    {i: HomogPoly.constant(1, 1)
-                                     for i in chain.models[0].maximal}, 0))
+                     AffinePP(chain.models[0], 0,
+                              {i: HomogPoly.constant(1, 1)
+                               for i in chain.models[0].maximal}))
     t = module_product_form(one, d)
     assert degree_current(t) == HomogPoly.constant(1, 1)
     # product-form sample: the degree of phi . delta localizes the character
@@ -224,7 +229,7 @@ def test_module_axioms():
     chain = chain1()
     F1 = chain.models[0]
     x = lin(1)
-    c = ClosedForm(F1, make_affine_pp(F1, [x, x], 1))
+    c = ClosedForm(F1, AffinePP(F1, 1, [x, x]))
     d = delta_current(chain, PLUS)
     cd = module_product_form(c, d)
     cd.check_compat()
@@ -295,8 +300,8 @@ def test_evaluators():
     F2 = chain.models[1]
     x = lin(1)
     zero1 = HomogPoly.zero(1, 1)
-    a = ClosedForm(F2, make_affine_pp(
-        F2, {i: (zero1 if F2.cells[i].contains_point((-1,)) else x)
-             for i in F2.maximal}, 1))
+    a = ClosedForm(F2, AffinePP(
+        F2, 1, {i: (zero1 if F2.cells[i].contains_point((-1,)) else x)
+                for i in F2.maximal}))
     h = closed_degree_one_evaluator(a)
     assert h((Q(-5),)) == 0 and h((Q(1, 2),)) == Q(1, 2) and h((Q(2),)) == 2

@@ -7,18 +7,22 @@ of F3C, ``coords()`` must equal the coordinates each carrier's own layout
 gives (``route_oracle``) and be linear, ``combine`` must equal the sum built
 one term at a time, and the product of vertex tuples the entry-wise one.
 Every arithmetic result is one the checked constructors take back: built
-from its keyed view or from its pieces, it is the carrier itself.
+from its keyed view or from its pieces, it is the carrier itself.  So is the
+result of every map that builds its carrier unchecked.
 """
 
 from hypothesis import given, settings, strategies as st
 
 import route_oracle
+from ppchow import limits
+from ppchow.cycles import InvariantCycle, closure_class
 from ppchow.fixtures import all_fixture_models
-from ppchow.polyhedra import cone_over
-from ppchow.ppfan import PPFunction, graded_basis, zero_pp
-from ppchow.specialfiber import (AffinePP, EdgeTuple, VertexTuple, dim_affine_pp,
-                                 edge_layer_basis, vertex_layer_basis,
-                                 zero_vertex_tuple)
+from ppchow.polyhedra import cone_over, recession_fan
+from ppchow.ppfan import (PPFunction, constant_pp, graded_basis, phi_ray,
+                          restrict_to_height_zero, zero_pp)
+from ppchow.specialfiber import (AffinePP, EdgeTuple, VertexTuple, ddc_one_shot,
+                                 dim_affine_pp, edge_layer_basis, iota_lower,
+                                 vertex_layer_basis, zero_vertex_tuple)
 
 FIXTURES = sorted(all_fixture_models())
 
@@ -45,6 +49,15 @@ def _taken_back(z, remake):
     pieces, and every polynomial of z has z's degree."""
     assert all(r == z and r.degree == z.degree for r in remake(z))
     assert all(p.degree == z.degree for p in z._polys())
+
+
+def _remade(z):
+    """What the checked constructor builds from z's pieces (a vertex tuple's
+    entries each from theirs)."""
+    if isinstance(z, VertexTuple):
+        return VertexTuple(z.complex, z.degree,
+                           [PPFunction(f.fan, f.degree, f.pieces) for f in z.pieces])
+    return type(z)(z.domain, z.degree, z.pieces)
 
 
 def _coeffs(data, n):
@@ -85,6 +98,20 @@ def _check_carriers(data, pc, k):
         _taken_back(s * t, lambda u: [VertexTuple(pc, u.degree, u.entries),
                                       VertexTuple(pc, u.degree, u.pieces)])
         assert (s * t).coords() == route_oracle.flat_vertex(product)
+    # the maps that build their results unchecked
+    fan = cone_over(pc).fan
+    basis = graded_basis(fan, k)
+    built = [*basis, *dim_affine_pp(pc, k)[1], constant_pp(fan, 2),
+             limits._FLAVORS["closed"].zero(pc, k), ddc_one_shot(s)]
+    if fan.is_regular():
+        built += [phi_ray(fan, c) for c in fan.cones if c.dim == 1] + [iota_lower(s)]
+    if pc.is_complete():
+        ray = next(c.rays for c in recession_fan(pc).cones if c.dim == 1)
+        f = zero_pp(fan, k).combine(basis, _coeffs(data, len(basis)))
+        built += [restrict_to_height_zero(pc, f),
+                  closure_class(pc, InvariantCycle(pc.rank, 1, {ray: 1}))]
+    for z in built:
+        _taken_back(z, lambda u: [_remade(u)])
 
 
 @settings(derandomize=True, max_examples=8, deadline=None)

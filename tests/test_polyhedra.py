@@ -16,7 +16,7 @@ from ppchow.polyhedra import (Cone, Fan, PolyComplex, Polyhedron, build_complex,
                               star_subdivision, vertex_chart)
 from ppchow.polyring import HomogPoly, gluing_kernel
 from ppchow.ppfan import make_pp
-from ppchow.specialfiber import make_affine_pp
+from ppchow.specialfiber import AffinePP
 
 
 def test_fixture_complexes_valid_and_complete():
@@ -320,7 +320,7 @@ def _verdict(domain):
         if isinstance(domain, Fan):
             make_pp(domain, pieces, 0)
         else:
-            make_affine_pp(domain, pieces, 0)
+            AffinePP(domain, 0, pieces)
     except FaceMismatch as exc:
         return type(exc), str(exc)
     return None

@@ -16,8 +16,7 @@ from ppchow.specialfiber import (AffinePP, EdgeTuple, VertexTuple, _edge_star,
                                  from_vertex_tuple, gamma, edge_layer_basis,
                                  homology_presentation, iota_lower, iota_upper,
                                  iota_upper_preimage, ker_coker_report,
-                                 ddc_one_shot, make_affine_pp,
-                                 pullback_special, rho, to_vertex_tuple,
+                                 ddc_one_shot, pullback_special, rho, to_vertex_tuple,
                                  vertex_layer_basis, vertical_decompose,
                                  vertical_expand, zero_vertex_tuple, zeta)
 
@@ -47,13 +46,13 @@ def random_tuple(rng, pc, k):
 def test_make_affine_pp_examples():
     F2 = f2_complex()
     x = lin(1)
-    make_affine_pp(F2, [x, x, x], 1)          # the global linear form
+    AffinePP(F2, 1, [x, x, x])             # the global linear form
     pieces = {i: (HomogPoly.zero(1, 1) if F2.cells[i].contains_point((-1,)) else x)
               for i in F2.maximal}
-    make_affine_pp(F2, pieces, 1)             # 0 and x agree at the origin
+    AffinePP(F2, 1, pieces)                # 0 and x agree at the origin
     bad = [HomogPoly.constant(1, 1), HomogPoly.constant(1, 2), HomogPoly.constant(1, 1)]
     with pytest.raises(FacetMismatch) as info:
-        make_affine_pp(F2, bad, 0)
+        AffinePP(F2, 0, bad)
     # one search for both carriers, against the validator it replaced
     a = AffinePP(F2, 0, dict(zip(F2.maximal, bad)), validate=False)
     witness = route_oracle.affine_offending_pair(a)
@@ -64,10 +63,10 @@ def test_make_affine_pp_examples():
     # maximal, are refused rather than zero-filled, dropped or ignored
     for short_or_long in ([x, x], [x, x, x, x]):
         with pytest.raises(ValueError, match="one piece per maximal cell"):
-            make_affine_pp(F2, short_or_long, 1)
+            AffinePP(F2, 1, short_or_long)
     face = next(i for i in range(len(F2.cells)) if i not in F2.maximal)
     with pytest.raises(ValueError, match=f"cell {face} is not a maximal cell"):
-        make_affine_pp(F2, {**dict(zip(F2.maximal, [x, x, x])), face: x}, 1)
+        AffinePP(F2, 1, {**dict(zip(F2.maximal, [x, x, x])), face: x})
 
 
 def test_each_carrier_refuses_parts_off_its_layout():
@@ -111,7 +110,7 @@ def test_dim_affine_pp():
 def test_to_from_vertex_tuple():
     F2 = f2_complex()
     x = lin(1)
-    a = make_affine_pp(F2, [x, x, x], 1)
+    a = AffinePP(F2, 1, [x, x, x])
     t = to_vertex_tuple(a)
     for v in F2.vertices:
         assert all(p == x for p in t.entries[v].pieces)
@@ -128,7 +127,7 @@ def test_to_from_vertex_tuple():
 def test_rho_examples():
     F2 = f2_complex()
     x = lin(1)
-    t = to_vertex_tuple(make_affine_pp(F2, [x, x, x], 1))
+    t = to_vertex_tuple(AffinePP(F2, 1, [x, x, x]))
     assert rho(t).is_zero()
     t0 = component_class(F2, (0,))
     e = F2.bounded_edges[0]
@@ -294,14 +293,14 @@ def test_im_ddc_in_ker_rho():
 def test_cap_fundamental():
     F2 = f2_complex()
     x = lin(1)
-    a = make_affine_pp(F2, [x, x, x], 1)
+    a = AffinePP(F2, 1, [x, x, x])
     assert flat_vertex(cap_fundamental(a)) == flat_vertex(to_vertex_tuple(a))
     F6 = f6_complex()
-    one6 = make_affine_pp(F6, {i: HomogPoly.constant(1, 1) for i in F6.maximal}, 0)
+    one6 = AffinePP(F6, 0, {i: HomogPoly.constant(1, 1) for i in F6.maximal})
     capped = cap_fundamental(one6)
     assert capped.entries[(Q(1, 2),)].pieces[0] == HomogPoly.constant(1, 2)
     assert capped.entries[(Q(0),)].pieces[0] == HomogPoly.constant(1, 1)
-    assert cap_fundamental(make_affine_pp(F2, {}, 1)).is_zero()
+    assert cap_fundamental(AffinePP(F2, 1, {})).is_zero()
 
 
 def test_homology_presentation_and_classes():
@@ -338,8 +337,8 @@ def test_transfers():
     m = refines(F5, F2)
     x = lin(1)
     zero1 = HomogPoly.zero(1, 1)
-    aff = make_affine_pp(F2, {i: (zero1 if F2.cells[i].contains_point((-1,)) else x)
-                              for i in F2.maximal}, 1)
+    aff = AffinePP(F2, 1, {i: (zero1 if F2.cells[i].contains_point((-1,)) else x)
+                           for i in F2.maximal})
     pb = pullback_special(m, aff)
     for i in F5.maximal:
         cell = F5.cells[i]

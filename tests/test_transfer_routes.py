@@ -7,6 +7,8 @@ certificates on the map.  On drawn rank-one chains, with degrees interleaved
 on one model, alpha, beta, the three solvers, class equality and the
 pushforward must give the results of the per-call routes in
 ``route_oracle``, or raise the same error.  The cache tests count the basis images a second call builds.
+The pushforward and pullback, which build their results unchecked, give on
+the drawn maps what the checked constructor builds from the results' pieces.
 """
 
 import pytest
@@ -21,7 +23,7 @@ from ppchow.fixtures import (f1_fan, f2_complex, f3s_complex, f5_complex,
                              f6_complex)
 from ppchow.limits import ModelChain
 from ppchow.polyhedra import Cone, Fan, FanMap, cone_over
-from ppchow.ppfan import constant_pp, graded_basis, pushforward
+from ppchow.ppfan import PPFunction, constant_pp, graded_basis, pullback, pushforward
 from ppchow.polyring import HomogPoly
 from ppchow.specialfiber import (AffinePP, EdgeTuple, dim_affine_pp,
                                  edge_layer_basis, gamma, iota_lower,
@@ -68,7 +70,12 @@ def _call(kind, draw, chain, pc):
     if kind == "preimage":
         return "iota_upper_preimage", (pc, _affine(draw, pc, k))
     if kind == "pushforward":
-        return "pushforward", (m.fan_map, _cone_pp(draw, m.source, k))
+        f = _cone_pp(draw, m.source, k)
+        down = pushforward(m.fan_map, f)
+        for g in (down, pullback(m.fan_map, down)):
+            assert PPFunction(g.fan, g.degree, g.pieces) == g
+            assert all(p.degree == g.degree for p in g.pieces)
+        return "pushforward", (m.fan_map, f)
     if kind == "class_equal":
         a = _vertex_tuple(draw, pc, k)
         if k and draw(st.booleans()):
