@@ -32,13 +32,15 @@ def _emit(data, out):
 def cmd_validate(args):
     report = []
     ok = True
+    complexes = {}
     for path in args.paths:
         entry = {"path": path}
         try:
-            entry["kind"] = kind = pio.detect_kind(pio.load_json(path))
+            kind, data = pio.kind_of(path, complexes)
+            entry["kind"] = kind
             if kind is None:
                 raise InputError("unrecognized file kind")
-            value = pio.read(path, kind)
+            value = pio.read(path, kind, data=data, complexes=complexes)
             if kind == "complex":
                 entry["complete"] = value.is_complete()
                 entry["regular"] = value.is_regular()
@@ -80,7 +82,9 @@ def cmd_basis(args):
 
 
 def cmd_ddc(args):
-    t = pio.read(args.tuple, "vertex_tuple", pio.read(args.complex, "complex"))
+    complexes = {}
+    pc = pio.read(args.complex, "complex", complexes=complexes)
+    t = pio.read(args.tuple, "vertex_tuple", pc, complexes=complexes)
     result = from_vertex_tuple(ddc_model(t))
     _emit(pio.affine_to_json(result), args.out)
     return 0
@@ -110,12 +114,13 @@ def cmd_green(args):
 
 
 def cmd_push(args):
-    source = pio.read(args.source, "complex")
-    target = pio.read(args.target, "complex")
+    complexes = {}
+    source = pio.read(args.source, "complex", complexes=complexes)
+    target = pio.read(args.target, "complex", complexes=complexes)
     m = refines(source, target)
     if m is None:
         raise InputError("source does not refine target")
-    a = pio.read(args.affine, "affine", source)
+    a = pio.read(args.affine, "affine", source, complexes=complexes)
     _emit(pio.affine_to_json(beta(m, a)), args.out)
     return 0
 
@@ -127,7 +132,9 @@ def cmd_degree(args):
         d = delta_current(chain, cycle)
         value = degree_current(d)
     elif args.complex and args.pp:
-        f = pio.read(args.pp, "pp", pio.read(args.complex, "complex"))
+        complexes = {}
+        pc = pio.read(args.complex, "complex", complexes=complexes)
+        f = pio.read(args.pp, "pp", pc, complexes=complexes)
         value = equivariant_degree(f.fan, f)
     else:
         raise InputError("degree needs --chain and --cycle, or --complex and --pp")

@@ -122,10 +122,16 @@ def cycle_from_pp(fan, f, codim):
     Returns the InvariantCycle or None when the class is not supported on
     cycles of that codimension.
     """
-    cones = [c for c in fan.cones if c.dim == codim]
-    system = _system([phi_cone(fan, c) for c in cones], PPFunction.coords)
-    _, coords = _preimage(system, f.coords())
+    cones, coords = _preimage(_cone_system(fan, codim), f.coords())
     if coords is None:
         return None
     return InvariantCycle(fan.rank, codim,
                           {c.rays: x for c, x in zip(cones, coords) if x != 0})
+
+
+@_memo
+def _cone_system(fan, codim):
+    """The generators phi_sigma of the codim-dimensional cones of the fan,
+    as the system :func:`cycle_from_pp` solves on, its basis the cones."""
+    return _system([c for c in fan.cones if c.dim == codim],
+                   lambda c: phi_cone(fan, c).coords())

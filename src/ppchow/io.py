@@ -213,23 +213,34 @@ def detect_kind(data):
     return None
 
 
-def read(path, kind, domain=None):
+def read(path, kind, domain=None, data=None, complexes=None):
     """What the file at ``path``, a file of the given kind, holds.
 
     A file whose keys give it another kind or none is refused
     (:class:`InputError`).  A piecewise file ("pp", "affine" or
     "vertex_tuple") is read on ``domain``, a complex, or else on the complex
-    its "complex" names; a cycle at the rank of ``domain``, a chain, or else
-    at its own rank; a chain file ("tower") as the chain of the complexes its
-    models name, each read by this function.
+    its "complex" names.  A file that names a complex the command does not
+    read as ``domain`` (one that is not the same model) is refused.  A cycle
+    is read at the rank of ``domain``, a chain, or else at its own rank; a
+    chain file ("tower") as the chain of the complexes its models name.
+
+    ``data`` is the file's parsed JSON when the caller has parsed it, so a
+    file is parsed once.  ``complexes``, a dict one command passes to each of
+    its reads, keeps every complex read so far by its real path, so a
+    complex that several files name is read once per command.
     """
-    data = load_json(path)
+    complexes = {} if complexes is None else complexes
+    key = os.path.realpath(path)
+    if kind == "complex" and key in complexes:
+        return complexes[key]
+    data = load_json(path) if data is None else data
     found = detect_kind(data)
     if found != kind:
         what = f"of kind {found}" if found else "of no known kind"
         raise InputError(f"malformed {kind} file: by its keys it is {what}")
     if kind == "complex":
-        return complex_from_json(data)
+        complexes[key] = complex_from_json(data)
+        return complexes[key]
     if kind == "polynomial":
         return poly_from_json(data, poly_dim(data))
     if kind == "cycle":
@@ -240,14 +251,29 @@ def read(path, kind, domain=None):
             raise InputError("chain file needs a nonempty 'models' list")
         if not all(isinstance(m, dict) and m.get("complex") is not None for m in models):
             raise InputError("every chain model needs a 'complex' path")
-        return ModelChain([read(_beside(path, m["complex"], kind), "complex") for m in models])
-    if domain is None:
-        if data.get("complex") is None:
-            raise InputError("piecewise file needs a 'complex' path reference")
-        domain = read(_beside(path, data["complex"], kind), "complex")
+        return ModelChain([read(_beside(path, m["complex"], kind), "complex", complexes=complexes)
+                           for m in models])
+    ref = data.get("complex")
+    if ref is not None:
+        named = read(_beside(path, ref, kind), "complex", complexes=complexes)
+        if domain is not None and named is not domain and not named.same_as(domain):
+            raise InputError(f"malformed {kind} file: it names the complex {ref}, "
+                             "not the one the command reads")
+        domain = named if domain is None else domain
+    elif domain is None:
+        raise InputError("piecewise file needs a 'complex' path reference")
     if kind == "pp":
         return pp_from_json(data, cone_over(domain).fan)
     return (affine_from_json if kind == "affine" else vertex_tuple_from_json)(data, domain)
+
+
+def kind_of(path, complexes):
+    """(the kind the keys of the file at ``path`` give it, its parsed JSON);
+    a complex already in ``complexes`` is not parsed again (None)."""
+    if os.path.realpath(path) in complexes:
+        return "complex", None
+    data = load_json(path)
+    return detect_kind(data), data
 
 
 def _beside(path, ref, kind):

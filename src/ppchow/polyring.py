@@ -544,6 +544,40 @@ class RatFun:
         self.denominator = den
 
 
+def _common_denominator(terms):
+    """(the lcm of the terms' denominators, as (linear form, multiplicity)
+    pairs; each term's numerator times the factors of the lcm its own
+    denominator lacks), so the sum of the terms is the sum of those
+    numerators over the lcm."""
+    lcm = {}
+    for t in terms:
+        for f, k in t.denominator.items():
+            lcm[f] = max(lcm.get(f, 0), k)
+    nums = []
+    for t in terms:
+        num = t.numerator
+        for f, k in lcm.items():
+            for _ in range(k - t.denominator.get(f, 0)):
+                num = num * f
+        nums.append(num)
+    return tuple(lcm.items()), tuple(nums)
+
+
+def _divide_out(total, factors, degree):
+    """``total`` divided exactly by each (linear form, multiplicity) of
+    ``factors`` in turn, the zero of degree ``degree`` when it is zero.
+    Raises :class:`NotPolynomial` (with the remainder as witness) if any
+    division fails."""
+    if total.is_zero():
+        return HomogPoly.zero(total.dim, max(degree, 0))
+    for f, k in factors:
+        for _ in range(k):
+            total, rem = divide_exact(total, f)
+            if not rem.is_zero():
+                raise NotPolynomial("rational-function sum is not a polynomial", remainder=rem)
+    return total
+
+
 def ratfun_sum_to_poly(terms, dim=None, degree=None):
     """Exact sum of rational functions, collapsed to a polynomial.
 
@@ -557,24 +591,5 @@ def ratfun_sum_to_poly(terms, dim=None, degree=None):
         if dim is None or degree is None:
             raise ValueError("empty sum needs explicit dim and degree")
         return HomogPoly.zero(dim, max(degree, 0))
-    dim = terms[0].numerator.dim
-    lcm = {}
-    for t in terms:
-        for f, k in t.denominator.items():
-            lcm[f] = max(lcm.get(f, 0), k)
-    total = None
-    for t in terms:
-        num = t.numerator
-        for f, k in lcm.items():
-            extra = k - t.denominator.get(f, 0)
-            for _ in range(extra):
-                num = num * f
-        total = num if total is None else total + num
-    if total.is_zero():
-        return HomogPoly.zero(dim, max((degree if degree is not None else 0), 0))
-    for f, k in lcm.items():
-        for _ in range(k):
-            total, rem = divide_exact(total, f)
-            if not rem.is_zero():
-                raise NotPolynomial("rational-function sum is not a polynomial", remainder=rem)
-    return total
+    factors, nums = _common_denominator(terms)
+    return _divide_out(sum(nums[1:], nums[0]), factors, degree if degree is not None else 0)

@@ -11,11 +11,15 @@ generate everything; products, pullbacks along subdivisions, pushforwards and
 the localization degree are all exact.
 """
 
+from fractions import Fraction
+from math import lcm
+
 from .errors import FaceMismatch, NotARay, NotProper, NotRegular
-from .polyring import (HomogPoly, Piecewise, RatFun, _graded_polys, _memo,
-                       gluing_kernel, ratfun_sum_to_poly)
+from .polyring import (HomogPoly, Piecewise, RatFun, _common_denominator,
+                       _divide_out, _graded_polys, _memo, gluing_kernel,
+                       ratfun_sum_to_poly)
 from .polyhedra import Cone, _facets_paired, cone_over, recession_fan
-from .qlinalg import mat, mat_inverse, primitive, solve, transpose, vec
+from .qlinalg import RowEchelon, mat, mat_inverse, primitive, transpose, vec
 
 
 class PPFunction(Piecewise):
@@ -101,17 +105,19 @@ def phi_ray(fan, ray):
     """The canonical degree-one generator attached to a ray of a regular fan."""
     if not fan.is_regular():
         raise NotRegular("phi generators need a regular fan")
-    v = _ray_vector(fan, ray)
+    return PPFunction._of(fan, 1, _phi_ray_pieces(fan, _ray_vector(fan, ray)))
+
+
+@_memo
+def _phi_ray_pieces(fan, v):
+    """The pieces of phi_ray on the primitive ray v, which hold no reference
+    to the fan that keeps them; a v that is no ray of the fan raises on
+    every call."""
     if not any(c.dim == 1 and c.rays == (v,) for c in fan.cones):
         raise NotARay(f"{v} is not a ray of the fan")
-    pieces = []
-    for c in fan.max_cones():
-        # a cone of the fan contains one of its rays only as a ray of its own
-        if v in c.rays:
-            pieces.append(dual_forms(c, fan.rank)[c.rays.index(v)])
-        else:
-            pieces.append(HomogPoly.zero(fan.rank, 1))
-    return PPFunction._of(fan, 1, tuple(pieces))
+    # a cone of the fan contains one of its rays only as a ray of its own
+    return tuple(dual_forms(c, fan.rank)[c.rays.index(v)] if v in c.rays
+                 else HomogPoly.zero(fan.rank, 1) for c in fan.max_cones())
 
 
 def phi_cone(fan, cone):
@@ -133,19 +139,62 @@ def graded_basis(fan, k):
 
 
 def _system(basis, image):
-    """A basis of a linear map's domain and the matrix whose columns are the
-    coordinates of the basis images, as :func:`_preimage` solves it."""
-    return basis, transpose(mat([image(b) for b in basis]))
+    """A basis of a linear map's domain and one elimination of the m x n
+    matrix A whose columns are the coordinates of the basis images, as
+    :func:`_preimage` reads it: (basis, m, pivot rows, null rows).
+
+    The rows of a :class:`~ppchow.qlinalg.RowEchelon` of [A | I] are split
+    by their pivot.  A row with its pivot at a column c < n of A is kept as
+    (c, its entry there, its I-part); a row with its pivot in the I-block,
+    whose A-part is zero, as its I-part.  I-parts are (index, int) pairs of
+    their nonzero entries.
+    """
+    n, A = len(basis), transpose(mat([image(b) for b in basis]))
+    echelon = RowEchelon(row + tuple(int(i == j) for j in range(len(A)))
+                         for i, row in enumerate(A))
+    pivot_rows, null_rows = [], []
+    for row, c in zip(echelon.rows, echelon.pivots):
+        left = tuple((j, x) for j, x in enumerate(row[n:]) if x)
+        if c < n:
+            pivot_rows.append((c, row[c], left))
+        else:
+            null_rows.append(left)
+    return basis, len(A), tuple(pivot_rows), tuple(null_rows)
 
 
 def _preimage(system, target):
     """(the system's basis, coefficients on it of one preimage of ``target``,
     or None): ``solve``'s solution, free variables zero.  The one solver of
-    coefficients on a basis, for cycles and the transfers alike."""
-    basis, A = system
+    coefficients on a basis, for cycles and the transfers alike.
+
+    Each row of the elimination of [A | I] is [e A | e] for a row e of an
+    invertible E: there are m rows, independent, in the row space of
+    [A | I].  So A x = b iff (e A) x = e . b for every row.  A null row has
+    e A = 0 and asks e . b = 0.  A pivot row's e A is zero at every other
+    pivot column of A and nonzero at its own, c, so with the free variables
+    zero it reads (e A)_c x_c = e . b, which fixes x_c.  The pivot columns
+    span the column space of A, so a consistent target has a solution with
+    the free variables zero, and only one, as they are independent.  Hence
+    the target has a preimage iff every null row vanishes on it, and the
+    pivot rows give the one ``solve`` returns, which also sets the free
+    variables to zero.  The target is scaled to integers by the lcm d of
+    its denominators, so a solve is integer dot products and one division
+    per pivot.
+    """
+    basis, m, pivot_rows, null_rows = system
     if not basis:
         return basis, None if any(x != 0 for x in target) else ()
-    return basis, solve(A, target)
+    target = vec(target)
+    if len(target) != m:
+        raise ValueError("dimension mismatch between matrix and right-hand side")
+    d = lcm(*[x.denominator for x in target])
+    b = [x.numerator * (d // x.denominator) for x in target]
+    if any(sum(x * b[j] for j, x in row) for row in null_rows):
+        return basis, None
+    sol = [Fraction(0)] * len(basis)
+    for c, r, row in pivot_rows:
+        sol[c] = Fraction(sum(x * b[j] for j, x in row), d * r)
+    return basis, tuple(sol)
 
 
 def pullback(fan_map, f):
@@ -163,7 +212,10 @@ def pushforward(fan_map, f):
     (prod of sigma's dual forms) * sum over maximal source cones inside sigma
     of piece / (prod of the source cone's dual forms), summed exactly; a
     nonzero remainder in the division means the map was not a subdivision.
-    A target cone that the map does not split keeps its one piece.
+    The denominators and their lcm do not depend on f, so each split cone
+    keeps them, with the numerator of each term but f's piece, on the map
+    (:func:`_localization`).  A target cone that the map does not split
+    keeps its one piece.
     Properness (equal supports) is certified on each target cone by pairing
     the facets of the source cones inside it (:func:`_facets_paired`), kept
     on the map, failing or not.
@@ -173,12 +225,11 @@ def pushforward(fan_map, f):
         raise ValueError("function does not live on the map's source")
     if not (src.is_regular() and tgt.is_regular()):
         raise NotRegular("pushforward needs regular fans")
-    rank_ = tgt.rank
     pieces = []
     for t, tmax in enumerate(tgt.maximal):
         sigma = tgt.cones[tmax]
         # refuses a cone that is not full-dimensional, as the certificate needs
-        numf = dual_forms(sigma, rank_)
+        dual_forms(sigma, tgt.rank)
         inside = _covering(fan_map, t)
         if inside is None:
             raise NotProper(f"source cones do not cover target cone {sigma!r}")
@@ -186,13 +237,10 @@ def pushforward(fan_map, f):
             # sigma is not split: its term f_s * prod phi_sigma / prod phi_sigma is f_s
             pieces.append(f.pieces[inside[0]])
             continue
-        terms = []
-        for s in inside:
-            num = f.pieces[s]
-            for form in numf:
-                num = num * form
-            terms.append(RatFun(num, dual_forms(src.cones[src.maximal[s]], rank_)))
-        pieces.append(ratfun_sum_to_poly(terms, dim=rank_, degree=f.degree))
+        factors, multipliers = _localization(fan_map, t)
+        total = sum((f.pieces[s] * mult for s, mult in zip(inside, multipliers)),
+                    HomogPoly.zero(tgt.rank, f.degree))
+        pieces.append(_divide_out(total, factors, f.degree))
     return PPFunction._of(tgt, f.degree, tuple(pieces))
 
 
@@ -205,6 +253,23 @@ def _covering(fan_map, t):
     covers = _facets_paired([src.cones[src.maximal[s]] for s in inside], tgt.rank,
                             tgt.cones[tgt.maximal[t]])
     return inside if covers else None
+
+
+@_memo
+def _localization(fan_map, t):
+    """The part of the localization sum on the t-th maximal target cone
+    sigma that does not depend on the function pushed: (the lcm of the
+    denominators of the source cones inside sigma, as (linear form,
+    multiplicity) pairs; per source cone s, in the order of
+    :func:`_covering`, the multiplier M_s = prod phi_sigma * lcm / prod
+    phi_s).  The pushed piece is sum f_s M_s divided by the lcm.  Ints and
+    polynomials only, with no reference to the map that keeps them."""
+    src, tgt = fan_map.source, fan_map.target
+    num = HomogPoly.constant(tgt.rank, 1)
+    for form in dual_forms(tgt.cones[tgt.maximal[t]], tgt.rank):
+        num = num * form
+    return _common_denominator([RatFun(num, dual_forms(src.cones[src.maximal[s]], tgt.rank))
+                                for s in _covering(fan_map, t)])
 
 
 def equivariant_degree(fan, f):

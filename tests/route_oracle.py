@@ -113,6 +113,16 @@ these replaced: ``check_covers_by_volume``, which compares truncated volumes
 through ``fraction_det``, ``is_face_of`` by dot products with the facets,
 and ``_cone_over_rays``, the key of the cone over a cell from its
 generators.
+
+ppchow eliminates each transfer system once, as [A | I], and reads every
+solve off that elimination; and it keeps, per fan map and split target
+cone, the lcm of the localization denominators and each source cone's
+multiplier, so a pushforward multiplies, adds and divides.  The
+fourteenth group is the route the second replaced: ``ratfun_pushforward``,
+which multiplies sigma's dual forms into each piece, canonicalizes every
+source cone's denominators into a ``RatFun`` and takes the lcm on every
+call.  The route the first replaced is ``qlinalg.solve`` on the system's
+matrix, which the tests call as it is.
 """
 
 import itertools
@@ -1535,6 +1545,41 @@ def affine_offending_pair(a):
         if not equal_on_span(a.cell_polys[i], a.cell_polys[j], dirspan):
             return (i, j, Polyhedron(pc.rank, *meet))
     return None
+
+
+# ---------------------------------------------------------------------------
+# the localization sum of a split cone, built per call
+# ---------------------------------------------------------------------------
+
+
+def ratfun_pushforward(fan_map, f):
+    """Pushforward with the localization sum of each split target cone built
+    on every call, as ``RatFun`` terms summed by ``ratfun_sum_to_poly``; a
+    cone the map does not split keeps its piece."""
+    src, tgt = fan_map.source, fan_map.target
+    if not f.fan.same_as(src):
+        raise ValueError("function does not live on the map's source")
+    if not (src.is_regular() and tgt.is_regular()):
+        raise NotRegular("pushforward needs regular fans")
+    rank_ = tgt.rank
+    pieces = []
+    for t, tmax in enumerate(tgt.maximal):
+        sigma = tgt.cones[tmax]
+        numf = ppfan.dual_forms(sigma, rank_)
+        inside = ppfan._covering(fan_map, t)
+        if inside is None:
+            raise NotProper(f"source cones do not cover target cone {sigma!r}")
+        if len(inside) == 1 and src.cones[src.maximal[inside[0]]].rays == sigma.rays:
+            pieces.append(f.pieces[inside[0]])
+            continue
+        terms = []
+        for s in inside:
+            num = f.pieces[s]
+            for form in numf:
+                num = num * form
+            terms.append(RatFun(num, ppfan.dual_forms(src.cones[src.maximal[s]], rank_)))
+        pieces.append(ratfun_sum_to_poly(terms, dim=rank_, degree=f.degree))
+    return ppfan.PPFunction(tgt, f.degree, pieces, validate=False)
 
 
 # ---------------------------------------------------------------------------

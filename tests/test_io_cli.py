@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 from fractions import Fraction as Q
 
@@ -453,12 +454,66 @@ def test_validate_refuses_a_reference_that_is_not_a_path(tmp_path, capsys, data,
      "InputError: malformed cycle file: by its keys it is of kind complex"),
     (["degree", "--chain", "{chain}", "--cycle", "{chain}"],
      "InputError: malformed cycle file: by its keys it is of kind tower"),
+    # a piecewise file whose "complex" names another model than the command's
+    (["ddc", "--complex", "{f2}", "--tuple", "{tuple_on_f5}"],
+     "InputError: malformed vertex_tuple file: it names the complex {f5}, "
+     "not the one the command reads"),
+    (["push", "--source", "{f5}", "--target", "{f2}", "--affine", "{affine_on_f2}"],
+     "InputError: malformed affine file: it names the complex {f2}, "
+     "not the one the command reads"),
+    (["degree", "--complex", "{f2}", "--pp", "{pp_on_f1}"],
+     "InputError: malformed pp file: it names the complex {f1}, not the one the command reads"),
 ])
 def test_cli_bad_arguments_exit_2(workdir, capsys, argv, message):
     wide = workdir["tmp"] / "wide.json"    # a cycle with rays of length 2 on a rank-1 chain
     wide.write_text(json.dumps({"codim": 1, "terms": [{"cone": [["1", "0"]], "coeff": "1"}]}))
-    assert main([a.format(wide=wide, **workdir) for a in argv]) == 2
+    named = {"wide": wide}
+    for name, on, key in (("tuple_on_f5", "f5", "vertices"), ("affine_on_f2", "f2", "cells"),
+                          ("pp_on_f1", "f1", "pieces")):
+        named[name] = workdir["tmp"] / f"{name}.json"
+        named[name].write_text(json.dumps({"complex": workdir[on], "degree": 0, key: []}))
+    assert main([a.format(**named, **workdir) for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     error = json.loads(captured.err)["input_error"]
-    assert error.startswith("InputError: ") and message in error
+    assert error.startswith("InputError: ") and message.format(**workdir) in error
+
+
+def test_a_file_naming_the_command_model_is_read_on_it(workdir, capsys):
+    """A piecewise file that names the command's complex, by another path or
+    as a copy of the same model, or names none, is read on it; one that
+    names a file that is missing is refused."""
+    copy = workdir["tmp"] / "copy_of_f2.json"
+    copy.write_text(pathlib.Path(workdir["f2"]).read_text())
+    outputs = []
+    for ref in (workdir["f2"], "f2.json", str(copy), None):
+        path = workdir["tmp"] / "zero_tuple.json"
+        path.write_text(json.dumps({"degree": 0, "vertices": []} if ref is None else
+                                   {"complex": ref, "degree": 0, "vertices": []}))
+        assert main(["ddc", "--complex", workdir["f2"], "--tuple", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert len(set(outputs)) == 1
+    path.write_text(json.dumps({"complex": "missing.json", "degree": 0, "vertices": []}))
+    assert main(["ddc", "--complex", workdir["f2"], "--tuple", str(path)]) == 2
+    assert json.loads(capsys.readouterr().err)["input_error"].startswith("FileNotFoundError: ")
+
+
+def test_each_file_is_parsed_once_per_command(workdir, capsys, monkeypatch):
+    """validate parses each file it is given once, and reads a complex that
+    several files name once; so does a command whose complex a file names."""
+    files = []
+    for name, key in (("affine_zero", "cells"), ("tuple_zero", "vertices")):
+        files.append(workdir["tmp"] / f"{name}.json")
+        files[-1].write_text(json.dumps({"complex": workdir["f2"], "degree": 0, key: []}))
+    chain = workdir["tmp"] / "chain_f1_f2.json"
+    chain.write_text(json.dumps({"models": [{"complex": workdir["f1"]},
+                                            {"complex": workdir["f2"]}]}))
+    parsed, load = [], pio.load_json
+    monkeypatch.setattr(pio, "load_json", lambda path: parsed.append(path) or load(path))
+    for argv in (["validate", workdir["f2"], *map(str, files), str(chain)],
+                 ["validate", *map(str, files), str(chain), workdir["f2"], workdir["f1"]],
+                 ["ddc", "--complex", workdir["f2"], "--tuple", str(files[1])]):
+        parsed.clear()
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(parsed) == len(set(map(os.path.realpath, parsed)))

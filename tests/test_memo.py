@@ -28,6 +28,8 @@ def _routines():
     m = refines(f5, f2)
     fan = cone_over(f5).fan
     zero = (Q(0),)
+    split = next(t for t in range(len(m.fan_map.target.maximal))
+                 if m.fan_map.max_map.count(t) > 1)
     return [
         ("cone_over", lambda: cone_over(f5)),
         ("recession_fan", lambda: recession_fan(f5)),
@@ -43,6 +45,8 @@ def _routines():
         ("bounded_edges", lambda: f5.bounded_edges),
         ("dual_forms", lambda: ppfan.dual_forms(fan.cones[fan.maximal[0]], 2)),
         ("covering", lambda: ppfan._covering(m.fan_map, 0)),
+        ("localization", lambda: ppfan._localization(m.fan_map, split)),
+        ("phi_ray_pieces", lambda: ppfan._phi_ray_pieces(fan, ppfan._ray_vector(fan, (0, 1)))),
         ("table", lambda: specialfiber._table(f5)),
         ("zeros", lambda: specialfiber._table(f5).zeros(1)),
         ("sides", lambda: specialfiber._table(f5).sides()),
@@ -53,6 +57,7 @@ def _routines():
         ("slice_system", lambda: specialfiber._slice_system(f5, 1)),
         ("expand_system", lambda: specialfiber._expand_system(f5, 2)),
         ("generator", lambda: cycles._generator(fan, fan.cones[fan.maximal[0]].rays)),
+        ("cone_system", lambda: cycles._cone_system(fan, 1)),
     ]
 
 
