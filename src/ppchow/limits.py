@@ -28,29 +28,35 @@ closed-form action read the maps from the same row.
 
 Inverse limits are truncations: an explicit chain of models with a value on
 each from the tower's first position on.  The tower's constructor checks
-that it has exactly those values and that they are compatible, so every
-tower is checked once, when it is made.  One routine builds every derived
-tower by computing its values in chain order.  Stabilization detection is
-always chain-relative: a tower counts as stabilized at the earliest model
-whose transfer system reproduces every later value, with at least one later
-value to confirm.
+that it has exactly those values, each on its model, and that they are
+compatible, so every tower is checked once, when it is made.  The check
+reads the pushforward on coordinates: a value is solved on its model's
+basis and its coefficients combine the columns of the pushforward, the
+images of the basis elements under ``beta``'s lift and push, ``alpha`` or
+``pushforward``, each built the first time a value needs it and kept on the
+model map.  Those per-call maps stay the public transfers.  One routine
+builds every derived tower by computing its values in chain order.
+Stabilization detection is always chain-relative: a tower counts as
+stabilized at the earliest model whose transfer system reproduces every
+later value, with at least one later value to confirm.
 """
 
 import operator
 from collections import namedtuple
+from math import lcm
 
-from .errors import (CompatibilityViolation, InputError, NotALifting,
-                     NotARefinement, NotStabilized)
+from .errors import (CompatibilityViolation, InputError, InternalIdentityError,
+                     NotALifting, NotARefinement, NotStabilized)
 from .cycles import closure_class
 from .polyhedra import common_refinement, cone_over, recession_fan, refines
-from .polyring import HomogPoly
-from .ppfan import (PPFunction, equivariant_degree, pullback, pushforward,
-                    restrict_to_height_zero, zero_pp)
+from .polyring import HomogPoly, _memo
+from .ppfan import (PPFunction, _preimage, _system, equivariant_degree, graded_basis,
+                    pullback, pushforward, restrict_to_height_zero, zero_pp)
 from .qlinalg import mat, solve, vec
-from .specialfiber import (AffinePP, FormModDdbar, VertexTuple, alpha, beta,
-                           cap_fundamental, class_equal, ddc_model, dim_affine_pp,
-                           from_vertex_tuple, iota_upper, pullback_special,
-                           to_vertex_tuple, vertex_layer_basis,
+from .specialfiber import (AffinePP, FormModDdbar, VertexTuple, _gamma_span,
+                           _slice_system, alpha, cap_fundamental, class_equal,
+                           ddc_model, dim_affine_pp, from_vertex_tuple, iota_upper,
+                           pullback_special, to_vertex_tuple, vertex_layer_basis,
                            vertical_decompose, zero_vertex_tuple, zeta)
 
 
@@ -102,18 +108,26 @@ def common_model(pc1, pc2):
     return cr, refines(cr, pc1), refines(cr, pc2)
 
 
-# What a flavor decides: the name and map that push a tower value to the
-# coarser model, the map that pulls a value to the finer model, equality of
-# values, the zero value, the representative of a direct-limit class, the
-# value a direct-limit class acts by after pullback along a model map, and
-# the vertex tuple whose degree is a value's (None: no degree is defined).
-# The lambdas look the maps up when called, so a rebound module name is seen
-# through the table too.
-_Flavor = namedtuple("_Flavor", "pushforward push pull equal zero rep acting vertex_tuple")
+# What a flavor decides: the domain of a model's values; the name of the map
+# that pushes a tower value to the coarser model; the coordinate system of a
+# model's values in a degree (a ppfan ``_system``, whose basis the check
+# solves values on), the image of one of its basis elements under the
+# pushforward along a model map, and whether coordinates of a degree on a
+# model are those of zero (for "tilde", of a gamma image); the map that pulls
+# a value to the finer model, equality of values, the zero value, the
+# representative of a direct-limit class, the value a direct-limit class acts
+# by after pullback along a model map, and the vertex tuple whose degree is a
+# value's (None: no degree is defined).  The lambdas look the maps up when
+# called, so a rebound module name is seen through the table too.
+_Flavor = namedtuple("_Flavor", "domain pushforward system column vanishes pull equal zero "
+                                "rep acting vertex_tuple")
 
 _FLAVORS = {
-    "closed": _Flavor(pushforward="pushforward",
-                      push=lambda m, a: beta(m, a),
+    "closed": _Flavor(domain=lambda pc: pc,
+                      pushforward="pushforward",
+                      system=lambda pc, k: _slice_system(pc, k),
+                      column=lambda m, b: iota_upper(m.target, pushforward(m.fan_map, b)),
+                      vanishes=lambda pc, k, v: not any(v),
                       pull=lambda m, a: pullback_special(m, a),
                       equal=operator.eq,
                       zero=lambda pc, k: AffinePP._of(
@@ -121,16 +135,22 @@ _FLAVORS = {
                       rep=operator.attrgetter("form"),
                       acting=lambda m, c: pullback_special(m, c.form),
                       vertex_tuple=lambda a: cap_fundamental(a)),
-    "tilde": _Flavor(pushforward="vertex pushforward",
-                     push=lambda m, t: alpha(m, t),
+    "tilde": _Flavor(domain=lambda pc: pc,
+                     pushforward="vertex pushforward",
+                     system=lambda pc, k: _vertex_system(pc, k),
+                     column=lambda m, b: alpha(m, b),
+                     vanishes=lambda pc, k, v: not any(v) or _gamma_span(pc, k).contains(v),
                      pull=lambda m, t: zeta(m, t),
                      equal=lambda s, t: class_equal(s, t),
                      zero=lambda pc, k: zero_vertex_tuple(pc, k),
                      rep=operator.attrgetter("tuple"),
                      acting=lambda m, c: to_vertex_tuple(pullback_special(m, c.form)),
                      vertex_tuple=lambda t: t),
-    "pp": _Flavor(pushforward="model pushforward",
-                  push=lambda m, f: pushforward(m.fan_map, f),
+    "pp": _Flavor(domain=lambda pc: cone_over(pc).fan,
+                  pushforward="model pushforward",
+                  system=lambda pc, k: _pp_system(pc, k),
+                  column=lambda m, b: pushforward(m.fan_map, b),
+                  vanishes=lambda pc, k, v: not any(v),
                   pull=lambda m, f: pullback(m.fan_map, f),
                   equal=operator.eq,
                   zero=lambda pc, k: zero_pp(cone_over(pc).fan, k),
@@ -204,9 +224,10 @@ class CurrentTower:
     ``_FLAVORS`` that gives the values' pushforward and equality.  Affine-PP
     values make a "closed" tower, vertex tuples (modulo gamma images) a
     "tilde" one and PP classes on the cones over the models a "pp" one.  The
-    constructor refuses values at other positions or of no one carrier
-    (:class:`InputError`) and checks the values compatible
-    (:class:`CompatibilityViolation`).
+    constructor refuses values at other positions, of no one carrier or off
+    their chain models (:class:`InputError`) and checks the values
+    compatible (:class:`CompatibilityViolation`), on the coordinates of
+    each value on its model's basis (:meth:`check_compat`).
     """
 
     __slots__ = ("chain", "flavor", "start", "_values")
@@ -225,6 +246,9 @@ class CurrentTower:
             raise InputError("tower values must be all AffinePP, all VertexTuple or all "
                              f"PPFunction, got {sorted(k.__name__ for k in kinds)}")
         self.flavor = _CARRIERS[kinds.pop()]
+        domain = _FLAVORS[self.flavor].domain
+        if not all(v.domain.same_as(domain(chain.models[i])) for i, v in self._values.items()):
+            raise InputError("tower values must live on their chain models")
         self.check_compat()
 
     def indices(self):
@@ -243,15 +267,83 @@ class CurrentTower:
         return self
 
     def check_compat(self):
-        """Exact compatibility on every consecutive pair of values."""
+        """Exact compatibility on every consecutive pair of values, read on
+        coordinates (:func:`_pushes_to`).
+
+        The flavor's pushforward P from model i+1 to model i is linear.  Its
+        per-call map solves value i+1 on a basis b of its model's coordinate
+        system, value = sum c_j b_j (for "closed" the basis is the graded
+        basis on the cone over the model and the value is the slice of that
+        sum, as ``beta`` lifts it), and pushes the sum.  So the pushed value
+        is sum c_j P(b_j), and its coordinates are that combination of the
+        columns, the coordinates of the P(b_j) that the per-call maps give
+        (:func:`_column`).  A zero c_j adds nothing, so only the columns of
+        nonzero coefficients are read, and each is built once per map.  Two
+        values are equal when their coordinates are, and two vertex tuples
+        are equal classes when the coordinates of their difference lie in
+        the span of the gamma image; so agreement on coordinates is
+        agreement of values, and each verdict is the per-call route's.  The
+        zero of a degree is the zero of every degree, so a pushed value and
+        a value of two degrees agree when both are zero, as classes for
+        "tilde".
+        """
         ops = _FLAVORS[self.flavor]
         for i in range(self.start, len(self.chain) - 1):
-            pushed = ops.push(self.chain.maps[i], self.value(i + 1))
-            if not ops.equal(pushed, self.value(i)):
+            if not _pushes_to(self.flavor, self.chain.maps[i], self.value(i + 1), self.value(i)):
                 raise CompatibilityViolation(
                     f"{ops.pushforward} from model {i + 1} to {i} mismatches",
                     witness=(i, i + 1))
         return True
+
+
+def _pushes_to(flavor, m, fine, coarse):
+    """Whether the flavor's pushforward along the model map ``m`` takes the
+    value ``fine`` to ``coarse``, on integer coordinates: value i+1 solved on
+    its model's basis, the columns of its nonzero coefficients combined over
+    one denominator, and the result compared with the coordinates of value
+    i scaled by theirs."""
+    ops = _FLAVORS[flavor]
+    k = fine.degree
+    _, coeffs = _preimage(ops.system(m.source, k), fine.coords())
+    if coeffs is None:
+        raise InternalIdentityError(f"a {flavor} value has no coordinates on its model's basis")
+    terms = [(c / d, col) for j, c in enumerate(coeffs) if c
+             for d, col in (_column(m, flavor, k, j),)]
+    den = lcm(*[q.denominator for q, _ in terms])
+    weights = [q.numerator * (den // q.denominator) for q, _ in terms]
+    pushed = [sum(map(operator.mul, weights, row)) for row in zip(*[col for _, col in terms])]
+    x = coarse.coords()
+    scale = lcm(*[v.denominator for v in x])
+    x = [v.numerator * (scale // v.denominator) for v in x]
+    if coarse.degree != k:
+        return ops.vanishes(m.target, k, pushed) and ops.vanishes(m.target, coarse.degree, x)
+    return ops.vanishes(m.target, k, [p * scale - v * den
+                                      for p, v in zip(pushed or [0] * len(x), x)])
+
+
+@_memo
+def _column(m, flavor, k, j):
+    """The coordinates of the flavor's per-call pushforward along the model
+    map ``m`` of basis element j of its source's degree-k coordinate system:
+    (d, the coordinates times d as ints), d the lcm of their denominators,
+    with no reference to the map that keeps them."""
+    ops = _FLAVORS[flavor]
+    image = ops.column(m, ops.system(m.source, k)[0][j]).coords()
+    d = lcm(*[x.denominator for x in image])
+    return d, tuple(x.numerator * (d // x.denominator) for x in image)
+
+
+@_memo
+def _vertex_system(pc, k):
+    """The coordinates of degree-k vertex tuples on the vertex layer basis."""
+    return _system(vertex_layer_basis(pc, k), VertexTuple.coords)
+
+
+@_memo
+def _pp_system(pc, k):
+    """The coordinates of degree-k PP classes on the cone over the model on
+    its graded basis."""
+    return _system(graded_basis(cone_over(pc).fan, k), PPFunction.coords)
 
 
 def _tower(chain, value, start=0):

@@ -546,9 +546,11 @@ def homology_presentation(pc, k):
 
 def class_equal(s, t):
     """Equality of the homology classes of two vertex tuples of one model and
-    degree: their difference lies in the image of gamma."""
-    diff = (s - t).coords()
-    return not any(diff) or _gamma_span(s.complex, s.degree).contains(diff)
+    degree, or of a tuple and a zero: their difference lies in the image of
+    gamma in its own degree."""
+    diff = s - t
+    coords = diff.coords()
+    return not any(coords) or _gamma_span(diff.complex, diff.degree).contains(coords)
 
 
 def ker_coker_report(pc, k):

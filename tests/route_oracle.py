@@ -22,15 +22,16 @@ multiplies vertex tuples entry by entry, as each carrier used to.
 
 Every limit group is one row of the flavor table in ``limits``, read by one
 tower class, one module action and one common-model helper.  The fourth
-group is the routes each group had of its own: the compatibility loop of the
-old ``LimitTower``, the pullback loops of ``module_action`` and of the old
-``module_product_form``, the five direct-limit comparisons and products,
-and the quotient projection that ``eigen_divisor`` and ``horizontal_star``
-each carried, with the two-branch ``eigen_divisor``.  ppchow writes the
-Green identity once, as the tower dd^c g + delta of ``ddc_plus_delta``, and
-tests it and every stabilization with one pullback-system predicate; the
-group also keeps the old ``tower_stabilization`` loop and theta's
-certificate loop, model by model.
+group is the routes each group had of its own: the compatibility loop that
+pushed every tower value down by its flavor's per-call map (for "pp" the
+loop of the old ``LimitTower``), the pullback loops of ``module_action``
+and of the old ``module_product_form``, the five direct-limit comparisons
+and products, and the quotient projection that ``eigen_divisor`` and
+``horizontal_star`` each carried, with the two-branch ``eigen_divisor``.
+ppchow writes the Green identity once, as the tower dd^c g + delta of
+``ddc_plus_delta``, and tests it and every stabilization with one
+pullback-system predicate; the group also keeps the old
+``tower_stabilization`` loop and theta's certificate loop, model by model.
 
 ppchow validates a complex or fan on pairs of maximal members, most of them
 certified by a separating facet, reads the maximal members off the face
@@ -451,16 +452,25 @@ def vertex_product(s, t):
 # ---------------------------------------------------------------------------
 
 
-def limit_tower_compat(chain, values, start=0):
-    """The compatibility loop of the old LimitTower: push each value down by
-    ``pushforward`` and compare by ``==``."""
-    for i in range(start, len(chain)):
-        if i + 1 >= len(chain):
-            break
-        m = chain.maps[i]
-        if ppfan.pushforward(m.fan_map, values[i + 1]) != values[i]:
-            raise CompatibilityViolation(
-                f"model pushforward from {i + 1} to {i} mismatches", witness=(i, i + 1))
+# each flavor's name for its pushforward, the per-call map and equality of values
+_PUSH_EQUAL = {
+    "closed": ("pushforward", lambda m, a: specialfiber.beta(m, a), lambda a, b: a == b),
+    "tilde": ("vertex pushforward", lambda m, t: specialfiber.alpha(m, t),
+              lambda s, t: specialfiber.class_equal(s, t)),
+    "pp": ("model pushforward", lambda m, f: ppfan.pushforward(m.fan_map, f),
+           lambda a, b: a == b),
+}
+
+
+def tower_compat(chain, flavor, values, start=0):
+    """The compatibility loop the towers ran before they read the transfers
+    off columns: push each value down by its flavor's per-call map and
+    compare with the value below (the old ``LimitTower`` loop for "pp")."""
+    name, push, equal = _PUSH_EQUAL[flavor]
+    for i in range(start, len(chain) - 1):
+        if not equal(push(chain.maps[i], values[i + 1]), values[i]):
+            raise CompatibilityViolation(f"{name} from model {i + 1} to {i} mismatches",
+                                         witness=(i, i + 1))
     return True
 
 
@@ -515,7 +525,7 @@ def module_action(c, T):
     for i in T.indices():
         m = chain.map_between(i, idx)
         vals[i] = ppfan.pullback(m.fan_map, c.pp) * T.value(i)
-    limit_tower_compat(chain, vals, T.start)
+    tower_compat(chain, "pp", vals, T.start)
     return vals
 
 

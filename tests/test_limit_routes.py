@@ -62,7 +62,7 @@ def test_limit_tower_accepts_and_rejects_like_the_old_loop(name):
     for vals in towers:
         for start in range(len(chain)):
             part = {i: v for i, v in vals.items() if i >= start}
-            assert route_oracle.limit_tower_compat(chain, part, start)
+            assert route_oracle.tower_compat(chain, "pp", part, start)
             T = LimitTower(chain, part, start=start)
             assert T.flavor == "pp" and isinstance(T, CurrentTower)
             assert [T.value(i) for i in T.indices()] == [part[i] for i in T.indices()]
@@ -70,7 +70,7 @@ def test_limit_tower_accepts_and_rejects_like_the_old_loop(name):
         for bad in range(len(chain)):
             wrong = {**vals, bad: vals[bad].scale(2)}
             with pytest.raises(CompatibilityViolation) as old:
-                route_oracle.limit_tower_compat(chain, wrong)
+                route_oracle.tower_compat(chain, "pp", wrong)
             with pytest.raises(CompatibilityViolation) as new:
                 LimitTower(chain, wrong)
             assert new.value.witness == old.value.witness == (max(bad - 1, 0), max(bad, 1))

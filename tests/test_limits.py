@@ -93,10 +93,12 @@ def test_tower_constructor_refuses_values_off_its_positions():
     d = delta_current(chain, PLUS)
     vals = {i: d.value(i) for i in d.indices()}
     # one value on a three-model chain, an extra position, a start past the end,
-    # values of two carriers, and values of none
+    # values of two carriers, values of none, and values off their models, a
+    # lone one included
     for values, start in (({0: vals[0]}, 0), ({**vals, 5: vals[2]}, 0), (vals, 3),
                           ({**vals, 1: to_vertex_tuple(vals[1])}, 0),
-                          ({i: ClosedForm(chain.models[i], v) for i, v in vals.items()}, 0)):
+                          ({i: ClosedForm(chain.models[i], v) for i, v in vals.items()}, 0),
+                          ({**vals, 0: vals[1], 1: vals[0]}, 0), ({2: vals[1]}, 2)):
         with pytest.raises(InputError):
             CurrentTower(chain, values=values, start=start)
     # a limit tower is a "pp" tower: the affine values of delta are refused

@@ -13,7 +13,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from ppchow import cycles, polyring, ppfan, specialfiber
+from ppchow import cycles, limits, polyring, ppfan, specialfiber
 from ppchow.errors import IncompleteInput, NotARefinement
 from ppchow.fixtures import f2_complex, f3_complex, f5_complex, f6_complex
 from ppchow.polyhedra import (Cone, Fan, FanMap, ModelMap, build_complex, cone_over,
@@ -58,6 +58,11 @@ def _routines():
         ("expand_system", lambda: specialfiber._expand_system(f5, 2)),
         ("generator", lambda: cycles._generator(fan, fan.cones[fan.maximal[0]].rays)),
         ("cone_system", lambda: cycles._cone_system(fan, 1)),
+        ("vertex_system", lambda: limits._vertex_system(f5, 1)),
+        ("pp_system", lambda: limits._pp_system(f5, 1)),
+        ("column closed", lambda: limits._column(m, "closed", 1, 0)),
+        ("column tilde", lambda: limits._column(m, "tilde", 1, 0)),
+        ("column pp", lambda: limits._column(m, "pp", 2, 1)),
     ]
 
 
