@@ -19,7 +19,8 @@ unrelated complexes meet in new polyhedra), and in the check suite's grid
 oracle, which must share no code with the bases.  Each polyhedron keeps the
 mask of its generators on each facet, so faces, cones over cells, chart
 cones and recession cones are read off the parent's facets and the face
-lattice; generators span a face when the facets holding them cut out just
+lattice, and build their H-descriptions only when these are first read;
+generators span a face when the facets holding them cut out just
 them, and one facet-pairing test, :func:`_facets_paired`, decides both
 completeness and a pushforward's properness.  Validation tests pairs of
 maximal cells only, which proves every pair of cells meets in a common face;
@@ -177,24 +178,35 @@ def _vrep_from_hrep(dim, eqs, ineqs):
     return tuple(sorted(verts)), tuple(sorted(rays_out))
 
 
+def _check_length(kind, g, n):
+    if len(g) != n:
+        raise ValueError(f"{kind} ({', '.join(map(str, g))}) has length {len(g)} "
+                         f"but dim_ambient is {n}")
+
+
 class Polyhedron:
     """A pointed rational polyhedron conv(vertices) + cone(rays).
 
-    Construction canonicalizes the generators to the extreme ones and
-    precomputes an exact H-description, with ``_on`` parallel to ``ineqs``:
-    each facet's mask of generators, vertices first.  Raises :class:`NonSCR`
-    for inputs with no vertex or with a lineality direction.  ``_cache``
-    holds data derived from the polyhedron, such as a cone's dual forms.
+    Construction canonicalizes the generators to the extreme ones and finds
+    an exact H-description on the way: ``eqs``, and ``ineqs`` with ``_on``
+    parallel to it, each facet's mask of generators, vertices first.  Raises
+    :class:`NonSCR` for inputs with no vertex or with a lineality direction.
+    The face lattice reads ``_masks`` and ``_normals``, parallel to each
+    other: each facet's mask and a normal a with a.x <= c valid and tight
+    exactly on the facet (for a built polyhedron, ``_on`` and the normals of
+    ``ineqs``).  A polyhedron derived from another (:meth:`_derived`) keeps
+    only these, and builds its H-description when it is first read.
+    ``_cache`` holds data derived from the polyhedron, such as a cone's dual
+    forms.
     """
 
-    __slots__ = ("dim_ambient", "vertices", "rays", "eqs", "ineqs", "dim", "_on", "_cache")
+    __slots__ = ("dim_ambient", "vertices", "rays", "eqs", "ineqs", "dim", "_on",
+                 "_masks", "_normals", "_cache")
 
     def __init__(self, dim_ambient, vertices, rays=()):
         vertices, rays = [vec(v) for v in vertices], [vec(r) for r in rays]
         for kind, g in [("vertex", v) for v in vertices] + [("ray", r) for r in rays]:
-            if len(g) != dim_ambient:
-                raise ValueError(f"{kind} ({', '.join(map(str, g))}) has length {len(g)} "
-                                 f"but dim_ambient is {dim_ambient}")
+            _check_length(kind, g, dim_ambient)
         vertices = sorted(set(vertices))
         rays = sorted({primitive(r) for r in rays if not is_zero_vec(r)})
         if not vertices:
@@ -223,42 +235,69 @@ class Polyhedron:
             raise NonSCR("generators have no extreme point")
         self._on = tuple(sum(1 << i for i, g in enumerate(kept) if f >> g & 1)
                          for _, _, f in facets)
+        self._masks, self._normals = self._on, tuple(a for a, _ in ineqs)
         self.dim = dim_ambient - len(eqs)
         self._cache = {}
 
     @classmethod
-    def _derived(cls, dim_ambient, vertices, rays, facets):
-        """conv(vertices) + cone(rays), built from known facets.
+    def _derived(cls, dim_ambient, dim, vertices, rays, facets):
+        """conv(vertices) + cone(rays), of dimension ``dim``, built from
+        known facets.
 
         ``vertices`` and ``rays`` map bit positions to extreme generators,
         and ``facets`` holds one pair (a, on) per facet, ``on`` the bits of
         the generators on it and a.x <= c valid, with equality exactly on
-        the facet, for some c.  The equations are those :func:`_facets`
-        computes.  The projection u of a onto the direction space D agrees
-        with a on D, so u.x <= c' is valid with equality exactly on the
-        facet as well.  In D the normals of the facet's hyperplane form a
-        line, and validity fixes the sign, so u and the normal in D that
-        double description finds have one primitive vector.
+        the facet, for some c.  The pairs are kept as ``_normals`` and
+        ``_masks``, renumbered to the polyhedron's own bits; the
+        H-description waits for its first read (:meth:`__getattr__`).
         """
         order = sorted(vertices, key=vertices.get) + sorted(rays, key=rays.get)
         p = cls.__new__(cls)
-        p.dim_ambient = dim_ambient
+        p.dim_ambient, p.dim = dim_ambient, dim
         p.vertices = tuple(vertices[g] for g in order[:len(vertices)])
         p.rays = tuple(rays[g] for g in order[len(vertices):])
-        dir_basis = direction_space(p.vertices, p.rays)
-        p.eqs = _equations(dim_ambient, p.vertices, dir_basis)
-        p.dim = dim_ambient - len(p.eqs)
-        if p.eqs and facets:
-            gram_inv = mat_inverse([mat_vec(dir_basis, d) for d in dir_basis])
-            facets = [(mat_vec(transpose(dir_basis), mat_vec(gram_inv, mat_vec(dir_basis, a))),
-                       on) for a, on in facets]
-        facets = sorted((primitive(a), sum(1 << j for j, g in enumerate(order) if on >> g & 1))
-                        for a, on in facets)
-        # b at the facet's first generator, a vertex
-        p.ineqs = tuple((a, vdot(a, p.vertices[(on & -on).bit_length() - 1])) for a, on in facets)
-        p._on = tuple(on for _, on in facets)
+        p._normals = tuple(a for a, _ in facets)
+        p._masks = tuple(sum(1 << j for j, g in enumerate(order) if on >> g & 1)
+                         for _, on in facets)
         p._cache = {}
         return p
+
+    def __getattr__(self, name):
+        """``eqs``, ``ineqs`` and ``_on`` of a derived polyhedron, built on
+        first read from ``_normals`` and ``_masks`` and kept in their slots.
+
+        Python calls this only while the slot is unset, so a built
+        polyhedron, whose ``__init__`` sets the three, never gets here.  They
+        are kept in the slots rather than by :func:`~ppchow.polyring._memo`:
+        ``__init__`` finds them while it canonicalizes the generators, and
+        a memo would have it either write the cache, which only ``_memo``
+        does, or find them a second time.
+
+        The equations are those :func:`_facets` computes, none when the
+        polyhedron is full-dimensional.  The projection u of a normal a onto
+        the direction space D agrees with a on D, so u.x <= c' is valid with
+        equality exactly on the facet as well.  In D the normals of the
+        facet's hyperplane form a line, and validity fixes the sign, so u and
+        the normal in D that double description finds have one primitive
+        vector; the facets are sorted by it, as ``__init__`` sorts them.
+        """
+        if name not in ("eqs", "ineqs", "_on"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.eqs, facets = (), zip(self._normals, self._masks)
+        if self.dim < self.dim_ambient:
+            dir_basis = direction_space(self.vertices, self.rays)
+            self.eqs = _equations(self.dim_ambient, self.vertices, dir_basis)
+            if self._normals:
+                gram_inv = mat_inverse([mat_vec(dir_basis, d) for d in dir_basis])
+                facets = [(mat_vec(transpose(dir_basis),
+                                   mat_vec(gram_inv, mat_vec(dir_basis, a))), on)
+                          for a, on in facets]
+        facets = sorted((primitive(a), on) for a, on in facets)
+        # b at the facet's first generator, a vertex
+        self.ineqs = tuple((a, vdot(a, self.vertices[(on & -on).bit_length() - 1]))
+                           for a, on in facets)
+        self._on = tuple(on for _, on in facets)
+        return getattr(self, name)
 
     def key(self):
         return (self.vertices, self.rays)
@@ -271,11 +310,13 @@ class Polyhedron:
 
     def contains_point(self, x):
         x = vec(x)
+        _check_length("point", x, self.dim_ambient)
         return (all(sum(a[i] * x[i] for i in range(self.dim_ambient)) == bb for a, bb in self.eqs)
                 and all(sum(a[i] * x[i] for i in range(self.dim_ambient)) <= bb for a, bb in self.ineqs))
 
     def recession_contains(self, direction):
         n = self.dim_ambient
+        _check_length("direction", direction, n)
         return (all(sum(a[i] * direction[i] for i in range(n)) == 0 for a, _ in self.eqs)
                 and all(sum(a[i] * direction[i] for i in range(n)) <= 0 for a, _ in self.ineqs))
 
@@ -305,35 +346,40 @@ class Polyhedron:
         A face is spanned by the vertices and rays it contains, so these are
         the facets' canonical keys, known without building them.
         """
-        return [self._gens(on) for on in self._on]
+        return [self._gens(on) for on in self._masks]
 
     def _face(self, mask):
-        """The face whose generators have their bits set in ``mask``.
+        """The facet whose generators have their bits set in ``mask``.
 
         Its facets are the inclusion-maximal sets mask & on_k, over the
         facets k, that are not the whole mask and hold a vertex.  In the face
         lattice of a pointed polyhedron the faces of a face F are the sets
         F & G for faces G, each G an intersection of facets, and the facets
         of F are its maximal proper nonempty faces; a nonempty face has a
-        vertex.  On F, a_k.x <= b_k holds with equality exactly on F & G_k.
+        vertex.  A normal a_k kept for the facet G_k gives a_k.x <= b_k on
+        the polyhedron, so on F, with equality exactly where it holds on the
+        polyhedron, that is on F & G_k: a_k, unprojected, is a normal of the
+        facet F & G_k as :meth:`_derived` asks, and F has dimension one less.
         """
         nv = len(self.vertices)
         cands = {}
-        for (a, _), on in zip(self.ineqs, self._on):
+        for a, on in zip(self._normals, self._masks):
             if on & mask != mask and on & mask & ((1 << nv) - 1):
                 cands.setdefault(on & mask, a)
         facets = [(a, t) for t, a in cands.items()
                   if not any(t != u and t & u == t for u in cands)]
         gens = [(g, x) for g, x in enumerate(self.vertices + self.rays) if mask >> g & 1]
         nfv = (mask & ((1 << nv) - 1)).bit_count()
-        return type(self)._derived(self.dim_ambient, dict(gens[:nfv]), dict(gens[nfv:]), facets)
+        return type(self)._derived(self.dim_ambient, self.dim - 1, dict(gens[:nfv]),
+                                   dict(gens[nfv:]), facets)
 
     def faces(self, built=None):
         """All nonempty faces, this polyhedron included.
 
         ``built`` maps generator tuples (vertices, rays) to faces already
         built, for sharing the faces of the cells of one complex or the cones
-        of one fan; faces missing from it are built and added.
+        of one fan; faces missing from it are built and added.  Each facet's
+        key is looked up once, and the walk marks faces by identity.
         """
         built = {} if built is None else built
         built.setdefault((self.vertices, self.rays), self)
@@ -341,13 +387,15 @@ class Polyhedron:
         stack = [self]
         while stack:
             f = stack.pop()
-            if (f.vertices, f.rays) in seen:
+            if id(f) in seen:
                 continue
-            seen[f.vertices, f.rays] = f
-            for key, on in zip(f.facet_keys(), f._on):
-                if key not in built:
-                    built[key] = f._face(on)
-                stack.append(built[key])
+            seen[id(f)] = f
+            for on in f._masks:
+                key = f._gens(on)
+                face = built.get(key)
+                if face is None:
+                    face = built[key] = f._face(on)
+                stack.append(face)
         return sorted(seen.values(), key=lambda p: (p.dim, p.key()))
 
     def __repr__(self):
@@ -399,7 +447,7 @@ def _is_face(one, g):
     mask = (sum(1 << i for i, v in enumerate(one.vertices) if v in g[0])
             | sum(1 << nv + i for i, r in enumerate(one.rays) if r in g[1]))
     face = -1
-    for on in one._on:
+    for on in one._masks:
         if on & mask == mask:
             face &= on
     return one._gens(face) == g
@@ -651,13 +699,26 @@ class PolyComplex(_Closure):
         return cone_over(self).fan.is_regular()
 
     def find_cell(self, point):
-        """Smallest cell containing the point, or None."""
-        best = None
-        for c in self.cells:
-            if c.contains_point(point):
-                if best is None or c.dim < best.dim:
-                    best = c
-        return best
+        """Smallest cell containing the point, or None.
+
+        Every cell lies in a maximal one, so the point x lies in the support
+        exactly when some maximal cell P holds it.  The facets of P tight at
+        x cut out F, the smallest face of P holding x, spanned by the
+        generators under the AND of their masks.  A cell C holding x meets P
+        in a common face, which holds x and so contains F; F is then a face
+        of C & P, hence of C.  So F, a cell as the complex is face-closed,
+        is the one cell of least dimension holding x.
+        """
+        x = vec(point)
+        for i in self.maximal:
+            p = self.cells[i]
+            if p.contains_point(x):
+                face = -1
+                for (a, b), on in zip(p.ineqs, p._on):
+                    if vdot(a, x) == b:
+                        face &= on
+                return self.cells[self._index[p._gens(face)]]
+        return None
 
     def max_cells_containing_vertex(self, v):
         """Maximal cells containing a vertex of the complex: those having it
@@ -714,6 +775,7 @@ def _cone_over_cell(cell):
     Every face of the cone over P that meets t > 0 is the cone over a face
     of P, so each facet a.x <= b of P gives the facet (a, -b).(y, t) <= 0.
     The face t = 0 is rec(P) x 0, a facet exactly when dim rec(P) = dim P.
+    The cone has dimension dim P + 1.
     """
     n, nv = cell.dim_ambient, len(cell.vertices)
     top = nv + len(cell.rays)     # the apex's bit
@@ -722,7 +784,7 @@ def _cone_over_cell(cell):
     facets = [(a + (-b,), on | 1 << top) for (a, b), on in zip(cell.ineqs, cell._on)]
     if len(span_basis(cell.rays)) == cell.dim:
         facets.append((zero_vec(n) + (Fraction(-1),), (2 << top) - (1 << nv)))
-    return Cone._derived(n + 1, {top: zero_vec(n + 1)}, rays, facets)
+    return Cone._derived(n + 1, cell.dim + 1, {top: zero_vec(n + 1)}, rays, facets)
 
 
 @_memo
@@ -740,9 +802,12 @@ def recession_fan(pc):
     """rec(Pi): the fan of recession cones of a complete complex.
 
     The recession cone of a cell P, times 0, is the face t = 0 of the cone
-    over P, which c(Pi) holds.  That face lies in N_R x 0, so its facet
-    normals, taken in its direction space, end in 0, and dropping the last
-    coordinate of its rays and normals gives the cone's facets in N_R.
+    over P, which c(Pi) holds, of the same dimension.  That face lies in
+    N_R x 0, so a normal a kept for one of its facets gives
+    a.(r, 0) = a[:n].r for each of its points (r, 0): dropping the last
+    coordinate of its rays and kept normals gives normals valid on the cone
+    in N_R with equality exactly on its facets, as :meth:`Polyhedron._derived`
+    asks.
     """
     if not pc.is_complete():
         raise IncompleteInput("recession fan needs a complete complex")
@@ -751,8 +816,8 @@ def recession_fan(pc):
     for rays in dict.fromkeys(c.rays for c in pc.max_cells()):
         face = fan.cones[fan.index(tuple(r + (Fraction(0),) for r in rays))]
         cones.append(Cone._derived(
-            n, {0: zero_vec(n)}, {1 + g: r[:n] for g, r in enumerate(face.rays)},
-            [(a[:n], on) for (a, _), on in zip(face.ineqs, face._on)]))
+            n, face.dim, {0: zero_vec(n)}, {1 + g: r[:n] for g, r in enumerate(face.rays)},
+            [(a[:n], on) for a, on in zip(face._normals, face._masks)]))
     return Fan(n, cones, validate=False)
 
 
@@ -801,7 +866,8 @@ def _chart_cone(v, cell):
     The faces of the cone spanned by cell - v are those of the cell through
     v, so its facets are a.y <= 0 for the facets a.x <= b through v, and its
     extreme rays are the edges at v: the directions u - v and rays lying on
-    a maximal set of those facets.  The apex takes v's bit.
+    a maximal set of those facets.  The apex takes v's bit, and the cone
+    spans the cell's direction space, so it has the cell's dimension.
     """
     g0 = cell.vertices.index(v)
     facets = [(a, on) for (a, _), on in zip(cell.ineqs, cell._on) if on >> g0 & 1]
@@ -810,7 +876,8 @@ def _chart_cone(v, cell):
     tight = {g: sum(1 << k for k, (_, on) in enumerate(facets) if on >> g & 1) for g in dirs}
     edges = {g: dirs[g] for g, s in tight.items()
              if not any(s != t and s & t == s for t in tight.values())}
-    return Cone._derived(cell.dim_ambient, {g0: zero_vec(cell.dim_ambient)}, edges, facets)
+    return Cone._derived(cell.dim_ambient, cell.dim, {g0: zero_vec(cell.dim_ambient)},
+                         edges, facets)
 
 
 def vertex_chart(pc, v):

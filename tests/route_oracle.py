@@ -124,6 +124,12 @@ which multiplies sigma's dual forms into each piece, canonicalizes every
 source cone's denominators into a ``RatFun`` and takes the lcm on every
 call.  The route the first replaced is ``qlinalg.solve`` on the system's
 matrix, which the tests call as it is.
+
+ppchow builds a derived polyhedron's H-description only when it is read,
+and finds the smallest cell holding a point through a maximal cell that
+holds it and the facets of that cell tight at the point.  The fifteenth
+group is the route the second replaced: ``find_cell``, which tests every
+cell of the complex; the tests build polyhedra from scratch for the first.
 """
 
 import itertools
@@ -720,6 +726,16 @@ def common_refinement(pc1, pc2):
             if inter is not None and inter.dim == pc1.rank:
                 cells.append(inter)
     return close_and_validate(cells, "complex")
+
+
+def find_cell(pc, point):
+    """Smallest cell containing the point, or None: every cell tested."""
+    best = None
+    for c in pc.cells:
+        if c.contains_point(point):
+            if best is None or c.dim < best.dim:
+                best = c
+    return best
 
 
 def refinement_cell_map(finer, coarser):
@@ -1358,7 +1374,7 @@ def zeta(m, t):
         if v in old:
             entries[v] = pullback(m.chart_map(v), t.entries[v])
             continue
-        sigma = tgt.find_cell(v)
+        sigma = find_cell(tgt, v)
         chart = vertex_chart(src, v)
         pos = _chart_positions(src, v)
         pieces = [None] * len(chart.fan.maximal)
