@@ -74,7 +74,8 @@ def pp_dims_by_grid_oracle(fan, k):
     on the grid {0..k}^r spanned by a basis, so the face constraints become
     point evaluations; the dimension is the number of unknowns minus the
     rank of that system modulo a large prime.  This shares no code path
-    with graded_basis, whose gluing system ppchow eliminates over Q.
+    with graded_basis, which eliminates the face monomials of a simplicial
+    fan, or the gluing system of any other fan, over Q.
     """
     maxs = fan.max_cones()
     monos = monomial_exponents(fan.rank, k)

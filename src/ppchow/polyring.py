@@ -248,9 +248,10 @@ class Piecewise:
         themselves build here too, with parts the constructor would keep as
         they are.  So do the maps whose parts glue by construction: in
         ``ppfan`` the zero and constant functions, the generators phi_tau,
-        the graded bases (gluing kernels), pullback (a piece per source cone
-        read off its image), pushforward (exact localization sums) and the
-        restriction to height zero (a ring map); in ``specialfiber`` the
+        the graded bases (eliminated face-ring monomials, or gluing
+        kernels), pullback (a piece per source cone read off its image),
+        pushforward (exact localization sums) and the restriction to
+        height zero (a ring map); in ``specialfiber`` the
         one-pass dd^c (which ``ddc_model`` compares with the checked
         -gamma.rho), the parts of the vertical lift (whose sum is checked)
         and the affine basis (a gluing kernel); the generators that the
@@ -404,11 +405,15 @@ def restrict_to_span(p, basis):
     (callers pass RREF bases); the result lives in ``len(basis)`` many
     parameter variables.
     """
-    r = len(basis)
-    images = []
-    for i in range(p.dim):
-        images.append(HomogPoly.linear_form([basis[j][i] for j in range(r)]) if r else HomogPoly.zero(0, 1))
-    return p.substitute(images)
+    return p.substitute(_span_images(basis, p.dim))
+
+
+def _span_images(basis, dim):
+    """The restrictions of the ``dim`` coordinates to the span of ``basis``:
+    x_i = sum_j s_j basis[j][i], a form in ``len(basis)`` parameters."""
+    units = [tuple(int(i == j) for j in range(len(basis))) for i in range(len(basis))]
+    return [HomogPoly._trusted(len(basis), 1, {u: rat(b[i]) for u, b in zip(units, basis) if b[i]})
+            for i in range(dim)]
 
 
 class Span(tuple):
@@ -426,7 +431,7 @@ def _vanishing_rows(span, dim, k):
     on the span of the :class:`Span` ``span``: per parameter monomial, the
     (column, exponent, coefficient) of each monomial whose restriction has
     it, scaled to a primitive integer vector."""
-    images = [restrict_to_span(HomogPoly.variable(dim, i), span) for i in range(dim)]
+    images = _span_images(span, dim)
     one = HomogPoly.constant(len(span), 1)
     monos = monomial_exponents(dim, k)
     restricted = [prod((img for img, power in zip(images, e) for _ in range(power)),

@@ -5,21 +5,24 @@ lower faces are determined by restriction, and validity means any two pieces
 agree on the span of the cones' intersection.  The pairs of maximal cones,
 by position, and the spans of their meets are the fan's ``adjacency``, the
 one complexes have too, and validation is the search for disagreeing pieces
-that affine piecewise polynomials run as well.  On a regular fan the ray
-generators phi_tau (1 on the primitive generator, 0 on the opposite facet)
-generate everything; products, pullbacks along subdivisions, pushforwards and
-the localization degree are all exact.
+that affine piecewise polynomials run as well.  On a simplicial fan whose
+maximal cones are full-dimensional, PP is the face ring: the Courant
+functions phi_tau (1 on the primitive generator, 0 on the opposite facet)
+generate everything, and their monomials over the cones give the graded
+bases; other fans solve their gluing system.  Products, pullbacks along
+subdivisions, pushforwards and the localization degree are all exact.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
-from .errors import FaceMismatch, NotARay, NotProper, NotRegular
+from .errors import FaceMismatch, InternalIdentityError, NotARay, NotProper, NotRegular
 from .polyring import (HomogPoly, Piecewise, RatFun, _common_denominator,
-                       _divide_out, _graded_polys, _memo, gluing_kernel,
-                       ratfun_sum_to_poly)
+                       _divide_out, _graded_polys, _memo, _times, gluing_kernel,
+                       monomial_exponents, ratfun_sum_to_poly)
 from .polyhedra import Cone, _facets_paired, cone_over, recession_fan
-from .qlinalg import RowEchelon, mat, mat_inverse, primitive, transpose, vec
+from .qlinalg import RowEchelon, mat, primitive, transpose, vec
 
 
 class PPFunction(Piecewise):
@@ -89,16 +92,19 @@ def dual_forms(cone, rank):
 
     Row i of the inverse ray matrix is the unique linear form that is 1 on
     the i-th primitive ray and 0 on the others.  The inverse is taken once
-    per cone.
+    per cone, as the right half of the RREF of [M | I], M the integer
+    matrix whose columns are the rays.
     """
     if cone.dim != rank or len(cone.rays) != rank:
         raise NotRegular(f"cone {cone!r} is not full-dimensional simplicial")
-    M = mat([[cone.rays[j][i] for j in range(rank)] for i in range(rank)])
-    try:
-        inv = mat_inverse(M)
-    except ValueError:
+    echelon = RowEchelon([int(r[i]) for r in cone.rays] + [int(i == j) for j in range(rank)]
+                         for i in range(rank))
+    if sorted(echelon.pivots) != list(range(rank)):
         raise NotRegular(f"cone {cone!r} is degenerate")
-    return tuple(HomogPoly.linear_form(row) for row in inv)
+    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    return tuple(HomogPoly._trusted(rank, 1, {u: Fraction(x, row[p])
+                                              for u, x in zip(units, row[rank:]) if x})
+                 for p, row in sorted(zip(echelon.pivots, echelon.rows)))
 
 
 def phi_ray(fan, ray):
@@ -132,10 +138,113 @@ def graded_basis(fan, k):
     """A Q-basis of the degree-k piecewise polynomials on the fan.
 
     One unknown polynomial per maximal cone, any two agreeing on the span of
-    their intersection: the kernel of that gluing system is the graded piece.
+    their intersection: the kernel K of that gluing system is the graded
+    piece, and the basis is the one ``kernel_basis`` reads off its RREF,
+    the vector of K that is 1 at f and 0 at the other free columns, for each
+    free column f in turn.  A fan that is not simplicial, or whose maximal
+    cones are not all full-dimensional, solves the system
+    (:func:`~ppchow.polyring.gluing_kernel`).
+
+    On a simplicial fan whose maximal cones are full-dimensional, PP is the
+    face ring (Billera, 1989; Brion, 1996): the Courant function phi_rho is
+    the dual form of the ray rho on each maximal cone holding it and zero on
+    the others, and the products of phi_rho^a_rho over the rays of a cone
+    sigma, each a_rho >= 1 and their sum k, over all cones sigma (the zero
+    cone only when k = 0), are a basis of PP^k.  There are
+    sum_sigma C(k - 1, dim sigma - 1) of them, the face ring's Hilbert
+    function.  Each glues, as a product of functions that glue, so they
+    span K, and this route builds them (:func:`_face_monomials`) in place
+    of the system.
+
+    Reducing them with the columns reversed gives ``kernel_basis``'s output
+    exactly.  The free columns F of the gluing matrix are the complement of
+    its leftmost greedy column basis.  The column matroid of K is the dual
+    of the gluing matrix's, and the complement of a matroid's leftmost
+    greedy basis is the rightmost greedy basis of the dual.  So the pivots
+    of the reversed RREF of any spanning set of K are F, and its rows, each
+    divided by its pivot entry, are vectors of K with the identity on F.
+    Such a basis is unique, as F is a basis of K's matroid, and the rows
+    sorted by pivot are in ``kernel_basis``'s order.  Every monomial must
+    be kept by the elimination, so its rank is the Hilbert function; a
+    dependent monomial raises :class:`InternalIdentityError`.
     """
-    return [PPFunction._of(fan, k, pieces)
-            for pieces in gluing_kernel(fan.adjacency(), len(fan.maximal), fan.rank, k)]
+    if all(c.dim == fan.rank and len(c.rays) == fan.rank for c in fan.max_cones()):
+        polys = _face_ring_basis(fan, k)
+    else:
+        polys = gluing_kernel(fan.adjacency(), len(fan.maximal), fan.rank, k)
+    return [PPFunction._of(fan, k, pieces) for pieces in polys]
+
+
+def _face_ring_basis(fan, k):
+    """The tuples of pieces of :func:`graded_basis` on a fan with full-
+    dimensional simplicial maximal cones, from the reversed elimination of
+    its face monomials."""
+    monos = monomial_exponents(fan.rank, k)
+    m, n = len(monos), len(fan.maximal)
+    last = m * n - 1
+    echelon = RowEchelon([])
+    for row in _face_monomials(fan, k, monos):
+        if not echelon.extend(row[::-1]):
+            raise InternalIdentityError(
+                f"a degree-{k} face monomial is dependent on the ones before it")
+    out, zero = [], HomogPoly.zero(fan.rank, k)
+    for c, row in sorted((last - c, row[::-1]) for c, row in zip(echelon.pivots, echelon.rows)):
+        r = row[c]
+        out.append(tuple(HomogPoly._trusted(fan.rank, k, {
+            e: Fraction(x) if r == 1 else Fraction(x, r) for e, x in zip(monos, part) if x})
+            if any(part) else zero for part in (row[t * m:t * m + m] for t in range(n))))
+    return out
+
+
+def _face_monomials(fan, k, monos):
+    """Coordinates, in ``graded_basis``'s columns, of the degree-k face
+    monomials of a fan whose maximal cones are full-dimensional and
+    simplicial.  A cone is a set of rays of a maximal cone, a bitmask of
+    the fan's rays; the maximal cones holding it are those whose subsets
+    give that mask.  A monomial's piece on a holder is a product of the
+    holder's dual forms, each product built once per call on the forms
+    scaled to integers by the lcm d of their denominators, and divided by
+    d^k once."""
+    col = {e: c for c, e in enumerate(monos)}
+    m, maxs, bit, holders = len(monos), fan.max_cones(), {}, {}
+    for t, tau in enumerate(maxs):
+        bits = [bit.setdefault(r, 1 << len(bit)) for r in tau.rays]
+        # a cone's rays are taken in the order of their bits on every holder
+        by_bit = sorted(range(fan.rank), key=bits.__getitem__)
+        for d in range(0 if k == 0 else 1, min(k, fan.rank) + 1):
+            for at in combinations(by_bit, d):
+                holders.setdefault(sum(bits[i] for i in at), []).append((t, at))
+    scaled, products = {}, {}
+
+    def forms(t):
+        """tau_t's dual forms times the lcm d of their denominators, and d^k."""
+        if t not in scaled:
+            fs = [f.coeffs for f in dual_forms(maxs[t], fan.rank)]
+            d = lcm(*[c.denominator for f in fs for c in f.values()])
+            scaled[t] = ([{x: c.numerator * (d // c.denominator) for x, c in f.items()}
+                          for f in fs], d ** k)
+        return scaled[t]
+
+    def product(t, e):
+        """d^|e| times the product of tau_t's dual forms to the powers e."""
+        if (t, e) not in products:
+            i = max((i for i, x in enumerate(e) if x), default=None)
+            products[t, e] = {(0,) * fan.rank: 1} if i is None else _times(
+                product(t, e[:i] + (e[i] - 1,) + e[i + 1:]), forms(t)[0][i])
+        return products[t, e]
+
+    for held in holders.values():
+        d = len(held[0][1])
+        for a in monomial_exponents(d, k - d):
+            row = [0] * (m * len(maxs))
+            for t, at in held:
+                e = [0] * fan.rank
+                for i, x in zip(at, a):
+                    e[i] = x + 1
+                scale = forms(t)[1] if k else 1
+                for mono, x in product(t, tuple(e)).items():
+                    row[t * m + col[mono]] = x if scale == 1 else Fraction(x, scale)
+            yield row
 
 
 def _system(basis, image):

@@ -500,7 +500,8 @@ def dim_affine_pp(pc, k):
     """Dimension (with basis) of the degree-k affine piecewise polynomials.
 
     Computed by solving the facet conditions directly; the kernel of rho is
-    computed independently and the dimensions compared.
+    computed independently, on the vertex charts' face-ring bases, and the
+    dimensions compared.
     """
     basis = [AffinePP._of(pc, k, polys)
              for polys in gluing_kernel(pc.adjacency(), len(pc.maximal), pc.rank, k)]

@@ -130,6 +130,13 @@ and finds the smallest cell holding a point through a maximal cell that
 holds it and the facets of that cell tight at the point.  The fifteenth
 group is the route the second replaced: ``find_cell``, which tests every
 cell of the complex; the tests build polyhedra from scratch for the first.
+
+ppchow builds the graded bases of a fan whose maximal cones are
+full-dimensional and simplicial from the face ring: the products of Courant
+functions over each cone, eliminated once with the columns reversed.  The
+sixteenth group is the route this replaced on those fans, and the one the
+others still take: ``gluing_graded_basis``, the kernel of the fan's gluing
+system.
 """
 
 import itertools
@@ -139,7 +146,7 @@ from math import gcd, lcm
 
 from hypothesis import strategies as st
 
-from ppchow import arithchow, checks, cycles, limits, ppfan, specialfiber
+from ppchow import arithchow, checks, cycles, limits, polyring, ppfan, specialfiber
 from ppchow.cycles import InvariantCycle, horizontal_lift_key
 from ppchow.errors import (CompatibilityViolation, DecompositionFailed,
                            InternalIdentityError, NonSCR, NotAComplex,
@@ -1606,6 +1613,18 @@ def ratfun_pushforward(fan_map, f):
             terms.append(RatFun(num, ppfan.dual_forms(src.cones[src.maximal[s]], rank_)))
         pieces.append(ratfun_sum_to_poly(terms, dim=rank_, degree=f.degree))
     return ppfan.PPFunction(tgt, f.degree, pieces, validate=False)
+
+
+# ---------------------------------------------------------------------------
+# graded bases from the gluing system on every fan
+# ---------------------------------------------------------------------------
+
+
+def gluing_graded_basis(fan, k):
+    """``graded_basis`` as it was on every fan: the kernel of the gluing
+    system on the fan's adjacency, read off its RREF."""
+    return [PPFunction._of(fan, k, pieces)
+            for pieces in polyring.gluing_kernel(fan.adjacency(), len(fan.maximal), fan.rank, k)]
 
 
 # ---------------------------------------------------------------------------
