@@ -20,13 +20,13 @@ Poincare-Lelong identity.
 from fractions import Fraction
 
 from .cycles import (InvariantCycle, closure_class, cycle_from_pp,
-                     horizontal_part, model_cycle_class)
-from .errors import (CompatibilityViolation, InputError, InternalIdentityError,
-                     NoCertificate, NotCycleSupported, WeightNotOrthogonal)
+                     horizontal_lift_key, horizontal_part, model_cycle_class)
+from .errors import (CompatibilityViolation, InputError, InternalIdentityError, NoCertificate,
+                     NotACone, NotARecessionCone, NotCycleSupported, WeightNotOrthogonal)
 from .limits import (ClosedForm, CurrentTower, _pulled_back, _tower,
                      _vertical_current, ddc_plus_delta, green_from_lifting,
                      limit_equal_in, module_product_form, on_common_model)
-from .polyhedra import Cone, cone_over, quotient_projection, recession_fan
+from .polyhedra import cone_over, quotient_projection, recession_fan
 from .polyring import HomogPoly
 from .ppfan import phi_cone, restrict_to_height_zero
 from .qlinalg import primitive, vec
@@ -42,21 +42,29 @@ from .specialfiber import (class_equal, ddc_model, from_vertex_tuple,
 def eigen_divisor(fan, sigma, weight):
     """div of the character of the given weight on the orbit closure V(sigma).
 
-    ``weight`` must pair to zero with sigma (:class:`WeightNotOrthogonal`);
-    the divisor is the sum over the codimension-one cofaces of sigma of the
-    pairing of the weight with the primitive generator of the coface's image
-    ray in the quotient lattice.
+    ``weight`` must pair to zero with sigma (:class:`WeightNotOrthogonal`),
+    and sigma must be a cone of the fan (:class:`NotACone`); the divisor is
+    the sum over the codimension-one cofaces of sigma of the pairing of the
+    weight with the primitive generator of the coface's image ray in the
+    quotient lattice.
+
+    The cofaces are the cones c of dimension sigma.dim + 1 whose rays
+    include sigma's, and u is the first ray of c that is not one of sigma's.
+    Two cones of a fan meet in a common face, so sigma inside c is a face
+    of c, spanned by the extreme rays of c it holds; and an extreme ray of
+    c lies in its face sigma exactly when it is a ray of sigma.
     """
     weight = vec(weight)
-    sigma_rays = list(sigma.rays)
-    if any(sum(weight[i] * r[i] for i in range(fan.rank)) != 0 for r in sigma_rays):
+    if any(sum(weight[i] * r[i] for i in range(fan.rank)) != 0 for r in sigma.rays):
         raise WeightNotOrthogonal("weight does not vanish on the cone")
-    project = quotient_projection(fan.rank, sigma_rays)
+    if fan.index(sigma.key()) is None:
+        raise NotACone(f"{sigma!r} is not a cone of the fan")
+    project = quotient_projection(fan.rank, list(sigma.rays))
     terms = {}
     for c in fan.cones:
-        if c.dim != sigma.dim + 1 or not c.contains_poly(sigma):
+        if c.dim != sigma.dim + 1 or not all(r in c.rays for r in sigma.rays):
             continue
-        u = next(r for r in c.rays if not sigma.contains_point(r))
+        u = next(r for r in c.rays if r not in sigma.rays)
         img = project(u)
         pimg = primitive(img)
         g = next(img[i] / pimg[i] for i in range(len(img)) if pimg[i] != 0)
@@ -67,7 +75,14 @@ def eigen_divisor(fan, sigma, weight):
 
 
 def horizontal_cone_in_model(pc, sigma):
-    return Cone(pc.rank + 1, [tuple(r) + (Fraction(0),) for r in sigma.rays])
+    """The cone of c(Pi) at height zero above the recession cone sigma, the
+    fan's own member, or :class:`NotARecessionCone`.  A recession cone's
+    rays lifted to height zero are, in order, the key of that member."""
+    fan = cone_over(pc).fan
+    i = fan.index(horizontal_lift_key(sigma.rays))
+    if i is None:
+        raise NotARecessionCone(f"{sigma!r} is not a cone of rec(Pi)")
+    return fan.cones[i]
 
 
 def div_nu(chain, sigma, u):
@@ -82,8 +97,7 @@ def div_nu(chain, sigma, u):
 
     def value(i):
         pc = chain.models[i]
-        co = cone_over(pc)
-        E = eigen_divisor(co.fan, horizontal_cone_in_model(pc, sigma), weight)
+        E = eigen_divisor(cone_over(pc).fan, horizontal_cone_in_model(pc, sigma), weight)
         vert = InvariantCycle(pc.rank + 1, E.codim,
                               {k: c for k, c in E.terms.items()
                                if any(r[pc.rank] != 0 for r in k)})

@@ -80,8 +80,14 @@ def horizontal_lift_key(key):
 def _generator(fan, key):
     """phi_sigma of the cone on the rays ``key`` as (degree, pieces), which
     hold no reference to the fan that keeps them; a key that is no cone of
-    the fan raises on every call."""
-    f = phi_cone(fan, Cone(fan.rank, list(key)))
+    the fan raises on every call.
+
+    A cycle key sorts primitive rays as :class:`Cone` does, so the key of a
+    cone of the fan is that member's own key, and the member is read off the
+    fan; only a key that no member has builds its cone from the rays.
+    """
+    i = fan.index(key)
+    f = phi_cone(fan, Cone(fan.rank, list(key)) if i is None else fan.cones[i])
     return f.degree, f.pieces
 
 

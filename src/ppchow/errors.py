@@ -76,6 +76,10 @@ class NotARay(InputError):
     pass
 
 
+class NotACone(InputError):
+    pass
+
+
 class NotProper(InputError):
     pass
 

@@ -320,10 +320,6 @@ class Polyhedron:
         return (all(sum(a[i] * direction[i] for i in range(n)) == 0 for a, _ in self.eqs)
                 and all(sum(a[i] * direction[i] for i in range(n)) <= 0 for a, _ in self.ineqs))
 
-    def contains_poly(self, other):
-        return (all(self.contains_point(v) for v in other.vertices)
-                and all(self.recession_contains(r) for r in other.rays))
-
     def intersect(self, other):
         """The meet, of this polyhedron's kind: two cones meet in a cone."""
         out = _vrep_from_hrep(self.dim_ambient, self.eqs + other.eqs,
@@ -963,10 +959,18 @@ class FanMap:
     @classmethod
     def from_subdivision(cls, source, target):
         """The map sending each maximal source cone to the first maximal
-        target cone holding it, or None if some cone has none."""
+        target cone holding it, or None if some cone has none.
+
+        A cone c lies in t when its rays do.  A source ray that is a ray of
+        the target fan lies in t exactly when it is one of t's rays: two
+        members of a fan meet in a common face, so a ray inside t is a
+        one-dimensional face of t, an extreme ray.  Only the other rays are
+        tested against t's inequalities.
+        """
         tmax = target.max_cones()
-        max_map = tuple(next((pos for pos, t in enumerate(tmax) if t.contains_poly(c)), None)
-                        for c in source.max_cones())
+        max_map = tuple(next((pos for pos, t in enumerate(tmax) if all(
+            r in t.rays if target.index((r,)) is not None else t.contains_point(r)
+            for r in c.rays)), None) for c in source.max_cones())
         return None if None in max_map else cls(source, target, max_map)
 
 

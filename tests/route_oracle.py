@@ -137,6 +137,16 @@ functions over each cone, eliminated once with the columns reversed.  The
 sixteenth group is the route this replaced on those fans, and the one the
 others still take: ``gluing_graded_basis``, the kernel of the fan's gluing
 system.
+
+ppchow reads cones and containment off the members and rays of a fan: a
+cycle term's generator and the cone above a recession cone are looked up by
+key, an eigenfunction divisor takes as cofaces the cones whose rays include
+sigma's, and a subdivision map decides a source ray that is a ray of the
+target fan by membership in the target cone's rays.  The seventeenth group
+is the test these replaced, ``contains_poly`` on the inequalities of the
+containing polyhedron, with ``subdivision_max_map``, the containment scan
+of every maximal source cone against every maximal target cone; the
+two-branch ``eigen_divisor`` of the fourth group finds its cofaces with it.
 """
 
 import itertools
@@ -200,7 +210,7 @@ def positioned_adjacency(closure):
 
 def star_cells(pc, e):
     """Maximal cells containing the bounded edge e."""
-    return tuple(i for i in pc.maximal if pc.cells[i].contains_poly(pc.cells[e]))
+    return tuple(i for i in pc.maximal if contains_poly(pc.cells[i], pc.cells[e]))
 
 
 def chart_cells(pc, v):
@@ -611,7 +621,7 @@ def eigen_divisor(fan, sigma, weight):
     _, project = quotient_projection(fan.rank, list(sigma.rays))
     terms = {}
     for c in fan.cones:
-        if c.dim != sigma.dim + 1 or not c.contains_poly(sigma):
+        if c.dim != sigma.dim + 1 or not contains_poly(c, sigma):
             continue
         u = next(r for r in c.rays if not sigma.contains_point(r))
         w_pair = sum(weight[i] * u[i] for i in range(fan.rank))
@@ -646,6 +656,23 @@ def horizontal_star(pc, sigma):
 # ---------------------------------------------------------------------------
 
 
+def contains_poly(p, q):
+    """Does p contain q: every vertex of q a point of p, every ray of q a
+    direction of p's recession cone, both tested on p's inequalities."""
+    return (all(p.contains_point(v) for v in q.vertices)
+            and all(p.recession_contains(r) for r in q.rays))
+
+
+def subdivision_max_map(source, target):
+    """``FanMap.from_subdivision``'s ``max_map`` by containment: each maximal
+    source cone to the first maximal target cone containing it, apex
+    included, or None if some cone has none."""
+    tmax = target.max_cones()
+    out = tuple(next((pos for pos, t in enumerate(tmax) if contains_poly(t, c)), None)
+                for c in source.max_cones())
+    return None if None in out else out
+
+
 def close_and_validate(items, kind):
     """Face closure, the common-face test on every pair of members, and the
     members contained in no other one as the maximal ones."""
@@ -662,14 +689,14 @@ def close_and_validate(items, kind):
             raise NotAComplex(
                 f"{kind} cells {p!r} and {q!r} meet in {inter!r}, not a common face")
     maximal = [i for i, p in enumerate(cells)
-               if not any(i != j and cells[j].contains_poly(p) for j in range(len(cells)))]
+               if not any(i != j and contains_poly(cells[j], p) for j in range(len(cells)))]
     return tuple(cells), tuple(maximal)
 
 
 def is_face_of(face, other):
     """Is ``face`` a face of ``other``: contained in it, and the generators
     of other on every facet tight on face exactly face's generators?"""
-    if not other.contains_poly(face):
+    if not contains_poly(other, face):
         return False
     n = other.dim_ambient
     tight = [(a, bb) for a, bb in other.ineqs
@@ -749,7 +776,7 @@ def refinement_cell_map(finer, coarser):
     """Each maximal cell of ``finer`` to the first maximal cell of
     ``coarser`` containing it."""
     return {i: next(j for j in coarser.maximal
-                    if coarser.cells[j].contains_poly(finer.cells[i]))
+                    if contains_poly(coarser.cells[j], finer.cells[i]))
             for i in finer.maximal}
 
 
@@ -1161,7 +1188,7 @@ def restrict_to_height_zero(pc, f):
         sigma = rec.cones[rmax]
         lift = Cone(n + 1, [tuple(r) + (0,) for r in sigma.rays])
         pos = next(p for p, i in enumerate(cone_over_.fan.maximal)
-                   if cone_over_.fan.cones[i].contains_poly(lift))
+                   if contains_poly(cone_over_.fan.cones[i], lift))
         pieces.append(f.pieces[pos].substitute(images))
     return ppfan.PPFunction(rec, f.degree, pieces, validate=False)
 

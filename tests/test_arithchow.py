@@ -5,15 +5,16 @@ import pytest
 from ppchow import limits
 from ppchow.arithchow import (ArithCycle, LimitClass, LimitTower,
                               arith_product, div_nu, eigen_divisor,
-                              extended_equal, limit_equal, limit_mul,
+                              extended_equal, horizontal_cone_in_model,
+                              limit_equal, limit_mul,
                               module_action, poincare_lelong_check,
                               rational_equivalence_class, theta, theta_inverse,
                               theta_prime, theta_prime_inverse)
 from ppchow.cycles import (InvariantCycle, closure_class, cycle_from_pp,
                            model_cycle_class)
-from ppchow.errors import (NoCertificate, NotCycleSupported,
-                           WeightNotOrthogonal)
-from ppchow.fixtures import p1_chain, p2_chain
+from ppchow.errors import (NoCertificate, NotACone, NotARecessionCone,
+                           NotCycleSupported, WeightNotOrthogonal)
+from ppchow.fixtures import f2_complex, p1_chain, p2_chain
 from ppchow.limits import CurrentTower, ModelChain
 from ppchow.polyhedra import Cone, cone_over
 from ppchow.ppfan import constant_pp, phi_cone
@@ -53,6 +54,27 @@ def test_eigen_divisor_examples():
     co6 = cone_over(f6_complex())
     E6 = eigen_divisor(co6.fan, Cone(2, []), (0, 1))
     assert E6.terms[((Q(1), Q(2)),)] == 2
+
+
+def test_cones_off_the_fan_are_refused():
+    # (1, 2) spans no cone of c(F2); the weight is checked first
+    fan = cone_over(f2_complex()).fan
+    with pytest.raises(NotACone, match=r"^Cone\(\[\(Fraction\(1, 1\), Fraction\(2, 1\)\)\]\) "
+                                       r"is not a cone of the fan$"):
+        eigen_divisor(fan, Cone(2, [(1, 2)]), (2, -1))
+    with pytest.raises(WeightNotOrthogonal):
+        eigen_divisor(fan, Cone(2, [(1, 2)]), (1, 0))
+    # (1, 1) spans no cone of rec(F3C), and the callers pass both refusals on
+    chain = ModelChain(p2_chain())
+    off = Cone(2, [(1, 1)])
+    with pytest.raises(NotARecessionCone, match=r"is not a cone of rec\(Pi\)$"):
+        horizontal_cone_in_model(chain.models[0], off)
+    with pytest.raises(NotARecessionCone):
+        div_nu(chain, off, (1, -1))
+    with pytest.raises(NotACone):
+        poincare_lelong_check(chain, off, (1, -1))
+    with pytest.raises(NotACone):
+        rational_equivalence_class(chain, 0, Cone(3, [(1, 1, 0)]), (1, -1, 0))
 
 
 def test_div_nu_and_poincare_lelong():
