@@ -15,7 +15,7 @@ from .polyhedra import (Cone, Fan, ModelMap, PolyComplex, Polyhedron,
                         build_complex, common_refinement, cone_over, edge_data,
                         horizontal_star, recession_fan, refines,
                         star_subdivision, vertex_chart)
-from .ppfan import (PPFunction, equivariant_degree, graded_basis, make_pp,
+from .ppfan import (PPFunction, equivariant_degree, graded_basis,
                     phi_cone, phi_ray, pullback, pushforward)
 from .specialfiber import (AffinePP, EdgeTuple, FormModDdbar, VertexTuple, alpha,
                            beta, cap_fundamental, class_equal, ddc_model,

@@ -49,10 +49,9 @@ def eigen_divisor(fan, sigma, weight):
     quotient lattice.
 
     The cofaces are the cones c of dimension sigma.dim + 1 whose rays
-    include sigma's, and u is the first ray of c that is not one of sigma's.
-    Two cones of a fan meet in a common face, so sigma inside c is a face
-    of c, spanned by the extreme rays of c it holds; and an extreme ray of
-    c lies in its face sigma exactly when it is a ray of sigma.
+    include sigma's, and u is the first ray of c that is not one of sigma's:
+    sigma inside c is a face of c, whose rays are the rays of c in sigma
+    (see :class:`~ppchow.polyhedra.Fan`).
     """
     weight = vec(weight)
     if any(sum(weight[i] * r[i] for i in range(fan.rank)) != 0 for r in sigma.rays):
@@ -227,21 +226,6 @@ def arith_product(a, b):
     if cyc is None:
         raise NotCycleSupported("product class is not supported on cycles")
     return theta(chain, idx, cyc)
-
-
-def rational_equivalence_class(chain, start, sigma_t, weight_t):
-    """The limit class of a rational-equivalence generator.
-
-    For an eigenfunction of the given weight on V(sigma_t) this is the
-    character action on the closure minus the model-level divisor; the class
-    is zero in the limit, which is the well-definedness of theta.
-    """
-    pc = chain.models[start]
-    co = cone_over(pc)
-    weight_t = vec(weight_t)
-    E = eigen_divisor(co.fan, sigma_t, weight_t)
-    chi_w = phi_cone(co.fan, sigma_t) * HomogPoly.linear_form(weight_t)
-    return LimitClass(pc, chi_w - model_cycle_class(pc, E))
 
 
 # ---------------------------------------------------------------------------

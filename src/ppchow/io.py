@@ -176,13 +176,6 @@ def cycle_rank(data):
     return max((len(r) for t in data.get("terms", []) for r in t["cone"]), default=0)
 
 
-def cycle_to_json(z):
-    return {"codim": z.codim,
-            "terms": [{"cone": [vector_to_json(r) for r in rays],
-                       "coeff": rat_str(c)}
-                      for rays, c in sorted(z.terms.items())]}
-
-
 @_reads("cycle")
 def cycle_from_json(data, rank):
     terms = {}

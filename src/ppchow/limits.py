@@ -49,10 +49,9 @@ from .errors import (CompatibilityViolation, InputError, InternalIdentityError,
                      NotALifting, NotARefinement, NotStabilized)
 from .cycles import closure_class
 from .polyhedra import common_refinement, cone_over, recession_fan, refines
-from .polyring import HomogPoly, _memo
+from .polyring import _memo
 from .ppfan import (PPFunction, _preimage, _system, equivariant_degree, graded_basis,
-                    pullback, pushforward, restrict_to_height_zero, zero_pp)
-from .qlinalg import mat, solve, vec
+                    pullback, pushforward, restrict_to_height_zero)
 from .specialfiber import (AffinePP, FormModDdbar, VertexTuple, _gamma_span,
                            _slice_system, alpha, cap_fundamental, class_equal,
                            ddc_model, dim_affine_pp, from_vertex_tuple, iota_upper,
@@ -114,12 +113,12 @@ def common_model(pc1, pc2):
 # solves values on), the image of one of its basis elements under the
 # pushforward along a model map, and whether coordinates of a degree on a
 # model are those of zero (for "tilde", of a gamma image); the map that pulls
-# a value to the finer model, equality of values, the zero value, the
-# representative of a direct-limit class, the value a direct-limit class acts
-# by after pullback along a model map, and the vertex tuple whose degree is a
-# value's (None: no degree is defined).  The lambdas look the maps up when
+# a value to the finer model, equality of values, the representative of a
+# direct-limit class, the value a direct-limit class acts by after pullback
+# along a model map, and the vertex tuple whose degree is a value's (None: no
+# degree is defined).  The lambdas look the maps up when
 # called, so a rebound module name is seen through the table too.
-_Flavor = namedtuple("_Flavor", "domain pushforward system column vanishes pull equal zero "
+_Flavor = namedtuple("_Flavor", "domain pushforward system column vanishes pull equal "
                                 "rep acting vertex_tuple")
 
 _FLAVORS = {
@@ -130,8 +129,6 @@ _FLAVORS = {
                       vanishes=lambda pc, k, v: not any(v),
                       pull=lambda m, a: pullback_special(m, a),
                       equal=operator.eq,
-                      zero=lambda pc, k: AffinePP._of(
-                          pc, k, (HomogPoly.zero(pc.rank, k),) * len(pc.maximal)),
                       rep=operator.attrgetter("form"),
                       acting=lambda m, c: pullback_special(m, c.form),
                       vertex_tuple=lambda a: cap_fundamental(a)),
@@ -142,7 +139,6 @@ _FLAVORS = {
                      vanishes=lambda pc, k, v: not any(v) or _gamma_span(pc, k).contains(v),
                      pull=lambda m, t: zeta(m, t),
                      equal=lambda s, t: class_equal(s, t),
-                     zero=lambda pc, k: zero_vertex_tuple(pc, k),
                      rep=operator.attrgetter("tuple"),
                      acting=lambda m, c: to_vertex_tuple(pullback_special(m, c.form)),
                      vertex_tuple=lambda t: t),
@@ -153,7 +149,6 @@ _FLAVORS = {
                   vanishes=lambda pc, k, v: not any(v),
                   pull=lambda m, f: pullback(m.fan_map, f),
                   equal=operator.eq,
-                  zero=lambda pc, k: zero_pp(cone_over(pc).fan, k),
                   rep=operator.attrgetter("pp"),
                   acting=lambda m, c: pullback(m.fan_map, c.pp),
                   vertex_tuple=None),
@@ -198,11 +193,6 @@ class ClosedForm:
 
 def form_equal(a, b):
     return limit_equal_in("closed", a, b)
-
-
-def form_product(a, b):
-    pc, x, y = on_common_model("closed", a, b)
-    return ClosedForm(pc, x * y)
 
 
 def form_mod_equal(a, b):
@@ -350,10 +340,6 @@ def _tower(chain, value, start=0):
     """The tower whose value at each chain position i from ``start`` on is
     ``value(i)``, computed in chain order."""
     return CurrentTower(chain, {i: value(i) for i in range(start, len(chain))}, start)
-
-
-def zero_tower(chain, flavor, degree):
-    return _tower(chain, lambda i: _FLAVORS[flavor].zero(chain.models[i], degree))
 
 
 def ddc_current(tower):
@@ -546,40 +532,6 @@ def evaluate_tilde_degree_zero(tower, point):
                 return None
             return piece.coeffs.get((0,) * pc.rank, 0) if piece.degree == 0 else None
     return None
-
-
-def closed_degree_one_evaluator(c):
-    """Best-effort function realization of a degree-one closed form.
-
-    Homogeneous-per-cell data determines a continuous piecewise affine
-    function only up to the additive constants; this solves the constant
-    gluing conditions across shared facets, normalizes the first cell's
-    constant to zero and returns an evaluator, or None when the gluing
-    system is unsolvable (reported, not asserted).
-    """
-    pc = c.model
-    pieces = c.form.pieces
-    rows, rhs = [], []
-    for p, q, dirspan, (verts, _) in pc.adjacency():
-        if len(dirspan) != pc.rank - 1:
-            continue
-        x = verts[0]
-        row = [0] * len(pieces)
-        row[p] = 1
-        row[q] = -1
-        rows.append(row)
-        rhs.append(pieces[q].evaluate(x) - pieces[p].evaluate(x))
-    rows.append([1] + [0] * (len(pieces) - 1))
-    rhs.append(0)
-    consts = solve(mat(rows), vec(rhs))
-    if consts is None:
-        return None
-
-    def evaluate(point):
-        p = next((p for p, m in enumerate(pc.max_cells()) if m.contains_point(point)), None)
-        return None if p is None else pieces[p].evaluate(point) + consts[p]
-
-    return evaluate
 
 
 def degree_current(tower):

@@ -221,9 +221,8 @@ class Polyhedron:
             raise NonSCR(f"polyhedron contains a line in direction {lin[0]}")
         self.eqs = eqs
         self.ineqs = ineqs
-        # In the cone over the polyhedron, a generator spans an extreme ray
-        # exactly when no other generator lies on a strict superset of the
-        # facets it lies on, counting t >= 0, which holds the rays only.
+        # extreme rays of the cone over the polyhedron, as the module says,
+        # with t >= 0 a facet holding the rays only
         level = 1 << len(facets)
         on = [sum(1 << k for k, (_, _, f) in enumerate(facets) if f >> g & 1)
               | (level if g >= len(vertices) else 0)
@@ -304,9 +303,6 @@ class Polyhedron:
 
     def same_as(self, other):
         return self.dim_ambient == other.dim_ambient and self.key() == other.key()
-
-    def is_bounded(self):
-        return not self.rays
 
     def contains_point(self, x):
         x = vec(x)
@@ -489,14 +485,16 @@ def _close_and_validate(items, kind, validate=True):
     cell.  Most pairs are settled by a separating facet
     (:func:`_meet_certified`); the rest are intersected exactly.
     """
-    closed, built, below = {}, {}, set()
+    closed, built = {}, {}  # key: [last face built, below an item?]
     for it in items:
+        top = it.key()
         for f in it.faces(built):
-            closed[f.key()] = f
-            if f.key() != it.key():
-                below.add(f.key())
-    cells = sorted(closed.values(), key=lambda p: (p.dim, p.key()))
-    maximal = tuple(i for i, p in enumerate(cells) if p.key() not in below)
+            key = f.key()
+            entry = closed.setdefault(key, [f, False])
+            entry[:] = f, entry[1] or key != top
+    order = sorted(closed.items(), key=lambda kv: (kv[1][0].dim, kv[0]))
+    cells = [f for _, (f, _) in order]
+    maximal = tuple(i for i, (_, (_, below)) in enumerate(order) if not below)
     if validate:
         for i, j in itertools.combinations(maximal, 2):
             p, q = cells[i], cells[j]
@@ -638,7 +636,9 @@ class _Closure:
 class Fan(_Closure):
     """A finite collection of cones meeting along faces, face-closed.
 
-    Regularity is tested against the lattice Z^rank.
+    Regularity is tested against the lattice Z^rank.  Members meet in common
+    faces, so a member s inside a member c is a face of c, whose rays are the
+    rays of c in s: a member holds a ray of the fan only as its own ray.
     """
 
     __slots__ = ("cones",)
@@ -962,10 +962,8 @@ class FanMap:
         target cone holding it, or None if some cone has none.
 
         A cone c lies in t when its rays do.  A source ray that is a ray of
-        the target fan lies in t exactly when it is one of t's rays: two
-        members of a fan meet in a common face, so a ray inside t is a
-        one-dimensional face of t, an extreme ray.  Only the other rays are
-        tested against t's inequalities.
+        the target fan lies in t exactly when it is one of t's rays (see
+        :class:`Fan`); only the other rays are tested against t.
         """
         tmax = target.max_cones()
         max_map = tuple(next((pos for pos, t in enumerate(tmax) if all(
@@ -1039,7 +1037,7 @@ def star_subdivision(pc, point):
     if pc.find_cell(point) is None:
         raise PointOutsideSupport(f"{point} is outside the support")
     w = primitive(tuple(point) + (Fraction(1),))
-    if any(c.dim == 1 and c.rays == (w,) for c in co.fan.cones):
+    if co.fan.index((w,)) is not None:
         return PolyComplex(pc.rank, pc.max_cells(), validate=False)
     new_max = []
     for c in co.fan.max_cones():

@@ -398,16 +398,6 @@ def monomial_exponents(dim, degree):
     return sorted(out)
 
 
-def restrict_to_span(p, basis):
-    """Rewrite p as a polynomial in parameters of a subspace.
-
-    Substitutes x = sum_i s_i b_i for the given basis b of the subspace
-    (callers pass RREF bases); the result lives in ``len(basis)`` many
-    parameter variables.
-    """
-    return p.substitute(_span_images(basis, p.dim))
-
-
 def _span_images(basis, dim):
     """The restrictions of the ``dim`` coordinates to the span of ``basis``:
     x_i = sum_j s_j basis[j][i], a form in ``len(basis)`` parameters."""

@@ -62,14 +62,6 @@ class PPFunction(Piecewise):
         return f"PP(deg={self.degree}, pieces={list(self.pieces)})"
 
 
-def make_pp(fan, pieces, degree=None):
-    """Validated PPFunction from raw per-maximal-cone polynomials."""
-    pieces = list(pieces)
-    if degree is None:
-        degree = next((p.degree for p in pieces if not p.is_zero()), 0)
-    return PPFunction(fan, degree, pieces)
-
-
 def zero_pp(fan, degree):
     return PPFunction._of(fan, degree, (HomogPoly.zero(fan.rank, degree),) * len(fan.maximal))
 
@@ -119,9 +111,9 @@ def _phi_ray_pieces(fan, v):
     """The pieces of phi_ray on the primitive ray v, which hold no reference
     to the fan that keeps them; a v that is no ray of the fan raises on
     every call."""
-    if not any(c.dim == 1 and c.rays == (v,) for c in fan.cones):
+    if fan.index((v,)) is None:
         raise NotARay(f"{v} is not a ray of the fan")
-    # a cone of the fan contains one of its rays only as a ray of its own
+    # a member holds a ray of the fan only as one of its own rays (see Fan)
     return tuple(dual_forms(c, fan.rank)[c.rays.index(v)] if v in c.rays
                  else HomogPoly.zero(fan.rank, 1) for c in fan.max_cones())
 
@@ -411,8 +403,8 @@ def restrict_to_height_zero(pc, f):
     images = [HomogPoly.variable(n, i) for i in range(n)] + [HomogPoly.zero(n, 1)]
     pieces = []
     for rmax in rec.maximal:
-        # the lifted rays are rays of c(Pi), and a cone of a fan contains a
-        # ray of the fan only as one of its own rays
+        # the lifted rays are rays of c(Pi), which a member holds only as
+        # its own rays (see Fan)
         lift = {tuple(r) + (0,) for r in rec.cones[rmax].rays}
         pos = next(p for p, i in enumerate(fan.maximal) if lift <= set(fan.cones[i].rays))
         pieces.append(f.pieces[pos].substitute(images))

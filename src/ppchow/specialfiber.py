@@ -255,11 +255,6 @@ def _table(pc):
     return _FiberTable(pc)
 
 
-def _edge_star(pc, e):
-    tab = _table(pc)
-    return tab.stars[tab.epos[e]]
-
-
 class FormModDdbar:
     """A vertex tuple on one model, taken modulo the image of gamma: a Chow
     homology class of that model's special fiber, and, compared after

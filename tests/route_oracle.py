@@ -147,6 +147,16 @@ is the test these replaced, ``contains_poly`` on the inequalities of the
 containing polyhedron, with ``subdivision_max_map``, the containment scan
 of every maximal source cone against every maximal target cone; the
 two-branch ``eigen_divisor`` of the fourth group finds its cofaces with it.
+
+Every routine of ppchow has a caller in the program
+(``tests/test_program_callers.py``).  The eighteenth group is the routines
+that only tests called and that tests still use as fixtures or reference
+routes: ``zero_tower`` with the zero value of each flavor (``zero_value``),
+``closed_form_product``, which multiplies closed forms on the model
+``limits.on_common_model`` finds and was ``limits.form_product``,
+``rational_equivalence_class`` and ``cycle_to_json``.  The tests that
+called the program's ``restrict_to_span`` and ``_edge_star`` call those of
+the eleventh and ninth groups, and the first builds its own substitution.
 """
 
 import itertools
@@ -161,18 +171,18 @@ from ppchow.cycles import InvariantCycle, horizontal_lift_key
 from ppchow.errors import (CompatibilityViolation, DecompositionFailed,
                            InternalIdentityError, NonSCR, NotAComplex,
                            NotInKernel, NotProper, NotRegular)
+from ppchow.io import vector_to_json
 from ppchow.limits import ModelChain, common_model
 from ppchow.polyhedra import (Cone, Fan, PolyComplex, Polyhedron, _Closure,
                               cone_over, direction_space, recession_fan,
                               refines, vertex_chart)
 from ppchow.ppfan import PPFunction, dual_forms, phi_ray, pullback, zero_pp
 from ppchow.specialfiber import AffinePP, EdgeTuple, VertexTuple
-from ppchow.polyring import (HomogPoly, RatFun, Span, monomial_exponents,
-                             ratfun_sum_to_poly, restrict_to_span)
+from ppchow.polyring import HomogPoly, RatFun, Span, monomial_exponents, ratfun_sum_to_poly
 from ppchow.qlinalg import (integer_kernel_basis, is_zero_vec, kernel_basis,
-                            mat, primitive, rank, smith_normal_form, solve,
-                            span_basis, transpose, vadd, vec, vscale, vsub,
-                            zero_vec)
+                            mat, primitive, rank, rat_str, smith_normal_form,
+                            solve, span_basis, transpose, vadd, vec, vscale,
+                            vsub, zero_vec)
 
 
 def adjacency(pc):
@@ -414,7 +424,7 @@ def affine_basis(pc, k):
 
 
 def edge_star_basis(pc, e, k):
-    cells = specialfiber._edge_star(pc, e).cells
+    cells = _edge_star(pc, e).cells
     spans = {(i, j): span for i, j, span, _ in cell_adjacency(pc)}
     pairs = [(a, b, spans[cells[a], cells[b]])
              for a, b in itertools.combinations(range(len(cells)), 2)]
@@ -452,7 +462,7 @@ def flat_edge(et):
     pc = et.complex
     monos = monomial_exponents(pc.rank, et.degree)
     return tuple(et.entries[e][i].coeffs.get(m, 0) for e in pc.bounded_edges
-                 for i in specialfiber._edge_star(pc, e).cells for m in monos)
+                 for i in _edge_star(pc, e).cells for m in monos)
 
 
 def combination(zero, basis, coeffs):
@@ -1505,6 +1515,14 @@ def chart_cone(v, cell):
 # ---------------------------------------------------------------------------
 
 
+def restrict_to_span(p, basis):
+    """p as a polynomial in the parameters s of the span of ``basis``: the
+    substitution x_i = sum_j s_j basis[j][i], in ``len(basis)`` variables."""
+    units = [tuple(int(i == j) for j in range(len(basis))) for i in range(len(basis))]
+    return p.substitute([HomogPoly(len(basis), 1, {u: b[i] for u, b in zip(units, basis)})
+                         for i in range(p.dim)])
+
+
 def equal_on_span(p, q, subspace):
     """Do p and q agree as functions on the linear subspace spanned by the
     given vectors?"""
@@ -1652,6 +1670,54 @@ def gluing_graded_basis(fan, k):
     system on the fan's adjacency, read off its RREF."""
     return [PPFunction._of(fan, k, pieces)
             for pieces in polyring.gluing_kernel(fan.adjacency(), len(fan.maximal), fan.rank, k)]
+
+
+# ---------------------------------------------------------------------------
+# fixtures, products and writers that only tests call
+# ---------------------------------------------------------------------------
+
+
+def zero_value(flavor, pc, k):
+    """The zero value of degree k on the model pc of a flavor's towers."""
+    if flavor == "closed":
+        return AffinePP._of(pc, k, (HomogPoly.zero(pc.rank, k),) * len(pc.maximal))
+    if flavor == "tilde":
+        return specialfiber.zero_vertex_tuple(pc, k)
+    return zero_pp(cone_over(pc).fan, k)
+
+
+def zero_tower(chain, flavor, degree):
+    return limits.CurrentTower(chain, {i: zero_value(flavor, pc, degree)
+                                       for i, pc in enumerate(chain.models)})
+
+
+def closed_form_product(a, b):
+    """The product of two closed forms on the common model that
+    ``limits.on_common_model`` finds."""
+    pc, x, y = limits.on_common_model("closed", a, b)
+    return limits.ClosedForm(pc, x * y)
+
+
+def rational_equivalence_class(chain, start, sigma_t, weight_t):
+    """The limit class of a rational-equivalence generator.
+
+    For an eigenfunction of the given weight on V(sigma_t) this is the
+    character action on the closure minus the model-level divisor; the class
+    is zero in the limit, which is the well-definedness of theta.
+    """
+    pc = chain.models[start]
+    fan = cone_over(pc).fan
+    weight_t = vec(weight_t)
+    E = arithchow.eigen_divisor(fan, sigma_t, weight_t)
+    chi_w = ppfan.phi_cone(fan, sigma_t) * HomogPoly.linear_form(weight_t)
+    return arithchow.LimitClass(pc, chi_w - cycles.model_cycle_class(pc, E))
+
+
+def cycle_to_json(z):
+    """The JSON data of a cycle file, which ``io.read(path, "cycle")`` reads."""
+    return {"codim": z.codim,
+            "terms": [{"cone": [vector_to_json(r) for r in rays], "coeff": rat_str(c)}
+                      for rays, c in sorted(z.terms.items())]}
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ on models whose coordinates of two degrees differ in length.  A column is
 built only for a nonzero coefficient, once per map, and kept as ints.
 """
 
+import functools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -42,7 +44,7 @@ def _basis(flavor, pc, k):
 def _element(draw, flavor, pc, k):
     basis = _basis(flavor, pc, k)
     coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(basis), max_size=len(basis)))
-    return _FLAVORS[flavor].zero(pc, k).combine(basis, coeffs)
+    return route_oracle.zero_value(flavor, pc, k).combine(basis, coeffs)
 
 
 def _compatible(draw, chain, flavor, k, start):
@@ -94,10 +96,10 @@ def _check(draw, chain, flavor):
             assert got == ("passed",)
     # zeros: of the tower's degree everywhere, then one of another degree,
     # among the zeros and among the drawn values
-    zero = _FLAVORS[flavor].zero
-    zeros = {i: zero(chain.models[i], k) for i in values}
+    zeros = {i: route_oracle.zero_value(flavor, chain.models[i], k) for i in values}
     assert _assert_routes_agree(chain, flavor, zeros, start) == ("passed",)
-    other = zero(pc, draw(st.sampled_from([d for d in range(3) if d != k])))
+    other = route_oracle.zero_value(flavor, pc,
+                                    draw(st.sampled_from([d for d in range(3) if d != k])))
     assert _assert_routes_agree(chain, flavor, {**zeros, at: other}, start) == ("passed",)
     _assert_routes_agree(chain, flavor, {**values, at: other}, start)
 
@@ -124,10 +126,10 @@ def test_a_bumped_value_names_its_pair_on_both_routes(flavor):
     """On P1's three models, a bump of the middle value by a basis element
     outside the gamma image breaks the pair below it."""
     chain = ModelChain(p1_chain())
-    values = {i: _FLAVORS[flavor].zero(pc, 1) for i, pc in enumerate(chain.models)}
+    values = {i: route_oracle.zero_value(flavor, pc, 1) for i, pc in enumerate(chain.models)}
     basis = _basis(flavor, chain.models[1], 1)
     bump = next(b for b in basis if flavor != "tilde"
-                or not specialfiber.class_equal(b, _FLAVORS[flavor].zero(chain.models[1], 1)))
+                or not specialfiber.class_equal(b, values[1]))
     bumped = {**values, 1: bump}
     got = _assert_routes_agree(chain, flavor, bumped, 0)
     assert got[0] == "raised" and got[2] in ((0, 1), (1, 2))
@@ -165,7 +167,7 @@ def test_a_zero_of_another_degree_on_both_routes(flavor):
     zero."""
     chain = ModelChain([route_oracle.refined_f3c(choices) for choices in ([1], [1, 2])])
     coarse, fine = chain.models
-    zero = _FLAVORS[flavor].zero
+    zero = functools.partial(route_oracle.zero_value, flavor)
     mismatch = ("raised", f"{_FLAVORS[flavor].pushforward} from model 1 to 0 mismatches", (0, 1))
     if flavor == "tilde":
         edges = edge_layer_basis(coarse, 0)

@@ -128,7 +128,7 @@ def test_a_star_function_that_does_not_glue_fails_on_both_routes(choices):
     # 1 on one cell of an edge's star and 0 on the other: pushed in, the two
     # pieces disagree on the edge's ray
     pc = route_oracle.refined_f3c([0, *choices])
-    e, star = next((e, specialfiber._edge_star(pc, e)) for e in pc.bounded_edges)
+    e, star = next((e, route_oracle._edge_star(pc, e)) for e in pc.bounded_edges)
     et = EdgeTuple(pc, 0, {e: {star.cells[0]: HomogPoly.constant(pc.rank, 1)}})
     got = _outcome(specialfiber.gamma, et)
     assert got[:2] == ("raised", FaceMismatch)

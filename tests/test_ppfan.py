@@ -14,7 +14,7 @@ from ppchow.polyhedra import (Cone, Fan, PolyComplex, cone_over, recession_fan,
                               refines, vertex_chart)
 from ppchow.polyring import HomogPoly
 from ppchow.ppfan import (PPFunction, constant_pp, equivariant_degree,
-                          graded_basis, make_pp, phi_cone, phi_ray, pullback,
+                          graded_basis, phi_cone, phi_ray, pullback,
                           pushforward)
 from ppchow.specialfiber import (dim_affine_pp, edge_layer_basis,
                                  edge_star_basis, flat_vertex,
@@ -26,20 +26,18 @@ def lin(*coeffs):
     return HomogPoly.linear_form(coeffs)
 
 
-def test_make_pp_examples():
+def test_pp_function_examples():
     fan = f1_fan()
     # on F1, fan order is (negative ray, positive ray)
-    f = make_pp(fan, [HomogPoly.zero(1, 1), lin(1)])
-    assert f.degree == 1
+    PPFunction(fan, 1, [HomogPoly.zero(1, 1), lin(1)])
     with pytest.raises(DegreeMismatch):
-        make_pp(fan, [HomogPoly.constant(1, 1), lin(1)], degree=1)
+        PPFunction(fan, 1, [HomogPoly.constant(1, 1), lin(1)])
     co = cone_over(f2_complex())
     # cones sorted: <(-1,0),(0,1)>, <(0,1),(1,1)>, <(1,0),(1,1)>
-    f2 = make_pp(co.fan, [lin(0, 1), lin(-1, 1), HomogPoly.zero(2, 1)])
-    assert f2.degree == 1
+    PPFunction(co.fan, 1, [lin(0, 1), lin(-1, 1), HomogPoly.zero(2, 1)])
     bad = [lin(0, 1), lin(1, 0), HomogPoly.zero(2, 1)]
     with pytest.raises(FaceMismatch) as info:
-        make_pp(co.fan, bad)
+        PPFunction(co.fan, 1, bad)
     # one search for both carriers, against the validator it replaced
     f = PPFunction(co.fan, 1, bad, validate=False)
     witness = route_oracle.pp_offending_pair(f)

@@ -10,8 +10,8 @@ from ppchow.fixtures import (f1_complex, f2_complex, f3_complex, f3s_complex,
 from ppchow.polyhedra import cone_over, refines, vertex_chart
 from ppchow.polyring import HomogPoly
 from ppchow.ppfan import constant_pp, phi_ray, zero_pp
-from ppchow.specialfiber import (AffinePP, EdgeTuple, VertexTuple, _edge_star,
-                                 alpha, beta, cap_fundamental, class_equal, ddc_model,
+from ppchow.specialfiber import (AffinePP, EdgeTuple, VertexTuple, alpha,
+                                 beta, cap_fundamental, class_equal, ddc_model,
                                  dim_affine_pp, flat_vertex,
                                  from_vertex_tuple, gamma, edge_layer_basis,
                                  homology_presentation, iota_lower, iota_upper,
@@ -89,7 +89,7 @@ def test_each_carrier_refuses_parts_off_its_layout():
     with pytest.raises(DegreeMismatch, match="piece of degree 0 in a degree-1 function"):
         AffinePP(F2, 1, {F2.maximal[0]: one}, validate=False)
     (e,) = F3s.bounded_edges
-    cells = _edge_star(F3s, e).cells
+    cells = route_oracle._edge_star(F3s, e).cells
     outside = next(i for i in F3s.maximal if i not in cells)
     const = HomogPoly.constant(2, 1)
     with pytest.raises(ValueError, match=f"cell {outside} is not a bounded edge"):
@@ -139,7 +139,7 @@ def test_rho_examples():
     a_x = phi_ray(ch1.fan, (-1,))  # a pp function on Pi(1)
     t1 = VertexTuple(F2, 1, {(Q(1),): a_x})
     r1 = rho(t1)
-    bcell = next(i for i in F2.maximal if F2.cells[i].is_bounded())
+    bcell = next(i for i in F2.maximal if not F2.cells[i].rays)
     assert r1.entries[e][bcell] == a_x.pieces[ch1.max_cells.index(bcell)]
 
 
@@ -147,7 +147,7 @@ def test_gamma_examples():
     F2 = f2_complex()
     from ppchow.specialfiber import EdgeTuple
     e = F2.bounded_edges[0]
-    bcell = next(i for i in F2.maximal if F2.cells[i].is_bounded())
+    bcell = next(i for i in F2.maximal if not F2.cells[i].rays)
     ones = EdgeTuple(F2, 0, {e: {bcell: HomogPoly.constant(1, 1)}})
     g = gamma(ones)
     # at v=1: -x on the chart cone of the bounded cell, 0 elsewhere
@@ -165,8 +165,7 @@ def test_gamma_projection_formula():
     # per edge and endpoint: u_*(u^* x . y) = x . u_*(y), where u^* restricts
     # a chart function to the star cells and u_* multiplies by the edge form
     # and extends by zero
-    from ppchow.specialfiber import _edge_star
-    from route_oracle import _edge_ray_form
+    from route_oracle import _edge_ray_form, _edge_star
     rng = random.Random(9)
     for make in (f2_complex, f5_complex, f3s_complex):
         pc = make()
@@ -212,7 +211,7 @@ def test_ddc_examples():
     t0 = component_class(F2, (0,))
     dd = ddc_model(t0)
     aff = from_vertex_tuple(dd)
-    bcell = next(i for i in F2.maximal if F2.cells[i].is_bounded())
+    bcell = next(i for i in F2.maximal if not F2.cells[i].rays)
     assert aff.cell_polys[bcell] == lin(-1)
     assert sum(1 for p in aff.cell_polys.values() if not p.is_zero()) == 1
 
@@ -232,8 +231,7 @@ def test_ddc_one_shot_single_vertex_branches():
     t = component_class(F2, (1,))
     out = ddc_one_shot(t)
     e = F2.bounded_edges[0]
-    from ppchow.specialfiber import _edge_star
-    from route_oracle import _edge_ray_form
+    from route_oracle import _edge_ray_form, _edge_star
     star = _edge_star(F2, e)
     bcell = star.cells[0]
     # at the other endpoint: u_* u^* of the function; at the vertex itself:
@@ -256,7 +254,7 @@ def test_iota_upper_examples():
     F2 = f2_complex()
     co2 = cone_over(F2)
     up = iota_upper(F2, phi_ray(co2.fan, (0, 1)))
-    bcell = next(i for i in F2.maximal if F2.cells[i].is_bounded())
+    bcell = next(i for i in F2.maximal if not F2.cells[i].rays)
     assert up.cell_polys[bcell] == lin(-1)
     assert up == from_vertex_tuple(ddc_model(component_class(F2, (0,))))
     # a pure power of the height coordinate slices to zero
