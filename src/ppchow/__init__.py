@@ -9,7 +9,7 @@ limit towers with delta and Green currents (``limits``), and the arithmetic
 cycle groups with their two limit descriptions (``arithchow``).
 """
 
-from .qlinalg import Rat, rat, rat_str
+from .qlinalg import rat, rat_str
 from .polyring import HomogPoly, RatFun, equal_on_span, ratfun_sum_to_poly
 from .polyhedra import (Cone, Fan, ModelMap, PolyComplex, Polyhedron,
                         build_complex, common_refinement, cone_over, edge_data,
@@ -26,10 +26,10 @@ from .specialfiber import (AffinePP, EdgeTuple, FormModDdbar, VertexTuple, alpha
 from .cycles import InvariantCycle, closure_class, model_cycle_class
 from .limits import (ClosedForm, CurrentTower, ModelChain, ddc_current,
                      ddc_form, degree_current, delta_current, form_equal,
-                     green_from_lifting, is_green, regularity_check,
-                     tower_stabilization)
+                     green_from_lifting, is_green, module_product_form,
+                     regularity_check, tower_stabilization)
 from .arithchow import (ArithCycle, LimitClass, LimitTower, arith_product,
-                        div_nu, eigen_divisor, limit_equal, module_action,
+                        div_nu, eigen_divisor, limit_equal,
                         poincare_lelong_check, theta, theta_inverse,
                         theta_prime, theta_prime_inverse)
 

@@ -11,13 +11,14 @@ vertical lift, one routine each way.  Both are the
 multiplied on the common model that ``limits.on_common_model`` finds, and a
 :class:`LimitTower` is a ``CurrentTower`` of that flavor, so its
 compatibility check and the module action of limit classes on it
-(``module_action``, which is ``limits.module_product_form``) are the ones
+(``limits.module_product_form``) are the ones
 every other tower uses.  Eigenfunction divisors provide the
 rational-equivalence relations and the vertical correction currents of the
 Poincare-Lelong identity.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from .cycles import (InvariantCycle, closure_class, cycle_from_pp,
                      horizontal_lift_key, horizontal_part, model_cycle_class)
@@ -25,11 +26,11 @@ from .errors import (CompatibilityViolation, InputError, InternalIdentityError, 
                      NotACone, NotARecessionCone, NotCycleSupported, WeightNotOrthogonal)
 from .limits import (ClosedForm, CurrentTower, _pulled_back, _tower,
                      _vertical_current, ddc_plus_delta, green_from_lifting,
-                     limit_equal_in, module_product_form, on_common_model)
+                     limit_equal_in, on_common_model)
 from .polyhedra import cone_over, quotient_projection, recession_fan
 from .polyring import HomogPoly
 from .ppfan import phi_cone, restrict_to_height_zero
-from .qlinalg import primitive, vec
+from .qlinalg import vec
 from .specialfiber import (class_equal, ddc_model, from_vertex_tuple,
                            iota_lower, iota_upper, vertical_decompose)
 
@@ -51,7 +52,10 @@ def eigen_divisor(fan, sigma, weight):
     The cofaces are the cones c of dimension sigma.dim + 1 whose rays
     include sigma's, and u is the first ray of c that is not one of sigma's:
     sigma inside c is a face of c, whose rays are the rays of c in sigma
-    (see :class:`~ppchow.polyhedra.Fan`).
+    (see :class:`~ppchow.polyhedra.Fan`).  The image of u spans the image
+    ray.  In the coordinates of :func:`~ppchow.polyhedra.quotient_projection`
+    it is an integer vector, g times the ray's primitive generator for g the
+    gcd of its coordinates, so the pairing is <weight, u> / g.
     """
     weight = vec(weight)
     if any(sum(weight[i] * r[i] for i in range(fan.rank)) != 0 for r in sigma.rays):
@@ -64,10 +68,7 @@ def eigen_divisor(fan, sigma, weight):
         if c.dim != sigma.dim + 1 or not all(r in c.rays for r in sigma.rays):
             continue
         u = next(r for r in c.rays if r not in sigma.rays)
-        img = project(u)
-        pimg = primitive(img)
-        g = next(img[i] / pimg[i] for i in range(len(img)) if pimg[i] != 0)
-        coeff = sum(weight[i] * u[i] for i in range(fan.rank)) / g
+        coeff = sum(weight[i] * u[i] for i in range(fan.rank)) / gcd(*map(int, project(u)))
         if coeff != 0:
             terms[c.rays] = terms.get(c.rays, Fraction(0)) + coeff
     return InvariantCycle(fan.rank, sigma.dim + 1, terms)
@@ -289,7 +290,3 @@ def extended_equal(x, y):
         if not class_equal(x.green.value(i), y.green.value(i)):
             return False
     return True
-
-
-# the limit-class module structure on towers
-module_action = module_product_form

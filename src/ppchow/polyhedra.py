@@ -43,16 +43,15 @@ the object it derives from.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 import itertools
 
 from .errors import (IncompleteInput, InputError, NonSCR, NotAComplex,
                      NotARecessionCone, NotARefinement, NotAVertex,
                      PointOutsideSupport, RecessionMismatch, UnboundedEdge)
 from .polyring import Span, _memo
-from .qlinalg import (RowEchelon, integer_kernel_basis, is_zero_vec,
-                      kernel_basis, mat, mat_inverse, mat_vec, primitive,
-                      primitive_ints, rays_extend_to_basis, smith_normal_form,
+from .qlinalg import (RowEchelon, column_echelon, is_zero_vec, kernel_basis,
+                      mat, mat_inverse, mat_vec, primitive, primitive_ints,
                       solve, span_basis, transpose, vadd, vdot, vec, vscale,
                       vsub, zero_vec)
 
@@ -654,8 +653,15 @@ class Fan(_Closure):
         """Do every cone's rays extend to a basis of Z^rank?  Every cone is a
         face of a maximal one, and a face of a simplicial cone is spanned by
         a subset of its rays, which extends to a basis when they do; a
-        non-simplicial maximal cone fails either way."""
-        return all(rays_extend_to_basis(c.rays) for c in self.max_cones())
+        non-simplicial maximal cone fails either way.  k rays extend iff
+        they are independent and the gcd of their k x k minors is 1.  For
+        (s, M, V) = column_echelon(rays), V keeps that gcd (Cauchy-Binet);
+        s = k makes M = [L | 0], whose gcd is |det L| = prod |M_ii|."""
+        for c in self.max_cones():
+            s, M, _ = column_echelon(c.rays, self.rank)
+            if s < len(c.rays) or any(abs(M[i][i]) != 1 for i in range(s)):
+                return False
+        return True
 
     def __repr__(self):
         return f"Fan(rank={self.rank}, {len(self.cones)} cones, {len(self.maximal)} maximal)"
@@ -845,10 +851,7 @@ class VertexChart:
         if v not in pc.vertices:
             raise NotAVertex(f"{v} is not a vertex of the complex")
         self.vertex = v
-        denom = 1
-        for x in v:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        self.multiplicity = denom
+        self.multiplicity = lcm(*(x.denominator for x in v))
         cells = pc.max_cells_containing_vertex(v)
         cones = [_chart_cone(v, pc.cells[i]) for i in cells]
         self.fan = Fan(n, cones, validate=False)
@@ -901,21 +904,13 @@ def edge_data(pc, edge_cell):
 
 
 def quotient_projection(rank, rays):
-    """Exact coordinates on N / (N cap span(rays)): a map sending x in N_R
-    to its image in the quotient lattice's coordinates (the identity when
-    there are no rays)."""
-    if not rays:
-        return tuple
-    # saturated basis of N inside span(rays), then exact quotient coordinates:
-    # with U.S.V = [I_s | 0] the last rank-s entries of x.V project N onto
-    # the quotient
-    comp = kernel_basis(mat(rays))
-    if comp:
-        sat = integer_kernel_basis([[int(x) for x in primitive(u)] for u in comp])
-    else:
-        sat = [tuple(Fraction(1 if i == j else 0) for j in range(rank)) for i in range(rank)]
-    s = len(sat)
-    _, _, V = smith_normal_form([[int(x) for x in row] for row in sat])
+    """Exact coordinates on N / (N cap span(rays)), for integer rays: the
+    map x -> (x V)[s:] with (s, M, V) = column_echelon(rays).  Its kernel on
+    N = Z^rank, (Z^s x 0) V^-1, is saturated of rank s = dim span(rays) and
+    holds the rays (the rows of M are zero past s), so it is
+    N cap span(rays); V is onto, so the map takes the quotient
+    isomorphically onto Z^(rank - s).  No rays give the identity."""
+    s, _, V = column_echelon(rays, rank)
 
     def project(x):
         return tuple(sum(x[i] * V[i][j] for i in range(rank)) for j in range(s, rank))

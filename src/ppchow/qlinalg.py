@@ -7,13 +7,15 @@ to a primitive integer vector, a row update cross-multiplies two rows and
 divides out the content of the result, and only the reader divides a row by
 its pivot, which returns the RREF over Q.  The RREF of a matrix is unique,
 so every result equals the one rational Gauss-Jordan elimination gives.
-Solutions and kernels verify by substitution with no tolerance.
+Solutions and kernels verify by substitution with no tolerance.  There is
+one integer reduction, :func:`column_echelon`, a unimodular column
+reduction; from it ``polyhedra`` decides whether rays extend to a basis of
+Z^n and takes coordinates on Z^n modulo the lattice points of their span.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
-Rat = Fraction
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -228,83 +230,33 @@ class RowEchelon:
 # ---------------------------------------------------------------------------
 
 
-def _swap_rows(M, i, j):
-    M[i], M[j] = M[j], M[i]
+def column_echelon(rows, n):
+    """(s, M, V) for integer rows R of length n: a unimodular n x n integer
+    matrix V and M = R V, where s = rank R, every column of M past s is zero
+    and the first s columns are lower-triangular: the k-th row that adds to
+    the rank is nonzero in column k and zero past it.
 
-
-def _swap_cols(M, i, j):
-    for row in M:
-        row[i], row[j] = row[j], row[i]
-
-
-def _add_row(M, dst, src, q):
-    # row_dst += q * row_src
-    M[dst] = [a + q * b for a, b in zip(M[dst], M[src])]
-
-
-def _add_col(M, dst, src, q):
-    for row in M:
-        row[dst] += q * row[src]
-
-
-def smith_normal_form(A):
-    """Smith normal form of an integer matrix.
-
-    Returns (U, D, V) with U*A*V = D, U and V unimodular, and the diagonal
-    of D a divisibility chain d1 | d2 | ... with nonnegative entries.
+    Row by row, each entry of the row past column s, the next pivot column,
+    is folded into column s by the extended Euclidean algorithm run on the
+    pair of columns: 2 x 2 steps (c_s, c_j) -> (c_j, c_s - t c_j), each of
+    determinant -1, applied to M and V alike, until the row is zero past s;
+    a row that is then zero at s too lies in the span of the rows before it.
+    The steps touch only columns s and up, where the rows already reduced
+    are zero.  Matrices are lists of int rows.
     """
-    M = [[int(x) for x in row] for row in A]
-    m = len(M)
-    n = len(M[0]) if m else 0
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def min_entry(s):
-        best = None
-        for i in range(s, m):
-            for j in range(s, n):
-                if M[i][j] != 0 and (best is None or abs(M[i][j]) < abs(M[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
+    M = [[int(x) for x in row] for row in rows]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
     s = 0
-    while True:
-        pos = min_entry(s)
-        if pos is None:
+    for row in M:
+        if s == n:
             break
-        while True:
-            i, j = min_entry(s)
-            _swap_rows(M, s, i), _swap_rows(U, s, i)
-            _swap_cols(M, s, j), _swap_cols(V, s, j)
-            dirty = False
-            for r in range(s + 1, m):
-                if M[r][s] != 0:
-                    q = -(M[r][s] // M[s][s])
-                    _add_row(M, r, s, q), _add_row(U, r, s, q)
-                    dirty = dirty or M[r][s] != 0
-            for c in range(s + 1, n):
-                if M[s][c] != 0:
-                    q = -(M[s][c] // M[s][s])
-                    _add_col(M, c, s, q), _add_col(V, c, s, q)
-                    dirty = dirty or M[s][c] != 0
-            if not dirty:
-                # pivot must divide the whole remaining block
-                bad = next(((r, c) for r in range(s + 1, m) for c in range(s + 1, n)
-                            if M[r][c] % M[s][s] != 0), None)
-                if bad is None:
-                    break
-                _add_row(M, s, bad[0], 1), _add_row(U, s, bad[0], 1)
-        if M[s][s] < 0:
-            M[s] = [-x for x in M[s]]
-            U[s] = [-x for x in U[s]]
-        s += 1
-        if s == min(m, n):
-            break
-
-    Ut = tuple(tuple(r) for r in U)
-    Vt = tuple(tuple(r) for r in V)
-    Dt = tuple(tuple(r) for r in M)
-    return Ut, Dt, Vt
+        for j in range(s + 1, n):
+            while row[j]:
+                t = row[s] // row[j]
+                for r in M + V:
+                    r[s], r[j] = r[j], r[s] - t * r[j]
+        s += row[s] != 0
+    return s, M, V
 
 
 def primitive(direction):
@@ -325,41 +277,3 @@ def mat_inverse(A):
     if list(pivots) != list(range(n)):
         raise ValueError("matrix is singular")
     return tuple(row[n:] for row in red)
-
-
-def integer_kernel_basis(A):
-    """Saturated basis of {x in Z^n : A x = 0} for an integer matrix A.
-
-    Uses the Smith normal form: with U A V = D, the kernel is spanned by the
-    columns of V matching zero diagonal entries, and V unimodular makes the
-    result saturated.
-    """
-    A = [[int(x) for x in row] for row in A]
-    if not A:
-        raise ValueError("need explicit column count; pass a zero row instead")
-    n = len(A[0])
-    _, D, V = smith_normal_form(A)
-    cols = []
-    for j in range(n):
-        dj = D[j][j] if j < len(D) and j < len(D[0]) else 0
-        if dj == 0:
-            cols.append(tuple(Fraction(V[i][j]) for i in range(n)))
-    return cols
-
-
-def rays_extend_to_basis(rays):
-    """Do the (primitive) rays extend to a basis of Z^n?
-
-    The test is the Smith normal form one: the coordinate matrix of the rays
-    must have all invariant factors equal to 1.
-    """
-    rays = [vec(r) for r in rays]
-    if not rays:
-        return True
-    if any(x.denominator != 1 for r in rays for x in r):
-        return False
-    coord_rows = [tuple(int(x) for x in r) for r in rays]
-    _, D, _ = smith_normal_form(coord_rows)
-    k = len(coord_rows)
-    invariants = [D[i][i] for i in range(min(k, len(D[0]) if D else 0))]
-    return len([d for d in invariants if d != 0]) == k and all(d == 1 for d in invariants if d != 0)

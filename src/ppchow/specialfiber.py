@@ -180,11 +180,10 @@ class _EdgeStar:
     """Combinatorial star of a bounded edge: ordered endpoints and the
     maximal cells containing the edge."""
 
-    __slots__ = ("edge", "v1", "v2", "ray1", "ray2", "cells")
+    __slots__ = ("v1", "v2", "ray1", "ray2", "cells")
 
     def __init__(self, pc, e):
         cell = pc.cells[e]
-        self.edge = e
         self.v1, self.v2, self.ray1, self.ray2 = edge_data(pc, cell)
         # the maximal cells having both endpoints as vertices
         self.cells = tuple(i for i in pc.maximal

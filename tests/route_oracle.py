@@ -157,6 +157,14 @@ routes: ``zero_tower`` with the zero value of each flavor (``zero_value``),
 ``rational_equivalence_class`` and ``cycle_to_json``.  The tests that
 called the program's ``restrict_to_span`` and ``_edge_star`` call those of
 the eleventh and ninth groups, and the first builds its own substitution.
+
+ppchow answers both of its lattice questions, whether a cone's rays extend
+to a basis of the lattice and coordinates on the quotient by the lattice
+points of a cone's span, with one unimodular column reduction,
+``qlinalg.column_echelon``.  The nineteenth group is the routes it
+replaced: the Smith normal form, the saturated integer kernel read off it,
+and the test that the rays' invariant factors are all 1.  The quotient
+projection of the fourth group is built from the first two.
 """
 
 import itertools
@@ -166,7 +174,8 @@ from math import gcd, lcm
 
 from hypothesis import strategies as st
 
-from ppchow import arithchow, checks, cycles, limits, polyring, ppfan, specialfiber
+from ppchow import (arithchow, checks, cycles, limits, polyhedra, polyring, ppfan,
+                    specialfiber)
 from ppchow.cycles import InvariantCycle, horizontal_lift_key
 from ppchow.errors import (CompatibilityViolation, DecompositionFailed,
                            InternalIdentityError, NonSCR, NotAComplex,
@@ -179,10 +188,9 @@ from ppchow.polyhedra import (Cone, Fan, PolyComplex, Polyhedron, _Closure,
 from ppchow.ppfan import PPFunction, dual_forms, phi_ray, pullback, zero_pp
 from ppchow.specialfiber import AffinePP, EdgeTuple, VertexTuple
 from ppchow.polyring import HomogPoly, RatFun, Span, monomial_exponents, ratfun_sum_to_poly
-from ppchow.qlinalg import (integer_kernel_basis, is_zero_vec, kernel_basis,
-                            mat, primitive, rank, rat_str, smith_normal_form,
-                            solve, span_basis, transpose, vadd, vec, vscale,
-                            vsub, zero_vec)
+from ppchow.qlinalg import (is_zero_vec, kernel_basis, mat, primitive, rank,
+                            rat_str, solve, span_basis, transpose, vadd, vec,
+                            vscale, vsub, zero_vec)
 
 
 def adjacency(pc):
@@ -622,6 +630,18 @@ def quotient_projection(rank_, rays):
         return tuple(sum(x[i] * V[i][j] for i in range(rank_)) for j in range(s, rank_))
 
     return None, project
+
+
+def quotient_change(rank_, rays):
+    """T with ``polyhedra.quotient_projection(rank_, rays)(x)`` equal to the
+    old projection of x times T, for nonzero rays, solved on the images of
+    the unit vectors.  Both maps are onto Z^(rank_ - s) with kernel the
+    lattice points of span(rays), so T is in GL(Z)."""
+    _, old = quotient_projection(rank_, rays)
+    new = polyhedra.quotient_projection(rank_, rays)
+    basis = [tuple(int(i == j) for j in range(rank_)) for i in range(rank_)]
+    images = [old(e) for e in basis]
+    return transpose([solve(images, col) for col in transpose([new(e) for e in basis])])
 
 
 def eigen_divisor(fan, sigma, weight):
@@ -1718,6 +1738,128 @@ def cycle_to_json(z):
     return {"codim": z.codim,
             "terms": [{"cone": [vector_to_json(r) for r in rays], "coeff": rat_str(c)}
                       for rays, c in sorted(z.terms.items())]}
+
+
+# ---------------------------------------------------------------------------
+# the Smith normal form and the lattice routes built on it
+# ---------------------------------------------------------------------------
+
+
+def _swap_rows(M, i, j):
+    M[i], M[j] = M[j], M[i]
+
+
+def _swap_cols(M, i, j):
+    for row in M:
+        row[i], row[j] = row[j], row[i]
+
+
+def _add_row(M, dst, src, q):
+    # row_dst += q * row_src
+    M[dst] = [a + q * b for a, b in zip(M[dst], M[src])]
+
+
+def _add_col(M, dst, src, q):
+    for row in M:
+        row[dst] += q * row[src]
+
+
+def smith_normal_form(A):
+    """Smith normal form of an integer matrix.
+
+    Returns (U, D, V) with U*A*V = D, U and V unimodular, and the diagonal
+    of D a divisibility chain d1 | d2 | ... with nonnegative entries.
+    """
+    M = [[int(x) for x in row] for row in A]
+    m = len(M)
+    n = len(M[0]) if m else 0
+    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def min_entry(s):
+        best = None
+        for i in range(s, m):
+            for j in range(s, n):
+                if M[i][j] != 0 and (best is None or abs(M[i][j]) < abs(M[best[0]][best[1]])):
+                    best = (i, j)
+        return best
+
+    s = 0
+    while True:
+        pos = min_entry(s)
+        if pos is None:
+            break
+        while True:
+            i, j = min_entry(s)
+            _swap_rows(M, s, i), _swap_rows(U, s, i)
+            _swap_cols(M, s, j), _swap_cols(V, s, j)
+            dirty = False
+            for r in range(s + 1, m):
+                if M[r][s] != 0:
+                    q = -(M[r][s] // M[s][s])
+                    _add_row(M, r, s, q), _add_row(U, r, s, q)
+                    dirty = dirty or M[r][s] != 0
+            for c in range(s + 1, n):
+                if M[s][c] != 0:
+                    q = -(M[s][c] // M[s][s])
+                    _add_col(M, c, s, q), _add_col(V, c, s, q)
+                    dirty = dirty or M[s][c] != 0
+            if not dirty:
+                # pivot must divide the whole remaining block
+                bad = next(((r, c) for r in range(s + 1, m) for c in range(s + 1, n)
+                            if M[r][c] % M[s][s] != 0), None)
+                if bad is None:
+                    break
+                _add_row(M, s, bad[0], 1), _add_row(U, s, bad[0], 1)
+        if M[s][s] < 0:
+            M[s] = [-x for x in M[s]]
+            U[s] = [-x for x in U[s]]
+        s += 1
+        if s == min(m, n):
+            break
+
+    Ut = tuple(tuple(r) for r in U)
+    Vt = tuple(tuple(r) for r in V)
+    Dt = tuple(tuple(r) for r in M)
+    return Ut, Dt, Vt
+
+
+def integer_kernel_basis(A):
+    """Saturated basis of {x in Z^n : A x = 0} for an integer matrix A.
+
+    Uses the Smith normal form: with U A V = D, the kernel is spanned by the
+    columns of V matching zero diagonal entries, and V unimodular makes the
+    result saturated.
+    """
+    A = [[int(x) for x in row] for row in A]
+    if not A:
+        raise ValueError("need explicit column count; pass a zero row instead")
+    n = len(A[0])
+    _, D, V = smith_normal_form(A)
+    cols = []
+    for j in range(n):
+        dj = D[j][j] if j < len(D) and j < len(D[0]) else 0
+        if dj == 0:
+            cols.append(tuple(Fraction(V[i][j]) for i in range(n)))
+    return cols
+
+
+def rays_extend_to_basis(rays):
+    """Do the (primitive) rays extend to a basis of Z^n?
+
+    The test is the Smith normal form one: the coordinate matrix of the rays
+    must have all invariant factors equal to 1.
+    """
+    rays = [vec(r) for r in rays]
+    if not rays:
+        return True
+    if any(x.denominator != 1 for r in rays for x in r):
+        return False
+    coord_rows = [tuple(int(x) for x in r) for r in rays]
+    _, D, _ = smith_normal_form(coord_rows)
+    k = len(coord_rows)
+    invariants = [D[i][i] for i in range(min(k, len(D[0]) if D else 0))]
+    return len([d for d in invariants if d != 0]) == k and all(d == 1 for d in invariants if d != 0)
 
 
 # ---------------------------------------------------------------------------

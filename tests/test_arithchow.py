@@ -7,15 +7,15 @@ from ppchow import limits
 from ppchow.arithchow import (ArithCycle, LimitClass, LimitTower,
                               arith_product, div_nu, eigen_divisor,
                               extended_equal, horizontal_cone_in_model,
-                              limit_equal, limit_mul,
-                              module_action, poincare_lelong_check, theta,
-                              theta_inverse, theta_prime, theta_prime_inverse)
+                              limit_equal, limit_mul, poincare_lelong_check,
+                              theta, theta_inverse, theta_prime,
+                              theta_prime_inverse)
 from ppchow.cycles import (InvariantCycle, closure_class, cycle_from_pp,
                            model_cycle_class)
 from ppchow.errors import (NoCertificate, NotACone, NotARecessionCone,
                            NotCycleSupported, WeightNotOrthogonal)
 from ppchow.fixtures import f2_complex, p1_chain, p2_chain
-from ppchow.limits import CurrentTower, ModelChain
+from ppchow.limits import CurrentTower, ModelChain, module_product_form
 from ppchow.polyhedra import Cone, cone_over
 from ppchow.ppfan import constant_pp, phi_cone
 from ppchow.specialfiber import class_equal
@@ -233,13 +233,13 @@ def test_module_action():
     eta = cyc(1, 1, ([(1,)], 1))
     T = LimitTower(chain, {i: closure_class(chain.models[i], eta) for i in range(3)})
     one = LimitClass(F1, constant_pp(cone_over(F1).fan, 1))
-    MT = module_action(one, T)
+    MT = module_product_form(one, T)
     assert all(MT.value(i) == T.value(i) for i in MT.indices())
     c = LimitClass(F1, model_cycle_class(F1, cyc(2, 1, ([(1, 0)], 1))))
-    CT = module_action(c, T)
+    CT = module_product_form(c, T)
     CT.check_compat()
     c2 = limit_mul(c, c)
-    assert all(module_action(c2, T).value(i) == module_action(c, CT).value(i)
+    assert all(module_product_form(c2, T).value(i) == module_product_form(c, CT).value(i)
                for i in T.indices())
 
 

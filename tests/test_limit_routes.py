@@ -18,7 +18,7 @@ import pytest
 
 import route_oracle
 from ppchow.arithchow import (LimitClass, LimitTower, eigen_divisor,
-                              limit_equal, limit_mul, module_action)
+                              limit_equal, limit_mul)
 from ppchow.checks import prime_cycles
 from ppchow.cycles import (InvariantCycle, closure_class, horizontal_part,
                            model_cycle_class)
@@ -30,10 +30,10 @@ from ppchow.limits import (ClosedForm, CurrentTower, FormModDdbar, ModelChain,
                            delta_current, form_equal, form_mod_equal,
                            green_from_lifting, module_product_form,
                            tower_stabilization)
-from ppchow.polyhedra import (cone_over, horizontal_star, quotient_projection,
-                              recession_fan, vertex_chart)
+from ppchow.polyhedra import (PolyComplex, Polyhedron, cone_over, horizontal_star,
+                              quotient_projection, recession_fan, vertex_chart)
 from ppchow.ppfan import constant_pp, graded_basis
-from ppchow.qlinalg import kernel_basis, mat
+from ppchow.qlinalg import kernel_basis, mat, mat_vec, transpose
 from ppchow.specialfiber import (VertexTuple, dim_affine_pp, iota_upper,
                                  pullback_special, vertex_layer_basis,
                                  zero_vertex_tuple, zeta)
@@ -128,7 +128,7 @@ def test_module_action_matches_the_old_pullback_loop(name):
         for start in (0, 1):
             T = LimitTower(chain, {i: v for i, v in vals.items() if i >= start}, start=start)
             for c in actors:
-                out = module_action(c, T)
+                out = module_product_form(c, T)
                 assert out.flavor == "pp" and out.check_compat()
                 expected = route_oracle.module_action(c, T)
                 assert {i: out.value(i) for i in out.indices()} == expected
@@ -138,7 +138,7 @@ def test_module_action_matches_the_old_pullback_loop(name):
                 with pytest.raises(CompatibilityViolation):
                     route_oracle.module_action(above, T)
                 with pytest.raises(CompatibilityViolation):
-                    module_action(above, T)
+                    module_product_form(above, T)
 
 
 def test_module_product_form_matches_the_old_pullback_loop():
@@ -241,11 +241,19 @@ def test_eigen_divisor_matches_the_two_branch_route():
 
 
 def test_horizontal_star_matches_the_old_projection():
+    """The star is the old one with its coordinates changed by T in GL(Z),
+    the change between the two quotient projections."""
     assert quotient_projection(3, [])((1, 2, 3)) == (1, 2, 3)
     for pc in all_fixture_models().values():
         for sigma in recession_fan(pc).cones:
             star = horizontal_star(pc, sigma)
             if sigma.dim == 0:
                 assert star is pc
-            else:
-                assert star.same_as(route_oracle.horizontal_star(pc, sigma))
+                continue
+            T = route_oracle.quotient_change(pc.rank, list(sigma.rays))
+            assert route_oracle.fraction_det(T) in (1, -1)
+            old, m = route_oracle.horizontal_star(pc, sigma), pc.rank - sigma.dim
+            moved = PolyComplex(m, [Polyhedron(m, [mat_vec(transpose(T), v) for v in c.vertices],
+                                               [mat_vec(transpose(T), r) for r in c.rays])
+                                    for c in old.max_cells()])
+            assert star.same_as(moved)

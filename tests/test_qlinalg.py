@@ -5,11 +5,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import route_oracle
-from ppchow.qlinalg import (RowEchelon, _reduce, integer_kernel_basis,
-                            kernel_basis, mat, mat_inverse, mat_vec, primitive,
-                            rank, rat, rat_str, rays_extend_to_basis, rref,
-                            smith_normal_form, solve, span_basis, transpose,
-                            vdot, vec)
+from ppchow.polyhedra import Cone, Fan, quotient_projection
+from ppchow.qlinalg import (RowEchelon, _reduce, column_echelon, kernel_basis,
+                            mat, mat_inverse, mat_vec, primitive, rank, rat,
+                            rat_str, rref, solve, span_basis, transpose, vdot,
+                            vec)
+from route_oracle import integer_kernel_basis, rays_extend_to_basis, smith_normal_form
 
 
 def test_rat_parsing():
@@ -243,3 +244,62 @@ def test_det_and_inverse_match_rational_elimination(A):
     inv = mat_inverse(A)
     assert [[vdot(row, col) for col in transpose(inv)] for row in mat(A)] == \
         [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# the column reduction against the Smith normal form routes
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _integer_rows(draw):
+    """(n, rows): 1 to n + 2 integer rows of length n = 1..4, some of them
+    copies, negatives or combinations of others."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, n + 2))
+    rows = [draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n)) for _ in range(m)]
+    for _ in range(draw(st.integers(0, 2))):
+        i, j, k = (draw(st.integers(0, m - 1)) for _ in range(3))
+        a, b = draw(st.sampled_from([(1, 0), (-1, 0), (1, 1), (2, -1)]))
+        rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+    return n, rows
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_integer_rows())
+@_examples([(1, [[0]]), (2, [[-1, -1]]), (2, [[0, 1]]), (2, [[1, 0], [1, 2]]),
+            (2, [[1, 2], [1, 2], [0, 0]]), (3, [[1, 1, 0], [0, 1, 1], [1, 0, 1]]),
+            (3, [[2, 4, 6]]), (4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])])
+def test_column_echelon_matches_the_smith_normal_form_routes(case):
+    n, R = case
+    s, M, V = column_echelon(R, n)
+    assert route_oracle.fraction_det(V) in (1, -1)
+    assert s == rank(R)
+    assert M == [[sum(r[k] * V[k][j] for k in range(n)) for j in range(n)] for r in R]
+    # the k-th row that adds to the rank is nonzero in column k and zero
+    # past it, and every other row is zero from column k on
+    k = 0
+    for i, row in enumerate(M):
+        if rank(R[:i + 1]) > k:
+            assert row[k] != 0 and not any(row[k + 1:])
+            k += 1
+        else:
+            assert not any(row[k:])
+    # the regularity verdict that Fan.is_regular reads off the reduction
+    verdict = s == len(R) and all(abs(M[i][i]) == 1 for i in range(s))
+    assert verdict == rays_extend_to_basis(R)
+    if s == len(R):
+        rays = [primitive(r) for r in R]
+        assert Fan(n, [Cone(n, rays)]).is_regular() == rays_extend_to_basis(rays)
+    # the quotient map differs from the old one by T in GL(Z): new = old T
+    new = quotient_projection(n, R)
+    basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    if s == 0:
+        assert [new(e) for e in basis] == basis
+        return
+    old = route_oracle.quotient_projection(n, R)[1]
+    T = route_oracle.quotient_change(n, R)
+    assert all(x.denominator == 1 for row in T for x in row)
+    assert route_oracle.fraction_det(T) in (1, -1)
+    assert [mat_vec(transpose(T), old(e)) for e in basis] == [vec(new(e)) for e in basis]
+
