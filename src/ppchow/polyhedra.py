@@ -22,13 +22,18 @@ cones and recession cones are read off the parent's facets and the face
 lattice, and build their H-descriptions only when these are first read;
 generators span a face when the facets holding them cut out just
 them, and one facet-pairing test, :func:`_facets_paired`, decides both
-completeness and a pushforward's properness.  Validation tests pairs of
-maximal cells only, which proves every pair of cells meets in a common face;
-a facet of one cell with the other on its far side, read with the facet
-masks, certifies nearly all pairs without intersecting them.  The maximal
-cells are read off the face walk, stellar subdivisions and common
-refinements are complexes by construction and are not validated again, and
-a refinement's cell map is read off the fan map.
+completeness and a pushforward's properness.  Validation reads the
+maximal members off a face walk that shares faces by tuples of generator
+numbers, and certifies a complete input by its facets: when the maximal
+members are full-dimensional, each facet lies in two of them on opposite
+sides, and one generic point lies in exactly one, they tile N_R facet to
+facet, hence face to face, and no pair is tested.  Any other input has its
+pairs of maximal cells tested, which proves every pair of cells meets in a
+common face; a facet of one cell with the other on its far side, read with
+the facet masks, certifies nearly all pairs without intersecting them.
+Stellar subdivisions and common refinements are complexes by construction
+and are not validated again, and a refinement's cell map is read off the
+fan map.
 Once a complex or fan is validated, two of its cells meet in the convex hull
 of their common vertices plus the cone on their common rays, and are
 disjoint exactly when they share no vertex; two cones meet in the cone on
@@ -175,6 +180,11 @@ def _vrep_from_hrep(dim, eqs, ineqs):
     if not verts:
         return None
     return tuple(sorted(verts)), tuple(sorted(rays_out))
+
+
+def _bits(key, mask):
+    """The entries of ``key`` at the bits set in ``mask``."""
+    return tuple(k for g, k in enumerate(key) if mask >> g & 1)
 
 
 def _check_length(kind, g, n):
@@ -365,29 +375,37 @@ class Polyhedron:
                                    dict(gens[nfv:]), facets)
 
     def faces(self, built=None):
-        """All nonempty faces, this polyhedron included.
+        """All nonempty faces, this polyhedron included: a dict from each
+        face's id key to the face, this polyhedron's first.
 
-        ``built`` maps generator tuples (vertices, rays) to faces already
-        built, for sharing the faces of the cells of one complex or the cones
-        of one fan; faces missing from it are built and added.  Each facet's
-        key is looked up once, and the walk marks faces by identity.
+        ``built`` = (ids, shared) shares the faces of the cells of one complex
+        or the cones of one fan.  ``ids`` numbers the generators, (0, vertex)
+        or (1, ray), and a face's id key is the tuple of its generators'
+        numbers, vertices then rays, each in order; ``shared`` maps id keys
+        to faces already built, and faces missing from it are built and
+        added.  A face lists its parent's generators under the facet mask, in
+        the parent's order (both sort them), so a facet's id key is read off
+        its parent's by the mask: only this polyhedron's own generators are
+        hashed.
         """
-        built = {} if built is None else built
-        built.setdefault((self.vertices, self.rays), self)
-        seen = {}
-        stack = [self]
+        ids, shared = ({}, {}) if built is None else built
+        top = tuple(ids.setdefault(g, len(ids)) for g in itertools.chain(
+            ((0, v) for v in self.vertices), ((1, r) for r in self.rays)))
+        shared.setdefault(top, self)
+        out = {top: self}
+        stack = [(self, top)]
         while stack:
-            f = stack.pop()
-            if id(f) in seen:
-                continue
-            seen[id(f)] = f
+            f, key = stack.pop()
             for on in f._masks:
-                key = f._gens(on)
-                face = built.get(key)
+                sub = _bits(key, on)
+                if sub in out:
+                    continue
+                face = shared.get(sub)
                 if face is None:
-                    face = built[key] = f._face(on)
-                stack.append(face)
-        return sorted(seen.values(), key=lambda p: (p.dim, p.key()))
+                    face = shared[sub] = f._face(on)
+                out[sub] = face
+                stack.append((face, sub))
+        return out
 
     def __repr__(self):
         return f"Polyhedron(V={list(self.vertices)}, R={list(self.rays)})"
@@ -467,6 +485,55 @@ def _meet_certified(p, q):
     return None
 
 
+def _side(p, x):
+    """1 if x lies outside the full-dimensional polyhedron p, 0 on its
+    boundary, -1 inside.  A facet's a.x <= b is read as a.(x - v) <= 0 at
+    the facet's first generator v, a vertex."""
+    side = -1
+    for a, on in zip(p._normals, p._masks):
+        v = p.vertices[(on & -on).bit_length() - 1]
+        s = sum(c * (y - w) for c, y, w in zip(a, x, v))
+        if s > 0:
+            return 1
+        if s == 0:
+            side = 0
+    return side
+
+
+def _tiles(members, keys):
+    """Do the members, maximal in a closure and with their id keys (see
+    :meth:`Polyhedron.faces`), tile N_R facet to facet?  The certificate of
+    :func:`_close_and_validate`: all full-dimensional, each facet's id key
+    held by exactly two of them with normals of negative dot product, which
+    on one hyperplane means opposite, and one point on no member's boundary
+    inside exactly one of them.  The point is x0 + (t, t^2, ..., t^n) with
+    x0 the first member's mean vertex plus its rays, inside that member, for
+    t = 0, 1, 1/2, 1/3, ... in turn: a facet hyperplane a.x = b holds it
+    for at most n values of t, as a != 0, so some t gives a point off every
+    boundary.
+    """
+    if not members:
+        return False
+    n = members[0].dim_ambient
+    if any(p.dim != n for p in members):
+        return False
+    normals = {}
+    for p, key in zip(members, keys):
+        for a, on in zip(p._normals, p._masks):
+            normals.setdefault(_bits(key, on), []).append(a)
+    if any(len(s) != 2 or sum(u * w for u, w in zip(*s)) >= 0 for s in normals.values()):
+        return False
+    first = members[0]
+    x0 = [sum(v[i] for v in first.vertices) / len(first.vertices)
+          + sum(r[i] for r in first.rays) for i in range(n)]
+    sides, k = [-1] + [_side(p, x0) for p in members[1:]], 0
+    while 0 in sides:
+        k += 1
+        x = [c + Fraction(1, k) ** (i + 1) for i, c in enumerate(x0)]
+        sides = [_side(p, x) for p in members]
+    return sides.count(-1) == 1
+
+
 def _close_and_validate(items, kind, validate=True):
     """Face closure, the maximal members, and the common-face test.
 
@@ -483,18 +550,51 @@ def _close_and_validate(items, kind, validate=True):
     members meet in a common face, with P = Q covering two faces of one
     cell.  Most pairs are settled by a separating facet
     (:func:`_meet_certified`); the rest are intersected exactly.
+
+    No pair is tested when :func:`_tiles` certifies the maximal members:
+    (i) all have dimension n, (ii) each facet lies in exactly two, with
+    opposite normals, and (iii) one point, on no member's boundary, lies in
+    exactly one.  Let d(y) count the members holding y, off the boundaries.
+
+    (1) d is constant.  It is locally constant off the boundaries.  The
+    points on two facet hyperplanes, the (n - 2)-skeleton among them, lie
+    in finitely many affine spaces of codimension 2, whose complement is
+    connected; so a generic path joins any two points off the boundaries
+    and meets the boundaries at points y on one facet hyperplane H only,
+    each in the relative interior of one facet of every member whose
+    boundary holds y.  By (ii) these members pair off, the two of a pair
+    holding that facet from opposite sides of H, so d is the same just
+    before y and just after.  By (iii) d = 1, so the members cover N_R
+    (their union is closed) with disjoint interiors, and by (ii) each facet
+    of one is a facet of another: they tile N_R facet to facet.
+
+    (2) Such a tiling is face to face.  At a point z, the tangent cones
+    T(P) = cone(P - z) of the tiles P holding z tile R^n facet to facet: a
+    facet T(F) of T(P), F a facet of P through z, is a facet of T(Q) for
+    the other tile Q holding F.  A cone is L + T' with L its lineality
+    space and T' pointed, so each of its facets has lineality space L;
+    adjacent tangent cones share it, and the paths of (1) connect them by
+    adjacency, so all share one space L(z).  The smallest face of a tile P holding z
+    is P & (z + L(z)), and near z the affine space z + L(z) lies in every
+    tile holding z.  Let P, Q meet in C, z in C's relative interior and F
+    the smallest face of P holding z, so C <= F.  Were y in F not in Q, the
+    segment [z, y] would leave Q at some w != y, in the relative interior of
+    F; then F is the smallest face of P holding w, so near w the segment
+    lies in Q, a contradiction.  So C = F, and likewise C is a face of Q,
+    also where C has codimension 2 or more.
+
+    Every other input, complete or not, runs the pairwise test in the same
+    order, and a refusal names the same pair.
     """
-    closed, built = {}, {}  # key: [last face built, below an item?]
+    closed, built = {}, ({}, {})  # id key: (last face built, below an item?)
     for it in items:
-        top = it.key()
-        for f in it.faces(built):
-            key = f.key()
-            entry = closed.setdefault(key, [f, False])
-            entry[:] = f, entry[1] or key != top
-    order = sorted(closed.items(), key=lambda kv: (kv[1][0].dim, kv[0]))
+        # the walk lists the item first and its proper faces after it
+        for pos, (key, f) in enumerate(it.faces(built).items()):
+            closed[key] = f, pos > 0 or closed.get(key, (f, False))[1]
+    order = sorted(closed.items(), key=lambda kv: (kv[1][0].dim, kv[1][0].key()))
     cells = [f for _, (f, _) in order]
     maximal = tuple(i for i, (_, (_, below)) in enumerate(order) if not below)
-    if validate:
+    if validate and not _tiles([cells[i] for i in maximal], [order[i][0] for i in maximal]):
         for i, j in itertools.combinations(maximal, 2):
             p, q = cells[i], cells[j]
             if _meet_certified(p, q) is not None:
@@ -543,6 +643,12 @@ def _facets_paired(members, rank, region=None):
     points just past a facet F in the interior lie in a second member, which
     meets the first in a face containing F, so in F; past a facet inside one
     of the region's, none do.
+
+    On members not known to meet in common faces the pairing proves no
+    cover of degree 1: two copies of a complete complex pair every facet.
+    The certificate of :func:`_close_and_validate` adds opposite sides for
+    the two members of each facet and degree 1 at one generic point, which
+    prove that they meet in common faces.
     """
     count = {}
     for p in members:

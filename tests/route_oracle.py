@@ -33,11 +33,12 @@ ppchow writes the Green identity once, as the tower dd^c g + delta of
 pullback-system predicate; the group also keeps the old
 ``tower_stabilization`` loop and theta's certificate loop, model by model.
 
-ppchow validates a complex or fan on pairs of maximal members, most of them
-certified by a separating facet, reads the maximal members off the face
-walk, builds stellar subdivisions and common refinements without validating
-them again, reads a refinement's cell map off its fan map, and takes the
-map between two models of a chain from ``refines``.  The fifth group is the
+ppchow certifies a complete complex or fan by its facets and validates any
+other one on pairs of maximal members, most of them certified by a
+separating facet, reads the maximal members off the face walk, builds
+stellar subdivisions and common refinements without validating them again,
+reads a refinement's cell map off its fan map, and takes the map between
+two models of a chain from ``refines``.  The fifth group is the
 routes these replaced: the exact common-face test on every pair of members,
 faces included, with maximality by containment; the separating-facet
 certificate that settled only pairs whose generators on the facet are their
@@ -708,7 +709,7 @@ def close_and_validate(items, kind):
     members contained in no other one as the maximal ones."""
     closed = {}
     for it in items:
-        for f in it.faces():
+        for f in it.faces().values():
             closed[f.key()] = f
     cells = sorted(closed.values(), key=lambda p: (p.dim, p.key()))
     for p, q in itertools.combinations(cells, 2):
@@ -771,7 +772,7 @@ def star_subdivision(pc, point):
         if not c.contains_point(w):
             new_max.append(c)
             continue
-        for f in c.faces():
+        for f in sorted(c.faces().values(), key=lambda f: (f.dim, f.key())):
             if f.dim == c.dim - 1 and not f.contains_point(w):
                 new_max.append(Cone(n + 1, list(f.rays) + [w]))
     cells = [Polyhedron(n, [tuple(x / r[n] for x in r[:n]) for r in c.rays if r[n] > 0],

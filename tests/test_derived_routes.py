@@ -28,16 +28,19 @@ def _fields(p):
 
 
 def _assert_faces_match(polys):
-    """Faces of each polyhedron by both routes, each route with one
-    ``built`` dict for all of them, in two passes: the second pass must hand
-    back the faces the first one built."""
-    ours, theirs = {}, {}
+    """Faces of each polyhedron by both routes, each route sharing its faces
+    across all of them, in two passes: the second pass must hand back the
+    faces the first one built, under the same id keys."""
+    ours, theirs, first = ({}, {}), {}, {}
     for second in (False, True):
-        for p in polys:
-            got = p.faces(ours)
+        for i, p in enumerate(polys):
+            walk = p.faces(ours)
+            got = sorted(walk.values(), key=lambda f: (f.dim, f.key()))
             expected = route_oracle.faces(p, theirs)
             assert [_fields(f) for f in got] == [_fields(f) for f in expected]
-            assert not second or all(ours[f.vertices, f.rays] is f for f in got)
+            assert all(ours[1][key] is f for key, f in walk.items() if f is not p)
+            assert not second or walk == first[i]     # faces compare by identity
+            first[i] = walk
 
 
 def _polyhedron(vertices, rays):

@@ -1,12 +1,17 @@
-"""Validation on maximal pairs against the all-pairs route it replaced.
+"""Validation by facets and maximal pairs against the all-pairs route it
+replaced.
 
-ppchow tests only pairs of maximal members of a complex or fan, settles most
-of them with a separating facet, reads the maximal members off the face
+ppchow certifies a complete complex or fan by its facets (a tiling
+certificate), tests only pairs of maximal members of any other one, settles
+most of them with a separating facet, reads the maximal members off the face
 walk, builds stellar subdivisions and common refinements without validating
 them, and reads a refinement's cell map off the fan map.  On valid inputs
-both routes must close to the same members with the same maximal ones; on
-invalid ones both must raise ``NotAComplex``; and every complex built by
-construction must pass the all-pairs test of ``route_oracle``.  Covering
+both routes must close to the same members with the same maximal ones, and
+on complete ones the certificate must decide without testing a pair; on
+invalid ones, including families whose facets all pair, both must raise
+``NotAComplex``, and the families whose facets all pair keep the message the
+pairwise test gives; and every complex built by construction must pass the
+all-pairs test of ``route_oracle``.  Covering
 is decided by pairing facets and faces are tested by facet masks; both must
 agree with the volume count and the dot-product face test they replaced, on
 covers and non-covers, faces and non-faces.
@@ -19,13 +24,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import route_oracle
+from ppchow import polyhedra
 from ppchow.errors import NotAComplex
 from ppchow.fixtures import all_fixture_models, f1_fan, f3_fan
 from ppchow.polyhedra import (Cone, Fan, PolyComplex, Polyhedron,
                               _close_and_validate, _facets_paired, _is_face,
                               _meet_certified, common_refinement, cone_over,
-                              recession_fan, refines, star_subdivision,
-                              vertex_chart)
+                              rec_fan_as_complex, recession_fan, refines,
+                              star_subdivision, vertex_chart)
 
 FIXTURES = all_fixture_models()
 
@@ -36,16 +42,21 @@ def _members(pc_or_fan):
     return pc_or_fan.max_cells(), "complex"
 
 
+def _complete_sources(pc):
+    """(items, kind) of a complete model, its recession fan and its vertex
+    charts."""
+    return ([_members(pc), _members(recession_fan(pc))]
+            + [_members(vertex_chart(pc, v).fan) for v in pc.vertices])
+
+
 def _valid_sources():
-    """(items, kind) of every fixture, its cone over, recession fan and
-    vertex charts, the fixture fans and two interval models."""
-    out = [_members(f) for f in (f1_fan(), f3_fan())]
+    """(items, kind, complete?) of every fixture, its cone over, recession
+    fan and vertex charts, the fixture fans and two interval models."""
+    out = [_members(f) + (True,) for f in (f1_fan(), f3_fan())]
     models = list(FIXTURES.values()) + [route_oracle.interval_model(-2, 3)]
     for pc in models:
-        out.append(_members(pc))
-        out.append(_members(cone_over(pc).fan))
-        out.append(_members(recession_fan(pc)))
-        out += [_members(vertex_chart(pc, v).fan) for v in pc.vertices]
+        out += [src + (True,) for src in _complete_sources(pc)]
+        out.append(_members(cone_over(pc).fan) + (False,))
     return out
 
 
@@ -56,8 +67,17 @@ def _keys(cells):
     return [(c.dim, c.key()) for c in cells]
 
 
-def _assert_same_closure(items, kind):
-    new_cells, new_max = _close_and_validate(items, kind)
+def _no_pair(p, q):
+    raise AssertionError(f"the pair {p!r}, {q!r} was tested")
+
+
+def _assert_same_closure(items, kind, complete=False):
+    """Both routes close the items alike; on a complete input the tiling
+    certificate decides, so no pair of members is tested."""
+    with pytest.MonkeyPatch.context() as mp:
+        if complete:
+            mp.setattr(polyhedra, "_meet_certified", _no_pair)
+        new_cells, new_max = _close_and_validate(items, kind)
     old_cells, old_max = route_oracle.close_and_validate(items, kind)
     assert _keys(new_cells) == _keys(old_cells)
     assert new_max == old_max
@@ -68,7 +88,9 @@ def _assert_same_closure(items, kind):
 @st.composite
 def _padded(draw, items):
     """The items plus some of their faces and repeats, in a drawn order."""
-    faces = [f for it in items for f in it.faces() if f.key() != it.key()]
+    faces = [f for it in items
+             for f in sorted(it.faces().values(), key=lambda f: (f.dim, f.key()))
+             if f.key() != it.key()]
     extra = draw(st.lists(st.sampled_from(faces), max_size=4)) if faces else []
     repeats = draw(st.lists(st.sampled_from(items), max_size=2))
     return draw(st.permutations(list(items) + extra + repeats))
@@ -77,22 +99,58 @@ def _padded(draw, items):
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(st.data())
 def test_valid_inputs_close_alike(data):
-    items, kind = data.draw(st.sampled_from(VALID))
-    _assert_same_closure(data.draw(_padded(items)), kind)
+    items, kind, complete = data.draw(st.sampled_from(VALID))
+    _assert_same_closure(data.draw(_padded(items)), kind, complete)
 
 
 @settings(derandomize=True, max_examples=4, deadline=None)
 @given(st.lists(st.integers(0, 50), min_size=1, max_size=4), st.data())
 def test_refined_f3c_closes_alike(choices, data):
     pc = route_oracle.refined_f3c(choices)
-    _assert_same_closure(data.draw(_padded(pc.max_cells())), "complex")
+    _assert_same_closure(data.draw(_padded(pc.max_cells())), "complex", True)
+
+
+def test_the_last_walk_reaching_a_key_gives_its_member():
+    """Each key's member is the object the last face walk reaching it
+    returned: an item on its own walk, and otherwise the face first built
+    or given with that key."""
+    p, q, again = (Polyhedron(1, [(0,), (1,)]), Polyhedron(1, [(1,), (2,)]),
+                   Polyhedron(1, [(0,), (1,)]))
+    point = Polyhedron(1, [(1,)])
+    for items, point_kept in (([p, q, point, again], False), ([point, p, q, again], True)):
+        members = {c.key(): c for c in _close_and_validate(items, "complex")[0]}
+        assert members[p.key()] is again and members[q.key()] is q
+        assert (members[point.key()] is point) == point_kept
+
+
+@settings(derandomize=True, max_examples=4, deadline=None)
+@given(route_oracle.rank_one_chains(), st.data())
+def test_rank_one_chains_are_certified(chain, data):
+    for pc in chain.models:
+        for items, kind in _complete_sources(pc):
+            _assert_same_closure(data.draw(_padded(items)), kind, True)
+
+
+# the P^3 fan: the cones on three of e1, e2, e3 and -(e1 + e2 + e3)
+P3_RAYS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+
+
+@settings(derandomize=True, max_examples=3, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=1, max_size=2))
+def test_stellar_subdivisions_of_p3_are_certified(points):
+    """Stellar subdivisions of the P^3 model at lattice points, read back
+    cell by cell."""
+    pc = rec_fan_as_complex(Fan(3, [Cone(3, rays) for rays in itertools.combinations(P3_RAYS, 3)]))
+    for point in points:
+        pc = star_subdivision(pc, point)
+    _assert_same_closure(pc.max_cells(), "complex", True)
 
 
 # ---------------------------------------------------------------------------
 # invalid inputs: every family is drawn under a lattice map x -> k.A.x + s
 # ---------------------------------------------------------------------------
 
-# (vertices, rays) per cell, in integer coordinates before the map
+# (vertices, rays) per cell, before the map
 INVALID_COMPLEXES = {
     "overlapping intervals": [([(0,), (2,)], []), ([(1,), (3,)], [])],
     "nested intervals": [([(0,), (3,)], []), ([(1,), (2,)], [])],
@@ -120,6 +178,24 @@ INVALID_COMPLEXES = {
                                          ([(1, 1), (3, 1), (1, 3)], [])],
     "triangle's vertex inside an edge, reversed": [([(0, 0), (-2, 0), (0, -2)], []),
                                                    ([(-1, -1), (-3, -1), (-1, -3)], [])],
+    # every facet lies in two cells, on opposite sides, and the cover has
+    # degree 2: the generic point of the tiling certificate refuses them
+    "double cover F2 and F2 + 1/2": [([(0,)], [(-1,)]), ([(0,), (1,)], []), ([(1,)], [(1,)]),
+                                     ([(Q(1, 2),)], [(-1,)]), ([(Q(1, 2),), (Q(3, 2),)], []),
+                                     ([(Q(3, 2),)], [(1,)])],
+    "double cover F3C and F3C + (1, 1)": [([(0, 0)], [(1, 0), (0, 1)]),
+                                          ([(0, 0)], [(0, 1), (-1, -1)]),
+                                          ([(0, 0)], [(-1, -1), (1, 0)]),
+                                          ([(1, 1)], [(1, 0), (0, 1)]),
+                                          ([(1, 1)], [(0, 1), (-1, -1)]),
+                                          ([(1, 1)], [(-1, -1), (1, 0)])],
+    # every facet lies in two cells, but 1 and 3 in two on the same side:
+    # the degree is 1 at -1 and 3 at 3/2, so orientation refuses it
+    "F1 and the same-side triple [1, 2], [1, 3], [2, 3]": [
+        ([(0,)], [(-1,)]), ([(0,)], [(1,)]), ([(1,), (2,)], []), ([(1,), (3,)], []),
+        ([(2,), (3,)], [])],
+    # full-dimensional cells that tile, and a maximal point that is no face
+    "F1 and a point inside a ray": [([(0,)], [(-1,)]), ([(0,)], [(1,)]), ([(1,)], [])],
 }
 
 INVALID_FANS = {
@@ -127,7 +203,45 @@ INVALID_FANS = {
     "nested cones": [[(1, 0), (0, 1)], [(1, 1), (1, 2)]],
     "cone across a ray": [[(1, 0), (0, 1)], [(0, 1), (-1, 0)], [(-1, 1), (1, 1)]],
     "ray inside a cone": [[(1, 0), (0, 1)], [(1, 1)]],
+    "double cover F3 and -F3": [[(1, 0), (0, 1)], [(0, 1), (-1, -1)], [(-1, -1), (1, 0)],
+                                [(-1, 0), (0, -1)], [(0, -1), (1, 1)], [(1, 1), (-1, 0)]],
+    "F3 and a ray inside a cone": [[(1, 0), (0, 1)], [(0, 1), (-1, -1)], [(-1, -1), (1, 0)],
+                                   [(1, 1)]],
 }
+
+# the refusals of the families whose facets all pair, under the identity map,
+# as (cell, cell, meet), each cell (vertices, rays) or a cone's rays: the
+# pairwise test runs as it did before the tiling certificate, and names the
+# same pair
+PAIRED_REFUSALS = {
+    "double cover F2 and F2 + 1/2": (
+        ([(0,)], [(-1,)]), ([(Q(1, 2),)], [(-1,)]), ([(0,)], [(-1,)])),
+    "double cover F3C and F3C + (1, 1)": (
+        ([(0, 0)], [(-1, -1), (0, 1)]), ([(1, 1)], [(-1, -1), (0, 1)]),
+        ([(0, 0)], [(-1, -1), (0, 1)])),
+    "F1 and the same-side triple [1, 2], [1, 3], [2, 3]": (
+        ([(0,)], [(1,)]), ([(1,), (2,)], []), ([(1,), (2,)], [])),
+    "F1 and a point inside a ray": (([(1,)], []), ([(0,)], [(1,)]), ([(1,)], [])),
+    "double cover F3 and -F3": ([(-1, -1), (0, 1)], [(-1, 0), (0, -1)], [(-1, -1), (-1, 0)]),
+    "F3 and a ray inside a cone": ([(1, 1)], [(0, 1), (1, 0)], [(1, 1)]),
+}
+
+
+def _refusal_text(name):
+    """The message of ``NotAComplex`` for a family in PAIRED_REFUSALS, with
+    each coordinate written as ``Fraction(p, q)``."""
+    def point(x):
+        entries = [f"Fraction({Q(c).numerator}, {Q(c).denominator})" for c in x]
+        return "(" + ", ".join(entries) + ("," if len(entries) == 1 else "") + ")"
+
+    def member(m):
+        if name in INVALID_FANS:
+            return f"Cone([{', '.join(map(point, m))}])"
+        return (f"Polyhedron(V=[{', '.join(map(point, m[0]))}], "
+                f"R=[{', '.join(map(point, m[1]))}])")
+    p, q, meet = map(member, PAIRED_REFUSALS[name])
+    kind = "fan" if name in INVALID_FANS else "complex"
+    return f"{kind} cells {p} and {q} meet in {meet}, not a common face"
 
 
 def _lattice_map(rank, shear, k, shift):
@@ -162,6 +276,21 @@ def _assert_rejected_by_both(name, shear, k, shift):
         route_oracle.close_and_validate(cells, "complex")
     with pytest.raises(NotAComplex):
         PolyComplex(rank, cells)
+
+
+@pytest.mark.parametrize("name", sorted(PAIRED_REFUSALS))
+def test_paired_families_keep_their_refusals(name):
+    if name in INVALID_FANS:
+        members = [Cone(2, rays) for rays in INVALID_FANS[name]]
+        closure = lambda: Fan(2, members)                    # noqa: E731
+    else:
+        raw = INVALID_COMPLEXES[name]
+        rank = len(raw[0][0][0])
+        members = [Polyhedron(rank, vs, rs) for vs, rs in raw]
+        closure = lambda: PolyComplex(rank, members)         # noqa: E731
+    with pytest.raises(NotAComplex) as refusal:
+        closure()
+    assert str(refusal.value) == _refusal_text(name)
 
 
 def test_triangle_on_a_square_facet_is_rejected_by_both():
