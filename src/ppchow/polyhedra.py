@@ -20,17 +20,17 @@ oracle, which must share no code with the bases.  Each polyhedron keeps the
 mask of its generators on each facet, so faces, cones over cells, chart
 cones and recession cones are read off the parent's facets and the face
 lattice, and build their H-descriptions only when these are first read;
-generators span a face when the facets holding them cut out just
-them, and one facet-pairing test, :func:`_facets_paired`, decides both
-completeness and a pushforward's properness.  Validation reads the
-maximal members off a face walk that shares faces by tuples of generator
-numbers, and certifies a complete input by its facets: when the maximal
-members are full-dimensional, each facet lies in two of them on opposite
-sides, and one generic point lies in exactly one, they tile N_R facet to
-facet, hence face to face, and no pair is tested.  Any other input has its
-pairs of maximal cells tested, which proves every pair of cells meets in a
-common face; a facet of one cell with the other on its far side, read with
-the facet masks, certifies nearly all pairs without intersecting them.
+generators span a face when the facets holding them cut out just them.
+The face walk of a complex or fan numbers its generators once and names a
+face by its generators' numbers; completeness, validation, a pushforward's
+properness and the adjacency read these names.  A complex or fan is
+complete exactly when its maximal members tile N_R facet to facet:
+full-dimensional, each facet in two of them on opposite sides, and one
+generic point in exactly one.  Such a tiling is face to face, so no pair of
+a complete input is tested.  Any other input has its pairs of maximal cells
+tested, which proves every pair of cells meets in a common face; a facet of
+one cell with the other on its far side, read with the facet masks,
+certifies nearly all pairs without intersecting them.
 Stellar subdivisions and common refinements are complexes by construction
 and are not validated again, and a refinement's cell map is read off the
 fan map.
@@ -341,14 +341,6 @@ class Polyhedron:
         return (tuple(v for i, v in enumerate(self.vertices) if mask >> i & 1),
                 tuple(r for i, r in enumerate(self.rays) if mask >> (nv + i) & 1))
 
-    def facet_keys(self):
-        """Keys of the facets: the generators on each facet hyperplane.
-
-        A face is spanned by the vertices and rays it contains, so these are
-        the facets' canonical keys, known without building them.
-        """
-        return [self._gens(on) for on in self._masks]
-
     def _face(self, mask):
         """The facet whose generators have their bits set in ``mask``.
 
@@ -374,12 +366,12 @@ class Polyhedron:
         return type(self)._derived(self.dim_ambient, self.dim - 1, dict(gens[:nfv]),
                                    dict(gens[nfv:]), facets)
 
-    def faces(self, built=None):
+    def faces(self, ids, shared):
         """All nonempty faces, this polyhedron included: a dict from each
         face's id key to the face, this polyhedron's first.
 
-        ``built`` = (ids, shared) shares the faces of the cells of one complex
-        or the cones of one fan.  ``ids`` numbers the generators, (0, vertex)
+        ``ids`` and ``shared`` are kept across the cells of one complex or
+        the cones of one fan.  ``ids`` numbers the generators, (0, vertex)
         or (1, ray), and a face's id key is the tuple of its generators'
         numbers, vertices then rays, each in order; ``shared`` maps id keys
         to faces already built, and faces missing from it are built and
@@ -388,7 +380,6 @@ class Polyhedron:
         its parent's by the mask: only this polyhedron's own generators are
         hashed.
         """
-        ids, shared = ({}, {}) if built is None else built
         top = tuple(ids.setdefault(g, len(ids)) for g in itertools.chain(
             ((0, v) for v in self.vertices), ((1, r) for r in self.rays)))
         shared.setdefault(top, self)
@@ -502,15 +493,25 @@ def _side(p, x):
 
 def _tiles(members, keys):
     """Do the members, maximal in a closure and with their id keys (see
-    :meth:`Polyhedron.faces`), tile N_R facet to facet?  The certificate of
-    :func:`_close_and_validate`: all full-dimensional, each facet's id key
-    held by exactly two of them with normals of negative dot product, which
-    on one hyperplane means opposite, and one point on no member's boundary
-    inside exactly one of them.  The point is x0 + (t, t^2, ..., t^n) with
-    x0 the first member's mean vertex plus its rays, inside that member, for
-    t = 0, 1, 1/2, 1/3, ... in turn: a facet hyperplane a.x = b holds it
-    for at most n values of t, as a != 0, so some t gives a point off every
-    boundary.
+    :meth:`Polyhedron.faces`), tile N_R facet to facet?  All
+    full-dimensional, each facet's id key held by exactly two of them with
+    normals of negative dot product, which on one hyperplane means opposite,
+    and one point on no member's boundary inside exactly one of them.  The
+    point is x0 + (t, t^2, ..., t^n) with x0 the first member's mean vertex
+    plus its rays, inside that member, for t = 0, 1, 1/2, 1/3, ... in turn: a
+    facet hyperplane a.x = b holds it for at most n values of t, as a != 0,
+    so some t gives a point off every boundary.
+
+    On members that meet in common faces, as a closure's do, this is
+    completeness.  :meth:`_Closure._validate` proves that a tiling covers N_R
+    face to face.  Conversely, let the members cover N_R.  The
+    full-dimensional ones cover a dense closed set, so N_R, and a member C of
+    lower dimension is a face of one holding a point of C's relative
+    interior, so not maximal.  A facet F of a member P lies in a second member
+    Q holding points just past F's relative interior; Q meets P in a face of
+    P holding F but not P, so in F, from the far side.  A third member
+    holding F would share interior points with P or Q, and the members,
+    meeting in common faces, have disjoint interiors: the degree is 1.
     """
     if not members:
         return False
@@ -534,81 +535,6 @@ def _tiles(members, keys):
     return sides.count(-1) == 1
 
 
-def _close_and_validate(items, kind, validate=True):
-    """Face closure, the maximal members, and the common-face test.
-
-    ``items`` are Polyhedron or Cone; returns the closed sorted list and the
-    indices of the maximal ones.  Faces shared by several items are built
-    once.  A member is maximal when it is not a proper face of an item; on
-    a complex that is the same as being contained in no other member.
-
-    Only pairs of maximal members are tested.  Let P, Q be maximal with
-    P & Q = F a face of both (possibly empty), and take faces P' <= P and
-    Q' <= Q.  Then P' & Q' = (P' & F) & (Q' & F), an intersection of two
-    faces of F, so a face of F, hence of P and of Q, hence of P' and of Q'.
-    Every member is a face of a maximal one, so this proves that every two
-    members meet in a common face, with P = Q covering two faces of one
-    cell.  Most pairs are settled by a separating facet
-    (:func:`_meet_certified`); the rest are intersected exactly.
-
-    No pair is tested when :func:`_tiles` certifies the maximal members:
-    (i) all have dimension n, (ii) each facet lies in exactly two, with
-    opposite normals, and (iii) one point, on no member's boundary, lies in
-    exactly one.  Let d(y) count the members holding y, off the boundaries.
-
-    (1) d is constant.  It is locally constant off the boundaries.  The
-    points on two facet hyperplanes, the (n - 2)-skeleton among them, lie
-    in finitely many affine spaces of codimension 2, whose complement is
-    connected; so a generic path joins any two points off the boundaries
-    and meets the boundaries at points y on one facet hyperplane H only,
-    each in the relative interior of one facet of every member whose
-    boundary holds y.  By (ii) these members pair off, the two of a pair
-    holding that facet from opposite sides of H, so d is the same just
-    before y and just after.  By (iii) d = 1, so the members cover N_R
-    (their union is closed) with disjoint interiors, and by (ii) each facet
-    of one is a facet of another: they tile N_R facet to facet.
-
-    (2) Such a tiling is face to face.  At a point z, the tangent cones
-    T(P) = cone(P - z) of the tiles P holding z tile R^n facet to facet: a
-    facet T(F) of T(P), F a facet of P through z, is a facet of T(Q) for
-    the other tile Q holding F.  A cone is L + T' with L its lineality
-    space and T' pointed, so each of its facets has lineality space L;
-    adjacent tangent cones share it, and the paths of (1) connect them by
-    adjacency, so all share one space L(z).  The smallest face of a tile P holding z
-    is P & (z + L(z)), and near z the affine space z + L(z) lies in every
-    tile holding z.  Let P, Q meet in C, z in C's relative interior and F
-    the smallest face of P holding z, so C <= F.  Were y in F not in Q, the
-    segment [z, y] would leave Q at some w != y, in the relative interior of
-    F; then F is the smallest face of P holding w, so near w the segment
-    lies in Q, a contradiction.  So C = F, and likewise C is a face of Q,
-    also where C has codimension 2 or more.
-
-    Every other input, complete or not, runs the pairwise test in the same
-    order, and a refusal names the same pair.
-    """
-    closed, built = {}, ({}, {})  # id key: (last face built, below an item?)
-    for it in items:
-        # the walk lists the item first and its proper faces after it
-        for pos, (key, f) in enumerate(it.faces(built).items()):
-            closed[key] = f, pos > 0 or closed.get(key, (f, False))[1]
-    order = sorted(closed.items(), key=lambda kv: (kv[1][0].dim, kv[1][0].key()))
-    cells = [f for _, (f, _) in order]
-    maximal = tuple(i for i, (_, (_, below)) in enumerate(order) if not below)
-    if validate and not _tiles([cells[i] for i in maximal], [order[i][0] for i in maximal]):
-        for i, j in itertools.combinations(maximal, 2):
-            p, q = cells[i], cells[j]
-            if _meet_certified(p, q) is not None:
-                continue
-            inter = p.intersect(q)
-            if inter is None:
-                continue
-            g = (inter.vertices, inter.rays)
-            if not (_is_face(p, g) and _is_face(q, g)):
-                raise NotAComplex(
-                    f"{kind} cells {p!r} and {q!r} meet in {inter!r}, not a common face")
-    return tuple(cells), maximal
-
-
 def direction_space(vertices, rays):
     """RREF basis of the directions of conv(vertices) + cone(rays)."""
     base = vertices[0]
@@ -626,54 +552,126 @@ def _join(parent, p, q):
     return p != q
 
 
-def _facets_paired(members, rank, region=None):
-    """Do the members, which meet in common faces and lie in the region,
-    cover it?  The region is a full-dimensional polyhedron, or N_R if None.
+def _facets_paired(fan, inside, region):
+    """Do the maximal cones of the fan at the positions ``inside``, which lie
+    in the full-dimensional cone ``region``, cover it?  A facet is named by
+    its id key in the fan (see :meth:`Polyhedron.faces`).
 
-    They do exactly when there is a member, all are full-dimensional, and
-    each facet lies in two members or in one and inside a facet of the
-    region.  A facet F of a member lies in a facet a.x <= b of the region or
-    has its relative interior in the region's interior: a.x <= b holds on F,
-    so equality at one relative interior point gives it on all of F.  Were
-    a point z of the interior outside the support, a segment from a generic
-    interior point of a member to z would stay in the interior, miss every
-    face of dimension below rank - 1, and leave the support at a relative
-    interior point of a facet; two members hold that facet, one on either
-    side, and cover a ball around the point.  Conversely, on a cover, the
-    points just past a facet F in the interior lie in a second member, which
-    meets the first in a face containing F, so in F; past a facet inside one
-    of the region's, none do.
-
-    On members not known to meet in common faces the pairing proves no
-    cover of degree 1: two copies of a complete complex pair every facet.
-    The certificate of :func:`_close_and_validate` adds opposite sides for
-    the two members of each facet and degree 1 at one generic point, which
-    prove that they meet in common faces.
+    They do exactly when there is one, all are full-dimensional, and each
+    facet lies in two of them or in one and inside a facet of the region.  A
+    facet F of a cone lies in a facet a.x <= 0 of the region or has its
+    relative interior in the region's interior: a.x <= 0 holds on F, so
+    equality at one relative interior point gives it on all of F.  Were a
+    point z of the interior outside the support, a segment from a generic
+    interior point of a cone to z would stay in the interior, miss every face
+    of dimension below rank - 1, and leave the support at a relative interior
+    point of a facet; two cones hold that facet, one on either side, and
+    cover a ball around the point.  Conversely, on a cover, the points just
+    past a facet F in the interior lie in a second cone, which meets the
+    first in a face containing F, so in F; past a facet inside one of the
+    region's, none do.  The proof needs cones that meet in common faces, as
+    a fan's do: two copies of a cover pair every facet.
     """
-    count = {}
-    for p in members:
-        for key in p.facet_keys():
+    cones, count = [fan.cones[fan.maximal[s]] for s in inside], {}
+    for c, s in zip(cones, inside):
+        for on in c._masks:
+            key = _bits(fan._keys[s], on)
             count[key] = count.get(key, 0) + 1
-    walls = () if region is None else region.ineqs
-    return bool(members) and all(p.dim == rank for p in members) and all(
-        v == 2 or v == 1 and any(all(vdot(a, x) == b for x in key[0])
-                                 and all(vdot(a, r) == 0 for r in key[1]) for a, b in walls)
+    return bool(cones) and all(c.dim == fan.rank for c in cones) and all(
+        v == 2 or v == 1 and any(all(vdot(a, fan._gens[g][1]) == 0 for g in key)
+                                 for a, _ in region.ineqs)
         for key, v in count.items())
 
 
 class _Closure:
     """What fans and complexes share: face-closed members in canonical order,
     the indices of the maximal ones, an index of the members by key, and the
-    pairs of maximal members whose gluing conditions are needed."""
+    face walk's numbering, which completeness, validation, properness and the
+    adjacency read: ``_gens`` lists the generators, (0, vertex) or (1, ray),
+    by number, and ``_keys`` the maximal members' id keys (see
+    :meth:`Polyhedron.faces`) in the order of ``maximal``."""
 
-    __slots__ = ("rank", "maximal", "_index", "_cache")
+    __slots__ = ("rank", "maximal", "_gens", "_keys", "_index", "_cache")
 
-    def _close(self, rank, items, kind, validate):
-        members, self.maximal = _close_and_validate(items, kind, validate)
-        self.rank = rank
-        self._index = {m.key(): i for i, m in enumerate(members)}
+    def _close(self, rank, items):
+        """The face closure of ``items``, Polyhedron or Cone, sorted.  Faces
+        shared by several items are built once.  A member is maximal when it
+        is not a proper face of an item; on a complex that is the same as
+        being contained in no other member."""
+        closed, ids, shared = {}, {}, {}  # id key: (last face built, below an item?)
+        for it in items:
+            # the walk lists the item first and its proper faces after it
+            for pos, (key, f) in enumerate(it.faces(ids, shared).items()):
+                closed[key] = f, pos > 0 or closed.get(key, (f, False))[1]
+        order = sorted(closed.items(), key=lambda kv: (kv[1][0].dim, kv[1][0].key()))
+        self.rank, self._gens = rank, tuple(ids)
         self._cache = {}
-        return members
+        self.maximal = tuple(i for i, (_, (_, below)) in enumerate(order) if not below)
+        self._keys = tuple(order[i][0] for i in self.maximal)
+        self._index = {f.key(): i for i, (_, (f, _)) in enumerate(order)}
+        return tuple(f for _, (f, _) in order)
+
+    def _validate(self, maxs, kind):
+        """The common-face test, on the maximal members ``maxs``.
+
+        Only pairs of maximal members are tested.  Let P, Q be maximal with
+        P & Q = F a face of both (possibly empty), and take faces P' <= P and
+        Q' <= Q.  Then P' & Q' = (P' & F) & (Q' & F), an intersection of two
+        faces of F, so a face of F, hence of P and of Q, hence of P' and of
+        Q'.  Every member is a face of a maximal one, so this proves that
+        every two members meet in a common face, with P = Q covering two faces
+        of one cell.  Most pairs are settled by a separating facet
+        (:func:`_meet_certified`); the rest are intersected exactly.
+
+        No pair is tested when :meth:`is_complete` certifies the maximal
+        members by :func:`_tiles`: (i) all have dimension n, (ii) each facet
+        lies in exactly two, with opposite normals, and (iii) one point, on no
+        member's boundary, lies in exactly one.  Let d(y) count the members
+        holding y, off the boundaries.
+
+        (1) d is constant.  It is locally constant off the boundaries.  The
+        points on two facet hyperplanes, the (n - 2)-skeleton among them, lie
+        in finitely many affine spaces of codimension 2, whose complement is
+        connected; so a generic path joins any two points off the boundaries
+        and meets the boundaries at points y on one facet hyperplane H only,
+        each in the relative interior of one facet of every member whose
+        boundary holds y.  By (ii) these members pair off, the two of a pair
+        holding that facet from opposite sides of H, so d is the same just
+        before y and just after.  By (iii) d = 1, so the members cover N_R
+        (their union is closed) with disjoint interiors, and by (ii) each facet
+        of one is a facet of another: they tile N_R facet to facet.
+
+        (2) Such a tiling is face to face.  At a point z, the tangent cones
+        T(P) = cone(P - z) of the tiles P holding z tile R^n facet to facet: a
+        facet T(F) of T(P), F a facet of P through z, is a facet of T(Q) for
+        the other tile Q holding F.  A cone is L + T' with L its lineality
+        space and T' pointed, so each of its facets has lineality space L;
+        adjacent tangent cones share it, and the paths of (1) connect them by
+        adjacency, so all share one space L(z).  The smallest face of a tile P
+        holding z is P & (z + L(z)), and near z the affine space z + L(z) lies
+        in every tile holding z.  Let P, Q meet in C, z in C's relative
+        interior and F the smallest face of P holding z, so C <= F.  Were y in
+        F not in Q, the segment [z, y] would leave Q at some w != y, in the
+        relative interior of F; then F is the smallest face of P holding w, so
+        near w the segment lies in Q, a contradiction.  So C = F, and likewise
+        C is a face of Q, also where C has codimension 2 or more.
+
+        Every other input, complete or not, runs the pairwise test in the same
+        order, and a refusal names the same pair.  The verdict of the
+        certificate is kept as :meth:`is_complete`'s, so it is found once.
+        """
+        if self.is_complete():
+            return
+        for p, q in itertools.combinations(maxs, 2):
+            if _meet_certified(p, q) is not None:
+                continue
+            inter = p.intersect(q)
+            if inter is None:
+                continue
+            g = (inter.vertices, inter.rays)
+            if not (_is_face(p, g) and _is_face(q, g)):
+                raise NotAComplex(
+                    f"{kind} cells {p!r} and {q!r} meet in {inter!r}, not a common face")
 
     def index(self, key):
         """Position of the member with this key, or None."""
@@ -696,16 +694,12 @@ class _Closure:
         span G agree on span F, and equality is transitive.  The same holds
         inside the star of any face, such as an edge star.  A pair meeting in
         a face of dimension rank - 1 is always kept, as no third member holds
-        that face.  Members and meets are bitmasks of generators: a common
-        face is an AND, containment a subset test.
+        that face.  Members and meets are bitmasks of the closure's generator
+        numbers: a common face is an AND, containment a subset test.
         """
-        fan = isinstance(self, Fan)
-        bit = {}
-        masks = [sum(bit.setdefault((kind, g), 1 << len(bit))
-                     for kind, gens in enumerate((m.vertices, m.rays)) for g in gens)
-                 for m in (self.max_cones() if fan else self.max_cells())]
+        masks = [sum(1 << g for g in key) for key in self._keys]
         # two members meet exactly when they share a vertex
-        vertex = sum(b for (kind, _), b in bit.items() if kind == 0)
+        vertex = sum(1 << g for g, (kind, _) in enumerate(self._gens) if kind == 0)
         by_meet = {}
         for p, q in itertools.combinations(range(len(masks)), 2):
             if masks[p] & masks[q] & vertex:
@@ -719,12 +713,11 @@ class _Closure:
             kept += [(p, q) for p, q in by_meet[f] if _join(parent, p, q)]
         out, spans = [], {}
         for p, q in sorted(kept):
-            meet = tuple(tuple(sorted(g for (k, g), b in bit.items()
-                                      if k == kind and masks[p] & masks[q] & b))
-                         for kind in (0, 1))
+            gens = _bits(self._gens, masks[p] & masks[q])
+            meet = tuple(tuple(sorted(g for k, g in gens if k == kind)) for kind in (0, 1))
             span = tuple(direction_space(*meet))
             out.append((p, q, spans.setdefault(span, Span(span)),
-                        meet[1] if fan else meet))
+                        meet[1] if isinstance(self, Fan) else meet))
         return tuple(out)
 
     def same_as(self, other):
@@ -733,9 +726,10 @@ class _Closure:
 
     @_memo
     def is_complete(self):
-        """Is the support all of N_R?  Decided by :func:`_facets_paired`."""
+        """Is the support all of N_R?  Decided by :func:`_tiles`, which runs
+        once: validation reads this verdict."""
         maxs = self.max_cones() if isinstance(self, Fan) else self.max_cells()
-        return _facets_paired(maxs, self.rank)
+        return _tiles(maxs, self._keys)
 
 
 class Fan(_Closure):
@@ -749,7 +743,9 @@ class Fan(_Closure):
     __slots__ = ("cones",)
 
     def __init__(self, rank, cones, validate=True):
-        self.cones = self._close(rank, cones, "fan", validate)
+        self.cones = self._close(rank, cones)
+        if validate:
+            self._validate(self.max_cones(), "fan")
 
     def max_cones(self):
         return [self.cones[i] for i in self.maximal]
@@ -784,7 +780,9 @@ class PolyComplex(_Closure):
     __slots__ = ("cells",)
 
     def __init__(self, rank, cells, validate=True):
-        self.cells = self._close(rank, cells, "complex", validate)
+        self.cells = self._close(rank, cells)
+        if validate:
+            self._validate(self.max_cells(), "complex")
 
     # -- basic queries ------------------------------------------------
 

@@ -351,9 +351,7 @@ def _covering(fan_map, t):
     target cone, or None when they do not cover it."""
     src, tgt = fan_map.source, fan_map.target
     inside = tuple(s for s, u in enumerate(fan_map.max_map) if u == t)
-    covers = _facets_paired([src.cones[src.maximal[s]] for s in inside], tgt.rank,
-                            tgt.cones[tgt.maximal[t]])
-    return inside if covers else None
+    return inside if _facets_paired(src, inside, tgt.cones[tgt.maximal[t]]) else None
 
 
 @_memo

@@ -709,7 +709,7 @@ def close_and_validate(items, kind):
     members contained in no other one as the maximal ones."""
     closed = {}
     for it in items:
-        for f in it.faces().values():
+        for f in it.faces({}, {}).values():
             closed[f.key()] = f
     cells = sorted(closed.values(), key=lambda p: (p.dim, p.key()))
     for p, q in itertools.combinations(cells, 2):
@@ -772,7 +772,7 @@ def star_subdivision(pc, point):
         if not c.contains_point(w):
             new_max.append(c)
             continue
-        for f in sorted(c.faces().values(), key=lambda f: (f.dim, f.key())):
+        for f in sorted(c.faces({}, {}).values(), key=lambda f: (f.dim, f.key())):
             if f.dim == c.dim - 1 and not f.contains_point(w):
                 new_max.append(Cone(n + 1, list(f.rays) + [w]))
     cells = [Polyhedron(n, [tuple(x / r[n] for x in r[:n]) for r in c.rays if r[n] > 0],

@@ -34,7 +34,7 @@ def _assert_faces_match(polys):
     ours, theirs, first = ({}, {}), {}, {}
     for second in (False, True):
         for i, p in enumerate(polys):
-            walk = p.faces(ours)
+            walk = p.faces(*ours)
             got = sorted(walk.values(), key=lambda f: (f.dim, f.key()))
             expected = route_oracle.faces(p, theirs)
             assert [_fields(f) for f in got] == [_fields(f) for f in expected]

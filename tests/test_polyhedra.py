@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import route_oracle
-from ppchow import specialfiber
+from ppchow import polyhedra, specialfiber
 from ppchow.errors import (FaceMismatch, InputError, NonSCR, NotAComplex,
                            NotARecessionCone, RecessionMismatch, UnboundedEdge)
 from ppchow.fixtures import (all_fixture_models, f1_complex, f1_fan,
@@ -350,12 +350,55 @@ def test_completeness_matches_the_recession_fan_route():
     models = list(all_fixture_models().values())
     models += [route_oracle.refined_f3c([3, 7]), route_oracle.interval_model(-1, 2)]
     for pc in models:
-        cells = pc.max_cells()
-        parts = [PolyComplex(pc.rank, cells[:i] + cells[i + 1:], validate=False)
-                 for i in range(len(cells))]
-        domains += [pc, recession_fan(pc)] + parts
-        domains += [cone_over(c).fan for c in [pc] + parts]
-        domains += [vertex_chart(pc, v).fan for v in pc.vertices]
+        domains += _closures(pc)
     got = [d.is_complete() for d in domains]
     assert got == [route_oracle.is_complete(d) for d in domains]
     assert any(got) and not all(got)
+
+
+def _closures(pc):
+    """A complete model, the model with each maximal cell dropped, and of each
+    its c(Pi) fan and its chart fans; the recession fan of the model."""
+    cells = pc.max_cells()
+    parts = [PolyComplex(pc.rank, cells[:i] + cells[i + 1:], validate=False)
+             for i in range(len(cells))]
+    out = [recession_fan(pc)]
+    for model in [pc] + parts:
+        out += [model, cone_over(model).fan] + [vertex_chart(model, v).fan for v in model.vertices]
+    return out
+
+
+def _assert_complete_and_adjacent(pc):
+    """On each closure, completeness read off the face walk's id keys equals
+    the oracle's, on a rebuilt closure's first call and on the cached call,
+    and the adjacency read off them matches the oracle's pairs."""
+    for closure in _closures(pc):
+        want = route_oracle.is_complete(closure)
+        members = closure.max_cones() if isinstance(closure, Fan) else closure.max_cells()
+        fresh = type(closure)(closure.rank, members, validate=False)
+        assert [fresh.is_complete(), fresh.is_complete(), closure.is_complete()] == [want] * 3
+        _assert_forest_adjacency(closure)
+
+
+@settings(derandomize=True, max_examples=3, deadline=None)
+@given(route_oracle.rank_one_chains(), st.lists(st.integers(0, 50), min_size=1, max_size=2))
+def test_completeness_and_adjacency_read_the_generator_numbers(chain, choices):
+    for pc in chain.models + [route_oracle.refined_f3c(choices)]:
+        _assert_complete_and_adjacent(pc)
+
+
+def test_validation_and_completeness_share_one_tiling_run(monkeypatch):
+    """A complete complex validated through ``build_complex`` is certified by
+    ``_tiles`` once, and ``is_complete`` reads that verdict; an unvalidated
+    closure runs ``_tiles`` on its first ``is_complete`` only."""
+    tiles, runs = polyhedra._tiles, []
+    monkeypatch.setattr(polyhedra, "_tiles", lambda *args: runs.append(args) or tiles(*args))
+    for pc in [route_oracle.refined_f3c([3, 7]), route_oracle.rank_one_model([0, Q(1, 2), 1])]:
+        runs.clear()
+        built = build_complex(pc.max_cells())
+        assert len(runs) == 1
+        assert built.is_complete() and built.is_complete() and len(runs) == 1
+        runs.clear()
+        unchecked = PolyComplex(pc.rank, pc.max_cells(), validate=False)
+        assert not runs
+        assert unchecked.is_complete() and unchecked.is_complete() and len(runs) == 1

@@ -27,9 +27,8 @@ import route_oracle
 from ppchow import polyhedra
 from ppchow.errors import NotAComplex
 from ppchow.fixtures import all_fixture_models, f1_fan, f3_fan
-from ppchow.polyhedra import (Cone, Fan, PolyComplex, Polyhedron,
-                              _close_and_validate, _facets_paired, _is_face,
-                              _meet_certified, common_refinement, cone_over,
+from ppchow.polyhedra import (Cone, Fan, PolyComplex, Polyhedron, _facets_paired,
+                              _is_face, _meet_certified, common_refinement, cone_over,
                               rec_fan_as_complex, recession_fan, refines,
                               star_subdivision, vertex_chart)
 
@@ -71,17 +70,23 @@ def _no_pair(p, q):
     raise AssertionError(f"the pair {p!r}, {q!r} was tested")
 
 
+def _close(items, kind, validate):
+    """(members, maximal) of the items closed as a fan or a complex."""
+    closure = (Fan if kind == "fan" else PolyComplex)(items[0].dim_ambient, items, validate)
+    return closure.cones if kind == "fan" else closure.cells, closure.maximal
+
+
 def _assert_same_closure(items, kind, complete=False):
     """Both routes close the items alike; on a complete input the tiling
     certificate decides, so no pair of members is tested."""
     with pytest.MonkeyPatch.context() as mp:
         if complete:
             mp.setattr(polyhedra, "_meet_certified", _no_pair)
-        new_cells, new_max = _close_and_validate(items, kind)
+        new_cells, new_max = _close(items, kind, True)
     old_cells, old_max = route_oracle.close_and_validate(items, kind)
     assert _keys(new_cells) == _keys(old_cells)
     assert new_max == old_max
-    unchecked_cells, unchecked_max = _close_and_validate(items, kind, validate=False)
+    unchecked_cells, unchecked_max = _close(items, kind, False)
     assert _keys(unchecked_cells) == _keys(new_cells) and unchecked_max == new_max
 
 
@@ -89,7 +94,7 @@ def _assert_same_closure(items, kind, complete=False):
 def _padded(draw, items):
     """The items plus some of their faces and repeats, in a drawn order."""
     faces = [f for it in items
-             for f in sorted(it.faces().values(), key=lambda f: (f.dim, f.key()))
+             for f in sorted(it.faces({}, {}).values(), key=lambda f: (f.dim, f.key()))
              if f.key() != it.key()]
     extra = draw(st.lists(st.sampled_from(faces), max_size=4)) if faces else []
     repeats = draw(st.lists(st.sampled_from(items), max_size=2))
@@ -118,7 +123,7 @@ def test_the_last_walk_reaching_a_key_gives_its_member():
                    Polyhedron(1, [(0,), (1,)]))
     point = Polyhedron(1, [(1,)])
     for items, point_kept in (([p, q, point, again], False), ([point, p, q, again], True)):
-        members = {c.key(): c for c in _close_and_validate(items, "complex")[0]}
+        members = {c.key(): c for c in _close(items, "complex", True)[0]}
         assert members[p.key()] is again and members[q.key()] is q
         assert (members[point.key()] is point) == point_kept
 
@@ -432,10 +437,11 @@ def _assert_certificates_agree(models):
             fm = refines(finer, coarser).fan_map
             src, rank = fm.source.max_cones(), fm.target.rank
             for t, sigma in enumerate(fm.target.max_cones()):
-                parts = [c for c, u in zip(src, fm.max_map) if u == t]
+                parts = [s for s, u in enumerate(fm.max_map) if u == t]
                 for some in [parts] + [parts[:k] + parts[k + 1:] for k in range(len(parts))]:
-                    got = _facets_paired(some, rank, sigma)
-                    assert got == route_oracle.check_covers_by_volume(sigma, some, rank)
+                    got = _facets_paired(fm.source, some, sigma)
+                    assert got == route_oracle.check_covers_by_volume(
+                        sigma, [src[s] for s in some], rank)
                     covers.add(got)
     assert covers == {True, False}
     for pc in models:
